@@ -2,13 +2,15 @@
 
 The checks never ask the program under test for the answer: the expected
 exit code and rank come from the problem record (closed forms, the
-independent volume, degenerate-by-construction fibers), and the connection
-matrices are compared by trace and determinant, which do not depend on the
-choice of monomial basis.
+independent volume, degenerate-by-construction fibers).  Every set of
+connection matrices must satisfy the Euler relations of the problem, and
+where values were recorded they are compared by trace and determinant,
+which do not depend on the choice of monomial basis.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -43,6 +45,45 @@ def invariants(report):
         out["trace"].append(str(t))
         out["det"].append(str(d))
     return out
+
+
+def euler_errors(spec, report):
+    """Where the connection matrices break the Euler relations.
+
+    The top form ``t^w dt/t`` is cohomologous to zero after the twisted
+    derivative along each coordinate i, which gives, for every basis
+    monomial ``w_l`` and every row i of the matrix A,
+
+        sum_j c_j A[i][j] B_j e_l = -(w_l[i] + gamma'_i) e_l,
+
+    with c the fiber, B_j the j-th connection matrix and gamma' the
+    normalized parameter.  gamma' may differ from the given gamma only by
+    an integer vector.
+    """
+    rows = spec["matrix"]
+    fiber = [Fraction(c) for c in spec["fiber"]]
+    gamma = [Fraction(g) for g in spec["gamma"]]
+    shifted = [Fraction(g) for g in report["gamma_normalized"]]
+    if len(shifted) != len(rows) or any(
+        (a - b).denominator != 1 for a, b in zip(shifted, gamma)
+    ):
+        return [f"gamma_normalized {report['gamma_normalized']} is not gamma "
+                f"plus an integer vector"]
+    basis = report["derham"]["basis"]
+    mats = [[[Fraction(x) for x in row] for row in m]
+            for m in report["derham"]["connection_matrices"]]
+    size = len(basis)
+    errors = []
+    for i, row in enumerate(rows):
+        weights = [(c * a, m) for c, a, m in zip(fiber, row, mats) if c * a]
+        for k, l in itertools.product(range(size), repeat=2):
+            got = sum((f * m[k][l] for f, m in weights), Fraction(0))
+            want = -(basis[l][i] + shifted[i]) if k == l else 0
+            if got != want:
+                errors.append(f"Euler relation of row {i} fails at entry "
+                              f"({k}, {l}): {got} != {want}")
+                break
+    return errors
 
 
 def check_report(problem, exit_code, stdout, recorded=None):
@@ -95,7 +136,13 @@ def _check(problem, report, recorded):
         len(m) != volume or any(len(r) != volume for r in m) for m in mats
     ):
         errors.append(f"expected {num_columns} connection matrices of size {volume}")
-    elif recorded is not None:
+        return errors
+    if len(report["derham"]["basis"]) != volume:
+        errors.append(f"derham.basis has {len(report['derham']['basis'])} "
+                      f"monomials, expected {volume}")
+        return errors
+    errors.extend(euler_errors(problem["spec"], report))
+    if recorded is not None:
         got = invariants(report)
         for key in ("trace", "det"):
             if got[key] != recorded[key]:

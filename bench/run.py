@@ -25,10 +25,10 @@ import json
 import os
 import random
 import shutil
-import signal
 import statistics
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from time import perf_counter
 
@@ -45,65 +45,25 @@ WORK = ROOT / ".bench_work"
 # program many times slower than today's.
 PROBLEM_TIMEOUT_S = 60.0
 HARD_STOP_S = 100.0
-SETUP_SAMPLES = 9
-# Times are reported in host-normalized seconds: raw seconds times
+SETUP_EVERY_S = 2.0
+# Times are reported in host-normalized seconds: a child's raw seconds times
 # REF_NOMINAL_S over the mean time of a fixed pure-Python loop, timed before
-# every child.  On the 2-core host this was written on, the medians of
-# 36-second windows of raw times moved by 30-60% within minutes while the
-# code stayed the same; normalized, by 5-15%.  The mean, not the median,
-# because the host switched between two speeds within seconds.
+# every child, over the REF_WINDOW loops on either side of the child and the
+# one just before it.  On the 2-core host this was written on, the medians
+# of 36-second windows of raw times moved by 30-60% within minutes while the
+# code stayed the same, and the host switched between two speeds within
+# seconds; the loops next to a child see the speed it ran at.
 REF_ITERATIONS = 200_000
 REF_NOMINAL_S = 0.010
+REF_WINDOW = 2
 GAUSS = {"matrix": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]}
 GAUSS_VOLUME = 2
 
-PER_LAYER = (
-    ("lattice.polytope_s", "s"),
-    ("lattice.normalize_gamma_s", "s"),
-    ("lattice.points_calls", "count"),
-    ("lattice.points_s", "s"),
-    ("lattice.points_kept_ratio", "ratio"),
-    ("lattice.gauge_calls", "count"),
-    ("rings.multiply_calls", "count"),
-    ("rings.multiply_kept_ratio", "ratio"),
-    ("rings.poincare_series_s", "s"),
-    ("nondegeneracy.s", "s"),
-    ("nondegeneracy.certify_face_calls", "count"),
-    ("nondegeneracy.faces", "count"),
-    ("homology.kouchnirenko_calls", "count"),
-    ("homology.kouchnirenko_s", "s"),
-    ("homology.poincare_check_s", "s"),
-    ("homology.koszul_labels", "count"),
-    ("linalg.rank_calls", "count"),
-    ("linalg.rank_s", "s"),
-    ("linalg.rank_nnz", "count"),
-    ("linalg.solve_calls", "count"),
-    ("linalg.solve_s", "s"),
-    ("linalg.span_add_calls", "count"),
-    ("linalg.span_kept_ratio", "ratio"),
-    ("derham.h_top_s", "s"),
-    ("derham.connection_s", "s"),
-    ("derham.reduce_calls", "count"),
-    ("derham.twisted_differential_calls", "count"),
-    ("operators.s", "s"),
-    ("cli.import_s", "s"),
-    ("jsonio.emit_s", "s"),
-    ("trace.overhead_frac", "ratio"),
-    ("host.ref_loop_s", "s"),
-)
 RATIOS = {
     "lattice.points_kept_ratio": ("lattice.points_kept", "lattice.points_box"),
     "rings.multiply_kept_ratio": ("rings.multiply_kept", "rings.multiply_calls"),
     "linalg.span_kept_ratio": ("linalg.span_kept", "linalg.span_add_calls"),
 }
-
-
-class _Timeout(Exception):
-    pass
-
-
-def _alarm(signum, frame):
-    raise _Timeout
 
 
 def child_env():
@@ -118,29 +78,19 @@ class Child:
     """Outcome of one fresh process: wall seconds, exit code, peak RSS, output."""
 
     def __init__(self, argv, out_path, timeout=PROBLEM_TIMEOUT_S):
-        env = child_env()
         err_path = out_path.with_suffix(".err")
-        self.timed_out = False
-        reaped = None
-        previous = signal.signal(signal.SIGALRM, _alarm)
+        killed = threading.Event()
         with open(out_path, "wb") as out, open(err_path, "wb") as err:
             start = perf_counter()
-            proc = subprocess.Popen(argv, stdout=out, stderr=err, cwd=ROOT, env=env)
-            try:
-                signal.setitimer(signal.ITIMER_REAL, timeout)
-                try:
-                    reaped = os.wait4(proc.pid, 0)
-                finally:
-                    signal.setitimer(signal.ITIMER_REAL, 0)
-            except _Timeout:
-                if reaped is None:
-                    self.timed_out = True
-                    proc.kill()
-                    reaped = os.wait4(proc.pid, 0)
-            finally:
-                signal.signal(signal.SIGALRM, previous)
+            proc = subprocess.Popen(
+                argv, stdout=out, stderr=err, cwd=ROOT, env=child_env()
+            )
+            timer = threading.Timer(timeout, lambda: (killed.set(), proc.kill()))
+            timer.start()
+            _, status, usage = os.wait4(proc.pid, 0)
             self.seconds = perf_counter() - start
-        _, status, usage = reaped
+            timer.cancel()
+        self.timed_out = killed.is_set()
         self.exit_code = os.waitstatus_to_exitcode(status)
         proc.returncode = self.exit_code
         self.rss_mb = usage.ru_maxrss / 1024.0
@@ -198,6 +148,7 @@ class Run:
         self.failures = []
         self.peak_rss_mb = 0.0
         self.ref_loops = []
+        self.raw_seconds = []
         self.first_report = {}
 
     def fail(self, what, reason):
@@ -207,11 +158,20 @@ class Run:
         self.attempted += 1
         self.ref_loops.append(reference_loop_s())
         c = Child(argv, self.workdir / out_name)
+        c.index = len(self.raw_seconds)
+        self.raw_seconds.append(c.seconds)
         self.peak_rss_mb = max(self.peak_rss_mb, c.rss_mb)
         return c
 
+    def normalized(self, index):
+        """Seconds of child ``index`` at the speed where the loop takes
+        REF_NOMINAL_S; call it once every child has run."""
+        window = self.ref_loops[max(0, index - REF_WINDOW):index + REF_WINDOW + 1]
+        return self.raw_seconds[index] * REF_NOMINAL_S / statistics.mean(window)
+
     def setup_sample(self):
-        """One fresh ``gkz volume`` on the Gauss problem; None if it failed."""
+        """One fresh ``gkz volume`` on the Gauss problem: the child's index,
+        or None if it failed."""
         c = self.child(gkz("volume", self.workdir / "gauss.json"), "setup.out")
         reason = c.failure()
         if reason is None:
@@ -224,13 +184,7 @@ class Run:
         if reason is not None:
             self.fail("setup", reason)
             return None
-        return c.seconds
-
-    def setup_s(self):
-        (self.workdir / "gauss.json").write_text(json.dumps(GAUSS), encoding="utf-8")
-        self.setup_sample()  # writes the bytecode cache; not timed
-        samples = [self.setup_sample() for _ in range(SETUP_SAMPLES)]
-        return [s for s in samples if s is not None]
+        return c.index
 
     def analyze(self, problem):
         """Run one ``gkz analyze``; returns the child.
@@ -277,22 +231,31 @@ class Run:
         return True
 
     def timed(self, seconds):
-        """The number of whole passes over the problems nearest to ``seconds``.
+        """Whole passes over the problems for about ``seconds``.
 
         Whole passes keep every problem's share of the samples equal, so
         the pooled median does not depend on where a run happened to stop.
+        A set-up sample runs every SETUP_EVERY_S between the problems, so
+        the set-up samples meet the same host phases as the problems.
+        Returns the child indices of the problems' samples and of the
+        set-up samples.
         """
         times = {p["id"]: [] for p in self.problems}
+        (self.workdir / "gauss.json").write_text(json.dumps(GAUSS), encoding="utf-8")
+        self.setup_sample()  # writes the bytecode cache; not timed
+        setup = []
         start = perf_counter()
         while True:
             pass_start = perf_counter()
             for problem in self.problems:
                 if self.past_hard_stop(start, problem):
                     continue
-                times[problem["id"]].append(self.analyze(problem).seconds)
+                if len(setup) * SETUP_EVERY_S <= perf_counter() - start < seconds:
+                    setup.append(self.setup_sample())
+                times[problem["id"]].append(self.analyze(problem).index)
             now = perf_counter()
             if now - start + (now - pass_start) / 2 > seconds:
-                return times
+                return times, [x for x in setup if x is not None]
 
     def traced(self):
         """Each problem once untraced and once traced; per-layer totals."""
@@ -344,32 +307,60 @@ class Run:
         return totals
 
 
-def end_to_end(run, times, setup):
+def declared(kind):
+    """The (name, unit) of each metric of ``kind`` that BENCHMARK.json lists."""
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        return [(m["name"], m["unit"]) for m in json.load(fh)[kind]]
+
+
+def time_metrics(workload, times, setup, seconds):
+    """The time metrics of a run; ``seconds`` gives a child's time by index."""
+    times = {pid: [seconds(i) for i in ts] for pid, ts in times.items() if ts}
     flat = sorted(t for ts in times.values() for t in ts)
-    medians = {pid: statistics.median(ts) for pid, ts in times.items() if ts}
-    slowest = max(medians, key=medians.get) if medians else None
-    count = len(flat)
-    metrics = {
-        "wall_s": (sum(medians.values()), "s", f"{len(medians)} problems"),
-        "problem_s.p50": (statistics.median(flat) if flat else 0.0, "s", f"{count} samples"),
+    medians = {pid: statistics.median(ts) for pid, ts in times.items()}
+    slowest = max(medians, key=medians.get)
+    out = {
+        "wall_s": (sum(medians.values()), f"{len(medians)} problems"),
+        "problem_s.p50": (statistics.median(flat), f"{len(flat)} samples"),
         "max_problem_s": (
-            medians.get(slowest, 0.0), "s",
-            f"{len(times.get(slowest, []))} samples of {slowest}",
+            medians[slowest], f"{len(times[slowest])} samples of {slowest}"
         ),
-        "setup_s": (statistics.median(setup) if setup else 0.0, "s", f"{len(setup)} samples"),
-        "peak_rss_mb": (run.peak_rss_mb, "MB", f"{run.attempted} processes"),
+        "setup_s": (
+            statistics.median(seconds(i) for i in setup) if setup else 0.0,
+            f"{len(setup)} samples",
+        ),
     }
-    extra = {}
-    if run.workload == "sweep" and count >= 10:
-        extra["problem_s.p90"] = (
-            statistics.quantiles(flat, n=10)[-1], "s", f"{count} samples"
+    if workload == "sweep" and len(flat) >= 10:
+        out["problem_s.p90"] = (
+            statistics.quantiles(flat, n=10)[-1], f"{len(flat)} samples"
         )
-    return metrics, extra
+    return out
+
+
+def end_to_end(run, times, setup):
+    """The declared end-to-end metrics and the printed extras of a timed run.
+
+    Times are host-normalized (``Run.normalized``); the note keeps the raw
+    value.
+    """
+    raw = time_metrics(run.workload, times, setup, run.raw_seconds.__getitem__)
+    values = {
+        name: (value, "s", f"{note}; raw {raw[name][0]:.4g} s")
+        for name, (value, note) in time_metrics(
+            run.workload, times, setup, run.normalized
+        ).items()
+    }
+    values["peak_rss_mb"] = (run.peak_rss_mb, "MB", f"{run.attempted} processes")
+    metrics = {}
+    for name, unit in declared("end_to_end"):
+        value, _, note = values.pop(name)
+        metrics[name] = (value, unit, note)
+    return metrics, values
 
 
 def per_layer(totals):
     out = {}
-    for name, unit in PER_LAYER:
+    for name, unit in declared("per_layer"):
         if name in RATIOS:
             num, den = RATIOS[name]
             value = totals.get(num, 0) / totals[den] if totals.get(den) else 0.0
@@ -380,7 +371,8 @@ def per_layer(totals):
 
 
 def normalized(metrics, ref):
-    """Scale every time to the reference host speed; keep the raw value in the note."""
+    """Scale every time by the run's mean loop time ``ref``, for the traced
+    run; keep the raw value in the note."""
     out = {}
     for name, (value, unit, note) in metrics.items():
         if unit == "s":
@@ -407,19 +399,17 @@ def main(argv=None):
     run = Run(args.workload, args.seed, workdir)
     if args.trace:
         metrics, extra = per_layer(run.traced()), {}
+        metrics = normalized(metrics, statistics.mean(run.ref_loops))
     else:
-        setup = run.setup_s()
-        times = run.timed(args.seconds)
-        (workdir / "samples.json").write_text(
-            json.dumps({"setup": setup, "problems": times, "ref_loops": run.ref_loops}),
-            encoding="utf-8",
-        )
+        times, setup = run.timed(args.seconds)
+        (workdir / "samples.json").write_text(json.dumps({
+            "problems": times, "setup": setup,
+            "raw_seconds": run.raw_seconds, "ref_loops": run.ref_loops,
+        }), encoding="utf-8")
         metrics, extra = end_to_end(run, times, setup)
     run.check_reports()
-    ref = statistics.mean(run.ref_loops)
-    metrics, extra = normalized(metrics, ref), normalized(extra, ref)
     (metrics if args.trace else extra)["host.ref_loop_s"] = (
-        ref, "s", f"mean of {len(run.ref_loops)}"
+        statistics.mean(run.ref_loops), "s", f"mean of {len(run.ref_loops)}"
     )
     extra["failed_frac"] = (
         len(run.failures) / run.attempted, "ratio", f"{run.attempted} runs"

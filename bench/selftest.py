@@ -70,6 +70,7 @@ def test_checker_accepts_the_seed_report(simplex_report):
         lambda r: r.__setitem__("rank_agreement", False),
         lambda r: r["derham"]["connection_matrices"][1][0].__setitem__(0, "5/7"),
         lambda r: r["derham"]["connection_matrices"].pop(),
+
         lambda r: r.pop("koszul"),
     ],
     ids=[
@@ -82,6 +83,25 @@ def test_checker_rejects_a_tampered_report(simplex_report, tamper):
     bad = copy.deepcopy(report)
     tamper(bad)
     assert _errors(problem, code, bad, recorded)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda r: r["derham"]["connection_matrices"][0][1].__setitem__(0, "1/3"),
+        lambda r: r["derham"]["connection_matrices"][2][0].__setitem__(0, "1/5"),
+        lambda r: r["derham"]["basis"].reverse(),
+        lambda r: r.__setitem__("gamma_normalized", ["1/2"] * 3),
+    ],
+    ids=["off-diagonal", "diagonal", "basis-order", "gamma-shift"],
+)
+def test_euler_relations_need_no_recorded_values(simplex_report, tamper):
+    problem, code, report, _ = simplex_report
+    assert _errors(problem, code, report, None) == []
+    bad = copy.deepcopy(report)
+    tamper(bad)
+    errors = _errors(problem, code, bad, None)
+    assert errors and all("Euler" in e or "gamma" in e for e in errors)
 
 
 def test_checker_rejects_a_wrong_exit_code(simplex_report):
