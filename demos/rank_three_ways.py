@@ -38,8 +38,9 @@ print("   per-degree dims:", dict(koszul.per_degree))
 print("   predicted polynomial:", koszul.expected_polynomial)
 
 # Route 3: analysis.  The twisted de Rham differential is reduced against
-# the monomial basis lifted from route 2.
-dim, basis = h_top_dimension(gamma, fiber, polytope)
+# the monomial basis lifted from route 2, so route 2's result is passed in
+# rather than computed again.
+dim, basis = h_top_dimension(gamma, fiber, polytope, kouchnirenko=koszul)
 print("3) de Rham cokernel dimension:", dim)
 print("   monomial basis:", basis.basis)
 

@@ -45,7 +45,6 @@ from .homology import (
     koszul_complex,
     koszul_regular_sequence_check,
     poincare_identity_check,
-    rank_and_kernel,
     verify_kouchnirenko,
 )
 from .lattice import (
@@ -63,7 +62,7 @@ from .lattice import (
     normalized_volume,
     validate_matrix,
 )
-from .linalg import SparseRationalMatrix
+from .linalg import SparseRationalMatrix, rank_and_kernel
 from .nondegeneracy import (
     FaceCertificate,
     NondegeneracyReport,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -26,6 +27,10 @@ from .pipeline import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_DEGENERATE = 2
+
+# Caps the certified truncation degree of runs whose problem file sets no
+# "truncation_cap" option.
+TRUNCATION_ENV = "GKZ_TRUNCATION_CAP"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,6 +93,9 @@ def _load_spec(args) -> ProblemSpec:
         spec.gamma = [Fraction(tok.strip()) for tok in args.gamma.split(",")]
     if getattr(args, "weight_bound", None) is not None:
         spec.options["weight_bound"] = args.weight_bound
+    cap = os.environ.get(TRUNCATION_ENV)
+    if cap:
+        spec.options.setdefault("truncation_cap", int(cap))
     return spec
 
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GammaNotNormalized, NotInCone
-from .homology import verify_kouchnirenko
+from .homology import KouchnirenkoResult, verify_kouchnirenko
 from .lattice import NewtonPolytope, Vector
 from .linalg import SparseRationalMatrix, rank, solve
-from .nondegeneracy import ensure_nondegenerate
 from .rings import ConeRing, log_derivative_classes
 
 
@@ -92,23 +91,18 @@ class LogForm:
         return " + ".join(bits)
 
 
-_NORMALIZED_SEEN: set = set()
-
-
 def _warn_if_not_normalized(gamma, polytope: NewtonPolytope):
-    key = (tuple(Fraction(g) for g in gamma), polytope.matrix.rows)
-    if key in _NORMALIZED_SEEN:
-        return
-    _NORMALIZED_SEEN.add(key)
-    for m in polytope.cone_inequalities():
-        if sum(a * b for a, b in zip(m, key[0])) > 0:
-            warnings.warn(
-                "parameter vector is not normalized into the negated cone; "
-                "rank guarantees are void",
-                GammaNotNormalized,
-                stacklevel=3,
-            )
-            return
+    gamma = [Fraction(g) for g in gamma]
+    if any(
+        sum(a * b for a, b in zip(m, gamma)) > 0
+        for m in polytope.cone_inequalities()
+    ):
+        warnings.warn(
+            "parameter vector is not normalized into the negated cone; "
+            "rank guarantees are void",
+            GammaNotNormalized,
+            stacklevel=3,
+        )
 
 
 def twisted_differential(
@@ -231,7 +225,7 @@ class ReductionBasis:
         self.polytope = polytope
         self.gamma = tuple(Fraction(g) for g in gamma)
         self.fiber = tuple(Fraction(c) for c in fiber)
-        self.ring = ConeRing(polytope)
+        self.ring = kouchnirenko.ring
         self.kouchnirenko = kouchnirenko
         self.basis: list[Vector] = list(kouchnirenko.monomial_basis)
         self.sequence = log_derivative_classes(fiber, None, polytope)
@@ -347,20 +341,24 @@ class ReductionBasis:
         return cached
 
 
-def h_top_dimension(gamma, fiber, polytope: NewtonPolytope):
+def h_top_dimension(
+    gamma, fiber, polytope: NewtonPolytope, *,
+    kouchnirenko: KouchnirenkoResult | None = None,
+):
     """Cokernel dimension of the truncated top differential, plus the basis.
 
     The truncation keeps coefficient degrees through the certified Koszul
     bound; the filtration argument makes the cokernel equal to the full top
     cohomology, so on a nondegenerate fiber it must come out at the
-    normalized volume.
+    normalized volume.  A ``kouchnirenko`` result already computed for this
+    fiber is reused; without one the fiber is certified here and a
+    degenerate one raises.
     """
     _warn_if_not_normalized(gamma, polytope)
-    ensure_nondegenerate(polytope.matrix, fiber, polytope)
-    kz = verify_kouchnirenko(polytope.matrix, fiber, polytope)
+    kz = kouchnirenko or verify_kouchnirenko(polytope.matrix, fiber, polytope)
     n = polytope.n
     M = polytope.gauge_denominator
-    ring = ConeRing(polytope)
+    ring = kz.ring
     top_bound = kz.expected_polynomial.degree + M
     src_bound = top_bound - M
     rows: list[Vector] = []
@@ -433,7 +431,7 @@ def derham_cohomology_dims(gamma, fiber, polytope: NewtonPolytope, level_cap=Non
     kz = verify_kouchnirenko(polytope.matrix, fiber, polytope)
     n = polytope.n
     M = polytope.gauge_denominator
-    ring = ConeRing(polytope)
+    ring = kz.ring
     if level_cap is None:
         level_cap = max(0, kz.expected_polynomial.degree + M - M * n)
     full = tuple(range(n))

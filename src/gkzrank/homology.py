@@ -10,11 +10,11 @@ by strand.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import MismatchAtDegree, TruncationTooSmall
+from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
+from .jsonio import format_rational
 from .lattice import NewtonPolytope
 from .linalg import RationalSpan, SparseRationalMatrix, rank
 from .rings import (
@@ -25,20 +25,6 @@ from .rings import (
     poincare_series,
 )
 from .series import PolyZ
-
-TRUNCATION_ENV = "GKZ_TRUNCATION_CAP"
-
-
-def _truncation_cap() -> int | None:
-    raw = os.environ.get(TRUNCATION_ENV)
-    return int(raw) if raw else None
-
-
-def _check_cap(needed: int):
-    cap = _truncation_cap()
-    if cap is not None and needed > cap:
-        raise TruncationTooSmall(needed, cap)
-
 
 class CochainComplexQ:
     """A finite complex of Q-vector spaces with labeled bases.
@@ -91,15 +77,11 @@ class CochainComplexQ:
             "bases": {str(q): [str(lbl) for lbl in b] for q, b in sorted(self.bases.items())},
             "differentials": {
                 str(q): [
-                    [i, j, _frac_str(v)] for i, j, v in m.triplets()
+                    [i, j, format_rational(v)] for i, j, v in m.triplets()
                 ]
                 for q, m in sorted(self.diffs.items())
             },
         }
-
-
-def _frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def cohomology_dims(complex_):
@@ -233,7 +215,7 @@ class GradedKoszulComplex:
                 for (q, d), b in sorted(self.bases.items())
             },
             "differentials": {
-                f"{q},{d}": [[i, j, _frac_str(v)] for i, j, v in m.triplets()]
+                f"{q},{d}": [[i, j, format_rational(v)] for i, j, v in m.triplets()]
                 for (q, d), m in sorted(self.diffs.items())
             },
         }
@@ -241,7 +223,6 @@ class GradedKoszulComplex:
 
 def koszul_complex(datum: KoszulDatum) -> GradedKoszulComplex:
     """Build and validate the truncated Koszul complex of the datum."""
-    _check_cap(datum.truncation_degree)
     cx = GradedKoszulComplex(datum.ring, datum.sequence, datum.truncation_degree)
     cx.validate()
     return cx
@@ -381,6 +362,7 @@ class KouchnirenkoResult:
     expected_polynomial: PolyZ
     truncation: int
     lower_dims: dict[int, dict]
+    ring: ConeRing = field(repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -406,6 +388,7 @@ def expected_top_polynomial(polytope: NewtonPolytope) -> PolyZ:
 def verify_kouchnirenko(
     matrix, fiber, polytope: NewtonPolytope | None = None, *,
     require_nondegenerate: bool = True,
+    truncation_cap: int | None = None,
 ):
     """Certify vanishing of the lower Koszul cohomology and count the top.
 
@@ -413,20 +396,25 @@ def verify_kouchnirenko(
     polynomial plus one grading window, which bounds the support whenever
     the fiber is nondegenerate.  With ``require_nondegenerate`` the fiber is
     certified first and a degenerate one raises; without it the scan runs
-    anyway and reports whatever failure signal appears.
+    anyway and reports whatever failure signal appears.  A truncation above
+    ``truncation_cap`` raises TruncationTooSmall before the complex is built.
     """
-    from .nondegeneracy import ensure_nondegenerate  # local to avoid a cycle
+    from .nondegeneracy import is_nondegenerate  # local to avoid a cycle
 
     if polytope is None:
         polytope = NewtonPolytope(matrix)
     if require_nondegenerate:
-        ensure_nondegenerate(matrix, fiber, polytope)
+        report = is_nondegenerate(matrix, fiber, polytope)
+        if not report.overall:
+            bad = [c.face_id for c in report.offending_faces()]
+            raise DegenerateFiber(f"degenerate fiber; offending faces {bad}")
     n = polytope.n
     M = polytope.gauge_denominator
     ring = ConeRing(polytope)
     expected = expected_top_polynomial(polytope)
     truncation = expected.degree + M
-    _check_cap(truncation)
+    if truncation_cap is not None and truncation > truncation_cap:
+        raise TruncationTooSmall(truncation, truncation_cap)
     sequence = log_derivative_classes(fiber, None, polytope)
     cx = koszul_complex(KoszulDatum(ring, sequence, truncation))
     dims = cx.cohomology_dims()
@@ -460,6 +448,7 @@ def verify_kouchnirenko(
         expected_polynomial=expected,
         truncation=truncation,
         lower_dims=lower,
+        ring=ring,
     )
 
 
@@ -481,15 +470,18 @@ class PoincareCheck:
         }
 
 
-def poincare_identity_check(matrix, fiber, polytope=None) -> PoincareCheck:
+def poincare_identity_check(
+    matrix, fiber, polytope=None, *, kouchnirenko: KouchnirenkoResult | None = None
+) -> PoincareCheck:
     """Check the top-cohomology series identity degree by degree.
 
     Raises MismatchAtDegree on the first disagreement between the computed
     top-cohomology dimensions and the predicted polynomial coefficients.
+    A ``kouchnirenko`` result already computed for this fiber is reused.
     """
     if polytope is None:
         polytope = NewtonPolytope(matrix)
-    result = verify_kouchnirenko(matrix, fiber, polytope)
+    result = kouchnirenko or verify_kouchnirenko(matrix, fiber, polytope)
     poly = result.expected_polynomial
     for d in range(result.truncation + 1):
         got = result.per_degree.get(d, 0)
@@ -559,10 +551,3 @@ def koszul_regular_sequence_check(
         embeds_in_quotient=embeds,
         dims=dims,
     )
-
-
-def rank_and_kernel(m: SparseRationalMatrix):
-    """Exact (rank, kernel dimension) of a sparse rational matrix."""
-    from .linalg import rank_and_kernel as _rk
-
-    return _rk(m)

@@ -186,21 +186,3 @@ def is_nondegenerate(matrix, fiber, polytope: NewtonPolytope | None = None):
         certificates.append(certify_face(fiber, face, polytope))
     overall = all(c.verdict == "finite" for c in certificates)
     return NondegeneracyReport(overall, certificates)
-
-
-_CACHE: dict = {}
-
-
-def ensure_nondegenerate(matrix, fiber, polytope: NewtonPolytope):
-    """Raise DegenerateFiber unless the fiber certifies nondegenerate."""
-    from .errors import DegenerateFiber
-
-    key = (polytope.matrix.rows, tuple(Fraction(c) for c in fiber))
-    report = _CACHE.get(key)
-    if report is None:
-        report = is_nondegenerate(matrix, fiber, polytope)
-        _CACHE[key] = report
-    if not report.overall:
-        bad = [c.face_id for c in report.offending_faces()]
-        raise DegenerateFiber(f"degenerate fiber; offending faces {bad}")
-    return report

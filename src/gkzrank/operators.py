@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotARelation
+from .jsonio import format_rational
 from .lattice import ExponentMatrix
 
 _SUBSCRIPTS = str.maketrans("0123456789-", "₀₁₂₃₄₅₆₇₈₉₋")
@@ -31,7 +32,7 @@ class EulerOperator:
     def to_json(self):
         return {
             "row_weights": list(self.row_weights),
-            "gamma_shift": _frac_str(self.gamma_shift),
+            "gamma_shift": format_rational(self.gamma_shift),
         }
 
 
@@ -43,10 +44,6 @@ class BoxOperator:
 
     def to_json(self):
         return {"relation": list(self.relation)}
-
-
-def _frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def box_operator(matrix: ExponentMatrix, relation) -> BoxOperator:
@@ -215,9 +212,9 @@ def render_euler(op: EulerOperator) -> str:
     if op.gamma_shift != 0:
         g = op.gamma_shift
         if g > 0:
-            rendered += f" + {_frac_str(g)}"
+            rendered += f" + {format_rational(g)}"
         else:
-            rendered += f" − {_frac_str(-g)}"
+            rendered += f" − {format_rational(-g)}"
     return rendered
 
 

@@ -9,8 +9,6 @@ stages but is still a legitimate answer.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -114,26 +112,6 @@ class _Stage:
         return False
 
 
-@contextlib.contextmanager
-def _truncation_guard(spec: ProblemSpec):
-    """Honor a per-problem truncation cap via the environment guard."""
-    cap = spec.options.get("truncation_cap")
-    if cap is None:
-        yield
-        return
-    from .homology import TRUNCATION_ENV
-
-    previous = os.environ.get(TRUNCATION_ENV)
-    os.environ[TRUNCATION_ENV] = str(int(cap))
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[TRUNCATION_ENV]
-        else:
-            os.environ[TRUNCATION_ENV] = previous
-
-
 def _validated(spec: ProblemSpec) -> tuple[ExponentMatrix, NewtonPolytope]:
     matrix = validate_matrix(spec.matrix_rows)
     if len(spec.gamma) != matrix.n:
@@ -161,13 +139,35 @@ def _operators_json(matrix: ExponentMatrix, gamma):
     }
 
 
+def _kouchnirenko(spec: ProblemSpec, matrix, polytope, **kwargs):
+    cap = spec.options.get("truncation_cap")
+    return verify_kouchnirenko(
+        matrix,
+        spec.fiber,
+        polytope,
+        truncation_cap=None if cap is None else int(cap),
+        **kwargs,
+    )
+
+
+def _derham_json(gamma_norm, fiber, polytope, kz) -> dict:
+    dim, basis = h_top_dimension(gamma_norm, fiber, polytope, kouchnirenko=kz)
+    mats = connection_matrices(gamma_norm, fiber, basis)
+    return {
+        "dimension": dim,
+        "basis": [list(w) for w in basis.basis],
+        "connection_matrices": [
+            [[format_rational(v) for v in row] for row in mat] for mat in mats
+        ],
+    }
+
+
 def run_analyze(spec: ProblemSpec, with_timings: bool = True) -> RankReport:
-    """Full pipeline: geometry, certification, cohomology, operators."""
-    with _truncation_guard(spec):
-        return _run_analyze(spec, with_timings)
+    """Full pipeline: geometry, certification, cohomology, operators.
 
-
-def _run_analyze(spec: ProblemSpec, with_timings: bool) -> RankReport:
+    Each stage's result is passed on to the stages that need it, so the
+    fiber is certified once and the Koszul complex is built once.
+    """
     clock = _Clock(with_timings)
     body: dict = {}
     with clock.stage("validate"):
@@ -188,25 +188,20 @@ def _run_analyze(spec: ProblemSpec, with_timings: bool) -> RankReport:
         body["derham"] = None
     else:
         with clock.stage("koszul"):
-            kz = verify_kouchnirenko(matrix, spec.fiber, polytope)
+            kz = _kouchnirenko(
+                spec, matrix, polytope, require_nondegenerate=False
+            )
             body["koszul"] = kz.to_json()
         with clock.stage("poincare"):
             body["poincare"] = poincare_identity_check(
-                matrix, spec.fiber, polytope
+                matrix, spec.fiber, polytope, kouchnirenko=kz
             ).to_json()
         with clock.stage("derham"):
-            dim, basis = h_top_dimension(gamma_norm, spec.fiber, polytope)
-            mats = connection_matrices(gamma_norm, spec.fiber, basis)
-            body["derham"] = {
-                "dimension": dim,
-                "basis": [list(w) for w in basis.basis],
-                "connection_matrices": [
-                    [[format_rational(v) for v in row] for row in mat]
-                    for mat in mats
-                ],
-            }
+            body["derham"] = _derham_json(gamma_norm, spec.fiber, polytope, kz)
         body["rank_agreement"] = (
-            polytope.normalized_volume == kz.top_dim == dim
+            polytope.normalized_volume
+            == kz.top_dim
+            == body["derham"]["dimension"]
         )
     with clock.stage("operators"):
         body["gkz"] = _operators_json(matrix, gamma_norm)
@@ -229,11 +224,6 @@ def run_subcommand(name: str, spec: ProblemSpec) -> dict:
     """Run only the pipeline prefix needed for one focused question."""
     if name not in SUBCOMMANDS:
         raise UnknownSubcommand(name)
-    with _truncation_guard(spec):
-        return _run_subcommand(name, spec)
-
-
-def _run_subcommand(name: str, spec: ProblemSpec) -> dict:
     matrix, polytope = _validated(spec)
     if name == "volume":
         return {"normalized_volume": polytope.normalized_volume}
@@ -242,30 +232,22 @@ def _run_subcommand(name: str, spec: ProblemSpec) -> dict:
     if name == "nondegenerate":
         return is_nondegenerate(matrix, spec.fiber, polytope).to_json()
     if name == "koszul":
-        return verify_kouchnirenko(matrix, spec.fiber, polytope).to_json()
+        return _kouchnirenko(spec, matrix, polytope).to_json()
     if name == "poincare":
-        return poincare_identity_check(matrix, spec.fiber, polytope).to_json()
-    if name == "derham":
-        cone = exponent_cone(matrix, polytope)
-        gamma_norm = normalize_gamma(spec.gamma, cone)
-        dim, basis = h_top_dimension(gamma_norm, spec.fiber, polytope)
-        mats = connection_matrices(gamma_norm, spec.fiber, basis)
-        return {
-            "dimension": dim,
-            "basis": [list(w) for w in basis.basis],
-            "connection_matrices": [
-                [[format_rational(v) for v in row] for row in mat]
-                for mat in mats
-            ],
-        }
-    if name == "gkz-ops":
-        cone = exponent_cone(matrix, polytope)
-        gamma_norm = normalize_gamma(spec.gamma, cone)
-        return _operators_json(matrix, gamma_norm)
+        return poincare_identity_check(
+            matrix,
+            spec.fiber,
+            polytope,
+            kouchnirenko=_kouchnirenko(spec, matrix, polytope),
+        ).to_json()
     if name == "face-complex":
         bound = int(spec.options.get("weight_bound", DEFAULT_WEIGHT_BOUND))
         return check_face_complex_exactness(polytope, bound).to_json()
-    raise UnknownSubcommand(name)  # pragma: no cover
+    gamma_norm = normalize_gamma(spec.gamma, exponent_cone(matrix, polytope))
+    if name == "derham":
+        kz = _kouchnirenko(spec, matrix, polytope)
+        return _derham_json(gamma_norm, spec.fiber, polytope, kz)
+    return _operators_json(matrix, gamma_norm)  # gkz-ops
 
 
 def error_json(stage: str, exc: Exception) -> dict:

@@ -138,6 +138,13 @@ class TestCliExitCodes:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "DegenerateFiber"
 
+    def test_truncation_cap_variable(self, tmp_path, capsys, monkeypatch):
+        path = write_spec(tmp_path, GAUSS_SPEC)
+        monkeypatch.setenv("GKZ_TRUNCATION_CAP", "1")
+        assert main(["koszul", path]) == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "TruncationTooSmall"
+
     def test_nondegenerate_subcommand_exit(self, tmp_path, capsys):
         data = dict(GAUSS_SPEC, fiber=["1", "1", "1", "1"])
         path = write_spec(tmp_path, data)

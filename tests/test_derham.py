@@ -53,6 +53,14 @@ class TestTwistedDifferential:
         with pytest.warns(GammaNotNormalized):
             twisted_differential([F(7, 2)], [1], form(1, (), (0,)), P)
 
+    def test_warning_on_every_call(self):
+        P = newton_polytope(validate_matrix([[3]]))
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", GammaNotNormalized)
+                twisted_differential([F(5, 2)], [1], form(1, (), (0,)), P)
+            assert [w.category for w in caught] == [GammaNotNormalized]
+
 
 class TestFiltrationLevel:
     def test_constant(self):

@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -252,12 +251,8 @@ class TestVerifyKouchnirenko:
 
     def test_truncation_cap(self, gauss):
         matrix, P, fiber = gauss
-        os.environ["GKZ_TRUNCATION_CAP"] = "1"
-        try:
-            with pytest.raises(TruncationTooSmall):
-                verify_kouchnirenko(matrix, fiber, P)
-        finally:
-            del os.environ["GKZ_TRUNCATION_CAP"]
+        with pytest.raises(TruncationTooSmall):
+            verify_kouchnirenko(matrix, fiber, P, truncation_cap=1)
 
 
 class TestPoincareIdentity:

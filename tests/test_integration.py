@@ -2,6 +2,7 @@
 
 import pytest
 
+from gkzrank import homology, nondegeneracy, pipeline
 from gkzrank import (
     ProblemSpec,
     TruncationTooSmall,
@@ -9,6 +10,7 @@ from gkzrank import (
     is_nondegenerate,
     koszul_complex,
     newton_polytope,
+    run_analyze,
     run_subcommand,
     validate_matrix,
     verify_kouchnirenko,
@@ -96,3 +98,52 @@ def test_options_truncation_cap():
     )
     with pytest.raises(TruncationTooSmall):
         run_subcommand("koszul", spec)
+
+
+def _gauss_spec(**options):
+    return ProblemSpec.from_json(
+        {
+            "matrix": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
+            "fiber": ["1", "2", "3", "4"],
+            "options": options,
+        }
+    )
+
+
+def test_truncation_cap_stays_with_its_run(monkeypatch):
+    # An uncapped run started while a capped one is in progress must not
+    # inherit the cap.
+    inner = []
+    certify = pipeline.is_nondegenerate
+
+    def nested(*args):
+        inner.append(run_subcommand("koszul", _gauss_spec()))
+        return certify(*args)
+
+    monkeypatch.setattr(pipeline, "is_nondegenerate", nested)
+    with pytest.raises(TruncationTooSmall):
+        run_analyze(_gauss_spec(truncation_cap=1))
+    assert [r["top_dimension"] for r in inner] == [2]
+
+
+def test_analyze_computes_each_object_once(monkeypatch):
+    calls = {"certify_face": 0, "koszul": 0}
+    certify_face = nondegeneracy.certify_face
+    koszul_init = homology.GradedKoszulComplex.__init__
+
+    def counted_certify(*args):
+        calls["certify_face"] += 1
+        return certify_face(*args)
+
+    def counted_init(self, *args):
+        calls["koszul"] += 1
+        koszul_init(self, *args)
+
+    monkeypatch.setattr(nondegeneracy, "certify_face", counted_certify)
+    monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", counted_init)
+    body = run_analyze(_gauss_spec(), with_timings=False).to_json()
+    assert body["rank_agreement"] is True
+    assert calls == {
+        "certify_face": len(body["nondegeneracy"]["faces"]),
+        "koszul": 1,
+    }
