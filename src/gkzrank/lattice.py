@@ -7,6 +7,15 @@ piecewise-linear gauge that measures how deep a lattice vector sits inside
 scaled copies of the hull, and the normalized volume.  All computations are
 brute-force over candidate point subsets, which is exact and entirely
 adequate at the intended scale (a handful of dimensions and columns).
+
+The gauge is evaluated in integers: with L the lcm of the positive facet
+levels, L times the gauge is the largest of the dot products with the
+positive facet normals, each scaled by L over its level.  Degree slices of
+the cone come from one table per polytope, built on the first request by a
+single scan of the scaled bounding box and rebuilt, to at least twice its
+top degree, only when a request goes past it.  The table also records, for
+each point, the facets on which it is tight; face-cone membership and the
+associated-graded product are set operations on those.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd, lcm
 
 from .errors import FaceContainsOrigin, NotInCone, RankDeficient, ShapeMismatch
 from .linalg import RationalSpan, SparseRationalMatrix, solve
@@ -181,8 +190,26 @@ class NewtonPolytope:
         self.faces = self._build_face_lattice()
         self._faces_by_vertices = {f.vertices: f for f in self.faces}
         self._sign_cache: dict[tuple[int, int], int] = {}
+        levels = [f.level for f in self.facets if f.level > 0]
+        if not levels:
+            raise AssertionError("hull has no positive-level facet")
+        self.level_lcm = lcm(*levels)
+        # (index, normal, L // level) for the positive facets; the scaled
+        # gauge is the largest normal . w times its factor.
+        self._gauge_facets = tuple(
+            (i, f.normal, self.level_lcm // f.level)
+            for i, f in enumerate(self.facets)
+            if f.level > 0
+        )
+        self._cone_facets = tuple(
+            (i, f.normal) for i, f in enumerate(self.facets) if f.level == 0
+        )
+        self.positive_facets = frozenset(i for i, _, _ in self._gauge_facets)
         self.gauge_denominator = self._compute_gauge_denominator()
         self.normalized_volume = self._compute_normalized_volume()
+        # The point table: (top degree, points by degree, tight facets by
+        # point), built on the first slice request.
+        self._table = (-1, {}, {})
 
     # -- construction -----------------------------------------------------
 
@@ -258,26 +285,81 @@ class NewtonPolytope:
         )
 
     def cone_contains(self, w) -> bool:
-        return all(f.value(w) <= 0 for f in self.facets if f.level == 0)
+        return all(_dot(m, w) <= 0 for _, m in self._cone_facets)
+
+    def _scaled_gauge(self, w) -> int:
+        """level_lcm times the gauge of a cone point: an integer."""
+        return max(0, max(k * _dot(m, w) for _, m, k in self._gauge_facets))
+
+    def _checked_scaled_gauge(self, w) -> int:
+        if not self.cone_contains(w):
+            raise NotInCone(f"{w} violates a zero-level facet inequality")
+        return self._scaled_gauge(w)
 
     def gauge(self, w) -> Fraction:
         """Least r >= 0 with w inside r times the hull; w must be in the cone."""
-        if not self.cone_contains(w):
-            raise NotInCone(f"{w} violates a zero-level facet inequality")
-        best = Fraction(0)
-        for f in self.facets:
-            if f.level > 0:
-                val = Fraction(f.value(w), f.level)
-                if val > best:
-                    best = val
-        return best
+        return Fraction(self._checked_scaled_gauge(w), self.level_lcm)
 
     def graded_degree(self, w) -> int:
         """The gauge scaled by the common denominator; an integer for lattice w."""
-        d = self.gauge(w) * self.gauge_denominator
-        if d.denominator != 1:
+        d, r = divmod(
+            self._checked_scaled_gauge(w),
+            self.level_lcm // self.gauge_denominator,
+        )
+        if r:
             raise AssertionError(f"gauge denominator too small at {w}")
-        return int(d)
+        return d
+
+    def _tight_facets_of(self, w) -> frozenset[int]:
+        """Facets tight at a cone point: the positive facets attaining its
+        gauge and the zero-level facets through it."""
+        values = [(i, k * _dot(m, w)) for i, m, k in self._gauge_facets]
+        top = max(0, max(v for _, v in values))
+        return frozenset(
+            [i for i, v in values if v == top]
+            + [i for i, m in self._cone_facets if _dot(m, w) == 0]
+        )
+
+    def tight_facets(self, w) -> frozenset[int] | None:
+        """Facets on which w, scaled to gauge one, is tight; None off the cone.
+
+        Table points read the set recorded when the table was built; any
+        other point computes it on the spot and nothing is stored.
+        """
+        tight = self._table[2].get(w)
+        if tight is None and self.cone_contains(w):
+            tight = self._tight_facets_of(w)
+        return tight
+
+    def points_of_degree(self, d: int) -> tuple[Vector, ...]:
+        """Sorted cone lattice points of graded degree d, read from the table.
+
+        A request past the table's top degree rebuilds it by one scan up to
+        at least twice that degree, so a run of increasing requests scans
+        a logarithmic number of times.
+        """
+        if d < 0:
+            return ()
+        top, slices, _ = self._table
+        if d > top:
+            top, slices, _ = self._build_table(max(d, 2 * top))
+        return slices.get(d, ())
+
+    def _build_table(self, top: int):
+        step = self.level_lcm // self.gauge_denominator
+        slices: dict[int, list[Vector]] = {}
+        tight: dict[Vector, frozenset[int]] = {}
+        # Points share one object per distinct tight set (there are about
+        # as many as faces), which keeps the table's memory near the points'.
+        distinct: dict[frozenset[int], frozenset[int]] = {}
+        bound = Fraction(top, self.gauge_denominator)
+        for w in self.lattice_points_with_gauge_at_most(bound):
+            slices.setdefault(self._scaled_gauge(w) // step, []).append(w)
+            t = self._tight_facets_of(w)
+            tight[w] = distinct.setdefault(t, t)
+        # One assignment, so a reader never sees parts of two tables.
+        self._table = (top, {d: tuple(p) for d, p in slices.items()}, tight)
+        return self._table
 
     def point_on_face(self, w, face: Face) -> bool:
         """Whether w (a point of the hull) lies on the given face."""
@@ -289,13 +371,8 @@ class NewtonPolytope:
         """Whether w lies in the cone spanned by a face avoiding the origin."""
         if face.contains_origin:
             raise FaceContainsOrigin(face.id)
-        if not self.cone_contains(w):
-            return False
-        r = self.gauge(w)
-        return all(
-            self.facets[i].value(w) == self.facets[i].level * r
-            for i in face.active
-        )
+        tight = self.tight_facets(w)
+        return tight is not None and face.active <= tight
 
     # -- face lattice queries ----------------------------------------------
 
@@ -420,34 +497,32 @@ class NewtonPolytope:
         )
 
     def lattice_points_with_gauge_at_most(self, bound: Fraction):
-        """All cone lattice points w with gauge(w) <= bound."""
-        box = self.bounding_box()
-        ranges = []
-        for lo, hi in box:
-            lo_s = min(0, _floor_scale(lo, bound))
-            hi_s = max(0, _ceil_scale(hi, bound))
-            ranges.append(range(lo_s, hi_s + 1))
-        out = []
-        for w in itertools.product(*ranges):
-            if self.cone_contains(w) and self.gauge(w) <= bound:
-                out.append(w)
-        out.sort()
-        return out
+        """All cone lattice points w with gauge(w) <= bound, sorted.
+
+        These are the lattice points of the dilate bound * hull, so the test
+        is every facet inequality with its level scaled, in integers.
+        """
+        bound = Fraction(bound)
+        num, den = bound.numerator, bound.denominator
+        limits = [(f.normal, f.level * num) for f in self.facets]
+        ranges = [
+            range(min(0, floor(lo * bound)), max(0, ceil(hi * bound)) + 1)
+            for lo, hi in self.bounding_box()
+        ]
+        return [
+            w
+            for w in itertools.product(*ranges)
+            if all(_dot(m, w) * den <= limit for m, limit in limits)
+        ]
 
     def _compute_gauge_denominator(self) -> int:
-        levels = [f.level for f in self.facets if f.level > 0]
-        if not levels:
-            raise AssertionError("hull has no positive-level facet")
-        m0 = 1
-        for c in levels:
-            m0 = m0 * c // gcd(m0, c)
-        # Reduce by the gcd of scaled gauge values over a generating sample:
-        # lattice points of gauge at most n cover a semigroup generating set.
+        # Reduce level_lcm by the gcd of scaled gauge values over a generating
+        # sample: lattice points of gauge at most n cover a semigroup
+        # generating set.
+        m0 = self.level_lcm
         g = 0
         for w in self.lattice_points_with_gauge_at_most(Fraction(self.n)):
-            num = self.gauge(w) * m0
-            assert num.denominator == 1
-            g = gcd(g, int(num))
+            g = gcd(g, self._scaled_gauge(w))
         if g == 0:
             return m0
         return m0 // gcd(m0, g)
@@ -491,16 +566,6 @@ def _det(rows) -> Fraction:
                 for c in range(col, n):
                     a[r][c] -= factor * a[col][c]
     return det
-
-
-def _floor_scale(value: int, scale: Fraction) -> int:
-    x = scale * value
-    return x.numerator // x.denominator
-
-
-def _ceil_scale(value: int, scale: Fraction) -> int:
-    x = scale * value
-    return -((-x.numerator) // x.denominator)
 
 
 def newton_polytope(matrix: ExponentMatrix) -> NewtonPolytope:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FaceContainsOrigin, NotAFacePair, NotInCone
-from .lattice import Face, NewtonPolytope, Vector, _dot
+from .lattice import Face, NewtonPolytope, Vector, _det, _dot
 from .linalg import SparseRationalMatrix, solve
 from .series import PolyZ, RationalFunctionQ
 
@@ -122,7 +122,6 @@ class ConeRing(GradedRingHandle):
 
     def __init__(self, polytope: NewtonPolytope):
         self.polytope = polytope
-        self._slices: dict[int, tuple[Vector, ...]] = {}
 
     @property
     def gauge_denominator(self) -> int:
@@ -132,28 +131,19 @@ class ConeRing(GradedRingHandle):
         return self.polytope.graded_degree(w)
 
     def monomials_of_degree(self, d: int) -> tuple[Vector, ...]:
-        if d < 0:
-            return ()
-        cached = self._slices.get(d)
-        if cached is None:
-            P = self.polytope
-            M = P.gauge_denominator
-            pts = [
-                w
-                for w in P.lattice_points_with_gauge_at_most(Fraction(d, M))
-                if P.gauge(w) * M == d
-            ]
-            cached = tuple(sorted(pts))
-            self._slices[d] = cached
-        return cached
+        return self.polytope.points_of_degree(d)
 
     def multiply_monomials(self, w1, w2) -> Vector | None:
-        # Survival is equivalent to additivity of the gauge, which happens
-        # exactly when the factors are cofacial away from the origin.
+        # The gauge is the largest of the positive-facet functionals, so it
+        # is additive on w1, w2 exactly when one facet is tight at both:
+        # the equality case of max-subadditivity.
         P = self.polytope
-        if P.gauge(w1) + P.gauge(w2) == P.gauge(tuple(a + b for a, b in zip(w1, w2))):
-            return tuple(a + b for a, b in zip(w1, w2))
-        return None
+        t1, t2 = P.tight_facets(w1), P.tight_facets(w2)
+        if t1 is None or t2 is None:
+            raise NotInCone(w1 if t1 is None else w2)
+        if P.positive_facets.isdisjoint(t1 & t2):
+            return None
+        return tuple(a + b for a, b in zip(w1, w2))
 
     def poincare_series(self) -> RationalFunctionQ:
         return _cone_poincare(self.polytope, self.polytope.index_set(
@@ -170,7 +160,6 @@ class FaceRing(GradedRingHandle):
             raise FaceContainsOrigin(face.id)
         self.polytope = polytope
         self.face = face
-        self._slices: dict[int, tuple[Vector, ...]] = {}
 
     @property
     def gauge_denominator(self) -> int:
@@ -180,20 +169,11 @@ class FaceRing(GradedRingHandle):
         return self.polytope.graded_degree(w)
 
     def monomials_of_degree(self, d: int) -> tuple[Vector, ...]:
-        if d < 0:
-            return ()
-        cached = self._slices.get(d)
-        if cached is None:
-            P = self.polytope
-            M = P.gauge_denominator
-            pts = [
-                w
-                for w in P.lattice_points_with_gauge_at_most(Fraction(d, M))
-                if P.gauge(w) * M == d and P.face_cone_contains(w, self.face)
-            ]
-            cached = tuple(sorted(pts))
-            self._slices[d] = cached
-        return cached
+        P = self.polytope
+        active = self.face.active
+        return tuple(
+            w for w in P.points_of_degree(d) if active <= P.tight_facets(w)
+        )
 
     def multiply_monomials(self, w1, w2) -> Vector:
         # The face cone is closed under addition and avoids the origin, so
@@ -262,7 +242,9 @@ def gr_multiply(w1, w2, polytope: NewtonPolytope):
 
     Returns the exponent sum when some origin-free face cone contains both
     factors, and None for a vanishing product.  This is the face-search form
-    of the rule; ConeRing uses the equivalent gauge-additivity shortcut.
+    of the rule.  ConeRing uses the equivalent tight-set form: the product
+    survives exactly when some positive-level facet is tight at both
+    factors, i.e. when their gauges add.
     """
     w1, w2 = tuple(w1), tuple(w2)
     for w in (w1, w2):
@@ -382,11 +364,40 @@ def _cone_coordinates(gens, point):
     return solve(m, {i: c for i, c in enumerate(point)})
 
 
+def _integer_inverse(gens):
+    """Rows, determinant and adjugate of one nonsingular k x k minor.
+
+    For a point w in the span of the k generators, the adjugate applied to
+    w restricted to those rows gives det times its cone coordinates; the
+    determinant is made positive.
+    """
+    n, k = len(gens[0]), len(gens)
+    for rows in itertools.combinations(range(n), k):
+        minor = [[g[r] for g in gens] for r in rows]
+        det = int(_det(minor))
+        if det != 0:
+            break
+    else:
+        raise AssertionError("cone generators are linearly dependent")
+    sign = 1 if det > 0 else -1
+    adj = [
+        [
+            sign * (-1) ** (i + j) * int(_det(
+                [row[:j] + row[j + 1:] for r, row in enumerate(minor) if r != i]
+            ))
+            for i in range(k)
+        ]
+        for j in range(k)
+    ]
+    return rows, sign * det, adj
+
+
 def _parallelepiped_points(gens, half_open):
     """Lattice points of the fundamental parallelepiped of a simplicial cone.
 
     ``half_open[j]`` True means the coordinate of generator j runs over
-    (0, 1]; otherwise over [0, 1).
+    (0, 1]; otherwise over [0, 1).  The cone is inverted once, so every
+    point of the bounding box is tested in integers.
     """
     n = len(gens[0])
     lo = [0] * n
@@ -397,24 +408,22 @@ def _parallelepiped_points(gens, half_open):
                 lo[k] += c
             else:
                 hi[k] += c
+    rows, det, adj = _integer_inverse(gens)
+    others = [r for r in range(n) if r not in rows]
     out = []
     for w in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        coords = _cone_coordinates(gens, w)
-        if coords is None:
+        ws = [w[r] for r in rows]
+        x = [_dot(a, ws) for a in adj]
+        if not all(
+            0 < c <= det if h else 0 <= c < det for c, h in zip(x, half_open)
+        ):
             continue
-        inside = True
-        for j, c in enumerate(coords):
-            if half_open[j]:
-                if not (0 < c <= 1):
-                    inside = False
-                    break
-            else:
-                if not (0 <= c < 1):
-                    inside = False
-                    break
-        if inside:
-            out.append(tuple(w))
-    return sorted(out)
+        # Off the chosen rows the point must lie in the span too.
+        if all(
+            sum(g[r] * c for g, c in zip(gens, x)) == det * w[r] for r in others
+        ):
+            out.append(w)
+    return out
 
 
 def _cone_poincare(polytope: NewtonPolytope, faces) -> RationalFunctionQ:

@@ -147,3 +147,29 @@ def test_analyze_computes_each_object_once(monkeypatch):
         "certify_face": len(body["nondegeneracy"]["faces"]),
         "koszul": 1,
     }
+
+
+def test_derham_dims_reuse_the_kouchnirenko_result(monkeypatch, gauss):
+    from gkzrank import derham_cohomology_dims
+
+    matrix, P, fiber = gauss
+    gamma = [0, 0, 0]
+    kz = verify_kouchnirenko(matrix, fiber, P)
+    expected = derham_cohomology_dims(gamma, fiber, P, level_cap=1)
+    calls = {"certify_face": 0, "koszul": 0}
+    certify_face = nondegeneracy.certify_face
+    koszul_init = homology.GradedKoszulComplex.__init__
+
+    def counted_certify(*args):
+        calls["certify_face"] += 1
+        return certify_face(*args)
+
+    def counted_init(self, *args):
+        calls["koszul"] += 1
+        koszul_init(self, *args)
+
+    monkeypatch.setattr(nondegeneracy, "certify_face", counted_certify)
+    monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", counted_init)
+    dims = derham_cohomology_dims(gamma, fiber, P, level_cap=1, kouchnirenko=kz)
+    assert dims == expected
+    assert calls == {"certify_face": 0, "koszul": 0}
