@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import GammaNotNormalized, NotInCone
 from .homology import KouchnirenkoResult, verify_kouchnirenko
 from .lattice import NewtonPolytope, Vector
-from .linalg import SparseRationalMatrix, rank, solve
+from .linalg import Echelon, SparseRationalMatrix, rank
 from .rings import ConeRing, log_derivative_classes
 
 
@@ -216,9 +216,10 @@ class ReductionBasis:
     """Monomial basis of the top cohomology with a degreewise rewrite engine.
 
     The basis monomials come from the greedy Koszul quotient; each coefficient
-    degree gets a solver whose columns are the basis unit vectors followed by
+    degree gets a matrix whose columns are the basis unit vectors followed by
     the Koszul images of the one-lower slice, so any top part decomposes as
-    (basis part) + (leading part of a twisted differential).
+    (basis part) + (leading part of a twisted differential).  That matrix is
+    factored once and every reduction step at its degree replays it.
     """
 
     def __init__(self, gamma, fiber, polytope: NewtonPolytope, kouchnirenko):
@@ -272,11 +273,10 @@ class ReductionBasis:
             for i, v in col.items():
                 mat.set(i, j, v)
         data = {
-            "monomials": mono,
             "index": index,
             "basis_here": basis_here,
             "img_specs": img_specs,
-            "matrix": mat,
+            "echelon": Echelon(mat),
         }
         self._degree_data[e] = data
         return data
@@ -299,11 +299,12 @@ class ReductionBasis:
         while not work.is_zero():
             e = max(P.graded_degree(w) for (_, w) in work.terms)
             data = self._data(e)
-            rhs = [Fraction(0)] * len(data["monomials"])
-            for (I, w), c in work.terms.items():
-                if P.graded_degree(w) == e:
-                    rhs[data["index"][w]] = c
-            x = solve(data["matrix"], rhs)
+            rhs = {
+                data["index"][w]: c
+                for (_, w), c in work.terms.items()
+                if P.graded_degree(w) == e
+            }
+            x = data["echelon"].solve(rhs)
             if x is None:
                 raise AssertionError(
                     "top part not in basis + image; truncation logic broken"
@@ -465,9 +466,8 @@ def derham_cohomology_dims(
                     raise AssertionError("filtration cap leaked")
                 mat.set(row, col, mat.get(row, col) + c)
         mats[q] = mat
-    dims = {}
-    for q in range(n + 1):
-        r_out = rank(mats[q]) if q < n else 0
-        r_in = rank(mats[q - 1]) if q > 0 else 0
-        dims[q] = len(bases[q]) - r_out - r_in
-    return dims
+    ranks = {q: rank(mat) for q, mat in mats.items()}
+    return {
+        q: len(bases[q]) - ranks.get(q, 0) - ranks.get(q - 1, 0)
+        for q in range(n + 1)
+    }

@@ -65,12 +65,11 @@ class CochainComplexQ:
                     raise AssertionError(f"d o d != 0 at degree {q}")
 
     def cohomology_dims(self) -> dict[int, int]:
-        out = {}
-        for q in self.degrees:
-            d_out = self.differential(q)
-            d_in = self.differential(q - 1)
-            out[q] = self.dim(q) - rank(d_out) - rank(d_in)
-        return out
+        ranks = {q: rank(m) for q, m in self.diffs.items()}
+        return {
+            q: self.dim(q) - ranks.get(q, 0) - ranks.get(q - 1, 0)
+            for q in self.degrees
+        }
 
     def to_json(self):
         return {
@@ -192,15 +191,16 @@ class GradedKoszulComplex:
         omitted for q < m (they are not certified).
         """
         out: dict[int, dict] = {}
+        # Each map is ranked once, though it is the outgoing map at q and the
+        # incoming one at q + 1; a map that was never stored is zero.
+        ranks = {key: rank(mat) for key, mat in self.diffs.items()}
         for q in range(self.m + 1):
             per = {}
             for d in range(self.truncation + 1):
                 if q < self.m and d + self.step > self.truncation:
                     continue
                 dim = len(self.basis(q, d))
-                r_out = rank(self.differential(q, d)) if q < self.m else 0
-                r_in = rank(self.differential(q - 1, d - self.step)) if q > 0 else 0
-                h = dim - r_out - r_in
+                h = dim - ranks.get((q, d), 0) - ranks.get((q - 1, d - self.step), 0)
                 if h:
                     per[d] = h
             out[q] = {"per_degree": per, "total": sum(per.values())}

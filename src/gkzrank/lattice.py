@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .errors import FaceContainsOrigin, NotInCone, RankDeficient, ShapeMismatch
-from .linalg import RationalSpan, SparseRationalMatrix, solve
+from .linalg import Echelon, RationalSpan, SparseRationalMatrix, solve
 
 Vector = tuple[int, ...]
 
@@ -435,9 +435,10 @@ class NewtonPolytope:
         for j, b in enumerate(fb):
             for i, c in enumerate(b):
                 mat.set(i, j, c)
+        echelon = Echelon(mat)
         coords = []
         for col in cols:
-            x = solve(mat, {i: c for i, c in enumerate(col)})
+            x = echelon.solve(col)
             if x is None:
                 raise AssertionError("subface direction outside face span")
             coords.append(x)

@@ -1,9 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything here works with ``fractions.Fraction`` entries; no floating point
-is used anywhere.  Elimination picks pivots Markowitz-style (sparsest row,
-then least-populated column) which keeps fill-in modest on the block
-matrices produced by the Koszul and de Rham complexes.
+is used anywhere.  ``Echelon`` is the one elimination: it factors a matrix
+once, picking pivots Markowitz-style (sparsest row, then least-populated
+column) to keep fill-in modest on the block matrices produced by the Koszul
+and de Rham complexes, and reuses that factorization for its rank and for
+every right-hand side it solves.  ``rank`` and ``solve`` are one-shot
+wrappers around it.
 """
 
 from __future__ import annotations
@@ -99,49 +102,103 @@ def _to_row_dicts(m: SparseRationalMatrix) -> list[dict[int, Fraction]]:
     return rows
 
 
-def _eliminate(rows: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """Row echelon reduction in place; returns the nonzero pivot rows."""
-    live = [r for r in rows if r]
-    pivots: list[dict[int, Fraction]] = []
-    col_count: dict[int, int] = {}
-    for r in live:
-        for j in r:
-            col_count[j] = col_count.get(j, 0) + 1
-    while live:
-        # Markowitz-style choice: sparsest row, then its rarest column.
-        best = min(live, key=len)
-        pj = min(best, key=lambda j: (col_count.get(j, 0), j))
-        pv = best[pj]
-        live.remove(best)
-        for j in best:
-            col_count[j] -= 1
-        nxt = []
+class Echelon:
+    """One elimination of a fixed matrix, kept for every later question.
+
+    The rows are reduced once, Markowitz-style.  Each pivot is kept as
+    (row index, pivot column, reduced row), and each pivot step keeps the
+    row operations it made as (target row index, factor).  ``solve`` replays
+    that log on a right-hand side and back-substitutes, so one factorization
+    answers any number of systems with the same matrix.
+    """
+
+    def __init__(self, m: SparseRationalMatrix):
+        self.matrix = m
+        rows = _to_row_dicts(m)
+        where = {id(r): i for i, r in enumerate(rows)}
+        self.pivots: list[tuple[int, int, dict[int, Fraction]]] = []
+        self._log: list[list[tuple[int, Fraction]]] = []
+        live = [r for r in rows if r]
+        col_count: dict[int, int] = {}
         for r in live:
-            c = r.get(pj)
-            if c is not None:
-                factor = c / pv
-                for j, v in best.items():
-                    old = r.get(j)
-                    if old is None:
-                        r[j] = -factor * v
-                        col_count[j] = col_count.get(j, 0) + 1
-                    else:
-                        new = old - factor * v
-                        if new == 0:
-                            del r[j]
-                            col_count[j] -= 1
+            for j in r:
+                col_count[j] = col_count.get(j, 0) + 1
+        while live:
+            # Markowitz-style choice: sparsest row, then its rarest column.
+            best = min(live, key=len)
+            pj = min(best, key=lambda j: (col_count.get(j, 0), j))
+            pv = best[pj]
+            live.remove(best)
+            for j in best:
+                col_count[j] -= 1
+            ops = []
+            nxt = []
+            for r in live:
+                c = r.get(pj)
+                if c is not None:
+                    factor = c / pv
+                    ops.append((where[id(r)], factor))
+                    for j, v in best.items():
+                        old = r.get(j)
+                        if old is None:
+                            r[j] = -factor * v
+                            col_count[j] = col_count.get(j, 0) + 1
                         else:
-                            r[j] = new
-            if r:
-                nxt.append(r)
-        live = nxt
-        pivots.append(best)
-    return pivots
+                            new = old - factor * v
+                            if new == 0:
+                                del r[j]
+                                col_count[j] -= 1
+                            else:
+                                r[j] = new
+                if r:
+                    nxt.append(r)
+            live = nxt
+            self.pivots.append((where[id(best)], pj, best))
+            self._log.append(ops)
+        self._pivot_rows = {p for p, _, _ in self.pivots}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def solve(self, rhs) -> list[Fraction] | None:
+        """One exact solution x of m @ x = rhs, or None if inconsistent.
+
+        ``rhs`` is a dense list or a sparse dict row -> value.  Free
+        variables are set to zero.
+        """
+        m = self.matrix
+        items = rhs.items() if isinstance(rhs, dict) else enumerate(rhs)
+        b = {i: Fraction(v) for i, v in items if v != 0}
+        y = dict(b)
+        for (p, _, _), ops in zip(self.pivots, self._log):
+            yp = y.get(p)
+            if yp:
+                for i, factor in ops:
+                    y[i] = y.get(i, 0) - factor * yp
+        if any(v for i, v in y.items() if i not in self._pivot_rows):
+            return None
+        x = [Fraction(0)] * m.cols
+        for p, pj, row in reversed(self.pivots):
+            s = y.get(p, 0)
+            for j, v in row.items():
+                if j != pj and x[j]:
+                    s -= v * x[j]
+            x[pj] = s / row[pj]
+        # Verify (cheap insurance against a missed inconsistency).
+        check: dict[int, Fraction] = {}
+        for (i, j), v in m.entries.items():
+            if x[j]:
+                check[i] = check.get(i, 0) + v * x[j]
+        for i in check.keys() | b.keys():
+            if check.get(i, 0) != b.get(i, 0):
+                return None
+        return x
 
 
 def rank(m: SparseRationalMatrix) -> int:
     """Exact rank over Q."""
-    return len(_eliminate(_to_row_dicts(m)))
+    return Echelon(m).rank
 
 
 def rank_and_kernel(m: SparseRationalMatrix) -> tuple[int, int]:
@@ -194,68 +251,5 @@ class RationalSpan:
 
 
 def solve(m: SparseRationalMatrix, rhs) -> list[Fraction] | None:
-    """One exact solution x of m @ x = rhs, or None if inconsistent.
-
-    ``rhs`` is a dense list or a sparse dict row -> value.  Free variables
-    are set to zero.
-    """
-    if isinstance(rhs, dict):
-        b = {i: Fraction(v) for i, v in rhs.items() if v != 0}
-    else:
-        b = {i: Fraction(v) for i, v in enumerate(rhs) if v != 0}
-    rows = _to_row_dicts(m)
-    aug = m.cols  # column index reserved for the right-hand side
-    for i, r in enumerate(rows):
-        if i in b:
-            r[aug] = b[i]
-    # Forward elimination keeping track of pivot columns (never the rhs).
-    live = [r for r in rows if r]
-    pivot_rows: list[tuple[int, dict[int, Fraction]]] = []
-    while live:
-        best = None
-        for r in live:
-            cand = [j for j in r if j != aug]
-            if cand:
-                if best is None or len(r) < len(best[1]):
-                    best = (min(cand), r)
-        if best is None:
-            # Only rhs entries remain: inconsistent unless all are zero.
-            for r in live:
-                if r.get(aug, Fraction(0)) != 0:
-                    return None
-            break
-        live.remove(best[1])
-        pj = min(j for j in best[1] if j != aug)
-        pv = best[1][pj]
-        row = best[1]
-        nxt = []
-        for r in live:
-            c = r.get(pj)
-            if c is not None:
-                factor = c / pv
-                for j, v in row.items():
-                    new = r.get(j, Fraction(0)) - factor * v
-                    if new == 0:
-                        r.pop(j, None)
-                    else:
-                        r[j] = new
-            if r:
-                nxt.append(r)
-        live = nxt
-        pivot_rows.append((pj, row))
-    x = [Fraction(0)] * m.cols
-    for pj, row in reversed(pivot_rows):
-        s = row.get(aug, Fraction(0))
-        for j, v in row.items():
-            if j != pj and j != aug:
-                s -= v * x[j]
-        x[pj] = s / row[pj]
-    # Verify (cheap insurance against a missed inconsistency).
-    check: dict[int, Fraction] = {}
-    for (i, j), v in m.entries.items():
-        if x[j] != 0:
-            check[i] = check.get(i, Fraction(0)) + v * x[j]
-    for i in set(check) | set(b):
-        if check.get(i, Fraction(0)) != b.get(i, Fraction(0)):
-            return None
-    return x
+    """One exact solution of m @ x = rhs, or None; see ``Echelon.solve``."""
+    return Echelon(m).solve(rhs)

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
+import pytest
+
 from gkzrank import PolyZ, RationalFunctionQ, SparseRationalMatrix
-from gkzrank.linalg import RationalSpan, rank, solve
+from gkzrank.linalg import Echelon, RationalSpan, rank, solve
 
 F = Fraction
 
@@ -98,6 +101,134 @@ class TestSolve:
         m = SparseRationalMatrix(2, 1)
         m.set(0, 0, 1)
         assert solve(m, {1: F(1)}) is None
+
+
+def _dense_rank(rows, cols):
+    """Reference rank: plain Gauss-Jordan on dense Fraction rows."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c] / a[r][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def _random_matrix(rnd):
+    """A sparse rational matrix, often rank-deficient, with zero rows."""
+    rows, cols = rnd.randint(0, 7), rnd.randint(0, 7)
+    if rnd.random() < 0.5 and rows and cols:
+        # A product through a narrow middle forces rank <= inner.
+        inner = rnd.randint(1, min(rows, cols))
+        left = [[rnd.randint(-2, 2) for _ in range(inner)] for _ in range(rows)]
+        right = [
+            [Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(cols)]
+            for _ in range(inner)
+        ]
+        dense = [
+            [sum(l * r[j] for l, r in zip(row, right)) for j in range(cols)]
+            for row in left
+        ]
+    else:
+        dense = [
+            [
+                Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+                if rnd.random() < 0.35 else Fraction(0)
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+    for i in range(rows):
+        if rnd.random() < 0.2:
+            dense[i] = [Fraction(0)] * cols
+    m = SparseRationalMatrix(rows, cols)
+    for i, row in enumerate(dense):
+        for j, v in enumerate(row):
+            m.set(i, j, v)
+    return m, dense
+
+
+def _random_rhs(rnd, m, dense):
+    """Right-hand sides of every kind: zero, sparse, dense, in the image."""
+    x0 = [Fraction(rnd.randint(-2, 2), rnd.randint(1, 2)) for _ in range(m.cols)]
+    image = [sum(a * b for a, b in zip(row, x0)) for row in dense]
+    sparse = {
+        i: Fraction(rnd.randint(-3, 3), rnd.randint(1, 2))
+        for i in range(m.rows) if rnd.random() < 0.4
+    }
+    return [
+        {},
+        [0] * m.rows,
+        {i: 0 for i in range(m.rows)},
+        {i: v for i, v in enumerate(image) if v != 0},
+        image,
+        sparse,
+        [Fraction(rnd.randint(-3, 3)) for _ in range(m.rows)],
+    ]
+
+
+def _as_dense(rhs, rows):
+    if isinstance(rhs, dict):
+        return [Fraction(rhs.get(i, 0)) for i in range(rows)]
+    return [Fraction(v) for v in rhs]
+
+
+class TestEchelon:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_rank_matches_dense_reference(self, seed):
+        m, dense = _random_matrix(random.Random(seed))
+        assert Echelon(m).rank == _dense_rank(dense, m.cols) == rank(m)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_solve_exactly_when_consistent(self, seed):
+        rnd = random.Random(seed)
+        m, dense = _random_matrix(rnd)
+        echelon = Echelon(m)
+        r = _dense_rank(dense, m.cols)
+        for rhs in _random_rhs(rnd, m, dense):
+            b = _as_dense(rhs, m.rows)
+            augmented = [row + [v] for row, v in zip(dense, b)]
+            consistent = _dense_rank(augmented, m.cols + 1) == r
+            x = echelon.solve(rhs)
+            if not consistent:
+                assert x is None
+                continue
+            assert x is not None and len(x) == m.cols
+            assert [sum(a * v for a, v in zip(row, x)) for row in dense] == b
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_repeated_solves_match_one_shot_solves(self, seed):
+        rnd = random.Random(1000 + seed)
+        m, dense = _random_matrix(rnd)
+        rhss = _random_rhs(rnd, m, dense) + _random_rhs(rnd, m, dense)
+        order = list(range(len(rhss)))
+        rnd.shuffle(order)
+        echelon = Echelon(m)
+        reused = {k: echelon.solve(rhss[k]) for k in order}
+        assert reused == {k: solve(m, rhss[k]) for k in range(len(rhss))}
+
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, rows, cols):
+        echelon = Echelon(SparseRationalMatrix(rows, cols))
+        assert echelon.rank == 0
+        assert echelon.solve({}) == [Fraction(0)] * cols
+        assert echelon.solve([0] * rows) == [Fraction(0)] * cols
+        if rows:
+            assert echelon.solve({rows - 1: F(1)}) is None
+
+    def test_zero_rows_do_not_count(self):
+        m = SparseRationalMatrix.from_dense([[0, 0], [1, 2], [0, 0], [2, 4]])
+        echelon = Echelon(m)
+        assert echelon.rank == 1
+        assert echelon.solve({1: 3, 3: 6}) is not None
+        assert echelon.solve({0: 1}) is None
+        assert echelon.solve({1: 3, 3: 5}) is None
 
 
 class TestRationalSpan:

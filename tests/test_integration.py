@@ -2,7 +2,7 @@
 
 import pytest
 
-from gkzrank import homology, nondegeneracy, pipeline
+from gkzrank import derham, homology, linalg, nondegeneracy, pipeline
 from gkzrank import (
     ProblemSpec,
     TruncationTooSmall,
@@ -173,3 +173,68 @@ def test_derham_dims_reuse_the_kouchnirenko_result(monkeypatch, gauss):
     dims = derham_cohomology_dims(gamma, fiber, P, level_cap=1, kouchnirenko=kz)
     assert dims == expected
     assert calls == {"certify_face": 0, "koszul": 0}
+
+
+@pytest.mark.parametrize(
+    "rows,fiber",
+    [
+        ([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]], [1, 2, 3, 4]),
+        # rational normal curve, M = 1 with five columns
+        ([[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]], [1, 8, 2, 9, 3]),
+    ],
+)
+def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
+    from gkzrank import connection_matrices
+
+    P = newton_polytope(validate_matrix(rows))
+    gamma = [0] * P.n
+    _, basis = h_top_dimension(gamma, fiber, P)
+    built, solved, steps = [], [], []
+    echelon_init = linalg.Echelon.__init__
+    echelon_solve = linalg.Echelon.solve
+    degree_data = derham.ReductionBasis._data
+
+    def counted_init(self, m):
+        built.append(self)
+        echelon_init(self, m)
+
+    def counted_solve(self, rhs):
+        solved.append(self)
+        return echelon_solve(self, rhs)
+
+    def counted_data(self, e):
+        steps.append(e)
+        return degree_data(self, e)
+
+    monkeypatch.setattr(linalg.Echelon, "__init__", counted_init)
+    monkeypatch.setattr(linalg.Echelon, "solve", counted_solve)
+    monkeypatch.setattr(derham.ReductionBasis, "_data", counted_data)
+    connection_matrices(gamma, fiber, basis)
+    # Every reduction step solves once, against its degree's one factorization.
+    assert len(solved) == len(steps) > len(set(steps)) == len(built)
+    assert {id(e) for e in solved} == {id(e) for e in built}
+
+
+def test_cohomology_ranks_each_map_once(monkeypatch, gauss):
+    from gkzrank import KoszulDatum, derham_cohomology_dims, log_derivative_classes
+
+    matrix, P, fiber = gauss
+    kz = verify_kouchnirenko(matrix, fiber, P)
+    seq = log_derivative_classes(fiber, None, P)
+    cx = koszul_complex(KoszulDatum(kz.ring, seq, kz.truncation))
+    ranked = []
+
+    def counted_rank(m):
+        ranked.append(m)
+        return linalg.rank(m)
+
+    monkeypatch.setattr(homology, "rank", counted_rank)
+    dims = cx.cohomology_dims()
+    assert dims[P.n]["total"] == kz.top_dim
+    assert sorted(map(id, ranked)) == sorted(map(id, cx.diffs.values()))
+
+    ranked.clear()
+    monkeypatch.setattr(derham, "rank", counted_rank)
+    dims = derham_cohomology_dims([0] * P.n, fiber, P, level_cap=1, kouchnirenko=kz)
+    assert len(ranked) == P.n
+    assert all(dims[q] == 0 for q in range(P.n))
