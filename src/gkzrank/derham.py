@@ -105,6 +105,20 @@ def _warn_if_not_normalized(gamma, polytope: NewtonPolytope):
         )
 
 
+def _partial(w, i, gamma_i, fiber, A) -> dict[Vector, Fraction]:
+    """The i-th component of the twisted differential on t^w, unsigned.
+
+    That is (w_i + gamma_i) t^w plus fiber_j A_ij t^(w + a_j) per column;
+    coefficients of repeated columns add up and may cancel to zero.
+    """
+    out = {w: w[i] + gamma_i}
+    for j, a in enumerate(A.rows[i]):
+        if a != 0 and fiber[j] != 0:
+            u = tuple(x + y for x, y in zip(w, A.column(j)))
+            out[u] = out.get(u, 0) + fiber[j] * a
+    return out
+
+
 def twisted_differential(
     gamma, fiber, form: LogForm, polytope: NewtonPolytope
 ) -> LogForm:
@@ -115,7 +129,6 @@ def twisted_differential(
     per matrix column weighted by the fiber.
     """
     _warn_if_not_normalized(gamma, polytope)
-    A = polytope.matrix
     n = polytope.n
     gamma = [Fraction(g) for g in gamma]
     fiber = [Fraction(c) for c in fiber]
@@ -126,13 +139,8 @@ def twisted_differential(
                 continue
             sign = (-1) ** sum(1 for k in I if k < i)
             J = tuple(sorted(I + (i,)))
-            out.add_term(J, w, sign * c * (w[i] + gamma[i]))
-            for j in range(A.num_columns):
-                wj = A.column(j)
-                if fiber[j] == 0 or A.rows[i][j] == 0:
-                    continue
-                shifted = tuple(a + b for a, b in zip(w, wj))
-                out.add_term(J, shifted, sign * c * fiber[j] * A.rows[i][j])
+            for u, v in _partial(w, i, gamma[i], fiber, polytope.matrix).items():
+                out.add_term(J, u, sign * c * v)
     return out
 
 
@@ -213,131 +221,131 @@ def check_gr_equals_koszul(
 
 
 class ReductionBasis:
-    """Monomial basis of the top cohomology with a degreewise rewrite engine.
+    """Monomial basis of the top cohomology with a memoized rewrite engine.
 
-    The basis monomials come from the greedy Koszul quotient; each coefficient
-    degree gets a matrix whose columns are the basis unit vectors followed by
-    the Koszul images of the one-lower slice, so any top part decomposes as
-    (basis part) + (leading part of a twisted differential).  That matrix is
-    factored once and every reduction step at its degree replays it.
+    The basis monomials come from the greedy Koszul quotient, and the twisted
+    image d(t^w dlog_{[n] minus i}) of each pair (i, w) is built once.  Each
+    coefficient degree e gets one factored matrix whose columns are the basis
+    unit vectors followed by the degree-e parts of the images of the
+    one-lower slice (the Koszul images, as ``check_gr_equals_koszul``
+    certifies).  Each monomial is solved once: the solution's columns are
+    subtracted whole, and the lower-degree remainder is rewritten through
+    the normal forms of its monomials.
     """
 
     def __init__(self, gamma, fiber, polytope: NewtonPolytope, kouchnirenko):
+        _warn_if_not_normalized(gamma, polytope)
         self.polytope = polytope
         self.gamma = tuple(Fraction(g) for g in gamma)
         self.fiber = tuple(Fraction(c) for c in fiber)
         self.ring = kouchnirenko.ring
         self.kouchnirenko = kouchnirenko
         self.basis: list[Vector] = list(kouchnirenko.monomial_basis)
-        self.sequence = log_derivative_classes(fiber, None, polytope)
-        self._degree_data: dict[int, dict] = {}
-        self.rewrite_cache: dict[Vector, tuple[Fraction, ...]] = {}
+        self._images: dict[tuple[int, Vector], dict[Vector, Fraction]] = {}
+        self._degree_data: dict[int, tuple] = {}
+        self.normal_forms: dict[Vector, tuple[Fraction, ...]] = {}
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def basis_forms(self) -> list[LogForm]:
-        n = self.polytope.n
-        full = tuple(range(n))
-        return [LogForm.monomial(n, full, w) for w in self.basis]
+    def image(self, i: int, w: Vector) -> dict[Vector, Fraction]:
+        """d(t^w dlog_{[n] minus i}) as coefficients of t^u dlog_{[n]}."""
+        img = self._images.get((i, w))
+        if img is None:
+            sign = -1 if i % 2 else 1
+            terms = _partial(w, i, self.gamma[i], self.fiber, self.polytope.matrix)
+            img = {u: sign * c for u, c in terms.items() if c != 0}
+            self._images[(i, w)] = img
+        return img
 
-    def _data(self, e: int) -> dict:
+    def _data(self, e: int) -> tuple:
+        """Row index, columns (basis position or None, whole form) and the
+        factored matrix of degree e."""
         data = self._degree_data.get(e)
-        if data is not None:
-            return data
-        P = self.polytope
-        n = P.n
-        M = P.gauge_denominator
-        mono = self.ring.monomials_of_degree(e)
-        index = {w: i for i, w in enumerate(mono)}
-        basis_here = [w for w in self.basis if P.graded_degree(w) == e]
-        img_specs = []
-        cols: list[dict[int, Fraction]] = []
-        for w in basis_here:
-            cols.append({index[w]: Fraction(1)})
-        for prev in self.ring.monomials_of_degree(e - M):
-            for i in range(n):
-                sign = (-1) ** i
-                vec: dict[int, Fraction] = {}
-                for u, c in self.sequence[i].terms.items():
-                    prod = self.ring.multiply_monomials(u, prev)
-                    if prod is not None:
-                        k = index[prod]
-                        vec[k] = vec.get(k, Fraction(0)) + sign * c
-                if vec:
-                    img_specs.append((i, prev))
-                    cols.append(vec)
-        mat = SparseRationalMatrix(len(mono), len(cols))
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                mat.set(i, j, v)
-        data = {
-            "index": index,
-            "basis_here": basis_here,
-            "img_specs": img_specs,
-            "echelon": Echelon(mat),
-        }
-        self._degree_data[e] = data
+        if data is None:
+            P = self.polytope
+            index = {w: r for r, w in enumerate(self.ring.monomials_of_degree(e))}
+            columns = [(k, {w: 1}) for k, w in enumerate(self.basis) if w in index]
+            for prev in self.ring.monomials_of_degree(e - P.gauge_denominator):
+                for i in range(P.n):
+                    img = self.image(i, prev)
+                    if any(u in index for u in img):
+                        columns.append((None, img))
+            entries = {
+                (index[u], j): c
+                for j, (_, form) in enumerate(columns)
+                for u, c in form.items()
+                if u in index
+            }
+            mat = SparseRationalMatrix(len(index), len(columns), entries)
+            data = self._degree_data[e] = (index, columns, Echelon(mat))
         return data
+
+    def _step(self, w: Vector):
+        """Solve t^w once at its degree: its basis coordinates and the
+        remainder after subtracting every chosen column's whole form."""
+        P = self.polytope
+        e = P.graded_degree(w)
+        index, columns, echelon = self._data(e)
+        x = echelon.solve({index[w]: 1})
+        if x is None:
+            raise AssertionError(
+                "top part not in basis + image; truncation logic broken"
+            )
+        coords = [Fraction(0)] * self.dimension
+        rest = {w: Fraction(1)}
+        for (k, form), c in zip(columns, x):
+            if c != 0:
+                if k is not None:
+                    coords[k] += c
+                for u, v in form.items():
+                    rest[u] = rest.get(u, 0) - c * v
+        rest = {u: c for u, c in rest.items() if c != 0}
+        if any(P.graded_degree(u) >= e for u in rest):
+            raise AssertionError("reduction did not lower the degree")
+        return coords, rest
+
+    def reduce_monomial(self, w) -> tuple[Fraction, ...]:
+        """Normal form of t^w dlog_{[n]}: its coordinates against the basis.
+
+        Remainder monomials are reduced before the monomial that needs them,
+        on an explicit stack, since chains run as deep as the degree; each
+        remainder lies strictly below its monomial's degree, so it empties.
+        """
+        w = tuple(w)
+        nf = self.normal_forms
+        if w not in nf and not self.polytope.cone_contains(w):
+            raise NotInCone(w)
+        pending = {}
+        stack = [w]
+        while stack:
+            u = stack[-1]
+            if u in nf:
+                stack.pop()
+            elif u not in pending:
+                pending[u] = self._step(u)
+                stack.extend(v for v in pending[u][1] if v not in nf)
+            else:
+                stack.pop()
+                coords, rest = pending.pop(u)
+                for v, c in rest.items():
+                    for k, y in enumerate(nf[v]):
+                        if y != 0:
+                            coords[k] += c * y
+                nf[u] = tuple(coords)
+        return nf[w]
 
     def reduce(self, form: LogForm) -> tuple[Fraction, ...]:
         """Coordinates of an n-form against the basis, modulo exact forms."""
-        P = self.polytope
-        n = P.n
-        M = P.gauge_denominator
-        full = tuple(range(n))
-        coords = {w: Fraction(0) for w in self.basis}
-        work = LogForm(n, n, dict(form.terms))
-        for (I, w), _ in work.terms.items():
-            if I != full:
-                raise ValueError("reduction expects a top-degree form")
-            if not P.cone_contains(w):
-                raise NotInCone(w)
-        # Each pass strictly lowers the top degree (checked below) and
-        # degrees are at least 0, so the loop ends.
-        while not work.is_zero():
-            e = max(P.graded_degree(w) for (_, w) in work.terms)
-            data = self._data(e)
-            rhs = {
-                data["index"][w]: c
-                for (_, w), c in work.terms.items()
-                if P.graded_degree(w) == e
-            }
-            x = data["echelon"].solve(rhs)
-            if x is None:
-                raise AssertionError(
-                    "top part not in basis + image; truncation logic broken"
-                )
-            nb = len(data["basis_here"])
-            lift = LogForm(n, n - 1)
-            for k, w in enumerate(data["basis_here"]):
-                if x[k] != 0:
-                    coords[w] += x[k]
-                    work.add_term(full, w, -x[k])
-            for k, (i, prev) in enumerate(data["img_specs"]):
-                c = x[nb + k]
-                if c != 0:
-                    I = tuple(j for j in full if j != i)
-                    lift.add_term(I, prev, c)
-            if not lift.is_zero():
-                work = work - twisted_differential(
-                    self.gamma, self.fiber, lift, P
-                )
-            if not work.is_zero():
-                new_top = max(P.graded_degree(w) for (_, w) in work.terms)
-                if new_top >= e:
-                    raise AssertionError("reduction did not lower the degree")
-        return tuple(coords[w] for w in self.basis)
-
-    def reduce_monomial(self, w) -> tuple[Fraction, ...]:
-        w = tuple(w)
-        cached = self.rewrite_cache.get(w)
-        if cached is None:
-            n = self.polytope.n
-            cached = self.reduce(LogForm.monomial(n, range(n), w))
-            self.rewrite_cache[w] = cached
-        return cached
+        full = tuple(range(self.polytope.n))
+        if any(I != full for I, _ in form.terms):
+            raise ValueError("reduction expects a top-degree form")
+        coords = [Fraction(0)] * self.dimension
+        for (_, w), c in form.terms.items():
+            for k, y in enumerate(self.reduce_monomial(w)):
+                coords[k] += c * y
+        return tuple(coords)
 
 
 def h_top_dimension(
@@ -353,9 +361,8 @@ def h_top_dimension(
     fiber is reused; without one the fiber is certified here and a
     degenerate one raises.
     """
-    _warn_if_not_normalized(gamma, polytope)
     kz = kouchnirenko or verify_kouchnirenko(polytope.matrix, fiber, polytope)
-    n = polytope.n
+    basis = ReductionBasis(gamma, fiber, polytope, kz)
     M = polytope.gauge_denominator
     ring = kz.ring
     top_bound = kz.expected_polynomial.degree + M
@@ -364,22 +371,15 @@ def h_top_dimension(
     for d in range(top_bound + 1):
         rows.extend(ring.monomials_of_degree(d))
     row_index = {w: i for i, w in enumerate(rows)}
-    cols = []
+    entries = {}
+    col = 0
     for d in range(src_bound + 1):
         for w in ring.monomials_of_degree(d):
-            for i in range(n):
-                cols.append((i, w))
-    full = tuple(range(n))
-    mat = SparseRationalMatrix(len(rows), len(cols))
-    for col, (i, w) in enumerate(cols):
-        I = tuple(j for j in full if j != i)
-        image = twisted_differential(
-            gamma, fiber, LogForm.monomial(n, I, w), polytope
-        )
-        for (J, u), c in image.terms.items():
-            mat.set(row_index[u], col, mat.get(row_index[u], col) + c)
-    dim = len(rows) - rank(mat)
-    basis = ReductionBasis(gamma, fiber, polytope, kz)
+            for i in range(polytope.n):
+                for u, c in basis.image(i, w).items():
+                    entries[(row_index[u], col)] = c
+                col += 1
+    dim = len(rows) - rank(SparseRationalMatrix(len(rows), col, entries))
     return dim, basis
 
 

@@ -95,13 +95,6 @@ class SparseRationalMatrix:
         return f"SparseRationalMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def _to_row_dicts(m: SparseRationalMatrix) -> list[dict[int, Fraction]]:
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
-    return rows
-
-
 class Echelon:
     """One elimination of a fixed matrix, kept for every later question.
 
@@ -109,12 +102,16 @@ class Echelon:
     (row index, pivot column, reduced row), and each pivot step keeps the
     row operations it made as (target row index, factor).  ``solve`` replays
     that log on a right-hand side and back-substitutes, so one factorization
-    answers any number of systems with the same matrix.
+    answers any number of systems with the same matrix; it checks each
+    answer against the matrix through a column index built here.
     """
 
     def __init__(self, m: SparseRationalMatrix):
-        self.matrix = m
-        rows = _to_row_dicts(m)
+        rows: list[dict[int, Fraction]] = [dict() for _ in range(m.rows)]
+        self._columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m.cols)]
+        for (i, j), v in m.entries.items():
+            rows[i][j] = v
+            self._columns[j].append((i, v))
         where = {id(r): i for i, r in enumerate(rows)}
         self.pivots: list[tuple[int, int, dict[int, Fraction]]] = []
         self._log: list[list[tuple[int, Fraction]]] = []
@@ -167,7 +164,6 @@ class Echelon:
         ``rhs`` is a dense list or a sparse dict row -> value.  Free
         variables are set to zero.
         """
-        m = self.matrix
         items = rhs.items() if isinstance(rhs, dict) else enumerate(rhs)
         b = {i: Fraction(v) for i, v in items if v != 0}
         y = dict(b)
@@ -178,7 +174,7 @@ class Echelon:
                     y[i] = y.get(i, 0) - factor * yp
         if any(v for i, v in y.items() if i not in self._pivot_rows):
             return None
-        x = [Fraction(0)] * m.cols
+        x = [Fraction(0)] * len(self._columns)
         for p, pj, row in reversed(self.pivots):
             s = y.get(p, 0)
             for j, v in row.items():
@@ -187,9 +183,10 @@ class Echelon:
             x[pj] = s / row[pj]
         # Verify (cheap insurance against a missed inconsistency).
         check: dict[int, Fraction] = {}
-        for (i, j), v in m.entries.items():
-            if x[j]:
-                check[i] = check.get(i, 0) + v * x[j]
+        for j, xj in enumerate(x):
+            if xj:
+                for i, v in self._columns[j]:
+                    check[i] = check.get(i, 0) + v * xj
         for i in check.keys() | b.keys():
             if check.get(i, 0) != b.get(i, 0):
                 return None

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import FaceContainsOrigin
 from .lattice import Face, NewtonPolytope
-from .linalg import RationalSpan
+from .linalg import RationalSpan, SparseRationalMatrix, rank
 from .rings import (
     FaceRing,
     RingElement,
@@ -112,18 +112,19 @@ def _face_quotient_dims(ring: FaceRing, gs, bound: int):
     for d in range(bound + 1):
         mono = ring.monomials_of_degree(d)
         index = {w: i for i, w in enumerate(mono)}
-        span = RationalSpan(len(mono))
+        entries: dict[tuple[int, int], Fraction] = {}
+        row = 0
         for prev in ring.monomials_of_degree(d - M):
             for g in gs:
-                vec = {}
                 for u, c in g.terms.items():
                     prod = ring.multiply_monomials(u, prev)
                     i = index.get(prod)
                     if i is None:
                         raise AssertionError("facial product left its cone slice")
-                    vec[i] = vec.get(i, Fraction(0)) + c
-                span.add(vec)
-        dims.append(len(mono) - span.rank)
+                    entries[(row, i)] = entries.get((row, i), 0) + c
+                row += 1
+        taken = rank(SparseRationalMatrix(row, len(mono), entries)) if entries else 0
+        dims.append(len(mono) - taken)
     return tuple(dims)
 
 

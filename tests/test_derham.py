@@ -1,3 +1,6 @@
+import math
+import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -7,16 +10,23 @@ from gkzrank import (
     DegenerateFiber,
     GammaNotNormalized,
     LogForm,
+    RankDeficient,
     check_gr_equals_koszul,
     connection_matrices,
+    derham,
     derham_cohomology_dims,
     filtration_level,
     h_top_dimension,
+    is_nondegenerate,
+    linalg,
+    log_derivative_classes,
     newton_polytope,
     reduce_to_basis,
     twisted_differential,
     validate_matrix,
+    verify_kouchnirenko,
 )
+from gkzrank.linalg import SparseRationalMatrix, solve
 
 F = Fraction
 
@@ -208,3 +218,171 @@ class TestLowerCohomology:
         for q in range(n):
             assert dims[q] == 0
         assert dims[n] > 0
+
+
+# -- the memoized reduction against a step-by-step reference --------------------
+
+
+def _reference_reduce(basis, form):
+    """Reduce a top form one top part at a time, as a fresh linear system.
+
+    Each step builds its degree's matrix from the basis units and the Koszul
+    images, solves it from scratch, and subtracts the twisted differential of
+    the lift it found.
+    """
+    P = basis.polytope
+    n, M = P.n, P.gauge_denominator
+    full = tuple(range(n))
+    ring = basis.ring
+    seq = log_derivative_classes(basis.fiber, None, P)
+    coords = {w: F(0) for w in basis.basis}
+    work = LogForm(n, n, dict(form.terms))
+    while not work.is_zero():
+        e = max(P.graded_degree(w) for (_, w) in work.terms)
+        mono = ring.monomials_of_degree(e)
+        index = {w: k for k, w in enumerate(mono)}
+        here = [w for w in basis.basis if P.graded_degree(w) == e]
+        cols = [{index[w]: F(1)} for w in here]
+        lifts = []
+        for prev in ring.monomials_of_degree(e - M):
+            for i in range(n):
+                vec = {}
+                for u, c in seq[i].terms.items():
+                    prod = ring.multiply_monomials(u, prev)
+                    if prod is not None:
+                        k = index[prod]
+                        vec[k] = vec.get(k, F(0)) + (-1) ** i * c
+                if vec:
+                    cols.append(vec)
+                    lifts.append((tuple(j for j in full if j != i), prev))
+        mat = SparseRationalMatrix(len(mono), len(cols), {
+            (k, j): v for j, col in enumerate(cols) for k, v in col.items()
+        })
+        rhs = {index[w]: c for (_, w), c in work.terms.items() if w in index}
+        x = solve(mat, rhs)
+        assert x is not None
+        lift = LogForm(n, n - 1)
+        for k, w in enumerate(here):
+            coords[w] += x[k]
+            work.add_term(full, w, -x[k])
+        for k, (I, prev) in enumerate(lifts):
+            lift.add_term(I, prev, x[len(here) + k])
+        work = work - twisted_differential(basis.gamma, basis.fiber, lift, P)
+        assert all(P.graded_degree(w) < e for (_, w) in work.terms)
+    return tuple(coords[w] for w in basis.basis)
+
+
+def _random_draws(seed, dims):
+    """Seeded nondegenerate problems, one per entry of ``dims``: n + 1 or
+    n + 2 columns with entries in [-2, 2] and normalized volume at most 4."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < len(dims):
+        n = dims[len(out)]
+        cols = [
+            [rnd.randint(-2, 2) for _ in range(n)]
+            for _ in range(rnd.randint(n + 1, n + 2))
+        ]
+        if any(not any(c) for c in cols):
+            continue
+        try:
+            matrix = validate_matrix([list(r) for r in zip(*cols)])
+        except RankDeficient:
+            continue
+        P = newton_polytope(matrix)
+        fiber = [rnd.randint(1, 9) for _ in cols]
+        if P.normalized_volume <= 4 and is_nondegenerate(matrix, fiber, P).overall:
+            out.append((matrix.rows, [0] * n, fiber))
+    return out
+
+
+_SIMPLEX3 = [(a, b) for a in range(4) for b in range(4 - a)]
+REDUCTION_CASES = [
+    ([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]], [0, 0, 0], [1, 2, 3, 4]),
+    ([[1] * 5, list(range(5))], [0, 0], [1, 8, 2, 9, 3]),
+    (
+        [[1] * 10, [p[0] for p in _SIMPLEX3], [p[1] for p in _SIMPLEX3]],
+        [0, 0, 0],
+        [(7 * i) % 13 + 1 for i in range(10)],
+    ),
+    # non-integral (normalized) gamma and a rational fiber
+    (
+        [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
+        [F(-4, 3), F(-1, 2), F(-2, 3)],
+        [F(1, 2), 2, F(-3, 4), F(5, 3)],
+    ),
+] + _random_draws(5, (1, 2, 2, 3, 3, 3, 2))
+
+
+class TestMemoizedReduction:
+    @pytest.mark.parametrize("rows,gamma,fiber", REDUCTION_CASES)
+    def test_matches_stepwise_reference(self, rows, gamma, fiber):
+        P = newton_polytope(validate_matrix(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GammaNotNormalized)
+            _, basis = h_top_dimension(gamma, fiber, P)
+        n, M = P.n, P.gauge_denominator
+        top = basis.kouchnirenko.expected_polynomial.degree + M
+        cone = [w for d in range(top + 1) for w in basis.ring.monomials_of_degree(d)]
+        rnd = random.Random(f"{rows}")
+        for _ in range(3):
+            form = LogForm(n, n)
+            for _ in range(4):
+                w = cone[rnd.randrange(len(cone))]
+                c = F(rnd.randint(-5, 5), rnd.randint(1, 4))
+                form.add_term(tuple(range(n)), w, c)
+            assert basis.reduce(form) == _reference_reduce(basis, form)
+
+    @pytest.mark.parametrize("rows,fiber", [
+        ([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]], [1, 2, 3, 4]),
+        ([[1] * 5, list(range(5))], [1, 8, 2, 9, 3]),
+    ])
+    def test_each_image_built_once_each_monomial_solved_once(
+        self, monkeypatch, rows, fiber
+    ):
+        matrix = validate_matrix(rows)
+        P = newton_polytope(matrix)
+        gamma = [0] * P.n
+        kz = verify_kouchnirenko(matrix, fiber, P)
+        built, solved = [], []
+        partial = derham._partial
+        echelon_solve = linalg.Echelon.solve
+
+        def counted_partial(w, i, *args):
+            built.append((i, w))
+            return partial(w, i, *args)
+
+        def counted_solve(self, rhs):
+            solved.append((id(self), tuple(sorted(rhs))))
+            return echelon_solve(self, rhs)
+
+        monkeypatch.setattr(derham, "_partial", counted_partial)
+        monkeypatch.setattr(linalg.Echelon, "solve", counted_solve)
+        _, basis = h_top_dimension(gamma, fiber, P, kouchnirenko=kz)
+        assert solved == []
+        connection_matrices(gamma, fiber, basis)
+        assert built and len(built) == len(set(built))
+        assert len(solved) == len(set(solved)) == len(basis.normal_forms)
+
+    def test_long_chain_closed_form(self):
+        # On [[1]], t^(k+1) = -(k + gamma) t^k in cohomology, so reaching the
+        # basis monomial 1 from t^1500 takes a chain longer than the
+        # recursion limit.
+        assert sys.getrecursionlimit() < 1500
+        P = newton_polytope(validate_matrix([[1]]))
+        gamma = F(-1, 2)
+        _, basis = h_top_dimension([gamma], [1], P)
+        expected = math.prod(-(k + gamma) for k in range(1500))
+        assert basis.reduce_monomial((1500,)) == (expected,)
+
+    def test_one_warning_per_basis(self):
+        P = newton_polytope(validate_matrix([[3]]))
+        gamma, fiber = [F(5, 2)], [1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", GammaNotNormalized)
+            _, basis = h_top_dimension(gamma, fiber, P)
+        assert [w.category for w in caught] == [GammaNotNormalized]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", GammaNotNormalized)
+            connection_matrices(gamma, fiber, basis)
+        assert caught == []
