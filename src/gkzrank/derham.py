@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GammaNotNormalized, NotInCone
-from .homology import KouchnirenkoResult, verify_kouchnirenko
+from .homology import KouchnirenkoResult, verify_kouchnirenko, wedge_terms
 from .lattice import NewtonPolytope, Vector
 from .linalg import Echelon, SparseRationalMatrix, rank
 from .rings import ConeRing, log_derivative_classes
@@ -134,11 +134,7 @@ def twisted_differential(
     fiber = [Fraction(c) for c in fiber]
     out = LogForm(n, form.degree + 1)
     for (I, w), c in form.terms.items():
-        for i in range(n):
-            if i in I:
-                continue
-            sign = (-1) ** sum(1 for k in I if k < i)
-            J = tuple(sorted(I + (i,)))
+        for i, sign, J in wedge_terms(I, n):
             for u, v in _partial(w, i, gamma[i], fiber, polytope.matrix).items():
                 out.add_term(J, u, sign * c * v)
     return out
@@ -205,11 +201,7 @@ def check_gr_equals_koszul(
         top = _top_part(d_form, polytope, level)
         koszul = LogForm(n, form.degree + 1)
         for (I, w), c in form.terms.items():
-            for i in range(n):
-                if i in I:
-                    continue
-                sign = (-1) ** sum(1 for k in I if k < i)
-                J = tuple(sorted(I + (i,)))
+            for i, sign, J in wedge_terms(I, n):
                 for u, coeff in gs[i].terms.items():
                     prod = ring.multiply_monomials(u, w)
                     if prod is not None:
@@ -433,12 +425,14 @@ def derham_cohomology_dims(
     is certified here and a degenerate one raises.
     """
     kz = kouchnirenko or verify_kouchnirenko(polytope.matrix, fiber, polytope)
+    _warn_if_not_normalized(gamma, polytope)
+    gamma = [Fraction(g) for g in gamma]
+    fiber = [Fraction(c) for c in fiber]
     n = polytope.n
     M = polytope.gauge_denominator
     ring = kz.ring
     if level_cap is None:
         level_cap = max(0, kz.expected_polynomial.degree + M - M * n)
-    full = tuple(range(n))
 
     def slice_basis(q):
         out = []
@@ -450,6 +444,7 @@ def derham_cohomology_dims(
         return out
 
     bases = {q: slice_basis(q) for q in range(n + 1)}
+    A = polytope.matrix
     mats = {}
     for q in range(n):
         src = bases[q]
@@ -457,14 +452,12 @@ def derham_cohomology_dims(
         index = {lbl: i for i, lbl in enumerate(dst)}
         mat = SparseRationalMatrix(len(dst), len(src))
         for col, (I, w) in enumerate(src):
-            image = twisted_differential(
-                gamma, fiber, LogForm.monomial(n, I, w), polytope
-            )
-            for (J, u), c in image.terms.items():
-                row = index.get((J, u))
-                if row is None:
-                    raise AssertionError("filtration cap leaked")
-                mat.set(row, col, mat.get(row, col) + c)
+            for i, sign, J in wedge_terms(I, n):
+                for u, c in _partial(w, i, gamma[i], fiber, A).items():
+                    row = index.get((J, u))
+                    if row is None:
+                        raise AssertionError("filtration cap leaked")
+                    mat.set(row, col, sign * c)
         mats[q] = mat
     ranks = {q: rank(mat) for q, mat in mats.items()}
     return {

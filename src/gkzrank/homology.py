@@ -26,6 +26,14 @@ from .rings import (
 )
 from .series import PolyZ
 
+
+def wedge_terms(I: tuple[int, ...], n: int):
+    """Each (i, sign, J) with dlog t_i ^ dlog_I = sign * dlog_J, i not in I."""
+    for i in range(n):
+        if i not in I:
+            yield i, (-1) ** sum(1 for k in I if k < i), tuple(sorted(I + (i,)))
+
+
 class CochainComplexQ:
     """A finite complex of Q-vector spaces with labeled bases.
 
@@ -157,11 +165,7 @@ class GradedKoszulComplex:
                 index = {lbl: i for i, lbl in enumerate(dst)}
                 mat = SparseRationalMatrix(len(dst), len(src))
                 for col, (I, w) in enumerate(src):
-                    for i in range(m):
-                        if i in I:
-                            continue
-                        sign = (-1) ** sum(1 for k in I if k < i)
-                        J = tuple(sorted(I + (i,)))
+                    for i, sign, J in wedge_terms(I, m):
                         for u, coeff in self.sequence[i].terms.items():
                             prod = ring.multiply_monomials(u, w)
                             if prod is None:

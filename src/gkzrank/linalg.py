@@ -1,17 +1,19 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries; no floating point
-is used anywhere.  ``Echelon`` is the one elimination: it factors a matrix
-once, picking pivots Markowitz-style (sparsest row, then least-populated
-column) to keep fill-in modest on the block matrices produced by the Koszul
-and de Rham complexes, and reuses that factorization for its rank and for
-every right-hand side it solves.  ``rank`` and ``solve`` are one-shot
+Matrices and answers hold ``fractions.Fraction`` entries; no floating point
+is used anywhere.  ``Echelon`` is the one elimination: it clears each row to
+integers once, factors the matrix fraction-free, picking pivots
+Markowitz-style (sparsest row, then least-populated column) to keep fill-in
+modest on the block matrices produced by the Koszul and de Rham complexes,
+and reuses that factorization for its rank and for every right-hand side it
+solves, returning exact rationals.  ``rank`` and ``solve`` are one-shot
 wrappers around it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class SparseRationalMatrix:
@@ -98,23 +100,28 @@ class SparseRationalMatrix:
 class Echelon:
     """One elimination of a fixed matrix, kept for every later question.
 
-    The rows are reduced once, Markowitz-style.  Each pivot is kept as
-    (row index, pivot column, reduced row), and each pivot step keeps the
-    row operations it made as (target row index, factor).  ``solve`` replays
-    that log on a right-hand side and back-substitutes, so one factorization
-    answers any number of systems with the same matrix; it checks each
-    answer against the matrix through a column index built here.
+    Each row is cleared to integers by the lcm of its denominators, then
+    reduced once, Markowitz-style and fraction-free: r <- (a r - b p) /
+    content, with a = pivot/g, b = c/g, g = gcd(pivot, c), and content
+    making r primitive.  Pivots are kept as (row, column, integer row) and
+    each step's updates as (target row, a, b, content).  ``solve`` replays
+    the log on an integer right-hand side, back-substitutes over one common
+    denominator and checks the answer in integers against the scaled rows.
     """
 
     def __init__(self, m: SparseRationalMatrix):
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(m.rows)]
-        self._columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m.cols)]
+        rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
         for (i, j), v in m.entries.items():
             rows[i][j] = v
-            self._columns[j].append((i, v))
+        self._scales = [lcm(*(v.denominator for v in r.values())) for r in rows]
+        self._columns: list[list[tuple[int, int]]] = [[] for _ in range(m.cols)]
+        for i, (r, s) in enumerate(zip(rows, self._scales)):
+            for j, v in r.items():
+                r[j] = v.numerator * (s // v.denominator)
+                self._columns[j].append((i, r[j]))
         where = {id(r): i for i, r in enumerate(rows)}
-        self.pivots: list[tuple[int, int, dict[int, Fraction]]] = []
-        self._log: list[list[tuple[int, Fraction]]] = []
+        self.pivots: list[tuple[int, int, dict[int, int]]] = []
+        self._log: list[list[tuple[int, int, int, int]]] = []
         live = [r for r in rows if r]
         col_count: dict[int, int] = {}
         for r in live:
@@ -122,6 +129,8 @@ class Echelon:
                 col_count[j] = col_count.get(j, 0) + 1
         while live:
             # Markowitz-style choice: sparsest row, then its rarest column.
+            # Scaling a row changes neither its support nor a cancellation,
+            # so the choices are those of an elimination over Q.
             best = min(live, key=len)
             pj = min(best, key=lambda j: (col_count.get(j, 0), j))
             pv = best[pj]
@@ -133,20 +142,28 @@ class Echelon:
             for r in live:
                 c = r.get(pj)
                 if c is not None:
-                    factor = c / pv
-                    ops.append((where[id(r)], factor))
+                    g = gcd(pv, c)
+                    a, b = pv // g, c // g
+                    if a != 1:
+                        for j in r:
+                            r[j] *= a
                     for j, v in best.items():
                         old = r.get(j)
                         if old is None:
-                            r[j] = -factor * v
+                            r[j] = -b * v
                             col_count[j] = col_count.get(j, 0) + 1
                         else:
-                            new = old - factor * v
+                            new = old - b * v
                             if new == 0:
                                 del r[j]
                                 col_count[j] -= 1
                             else:
                                 r[j] = new
+                    content = gcd(*r.values()) or 1
+                    if content != 1:
+                        for j in r:
+                            r[j] //= content
+                    ops.append((where[id(r)], a, b, content))
                 if r:
                     nxt.append(r)
             live = nxt
@@ -165,32 +182,49 @@ class Echelon:
         variables are set to zero.
         """
         items = rhs.items() if isinstance(rhs, dict) else enumerate(rhs)
-        b = {i: Fraction(v) for i, v in items if v != 0}
+        scaled = {i: Fraction(v) * self._scales[i] for i, v in items if v != 0}
+        den = lcm(*(v.denominator for v in scaled.values()))
+        b = {i: v.numerator * (den // v.denominator) for i, v in scaled.items()}
+        # y / (den * f) is the scaled right-hand side under the row
+        # operations, then x = X / (den * f); an inexact division rescales.
         y = dict(b)
+        f = 1
         for (p, _, _), ops in zip(self.pivots, self._log):
-            yp = y.get(p)
-            if yp:
-                for i, factor in ops:
-                    y[i] = y.get(i, 0) - factor * yp
+            yp = y.get(p, 0)
+            for t, a, c, content in ops:
+                yt = y.get(t, 0)
+                if yt or yp:
+                    v = a * yt - c * yp
+                    if v % content:
+                        k = content // gcd(v, content)
+                        y = {i: yi * k for i, yi in y.items()}
+                        f, v, yp = f * k, v * k, yp * k
+                    y[t] = v // content
         if any(v for i, v in y.items() if i not in self._pivot_rows):
             return None
-        x = [Fraction(0)] * len(self._columns)
+        X = [0] * len(self._columns)
         for p, pj, row in reversed(self.pivots):
             s = y.get(p, 0)
             for j, v in row.items():
-                if j != pj and x[j]:
-                    s -= v * x[j]
-            x[pj] = s / row[pj]
-        # Verify (cheap insurance against a missed inconsistency).
-        check: dict[int, Fraction] = {}
-        for j, xj in enumerate(x):
+                if j != pj and X[j]:
+                    s -= v * X[j]
+            pv = row[pj]
+            if s % pv:
+                k = abs(pv) // gcd(s, pv)
+                X = [xj * k for xj in X]
+                y = {i: yi * k for i, yi in y.items()}
+                f, s = f * k, s * k
+            X[pj] = s // pv
+        # Verify in integers: scaled row i of m times X is b_i * f.
+        check: dict[int, int] = {}
+        for j, xj in enumerate(X):
             if xj:
                 for i, v in self._columns[j]:
                     check[i] = check.get(i, 0) + v * xj
         for i in check.keys() | b.keys():
-            if check.get(i, 0) != b.get(i, 0):
+            if check.get(i, 0) != b.get(i, 0) * f:
                 return None
-        return x
+        return [Fraction(xj, den * f) for xj in X]
 
 
 def rank(m: SparseRationalMatrix) -> int:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -192,3 +194,57 @@ class TestCliOutput:
         assert main(["face-complex", path, "--weight-bound", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["weight_bound"] == 3
+
+
+# SHA-256 of the ``gkz analyze --no-timings`` stdout and the exit code,
+# recorded before the elimination engine moved from ``Fraction`` to integer
+# rows; any change to these bytes is a change to the reports.
+GOLDEN_SPECS = {
+    "gauss": GAUSS_SPEC,
+    "normal-curve-5": {
+        "matrix": [[1] * 5, [0, 1, 2, 3, 4]],
+        "gamma": ["0", "0"],
+        "fiber": ["1", "8", "2", "9", "3"],
+    },
+    # rational gamma and fiber: the de Rham rows need scaling to integers
+    "gauss-rational": dict(
+        GAUSS_SPEC, gamma=["-4/3", "-1/2", "-2/3"], fiber=["1/2", "2", "-3/4", "5/3"]
+    ),
+    "sweep-draw-3d": {
+        "matrix": [[1, 0, 1, 2], [1, 1, 1, 2], [2, 0, 1, 2]],
+        "gamma": ["2", "-1", "2/3"],
+        "fiber": ["250", "732", "322/3", "872"],
+    },
+    "triple-ray": {"matrix": [[3]], "gamma": ["5/2"], "fiber": ["1"]},
+    "gauss-degenerate": dict(GAUSS_SPEC, fiber=["1", "1", "1", "1"]),
+}
+GOLDEN = {
+    "gauss": (
+        0, "e6f4ded08ba69b0466f4d9b0790eed79d22f2972044eac72dda47ca5d1ac6f0c"
+    ),
+    "normal-curve-5": (
+        0, "d896cf4cded37e7841a5675f8936b2760244febf8c1adf00b29f0bace83cbcba"
+    ),
+    "gauss-rational": (
+        0, "614a1ed3d81a6f42e87af41b2bfb79f10f135b559d5622dbcfd81b1a4c4ff899"
+    ),
+    "sweep-draw-3d": (
+        0, "9037062fa98890324bb8ab367b8ae01256fa2897e4228db542a87821ce0198ba"
+    ),
+    "triple-ray": (
+        0, "f03e987c9e7e61553f0bfd0866cb42d0dfa4c03aa60cba5dcdb2a8a509f47f4e"
+    ),
+    "gauss-degenerate": (
+        2, "8e7db5fb6cdee676c648301b93b9484e3e8afddfb72e6537f2d629be2a273e6c"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report_bytes(name, tmp_path, capsys):
+    path = write_spec(tmp_path, GOLDEN_SPECS[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["analyze", path, "--no-timings"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN[name]

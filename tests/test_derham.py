@@ -209,6 +209,11 @@ class TestLowerCohomology:
             ([[2]], [0], [1]),
             ([[-1, 1]], [F(-1, 2)], [1, 1]),
             ([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]], [0, 0, 0], [1, 2, 3, 4]),
+            (
+                [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
+                [F(-4, 3), F(-1, 2), F(-2, 3)],
+                [F(1, 2), 2, F(-3, 4), F(5, 3)],
+            ),
         ],
     )
     def test_vanishing_below_top(self, rows, gamma, fiber):
@@ -218,6 +223,14 @@ class TestLowerCohomology:
         for q in range(n):
             assert dims[q] == 0
         assert dims[n] > 0
+
+    def test_one_warning_per_call(self):
+        P = newton_polytope(validate_matrix([[3]]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dims = derham_cohomology_dims([F(5, 2)], [1], P, level_cap=2)
+        assert [w.category for w in caught] == [GammaNotNormalized]
+        assert dims == {0: 0, 1: 3}
 
 
 # -- the memoized reduction against a step-by-step reference --------------------

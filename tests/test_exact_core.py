@@ -179,6 +179,118 @@ def _as_dense(rhs, rows):
     return [Fraction(v) for v in rhs]
 
 
+class _FractionEchelon:
+    """The Markowitz elimination over Q that ``Echelon`` replaced, kept as
+    the reference: the same pivot choices on ``Fraction`` rows, one
+    ``Fraction`` factor per row operation."""
+
+    def __init__(self, m):
+        rows = [dict() for _ in range(m.rows)]
+        for (i, j), v in m.entries.items():
+            rows[i][j] = v
+        where = {id(r): i for i, r in enumerate(rows)}
+        self.cols = m.cols
+        self.pivots, self.log = [], []
+        live = [r for r in rows if r]
+        col_count = {}
+        for r in live:
+            for j in r:
+                col_count[j] = col_count.get(j, 0) + 1
+        while live:
+            best = min(live, key=len)
+            pj = min(best, key=lambda j: (col_count.get(j, 0), j))
+            pv = best[pj]
+            live.remove(best)
+            for j in best:
+                col_count[j] -= 1
+            ops, nxt = [], []
+            for r in live:
+                c = r.get(pj)
+                if c is not None:
+                    factor = c / pv
+                    ops.append((where[id(r)], factor))
+                    for j, v in best.items():
+                        old = r.get(j)
+                        if old is None:
+                            r[j] = -factor * v
+                            col_count[j] = col_count.get(j, 0) + 1
+                        else:
+                            new = old - factor * v
+                            if new == 0:
+                                del r[j]
+                                col_count[j] -= 1
+                            else:
+                                r[j] = new
+                if r:
+                    nxt.append(r)
+            live = nxt
+            self.pivots.append((where[id(best)], pj, best))
+            self.log.append(ops)
+        self.pivot_rows = {p for p, _, _ in self.pivots}
+
+    def solve(self, rhs):
+        items = rhs.items() if isinstance(rhs, dict) else enumerate(rhs)
+        y = {i: Fraction(v) for i, v in items if v != 0}
+        for (p, _, _), ops in zip(self.pivots, self.log):
+            yp = y.get(p)
+            if yp:
+                for i, factor in ops:
+                    y[i] = y.get(i, 0) - factor * yp
+        if any(v for i, v in y.items() if i not in self.pivot_rows):
+            return None
+        x = [Fraction(0)] * self.cols
+        for p, pj, row in reversed(self.pivots):
+            s = y.get(p, 0)
+            for j, v in row.items():
+                if j != pj and x[j]:
+                    s -= v * x[j]
+            x[pj] = s / row[pj]
+        return x
+
+
+def _hard_matrix(rnd, kind):
+    """Mixed denominators with large heights, or a tall or wide product
+    through a narrow middle (rank-deficient)."""
+    if kind == "mixed":
+        rows, cols = rnd.randint(4, 9), rnd.randint(4, 9)
+        dens = (1, 2, 6, 7, 10**9 + 7)
+        dense = [
+            [
+                Fraction(rnd.randint(-(10**12), 10**12), rnd.choice(dens))
+                if rnd.random() < 0.45 else Fraction(0)
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+    else:
+        rows, cols = (12, 4) if kind == "tall" else (4, 12)
+        inner = rnd.randint(1, 3)
+        left = [[rnd.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+        right = [
+            [Fraction(rnd.randint(-(10**6), 10**6), rnd.randint(1, 12))
+             for _ in range(cols)]
+            for _ in range(inner)
+        ]
+        dense = [
+            [sum(a * r[j] for a, r in zip(row, right)) for j in range(cols)]
+            for row in left
+        ]
+    m = SparseRationalMatrix(rows, cols)
+    for i, row in enumerate(dense):
+        for j, v in enumerate(row):
+            m.set(i, j, v)
+    return m, dense
+
+
+def _reference_cases():
+    for seed in range(60):
+        rnd = random.Random(seed)
+        yield rnd, *_random_matrix(rnd)
+    for seed in range(45):
+        rnd = random.Random(3000 + seed)
+        yield rnd, *_hard_matrix(rnd, ("mixed", "tall", "wide")[seed % 3])
+
+
 class TestEchelon:
     @pytest.mark.parametrize("seed", range(60))
     def test_rank_matches_dense_reference(self, seed):
@@ -212,6 +324,45 @@ class TestEchelon:
         echelon = Echelon(m)
         reused = {k: echelon.solve(rhss[k]) for k in order}
         assert reused == {k: solve(m, rhss[k]) for k in range(len(rhss))}
+
+    def test_matches_fraction_reference(self):
+        # Scaled rows keep every support and cancellation, so the pivots
+        # and, with free variables at zero, the solutions are those over Q.
+        for rnd, m, dense in _reference_cases():
+            echelon, ref = Echelon(m), _FractionEchelon(m)
+            assert [(p, j) for p, j, _ in echelon.pivots] == [
+                (p, j) for p, j, _ in ref.pivots
+            ]
+            for rhs in _random_rhs(rnd, m, dense):
+                assert echelon.solve(rhs) == ref.solve(rhs)
+
+    def test_inexact_content_division_rescales(self):
+        # Eliminating row 0 from row 1 leaves (0, 2), made primitive by
+        # content 2, so the replayed right-hand side e_1 becomes 1/2 there.
+        m = SparseRationalMatrix.from_dense([[1, 1], [1, 3]])
+        assert Echelon(m).solve({1: 1}) == [F(-1, 2), F(1, 2)]
+        assert Echelon(m).solve([0, 2]) == [F(-1), F(1)]
+
+    def test_corrupted_log_never_answers_wrongly(self):
+        # The integer check is the last word: a factorization whose log was
+        # tampered with may fail to solve, but never returns a wrong answer.
+        caught = 0
+        for rnd, m, dense in _reference_cases():
+            echelon = Echelon(m)
+            steps = [ops for ops in echelon._log if ops]
+            if not steps:
+                continue
+            t, a, b, content = steps[0][0]
+            steps[0][0] = (t, a, b + 1, content)
+            for rhs in _random_rhs(rnd, m, dense):
+                x = echelon.solve(rhs)
+                b_dense = _as_dense(rhs, m.rows)
+                if x is None:
+                    caught += _FractionEchelon(m).solve(rhs) is not None
+                else:
+                    image = [sum(v * y for v, y in zip(row, x)) for row in dense]
+                    assert image == b_dense
+        assert caught > 0
 
     @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
     def test_empty_shapes(self, rows, cols):
