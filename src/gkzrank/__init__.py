@@ -92,6 +92,7 @@ from .rings import (
     graded_piece,
     log_derivative_classes,
     poincare_series,
+    sequence_image,
 )
 from .series import PolyZ, RationalFunctionQ
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
 from .jsonio import format_rational
@@ -23,6 +22,7 @@ from .rings import (
     RingElement,
     log_derivative_classes,
     poincare_series,
+    sequence_image,
 )
 from .series import PolyZ
 
@@ -145,40 +145,34 @@ class GradedKoszulComplex:
         return self.diffs[key]
 
     def _build(self):
-        ring, m, D = self.ring, self.m, self.truncation
+        ring, m, D, step = self.ring, self.m, self.truncation, self.step
         slices = {d: ring.monomials_of_degree(d) for d in range(D + 1)}
+        wedges = [list(itertools.combinations(range(m), q)) for q in range(m + 1)]
         for q in range(m + 1):
             for d in range(D + 1):
-                labels = [
-                    (I, w)
-                    for I in itertools.combinations(range(m), q)
-                    for w in slices[d]
-                ]
+                labels = [(I, w) for I in wedges[q] for w in slices[d]]
                 if labels:
                     self.bases[(q, d)] = labels
-        for q in range(m):
-            for d in range(D + 1 - self.step):
-                src = self.basis(q, d)
-                dst = self.basis(q + 1, d + self.step)
-                if not src or not dst:
-                    continue
-                index = {lbl: i for i, lbl in enumerate(dst)}
-                mat = SparseRationalMatrix(len(dst), len(src))
-                for col, (I, w) in enumerate(src):
+        position = {J: k for level in wedges for k, J in enumerate(level)}
+        # The sequence image on each slice, placed once per wedge set: the
+        # column of (I, w) gets, for each i not in I, the signed column
+        # g_i * t^w in the rows of J = I + {i}.
+        for d in range(D + 1 - step):
+            src, dst = len(slices[d]), len(slices[d + step])
+            if not src or not dst:
+                continue
+            columns = sequence_image(ring, self.sequence, step, d + step).columns()
+            for q in range(m):
+                entries = {}
+                for a, I in enumerate(wedges[q]):
                     for i, sign, J in wedge_terms(I, m):
-                        for u, coeff in self.sequence[i].terms.items():
-                            prod = ring.multiply_monomials(u, w)
-                            if prod is None:
-                                continue
-                            row = index.get((J, prod))
-                            if row is None:
-                                raise AssertionError(
-                                    "product escaped the truncated basis"
-                                )
-                            mat.set(
-                                row, col, mat.get(row, col) + sign * coeff
-                            )
-                self.diffs[(q, d)] = mat
+                        top = position[J] * dst
+                        for k in range(src):
+                            for r, c in columns[k * m + i].items():
+                                entries[(top + r, a * src + k)] = sign * c
+                self.diffs[(q, d)] = SparseRationalMatrix(
+                    len(wedges[q + 1]) * dst, len(wedges[q]) * src, entries
+                )
 
     def validate(self):
         for (q, d), mat in self.diffs.items():
@@ -426,22 +420,16 @@ def verify_kouchnirenko(
     vanishing = all(d["total"] == 0 for d in lower.values())
     per_degree = dims[n]["per_degree"]
     top_dim = dims[n]["total"]
-    # Greedy monomial basis of the top quotient, degree by degree.
+    # Greedy monomial basis of the top quotient, degree by degree: the
+    # first monomials completing the column span of the top Koszul map.
     basis = []
     for d in range(expected.degree + 1):
-        span = RationalSpan(len(ring.monomials_of_degree(d)))
-        mono = ring.monomials_of_degree(d)
-        index = {w: i for i, w in enumerate(mono)}
-        for prev in ring.monomials_of_degree(d - M):
-            for g in sequence:
-                vec = {}
-                for u, c in g.terms.items():
-                    prod = ring.multiply_monomials(u, prev)
-                    if prod is not None:
-                        vec[index[prod]] = vec.get(index[prod], Fraction(0)) + c
-                span.add(vec)
-        for i, w in enumerate(mono):
-            if span.add({i: Fraction(1)}):
+        top_map = cx.differential(n - 1, d - M)
+        span = RationalSpan(top_map.rows)
+        for column in top_map.columns():
+            span.add(column)
+        for i, w in enumerate(ring.monomials_of_degree(d)):
+            if span.add({i: 1}):
                 basis.append(w)
     return KouchnirenkoResult(
         vanishing=vanishing,
@@ -526,28 +514,10 @@ def koszul_regular_sequence_check(
     vanishing = all(dims[q]["total"] == 0 for q in range(d))
     embeds = True
     if d <= cx.m:
-        step = cx.step
-        for e in range(truncation + 1):
-            if d < cx.m and e + step > truncation:
-                continue
-            h = dims.get(d, {}).get("per_degree", {}).get(e, 0)
-            if h == 0:
-                continue
-            mono = ring.monomials_of_degree(e)
-            index = {w: i for i, w in enumerate(mono)}
-            span = RationalSpan(len(mono))
-            for prev in ring.monomials_of_degree(e - step):
-                for g in list(sequence)[:d]:
-                    vec = {}
-                    for u, c in g.terms.items():
-                        prod = ring.multiply_monomials(u, prev)
-                        if prod is not None:
-                            vec[index[prod]] = vec.get(
-                                index[prod], Fraction(0)
-                            ) + c
-                    span.add(vec)
-            quotient_dim = len(mono) - span.rank
-            if h > quotient_dim:
+        # per_degree holds the certified degrees with nonzero H^d only.
+        for e, h in dims[d]["per_degree"].items():
+            image = sequence_image(ring, cx.sequence[:d], cx.step, e)
+            if h > image.rows - rank(image):
                 embeds = False
     return RegularSequenceCheck(
         ok=vanishing and embeds,

@@ -16,6 +16,11 @@ single scan of the scaled bounding box and rebuilt, to at least twice its
 top degree, only when a request goes past it.  The table also records, for
 each point, the facets on which it is tight; face-cone membership and the
 associated-graded product are set operations on those.
+
+Determinants are taken in integers by Bareiss elimination; they give the
+normalized volume, the facet normals (as signed maximal minors) and the
+incidence signs.  Ranks go through ``linalg.rank``; a face's edge basis is
+the one greedy choice, kept in a ``RationalSpan``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .errors import FaceContainsOrigin, NotInCone, RankDeficient, ShapeMismatch
-from .linalg import Echelon, RationalSpan, SparseRationalMatrix, solve
+from .linalg import Echelon, RationalSpan, SparseRationalMatrix, rank
 
 Vector = tuple[int, ...]
 
@@ -72,10 +77,7 @@ class ExponentMatrix:
 
 def rational_rank(rows) -> int:
     """Rank over Q of a list of integer rows."""
-    span = RationalSpan(len(rows[0]) if rows else 0)
-    for row in rows:
-        span.add({j: Fraction(c) for j, c in enumerate(row) if c != 0})
-    return span.rank
+    return rank(SparseRationalMatrix.from_dense(rows))
 
 
 def validate_matrix(rows) -> ExponentMatrix:
@@ -146,33 +148,16 @@ def _affine_basis(vertices) -> tuple[Vector, ...]:
 
 
 def _kernel_normal(points, n):
-    """Primitive normal of the hyperplane through the given points, if any."""
-    base = points[0]
-    diffs = [_sub(p, base) for p in points[1:]]
-    span = RationalSpan(n)
-    for d in diffs:
-        span.add({j: Fraction(c) for j, c in enumerate(d) if c != 0})
-    if span.rank != n - 1:
-        return None
-    # Find a kernel vector by completing to a square system.
-    m = SparseRationalMatrix(len(diffs) + 1, n)
-    for i, d in enumerate(diffs):
-        for j, c in enumerate(d):
-            m.set(i, j, c)
-    for j in range(n):
-        probe = m.copy()
-        probe.set(len(diffs), j, 1)
-        x = solve(probe, {len(diffs): 1})
-        if x is not None:
-            denom_lcm = 1
-            for c in x:
-                denom_lcm = denom_lcm * c.denominator // gcd(
-                    denom_lcm, c.denominator
-                )
-            ints = tuple(int(c * denom_lcm) for c in x)
-            if any(ints):
-                return _primitive(ints)
-    return None
+    """Primitive normal of the hyperplane through n points, or None.
+
+    The normal is the vector of signed maximal minors of the n - 1
+    difference rows; it vanishes exactly when the points are dependent.
+    """
+    diffs = [_sub(p, points[0]) for p in points[1:]]
+    minors = [
+        (-1) ** j * _det([d[:j] + d[j + 1:] for d in diffs]) for j in range(n)
+    ]
+    return _primitive(minors) if any(minors) else None
 
 
 class NewtonPolytope:
@@ -441,7 +426,9 @@ class NewtonPolytope:
             x = echelon.solve(col)
             if x is None:
                 raise AssertionError("subface direction outside face span")
-            coords.append(x)
+            # A positive scale to integers keeps the determinant's sign.
+            s = lcm(*(c.denominator for c in x))
+            coords.append([c.numerator * (s // c.denominator) for c in x])
         det = _det([[coords[j][i] for j in range(p)] for i in range(p)])
         sign = 1 if det > 0 else -1
         self._sign_cache[key] = sign
@@ -476,7 +463,7 @@ class NewtonPolytope:
                 [v for v in self.vertices if facet.value(v) == facet.level]
             )
             for s in self.triangulate_face(face):
-                total += abs(int(_det([list(_sub(v, v0)) for v in s])))
+                total += abs(_det([_sub(v, v0) for v in s]))
         return total
 
     def boundary_pyramid_volumes(self) -> dict[int, int]:
@@ -485,7 +472,7 @@ class NewtonPolytope:
         for face in self.index_set(self.n - 1):
             total = 0
             for s in self.triangulate_face(face):
-                total += abs(int(_det([list(v) for v in s])))
+                total += abs(_det(s))
             out[face.id] = total
         return out
 
@@ -543,30 +530,29 @@ class NewtonPolytope:
         )
 
 
-def _det(rows) -> Fraction:
-    """Exact determinant by fraction elimination; rows is a square list."""
-    n = len(rows)
-    a = [[Fraction(c) for c in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    After step k each remaining entry is a (k+1) x (k+1) minor, so the
+    division by the previous pivot is exact and every entry stays an integer.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return det
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pk = a[k]
+        for r in a[k + 1:]:
+            r[k + 1:] = [
+                (r[j] * pk[k] - r[k] * pk[j]) // prev for j in range(k + 1, n)
+            ]
+        prev = pk[k]
+    return sign * prev
 
 
 def newton_polytope(matrix: ExponentMatrix) -> NewtonPolytope:

@@ -7,7 +7,7 @@ Markowitz-style (sparsest row, then least-populated column) to keep fill-in
 modest on the block matrices produced by the Koszul and de Rham complexes,
 and reuses that factorization for its rank and for every right-hand side it
 solves, returning exact rationals.  ``rank`` and ``solve`` are one-shot
-wrappers around it.
+wrappers around it.  ``RationalSpan`` serves only ordered greedy choice.
 """
 
 from __future__ import annotations
@@ -63,8 +63,12 @@ class SparseRationalMatrix:
         m.entries = dict(self.entries)
         return m
 
-    def column(self, j) -> dict[int, Fraction]:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
+    def columns(self) -> list[dict[int, Fraction]]:
+        """Every column as a sparse dict row -> value, in one pass."""
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for (i, j), v in self.entries.items():
+            out[j][i] = v
+        return out
 
     def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if self.cols != other.rows:
@@ -241,8 +245,10 @@ def rank_and_kernel(m: SparseRationalMatrix) -> tuple[int, int]:
 class RationalSpan:
     """Row space maintained incrementally in echelon form.
 
-    ``add`` reduces the candidate against the current pivots and reports
-    whether the rank grew.  Vectors are sparse dicts col -> Fraction.
+    ``add`` reports whether the rank grew, so a caller keeps the first
+    vectors, in its own order, that enlarge the span; ``Echelon`` picks its
+    own pivot order.  Ordered greedy choice is its one use.  Vectors are
+    sparse dicts col -> Fraction.
     """
 
     def __init__(self, dim: int):

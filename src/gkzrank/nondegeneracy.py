@@ -16,12 +16,13 @@ from fractions import Fraction
 
 from .errors import FaceContainsOrigin
 from .lattice import Face, NewtonPolytope
-from .linalg import RationalSpan, SparseRationalMatrix, rank
+from .linalg import RationalSpan, rank
 from .rings import (
     FaceRing,
     RingElement,
     log_derivative_classes,
     poincare_series,
+    sequence_image,
 )
 from .series import PolyZ
 
@@ -106,25 +107,11 @@ def choose_spanning_subset(fiber, face: Face, polytope: NewtonPolytope):
 
 def _face_quotient_dims(ring: FaceRing, gs, bound: int):
     """Dimensions of the facial ring modulo the chosen classes, by degree."""
-    P = ring.polytope
-    M = P.gauge_denominator
+    M = ring.gauge_denominator
     dims = []
     for d in range(bound + 1):
-        mono = ring.monomials_of_degree(d)
-        index = {w: i for i, w in enumerate(mono)}
-        entries: dict[tuple[int, int], Fraction] = {}
-        row = 0
-        for prev in ring.monomials_of_degree(d - M):
-            for g in gs:
-                for u, c in g.terms.items():
-                    prod = ring.multiply_monomials(u, prev)
-                    i = index.get(prod)
-                    if i is None:
-                        raise AssertionError("facial product left its cone slice")
-                    entries[(row, i)] = entries.get((row, i), 0) + c
-                row += 1
-        taken = rank(SparseRationalMatrix(row, len(mono), entries)) if entries else 0
-        dims.append(len(mono) - taken)
+        image = sequence_image(ring, gs, M, d)
+        dims.append(image.rows - rank(image))
     return tuple(dims)
 
 

@@ -57,10 +57,24 @@ class ProblemSpec:
             raise ShapeMismatch("'matrix' must be a list of rows")
         n = len(rows)
         width = len(rows[0]) if rows and isinstance(rows[0], list) else 0
-        gamma = [parse_rational(g) for g in data.get("gamma", ["0"] * n)]
-        fiber = [parse_rational(c) for c in data.get("fiber", ["1"] * width)]
-        options = dict(data.get("options", {}))
-        return cls(rows, gamma, fiber, options)
+        gamma = data.get("gamma", ["0"] * n)
+        fiber = data.get("fiber", ["1"] * width)
+        options = data.get("options", {})
+        for key, value in (("gamma", gamma), ("fiber", fiber)):
+            if not isinstance(value, list):
+                raise ShapeMismatch(f"'{key}' must be a list: {value!r}")
+        if not isinstance(options, dict):
+            raise ShapeMismatch(f"'options' must be an object: {options!r}")
+        for key in ("truncation_cap", "weight_bound"):
+            value = options.get(key, 0)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ShapeMismatch(f"option '{key}' must be an integer: {value!r}")
+        return cls(
+            rows,
+            [parse_rational(g) for g in gamma],
+            [parse_rational(c) for c in fiber],
+            dict(options),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -140,12 +154,11 @@ def _operators_json(matrix: ExponentMatrix, gamma):
 
 
 def _kouchnirenko(spec: ProblemSpec, matrix, polytope, **kwargs):
-    cap = spec.options.get("truncation_cap")
     return verify_kouchnirenko(
         matrix,
         spec.fiber,
         polytope,
-        truncation_cap=None if cap is None else int(cap),
+        truncation_cap=spec.options.get("truncation_cap"),
         **kwargs,
     )
 
@@ -241,7 +254,7 @@ def run_subcommand(name: str, spec: ProblemSpec) -> dict:
             kouchnirenko=_kouchnirenko(spec, matrix, polytope),
         ).to_json()
     if name == "face-complex":
-        bound = int(spec.options.get("weight_bound", DEFAULT_WEIGHT_BOUND))
+        bound = spec.options.get("weight_bound", DEFAULT_WEIGHT_BOUND)
         return check_face_complex_exactness(polytope, bound).to_json()
     gamma_norm = normalize_gamma(spec.gamma, exponent_cone(matrix, polytope))
     if name == "derham":

@@ -316,6 +316,32 @@ def log_derivative_classes(
     return out
 
 
+def sequence_image(ring: GradedRingHandle, sequence, step: int, d: int):
+    """The matrix of (g_1..g_k): R_{d-step}^k -> R_d on one degree slice.
+
+    Rows follow ``ring.monomials_of_degree(d)``; column w * k + i holds
+    g_i * t^w for the w-th monomial of degree d - step.  A product that
+    vanishes in the ring is dropped; one that leaves the slice means the
+    sequence is not homogeneous of degree ``step`` and raises.
+    """
+    index = {w: r for r, w in enumerate(ring.monomials_of_degree(d))}
+    prev = ring.monomials_of_degree(d - step)
+    k = len(sequence)
+    entries: dict[tuple[int, int], Fraction] = {}
+    for a, w in enumerate(prev):
+        for i, g in enumerate(sequence):
+            for u, c in g.terms.items():
+                prod = ring.multiply_monomials(u, w)
+                if prod is None:
+                    continue
+                r = index.get(prod)
+                if r is None:
+                    raise AssertionError("product left its degree slice")
+                key = (r, a * k + i)
+                entries[key] = entries.get(key, 0) + c
+    return SparseRationalMatrix(len(index), k * len(prev), entries)
+
+
 def poincare_series(ring: GradedRingHandle) -> RationalFunctionQ:
     """Exact generating function of the degree-slice dimensions."""
     return ring.poincare_series()
@@ -374,7 +400,7 @@ def _integer_inverse(gens):
     n, k = len(gens[0]), len(gens)
     for rows in itertools.combinations(range(n), k):
         minor = [[g[r] for g in gens] for r in rows]
-        det = int(_det(minor))
+        det = _det(minor)
         if det != 0:
             break
     else:
@@ -382,9 +408,9 @@ def _integer_inverse(gens):
     sign = 1 if det > 0 else -1
     adj = [
         [
-            sign * (-1) ** (i + j) * int(_det(
+            sign * (-1) ** (i + j) * _det(
                 [row[:j] + row[j + 1:] for r, row in enumerate(minor) if r != i]
-            ))
+            )
             for i in range(k)
         ]
         for j in range(k)

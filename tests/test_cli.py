@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,37 @@ class TestCliExitCodes:
             main(["frobnicate", "x.json"])
         assert exc.value.code == 1
         capsys.readouterr()
+
+
+MALFORMED_SPECS = {
+    "string-fiber": {"matrix": [[1, 2]], "fiber": "12"},
+    "string-gamma": {"matrix": [[1, 2]], "gamma": "0"},
+    "number-gamma": {"matrix": [[1, 2]], "gamma": 5},
+    "object-fiber": {"matrix": [[1, 2]], "fiber": {"1": "2"}},
+    "number-options": {"matrix": [[1, 2]], "options": 3},
+    "string-cap": {"matrix": [[1, 2]], "options": {"truncation_cap": "x"}},
+    "bool-cap": {"matrix": [[1, 2]], "options": {"truncation_cap": True}},
+    "float-bound": {"matrix": [[1, 2]], "options": {"weight_bound": 2.0}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+def test_malformed_spec_is_an_input_error(name, tmp_path):
+    # Run as a real process, so an uncaught exception would show on stderr.
+    path = write_spec(tmp_path, MALFORMED_SPECS[name])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkzrank.cli", "analyze", path, "--no-timings"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    err = json.loads(proc.stdout)["error"]
+    assert (err["stage"], err["type"]) == ("input", "ShapeMismatch")
+    assert "Traceback" not in proc.stderr
 
 
 class TestCliOutput:

@@ -1,7 +1,10 @@
+import importlib
 import itertools
 import math
 import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +24,16 @@ from gkzrank import (
     newton_polytope,
     poincare_series,
     run_analyze,
+    sequence_image,
     validate_matrix,
+    verify_kouchnirenko,
 )
 from gkzrank.errors import RankDeficient
+from gkzrank.homology import GradedKoszulComplex, wedge_terms
 from gkzrank.jsonio import ring_element_from_json, ring_element_to_json
-from gkzrank.lattice import NewtonPolytope
+from gkzrank.lattice import NewtonPolytope, _det, _kernel_normal
+from gkzrank.linalg import RationalSpan, SparseRationalMatrix, rank, solve
+from gkzrank.nondegeneracy import _face_quotient_dims
 from gkzrank.rings import _cone_coordinates, _parallelepiped_points
 
 
@@ -425,6 +433,325 @@ class TestIntegerKernel:
         assert {(True, 2), (False, 2), (True, 3), (False, 3)} <= seen
 
 
+# -- the slice primitive against the per-label loops it replaced ---------------
+
+
+def _ref_koszul(ring, sequence, step, D):
+    """The per-label Koszul builder: g_i * t^w formed once per wedge set."""
+    m = len(sequence)
+    slices = {d: ring.monomials_of_degree(d) for d in range(D + 1)}
+    bases, diffs = {}, {}
+    for q in range(m + 1):
+        for d in range(D + 1):
+            labels = [
+                (I, w) for I in itertools.combinations(range(m), q) for w in slices[d]
+            ]
+            if labels:
+                bases[(q, d)] = labels
+    for q in range(m):
+        for d in range(D + 1 - step):
+            src = bases.get((q, d), [])
+            dst = bases.get((q + 1, d + step), [])
+            if not src or not dst:
+                continue
+            index = {lbl: i for i, lbl in enumerate(dst)}
+            mat = SparseRationalMatrix(len(dst), len(src))
+            for col, (I, w) in enumerate(src):
+                for i, sign, J in wedge_terms(I, m):
+                    for u, coeff in sequence[i].terms.items():
+                        prod = ring.multiply_monomials(u, w)
+                        if prod is not None:
+                            row = index[(J, prod)]
+                            mat.set(row, col, mat.get(row, col) + sign * coeff)
+            diffs[(q, d)] = mat
+    return bases, diffs
+
+
+def _ref_greedy_basis(ring, sequence, M, top):
+    """The greedy Kouchnirenko basis, re-multiplying every slice product."""
+    basis = []
+    for d in range(top + 1):
+        mono = ring.monomials_of_degree(d)
+        index = {w: i for i, w in enumerate(mono)}
+        span = RationalSpan(len(mono))
+        for prev in ring.monomials_of_degree(d - M):
+            for g in sequence:
+                vec = {}
+                for u, c in g.terms.items():
+                    prod = ring.multiply_monomials(u, prev)
+                    if prod is not None:
+                        vec[index[prod]] = vec.get(index[prod], Fraction(0)) + c
+                span.add(vec)
+        for i, w in enumerate(mono):
+            if span.add({i: Fraction(1)}):
+                basis.append(w)
+    return basis
+
+
+def _ref_face_quotient_dims(ring, gs, bound):
+    """The face quotient loop: one row per (monomial, class) product."""
+    M = ring.polytope.gauge_denominator
+    dims = []
+    for d in range(bound + 1):
+        mono = ring.monomials_of_degree(d)
+        index = {w: i for i, w in enumerate(mono)}
+        entries = {}
+        row = 0
+        for prev in ring.monomials_of_degree(d - M):
+            for g in gs:
+                for u, c in g.terms.items():
+                    i = index[ring.multiply_monomials(u, prev)]
+                    entries[(row, i)] = entries.get((row, i), 0) + c
+                row += 1
+        taken = rank(SparseRationalMatrix(row, len(mono), entries)) if entries else 0
+        dims.append(len(mono) - taken)
+    return tuple(dims)
+
+
+def _seeded_fiber(P, seed):
+    rnd = random.Random(seed)
+    return [rnd.choice((-3, -2, -1, 1, 2, 3, 5)) for _ in range(P.matrix.num_columns)]
+
+
+def _koszul_cases(index):
+    """(ring, sequence) pairs on one seeded polytope: the cone ring, every
+    facial ring and a free ring with as many variables."""
+    P = KERNEL_POLYTOPES[index]
+    fiber = _seeded_fiber(P, index)
+    yield ConeRing(P), log_derivative_classes(fiber, None, P)
+    for face in P.origin_free_faces():
+        yield FaceRing(P, face), log_derivative_classes(fiber, face, P)
+    free = FreeRing(P.n)
+    rnd = random.Random(index)
+    yield free, [
+        RingElement({w: Fraction(rnd.randint(-2, 2)) for w in free.monomials_of_degree(1)})
+        for _ in range(P.n)
+    ]
+
+
+class TestSequenceImage:
+    def test_layout(self):
+        # Rows follow the slice; column w * k + i holds g_i * t^w.
+        ring = FreeRing(2)
+        x, y = ring.variable(0), ring.variable(1)
+        image = sequence_image(ring, [x, y.scale(3)], 1, 2)
+        assert ring.monomials_of_degree(2) == ((0, 2), (1, 1), (2, 0))
+        assert ring.monomials_of_degree(1) == ((0, 1), (1, 0))
+        assert (image.rows, image.cols) == (3, 4)
+        assert image.to_dense() == [[0, 3, 0, 0], [1, 0, 0, 3], [0, 0, 1, 0]]
+
+    def test_vanishing_products_are_dropped(self):
+        # Two edges of the last polytope meet only on a cone facet, so some
+        # products of degree-M monomials vanish.
+        P = KERNEL_POLYTOPES[-1]
+        ring = ConeRing(P)
+        M = P.gauge_denominator
+        slice_ = ring.monomials_of_degree(M)
+        g = RingElement({u: Fraction(k + 1) for k, u in enumerate(slice_)})
+        image = sequence_image(ring, [g], M, 2 * M)
+        index = {w: r for r, w in enumerate(ring.monomials_of_degree(2 * M))}
+        dropped = 0
+        for column, w in zip(image.columns(), slice_):
+            expected = {}
+            for u, c in g.terms.items():
+                prod = ring.multiply_monomials(u, w)
+                if prod is None:
+                    dropped += 1
+                else:
+                    expected[index[prod]] = c
+            assert column == expected
+        assert dropped
+
+    def test_product_leaving_the_slice_raises(self):
+        ring = FreeRing(2)
+        with pytest.raises(AssertionError):
+            sequence_image(ring, [ring.variable(0)], 2, 3)
+
+    @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
+    def test_koszul_maps_match_per_label_builder(self, index):
+        M = KERNEL_POLYTOPES[index].gauge_denominator
+        for ring, sequence in _koszul_cases(index):
+            step = M if not isinstance(ring, FreeRing) else 1
+            cx = GradedKoszulComplex(ring, sequence, 2 * step + 1)
+            bases, diffs = _ref_koszul(ring, sequence, cx.step, cx.truncation)
+            assert cx.step == step
+            assert cx.bases == bases
+            assert {k: (m.rows, m.cols, m.entries) for k, m in cx.diffs.items()} == {
+                k: (m.rows, m.cols, m.entries) for k, m in diffs.items()
+            }
+
+    @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
+    def test_kouchnirenko_basis_matches_greedy_loop(self, index):
+        P = KERNEL_POLYTOPES[index]
+        fiber = _seeded_fiber(P, index)
+        result = verify_kouchnirenko(P.matrix, fiber, P, require_nondegenerate=False)
+        sequence = log_derivative_classes(fiber, None, P)
+        assert result.monomial_basis == _ref_greedy_basis(
+            ConeRing(P), sequence, P.gauge_denominator, result.expected_polynomial.degree
+        )
+
+    @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
+    def test_face_quotient_dims_match_row_loop(self, index):
+        P = KERNEL_POLYTOPES[index]
+        fiber = _seeded_fiber(P, index)
+        for face in P.origin_free_faces():
+            ring = FaceRing(P, face)
+            gs = log_derivative_classes(fiber, face, P)
+            for chosen in (gs, gs[:1], gs[1:]):
+                bound = 3 * P.gauge_denominator
+                assert _face_quotient_dims(ring, chosen, bound) == (
+                    _ref_face_quotient_dims(ring, chosen, bound)
+                )
+
+
+# -- integer determinants against the Fraction routines they replaced ----------
+
+
+def _fraction_det(rows):
+    """Exact determinant by Fraction elimination."""
+    n = len(rows)
+    a = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    return det
+
+
+def _ref_kernel_normal(points, n):
+    """The solve-based normal: rank test, then one probe solve per axis."""
+    base = points[0]
+    diffs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
+    span = RationalSpan(n)
+    for d in diffs:
+        span.add({j: Fraction(c) for j, c in enumerate(d) if c != 0})
+    if span.rank != n - 1:
+        return None
+    m = SparseRationalMatrix(len(diffs) + 1, n)
+    for i, d in enumerate(diffs):
+        for j, c in enumerate(d):
+            m.set(i, j, c)
+    for j in range(n):
+        probe = m.copy()
+        probe.set(len(diffs), j, 1)
+        x = solve(probe, {len(diffs): 1})
+        if x is not None:
+            scale = math.lcm(*(c.denominator for c in x))
+            ints = tuple(int(c * scale) for c in x)
+            if any(ints):
+                g = math.gcd(*ints)
+                return tuple(c // g for c in ints)
+    return None
+
+
+def _ref_incidence_sign(P, face, sub):
+    """Sign of the Fraction determinant of the subface frame in face coordinates."""
+    p = face.dim
+    bary = [
+        [Fraction(sum(v[k] for v in f.vertices), len(f.vertices)) for k in range(P.n)]
+        for f in (face, sub)
+    ]
+    outward = [a - b for a, b in zip(bary[1], bary[0])]
+    mat = SparseRationalMatrix(P.n, p)
+    for j, b in enumerate(P._face_basis(face)):
+        for i, c in enumerate(b):
+            mat.set(i, j, c)
+    coords = [
+        solve(mat, col)
+        for col in [outward] + [list(map(Fraction, b)) for b in P._face_basis(sub)]
+    ]
+    det = _fraction_det([[coords[j][i] for j in range(p)] for i in range(p)])
+    return 1 if det > 0 else -1
+
+
+def _seeded_matrices():
+    """Square integer matrices: 0 x 0 to 6 x 6, entries up to 10^6, some made
+    singular by a repeated combination, some with a zero leading column
+    entry so elimination must swap rows."""
+    rnd = random.Random(11)
+    out = [[], [[0]], [[7]], [[-10**6]], [[0, 1], [1, 0]], [[0, 0], [0, 5]]]
+    for _ in range(120):
+        n = rnd.randint(1, 6)
+        bound = rnd.choice((3, 100, 10**6))
+        a = [[rnd.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        kind = rnd.random()
+        if n > 1 and kind < 0.3:
+            # One row becomes a combination of two others (or a multiple).
+            k = rnd.randint(-3, 3)
+            a[0] = [k * y + (z if n > 2 else 0) for y, z in zip(a[1], a[-1])]
+            rnd.shuffle(a)
+        elif n > 1 and kind < 0.6:
+            a[0][0] = 0
+            if rnd.random() < 0.5:
+                a[1][0] = 0
+        out.append(a)
+    return out
+
+
+class TestIntegerDeterminant:
+    def test_det_matches_fraction_reference(self):
+        matrices = _seeded_matrices()
+        kinds = {"zero": 0, "swap": 0}
+        for a in matrices:
+            det = _det(a)
+            assert type(det) is int
+            assert det == _fraction_det(a)
+            kinds["zero"] += det == 0
+            kinds["swap"] += bool(a) and a[0][0] == 0 and det != 0
+        assert _det([]) == 1
+        assert kinds["zero"] >= 10 and kinds["swap"] >= 10
+
+    def test_det_does_not_touch_its_input(self):
+        a = [[0, 2, 1], [3, 1, 4], [1, 5, 9]]
+        copy = [row[:] for row in a]
+        assert _det(a) == _fraction_det(copy)
+        assert a == copy
+
+    @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
+    def test_kernel_normal_matches_solve_routine(self, index):
+        # The same line, up to orientation, which the facet search fixes.
+        # Doubled points make dependent sets such as (0, p, 2p) in 3-D.
+        P = KERNEL_POLYTOPES[index]
+        points = P.points + [tuple(2 * c for c in p) for p in P.points if any(p)]
+        dependent = 0
+        for combo in itertools.combinations(points, P.n):
+            new, old = _kernel_normal(combo, P.n), _ref_kernel_normal(combo, P.n)
+            if old is None:
+                dependent += 1
+                assert new is None
+            else:
+                assert new in (old, tuple(-c for c in old))
+        assert dependent or P.n < 3
+
+    def test_kernel_normal_of_dependent_points_is_none(self):
+        for points in (
+            ((0, 0), (0, 0)),
+            ((0, 0, 0), (1, 1, 1), (2, 2, 2)),
+            ((1, 0, 0), (2, 1, 0), (3, 2, 0)),
+        ):
+            assert _ref_kernel_normal(points, len(points)) is None
+            assert _kernel_normal(points, len(points)) is None
+
+    @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
+    def test_incidence_sign_matches_fraction_routine(self, index):
+        P = newton_polytope(KERNEL_POLYTOPES[index].matrix)
+        pairs = 0
+        for face in P.faces:
+            for sub in P.subfaces(face):
+                pairs += 1
+                assert P.incidence_sign(face, sub) == _ref_incidence_sign(P, face, sub)
+        assert pairs or P.n == 1
+
+
 def test_analyze_scans_the_box_logarithmically(monkeypatch):
     scans = []
     scan = NewtonPolytope.lattice_points_with_gauge_at_most
@@ -443,7 +770,14 @@ def test_analyze_scans_the_box_logarithmically(monkeypatch):
 
 
 def test_bench_trace_targets_are_class_attributes():
-    # The benchmark's tracer replaces these on the class itself.
-    assert "gauge" in vars(NewtonPolytope)
-    assert "lattice_points_with_gauge_at_most" in vars(NewtonPolytope)
-    assert "multiply_monomials" in vars(ConeRing)
+    # The benchmark's tracer replaces each target by name: a function on its
+    # module, a method on the class that defines it.
+    path = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
+    targets = runpy.run_path(str(path), run_name="trace_child")["TARGETS"]
+    assert targets
+    for _, modname, attr, _ in targets:
+        owner = importlib.import_module(modname)
+        owner_name, _, name = attr.rpartition(".")
+        if owner_name:
+            owner = getattr(owner, owner_name)
+        assert callable(vars(owner).get(name)), f"{modname}.{attr}"
