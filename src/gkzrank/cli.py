@@ -13,9 +13,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .errors import DegenerateFiber, GkzError, UnknownSubcommand
+from .jsonio import parse_rational
 from .pipeline import (
     DEFAULT_WEIGHT_BOUND,
     ProblemSpec,
@@ -88,9 +88,9 @@ def _load_spec(args) -> ProblemSpec:
         data = json.load(fh)
     spec = ProblemSpec.from_json(data)
     if getattr(args, "fiber", None):
-        spec.fiber = [Fraction(tok.strip()) for tok in args.fiber.split(",")]
+        spec.fiber = [parse_rational(tok) for tok in args.fiber.split(",")]
     if getattr(args, "gamma", None):
-        spec.gamma = [Fraction(tok.strip()) for tok in args.gamma.split(",")]
+        spec.gamma = [parse_rational(tok) for tok in args.gamma.split(",")]
     if getattr(args, "weight_bound", None) is not None:
         spec.options["weight_bound"] = args.weight_bound
     cap = os.environ.get(TRUNCATION_ENV)

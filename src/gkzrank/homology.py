@@ -20,8 +20,8 @@ from .rings import (
     ConeRing,
     GradedRingHandle,
     RingElement,
+    cone_numerator,
     log_derivative_classes,
-    poincare_series,
     sequence_image,
 )
 from .series import PolyZ
@@ -375,12 +375,10 @@ class KouchnirenkoResult:
 
 
 def expected_top_polynomial(polytope: NewtonPolytope) -> PolyZ:
-    """The series of the full ring times (1 - t^M)^n, always a polynomial."""
-    M = polytope.gauge_denominator
-    n = polytope.n
-    ring = ConeRing(polytope)
-    prod = poincare_series(ring) * ((PolyZ([1]) - PolyZ.monomial(M)) ** n)
-    return prod.as_polynomial()
+    """The series of the full ring times (1 - t^M)^n: the cone's numerator."""
+    numerator, k = cone_numerator(polytope, polytope.index_set(polytope.n - 1))
+    assert k == polytope.n, "full-cone pieces must have n generators"
+    return numerator
 
 
 def verify_kouchnirenko(

@@ -12,16 +12,16 @@ from .rings import RingElement
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
-        return Fraction(text.strip())
+    if type(text) is int or isinstance(text, str):  # never a bool
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
     raise ValueError(f"cannot parse rational from {text!r}")
 
 
 def format_rational(value) -> str:
-    v = Fraction(value)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return str(Fraction(value))
 
 
 def exponent_key(w) -> str:

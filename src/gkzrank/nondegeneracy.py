@@ -3,7 +3,7 @@
 For every proper face of the hull avoiding the origin we form the facial
 ring, quotient by a spanning subset of the leading log-derivative classes,
 and compare the quotient's degree dimensions with the predicted polynomial
-(the facial Poincare series times (1 - t^M) to the face-span dimension).
+(the facial Poincare numerator over (1 - t^M) to the face-span dimension).
 Facial rings are Cohen-Macaulay, so matching the polynomial through its
 degree and vanishing over one generator window decides finiteness exactly:
 a mismatch or any surviving dimension in the window certifies degeneracy.
@@ -20,11 +20,10 @@ from .linalg import RationalSpan, rank
 from .rings import (
     FaceRing,
     RingElement,
+    cone_numerator,
     log_derivative_classes,
-    poincare_series,
     sequence_image,
 )
-from .series import PolyZ
 
 
 @dataclass
@@ -120,9 +119,8 @@ def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate
     M = polytope.gauge_denominator
     target = face.dim + 1
     ring = FaceRing(polytope, face)
-    expected_poly = (
-        poincare_series(ring) * ((PolyZ([1]) - PolyZ.monomial(M)) ** target)
-    ).as_polynomial()
+    expected_poly, k = cone_numerator(polytope, [face])
+    assert k == target, "face pieces must have dim + 1 generators"
     # Semigroup generators of the face cone have gauge below the span
     # dimension, so this window certifies vanishing forever beyond it.
     window = target * M

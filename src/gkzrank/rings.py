@@ -8,9 +8,11 @@ single origin-free face and multiply honestly.  A small free polynomial ring
 is included for regular-sequence experiments.
 
 Poincare series are computed exactly by triangulating the relevant faces,
-taking half-open simplicial cones (opened away from a generic interior
-point so the pieces tile without overlap) and enumerating lattice points in
-the fundamental parallelepiped of each piece.
+taking half-open simplicial cones and counting the lattice points in the
+fundamental parallelepiped of each piece, inverted once in integers.  The
+pieces are opened lexicographically, away from z(eps) = g_1 + eps g_2 + ...
+on the first piece, so they tile without overlap and no generic point is
+searched for.  The count by degree is the numerator over (1 - t^M)^k.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from .errors import FaceContainsOrigin, NotAFacePair, NotInCone
 from .lattice import Face, NewtonPolytope, Vector, _det, _dot
-from .linalg import SparseRationalMatrix, solve
+from .linalg import SparseRationalMatrix
 from .series import PolyZ, RationalFunctionQ
 
 
@@ -350,46 +352,6 @@ def poincare_series(ring: GradedRingHandle) -> RationalFunctionQ:
 # -- half-open simplicial cone decomposition ----------------------------------
 
 
-def _simplicial_cones(polytope: NewtonPolytope, faces):
-    """Triangulate the given origin-free faces into simplicial cone generators."""
-    cones = []
-    for face in sorted(faces, key=lambda f: f.id):
-        for s in polytope.triangulate_face(face):
-            cones.append(s)
-    return cones
-
-
-def _generic_point(cones):
-    """A rational point interior to the first cone and off every wall."""
-    first = cones[0]
-    for denom in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
-        z = [Fraction(0)] * len(first[0])
-        scale = Fraction(1)
-        for g in first:
-            for k, c in enumerate(g):
-                z[k] += scale * c
-            scale /= denom
-        ok = True
-        for gens in cones:
-            coords = _cone_coordinates(gens, z)
-            if coords is None or any(c == 0 for c in coords):
-                ok = False
-                break
-        if ok:
-            return z
-    raise AssertionError("no generic interior point found")
-
-
-def _cone_coordinates(gens, point):
-    """Coordinates of a point in the linear span of the generators, or None."""
-    n = len(gens[0])
-    m = SparseRationalMatrix(n, len(gens))
-    for j, g in enumerate(gens):
-        for i, c in enumerate(g):
-            m.set(i, j, c)
-    return solve(m, {i: c for i, c in enumerate(point)})
-
-
 def _integer_inverse(gens):
     """Rows, determinant and adjugate of one nonsingular k x k minor.
 
@@ -418,12 +380,12 @@ def _integer_inverse(gens):
     return rows, sign * det, adj
 
 
-def _parallelepiped_points(gens, half_open):
+def _parallelepiped_points(gens, inverse, half_open):
     """Lattice points of the fundamental parallelepiped of a simplicial cone.
 
-    ``half_open[j]`` True means the coordinate of generator j runs over
-    (0, 1]; otherwise over [0, 1).  The cone is inverted once, so every
-    point of the bounding box is tested in integers.
+    ``inverse`` is ``_integer_inverse(gens)``.  ``half_open[j]`` True means
+    the coordinate of generator j runs over (0, 1]; otherwise over [0, 1).
+    Every point of the bounding box is tested in integers.
     """
     n = len(gens[0])
     lo = [0] * n
@@ -434,7 +396,7 @@ def _parallelepiped_points(gens, half_open):
                 lo[k] += c
             else:
                 hi[k] += c
-    rows, det, adj = _integer_inverse(gens)
+    rows, det, adj = inverse
     others = [r for r in range(n) if r not in rows]
     out = []
     for w in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
@@ -452,21 +414,48 @@ def _parallelepiped_points(gens, half_open):
     return out
 
 
-def _cone_poincare(polytope: NewtonPolytope, faces) -> RationalFunctionQ:
-    """Poincare series of the semigroup of the cone over the given faces.
+def _opens_below(adj_row, first, rows) -> bool:
+    """Whether one cone coordinate of z(eps) is negative as eps -> 0+.
 
-    Every simplicial piece has generators of gauge one, so each contributes
-    numerator terms over the common denominator (1 - t^M)^k.
+    The coordinate is det^-1 times the sum of eps^(i-1) adj_row . g_i over
+    the first piece's generators g_i; its first nonzero term decides.
     """
-    cones = _simplicial_cones(polytope, faces)
-    k = len(cones[0])
-    M = polytope.gauge_denominator
-    z = _generic_point(cones)
-    numerator = PolyZ()
+    for g in first:
+        c = _dot(adj_row, [g[r] for r in rows])
+        if c:
+            return c < 0
+    raise AssertionError("perturbation lies on a wall of a simplicial piece")
+
+
+def cone_numerator(polytope: NewtonPolytope, faces):
+    """Numerator and exponent k of the cone's series over (1 - t^M)^k.
+
+    Each simplicial piece has k generators of gauge one and contributes
+    its half-open parallelepiped points, by degree.  The pieces are opened
+    away from z(eps) = g_1 + eps g_2 + ... + eps^(k-1) g_k on the first
+    piece, so they tile the cone without overlap.
+    """
+    cones = [
+        s for face in sorted(faces, key=lambda f: f.id)
+        for s in polytope.triangulate_face(face)
+    ]
+    first = cones[0]
+    k = len(first)
+    counts = []
     for gens in cones:
-        zc = _cone_coordinates(gens, z)
-        half_open = [c < 0 for c in zc]
-        for p in _parallelepiped_points(gens, half_open):
-            numerator = numerator + PolyZ.monomial(polytope.graded_degree(p))
-    den = (PolyZ([1]) - PolyZ.monomial(M)) ** k
-    return RationalFunctionQ(numerator, den)
+        assert len(gens) == k, "simplicial pieces of different sizes"
+        inverse = _integer_inverse(gens)
+        rows, _, adj = inverse
+        half_open = [_opens_below(a, first, rows) for a in adj]
+        for p in _parallelepiped_points(gens, inverse, half_open):
+            d = polytope.graded_degree(p)
+            counts.extend([0] * (d + 1 - len(counts)))
+            counts[d] += 1
+    return PolyZ(counts), k
+
+
+def _cone_poincare(polytope: NewtonPolytope, faces) -> RationalFunctionQ:
+    """Poincare series of the semigroup of the cone over the given faces."""
+    numerator, k = cone_numerator(polytope, faces)
+    den = PolyZ([1]) - PolyZ.monomial(polytope.gauge_denominator)
+    return RationalFunctionQ(numerator, den ** k)

@@ -94,12 +94,6 @@ class PolyZ:
             return self
         return PolyZ([c // g for c in self.coeffs])
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -195,10 +189,6 @@ class RationalFunctionQ:
             num, den = -num, -den
         self.num, self.den = num, den
 
-    @classmethod
-    def from_poly(cls, p: PolyZ) -> "RationalFunctionQ":
-        return cls(p, PolyZ([1]))
-
     def __eq__(self, other):
         if not isinstance(other, RationalFunctionQ):
             return NotImplemented
@@ -206,33 +196,6 @@ class RationalFunctionQ:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __add__(self, other):
-        return RationalFunctionQ(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other):
-        return RationalFunctionQ(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, PolyZ):
-            other = RationalFunctionQ.from_poly(other)
-        return RationalFunctionQ(self.num * other.num, self.den * other.den)
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def as_polynomial(self) -> PolyZ:
-        if self.den == PolyZ([1]):
-            return self.num
-        if self.den.degree == 0:
-            d = self.den.coeffs[0]
-            if all(c % d == 0 for c in self.num.coeffs):
-                return PolyZ([c // d for c in self.num.coeffs])
-        raise ValueError(f"{self} is not a polynomial")
 
     def taylor(self, upto: int) -> list[int]:
         """Coefficients of the power series expansion through degree ``upto``."""

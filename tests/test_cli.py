@@ -176,22 +176,48 @@ MALFORMED_SPECS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
-def test_malformed_spec_is_an_input_error(name, tmp_path):
-    # Run as a real process, so an uncaught exception would show on stderr.
-    path = write_spec(tmp_path, MALFORMED_SPECS[name])
+def _run_cli(*args):
+    # A real process, so an uncaught exception would show on stderr.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "gkzrank.cli", "analyze", path, "--no-timings"],
+    return subprocess.run(
+        [sys.executable, "-m", "gkzrank.cli", *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+def test_malformed_spec_is_an_input_error(name, tmp_path):
+    path = write_spec(tmp_path, MALFORMED_SPECS[name])
+    proc = _run_cli("analyze", path, "--no-timings")
     assert proc.returncode == 1
     err = json.loads(proc.stdout)["error"]
     assert (err["stage"], err["type"]) == ("input", "ShapeMismatch")
+    assert "Traceback" not in proc.stderr
+
+
+# JSON booleans are not numbers, and a zero denominator is no rational, in
+# the problem file and in the --fiber / --gamma overrides alike.
+BAD_RATIONALS = {
+    "bool-fiber": ({"matrix": [[1, 2]], "fiber": [True, 2]}, "analyze"),
+    "bool-gamma": ({"matrix": [[1, 2]], "gamma": [False]}, "analyze"),
+    "zero-denominator-fiber": ({"matrix": [[1, 2]], "fiber": ["1/0", "2"]}, "analyze"),
+    "zero-denominator-gamma": ({"matrix": [[1, 2]], "gamma": ["1/0"]}, "analyze"),
+    "zero-denominator-fiber-flag": ({"matrix": [[1, 2]]}, "volume --fiber 1/0,2"),
+    "zero-denominator-gamma-flag": ({"matrix": [[1, 2]]}, "analyze --gamma 1/0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RATIONALS))
+def test_bad_rational_is_an_input_error(name, tmp_path):
+    data, command = BAD_RATIONALS[name]
+    subcommand, *flags = command.split()
+    proc = _run_cli(subcommand, write_spec(tmp_path, data), *flags)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["stage"] == "input"
     assert "Traceback" not in proc.stderr
 
 
@@ -252,6 +278,13 @@ GOLDEN_SPECS = {
     },
     "triple-ray": {"matrix": [[3]], "gamma": ["5/2"], "fiber": ["1"]},
     "gauss-degenerate": dict(GAUSS_SPEC, fiber=["1", "1", "1", "1"]),
+    # M = 60, truncation 240; recorded while the Poincare numerators still
+    # went through lowest-terms rational functions
+    "rank-34": {
+        "matrix": [[1, -2, 1, 0], [2, 1, -2, 0], [2, 1, 0, -2]],
+        "gamma": ["0", "0", "0"],
+        "fiber": ["6", "7", "11", "19"],
+    },
 }
 GOLDEN = {
     "gauss": (
@@ -271,6 +304,9 @@ GOLDEN = {
     ),
     "gauss-degenerate": (
         2, "8e7db5fb6cdee676c648301b93b9484e3e8afddfb72e6537f2d629be2a273e6c"
+    ),
+    "rank-34": (
+        0, "93e211b3c6a1ae76f3aaa43139f6df48a83f8a6044ee9568a3a6e00c78d5b980"
     ),
 }
 

