@@ -357,7 +357,7 @@ def h_top_dimension(
     basis = ReductionBasis(gamma, fiber, polytope, kz)
     M = polytope.gauge_denominator
     ring = kz.ring
-    top_bound = kz.expected_polynomial.degree + M
+    top_bound = kz.truncation
     src_bound = top_bound - M
     rows: list[Vector] = []
     for d in range(top_bound + 1):
@@ -432,7 +432,7 @@ def derham_cohomology_dims(
     M = polytope.gauge_denominator
     ring = kz.ring
     if level_cap is None:
-        level_cap = max(0, kz.expected_polynomial.degree + M - M * n)
+        level_cap = max(0, kz.truncation - M * n)
 
     def slice_basis(q):
         out = []

@@ -8,19 +8,21 @@ scaled copies of the hull, and the normalized volume.  All computations are
 brute-force over candidate point subsets, which is exact and entirely
 adequate at the intended scale (a handful of dimensions and columns).
 
-The gauge is evaluated in integers: with L the lcm of the positive facet
-levels, L times the gauge is the largest of the dot products with the
-positive facet normals, each scaled by L over its level.  Degree slices of
-the cone come from one table per polytope, built on the first request by a
-single scan of the scaled bounding box and rebuilt, to at least twice its
-top degree, only when a request goes past it.  The table also records, for
+The gauge is evaluated in integers.  Its denominator M is the lcm of the
+positive facet levels, read off the facets with no search: M times the
+gauge is the largest of the dot products with the positive facet normals,
+each scaled by M over its level.  Degree slices of the cone come from one
+table per polytope, built on the first request by a single scan of the
+scaled bounding box and rebuilt, to at least twice its top degree, only
+when a request goes past it.  The table also records, for
 each point, the facets on which it is tight; face-cone membership and the
 associated-graded product are set operations on those.
 
 Determinants are taken in integers by Bareiss elimination; they give the
-normalized volume, the facet normals (as signed maximal minors) and the
-incidence signs.  Ranks go through ``linalg.rank``; a face's edge basis is
-the one greedy choice, kept in a ``RationalSpan``.
+normalized volume, the facet normals (as signed maximal minors) and each
+incidence sign, the product of two minor signs on the first rows where the
+face basis is nonsingular.  Ranks go through ``linalg.rank``; a face's edge
+basis is the one greedy choice, kept in a ``RationalSpan``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .errors import FaceContainsOrigin, NotInCone, RankDeficient, ShapeMismatch
-from .linalg import Echelon, RationalSpan, SparseRationalMatrix, rank
+from .linalg import RationalSpan, SparseRationalMatrix, rank
 
 Vector = tuple[int, ...]
 
@@ -174,15 +176,17 @@ class NewtonPolytope:
         self.origin_interior = all(f.level > 0 for f in self.facets)
         self.faces = self._build_face_lattice()
         self._faces_by_vertices = {f.vertices: f for f in self.faces}
-        self._sign_cache: dict[tuple[int, int], int] = {}
         levels = [f.level for f in self.facets if f.level > 0]
         if not levels:
             raise AssertionError("hull has no positive-level facet")
-        self.level_lcm = lcm(*levels)
-        # (index, normal, L // level) for the positive facets; the scaled
+        # The cone over a positive facet is full-dimensional and its normal
+        # is primitive, so its lattice points take every large value k of
+        # normal . w, with gauge k / level: M is exactly the lcm of levels.
+        self.gauge_denominator = lcm(*levels)
+        # (index, normal, M // level) for the positive facets; the scaled
         # gauge is the largest normal . w times its factor.
         self._gauge_facets = tuple(
-            (i, f.normal, self.level_lcm // f.level)
+            (i, f.normal, self.gauge_denominator // f.level)
             for i, f in enumerate(self.facets)
             if f.level > 0
         )
@@ -190,7 +194,6 @@ class NewtonPolytope:
             (i, f.normal) for i, f in enumerate(self.facets) if f.level == 0
         )
         self.positive_facets = frozenset(i for i, _, _ in self._gauge_facets)
-        self.gauge_denominator = self._compute_gauge_denominator()
         self.normalized_volume = self._compute_normalized_volume()
         # The point table: (top degree, points by degree, tight facets by
         # point), built on the first slice request.
@@ -273,7 +276,7 @@ class NewtonPolytope:
         return all(_dot(m, w) <= 0 for _, m in self._cone_facets)
 
     def _scaled_gauge(self, w) -> int:
-        """level_lcm times the gauge of a cone point: an integer."""
+        """gauge_denominator times the gauge of a cone point: an integer."""
         return max(0, max(k * _dot(m, w) for _, m, k in self._gauge_facets))
 
     def _checked_scaled_gauge(self, w) -> int:
@@ -283,17 +286,11 @@ class NewtonPolytope:
 
     def gauge(self, w) -> Fraction:
         """Least r >= 0 with w inside r times the hull; w must be in the cone."""
-        return Fraction(self._checked_scaled_gauge(w), self.level_lcm)
+        return Fraction(self._checked_scaled_gauge(w), self.gauge_denominator)
 
     def graded_degree(self, w) -> int:
         """The gauge scaled by the common denominator; an integer for lattice w."""
-        d, r = divmod(
-            self._checked_scaled_gauge(w),
-            self.level_lcm // self.gauge_denominator,
-        )
-        if r:
-            raise AssertionError(f"gauge denominator too small at {w}")
-        return d
+        return self._checked_scaled_gauge(w)
 
     def _tight_facets_of(self, w) -> frozenset[int]:
         """Facets tight at a cone point: the positive facets attaining its
@@ -331,7 +328,6 @@ class NewtonPolytope:
         return slices.get(d, ())
 
     def _build_table(self, top: int):
-        step = self.level_lcm // self.gauge_denominator
         slices: dict[int, list[Vector]] = {}
         tight: dict[Vector, frozenset[int]] = {}
         # Points share one object per distinct tight set (there are about
@@ -339,7 +335,7 @@ class NewtonPolytope:
         distinct: dict[frozenset[int], frozenset[int]] = {}
         bound = Fraction(top, self.gauge_denominator)
         for w in self.lattice_points_with_gauge_at_most(bound):
-            slices.setdefault(self._scaled_gauge(w) // step, []).append(w)
+            slices.setdefault(self._scaled_gauge(w), []).append(w)
             t = self._tight_facets_of(w)
             tight[w] = distinct.setdefault(t, t)
         # One assignment, so a reader never sees parts of two tables.
@@ -396,43 +392,21 @@ class NewtonPolytope:
         edge vectors from its lexicographically smallest vertex; the sign is
         the determinant comparing (outward direction, subface basis) with the
         face basis.  For simplices this reproduces the parity of the omitted
-        vertex.
+        vertex.  On the first rows where the face basis has a nonzero minor,
+        that determinant is det(frame rows) / det(basis rows); the outward
+        direction is taken between barycentres scaled by both vertex counts,
+        a positive multiple that keeps the sign.
         """
-        key = (face.id, sub.id)
-        cached = self._sign_cache.get(key)
-        if cached is not None:
-            return cached
-        p = face.dim
         fb = self._face_basis(face)
-        sb = self._face_basis(sub)
-        bary_f = [
-            Fraction(sum(v[k] for v in face.vertices), len(face.vertices))
+        nf, ns = len(face.vertices), len(sub.vertices)
+        outward = tuple(
+            nf * sum(v[k] for v in sub.vertices)
+            - ns * sum(v[k] for v in face.vertices)
             for k in range(self.n)
-        ]
-        bary_s = [
-            Fraction(sum(v[k] for v in sub.vertices), len(sub.vertices))
-            for k in range(self.n)
-        ]
-        outward = [a - b for a, b in zip(bary_s, bary_f)]
-        cols = [outward] + [list(map(Fraction, b)) for b in sb]
-        # Express each column in the face basis: solve fb-matrix * x = col.
-        mat = SparseRationalMatrix(self.n, p)
-        for j, b in enumerate(fb):
-            for i, c in enumerate(b):
-                mat.set(i, j, c)
-        echelon = Echelon(mat)
-        coords = []
-        for col in cols:
-            x = echelon.solve(col)
-            if x is None:
-                raise AssertionError("subface direction outside face span")
-            # A positive scale to integers keeps the determinant's sign.
-            s = lcm(*(c.denominator for c in x))
-            coords.append([c.numerator * (s // c.denominator) for c in x])
-        det = _det([[coords[j][i] for j in range(p)] for i in range(p)])
-        sign = 1 if det > 0 else -1
-        self._sign_cache[key] = sign
-        return sign
+        )
+        rows, det = _nonsingular_minor(fb)
+        frame = (outward,) + self._face_basis(sub)
+        return 1 if _det([[c[r] for c in frame] for r in rows]) * det > 0 else -1
 
     # -- triangulation and volume -------------------------------------------
 
@@ -503,18 +477,6 @@ class NewtonPolytope:
             if all(_dot(m, w) * den <= limit for m, limit in limits)
         ]
 
-    def _compute_gauge_denominator(self) -> int:
-        # Reduce level_lcm by the gcd of scaled gauge values over a generating
-        # sample: lattice points of gauge at most n cover a semigroup
-        # generating set.
-        m0 = self.level_lcm
-        g = 0
-        for w in self.lattice_points_with_gauge_at_most(Fraction(self.n)):
-            g = gcd(g, self._scaled_gauge(w))
-        if g == 0:
-            return m0
-        return m0 // gcd(m0, g)
-
     # -- summaries -----------------------------------------------------------
 
     def f_vector(self) -> tuple[int, ...]:
@@ -553,6 +515,17 @@ def _det(rows) -> int:
             ]
         prev = pk[k]
     return sign * prev
+
+
+def _nonsingular_minor(columns) -> tuple[tuple[int, ...], int]:
+    """The first rows (in lexicographic order) on which k independent
+    columns have a nonzero k x k minor, with that minor."""
+    k = len(columns)
+    for rows in itertools.combinations(range(len(columns[0])), k):
+        det = _det([[c[r] for c in columns] for r in rows])
+        if det:
+            return rows, det
+    raise AssertionError("columns are linearly dependent")
 
 
 def newton_polytope(matrix: ExponentMatrix) -> NewtonPolytope:

@@ -71,20 +71,24 @@ class SparseRationalMatrix:
         return out
 
     def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
+        """The product in integers: each factor is scaled by the lcm of its
+        denominators, and the result is divided by both scales once."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        out = SparseRationalMatrix(self.rows, other.cols)
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        s = lcm(*(v.denominator for v in self.entries.values()))
+        t = lcm(*(v.denominator for v in other.entries.values()))
+        by_row: dict[int, list[tuple[int, int]]] = {}
         for (k, j), v in other.entries.items():
+            v = v.numerator * (t // v.denominator)
             by_row.setdefault(k, []).append((j, v))
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], int] = {}
         for (i, k), u in self.entries.items():
+            u = u.numerator * (s // u.denominator)
             for j, v in by_row.get(k, ()):
                 key = (i, j)
-                acc[key] = acc.get(key, Fraction(0)) + u * v
-        for key, v in acc.items():
-            if v != 0:
-                out.entries[key] = v
+                acc[key] = acc.get(key, 0) + u * v
+        out = SparseRationalMatrix(self.rows, other.cols)
+        out.entries = {key: Fraction(v, s * t) for key, v in acc.items() if v}
         return out
 
     def triplets(self):

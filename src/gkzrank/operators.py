@@ -1,9 +1,9 @@
 """Emission of the hypergeometric operator system.
 
 Euler operators transcribe the rows of the exponent matrix with their
-parameter shifts; box operators come from a basis of the integer kernel of
-the matrix, computed by exact column reduction and normalized Hermite-style
-so the output is canonical.
+parameter shifts; box operators come from the integer kernel of the matrix,
+read off one reduced row Hermite form of [A^T | I], which is unique, so the
+output is canonical.
 """
 
 from __future__ import annotations
@@ -59,52 +59,6 @@ def box_operator(matrix: ExponentMatrix, relation) -> BoxOperator:
     return BoxOperator(relation)
 
 
-def _integer_kernel(matrix: ExponentMatrix) -> list[list[int]]:
-    """Basis of the integer kernel via unimodular column reduction."""
-    n, N = matrix.n, matrix.num_columns
-    work = [list(row) for row in matrix.rows]
-    U = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
-
-    def col_swap(a, b):
-        for row in work:
-            row[a], row[b] = row[b], row[a]
-        for row in U:
-            row[a], row[b] = row[b], row[a]
-
-    def col_addmul(dst, src, q):
-        for row in work:
-            row[dst] += q * row[src]
-        for row in U:
-            row[dst] += q * row[src]
-
-    pivot_col = 0
-    for i in range(n):
-        # gcd-reduce the row to a single nonzero entry at pivot_col
-        while True:
-            nz = [j for j in range(pivot_col, N) if work[i][j] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(work[i][j]))
-            if jmin != pivot_col:
-                col_swap(pivot_col, jmin)
-            done = True
-            for j in range(pivot_col + 1, N):
-                if work[i][j] != 0:
-                    q = -(work[i][j] // work[i][pivot_col])
-                    col_addmul(j, pivot_col, q)
-                    if work[i][j] != 0:
-                        done = False
-            if done:
-                break
-        if any(work[i][j] != 0 for j in range(pivot_col, N)):
-            pivot_col += 1
-    kernel = []
-    for j in range(pivot_col, N):
-        if all(work[i][j] == 0 for i in range(n)):
-            kernel.append([U[r][j] for r in range(N)])
-    return kernel
-
-
 def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
     """Row Hermite form with positive pivots and reduced entries above."""
     rows = [list(r) for r in rows if any(r)]
@@ -136,14 +90,11 @@ def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
                 piv[k] = -piv[k]
         out.append(piv)
         rows = [r for r in rows if r is not piv and any(r)]
-        for r in rows:
-            if r[col] != 0:
-                q = r[col] // piv[col]
-                for k in range(width):
-                    r[k] -= q * piv[k]
         col += 1
-    # reduce entries above each pivot into [0, pivot)
-    for idx in range(len(out) - 1, -1, -1):
+    # Reduce entries above each pivot into [0, pivot), top-down: reducing by
+    # a pivot changes the rows above only right of its column, where the
+    # later pivots sit.
+    for idx in range(len(out)):
         piv = out[idx]
         pcol = next(k for k in range(width) if piv[k] != 0)
         for upper in out[:idx]:
@@ -155,13 +106,18 @@ def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
 
 
 def lattice_kernel(matrix: ExponentMatrix) -> list[BoxOperator]:
-    """A normalized basis of all integer relations among the columns.
+    """The reduced Hermite basis of all integer relations among the columns.
 
-    Column reduction by a unimodular transform makes the basis saturated:
-    every integer relation is an integer combination of the output.
+    The rows of [A^T | I] generate {(A c, c)}; in their Hermite form the
+    rows whose A^T part vanishes are a basis of {c : A c = 0}, saturated
+    (every integer relation is an integer combination of them) and unique.
     """
-    basis = _row_hnf(_integer_kernel(matrix))
-    return [box_operator(matrix, row) for row in basis]
+    n, N = matrix.n, matrix.num_columns
+    hnf = _row_hnf([
+        list(a) + [int(i == j) for i in range(N)]
+        for j, a in enumerate(matrix.columns)
+    ])
+    return [box_operator(matrix, row[n:]) for row in hnf if not any(row[:n])]
 
 
 def in_kernel_lattice(basis: list[BoxOperator], relation) -> bool:

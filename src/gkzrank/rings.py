@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FaceContainsOrigin, NotAFacePair, NotInCone
-from .lattice import Face, NewtonPolytope, Vector, _det, _dot
+from .lattice import Face, NewtonPolytope, Vector, _det, _dot, _nonsingular_minor
 from .linalg import SparseRationalMatrix
 from .series import PolyZ, RationalFunctionQ
 
@@ -359,15 +359,9 @@ def _integer_inverse(gens):
     w restricted to those rows gives det times its cone coordinates; the
     determinant is made positive.
     """
-    n, k = len(gens[0]), len(gens)
-    for rows in itertools.combinations(range(n), k):
-        minor = [[g[r] for g in gens] for r in rows]
-        det = _det(minor)
-        if det != 0:
-            break
-    else:
-        raise AssertionError("cone generators are linearly dependent")
-    sign = 1 if det > 0 else -1
+    rows, det = _nonsingular_minor(gens)
+    minor = [[g[r] for g in gens] for r in rows]
+    sign, k = (1 if det > 0 else -1), len(gens)
     adj = [
         [
             sign * (-1) ** (i + j) * _det(

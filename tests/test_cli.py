@@ -319,3 +319,35 @@ def test_golden_report_bytes(name, tmp_path, capsys):
         code = main(["analyze", path, "--no-timings"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[name]
+
+
+# SHA-256 of the ``gkz face-complex`` and ``gkz gkz-ops`` stdout for the same
+# fixtures (all exit 0), recorded before M was read off the facet levels,
+# the incidence signs off two minors and the box basis off one Hermite form.
+# The face complex carries the incidence signs; the operators the box basis.
+GOLDEN_SUBCOMMANDS = {
+    ("face-complex", "gauss"): "7d6c6e4c1ce156c66c92e2290337302b10b895872a6b224646118db251c51214",
+    ("face-complex", "gauss-degenerate"): "7d6c6e4c1ce156c66c92e2290337302b10b895872a6b224646118db251c51214",
+    ("face-complex", "gauss-rational"): "7d6c6e4c1ce156c66c92e2290337302b10b895872a6b224646118db251c51214",
+    ("face-complex", "normal-curve-5"): "59f369d43ba11a5b3ba42f2f98849d75d677c2125a3b3fd204341033814e01ee",
+    ("face-complex", "rank-34"): "5dcbe86f81d893e3b4ae00791907059e33977cb7f16024f571a9d22dfcad69cd",
+    ("face-complex", "sweep-draw-3d"): "a960bc0d4fe625c60b99b20fe4b1bd3fe0e93005208b52802d91025e0221aecd",
+    ("face-complex", "triple-ray"): "1c3aec287afbb3f7495bc878eb0dd46df277612fbf1725a67c7d8886f6842569",
+    ("gkz-ops", "gauss"): "d16a75d0c65e11a7a9f8ec4b56fdc28b6bc14573522c3eceb04c4384a824e3fe",
+    ("gkz-ops", "gauss-degenerate"): "d16a75d0c65e11a7a9f8ec4b56fdc28b6bc14573522c3eceb04c4384a824e3fe",
+    ("gkz-ops", "gauss-rational"): "7048df1c204be267715d2622660479fe2bab0dace0091fefa41d67814b4c4c93",
+    ("gkz-ops", "normal-curve-5"): "9900b4788ce8649b60fa5266e6cac21b170ed26e6a015d79358ca51455ec5db8",
+    ("gkz-ops", "rank-34"): "3da73dda23cf25f8d909cda6e9d99dfbe8805c8051f56f59e838fe1369d00ad1",
+    ("gkz-ops", "sweep-draw-3d"): "ce57a30ff630647d765989468ce16d5ceff1e9675e6df2c9d432a3ba15da6d43",
+    ("gkz-ops", "triple-ray"): "42cfd2516d38972c55da6413e5728ba68e40f0bd90a9ad13f028e8df9b9c3ee1",
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(GOLDEN_SUBCOMMANDS))
+def test_golden_subcommand_bytes(command, name, tmp_path, capsys):
+    path = write_spec(tmp_path, GOLDEN_SPECS[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([command, path])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == (0, GOLDEN_SUBCOMMANDS[command, name])

@@ -64,6 +64,46 @@ class TestSparseMatrix:
         a = SparseRationalMatrix.from_dense([[1, 2], [3, 4]])
         b = SparseRationalMatrix.from_dense([[0, 1], [1, 0]])
         assert a.matmul(b).to_dense() == [[2, 1], [4, 3]]
+        # Rational factors are multiplied scaled to integers; compare with
+        # the Fraction sum of products, entry by entry.
+        a = SparseRationalMatrix.from_dense([[F(1, 2), F(1, 3)], [F(2, 7), 0]])
+        b = SparseRationalMatrix.from_dense([[F(2, 3), 1], [-1, F(-3, 2)]])
+        product = a.matmul(b)
+        assert product.to_dense() == [[0, 0], [F(4, 21), F(2, 7)]]
+        assert product.nnz() == 2
+        rnd = random.Random(17)
+
+        def dense(rows, cols):
+            return [
+                [
+                    F(rnd.randint(-4, 4), rnd.choice((1, 2, 3, 4, 6, 9)))
+                    if rnd.random() < 0.6 else F(0)
+                    for _ in range(cols)
+                ]
+                for _ in range(rows)
+            ]
+
+        seen = {"cancelled": 0, "fractional": 0}
+        for _ in range(60):
+            r, k, c = (rnd.randint(1, 4) for _ in range(3))
+            x, y = dense(r, k), dense(k, c)
+            ref = [
+                [sum((x[i][t] * y[t][j] for t in range(k)), F(0)) for j in range(c)]
+                for i in range(r)
+            ]
+            product = SparseRationalMatrix.from_dense(x).matmul(
+                SparseRationalMatrix.from_dense(y)
+            )
+            assert product.to_dense() == ref
+            assert all(type(v) is F and v != 0 for v in product.entries.values())
+            seen["cancelled"] += sum(
+                v == 0 and any(x[i][t] * y[t][j] for t in range(k))
+                for i, row in enumerate(ref) for j, v in enumerate(row)
+            )
+            seen["fractional"] += sum(
+                v.denominator > 1 for row in ref for v in row
+            )
+        assert seen["cancelled"] >= 1 and seen["fractional"] >= 50
 
     def test_triplets_sorted(self):
         m = SparseRationalMatrix.from_dense([[0, 2], [1, 0]])

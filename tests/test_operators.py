@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from gkzrank import (
     NotARelation,
+    RankDeficient,
     box_operator,
     euler_operators,
     lattice_kernel,
@@ -12,7 +14,7 @@ from gkzrank import (
     render_euler,
     validate_matrix,
 )
-from gkzrank.operators import in_kernel_lattice
+from gkzrank.operators import _row_hnf, in_kernel_lattice
 
 
 class TestLatticeKernel:
@@ -57,6 +59,111 @@ class TestLatticeKernel:
                     for row in matrix.rows
                 ):
                     assert in_kernel_lattice(basis, cand), cand
+
+
+def _ref_integer_kernel(matrix):
+    """The unimodular column reduction that found the kernel before the
+    Hermite form of [A^T | I]: a saturated basis, in no canonical form."""
+    n, N = matrix.n, matrix.num_columns
+    work = [list(row) for row in matrix.rows]
+    U = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
+
+    def col_swap(a, b):
+        for row in work + U:
+            row[a], row[b] = row[b], row[a]
+
+    def col_addmul(dst, src, q):
+        for row in work + U:
+            row[dst] += q * row[src]
+
+    pivot_col = 0
+    for i in range(n):
+        while True:
+            nz = [j for j in range(pivot_col, N) if work[i][j] != 0]
+            if not nz:
+                break
+            jmin = min(nz, key=lambda j: abs(work[i][j]))
+            if jmin != pivot_col:
+                col_swap(pivot_col, jmin)
+            done = True
+            for j in range(pivot_col + 1, N):
+                if work[i][j] != 0:
+                    col_addmul(j, pivot_col, -(work[i][j] // work[i][pivot_col]))
+                    done = done and work[i][j] == 0
+            if done:
+                break
+        if any(work[i][j] != 0 for j in range(pivot_col, N)):
+            pivot_col += 1
+    return [
+        [U[r][j] for r in range(N)]
+        for j in range(pivot_col, N)
+        if all(work[i][j] == 0 for i in range(n))
+    ]
+
+
+def _kernel_matrices(seed=3, count=60):
+    """Seeded full-rank matrices: n <= 3, N <= n + 4, entries in [-4, 4]."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rnd.randint(1, 3)
+        N = rnd.randint(n, n + 4)
+        rows = [[rnd.randint(-4, 4) for _ in range(N)] for _ in range(n)]
+        try:
+            out.append(validate_matrix(rows))
+        except RankDeficient:
+            continue
+    return out
+
+
+def _relations(matrix):
+    return [b.relation for b in lattice_kernel(matrix)]
+
+
+class TestHermiteBasis:
+    def test_reduced_above_pivots(self):
+        # Reducing bottom-up left -2 above the pivot 2: (1, 0, -2, 0).
+        assert _relations(validate_matrix([[-2, 1, -1, 2]])) == [
+            (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 2, 1)
+        ]
+
+    def test_reduced_row_hermite_form(self):
+        for matrix in _kernel_matrices():
+            basis = _relations(matrix)
+            assert len(basis) == matrix.num_columns - matrix.n
+            pivots = []
+            for idx, row in enumerate(basis):
+                p = next(k for k, c in enumerate(row) if c)
+                assert row[p] > 0
+                assert all(0 <= upper[p] < row[p] for upper in basis[:idx])
+                pivots.append(p)
+            assert pivots == sorted(set(pivots))
+
+    def test_same_basis_after_unimodular_row_scramble(self):
+        rnd = random.Random(5)
+        for matrix in _kernel_matrices():
+            rows = [list(r) for r in matrix.rows]
+            for _ in range(6):
+                i, j = rnd.sample(range(len(rows)), 2) if len(rows) > 1 else (0, 0)
+                if i == j:
+                    rows[i] = [-c for c in rows[i]]
+                else:
+                    k = rnd.choice((-2, -1, 1, 2))
+                    rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+                    rows[i], rows[j] = rows[j], rows[i]
+            assert _relations(validate_matrix(rows)) == _relations(matrix)
+
+    def test_same_lattice_as_column_reduction(self):
+        for matrix in _kernel_matrices():
+            new = lattice_kernel(matrix)
+            old = [
+                box_operator(matrix, r)
+                for r in _row_hnf(_ref_integer_kernel(matrix))
+            ]
+            assert all(in_kernel_lattice(new, b.relation) for b in old)
+            assert all(in_kernel_lattice(old, b.relation) for b in new)
+            # The reduced Hermite form of a lattice is unique.
+            assert new == old
 
 
 class TestBoxOperator:

@@ -24,6 +24,7 @@ from gkzrank import (
     newton_polytope,
     poincare_series,
     run_analyze,
+    run_subcommand,
     sequence_image,
     validate_matrix,
     verify_kouchnirenko,
@@ -283,14 +284,15 @@ class TestRingElementJson:
 # -- the integer kernel against Fraction references ----------------------------
 
 
-def _random_polytopes(seed, count):
-    """Seeded small polytopes: n <= 3, n to n + 2 columns, entries in [-2, 2]."""
+def _random_polytopes(seed, count, bound=2):
+    """Seeded small polytopes: n <= 3, n to n + 2 columns, entries in
+    [-bound, bound]."""
     rnd = random.Random(seed)
     out = []
     while len(out) < count:
         n = rnd.choice((1, 2, 2, 3, 3))
         cols = [
-            [rnd.randint(-2, 2) for _ in range(n)]
+            [rnd.randint(-bound, bound) for _ in range(n)]
             for _ in range(rnd.randint(n, n + 2))
         ]
         if any(not any(c) for c in cols):
@@ -824,6 +826,38 @@ class TestIntegerDeterminant:
                 pairs += 1
                 assert P.incidence_sign(face, sub) == _ref_incidence_sign(P, face, sub)
         assert pairs or P.n == 1
+
+
+def _ref_gauge_denominator(P):
+    """The scan that fixed M before it was read off the facets: the lcm L of
+    the positive levels, reduced by the gcd of L times every gauge up to n."""
+    L = math.lcm(*(f.level for f in P.facets if f.level > 0))
+    g = 0
+    for w in P.lattice_points_with_gauge_at_most(P.n):
+        g = math.gcd(g, int(L * _ref_gauge(P, w)))
+    return L // math.gcd(L, g) if g else L
+
+
+class TestGaugeDenominatorByConstruction:
+    def test_lcm_of_levels_matches_box_scan(self):
+        polytopes = KERNEL_POLYTOPES + _random_polytopes(13, 200, bound=3)
+        for P in polytopes:
+            assert P.gauge_denominator == _ref_gauge_denominator(P)
+        # Several distinct values, some from two or more distinct levels.
+        assert len({P.gauge_denominator for P in polytopes}) >= 4
+        assert any(
+            len({f.level for f in P.facets if f.level > 0}) > 1 for P in polytopes
+        )
+
+    def test_polytope_and_volume_enumerate_no_points(self, monkeypatch):
+        def refuse(self, bound):
+            raise AssertionError("lattice points enumerated")
+
+        monkeypatch.setattr(NewtonPolytope, "lattice_points_with_gauge_at_most", refuse)
+        rows = [[1, -2, 1, 0], [2, 1, -2, 0], [2, 1, 0, -2]]
+        assert newton_polytope(validate_matrix(rows)).gauge_denominator == 60
+        spec = ProblemSpec.from_json({"matrix": rows, "fiber": ["6", "7", "11", "19"]})
+        assert run_subcommand("volume", spec) == {"normalized_volume": 34}
 
 
 def test_analyze_scans_the_box_logarithmically(monkeypatch):
