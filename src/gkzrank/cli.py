@@ -1,10 +1,10 @@
 """Command-line front end.
 
 ``gkz analyze problem.json`` runs the full pipeline; the focused
-subcommands run only the prefix they need.  Exit codes: 0 on success, 2
-when the fiber is degenerate (the report is still emitted), 1 on input
-errors.  Reports are deterministic; timings can be suppressed for
-byte-identical output.
+subcommands run only the prefix they need, and ``volume`` and ``faces``
+do not import it.  Exit codes: 0 on success, 2 when the fiber is
+degenerate (the report is still emitted), 1 on input errors.  Reports are
+deterministic; timings can be suppressed for byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import os
 import sys
 
 from .errors import DegenerateFiber, GkzError, UnknownSubcommand
-from .jsonio import parse_rational
-from .pipeline import (
+from .jsonio import (
     DEFAULT_WEIGHT_BOUND,
+    GEOMETRY_SUBCOMMANDS,
     ProblemSpec,
     error_json,
-    run_analyze,
-    run_subcommand,
+    geometry_answer,
+    parse_rational,
 )
 
 EXIT_OK = 0
@@ -117,6 +117,12 @@ def main(argv=None) -> int:
         _emit(error_json("input", exc), getattr(args, "out", None))
         return EXIT_INPUT_ERROR
     try:
+        if args.command in GEOMETRY_SUBCOMMANDS:
+            _emit(geometry_answer(args.command, spec), args.out)
+            return EXIT_OK
+        # the cohomology stack loads only for the subcommands that run it
+        from .pipeline import run_analyze, run_subcommand
+
         if args.command == "analyze":
             report = run_analyze(spec, with_timings=not args.no_timings)
             _emit(report.to_json(), args.out)

@@ -16,6 +16,7 @@ from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
 from .jsonio import format_rational
 from .lattice import NewtonPolytope
 from .linalg import RationalSpan, SparseRationalMatrix, rank
+from .nondegeneracy import is_nondegenerate
 from .rings import (
     ConeRing,
     GradedRingHandle,
@@ -395,8 +396,6 @@ def verify_kouchnirenko(
     anyway and reports whatever failure signal appears.  A truncation above
     ``truncation_cap`` raises TruncationTooSmall before the complex is built.
     """
-    from .nondegeneracy import is_nondegenerate  # local to avoid a cycle
-
     if polytope is None:
         polytope = NewtonPolytope(matrix)
     if require_nondegenerate:

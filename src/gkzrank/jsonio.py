@@ -1,14 +1,22 @@
-"""Exact-rational JSON conventions shared by the library surfaces.
+"""Problem files and the exact-rational JSON conventions of the library.
 
 Numbers serialize as integer strings or "p/q"; ring-element exponents as
-comma-joined integer tuples.
+comma-joined integer tuples.  A problem file is a JSON object with a
+matrix, a parameter vector and a coefficient fiber, plus optional knobs.
+The geometry-only subcommands are answered here, without the cohomology
+stack.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rings import RingElement
+from .errors import ShapeMismatch
+from .lattice import ExponentMatrix, NewtonPolytope, validate_matrix
+
+DEFAULT_WEIGHT_BOUND = 6
+GEOMETRY_SUBCOMMANDS = ("volume", "faces")
 
 
 def parse_rational(text) -> Fraction:
@@ -37,6 +45,8 @@ def ring_element_to_json(x: RingElement) -> dict:
 
 
 def ring_element_from_json(data: dict) -> RingElement:
+    from .rings import RingElement  # so reading a problem loads no ring code
+
     out = RingElement()
     for key, val in data.items():
         out.add_term(parse_exponent_key(key), parse_rational(val))
@@ -59,4 +69,82 @@ def polytope_summary_json(polytope) -> dict:
         "origin_interior": polytope.origin_interior,
         "gauge_denominator": polytope.gauge_denominator,
         "normalized_volume": polytope.normalized_volume,
+    }
+
+
+@dataclass
+class ProblemSpec:
+    """Validated problem input: matrix, parameter vector, fiber, options."""
+
+    matrix_rows: list[list[int]]
+    gamma: list[Fraction]
+    fiber: list[Fraction]
+    options: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_json(cls, data: dict) -> "ProblemSpec":
+        if not isinstance(data, dict) or "matrix" not in data:
+            raise ShapeMismatch("problem spec must be an object with a 'matrix'")
+        rows = data["matrix"]
+        if not isinstance(rows, list):
+            raise ShapeMismatch("'matrix' must be a list of rows")
+        n = len(rows)
+        width = len(rows[0]) if rows and isinstance(rows[0], list) else 0
+        gamma = data.get("gamma", ["0"] * n)
+        fiber = data.get("fiber", ["1"] * width)
+        options = data.get("options", {})
+        for key, value in (("gamma", gamma), ("fiber", fiber)):
+            if not isinstance(value, list):
+                raise ShapeMismatch(f"'{key}' must be a list: {value!r}")
+        if not isinstance(options, dict):
+            raise ShapeMismatch(f"'options' must be an object: {options!r}")
+        for key in ("truncation_cap", "weight_bound"):
+            value = options.get(key, 0)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ShapeMismatch(f"option '{key}' must be an integer: {value!r}")
+        return cls(
+            rows,
+            [parse_rational(g) for g in gamma],
+            [parse_rational(c) for c in fiber],
+            dict(options),
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "matrix": [list(r) for r in self.matrix_rows],
+            "gamma": [format_rational(g) for g in self.gamma],
+            "fiber": [format_rational(c) for c in self.fiber],
+            "options": dict(self.options),
+        }
+
+
+def _validated(spec: ProblemSpec) -> tuple[ExponentMatrix, NewtonPolytope]:
+    matrix = validate_matrix(spec.matrix_rows)
+    if len(spec.gamma) != matrix.n:
+        raise ShapeMismatch(
+            f"gamma has length {len(spec.gamma)}, matrix has {matrix.n} rows"
+        )
+    if len(spec.fiber) != matrix.num_columns:
+        raise ShapeMismatch(
+            f"fiber has length {len(spec.fiber)}, matrix has "
+            f"{matrix.num_columns} columns"
+        )
+    return matrix, NewtonPolytope(matrix)
+
+
+def geometry_answer(name: str, spec: ProblemSpec) -> dict:
+    """``gkz volume`` or ``gkz faces``: read off the Newton polytope alone."""
+    _, polytope = _validated(spec)
+    if name == "volume":
+        return {"normalized_volume": polytope.normalized_volume}
+    return polytope_summary_json(polytope)
+
+
+def error_json(stage: str, exc: Exception) -> dict:
+    return {
+        "error": {
+            "stage": stage,
+            "type": type(exc).__name__,
+            "message": str(exc),
+        }
     }

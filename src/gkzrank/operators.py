@@ -123,17 +123,14 @@ def lattice_kernel(matrix: ExponentMatrix) -> list[BoxOperator]:
 def in_kernel_lattice(basis: list[BoxOperator], relation) -> bool:
     """Whether the relation is an integer combination of the basis."""
     v = [int(c) for c in relation]
-    width = len(v)
-    for b in basis:
-        row = b.relation
-        pcol = next((k for k in range(width) if row[k] != 0), None)
-        if pcol is None:
-            continue
+    # The Hermite form spans the same lattice with strictly increasing
+    # pivots, so eliminating each pivot in turn never disturbs an earlier one.
+    for row in _row_hnf([list(b.relation) for b in basis]):
+        pcol = next(k for k, c in enumerate(row) if c != 0)
         if v[pcol] % row[pcol] != 0:
             return False
         q = v[pcol] // row[pcol]
-        for k in range(width):
-            v[k] -= q * row[k]
+        v = [a - q * b for a, b in zip(v, row)]
     return not any(v)
 
 

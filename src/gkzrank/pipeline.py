@@ -1,33 +1,34 @@
-"""Problem files and the end-to-end rank report.
+"""The end-to-end rank report and the focused subcommands.
 
-A problem file is a JSON object with a matrix, a parameter vector and a
-coefficient fiber, plus optional knobs.  The full pipeline certifies the
-fiber, runs the Koszul and de Rham computations and bundles everything into
-one serializable report; a degenerate fiber short-circuits the cohomology
-stages but is still a legitimate answer.
+The full pipeline certifies the fiber, runs the Koszul and de Rham
+computations and bundles everything into one serializable report; a
+degenerate fiber short-circuits the cohomology stages but is still a
+legitimate answer.  Problem files are read in ``jsonio``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .derham import connection_matrices, h_top_dimension
-from .errors import ShapeMismatch, UnknownSubcommand
+from .errors import UnknownSubcommand
 from .homology import (
     check_face_complex_exactness,
     poincare_identity_check,
     verify_kouchnirenko,
 )
-from .jsonio import format_rational, parse_rational, polytope_summary_json
-from .lattice import (
-    ExponentMatrix,
-    NewtonPolytope,
-    exponent_cone,
-    normalize_gamma,
-    validate_matrix,
+from .jsonio import (
+    DEFAULT_WEIGHT_BOUND,
+    GEOMETRY_SUBCOMMANDS,
+    ProblemSpec,
+    _validated,
+    error_json,
+    format_rational,
+    geometry_answer,
+    polytope_summary_json,
 )
+from .lattice import ExponentMatrix, exponent_cone, normalize_gamma
 from .nondegeneracy import is_nondegenerate
 from .operators import (
     euler_operators,
@@ -35,54 +36,6 @@ from .operators import (
     render_box,
     render_euler,
 )
-
-DEFAULT_WEIGHT_BOUND = 6
-
-
-@dataclass
-class ProblemSpec:
-    """Validated problem input: matrix, parameter vector, fiber, options."""
-
-    matrix_rows: list[list[int]]
-    gamma: list[Fraction]
-    fiber: list[Fraction]
-    options: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ProblemSpec":
-        if not isinstance(data, dict) or "matrix" not in data:
-            raise ShapeMismatch("problem spec must be an object with a 'matrix'")
-        rows = data["matrix"]
-        if not isinstance(rows, list):
-            raise ShapeMismatch("'matrix' must be a list of rows")
-        n = len(rows)
-        width = len(rows[0]) if rows and isinstance(rows[0], list) else 0
-        gamma = data.get("gamma", ["0"] * n)
-        fiber = data.get("fiber", ["1"] * width)
-        options = data.get("options", {})
-        for key, value in (("gamma", gamma), ("fiber", fiber)):
-            if not isinstance(value, list):
-                raise ShapeMismatch(f"'{key}' must be a list: {value!r}")
-        if not isinstance(options, dict):
-            raise ShapeMismatch(f"'options' must be an object: {options!r}")
-        for key in ("truncation_cap", "weight_bound"):
-            value = options.get(key, 0)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ShapeMismatch(f"option '{key}' must be an integer: {value!r}")
-        return cls(
-            rows,
-            [parse_rational(g) for g in gamma],
-            [parse_rational(c) for c in fiber],
-            dict(options),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "matrix": [list(r) for r in self.matrix_rows],
-            "gamma": [format_rational(g) for g in self.gamma],
-            "fiber": [format_rational(c) for c in self.fiber],
-            "options": dict(self.options),
-        }
 
 
 @dataclass
@@ -124,20 +77,6 @@ class _Stage:
         if self.clock.enabled:
             self.clock.timings[self.name] = time.perf_counter() - self.t0
         return False
-
-
-def _validated(spec: ProblemSpec) -> tuple[ExponentMatrix, NewtonPolytope]:
-    matrix = validate_matrix(spec.matrix_rows)
-    if len(spec.gamma) != matrix.n:
-        raise ShapeMismatch(
-            f"gamma has length {len(spec.gamma)}, matrix has {matrix.n} rows"
-        )
-    if len(spec.fiber) != matrix.num_columns:
-        raise ShapeMismatch(
-            f"fiber has length {len(spec.fiber)}, matrix has "
-            f"{matrix.num_columns} columns"
-        )
-    return matrix, NewtonPolytope(matrix)
 
 
 def _operators_json(matrix: ExponentMatrix, gamma):
@@ -237,11 +176,9 @@ def run_subcommand(name: str, spec: ProblemSpec) -> dict:
     """Run only the pipeline prefix needed for one focused question."""
     if name not in SUBCOMMANDS:
         raise UnknownSubcommand(name)
+    if name in GEOMETRY_SUBCOMMANDS:
+        return geometry_answer(name, spec)
     matrix, polytope = _validated(spec)
-    if name == "volume":
-        return {"normalized_volume": polytope.normalized_volume}
-    if name == "faces":
-        return polytope_summary_json(polytope)
     if name == "nondegenerate":
         return is_nondegenerate(matrix, spec.fiber, polytope).to_json()
     if name == "koszul":
@@ -261,16 +198,6 @@ def run_subcommand(name: str, spec: ProblemSpec) -> dict:
         kz = _kouchnirenko(spec, matrix, polytope)
         return _derham_json(gamma_norm, spec.fiber, polytope, kz)
     return _operators_json(matrix, gamma_norm)  # gkz-ops
-
-
-def error_json(stage: str, exc: Exception) -> dict:
-    return {
-        "error": {
-            "stage": stage,
-            "type": type(exc).__name__,
-            "message": str(exc),
-        }
-    }
 
 
 __all__ = [

@@ -325,6 +325,8 @@ def test_golden_report_bytes(name, tmp_path, capsys):
 # fixtures (all exit 0), recorded before M was read off the facet levels,
 # the incidence signs off two minors and the box basis off one Hermite form.
 # The face complex carries the incidence signs; the operators the box basis.
+# The ``gkz volume`` and ``gkz faces`` digests were recorded while both were
+# still answered through ``pipeline.run_subcommand``.
 GOLDEN_SUBCOMMANDS = {
     ("face-complex", "gauss"): "7d6c6e4c1ce156c66c92e2290337302b10b895872a6b224646118db251c51214",
     ("face-complex", "gauss-degenerate"): "7d6c6e4c1ce156c66c92e2290337302b10b895872a6b224646118db251c51214",
@@ -340,6 +342,20 @@ GOLDEN_SUBCOMMANDS = {
     ("gkz-ops", "rank-34"): "3da73dda23cf25f8d909cda6e9d99dfbe8805c8051f56f59e838fe1369d00ad1",
     ("gkz-ops", "sweep-draw-3d"): "ce57a30ff630647d765989468ce16d5ceff1e9675e6df2c9d432a3ba15da6d43",
     ("gkz-ops", "triple-ray"): "42cfd2516d38972c55da6413e5728ba68e40f0bd90a9ad13f028e8df9b9c3ee1",
+    ("volume", "gauss"): "bf8fd1b19cdb0b728ac35a04a927a2170cc7c8094a733ae7a81bb228901cec67",
+    ("volume", "gauss-degenerate"): "bf8fd1b19cdb0b728ac35a04a927a2170cc7c8094a733ae7a81bb228901cec67",
+    ("volume", "gauss-rational"): "bf8fd1b19cdb0b728ac35a04a927a2170cc7c8094a733ae7a81bb228901cec67",
+    ("volume", "normal-curve-5"): "622ba8f13717284c4e008af47dcb447817555f1d0f56162684fb31e5fc1cd41d",
+    ("volume", "rank-34"): "587e8cfc89ee98341a1fa7ca575650ecaf4176f7cee141fc14667cdfc7af400f",
+    ("volume", "sweep-draw-3d"): "bf8fd1b19cdb0b728ac35a04a927a2170cc7c8094a733ae7a81bb228901cec67",
+    ("volume", "triple-ray"): "722c609bfb180ecbda9b60d43af523481c5f48740b41ca079a82d87623a17cfd",
+    ("faces", "gauss"): "f92152c42ed74a698d614950e3f668ee3a6032f1292a9be2963b8b5e90f01ca8",
+    ("faces", "gauss-degenerate"): "f92152c42ed74a698d614950e3f668ee3a6032f1292a9be2963b8b5e90f01ca8",
+    ("faces", "gauss-rational"): "f92152c42ed74a698d614950e3f668ee3a6032f1292a9be2963b8b5e90f01ca8",
+    ("faces", "normal-curve-5"): "57cbac992b57fb9909d05d2bf18c3a5a2838d76a870b1e4b3cb146abecb136b5",
+    ("faces", "rank-34"): "03401233aed70e519109bf9f8ae63cfea9f5c319e4e097ce43555168f8ebab18",
+    ("faces", "sweep-draw-3d"): "a30ef408063dea656edfcabbbf03da7d144e201e61158c77782a06674d7185dd",
+    ("faces", "triple-ray"): "70a107542113e33e814e2a444b6f773bb58b9095049d2ab8b816dd2feeec7a34",
 }
 
 

@@ -1,0 +1,97 @@
+"""What each entry point loads: the package surface is lazy, ``gkz volume``
+and ``gkz faces`` stay clear of the cohomology stack, and ``pipeline`` still
+loads every module the benchmark's tracer wraps."""
+
+import importlib
+import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gkzrank
+
+ROOT = Path(__file__).resolve().parents[1]
+COHOMOLOGY_STACK = {
+    f"gkzrank.{m}"
+    for m in ("derham", "homology", "nondegeneracy", "operators", "rings", "series")
+}
+
+# The names the package exported when its __init__ imported every module.
+EXPORTS = """
+BoxOperator CochainComplexQ ConeRing DegenerateFiber EulerOperator ExponentCone
+ExponentMatrix Face FaceCertificate FaceComplex FaceContainsOrigin FaceRing Facet
+FreeRing GammaNotNormalized GkzError GradedRingHandle KoszulDatum
+KouchnirenkoResult LogForm MismatchAtDegree NewtonPolytope NondegeneracyReport
+NotAFacePair NotARelation NotInCone PolyZ ProblemSpec RankDeficient RankReport
+RationalFunctionQ ReductionBasis RingElement ShapeMismatch SparseRationalMatrix
+TruncationTooSmall UnknownSubcommand box_operator build_face_complex
+check_face_complex_exactness check_gr_equals_koszul choose_spanning_subset
+cohomology_dims connection_matrices derham_cohomology_dims euler_operators
+exponent_cone face_lattice face_polynomial face_projection facial_ring
+filtration_level gauge gauge_denominator gr_multiply graded_piece h_top_dimension
+is_nondegenerate koszul_complex koszul_regular_sequence_check lattice_kernel
+log_derivative_classes newton_polytope normalize_gamma normalized_volume
+poincare_identity_check poincare_series rank_and_kernel reduce_to_basis render_box
+render_euler run_analyze run_subcommand sequence_image twisted_differential
+validate_matrix verify_kouchnirenko
+""".split()
+
+
+def _loaded_after(code):
+    """The gkzrank modules a fresh interpreter holds after running ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('gkzrank')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_package_import_loads_no_module():
+    assert _loaded_after("import gkzrank") == {"gkzrank"}
+
+
+@pytest.mark.parametrize("command", ["volume", "faces"])
+def test_geometry_subcommands_skip_the_cohomology_stack(command, tmp_path):
+    spec = tmp_path / "problem.json"
+    spec.write_text(json.dumps({"matrix": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]}))
+    out = tmp_path / "out.json"
+    loaded = _loaded_after(
+        "from gkzrank.cli import main\n"
+        f"assert main([{command!r}, {str(spec)!r}, '--out', {str(out)!r}]) == 0"
+    )
+    assert "gkzrank.pipeline" not in loaded
+    assert not loaded & COHOMOLOGY_STACK
+    assert json.loads(out.read_text())["normalized_volume"] == 2
+
+
+def test_pipeline_loads_every_traced_module():
+    # bench/trace_child.py wraps only the modules loaded once it has run
+    # ``import gkzrank; from gkzrank import pipeline``.
+    path = ROOT / "bench" / "trace_child.py"
+    targets = runpy.run_path(str(path), run_name="trace_child")["TARGETS"]
+    wanted = {modname for _, modname, _, _ in targets}
+    assert wanted >= COHOMOLOGY_STACK - {"gkzrank.series"}
+    assert wanted <= _loaded_after("import gkzrank\nfrom gkzrank import pipeline")
+
+
+def test_public_names_are_unchanged_and_resolve_to_their_modules():
+    assert sorted(gkzrank.__all__) == sorted(EXPORTS)
+    for name in gkzrank.__all__:
+        value = getattr(gkzrank, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    assert set(EXPORTS) <= set(dir(gkzrank))
+    with pytest.raises(AttributeError):
+        gkzrank.no_such_name
+    from gkzrank import derham
+
+    assert derham is sys.modules["gkzrank.derham"]

@@ -166,6 +166,41 @@ class TestHermiteBasis:
             assert new == old
 
 
+class TestInKernelLattice:
+    def test_basis_not_in_echelon_form(self):
+        matrix = validate_matrix([[1, 1, 1]])
+        basis = [box_operator(matrix, r) for r in ((1, -1, 0), (1, 0, -1))]
+        for order in (basis, basis[::-1]):
+            assert in_kernel_lattice(order, (0, 1, -1))
+            assert in_kernel_lattice(order, (3, -1, -2))
+            assert not in_kernel_lattice(order, (1, 0, 0))
+
+    def test_unimodular_scramble_of_the_kernel_basis(self):
+        rnd = random.Random(11)
+        for matrix in _kernel_matrices():
+            rows = [list(r) for r in _relations(matrix)]
+            if not rows:
+                continue
+            for _ in range(6):
+                i, j = rnd.sample(range(len(rows)), 2) if len(rows) > 1 else (0, 0)
+                if i == j:
+                    rows[i] = [-c for c in rows[i]]
+                else:
+                    k = rnd.choice((-2, -1, 1, 2))
+                    rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+                    rows[i], rows[j] = rows[j], rows[i]
+            scrambled = [box_operator(matrix, r) for r in rows]
+            combo = [0] * matrix.num_columns
+            for rel in _relations(matrix):
+                assert in_kernel_lattice(scrambled, rel)
+                k = rnd.randint(-3, 3)
+                combo = [a + k * b for a, b in zip(combo, rel)]
+            assert in_kernel_lattice(scrambled, combo)
+            # A e_j is column j; a nonzero column makes this no relation.
+            combo[next(j for j, a in enumerate(matrix.columns) if any(a))] += 1
+            assert not in_kernel_lattice(scrambled, combo)
+
+
 class TestBoxOperator:
     def test_zero_rejected(self, gauss):
         matrix, _, _ = gauss
