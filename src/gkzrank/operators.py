@@ -123,6 +123,8 @@ def lattice_kernel(matrix: ExponentMatrix) -> list[BoxOperator]:
 def in_kernel_lattice(basis: list[BoxOperator], relation) -> bool:
     """Whether the relation is an integer combination of the basis."""
     v = [int(c) for c in relation]
+    if basis and len(v) != len(basis[0].relation):
+        raise NotARelation("length does not match the column count")
     # The Hermite form spans the same lattice with strictly increasing
     # pivots, so eliminating each pivot in turn never disturbs an earlier one.
     for row in _row_hnf([list(b.relation) for b in basis]):

@@ -175,6 +175,13 @@ class TestInKernelLattice:
             assert in_kernel_lattice(order, (3, -1, -2))
             assert not in_kernel_lattice(order, (1, 0, 0))
 
+    def test_length_mismatch_rejected(self):
+        matrix = validate_matrix([[1, 1, 1]])
+        basis = [box_operator(matrix, (1, -1, 0))]
+        for relation in ((0, 0, 0, 1), (1, -1)):
+            with pytest.raises(NotARelation):
+                in_kernel_lattice(basis, relation)
+
     def test_unimodular_scramble_of_the_kernel_basis(self):
         rnd = random.Random(11)
         for matrix in _kernel_matrices():
