@@ -410,6 +410,7 @@ def verify_kouchnirenko(
     truncation = expected.degree + M
     if truncation_cap is not None and truncation > truncation_cap:
         raise TruncationTooSmall(truncation, truncation_cap)
+    polytope.points_of_degree(truncation)  # size the point table once
     sequence = log_derivative_classes(fiber, None, polytope)
     cx = koszul_complex(KoszulDatum(ring, sequence, truncation))
     dims = cx.cohomology_dims()

@@ -12,11 +12,13 @@ The gauge is evaluated in integers.  Its denominator M is the lcm of the
 positive facet levels, read off the facets with no search: M times the
 gauge is the largest of the dot products with the positive facet normals,
 each scaled by M over its level.  Degree slices of the cone come from one
-table per polytope, built on the first request by a single scan of the
-scaled bounding box and rebuilt, to at least twice its top degree, only
-when a request goes past it.  The table also records, for
-each point, the facets on which it is tight; face-cone membership and the
-associated-graded product are set operations on those.
+table per polytope, built to the requested degree when a request goes past
+it.  A build visits only the points it keeps: the facet inequalities,
+solved for the last coordinate, give its interval over each point of the
+scaled box of the others; ``normalize_gamma`` searches its shells the same
+way.  The table also records, for each point, the facets on which it is
+tight; face-cone membership and the associated-graded product are set
+operations on those.
 
 Determinants are taken in integers by Bareiss elimination; they give the
 normalized volume, the facet normals (as signed maximal minors) and each
@@ -113,9 +115,6 @@ class Facet:
 
     def value(self, w) -> Fraction | int:
         return _dot(self.normal, w)
-
-    def contains_origin(self) -> bool:
-        return self.level == 0
 
 
 @dataclass
@@ -275,14 +274,11 @@ class NewtonPolytope:
     def cone_contains(self, w) -> bool:
         return all(_dot(m, w) <= 0 for _, m in self._cone_facets)
 
-    def _scaled_gauge(self, w) -> int:
-        """gauge_denominator times the gauge of a cone point: an integer."""
-        return max(0, max(k * _dot(m, w) for _, m, k in self._gauge_facets))
-
     def _checked_scaled_gauge(self, w) -> int:
+        """gauge_denominator times the gauge of a cone point: an integer."""
         if not self.cone_contains(w):
             raise NotInCone(f"{w} violates a zero-level facet inequality")
-        return self._scaled_gauge(w)
+        return max(0, max(k * _dot(m, w) for _, m, k in self._gauge_facets))
 
     def gauge(self, w) -> Fraction:
         """Least r >= 0 with w inside r times the hull; w must be in the cone."""
@@ -292,12 +288,13 @@ class NewtonPolytope:
         """The gauge scaled by the common denominator; an integer for lattice w."""
         return self._checked_scaled_gauge(w)
 
-    def _tight_facets_of(self, w) -> frozenset[int]:
-        """Facets tight at a cone point: the positive facets attaining its
-        gauge and the zero-level facets through it."""
+    def _gauge_and_tight(self, w) -> tuple[int, frozenset[int]]:
+        """The scaled gauge of a cone point and the facets tight at it: the
+        positive facets attaining the gauge and the zero-level facets
+        through it, from one pass over the facet values."""
         values = [(i, k * _dot(m, w)) for i, m, k in self._gauge_facets]
         top = max(0, max(v for _, v in values))
-        return frozenset(
+        return top, frozenset(
             [i for i, v in values if v == top]
             + [i for i, m in self._cone_facets if _dot(m, w) == 0]
         )
@@ -310,21 +307,22 @@ class NewtonPolytope:
         """
         tight = self._table[2].get(w)
         if tight is None and self.cone_contains(w):
-            tight = self._tight_facets_of(w)
+            tight = self._gauge_and_tight(w)[1]
         return tight
 
     def points_of_degree(self, d: int) -> tuple[Vector, ...]:
         """Sorted cone lattice points of graded degree d, read from the table.
 
-        A request past the table's top degree rebuilds it by one scan up to
-        at least twice that degree, so a run of increasing requests scans
-        a logarithmic number of times.
+        A request past the table's top degree rebuilds it to exactly that
+        degree.  A consumer that knows its largest degree asks for it first
+        (the face certificates their largest window, the Koszul stage its
+        truncation), so each builds the table at most once.
         """
         if d < 0:
             return ()
         top, slices, _ = self._table
         if d > top:
-            top, slices, _ = self._build_table(max(d, 2 * top))
+            top, slices, _ = self._build_table(d)
         return slices.get(d, ())
 
     def _build_table(self, top: int):
@@ -335,8 +333,8 @@ class NewtonPolytope:
         distinct: dict[frozenset[int], frozenset[int]] = {}
         bound = Fraction(top, self.gauge_denominator)
         for w in self.lattice_points_with_gauge_at_most(bound):
-            slices.setdefault(self._scaled_gauge(w), []).append(w)
-            t = self._tight_facets_of(w)
+            d, t = self._gauge_and_tight(w)
+            slices.setdefault(d, []).append(w)
             tight[w] = distinct.setdefault(t, t)
         # One assignment, so a reader never sees parts of two tables.
         self._table = (top, {d: tuple(p) for d, p in slices.items()}, tight)
@@ -461,20 +459,24 @@ class NewtonPolytope:
     def lattice_points_with_gauge_at_most(self, bound: Fraction):
         """All cone lattice points w with gauge(w) <= bound, sorted.
 
-        These are the lattice points of the dilate bound * hull, so the test
-        is every facet inequality with its level scaled, in integers.
+        These are the lattice points of the dilate bound * hull.  Over each
+        point of the scaled box of the first n - 1 coordinates, the facet
+        inequalities with their levels scaled bound the last coordinate.
         """
         bound = Fraction(bound)
         num, den = bound.numerator, bound.denominator
-        limits = [(f.normal, f.level * num) for f in self.facets]
-        ranges = [
-            range(min(0, floor(lo * bound)), max(0, ceil(hi * bound)) + 1)
+        rows = [
+            ([c * den for c in f.normal[:-1]], f.normal[-1] * den, f.level * num)
+            for f in self.facets
+        ]
+        box = [
+            (min(0, floor(lo * bound)), max(0, ceil(hi * bound)))
             for lo, hi in self.bounding_box()
         ]
         return [
-            w
-            for w in itertools.product(*ranges)
-            if all(_dot(m, w) * den <= limit for m, limit in limits)
+            p + (x,)
+            for p in itertools.product(*(range(lo, hi + 1) for lo, hi in box[:-1]))
+            for x in _last_interval(rows, p, *box[-1])
         ]
 
     # -- summaries -----------------------------------------------------------
@@ -515,6 +517,20 @@ def _det(rows) -> int:
             ]
         prev = pk[k]
     return sign * prev
+
+
+def _last_interval(rows, prefix, lo, hi) -> range:
+    """The integers x in [lo, hi] with a . prefix + b x <= c for every row
+    (a, b, c): Fourier-Motzkin elimination of the last coordinate."""
+    for a, b, c in rows:
+        r = c - _dot(a, prefix)
+        if b > 0:
+            hi = min(hi, r // b)
+        elif b < 0:
+            lo = max(lo, -(r // -b))
+        elif r < 0:
+            return range(0)
+    return range(lo, hi + 1)
 
 
 def _nonsingular_minor(columns) -> tuple[tuple[int, ...], int]:
@@ -583,6 +599,11 @@ def normalize_gamma(gamma, cone: ExponentCone):
     The returned representative satisfies m(gamma') <= 0 for every covector m
     of the dual cone, which keeps every residue along any toric boundary
     divisor away from the strictly positive integers.
+
+    The shift is center = round(gamma) plus the L-infinity-shortest integer
+    offset o with every m . o >= ceil(m . gamma - m . center), first in
+    product order on its shell.  The column sum c is interior to the cone, so t c is one
+    such offset for t large enough; the search ends by its radius.
     """
     gamma = tuple(Fraction(g) for g in gamma)
     n = len(gamma)
@@ -590,15 +611,15 @@ def normalize_gamma(gamma, cone: ExponentCone):
     if all(_dot(m, gamma) <= 0 for m in ms):
         return gamma
     center = tuple(round(g) for g in gamma)
-    radius = 0
-    while True:
-        for offset in itertools.product(range(-radius, radius + 1), repeat=n):
-            if max(abs(o) for o in offset) != radius and radius > 0:
-                continue
-            k = tuple(c + o for c, o in zip(center, offset))
-            shifted = tuple(g - kk for g, kk in zip(gamma, k))
-            if all(_dot(m, shifted) <= 0 for m in ms):
-                return shifted
-        radius += 1
-        if radius > 10_000:
-            raise AssertionError("no integer shift found; cone not full?")
+    needs = [(m, ceil(_dot(m, gamma) - _dot(m, center))) for m in ms]
+    c = [sum(col) for col in zip(*cone.generators)]
+    t = max([0] + [-(-need // _dot(m, c)) for m, need in needs])
+    rows = [([-a for a in m[:-1]], -m[-1], -need) for m, need in needs]
+    for r in range(t * max(abs(x) for x in c) + 1):
+        for p in itertools.product(range(-r, r + 1), repeat=n - 1):
+            xs = _last_interval(rows, p, -r, r)
+            if max(map(abs, p), default=0) < r:
+                xs = [x for x in (-r, r) if x in xs]
+            if xs:
+                k = tuple(a + o for a, o in zip(center, p + (xs[0],)))
+                return tuple(g - a for g, a in zip(gamma, k))

@@ -114,17 +114,18 @@ def _face_quotient_dims(ring: FaceRing, gs, bound: int):
     return tuple(dims)
 
 
-def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate:
-    """Decide finiteness of the quotient attached to one origin-free face."""
+def certify_face(
+    fiber, face: Face, polytope: NewtonPolytope, numerator=None
+) -> FaceCertificate:
+    """Decide finiteness of the quotient attached to one origin-free face;
+    ``numerator`` is the face's ``cone_numerator`` if already computed."""
     M = polytope.gauge_denominator
-    target = face.dim + 1
     ring = FaceRing(polytope, face)
-    expected_poly, k = cone_numerator(polytope, [face])
-    assert k == target, "face pieces must have dim + 1 generators"
+    expected_poly, k = numerator or cone_numerator(polytope, [face])
+    assert k == face.dim + 1, "face pieces must have dim + 1 generators"
     # Semigroup generators of the face cone have gauge below the span
     # dimension, so this window certifies vanishing forever beyond it.
-    window = target * M
-    bound = expected_poly.degree + window
+    bound = expected_poly.degree + k * M
     chosen = choose_spanning_subset(fiber, face, polytope)
     if chosen is None:
         return FaceCertificate(
@@ -167,8 +168,14 @@ def is_nondegenerate(matrix, fiber, polytope: NewtonPolytope | None = None):
     fiber = [Fraction(c) for c in fiber]
     if len(fiber) != polytope.matrix.num_columns:
         raise ValueError("fiber length does not match the column count")
-    certificates = []
-    for face in polytope.origin_free_faces():
-        certificates.append(certify_face(fiber, face, polytope))
+    faces = polytope.origin_free_faces()
+    numerators = [cone_numerator(polytope, [face]) for face in faces]
+    # One point-table build, to the last degree any certificate reads.
+    M = polytope.gauge_denominator
+    polytope.points_of_degree(max(p.degree + k * M for p, k in numerators))
+    certificates = [
+        certify_face(fiber, face, polytope, nu)
+        for face, nu in zip(faces, numerators)
+    ]
     overall = all(c.verdict == "finite" for c in certificates)
     return NondegeneracyReport(overall, certificates)

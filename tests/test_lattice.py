@@ -1,3 +1,7 @@
+import itertools
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,3 +226,103 @@ class TestNormalizeGamma:
                 assert (g - o).denominator == 1
             for m in cone.inequalities:
                 assert sum(a * b for a, b in zip(m, out)) <= 0
+
+    def test_roadmap_cone_is_searched_in_integers(self):
+        # Shifting (1/2, 1/2, 1/2) into this cone needs offset radius 31;
+        # the old cube search took about 10 s here.
+        cone = exponent_cone(validate_matrix([[30] * 4, [1, -1, 0, 0], [0, 0, 1, -1]]))
+        start = time.perf_counter()
+        out = normalize_gamma([Fraction(1, 2)] * 3, cone)
+        assert out == (Fraction(-61, 2), Fraction(1, 2), Fraction(1, 2))
+        assert time.perf_counter() - start < 5.0
+
+
+# -- the enumerations against the scans they replaced ---------------------------
+
+
+def _ref_points_in_box(P, bound):
+    """Every point of the scaled bounding box that passes every facet test."""
+    bound = Fraction(bound)
+    num, den = bound.numerator, bound.denominator
+    ranges = [
+        range(min(0, math.floor(lo * bound)), max(0, math.ceil(hi * bound)) + 1)
+        for lo, hi in P.bounding_box()
+    ]
+    return [
+        w
+        for w in itertools.product(*ranges)
+        if all(
+            sum(a * b for a, b in zip(f.normal, w)) * den <= f.level * num
+            for f in P.facets
+        )
+    ]
+
+
+def _ref_cube_search(gamma, cone):
+    """The first feasible shift from round(gamma) on cubes of growing radius."""
+    gamma = tuple(Fraction(g) for g in gamma)
+
+    def inside(v):
+        return all(sum(a * b for a, b in zip(m, v)) <= 0 for m in cone.inequalities)
+
+    if inside(gamma):
+        return gamma
+    center = tuple(round(g) for g in gamma)
+    for radius in itertools.count():
+        for offset in itertools.product(range(-radius, radius + 1), repeat=len(gamma)):
+            if radius and max(map(abs, offset)) != radius:
+                continue
+            shifted = tuple(g - c - o for g, c, o in zip(gamma, center, offset))
+            if inside(shifted):
+                return shifted
+
+
+def _random_matrices(seed, count, dims, bound=2):
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rnd.choice(dims)
+        cols = [
+            [rnd.randint(-bound, bound) for _ in range(n)]
+            for _ in range(rnd.randint(n, n + 2))
+        ]
+        try:
+            out.append(validate_matrix([list(r) for r in zip(*cols)]))
+        except RankDeficient:
+            pass
+    return out
+
+
+class TestEnumerationsMatchReferences:
+    BOUNDS = (0, Fraction(1, 3), 1, Fraction(5, 2), 3)
+
+    def test_points_match_the_box_scan(self):
+        matrices = _random_matrices(11, 90, (1, 2, 3)) + _random_matrices(
+            12, 12, (4,), bound=1
+        )
+        for matrix in matrices:
+            P = newton_polytope(matrix)
+            for bound in self.BOUNDS:
+                assert P.lattice_points_with_gauge_at_most(bound) == (
+                    _ref_points_in_box(P, bound)
+                ), (matrix.rows, bound)
+        assert {m.n for m in matrices} == {1, 2, 3, 4}
+
+    def test_representative_matches_the_cube_search(self):
+        rnd = random.Random(13)
+        inside = 0
+        for matrix in _random_matrices(14, 60, (1, 2, 3)):
+            cone = exponent_cone(matrix)
+            for _ in range(6):
+                gamma = [Fraction(rnd.randint(-12, 12), rnd.randint(1, 4))
+                         for _ in range(matrix.n)]
+                expected = _ref_cube_search(gamma, cone)
+                inside += expected == tuple(gamma)
+                assert normalize_gamma(gamma, cone) == expected, (matrix.rows, gamma)
+            # A point of the negated cone is returned as it is.
+            weights = [Fraction(rnd.randint(0, 3), rnd.randint(1, 3))
+                       for _ in cone.generators]
+            gamma = [-sum(a * c[i] for a, c in zip(weights, cone.generators))
+                     for i in range(matrix.n)]
+            assert normalize_gamma(gamma, cone) == tuple(gamma)
+        assert inside

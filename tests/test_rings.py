@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import runpy
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +43,8 @@ from gkzrank.rings import (
     cone_numerator,
 )
 from gkzrank.series import PolyZ
+
+from test_cli import GOLDEN_SPECS
 
 
 class TestGradedPiece:
@@ -860,21 +863,34 @@ class TestGaugeDenominatorByConstruction:
         assert run_subcommand("volume", spec) == {"normalized_volume": 34}
 
 
-def test_analyze_scans_the_box_logarithmically(monkeypatch):
-    scans = []
+def test_analyze_builds_the_point_table_at_most_twice(monkeypatch):
+    # The face certificates size the table to their largest window and the
+    # Koszul stage to its truncation; nothing else reads past those.
+    builds = []
     scan = NewtonPolytope.lattice_points_with_gauge_at_most
 
     def counted(self, bound):
-        scans.append(bound)
+        builds.append(bound)
         return scan(self, bound)
 
     monkeypatch.setattr(NewtonPolytope, "lattice_points_with_gauge_at_most", counted)
-    spec = ProblemSpec.from_json(
-        {"matrix": [[3, 0, -2], [0, 2, -3]], "fiber": ["1", "2", "3"]}
+    problems = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "bench" / "problems.py")
     )
-    report = run_analyze(spec, with_timings=False)
-    assert report.to_json()["rank_agreement"] is True
-    assert len(scans) <= 12
+    specs = dict(GOLDEN_SPECS)
+    specs.update((p["id"], p["spec"]) for p in problems["cohomology"]())
+    counts = {}
+    for name, spec in specs.items():
+        builds.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_analyze(ProblemSpec.from_json(spec), with_timings=False)
+        assert report.to_json().get("rank_agreement", True) is True, name
+        counts[name] = len(builds)
+        if name == "octahedron":
+            assert builds == [3, 4]  # face window 3, truncation 4
+    assert max(counts.values()) <= 2, counts
+    assert counts["gauss-degenerate"] == 1
 
 
 def test_bench_trace_targets_are_class_attributes():
