@@ -19,6 +19,7 @@ from .jsonio import (
     DEFAULT_WEIGHT_BOUND,
     GEOMETRY_SUBCOMMANDS,
     ProblemSpec,
+    check_options,
     error_json,
     geometry_answer,
     parse_rational,
@@ -93,6 +94,7 @@ def _load_spec(args) -> ProblemSpec:
         spec.gamma = [parse_rational(tok) for tok in args.gamma.split(",")]
     if getattr(args, "weight_bound", None) is not None:
         spec.options["weight_bound"] = args.weight_bound
+        check_options(spec.options)
     cap = os.environ.get(TRUNCATION_ENV)
     if cap:
         spec.options.setdefault("truncation_cap", int(cap))

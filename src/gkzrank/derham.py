@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GammaNotNormalized, NotInCone
@@ -22,7 +21,6 @@ from .linalg import Echelon, SparseRationalMatrix, rank
 from .rings import ConeRing, log_derivative_classes
 
 
-@dataclass
 class LogForm:
     """A differential form with logarithmic monomial coefficients.
 
@@ -31,11 +29,12 @@ class LogForm:
     every exponent must lie in the exponent cone.
     """
 
-    n: int
-    degree: int
-    terms: dict[tuple[tuple[int, ...], Vector], Fraction] = field(
-        default_factory=dict
-    )
+    def __init__(self, n, degree, terms=None):
+        self.n: int = n
+        self.degree: int = degree
+        self.terms: dict[tuple[tuple[int, ...], Vector], Fraction] = (
+            {} if terms is None else terms
+        )
 
     @classmethod
     def monomial(cls, n, indices, w, coeff=1) -> "LogForm":
@@ -160,11 +159,11 @@ def _top_part(form: LogForm, polytope: NewtonPolytope, level: int) -> LogForm:
     return out
 
 
-@dataclass
 class GrComparison:
-    ok: bool
-    checked: int
-    first_failure: LogForm | None = None
+    def __init__(self, ok, checked, first_failure=None):
+        self.ok: bool = ok
+        self.checked: int = checked
+        self.first_failure: LogForm | None = first_failure
 
 
 def check_gr_equals_koszul(

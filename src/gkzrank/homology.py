@@ -10,7 +10,6 @@ by strand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
 from .jsonio import format_rational
@@ -100,13 +99,13 @@ def cohomology_dims(complex_):
 # -- Koszul complexes ----------------------------------------------------------
 
 
-@dataclass
 class KoszulDatum:
     """Input bundle for a Koszul complex build."""
 
-    ring: GradedRingHandle
-    sequence: list[RingElement]
-    truncation_degree: int
+    def __init__(self, ring, sequence, truncation_degree):
+        self.ring: GradedRingHandle = ring
+        self.sequence: list[RingElement] = sequence
+        self.truncation_degree: int = truncation_degree
 
 
 class GradedKoszulComplex:
@@ -304,12 +303,12 @@ def build_face_complex(polytope: NewtonPolytope) -> FaceComplex:
     return FaceComplex(polytope)
 
 
-@dataclass
 class FaceComplexReport:
-    ok: bool
-    weights_checked: int
-    weight_bound: int
-    failures: list = field(default_factory=list)
+    def __init__(self, ok, weights_checked, weight_bound, failures=None):
+        self.ok: bool = ok
+        self.weights_checked: int = weights_checked
+        self.weight_bound: int = weight_bound
+        self.failures: list = [] if failures is None else failures
 
     def to_json(self):
         return {
@@ -331,6 +330,8 @@ def check_face_complex_exactness(
     must give a piece with one-dimensional kernel at the left end and no
     higher cohomology.
     """
+    if weight_bound < 0:
+        raise ValueError(f"weight bound must be >= 0: {weight_bound}")
     fc = build_face_complex(polytope)
     ring = ConeRing(polytope)
     failures = []
@@ -351,17 +352,28 @@ def check_face_complex_exactness(
 # -- the Kouchnirenko-style verification ----------------------------------------
 
 
-@dataclass
 class KouchnirenkoResult:
-    vanishing: bool
-    top_dim: int
-    equals_volume: bool
-    monomial_basis: list
-    per_degree: dict[int, int]
-    expected_polynomial: PolyZ
-    truncation: int
-    lower_dims: dict[int, dict]
-    ring: ConeRing = field(repr=False, compare=False)
+    def __init__(
+        self,
+        vanishing,
+        top_dim,
+        equals_volume,
+        monomial_basis,
+        per_degree,
+        expected_polynomial,
+        truncation,
+        lower_dims,
+        ring,
+    ):
+        self.vanishing: bool = vanishing
+        self.top_dim: int = top_dim
+        self.equals_volume: bool = equals_volume
+        self.monomial_basis: list = monomial_basis
+        self.per_degree: dict[int, int] = per_degree
+        self.expected_polynomial: PolyZ = expected_polynomial
+        self.truncation: int = truncation
+        self.lower_dims: dict[int, dict] = lower_dims
+        self.ring: ConeRing = ring
 
     def to_json(self):
         return {
@@ -442,13 +454,15 @@ def verify_kouchnirenko(
     )
 
 
-@dataclass
 class PoincareCheck:
-    ok: bool
-    polynomial: PolyZ
-    per_degree: dict[int, int]
-    coefficients_nonnegative: bool
-    sums_to_volume: bool
+    def __init__(
+        self, ok, polynomial, per_degree, coefficients_nonnegative, sums_to_volume
+    ):
+        self.ok: bool = ok
+        self.polynomial: PolyZ = polynomial
+        self.per_degree: dict[int, int] = per_degree
+        self.coefficients_nonnegative: bool = coefficients_nonnegative
+        self.sums_to_volume: bool = sums_to_volume
 
     def to_json(self):
         return {
@@ -489,12 +503,12 @@ def poincare_identity_check(
     )
 
 
-@dataclass
 class RegularSequenceCheck:
-    ok: bool
-    vanishing_below: bool
-    embeds_in_quotient: bool
-    dims: dict[int, dict]
+    def __init__(self, ok, vanishing_below, embeds_in_quotient, dims):
+        self.ok: bool = ok
+        self.vanishing_below: bool = vanishing_below
+        self.embeds_in_quotient: bool = embeds_in_quotient
+        self.dims: dict[int, dict] = dims
 
 
 def koszul_regular_sequence_check(

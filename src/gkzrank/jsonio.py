@@ -9,7 +9,6 @@ stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ShapeMismatch
@@ -23,7 +22,7 @@ def parse_rational(text) -> Fraction:
     if type(text) is int or isinstance(text, str):  # never a bool
         try:
             return Fraction(text)
-        except ZeroDivisionError:
+        except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"cannot parse rational from {text!r}")
 
@@ -38,6 +37,18 @@ def exponent_key(w) -> str:
 
 def parse_exponent_key(key: str):
     return tuple(int(c) for c in key.split(","))
+
+
+def check_options(options: dict) -> None:
+    """Integer options only, and no negative weight bound: it would check no
+    weight and still report the face complex exact."""
+    for key in ("truncation_cap", "weight_bound"):
+        value = options.get(key, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ShapeMismatch(f"option '{key}' must be an integer: {value!r}")
+    bound = options.get("weight_bound", 0)
+    if bound < 0:
+        raise ShapeMismatch(f"option 'weight_bound' must be >= 0: {bound}")
 
 
 def ring_element_to_json(x: RingElement) -> dict:
@@ -72,14 +83,14 @@ def polytope_summary_json(polytope) -> dict:
     }
 
 
-@dataclass
 class ProblemSpec:
     """Validated problem input: matrix, parameter vector, fiber, options."""
 
-    matrix_rows: list[list[int]]
-    gamma: list[Fraction]
-    fiber: list[Fraction]
-    options: dict = field(default_factory=dict)
+    def __init__(self, matrix_rows, gamma, fiber, options=None):
+        self.matrix_rows: list[list[int]] = matrix_rows
+        self.gamma: list[Fraction] = gamma
+        self.fiber: list[Fraction] = fiber
+        self.options: dict = {} if options is None else options
 
     @classmethod
     def from_json(cls, data: dict) -> "ProblemSpec":
@@ -98,10 +109,7 @@ class ProblemSpec:
                 raise ShapeMismatch(f"'{key}' must be a list: {value!r}")
         if not isinstance(options, dict):
             raise ShapeMismatch(f"'options' must be an object: {options!r}")
-        for key in ("truncation_cap", "weight_bound"):
-            value = options.get(key, 0)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ShapeMismatch(f"option '{key}' must be an integer: {value!r}")
+        check_options(options)
         return cls(
             rows,
             [parse_rational(g) for g in gamma],

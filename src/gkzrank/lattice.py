@@ -30,7 +30,6 @@ basis is the one greedy choice, kept in a ``RationalSpan``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
@@ -57,11 +56,11 @@ def _primitive(v):
     return tuple(c // g for c in v)
 
 
-@dataclass(frozen=True)
 class ExponentMatrix:
     """An n x N integer matrix of full row rank; columns are exponent vectors."""
 
-    rows: tuple[tuple[int, ...], ...]
+    def __init__(self, rows):
+        self.rows: tuple[tuple[int, ...], ...] = rows
 
     @property
     def n(self) -> int:
@@ -106,35 +105,36 @@ def validate_matrix(rows) -> ExponentMatrix:
     return ExponentMatrix(tuple(clean))
 
 
-@dataclass(frozen=True)
 class Facet:
     """A facet inequality normal . w <= level with primitive integer normal."""
 
-    normal: Vector
-    level: int
+    def __init__(self, normal, level):
+        self.normal: Vector = normal
+        self.level: int = level
 
     def value(self, w) -> Fraction | int:
         return _dot(self.normal, w)
 
 
-@dataclass
 class Face:
     """A proper face of the hull, recorded by its vertex set.
 
     ``active`` lists the indices of all facets whose hyperplane contains the
     face.  ``contains_origin`` refers to the origin as a point of the face,
     which may happen even when the origin is not one of its vertices.
+    ``_basis`` caches the face's edge basis once it is needed.
     """
 
-    id: int
-    dim: int
-    vertices: tuple[Vector, ...]
-    active: frozenset[int]
-    contains_origin: bool
-    on_origin_facet: bool
-    _basis: tuple[Vector, ...] | None = field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(
+        self, id, dim, vertices, active, contains_origin, on_origin_facet, _basis=None
+    ):
+        self.id: int = id
+        self.dim: int = dim
+        self.vertices: tuple[Vector, ...] = vertices
+        self.active: frozenset[int] = active
+        self.contains_origin: bool = contains_origin
+        self.on_origin_facet: bool = on_origin_facet
+        self._basis: tuple[Vector, ...] | None = _basis
 
 
 def _affine_basis(vertices) -> tuple[Vector, ...]:
@@ -549,12 +549,12 @@ def newton_polytope(matrix: ExponentMatrix) -> NewtonPolytope:
     return NewtonPolytope(matrix)
 
 
-@dataclass(frozen=True)
 class ExponentCone:
     """The cone positively spanned by the exponent columns."""
 
-    generators: tuple[Vector, ...]
-    inequalities: tuple[Vector, ...]
+    def __init__(self, generators, inequalities):
+        self.generators: tuple[Vector, ...] = generators
+        self.inequalities: tuple[Vector, ...] = inequalities
 
     def contains(self, w) -> bool:
         return all(_dot(m, w) >= 0 for m in self.inequalities)

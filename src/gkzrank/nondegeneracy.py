@@ -11,7 +11,6 @@ a mismatch or any surviving dimension in the window certifies degeneracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FaceContainsOrigin
@@ -26,18 +25,28 @@ from .rings import (
 )
 
 
-@dataclass
 class FaceCertificate:
     """Finiteness certificate for one face quotient."""
 
-    face_id: int
-    face_vertices: tuple
-    spanning_indices: tuple[int, ...]
-    quotient_dims: tuple[int, ...]
-    expected_dims: tuple[int, ...]
-    verdict: str  # "finite" | "infinite"
-    bound_used: int
-    failure_degree: int | None = None
+    def __init__(
+        self,
+        face_id,
+        face_vertices,
+        spanning_indices,
+        quotient_dims,
+        expected_dims,
+        verdict,
+        bound_used,
+        failure_degree=None,
+    ):
+        self.face_id: int = face_id
+        self.face_vertices: tuple = face_vertices
+        self.spanning_indices: tuple[int, ...] = spanning_indices
+        self.quotient_dims: tuple[int, ...] = quotient_dims
+        self.expected_dims: tuple[int, ...] = expected_dims
+        self.verdict: str = verdict  # "finite" | "infinite"
+        self.bound_used: int = bound_used
+        self.failure_degree: int | None = failure_degree
 
     def to_json(self):
         return {
@@ -52,10 +61,10 @@ class FaceCertificate:
         }
 
 
-@dataclass
 class NondegeneracyReport:
-    overall: bool
-    certificates: list[FaceCertificate]
+    def __init__(self, overall, certificates):
+        self.overall: bool = overall
+        self.certificates: list[FaceCertificate] = certificates
 
     def offending_faces(self):
         return [c for c in self.certificates if c.verdict == "infinite"]

@@ -8,7 +8,6 @@ output is canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotARelation
@@ -22,12 +21,12 @@ def _sub_index(k: int) -> str:
     return str(k).translate(_SUBSCRIPTS)
 
 
-@dataclass(frozen=True)
 class EulerOperator:
     """First-order torus-symmetry operator for one matrix row."""
 
-    row_weights: tuple[int, ...]
-    gamma_shift: Fraction
+    def __init__(self, row_weights, gamma_shift):
+        self.row_weights: tuple[int, ...] = row_weights
+        self.gamma_shift: Fraction = gamma_shift
 
     def to_json(self):
         return {
@@ -36,11 +35,14 @@ class EulerOperator:
         }
 
 
-@dataclass(frozen=True)
 class BoxOperator:
     """A binomial operator attached to an integer relation of the columns."""
 
-    relation: tuple[int, ...]
+    def __init__(self, relation):
+        self.relation: tuple[int, ...] = relation
+
+    def __eq__(self, other):
+        return isinstance(other, BoxOperator) and self.relation == other.relation
 
     def to_json(self):
         return {"relation": list(self.relation)}

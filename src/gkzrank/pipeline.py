@@ -9,7 +9,6 @@ legitimate answer.  Problem files are read in ``jsonio``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .derham import connection_matrices, h_top_dimension
 from .errors import UnknownSubcommand
@@ -38,14 +37,14 @@ from .operators import (
 )
 
 
-@dataclass
 class RankReport:
     """Everything the pipeline certifies about one problem."""
 
-    spec: ProblemSpec
-    degenerate: bool
-    body: dict
-    timings: dict | None
+    def __init__(self, spec, degenerate, body, timings):
+        self.spec: ProblemSpec = spec
+        self.degenerate: bool = degenerate
+        self.body: dict = body
+        self.timings: dict | None = timings
 
     def to_json(self) -> dict:
         out = {"spec": self.spec.to_json()}

@@ -18,7 +18,6 @@ searched for.  The count by degree is the numerator over (1 - t^M)^k.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FaceContainsOrigin, NotAFacePair, NotInCone
@@ -27,11 +26,11 @@ from .linalg import SparseRationalMatrix
 from .series import PolyZ, RationalFunctionQ
 
 
-@dataclass
 class RingElement:
     """Finite rational combination of lattice monomials."""
 
-    terms: dict[Vector, Fraction] = field(default_factory=dict)
+    def __init__(self, terms=None):
+        self.terms: dict[Vector, Fraction] = {} if terms is None else terms
 
     @classmethod
     def monomial(cls, w, coeff=1) -> "RingElement":

@@ -173,6 +173,7 @@ MALFORMED_SPECS = {
     "string-cap": {"matrix": [[1, 2]], "options": {"truncation_cap": "x"}},
     "bool-cap": {"matrix": [[1, 2]], "options": {"truncation_cap": True}},
     "float-bound": {"matrix": [[1, 2]], "options": {"weight_bound": 2.0}},
+    "negative-bound": {"matrix": [[1, 2]], "options": {"weight_bound": -3}},
 }
 
 
@@ -199,8 +200,9 @@ def test_malformed_spec_is_an_input_error(name, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-# JSON booleans are not numbers, and a zero denominator is no rational, in
-# the problem file and in the --fiber / --gamma overrides alike.
+# JSON booleans are not numbers, and a zero denominator or a word is no
+# rational, in the problem file and in the --fiber / --gamma overrides alike;
+# every one reports the same message.
 BAD_RATIONALS = {
     "bool-fiber": ({"matrix": [[1, 2]], "fiber": [True, 2]}, "analyze"),
     "bool-gamma": ({"matrix": [[1, 2]], "gamma": [False]}, "analyze"),
@@ -208,6 +210,8 @@ BAD_RATIONALS = {
     "zero-denominator-gamma": ({"matrix": [[1, 2]], "gamma": ["1/0"]}, "analyze"),
     "zero-denominator-fiber-flag": ({"matrix": [[1, 2]]}, "volume --fiber 1/0,2"),
     "zero-denominator-gamma-flag": ({"matrix": [[1, 2]]}, "analyze --gamma 1/0"),
+    "word-fiber": ({"matrix": [[1, 2]], "fiber": ["x", "2"]}, "analyze"),
+    "word-gamma-flag": ({"matrix": [[1, 2]]}, "analyze --gamma x"),
 }
 
 
@@ -217,7 +221,9 @@ def test_bad_rational_is_an_input_error(name, tmp_path):
     subcommand, *flags = command.split()
     proc = _run_cli(subcommand, write_spec(tmp_path, data), *flags)
     assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"]["stage"] == "input"
+    err = json.loads(proc.stdout)["error"]
+    assert err["stage"] == "input"
+    assert err["message"].startswith("cannot parse rational from ")
     assert "Traceback" not in proc.stderr
 
 
@@ -255,6 +261,12 @@ class TestCliOutput:
         assert main(["face-complex", path, "--weight-bound", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["weight_bound"] == 3
+
+    def test_negative_weight_bound_flag_exit_one(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"matrix": [[1, 2]]})
+        assert main(["face-complex", path, "--weight-bound", "-2"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["stage"], err["type"]) == ("input", "ShapeMismatch")
 
 
 # SHA-256 of the ``gkz analyze --no-timings`` stdout and the exit code,

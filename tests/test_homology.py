@@ -204,6 +204,13 @@ class TestFaceComplex:
         report = check_face_complex_exactness(P, 3)
         assert report.ok, report.failures
 
+    def test_negative_weight_bound_is_rejected(self):
+        # it would check no weight and still report exactness
+        P = newton_polytope(validate_matrix([[1, 2]]))
+        assert check_face_complex_exactness(P, 0).weights_checked == 1
+        with pytest.raises(ValueError, match="weight bound"):
+            check_face_complex_exactness(P, -1)
+
     def test_json_surface(self, gauss):
         _, P, _ = gauss
         data = build_face_complex(P).to_json()

@@ -1,6 +1,7 @@
 """What each entry point loads: the package surface is lazy, ``gkz volume``
-and ``gkz faces`` stay clear of the cohomology stack, and ``pipeline`` still
-loads every module the benchmark's tracer wraps."""
+and ``gkz faces`` stay clear of the cohomology stack, no ``gkz`` process
+loads ``dataclasses`` or ``inspect``, and ``pipeline`` still loads every
+module the benchmark's tracer wraps."""
 
 import importlib
 import json
@@ -41,13 +42,14 @@ validate_matrix verify_kouchnirenko
 """.split()
 
 
-def _loaded_after(code):
-    """The gkzrank modules a fresh interpreter holds after running ``code``."""
+def _loaded_after(code, prefix="gkzrank"):
+    """The modules named ``prefix...`` a fresh interpreter holds after
+    running ``code``; the empty prefix lists every module."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('gkzrank')))"
+    code += f"\nimport sys; print(' '.join(m for m in sys.modules if m.startswith({prefix!r})))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120,
@@ -72,6 +74,28 @@ def test_geometry_subcommands_skip_the_cohomology_stack(command, tmp_path):
     assert "gkzrank.pipeline" not in loaded
     assert not loaded & COHOMOLOGY_STACK
     assert json.loads(out.read_text())["normalized_volume"] == 2
+
+
+# The records are plain classes: a dataclass import costs every process the
+# ``inspect``/``ast``/``dis`` chain plus code generation per record class.
+@pytest.mark.parametrize(
+    "command,fiber,code",
+    [("analyze", "1,2,3,4", 0), ("analyze", "1,1,1,1", 2), ("volume", "1,2,3,4", 0)],
+    ids=["analyze-nondegenerate", "analyze-degenerate", "volume"],
+)
+def test_cli_runs_load_no_dataclass_machinery(command, fiber, code, tmp_path):
+    spec = tmp_path / "problem.json"
+    spec.write_text(json.dumps({"matrix": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]}))
+    out = tmp_path / "out.json"
+    loaded = _loaded_after(
+        "from gkzrank.cli import main\n"
+        f"assert main([{command!r}, {str(spec)!r}, '--fiber', {fiber!r}, "
+        f"'--out', {str(out)!r}]) == {code}",
+        prefix="",
+    )
+    assert "gkzrank.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+    assert json.loads(out.read_text())
 
 
 def test_pipeline_loads_every_traced_module():
