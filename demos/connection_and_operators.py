@@ -9,11 +9,11 @@ from fractions import Fraction
 
 from gkzrank import (
     LogForm,
+    NewtonPolytope,
     connection_matrices,
     euler_operators,
     h_top_dimension,
     lattice_kernel,
-    newton_polytope,
     reduce_to_basis,
     render_box,
     render_euler,
@@ -21,7 +21,7 @@ from gkzrank import (
 )
 
 matrix = validate_matrix([[2]])
-polytope = newton_polytope(matrix)
+polytope = NewtonPolytope(matrix)
 dim, basis = h_top_dimension([0], [1], polytope)
 print("basis of the top cohomology:", basis.basis)
 

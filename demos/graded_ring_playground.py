@@ -8,21 +8,20 @@ lattice point; each piece must be exact away from the left end.
 
 from gkzrank import (
     ConeRing,
-    build_face_complex,
+    FaceComplex,
+    NewtonPolytope,
     check_face_complex_exactness,
-    graded_piece,
-    newton_polytope,
     poincare_series,
     validate_matrix,
 )
 
 matrix = validate_matrix([[-1, 1]])
-polytope = newton_polytope(matrix)
+polytope = NewtonPolytope(matrix)
 ring = ConeRing(polytope)
 
 print("graded pieces:")
 for d in range(5):
-    print(f"  degree {d}: {graded_piece(ring, d)}")
+    print(f"  degree {d}: {list(ring.monomials_of_degree(d))}")
 
 series = poincare_series(ring)
 print("Poincare series:", series)
@@ -32,7 +31,7 @@ print("pole order at t=1 (= cone dimension):", series.pole_order_at_one())
 # The origin is interior here, so the facial complex carries an extra
 # augmentation spot and the weight-zero piece is the two endpoint rings
 # mapping onto the ground field.
-complex_ = build_face_complex(polytope)
+complex_ = FaceComplex(polytope)
 print("\naugmented:", complex_.augmented)
 piece = complex_.weight_piece((0,))
 print("weight 0 dims:", [piece.dim(q) for q in piece.degrees])

@@ -6,10 +6,10 @@ here is exact: each face quotient either matches its predicted Hilbert
 polynomial and dies, or it survives too long and certifies degeneracy.
 """
 
-from gkzrank import is_nondegenerate, newton_polytope, validate_matrix
+from gkzrank import is_nondegenerate, NewtonPolytope, validate_matrix
 
 matrix = validate_matrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
-polytope = newton_polytope(matrix)
+polytope = NewtonPolytope(matrix)
 
 print("faces scanned (all proper faces avoiding the origin):")
 for face in polytope.origin_free_faces():

@@ -8,8 +8,8 @@ cokernel, checking that all three agree.
 """
 
 from gkzrank import (
+    NewtonPolytope,
     h_top_dimension,
-    newton_polytope,
     validate_matrix,
     verify_kouchnirenko,
 )
@@ -18,7 +18,7 @@ matrix = validate_matrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
 fiber = [1, 2, 3, 4]  # a concrete nondegenerate coefficient fiber
 gamma = [0, 0, 0]
 
-polytope = newton_polytope(matrix)
+polytope = NewtonPolytope(matrix)
 print("Newton polytope:", polytope)
 print("facets:")
 for f in polytope.facets:

@@ -21,23 +21,22 @@ _EXPORTS = {
     "errors": """DegenerateFiber FaceContainsOrigin GammaNotNormalized GkzError
         MismatchAtDegree NotAFacePair NotARelation NotInCone RankDeficient
         ShapeMismatch TruncationTooSmall UnknownSubcommand""",
-    "homology": """CochainComplexQ FaceComplex KoszulDatum KouchnirenkoResult
-        build_face_complex check_face_complex_exactness cohomology_dims
-        koszul_complex koszul_regular_sequence_check poincare_identity_check
+    "homology": """CochainComplexQ FaceComplex GradedKoszulComplex
+        KouchnirenkoResult check_face_complex_exactness
+        koszul_regular_sequence_check poincare_identity_check
         verify_kouchnirenko""",
     "lattice": """ExponentCone ExponentMatrix Face Facet NewtonPolytope
-        exponent_cone face_lattice gauge gauge_denominator newton_polytope
-        normalize_gamma normalized_volume validate_matrix""",
+        exponent_cone normalize_gamma validate_matrix""",
     "jsonio": "ProblemSpec",
-    "linalg": "SparseRationalMatrix rank_and_kernel",
+    "linalg": "SparseRationalMatrix",
     "nondegeneracy": """FaceCertificate NondegeneracyReport choose_spanning_subset
         face_polynomial is_nondegenerate""",
     "operators": """BoxOperator EulerOperator box_operator euler_operators
         lattice_kernel render_box render_euler""",
     "pipeline": "RankReport run_analyze run_subcommand",
     "rings": """ConeRing FaceRing FreeRing GradedRingHandle RingElement
-        face_projection facial_ring gr_multiply graded_piece
-        log_derivative_classes poincare_series sequence_image""",
+        face_projection gr_multiply log_derivative_classes poincare_series
+        sequence_image""",
     "series": "PolyZ RationalFunctionQ",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

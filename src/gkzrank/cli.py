@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import DegenerateFiber, GkzError, UnknownSubcommand
@@ -28,10 +27,6 @@ from .jsonio import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_DEGENERATE = 2
-
-# Caps the certified truncation degree of runs whose problem file sets no
-# "truncation_cap" option.
-TRUNCATION_ENV = "GKZ_TRUNCATION_CAP"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,9 +90,6 @@ def _load_spec(args) -> ProblemSpec:
     if getattr(args, "weight_bound", None) is not None:
         spec.options["weight_bound"] = args.weight_bound
         check_options(spec.options)
-    cap = os.environ.get(TRUNCATION_ENV)
-    if cap:
-        spec.options.setdefault("truncation_cap", int(cap))
     return spec
 
 

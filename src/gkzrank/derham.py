@@ -15,7 +15,12 @@ import warnings
 from fractions import Fraction
 
 from .errors import GammaNotNormalized, NotInCone
-from .homology import KouchnirenkoResult, verify_kouchnirenko, wedge_terms
+from .homology import (
+    CochainComplexQ,
+    KouchnirenkoResult,
+    verify_kouchnirenko,
+    wedge_terms,
+)
 from .lattice import NewtonPolytope, Vector
 from .linalg import Echelon, SparseRationalMatrix, rank
 from .rings import ConeRing, log_derivative_classes
@@ -244,7 +249,9 @@ class ReductionBasis:
         """d(t^w dlog_{[n] minus i}) as coefficients of t^u dlog_{[n]}."""
         img = self._images.get((i, w))
         if img is None:
-            sign = -1 if i % 2 else 1
+            n = self.polytope.n
+            rest = tuple(k for k in range(n) if k != i)
+            ((_, sign, _),) = wedge_terms(rest, n)  # dlog t_i ^ dlog_rest
             terms = _partial(w, i, self.gamma[i], self.fiber, self.polytope.matrix)
             img = {u: sign * c for u, c in terms.items() if c != 0}
             self._images[(i, w)] = img
@@ -375,7 +382,7 @@ def h_top_dimension(
 
 
 def reduce_to_basis(
-    form: LogForm, basis: ReductionBasis, gamma=None, fiber=None, polytope=None
+    form: LogForm, basis: ReductionBasis, gamma=None, fiber=None
 ) -> tuple[Fraction, ...]:
     """Coordinates of a top form in the reduction basis, modulo exact forms."""
     if gamma is not None and tuple(map(Fraction, gamma)) != basis.gamma:
@@ -385,7 +392,7 @@ def reduce_to_basis(
     return basis.reduce(form)
 
 
-def connection_matrices(gamma, fiber, basis: ReductionBasis, polytope=None):
+def connection_matrices(gamma, fiber, basis: ReductionBasis):
     """Gauss-Manin matrices: one per column, acting on the reduction basis.
 
     Entry (k, l) of the j-th matrix is the k-th coordinate of the reduction
@@ -395,8 +402,7 @@ def connection_matrices(gamma, fiber, basis: ReductionBasis, polytope=None):
         raise ValueError("basis was built for a different parameter vector")
     if tuple(map(Fraction, fiber)) != basis.fiber:
         raise ValueError("basis was built for a different fiber")
-    P = basis.polytope if polytope is None else polytope
-    A = P.matrix
+    A = basis.polytope.matrix
     dim = basis.dimension
     out = []
     for j in range(A.num_columns):
@@ -458,8 +464,4 @@ def derham_cohomology_dims(
                         raise AssertionError("filtration cap leaked")
                     mat.set(row, col, sign * c)
         mats[q] = mat
-    ranks = {q: rank(mat) for q, mat in mats.items()}
-    return {
-        q: len(bases[q]) - ranks.get(q, 0) - ranks.get(q - 1, 0)
-        for q in range(n + 1)
-    }
+    return CochainComplexQ(bases, mats).cohomology_dims()

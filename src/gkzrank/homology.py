@@ -12,14 +12,12 @@ from __future__ import annotations
 import itertools
 
 from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
-from .jsonio import format_rational
 from .lattice import NewtonPolytope
 from .linalg import RationalSpan, SparseRationalMatrix, rank
 from .nondegeneracy import is_nondegenerate
 from .rings import (
     ConeRing,
     GradedRingHandle,
-    RingElement,
     cone_numerator,
     log_derivative_classes,
     sequence_image,
@@ -60,11 +58,6 @@ class CochainComplexQ:
     def dim(self, q: int) -> int:
         return len(self.bases.get(q, ()))
 
-    def differential(self, q: int) -> SparseRationalMatrix:
-        return self.diffs.get(
-            q, SparseRationalMatrix(self.dim(q + 1), self.dim(q))
-        )
-
     def validate(self):
         for q in list(self.diffs):
             if q + 1 in self.diffs:
@@ -79,33 +72,8 @@ class CochainComplexQ:
             for q in self.degrees
         }
 
-    def to_json(self):
-        return {
-            "bases": {str(q): [str(lbl) for lbl in b] for q, b in sorted(self.bases.items())},
-            "differentials": {
-                str(q): [
-                    [i, j, format_rational(v)] for i, j, v in m.triplets()
-                ]
-                for q, m in sorted(self.diffs.items())
-            },
-        }
-
-
-def cohomology_dims(complex_):
-    """Cohomology dimensions of a plain or internally graded complex."""
-    return complex_.cohomology_dims()
-
 
 # -- Koszul complexes ----------------------------------------------------------
-
-
-class KoszulDatum:
-    """Input bundle for a Koszul complex build."""
-
-    def __init__(self, ring, sequence, truncation_degree):
-        self.ring: GradedRingHandle = ring
-        self.sequence: list[RingElement] = sequence
-        self.truncation_degree: int = truncation_degree
 
 
 class GradedKoszulComplex:
@@ -114,7 +82,8 @@ class GradedKoszulComplex:
     Bases are indexed by (wedge index set, monomial); the wedge set carries
     no degree, so the strand through K^q in internal degree d maps to
     internal degree d + step at q + 1.  New wedge factors multiply from the
-    left, matching the twisted de Rham differential.
+    left, matching the twisted de Rham differential.  Composites are
+    checked to vanish on construction.
     """
 
     def __init__(self, ring, sequence, truncation):
@@ -132,6 +101,7 @@ class GradedKoszulComplex:
         self.bases: dict[tuple[int, int], list] = {}
         self.diffs: dict[tuple[int, int], SparseRationalMatrix] = {}
         self._build()
+        self.validate()
 
     def basis(self, q: int, d: int) -> list:
         return self.bases.get((q, d), [])
@@ -204,27 +174,6 @@ class GradedKoszulComplex:
             out[q] = {"per_degree": per, "total": sum(per.values())}
         return out
 
-    def to_json(self):
-        return {
-            "step": self.step,
-            "truncation": self.truncation,
-            "bases": {
-                f"{q},{d}": [f"{list(I)}|{','.join(map(str, w))}" for I, w in b]
-                for (q, d), b in sorted(self.bases.items())
-            },
-            "differentials": {
-                f"{q},{d}": [[i, j, format_rational(v)] for i, j, v in m.triplets()]
-                for (q, d), m in sorted(self.diffs.items())
-            },
-        }
-
-
-def koszul_complex(datum: KoszulDatum) -> GradedKoszulComplex:
-    """Build and validate the truncated Koszul complex of the datum."""
-    cx = GradedKoszulComplex(datum.ring, datum.sequence, datum.truncation_degree)
-    cx.validate()
-    return cx
-
 
 # -- the facial resolution complex ---------------------------------------------
 
@@ -286,22 +235,6 @@ class FaceComplex:
                 diffs[n - 1] = mat
         return CochainComplexQ(bases, diffs)
 
-    def to_json(self):
-        return {
-            "levels": {
-                str(q): [list(map(list, f.vertices)) for f in faces]
-                for q, faces in sorted(self.levels.items())
-            },
-            "augmented": self.augmented,
-            "signs": {
-                f"{a},{b}": s for (a, b), s in sorted(self.signs.items())
-            },
-        }
-
-
-def build_face_complex(polytope: NewtonPolytope) -> FaceComplex:
-    return FaceComplex(polytope)
-
 
 class FaceComplexReport:
     def __init__(self, ok, weights_checked, weight_bound, failures=None):
@@ -332,7 +265,7 @@ def check_face_complex_exactness(
     """
     if weight_bound < 0:
         raise ValueError(f"weight bound must be >= 0: {weight_bound}")
-    fc = build_face_complex(polytope)
+    fc = FaceComplex(polytope)
     ring = ConeRing(polytope)
     failures = []
     count = 0
@@ -424,7 +357,7 @@ def verify_kouchnirenko(
         raise TruncationTooSmall(truncation, truncation_cap)
     polytope.points_of_degree(truncation)  # size the point table once
     sequence = log_derivative_classes(fiber, None, polytope)
-    cx = koszul_complex(KoszulDatum(ring, sequence, truncation))
+    cx = GradedKoszulComplex(ring, sequence, truncation)
     dims = cx.cohomology_dims()
     lower = {q: dims[q] for q in range(n)}
     vanishing = all(d["total"] == 0 for d in lower.values())
@@ -520,7 +453,7 @@ def koszul_regular_sequence_check(
     cohomology below that spot must vanish, and the dimension at the spot is
     bounded per degree by the quotient modulo those entries.
     """
-    cx = koszul_complex(KoszulDatum(ring, list(sequence), truncation))
+    cx = GradedKoszulComplex(ring, sequence, truncation)
     dims = cx.cohomology_dims()
     d = regular_length
     vanishing = all(dims[q]["total"] == 0 for q in range(d))

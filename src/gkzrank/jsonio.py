@@ -1,10 +1,9 @@
 """Problem files and the exact-rational JSON conventions of the library.
 
-Numbers serialize as integer strings or "p/q"; ring-element exponents as
-comma-joined integer tuples.  A problem file is a JSON object with a
-matrix, a parameter vector and a coefficient fiber, plus optional knobs.
-The geometry-only subcommands are answered here, without the cohomology
-stack.
+Numbers serialize as integer strings or "p/q".  A problem file is a JSON
+object with a matrix, a parameter vector and a coefficient fiber, plus
+optional knobs.  The geometry-only subcommands are answered here, without
+the cohomology stack.
 """
 
 from __future__ import annotations
@@ -31,37 +30,16 @@ def format_rational(value) -> str:
     return str(Fraction(value))
 
 
-def exponent_key(w) -> str:
-    return ",".join(str(c) for c in w)
-
-
-def parse_exponent_key(key: str):
-    return tuple(int(c) for c in key.split(","))
-
-
 def check_options(options: dict) -> None:
-    """Integer options only, and no negative weight bound: it would check no
-    weight and still report the face complex exact."""
+    """Nonnegative integer options only: a negative weight bound would check
+    no weight and still report the face complex exact, and a negative
+    truncation cap is one no run can meet."""
     for key in ("truncation_cap", "weight_bound"):
         value = options.get(key, 0)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ShapeMismatch(f"option '{key}' must be an integer: {value!r}")
-    bound = options.get("weight_bound", 0)
-    if bound < 0:
-        raise ShapeMismatch(f"option 'weight_bound' must be >= 0: {bound}")
-
-
-def ring_element_to_json(x: RingElement) -> dict:
-    return {exponent_key(w): format_rational(c) for w, c in x.sorted_terms()}
-
-
-def ring_element_from_json(data: dict) -> RingElement:
-    from .rings import RingElement  # so reading a problem loads no ring code
-
-    out = RingElement()
-    for key, val in data.items():
-        out.add_term(parse_exponent_key(key), parse_rational(val))
-    return out
+        if value < 0:
+            raise ShapeMismatch(f"option '{key}' must be >= 0: {value}")
 
 
 def polytope_summary_json(polytope) -> dict:

@@ -173,7 +173,7 @@ class NewtonPolytope:
         self.facets = self._find_facets(points)
         self.vertices = self._find_vertices(points)
         self.origin_interior = all(f.level > 0 for f in self.facets)
-        self.faces = self._build_face_lattice()
+        self.faces = self._build_faces()
         self._faces_by_vertices = {f.vertices: f for f in self.faces}
         levels = [f.level for f in self.facets if f.level > 0]
         if not levels:
@@ -231,7 +231,7 @@ class NewtonPolytope:
                 verts.append(p)
         return tuple(sorted(verts))
 
-    def _build_face_lattice(self) -> tuple[Face, ...]:
+    def _build_faces(self) -> tuple[Face, ...]:
         vertexsets: set[frozenset[Vector]] = set()
         for f in self.facets:
             vs = frozenset(v for v in self.vertices if f.value(v) == f.level)
@@ -544,11 +544,6 @@ def _nonsingular_minor(columns) -> tuple[tuple[int, ...], int]:
     raise AssertionError("columns are linearly dependent")
 
 
-def newton_polytope(matrix: ExponentMatrix) -> NewtonPolytope:
-    """Hull of the origin and the columns, with facets, faces and gauge data."""
-    return NewtonPolytope(matrix)
-
-
 class ExponentCone:
     """The cone positively spanned by the exponent columns."""
 
@@ -571,26 +566,6 @@ def exponent_cone(
     if polytope is None:
         polytope = NewtonPolytope(matrix)
     return ExponentCone(matrix.columns, polytope.cone_inequalities())
-
-
-def gauge(polytope: NewtonPolytope, w) -> Fraction:
-    return polytope.gauge(w)
-
-
-def gauge_denominator(polytope: NewtonPolytope) -> int:
-    return polytope.gauge_denominator
-
-
-def normalized_volume(polytope: NewtonPolytope) -> int:
-    return polytope.normalized_volume
-
-
-def face_lattice(polytope: NewtonPolytope):
-    """All proper faces plus the index sets of origin-clear faces by dimension."""
-    index_sets = {
-        p: [f.id for f in polytope.index_set(p)] for p in range(polytope.n)
-    }
-    return list(polytope.faces), index_sets
 
 
 def normalize_gamma(gamma, cone: ExponentCone):

@@ -91,10 +91,6 @@ class SparseRationalMatrix:
         out.entries = {key: Fraction(v, s * t) for key, v in acc.items() if v}
         return out
 
-    def triplets(self):
-        """Sorted (row, col, value) triplets, for serialization."""
-        return [(i, j, self.entries[(i, j)]) for (i, j) in sorted(self.entries)]
-
     def to_dense(self):
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
@@ -238,12 +234,6 @@ class Echelon:
 def rank(m: SparseRationalMatrix) -> int:
     """Exact rank over Q."""
     return Echelon(m).rank
-
-
-def rank_and_kernel(m: SparseRationalMatrix) -> tuple[int, int]:
-    """(rank, kernel dimension); the two always add up to the column count."""
-    r = rank(m)
-    return r, m.cols - r
 
 
 class RationalSpan:

@@ -22,7 +22,6 @@ from .jsonio import (
     GEOMETRY_SUBCOMMANDS,
     ProblemSpec,
     _validated,
-    error_json,
     format_rational,
     geometry_answer,
     polytope_summary_json,
@@ -197,13 +196,3 @@ def run_subcommand(name: str, spec: ProblemSpec) -> dict:
         kz = _kouchnirenko(spec, matrix, polytope)
         return _derham_json(gamma_norm, spec.fiber, polytope, kz)
     return _operators_json(matrix, gamma_norm)  # gkz-ops
-
-
-__all__ = [
-    "ProblemSpec",
-    "RankReport",
-    "run_analyze",
-    "run_subcommand",
-    "SUBCOMMANDS",
-    "error_json",
-]

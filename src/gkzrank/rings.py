@@ -48,18 +48,6 @@ class RingElement:
         else:
             self.terms[w] = new
 
-    def __add__(self, other):
-        out = RingElement(dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
-
-    def __sub__(self, other):
-        out = RingElement(dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, -c)
-        return out
-
     def scale(self, c) -> "RingElement":
         c = Fraction(c)
         if c == 0:
@@ -83,8 +71,6 @@ class RingElement:
 
 class GradedRingHandle:
     """Common interface: degree slices, monomial products, grading."""
-
-    ring_kind = "abstract"
 
     def monomials_of_degree(self, d: int) -> tuple[Vector, ...]:
         raise NotImplementedError
@@ -119,8 +105,6 @@ class GradedRingHandle:
 class ConeRing(GradedRingHandle):
     """Associated-graded ring on the lattice points of the exponent cone."""
 
-    ring_kind = "full"
-
     def __init__(self, polytope: NewtonPolytope):
         self.polytope = polytope
 
@@ -154,8 +138,6 @@ class ConeRing(GradedRingHandle):
 class FaceRing(GradedRingHandle):
     """Semigroup ring on the lattice points of the cone over one face."""
 
-    ring_kind = "facial"
-
     def __init__(self, polytope: NewtonPolytope, face: Face):
         if face.contains_origin:
             raise FaceContainsOrigin(face.id)
@@ -187,8 +169,6 @@ class FaceRing(GradedRingHandle):
 
 class FreeRing(GradedRingHandle):
     """Polynomial ring in k variables with positive integer weights."""
-
-    ring_kind = "free"
 
     def __init__(self, k: int, weights=None):
         self.k = k
@@ -233,11 +213,6 @@ class FreeRing(GradedRingHandle):
 # -- spec-level operations ----------------------------------------------------
 
 
-def graded_piece(ring: GradedRingHandle, d: int):
-    """All monomial exponents of the ring in exact degree d."""
-    return list(ring.monomials_of_degree(d))
-
-
 def gr_multiply(w1, w2, polytope: NewtonPolytope):
     """Product of two cone monomials in the associated graded ring.
 
@@ -257,10 +232,6 @@ def gr_multiply(w1, w2, polytope: NewtonPolytope):
         ):
             return tuple(a + b for a, b in zip(w1, w2))
     return None
-
-
-def facial_ring(face: Face, polytope: NewtonPolytope) -> FaceRing:
-    return FaceRing(polytope, face)
 
 
 def face_projection(

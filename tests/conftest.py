@@ -1,6 +1,6 @@
 import pytest
 
-from gkzrank import newton_polytope, validate_matrix
+from gkzrank import NewtonPolytope, validate_matrix
 
 GAUSS_ROWS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 
@@ -27,7 +27,7 @@ def polytopes():
     out = {}
     for name, (rows, fiber) in FIXTURES.items():
         matrix = validate_matrix(rows)
-        out[name] = (matrix, newton_polytope(matrix), fiber)
+        out[name] = (matrix, NewtonPolytope(matrix), fiber)
     return out
 
 

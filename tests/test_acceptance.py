@@ -12,12 +12,12 @@ import test_properties as props
 
 from gkzrank import (
     GammaNotNormalized,
+    NewtonPolytope,
     check_face_complex_exactness,
     connection_matrices,
     h_top_dimension,
     is_nondegenerate,
     lattice_kernel,
-    newton_polytope,
     render_box,
     validate_matrix,
     verify_kouchnirenko,
@@ -49,7 +49,7 @@ def test_criterion_1_rank_triple_agreement():
     for name, rows, fiber, expected in FIXTURES:
         t0 = time.perf_counter()
         matrix = validate_matrix(rows)
-        P = newton_polytope(matrix)
+        P = NewtonPolytope(matrix)
         vol = P.normalized_volume
         kz = verify_kouchnirenko(matrix, fiber, P)
         dim, _ = h_top_dimension([0] * P.n, fiber, P)
@@ -78,7 +78,7 @@ def test_criterion_3_poincare_identity():
     details = []
     for name, rows, fiber, _ in FIXTURES:
         matrix = validate_matrix(rows)
-        P = newton_polytope(matrix)
+        P = NewtonPolytope(matrix)
         result = verify_kouchnirenko(matrix, fiber, P)
         poly = result.expected_polynomial
         match = all(
@@ -98,7 +98,7 @@ def test_criterion_4_face_complex_exactness():
     ok = True
     details = []
     for name, rows, fiber, _ in FIXTURES:
-        P = newton_polytope(validate_matrix(rows))
+        P = NewtonPolytope(validate_matrix(rows))
         report = check_face_complex_exactness(P, 6)
         ok = ok and report.ok
         details.append(f"{name}: {report.weights_checked} weights")
@@ -113,7 +113,7 @@ def test_criterion_5_degeneracy_detection(tmp_path):
 
     gauss_rows = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
     gauss = validate_matrix(gauss_rows)
-    P = newton_polytope(gauss)
+    P = NewtonPolytope(gauss)
     report = is_nondegenerate(gauss, [1, 1, 1, 1], P)
     square = P.index_set(2)[0]
     gauss_ok = (not report.overall) and [
@@ -121,7 +121,7 @@ def test_criterion_5_degeneracy_detection(tmp_path):
     ] == [square.id]
 
     interval = validate_matrix([[1, 2]])
-    P2 = newton_polytope(interval)
+    P2 = NewtonPolytope(interval)
     report2 = is_nondegenerate(interval, [1, 0], P2)
     vertex = P2.face_by_vertices([(2,)])
     interval_ok = (not report2.overall) and [
@@ -143,10 +143,10 @@ def test_criterion_5_degeneracy_detection(tmp_path):
 def test_criterion_6_connection_closed_forms():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GammaNotNormalized)
-        P1 = newton_polytope(validate_matrix([[1]]))
+        P1 = NewtonPolytope(validate_matrix([[1]]))
         _, basis1 = h_top_dimension([F(1, 3)], [2], P1)
         mats1 = connection_matrices([F(1, 3)], [2], basis1)
-    P2 = newton_polytope(validate_matrix([[2]]))
+    P2 = NewtonPolytope(validate_matrix([[2]]))
     _, basis2 = h_top_dimension([0], [1], P2)
     mats2 = connection_matrices([0], [1], basis2)
     ok = mats1 == [[[F(-1, 6)]]] and mats2 == [[[F(0), F(0)], [F(0), F(-1, 2)]]]

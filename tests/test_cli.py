@@ -144,13 +144,6 @@ class TestCliExitCodes:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "DegenerateFiber"
 
-    def test_truncation_cap_variable(self, tmp_path, capsys, monkeypatch):
-        path = write_spec(tmp_path, GAUSS_SPEC)
-        monkeypatch.setenv("GKZ_TRUNCATION_CAP", "1")
-        assert main(["koszul", path]) == 1
-        err = json.loads(capsys.readouterr().out)
-        assert err["error"]["type"] == "TruncationTooSmall"
-
     def test_nondegenerate_subcommand_exit(self, tmp_path, capsys):
         data = dict(GAUSS_SPEC, fiber=["1", "1", "1", "1"])
         path = write_spec(tmp_path, data)
@@ -174,6 +167,8 @@ MALFORMED_SPECS = {
     "bool-cap": {"matrix": [[1, 2]], "options": {"truncation_cap": True}},
     "float-bound": {"matrix": [[1, 2]], "options": {"weight_bound": 2.0}},
     "negative-bound": {"matrix": [[1, 2]], "options": {"weight_bound": -3}},
+    # a cap no run can meet
+    "negative-cap": {"matrix": [[1, 2]], "options": {"truncation_cap": -1}},
 }
 
 

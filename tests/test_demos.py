@@ -1,4 +1,5 @@
-"""Each narrative script under demos/ runs to completion and prints."""
+"""Each narrative script under demos/ runs to completion and prints, and
+README's library quick start runs against the package's public names."""
 
 import os
 import subprocess
@@ -11,19 +12,33 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run_python(*args):
+    # A fresh interpreter with src/ on the path.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_demos_found():
     assert len(DEMOS) >= 4
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(script)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_python(str(script))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from gkzrank import" in code
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr

@@ -10,6 +10,7 @@ from gkzrank import (
     DegenerateFiber,
     GammaNotNormalized,
     LogForm,
+    NewtonPolytope,
     RankDeficient,
     check_gr_equals_koszul,
     connection_matrices,
@@ -20,7 +21,6 @@ from gkzrank import (
     is_nondegenerate,
     linalg,
     log_derivative_classes,
-    newton_polytope,
     reduce_to_basis,
     twisted_differential,
     validate_matrix,
@@ -37,34 +37,34 @@ def form(n, indices, w, coeff=1):
 
 class TestTwistedDifferential:
     def test_unit_ray_constant(self):
-        P = newton_polytope(validate_matrix([[1]]))
+        P = NewtonPolytope(validate_matrix([[1]]))
         d = twisted_differential([0], [1], form(1, (), (0,)), P)
         assert d.terms == {((0,), (1,)): F(1)}
 
     def test_zero_form(self):
-        P = newton_polytope(validate_matrix([[1]]))
+        P = NewtonPolytope(validate_matrix([[1]]))
         d = twisted_differential([0], [1], LogForm(1, 0), P)
         assert d.is_zero()
 
     def test_double_ray_on_t(self):
-        P = newton_polytope(validate_matrix([[2]]))
+        P = NewtonPolytope(validate_matrix([[2]]))
         d = twisted_differential([0], [1], form(1, (), (1,)), P)
         assert d.terms == {((0,), (1,)): F(1), ((0,), (3,)): F(2)}
 
     def test_gamma_term(self):
-        P = newton_polytope(validate_matrix([[1]]))
+        P = NewtonPolytope(validate_matrix([[1]]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GammaNotNormalized)
             d = twisted_differential([F(1, 3)], [2], form(1, (), (0,)), P)
         assert d.terms == {((0,), (0,)): F(1, 3), ((0,), (1,)): F(2)}
 
     def test_warning_for_unnormalized(self):
-        P = newton_polytope(validate_matrix([[5]]))
+        P = NewtonPolytope(validate_matrix([[5]]))
         with pytest.warns(GammaNotNormalized):
             twisted_differential([F(7, 2)], [1], form(1, (), (0,)), P)
 
     def test_warning_on_every_call(self):
-        P = newton_polytope(validate_matrix([[3]]))
+        P = NewtonPolytope(validate_matrix([[3]]))
         for _ in range(2):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", GammaNotNormalized)
@@ -74,19 +74,19 @@ class TestTwistedDifferential:
 
 class TestFiltrationLevel:
     def test_constant(self):
-        P = newton_polytope(validate_matrix([[2]]))
+        P = NewtonPolytope(validate_matrix([[2]]))
         assert filtration_level(form(1, (), (0,)), P) == 0
 
     def test_one_form_drop(self):
-        P = newton_polytope(validate_matrix([[2]]))
+        P = NewtonPolytope(validate_matrix([[2]]))
         assert filtration_level(form(1, (0,), (2,)), P) == 0
 
     def test_zero_form_has_no_level(self):
-        P = newton_polytope(validate_matrix([[2]]))
+        P = NewtonPolytope(validate_matrix([[2]]))
         assert filtration_level(LogForm(1, 0), P) is None
 
     def test_cube_degree(self):
-        P = newton_polytope(validate_matrix([[2]]))
+        P = NewtonPolytope(validate_matrix([[2]]))
         assert filtration_level(form(1, (), (3,)), P) == 3
 
 
@@ -101,14 +101,14 @@ class TestGrEqualsKoszul:
         ],
     )
     def test_default_samples(self, rows, gamma, fiber):
-        P = newton_polytope(validate_matrix(rows))
+        P = NewtonPolytope(validate_matrix(rows))
         result = check_gr_equals_koszul(gamma, fiber, P)
         assert result.ok and result.checked > 0
 
     def test_interior_term_drops(self):
         # For [[1,2]] the twisted differential of 1 contains t + 2t^2 but
         # only the boundary monomial survives at the leading level.
-        P = newton_polytope(validate_matrix([[1, 2]]))
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
         omega = form(1, (), (0,))
         d = twisted_differential([0], [1, 1], omega, P)
         assert d.terms == {((0,), (1,)): F(1), ((0,), (2,)): F(2)}
@@ -133,7 +133,7 @@ class TestTopDimension:
         ],
     )
     def test_fixtures(self, rows, gamma, fiber, expected):
-        P = newton_polytope(validate_matrix(rows))
+        P = NewtonPolytope(validate_matrix(rows))
         dim, basis = h_top_dimension(gamma, fiber, P)
         assert dim == expected == P.normalized_volume
         assert basis.dimension == expected
@@ -146,7 +146,7 @@ class TestTopDimension:
 
 class TestReduceToBasis:
     def test_basis_element_cache_hit(self):
-        P = newton_polytope(validate_matrix([[2]]))
+        P = NewtonPolytope(validate_matrix([[2]]))
         _, basis = h_top_dimension([0], [1], P)
         for k, w in enumerate(basis.basis):
             coords = reduce_to_basis(form(1, (0,), w), basis)
@@ -156,12 +156,12 @@ class TestReduceToBasis:
             assert coords == expected
 
     def test_unit_ray_relation(self):
-        P = newton_polytope(validate_matrix([[1]]))
+        P = NewtonPolytope(validate_matrix([[1]]))
         _, basis = h_top_dimension([0], [1], P)
         assert reduce_to_basis(form(1, (0,), (1,)), basis) == (F(0),)
 
     def test_double_ray_relation(self):
-        P = newton_polytope(validate_matrix([[2]]))
+        P = NewtonPolytope(validate_matrix([[2]]))
         _, basis = h_top_dimension([0], [1], P)
         assert reduce_to_basis(form(1, (0,), (3,)), basis) == (F(0), F(-1, 2))
 
@@ -176,7 +176,7 @@ class TestReduceToBasis:
 
 class TestConnectionMatrices:
     def test_unit_ray_closed_form(self):
-        P = newton_polytope(validate_matrix([[1]]))
+        P = NewtonPolytope(validate_matrix([[1]]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GammaNotNormalized)
             _, basis = h_top_dimension([F(1, 3)], [2], P)
@@ -184,12 +184,12 @@ class TestConnectionMatrices:
         assert mats == [[[F(-1, 6)]]]
 
     def test_gamma_zero_unit_ray(self):
-        P = newton_polytope(validate_matrix([[1]]))
+        P = NewtonPolytope(validate_matrix([[1]]))
         _, basis = h_top_dimension([0], [1], P)
         assert connection_matrices([0], [1], basis) == [[[F(0)]]]
 
     def test_double_ray_diagonal(self):
-        P = newton_polytope(validate_matrix([[2]]))
+        P = NewtonPolytope(validate_matrix([[2]]))
         _, basis = h_top_dimension([0], [1], P)
         mats = connection_matrices([0], [1], basis)
         assert mats == [[[F(0), F(0)], [F(0), F(-1, 2)]]]
@@ -217,7 +217,7 @@ class TestLowerCohomology:
         ],
     )
     def test_vanishing_below_top(self, rows, gamma, fiber):
-        P = newton_polytope(validate_matrix(rows))
+        P = NewtonPolytope(validate_matrix(rows))
         dims = derham_cohomology_dims(gamma, fiber, P, level_cap=2)
         n = P.n
         for q in range(n):
@@ -225,7 +225,7 @@ class TestLowerCohomology:
         assert dims[n] > 0
 
     def test_one_warning_per_call(self):
-        P = newton_polytope(validate_matrix([[3]]))
+        P = NewtonPolytope(validate_matrix([[3]]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             dims = derham_cohomology_dims([F(5, 2)], [1], P, level_cap=2)
@@ -302,7 +302,7 @@ def _random_draws(seed, dims):
             matrix = validate_matrix([list(r) for r in zip(*cols)])
         except RankDeficient:
             continue
-        P = newton_polytope(matrix)
+        P = NewtonPolytope(matrix)
         fiber = [rnd.randint(1, 9) for _ in cols]
         if P.normalized_volume <= 4 and is_nondegenerate(matrix, fiber, P).overall:
             out.append((matrix.rows, [0] * n, fiber))
@@ -330,7 +330,7 @@ REDUCTION_CASES = [
 class TestMemoizedReduction:
     @pytest.mark.parametrize("rows,gamma,fiber", REDUCTION_CASES)
     def test_matches_stepwise_reference(self, rows, gamma, fiber):
-        P = newton_polytope(validate_matrix(rows))
+        P = NewtonPolytope(validate_matrix(rows))
         with warnings.catch_warnings():
             warnings.simplefilter("error", GammaNotNormalized)
             _, basis = h_top_dimension(gamma, fiber, P)
@@ -354,7 +354,7 @@ class TestMemoizedReduction:
         self, monkeypatch, rows, fiber
     ):
         matrix = validate_matrix(rows)
-        P = newton_polytope(matrix)
+        P = NewtonPolytope(matrix)
         gamma = [0] * P.n
         kz = verify_kouchnirenko(matrix, fiber, P)
         built, solved = [], []
@@ -382,14 +382,14 @@ class TestMemoizedReduction:
         # basis monomial 1 from t^1500 takes a chain longer than the
         # recursion limit.
         assert sys.getrecursionlimit() < 1500
-        P = newton_polytope(validate_matrix([[1]]))
+        P = NewtonPolytope(validate_matrix([[1]]))
         gamma = F(-1, 2)
         _, basis = h_top_dimension([gamma], [1], P)
         expected = math.prod(-(k + gamma) for k in range(1500))
         assert basis.reduce_monomial((1500,)) == (expected,)
 
     def test_one_warning_per_basis(self):
-        P = newton_polytope(validate_matrix([[3]]))
+        P = NewtonPolytope(validate_matrix([[3]]))
         gamma, fiber = [F(5, 2)], [1]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", GammaNotNormalized)

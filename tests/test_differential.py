@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from gkzrank import ProblemSpec, RankDeficient, newton_polytope, run_analyze, validate_matrix
+from gkzrank import ProblemSpec, RankDeficient, NewtonPolytope, run_analyze, validate_matrix
 
 # Cost caps on a draw's normalized volume, by dimension, which keep the
 # whole sweep near a second.
@@ -35,7 +35,7 @@ def _draws(seed, count):
         rows = [[rnd.randint(-2, 2) for _ in range(num_columns)] for _ in range(n)]
         fiber = [rnd.randint(1, 9) for _ in range(num_columns)]
         try:
-            volume = newton_polytope(validate_matrix(rows)).normalized_volume
+            volume = NewtonPolytope(validate_matrix(rows)).normalized_volume
         except RankDeficient:
             continue
         if volume <= VOLUME_CAP[n]:

@@ -105,10 +105,6 @@ class TestSparseMatrix:
             )
         assert seen["cancelled"] >= 1 and seen["fractional"] >= 50
 
-    def test_triplets_sorted(self):
-        m = SparseRationalMatrix.from_dense([[0, 2], [1, 0]])
-        assert m.triplets() == [(0, 1, F(2)), (1, 0, F(1))]
-
     def test_rank(self):
         m = SparseRationalMatrix.from_dense(
             [[1, 2, 3], [2, 4, 6], [1, 0, 1]]

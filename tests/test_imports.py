@@ -21,24 +21,23 @@ COHOMOLOGY_STACK = {
     for m in ("derham", "homology", "nondegeneracy", "operators", "rings", "series")
 }
 
-# The names the package exported when its __init__ imported every module.
+# The public names: one per object, no alias functions beside the classes
+# they call.
 EXPORTS = """
 BoxOperator CochainComplexQ ConeRing DegenerateFiber EulerOperator ExponentCone
 ExponentMatrix Face FaceCertificate FaceComplex FaceContainsOrigin FaceRing Facet
-FreeRing GammaNotNormalized GkzError GradedRingHandle KoszulDatum
+FreeRing GammaNotNormalized GkzError GradedKoszulComplex GradedRingHandle
 KouchnirenkoResult LogForm MismatchAtDegree NewtonPolytope NondegeneracyReport
 NotAFacePair NotARelation NotInCone PolyZ ProblemSpec RankDeficient RankReport
 RationalFunctionQ ReductionBasis RingElement ShapeMismatch SparseRationalMatrix
-TruncationTooSmall UnknownSubcommand box_operator build_face_complex
-check_face_complex_exactness check_gr_equals_koszul choose_spanning_subset
-cohomology_dims connection_matrices derham_cohomology_dims euler_operators
-exponent_cone face_lattice face_polynomial face_projection facial_ring
-filtration_level gauge gauge_denominator gr_multiply graded_piece h_top_dimension
-is_nondegenerate koszul_complex koszul_regular_sequence_check lattice_kernel
-log_derivative_classes newton_polytope normalize_gamma normalized_volume
-poincare_identity_check poincare_series rank_and_kernel reduce_to_basis render_box
-render_euler run_analyze run_subcommand sequence_image twisted_differential
-validate_matrix verify_kouchnirenko
+TruncationTooSmall UnknownSubcommand box_operator check_face_complex_exactness
+check_gr_equals_koszul choose_spanning_subset connection_matrices
+derham_cohomology_dims euler_operators exponent_cone face_polynomial
+face_projection filtration_level gr_multiply h_top_dimension is_nondegenerate
+koszul_regular_sequence_check lattice_kernel log_derivative_classes
+normalize_gamma poincare_identity_check poincare_series reduce_to_basis
+render_box render_euler run_analyze run_subcommand sequence_image
+twisted_differential validate_matrix verify_kouchnirenko
 """.split()
 
 

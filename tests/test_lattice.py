@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 
 from gkzrank import (
+    NewtonPolytope,
     NotInCone,
     RankDeficient,
     ShapeMismatch,
     exponent_cone,
-    face_lattice,
-    newton_polytope,
     normalize_gamma,
     validate_matrix,
 )
@@ -52,16 +51,16 @@ class TestValidateMatrix:
 
 class TestNewtonPolytope:
     def test_interval_hull(self):
-        P = newton_polytope(validate_matrix([[1, 2]]))
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
         assert {(f.normal, f.level) for f in P.facets} == {((-1,), 0), ((1,), 2)}
         assert P.vertices == ((0,), (2,))
 
     def test_gauss_pyramid_f_vector(self):
-        P = newton_polytope(validate_matrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
+        P = NewtonPolytope(validate_matrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
         assert P.f_vector() == (5, 8, 5)
 
     def test_symmetric_interval(self):
-        P = newton_polytope(validate_matrix([[-1, 1]]))
+        P = NewtonPolytope(validate_matrix([[-1, 1]]))
         assert P.vertices == ((-1,), (1,))
         assert P.origin_interior
 
@@ -109,7 +108,7 @@ class TestExponentCone:
 
 class TestGauge:
     def test_interval_midpoint(self):
-        P = newton_polytope(validate_matrix([[1, 2]]))
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
         assert P.gauge((1,)) == Fraction(1, 2)
 
     def test_origin(self, polytopes):
@@ -121,7 +120,7 @@ class TestGauge:
         assert P.gauge((2, 1, 0)) == 2
 
     def test_not_in_cone(self):
-        P = newton_polytope(validate_matrix([[2]]))
+        P = NewtonPolytope(validate_matrix([[2]]))
         with pytest.raises(NotInCone):
             P.gauge((-1,))
 
@@ -132,7 +131,7 @@ class TestGaugeDenominator:
         [([[1, 2]], 2), ([[1]], 1), ([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]], 1)],
     )
     def test_examples(self, rows, expected):
-        assert newton_polytope(validate_matrix(rows)).gauge_denominator == expected
+        assert NewtonPolytope(validate_matrix(rows)).gauge_denominator == expected
 
     def test_integrality_on_sample(self, polytopes):
         for name, (_, P, _) in polytopes.items():
@@ -153,7 +152,7 @@ class TestNormalizedVolume:
         ],
     )
     def test_examples(self, rows, expected):
-        assert newton_polytope(validate_matrix(rows)).normalized_volume == expected
+        assert NewtonPolytope(validate_matrix(rows)).normalized_volume == expected
 
     def test_volume_additivity(self, polytopes):
         for name, (_, P, _) in polytopes.items():
@@ -161,31 +160,27 @@ class TestNormalizedVolume:
             assert sum(pyramids.values()) == P.normalized_volume
 
     def test_square_volume(self):
-        P = newton_polytope(validate_matrix([[1, 0, 1], [0, 1, 1]]))
+        P = NewtonPolytope(validate_matrix([[1, 0, 1], [0, 1, 1]]))
         assert P.normalized_volume == 2
 
 
 class TestFaceLattice:
     def test_interval_index_sets(self):
-        P = newton_polytope(validate_matrix([[1, 2]]))
-        faces, index_sets = face_lattice(P)
-        i0 = [P.faces[i].vertices for i in index_sets[0]]
-        assert i0 == [((2,),)]
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
+        assert [f.vertices for f in P.index_set(0)] == [((2,),)]
 
     def test_symmetric_interval_index_sets(self):
-        P = newton_polytope(validate_matrix([[-1, 1]]))
-        _, index_sets = face_lattice(P)
-        assert len(index_sets[0]) == 2
+        P = NewtonPolytope(validate_matrix([[-1, 1]]))
+        assert len(P.index_set(0)) == 2
 
     def test_gauss_index_sets(self, gauss):
         # Every square edge and vertex lies on an apex facet through the
         # origin, so only the square facet survives in the index sets.
         _, P, _ = gauss
-        _, index_sets = face_lattice(P)
-        assert len(index_sets[2]) == 1
-        square = P.faces[index_sets[2][0]]
+        assert len(P.index_set(2)) == 1
+        square = P.index_set(2)[0]
         assert square.vertices == ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
-        assert index_sets[1] == [] and index_sets[0] == []
+        assert P.index_set(1) == [] and P.index_set(0) == []
 
     def test_contains_origin_flags(self, polytopes):
         for name, (_, P, _) in polytopes.items():
@@ -301,7 +296,7 @@ class TestEnumerationsMatchReferences:
             12, 12, (4,), bound=1
         )
         for matrix in matrices:
-            P = newton_polytope(matrix)
+            P = NewtonPolytope(matrix)
             for bound in self.BOUNDS:
                 assert P.lattice_points_with_gauge_at_most(bound) == (
                     _ref_points_in_box(P, bound)

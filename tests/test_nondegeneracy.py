@@ -4,11 +4,11 @@ import pytest
 
 from gkzrank import (
     FaceContainsOrigin,
+    NewtonPolytope,
     RingElement,
     choose_spanning_subset,
     face_polynomial,
     is_nondegenerate,
-    newton_polytope,
     validate_matrix,
     verify_kouchnirenko,
 )
@@ -18,7 +18,7 @@ GAUSS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 
 class TestFacePolynomial:
     def test_single_monomial(self):
-        P = newton_polytope(validate_matrix([[1, 2]]))
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
         face = P.face_by_vertices([(2,)])
         assert face_polynomial([5, 7], face, P) == RingElement(
             {(2,): Fraction(7)}
@@ -38,12 +38,12 @@ class TestFacePolynomial:
         )
 
     def test_zero_coefficient(self):
-        P = newton_polytope(validate_matrix([[1, 2]]))
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
         face = P.face_by_vertices([(2,)])
         assert face_polynomial([1, 0], face, P).is_zero()
 
     def test_duplicate_columns_sum(self):
-        P = newton_polytope(validate_matrix([[2, 2]]))
+        P = NewtonPolytope(validate_matrix([[2, 2]]))
         face = P.face_by_vertices([(2,)])
         assert face_polynomial([1, -1], face, P).is_zero()
         assert face_polynomial([1, 2], face, P) == RingElement(
@@ -51,7 +51,7 @@ class TestFacePolynomial:
         )
 
     def test_origin_face_rejected(self):
-        P = newton_polytope(validate_matrix([[1, 2]]))
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
         origin_face = P.face_by_vertices([(0,)])
         with pytest.raises(FaceContainsOrigin):
             face_polynomial([1, 1], origin_face, P)
@@ -59,7 +59,7 @@ class TestFacePolynomial:
 
 class TestChooseSpanningSubset:
     def test_rank_one(self):
-        P = newton_polytope(validate_matrix([[2]]))
+        P = NewtonPolytope(validate_matrix([[2]]))
         face = P.face_by_vertices([(2,)])
         assert choose_spanning_subset([1], face, P) == (1,)
 
@@ -69,7 +69,7 @@ class TestChooseSpanningSubset:
         assert choose_spanning_subset([1, 1, 1, 1], square, P) == (1, 2, 3)
 
     def test_deficient(self):
-        P = newton_polytope(validate_matrix([[1, 2]]))
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
         face = P.face_by_vertices([(2,)])
         assert choose_spanning_subset([1, 0], face, P) is None
 

@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from gkzrank import ConeRing, newton_polytope, validate_matrix, verify_kouchnirenko
+from gkzrank import ConeRing, NewtonPolytope, validate_matrix, verify_kouchnirenko
 
 FIXTURES = [
     ([[1]], [1]),
@@ -102,14 +102,14 @@ def dense_top_dims(matrix, fiber, P, truncation):
 
 def test_volume_matches_ehrhart_differences():
     for rows, _ in FIXTURES:
-        P = newton_polytope(validate_matrix(rows))
+        P = NewtonPolytope(validate_matrix(rows))
         assert P.normalized_volume == ehrhart_normalized_volume(P)
 
 
 def test_top_dims_match_dense_elimination():
     for rows, fiber in FIXTURES:
         matrix = validate_matrix(rows)
-        P = newton_polytope(matrix)
+        P = NewtonPolytope(matrix)
         result = verify_kouchnirenko(matrix, fiber, P)
         oracle = dense_top_dims(matrix, fiber, P, result.truncation)
         for d in range(result.truncation + 1):

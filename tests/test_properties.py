@@ -25,6 +25,7 @@ from gkzrank import (
     ConeRing,
     FreeRing,
     LogForm,
+    NewtonPolytope,
     RingElement,
     check_gr_equals_koszul,
     filtration_level,
@@ -33,7 +34,6 @@ from gkzrank import (
     is_nondegenerate,
     koszul_regular_sequence_check,
     log_derivative_classes,
-    newton_polytope,
     reduce_to_basis,
     twisted_differential,
     validate_matrix,
@@ -57,7 +57,7 @@ def get_polytope(name):
     if name not in _POLYTOPES:
         rows, fiber = PROPERTY_MATRICES[name]
         matrix = validate_matrix(rows)
-        _POLYTOPES[name] = (matrix, newton_polytope(matrix), fiber)
+        _POLYTOPES[name] = (matrix, NewtonPolytope(matrix), fiber)
     return _POLYTOPES[name]
 
 

@@ -18,11 +18,8 @@ from gkzrank import (
     ProblemSpec,
     RingElement,
     face_projection,
-    facial_ring,
     gr_multiply,
-    graded_piece,
     log_derivative_classes,
-    newton_polytope,
     poincare_series,
     run_analyze,
     run_subcommand,
@@ -32,7 +29,6 @@ from gkzrank import (
 )
 from gkzrank.errors import RankDeficient
 from gkzrank.homology import GradedKoszulComplex, wedge_terms
-from gkzrank.jsonio import ring_element_from_json, ring_element_to_json
 from gkzrank.lattice import NewtonPolytope, _det, _kernel_normal
 from gkzrank.linalg import RationalSpan, SparseRationalMatrix, rank, solve
 from gkzrank.nondegeneracy import _face_quotient_dims
@@ -49,12 +45,12 @@ from test_cli import GOLDEN_SPECS
 
 class TestGradedPiece:
     def test_double_ray(self):
-        P = newton_polytope(validate_matrix([[2]]))
-        assert graded_piece(ConeRing(P), 3) == [(3,)]
+        P = NewtonPolytope(validate_matrix([[2]]))
+        assert list(ConeRing(P).monomials_of_degree(3)) == [(3,)]
 
     def test_gauss_slice(self, gauss):
         _, P, _ = gauss
-        assert graded_piece(ConeRing(P), 1) == [
+        assert list(ConeRing(P).monomials_of_degree(1)) == [
             (1, 0, 0),
             (1, 0, 1),
             (1, 1, 0),
@@ -63,11 +59,11 @@ class TestGradedPiece:
 
     def test_degree_zero_is_origin(self, polytopes):
         for name, (_, P, _) in polytopes.items():
-            assert graded_piece(ConeRing(P), 0) == [(0,) * P.n]
+            assert list(ConeRing(P).monomials_of_degree(0)) == [(0,) * P.n]
 
     def test_negative_degree_empty(self, polytopes):
         for name, (_, P, _) in polytopes.items():
-            assert graded_piece(ConeRing(P), -1) == []
+            assert list(ConeRing(P).monomials_of_degree(-1)) == []
 
 
 class TestGrMultiply:
@@ -77,7 +73,7 @@ class TestGrMultiply:
             assert gr_multiply((0,) * P.n, w, P) == w
 
     def test_opposite_rays_vanish(self):
-        P = newton_polytope(validate_matrix([[-1, 1]]))
+        P = NewtonPolytope(validate_matrix([[-1, 1]]))
         assert gr_multiply((1,), (-1,), P) is None
 
     def test_gauss_square_cone(self, gauss):
@@ -97,10 +93,10 @@ class TestFacialRing:
     def test_interval_vertex_ray(self):
         # The cone over the vertex {2} is the whole halfline, so every
         # degree has exactly one monomial.
-        P = newton_polytope(validate_matrix([[1, 2]]))
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
         face = P.face_by_vertices([(2,)])
-        ring = facial_ring(face, P)
-        assert [graded_piece(ring, d) for d in range(4)] == [
+        ring = FaceRing(P, face)
+        assert [list(ring.monomials_of_degree(d)) for d in range(4)] == [
             [(0,)],
             [(1,)],
             [(2,)],
@@ -110,7 +106,7 @@ class TestFacialRing:
     def test_gauss_square_is_full_cone(self, gauss):
         _, P, _ = gauss
         square = P.index_set(2)[0]
-        ring = facial_ring(square, P)
+        ring = FaceRing(P, square)
         full = ConeRing(P)
         for d in range(4):
             assert ring.monomials_of_degree(d) == full.monomials_of_degree(d)
@@ -118,15 +114,15 @@ class TestFacialRing:
     def test_gauss_vertex_ray(self, gauss):
         _, P, _ = gauss
         vertex = P.face_by_vertices([(1, 0, 0)])
-        ring = facial_ring(vertex, P)
+        ring = FaceRing(P, vertex)
         for d in range(4):
-            assert graded_piece(ring, d) == [(d, 0, 0)]
+            assert list(ring.monomials_of_degree(d)) == [(d, 0, 0)]
 
     def test_origin_face_rejected(self):
-        P = newton_polytope(validate_matrix([[1, 2]]))
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
         origin_face = P.face_by_vertices([(0,)])
         with pytest.raises(FaceContainsOrigin):
-            facial_ring(origin_face, P)
+            FaceRing(P, origin_face)
 
 
 class TestFaceProjection:
@@ -149,7 +145,7 @@ class TestFaceProjection:
     def test_multiplicative(self, gauss):
         _, P, _ = gauss
         square = P.index_set(2)[0]
-        ring = facial_ring(square, P)
+        ring = FaceRing(P, square)
         edge = P.face_by_vertices([(1, 0, 0), (1, 1, 0)])
         xs = [
             RingElement({(1, 0, 0): Fraction(2), (1, 1, 0): Fraction(1)}),
@@ -166,11 +162,11 @@ class TestFaceProjection:
 
 class TestPoincareSeries:
     def test_unit_ray(self):
-        P = newton_polytope(validate_matrix([[1]]))
+        P = NewtonPolytope(validate_matrix([[1]]))
         assert str(poincare_series(ConeRing(P))) == "(1)/(1 - t)"
 
     def test_symmetric_interval(self):
-        P = newton_polytope(validate_matrix([[-1, 1]]))
+        P = NewtonPolytope(validate_matrix([[-1, 1]]))
         series = poincare_series(ConeRing(P))
         assert series.taylor(5) == [1, 2, 2, 2, 2, 2]
 
@@ -241,12 +237,12 @@ class TestPoincareSeries:
 
 class TestLogDerivativeClasses:
     def test_double_ray(self):
-        P = newton_polytope(validate_matrix([[2]]))
+        P = NewtonPolytope(validate_matrix([[2]]))
         (g,) = log_derivative_classes([1], None, P)
         assert g == RingElement({(2,): Fraction(2)})
 
     def test_symmetric_interval(self):
-        P = newton_polytope(validate_matrix([[-1, 1]]))
+        P = NewtonPolytope(validate_matrix([[-1, 1]]))
         (g,) = log_derivative_classes([1, 1], None, P)
         assert g == RingElement({(-1,): Fraction(-1), (1,): Fraction(1)})
 
@@ -260,7 +256,7 @@ class TestLogDerivativeClasses:
     def test_interior_column_dropped(self):
         # Column (1,) sits strictly inside the hull of [[1,2]], so only the
         # boundary column contributes to the leading classes.
-        P = newton_polytope(validate_matrix([[1, 2]]))
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
         (g,) = log_derivative_classes([1, 1], None, P)
         assert g == RingElement({(2,): Fraction(2)})
 
@@ -272,16 +268,6 @@ class TestLogDerivativeClasses:
             for face in P.origin_free_faces():
                 for g in log_derivative_classes(fiber, face, P):
                     assert ring.is_homogeneous(g, P.gauge_denominator)
-
-
-class TestRingElementJson:
-    def test_round_trip(self):
-        x = RingElement(
-            {(1, -2): Fraction(3, 7), (0, 5): Fraction(-2)}
-        )
-        data = ring_element_to_json(x)
-        assert data == {"1,-2": "3/7", "0,5": "-2"}
-        assert ring_element_from_json(data) == x
 
 
 # -- the integer kernel against Fraction references ----------------------------
@@ -304,14 +290,14 @@ def _random_polytopes(seed, count, bound=2):
             matrix = validate_matrix([list(r) for r in zip(*cols)])
         except RankDeficient:
             continue
-        out.append(newton_polytope(matrix))
+        out.append(NewtonPolytope(matrix))
     return out
 
 
 # The last one has a cone facet (z = 0) meeting two origin-free facets, so
 # factors over its two edges share only the cone facet and multiply to 0.
 KERNEL_POLYTOPES = _random_polytopes(7, 16) + [
-    newton_polytope(validate_matrix([[2, 2, 0, 0], [0, 2, 2, 0], [0, 0, 0, 1]]))
+    NewtonPolytope(validate_matrix([[2, 2, 0, 0], [0, 2, 2, 0], [0, 0, 0, 1]]))
 ]
 
 
@@ -413,7 +399,7 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
     def test_slices_match_box_filter(self, index):
         P0 = KERNEL_POLYTOPES[index]
-        P = newton_polytope(P0.matrix)  # a fresh table
+        P = NewtonPolytope(P0.matrix)  # a fresh table
         M = P.gauge_denominator
         box = _ref_box(P, 2)
         degrees = list(range(2 * M + 1))
@@ -455,7 +441,7 @@ class TestIntegerKernel:
         M = P0.gauge_denominator
         pts = [w for d in range(M + 1) for w in ConeRing(P0).monomials_of_degree(d)]
         # Factors from the table and, on a fresh polytope, computed directly.
-        for P in (P0, newton_polytope(P0.matrix)):
+        for P in (P0, NewtonPolytope(P0.matrix)):
             ring = ConeRing(P)
             for w1 in pts:
                 for w2 in pts:
@@ -822,7 +808,7 @@ class TestIntegerDeterminant:
 
     @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
     def test_incidence_sign_matches_fraction_routine(self, index):
-        P = newton_polytope(KERNEL_POLYTOPES[index].matrix)
+        P = NewtonPolytope(KERNEL_POLYTOPES[index].matrix)
         pairs = 0
         for face in P.faces:
             for sub in P.subfaces(face):
@@ -858,7 +844,7 @@ class TestGaugeDenominatorByConstruction:
 
         monkeypatch.setattr(NewtonPolytope, "lattice_points_with_gauge_at_most", refuse)
         rows = [[1, -2, 1, 0], [2, 1, -2, 0], [2, 1, 0, -2]]
-        assert newton_polytope(validate_matrix(rows)).gauge_denominator == 60
+        assert NewtonPolytope(validate_matrix(rows)).gauge_denominator == 60
         spec = ProblemSpec.from_json({"matrix": rows, "fiber": ["6", "7", "11", "19"]})
         assert run_subcommand("volume", spec) == {"normalized_volume": 34}
 
