@@ -2,10 +2,10 @@
 
 Forms carry semigroup-ring coefficients; the differential conjugates the
 exterior derivative by the monomial power of the parameter vector and the
-exponential of the fiber polynomial, all expanded termwise over Q.  The
-gauge filtration turns its leading part into the Koszul differential, which
-drives the reduction of any top form onto the monomial cohomology basis and
-from there the Gauss-Manin connection matrices.
+exponential of the fiber polynomial.  The gauge filtration turns its leading
+part into the Koszul differential, which drives the reduction of any top
+form onto the monomial cohomology basis, in integers over one denominator
+per monomial, and from there the Gauss-Manin connection matrices.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import GammaNotNormalized, NotInCone
 from .homology import (
@@ -220,13 +221,16 @@ class ReductionBasis:
     """Monomial basis of the top cohomology with a memoized rewrite engine.
 
     The basis monomials come from the greedy Koszul quotient, and the twisted
-    image d(t^w dlog_{[n] minus i}) of each pair (i, w) is built once.  Each
+    image d(t^w dlog_{[n] minus i}) of each pair (i, w) is built once,
+    times ``scale`` (the lcm of the denominators of gamma and the fiber) so
+    that it is integral; that keeps its span and support.  Each
     coefficient degree e gets one factored matrix whose columns are the basis
     unit vectors followed by the degree-e parts of the images of the
     one-lower slice (the Koszul images, as ``check_gr_equals_koszul``
-    certifies).  Each monomial is solved once: the solution's columns are
-    subtracted whole, and the lower-degree remainder is rewritten through
-    the normal forms of its monomials.
+    certifies).  Each monomial is solved once, in integers: the solution's
+    columns are subtracted whole, and the lower-degree remainder is rewritten
+    through the normal forms of its monomials, kept in ``normal_forms`` as
+    (numerators, denominator) in lowest common terms.
     """
 
     def __init__(self, gamma, fiber, polytope: NewtonPolytope, kouchnirenko):
@@ -234,26 +238,28 @@ class ReductionBasis:
         self.polytope = polytope
         self.gamma = tuple(Fraction(g) for g in gamma)
         self.fiber = tuple(Fraction(c) for c in fiber)
+        self.scale = lcm(*(c.denominator for c in self.gamma + self.fiber))
         self.ring = kouchnirenko.ring
         self.kouchnirenko = kouchnirenko
         self.basis: list[Vector] = list(kouchnirenko.monomial_basis)
-        self._images: dict[tuple[int, Vector], dict[Vector, Fraction]] = {}
+        self._images: dict[tuple[int, Vector], dict[Vector, int]] = {}
         self._degree_data: dict[int, tuple] = {}
-        self.normal_forms: dict[Vector, tuple[Fraction, ...]] = {}
+        self.normal_forms: dict[Vector, tuple[tuple[int, ...], int]] = {}
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def image(self, i: int, w: Vector) -> dict[Vector, Fraction]:
-        """d(t^w dlog_{[n] minus i}) as coefficients of t^u dlog_{[n]}."""
+    def image(self, i: int, w: Vector) -> dict[Vector, int]:
+        """``scale`` times d(t^w dlog_{[n] minus i}) as integer coefficients
+        of t^u dlog_{[n]}."""
         img = self._images.get((i, w))
         if img is None:
             n = self.polytope.n
             rest = tuple(k for k in range(n) if k != i)
             ((_, sign, _),) = wedge_terms(rest, n)  # dlog t_i ^ dlog_rest
             terms = _partial(w, i, self.gamma[i], self.fiber, self.polytope.matrix)
-            img = {u: sign * c for u, c in terms.items() if c != 0}
+            img = {u: sign * int(c * self.scale) for u, c in terms.items() if c}
             self._images[(i, w)] = img
         return img
 
@@ -281,28 +287,29 @@ class ReductionBasis:
         return data
 
     def _step(self, w: Vector):
-        """Solve t^w once at its degree: its basis coordinates and the
-        remainder after subtracting every chosen column's whole form."""
+        """Solve t^w once at its degree: its basis coordinates and the remainder
+        after subtracting every chosen column's whole form, both over D."""
         P = self.polytope
         e = P.graded_degree(w)
         index, columns, echelon = self._data(e)
-        x = echelon.solve({index[w]: 1})
-        if x is None:
+        solved = echelon.solve_integer({index[w]: 1})
+        if solved is None:
             raise AssertionError(
                 "top part not in basis + image; truncation logic broken"
             )
-        coords = [Fraction(0)] * self.dimension
-        rest = {w: Fraction(1)}
+        x, D = solved
+        coords = [0] * self.dimension
+        rest = {w: D}
         for (k, form), c in zip(columns, x):
-            if c != 0:
+            if c:
                 if k is not None:
                     coords[k] += c
                 for u, v in form.items():
                     rest[u] = rest.get(u, 0) - c * v
-        rest = {u: c for u, c in rest.items() if c != 0}
+        rest = {u: c for u, c in rest.items() if c}
         if any(P.graded_degree(u) >= e for u in rest):
             raise AssertionError("reduction did not lower the degree")
-        return coords, rest
+        return coords, rest, D
 
     def reduce_monomial(self, w) -> tuple[Fraction, ...]:
         """Normal form of t^w dlog_{[n]}: its coordinates against the basis.
@@ -310,6 +317,8 @@ class ReductionBasis:
         Remainder monomials are reduced before the monomial that needs them,
         on an explicit stack, since chains run as deep as the degree; each
         remainder lies strictly below its monomial's degree, so it empties.
+        Their normal forms are combined over the lcm of their denominators,
+        and the common content is removed once.
         """
         w = tuple(w)
         nf = self.normal_forms
@@ -326,13 +335,17 @@ class ReductionBasis:
                 stack.extend(v for v in pending[u][1] if v not in nf)
             else:
                 stack.pop()
-                coords, rest = pending.pop(u)
+                coords, rest, D = pending.pop(u)
+                L = lcm(*(nf[v][1] for v in rest))
+                coords = [c * L for c in coords]
                 for v, c in rest.items():
-                    for k, y in enumerate(nf[v]):
-                        if y != 0:
+                    c *= L // nf[v][1]
+                    for k, y in enumerate(nf[v][0]):
+                        if y:
                             coords[k] += c * y
-                nf[u] = tuple(coords)
-        return nf[w]
+                g = gcd(D * L, *coords)
+                nf[u] = (tuple(y // g for y in coords), D * L // g)
+        return tuple(Fraction(y, nf[w][1]) for y in nf[w][0])
 
     def reduce(self, form: LogForm) -> tuple[Fraction, ...]:
         """Coordinates of an n-form against the basis, modulo exact forms."""
@@ -381,14 +394,19 @@ def h_top_dimension(
     return dim, basis
 
 
-def reduce_to_basis(
-    form: LogForm, basis: ReductionBasis, gamma=None, fiber=None
-) -> tuple[Fraction, ...]:
-    """Coordinates of a top form in the reduction basis, modulo exact forms."""
+def _check_built_for(basis: ReductionBasis, gamma, fiber):
+    """Reject a gamma or fiber, unless None, that the basis was not built for."""
     if gamma is not None and tuple(map(Fraction, gamma)) != basis.gamma:
         raise ValueError("basis was built for a different parameter vector")
     if fiber is not None and tuple(map(Fraction, fiber)) != basis.fiber:
         raise ValueError("basis was built for a different fiber")
+
+
+def reduce_to_basis(
+    form: LogForm, basis: ReductionBasis, gamma=None, fiber=None
+) -> tuple[Fraction, ...]:
+    """Coordinates of a top form in the reduction basis, modulo exact forms."""
+    _check_built_for(basis, gamma, fiber)
     return basis.reduce(form)
 
 
@@ -398,10 +416,7 @@ def connection_matrices(gamma, fiber, basis: ReductionBasis):
     Entry (k, l) of the j-th matrix is the k-th coordinate of the reduction
     of the j-th column monomial times the l-th basis monomial.
     """
-    if tuple(map(Fraction, gamma)) != basis.gamma:
-        raise ValueError("basis was built for a different parameter vector")
-    if tuple(map(Fraction, fiber)) != basis.fiber:
-        raise ValueError("basis was built for a different fiber")
+    _check_built_for(basis, gamma, fiber)
     A = basis.polytope.matrix
     dim = basis.dimension
     out = []

@@ -6,7 +6,9 @@ class GkzError(Exception):
 
 
 class ShapeMismatch(GkzError):
-    """Ragged or empty input where a rectangular integer matrix was expected."""
+    """Input of the wrong shape: a ragged or empty matrix where a rectangular
+    integer matrix was expected, a malformed problem file, or a point whose
+    length is not the number of matrix rows."""
 
 
 class RankDeficient(GkzError):

@@ -272,6 +272,13 @@ class NewtonPolytope:
         )
 
     def cone_contains(self, w) -> bool:
+        """Whether w lies in the exponent cone; the membership check that
+        ``gauge``, ``graded_degree`` and ``tight_facets`` share, so a point
+        of the wrong length is rejected here."""
+        if len(w) != self.n:
+            raise ShapeMismatch(
+                f"point {tuple(w)} has length {len(w)}, expected {self.n}"
+            )
         return all(_dot(m, w) <= 0 for _, m in self._cone_facets)
 
     def _checked_scaled_gauge(self, w) -> int:

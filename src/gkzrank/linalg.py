@@ -1,12 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices and answers hold ``fractions.Fraction`` entries; no floating point
-is used anywhere.  ``Echelon`` is the one elimination: it clears each row to
+Matrices hold ``fractions.Fraction`` entries and answers are exact; no
+floating point is used anywhere.  ``Echelon`` is the one elimination: it clears each row to
 integers once, factors the matrix fraction-free, picking pivots
 Markowitz-style (sparsest row, then least-populated column) to keep fill-in
 modest on the block matrices produced by the Koszul and de Rham complexes,
 and reuses that factorization for its rank and for every right-hand side it
-solves, returning exact rationals.  ``rank`` and ``solve`` are one-shot
+solves, in integers over one denominator.  ``rank`` and ``solve`` are one-shot
 wrappers around it.  ``RationalSpan`` serves only ordered greedy choice.
 """
 
@@ -108,8 +108,8 @@ class Echelon:
     reduced once, Markowitz-style and fraction-free: r <- (a r - b p) /
     content, with a = pivot/g, b = c/g, g = gcd(pivot, c), and content
     making r primitive.  Pivots are kept as (row, column, integer row) and
-    each step's updates as (target row, a, b, content).  ``solve`` replays
-    the log on an integer right-hand side, back-substitutes over one common
+    each step's updates as (target row, a, b, content).  ``solve_integer``
+    replays the log on an integer right-hand side, back-substitutes over one
     denominator and checks the answer in integers against the scaled rows.
     """
 
@@ -179,8 +179,8 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def solve(self, rhs) -> list[Fraction] | None:
-        """One exact solution x of m @ x = rhs, or None if inconsistent.
+    def solve_integer(self, rhs) -> tuple[list[int], int] | None:
+        """(X, D) with m @ X / D = rhs, X integer, D > 0; None if inconsistent.
 
         ``rhs`` is a dense list or a sparse dict row -> value.  Free
         variables are set to zero.
@@ -228,7 +228,12 @@ class Echelon:
         for i in check.keys() | b.keys():
             if check.get(i, 0) != b.get(i, 0) * f:
                 return None
-        return [Fraction(xj, den * f) for xj in X]
+        return X, den * f
+
+    def solve(self, rhs) -> list[Fraction] | None:
+        """``solve_integer``'s answer as rationals, or None if inconsistent."""
+        solved = self.solve_integer(rhs)
+        return None if solved is None else [Fraction(x, solved[1]) for x in solved[0]]
 
 
 def rank(m: SparseRationalMatrix) -> int:

@@ -292,6 +292,13 @@ GOLDEN_SPECS = {
         "gamma": ["0", "0", "0"],
         "fiber": ["6", "7", "11", "19"],
     },
+    # the derham ladder's largest problem: connection matrix entries reach
+    # 129 bits, so the integer reduction carries large numerators
+    "normal-curve-16": {
+        "matrix": [[1] * 16, list(range(16))],
+        "gamma": ["0", "0"],
+        "fiber": [str((7 * i) % 13 + 1) for i in range(16)],
+    },
 }
 GOLDEN = {
     "gauss": (
@@ -314,6 +321,9 @@ GOLDEN = {
     ),
     "rank-34": (
         0, "93e211b3c6a1ae76f3aaa43139f6df48a83f8a6044ee9568a3a6e00c78d5b980"
+    ),
+    "normal-curve-16": (
+        0, "2feb5fb900389120e38459b34e786792e06c350c04c1bd1c979c6b3bce9ebe54"
     ),
 }
 

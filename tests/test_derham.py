@@ -12,6 +12,7 @@ from gkzrank import (
     LogForm,
     NewtonPolytope,
     RankDeficient,
+    ShapeMismatch,
     check_gr_equals_koszul,
     connection_matrices,
     derham,
@@ -173,6 +174,25 @@ class TestReduceToBasis:
         coords = reduce_to_basis(d_eta, basis)
         assert all(c == 0 for c in coords)
 
+    def test_other_gamma_or_fiber_is_rejected(self, gauss):
+        matrix, P, fiber = gauss
+        _, basis = h_top_dimension([0, 0, 0], fiber, P)
+        w = form(3, (0, 1, 2), (1, 0, 0))
+        assert reduce_to_basis(w, basis, ["0", 0, F(0)], fiber) == basis.reduce(w)
+        other = [c + 1 for c in fiber]
+        for call in (
+            lambda: reduce_to_basis(w, basis, gamma=[-1, 0, 0]),
+            lambda: connection_matrices([-1, 0, 0], fiber, basis),
+        ):
+            with pytest.raises(ValueError, match="different parameter vector"):
+                call()
+        for call in (
+            lambda: reduce_to_basis(w, basis, fiber=other),
+            lambda: connection_matrices([0, 0, 0], other, basis),
+        ):
+            with pytest.raises(ValueError, match="different fiber"):
+                call()
+
 
 class TestConnectionMatrices:
     def test_unit_ray_closed_form(self):
@@ -324,6 +344,12 @@ REDUCTION_CASES = [
         [F(-4, 3), F(-1, 2), F(-2, 3)],
         [F(1, 2), 2, F(-3, 4), F(5, 3)],
     ),
+    # large coprime denominators: the images are scaled by 997 * 1009
+    (
+        [[1] * 5, list(range(5))],
+        [F(-700, 997), F(-1200, 1009)],
+        [F(3, 997), 2, F(-5, 1009), 1, F(7, 997)],
+    ),
 ] + _random_draws(5, (1, 2, 2, 3, 3, 3, 2))
 
 
@@ -359,7 +385,7 @@ class TestMemoizedReduction:
         kz = verify_kouchnirenko(matrix, fiber, P)
         built, solved = [], []
         partial = derham._partial
-        echelon_solve = linalg.Echelon.solve
+        echelon_solve = linalg.Echelon.solve_integer
 
         def counted_partial(w, i, *args):
             built.append((i, w))
@@ -370,12 +396,29 @@ class TestMemoizedReduction:
             return echelon_solve(self, rhs)
 
         monkeypatch.setattr(derham, "_partial", counted_partial)
-        monkeypatch.setattr(linalg.Echelon, "solve", counted_solve)
+        monkeypatch.setattr(linalg.Echelon, "solve_integer", counted_solve)
         _, basis = h_top_dimension(gamma, fiber, P, kouchnirenko=kz)
         assert solved == []
         connection_matrices(gamma, fiber, basis)
         assert built and len(built) == len(set(built))
         assert len(solved) == len(set(solved)) == len(basis.normal_forms)
+
+    @pytest.mark.parametrize("rows,gamma,fiber", REDUCTION_CASES)
+    def test_normal_forms_in_lowest_common_terms(self, rows, gamma, fiber):
+        P = NewtonPolytope(validate_matrix(rows))
+        _, basis = h_top_dimension(gamma, fiber, P)
+        connection_matrices(gamma, fiber, basis)
+        assert basis.normal_forms
+        for w, (N, D) in basis.normal_forms.items():
+            assert len(N) == basis.dimension
+            assert D > 0 and math.gcd(D, *N) == 1
+            assert basis.reduce_monomial(w) == tuple(F(y, D) for y in N)
+
+    def test_wrong_length_monomial_is_rejected(self):
+        P = NewtonPolytope(validate_matrix([[1] * 5, [0, 1, 2, 3, 4]]))
+        _, basis = h_top_dimension([0, 0], [1, 8, 2, 9, 3], P)
+        with pytest.raises(ShapeMismatch, match="expected 2"):
+            basis.reduce_monomial((1,))
 
     def test_long_chain_closed_form(self):
         # On [[1]], t^(k+1) = -(k + gamma) t^k in cohomology, so reaching the

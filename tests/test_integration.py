@@ -180,7 +180,7 @@ def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
     _, basis = h_top_dimension(gamma, fiber, P)
     built, solved, steps = [], [], []
     echelon_init = linalg.Echelon.__init__
-    echelon_solve = linalg.Echelon.solve
+    echelon_solve = linalg.Echelon.solve_integer
     degree_data = derham.ReductionBasis._data
 
     def counted_init(self, m):
@@ -196,7 +196,7 @@ def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
         return degree_data(self, e)
 
     monkeypatch.setattr(linalg.Echelon, "__init__", counted_init)
-    monkeypatch.setattr(linalg.Echelon, "solve", counted_solve)
+    monkeypatch.setattr(linalg.Echelon, "solve_integer", counted_solve)
     monkeypatch.setattr(derham.ReductionBasis, "_data", counted_data)
     connection_matrices(gamma, fiber, basis)
     # Every reduction step solves once, against its degree's one factorization.

@@ -124,6 +124,13 @@ class TestGauge:
         with pytest.raises(NotInCone):
             P.gauge((-1,))
 
+    @pytest.mark.parametrize("w", [(1,), (1, 2, 3)])
+    def test_wrong_length_point_is_rejected(self, w):
+        P = NewtonPolytope(validate_matrix([[1] * 5, [0, 1, 2, 3, 4]]))
+        for member in (P.gauge, P.graded_degree, P.tight_facets, P.cone_contains):
+            with pytest.raises(ShapeMismatch, match="expected 2"):
+                member(w)
+
 
 class TestGaugeDenominator:
     @pytest.mark.parametrize(
