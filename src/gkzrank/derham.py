@@ -23,7 +23,7 @@ from .homology import (
     wedge_terms,
 )
 from .lattice import NewtonPolytope, Vector
-from .linalg import Echelon, SparseRationalMatrix, rank
+from .linalg import SparseRationalMatrix, rank
 from .rings import ConeRing, log_derivative_classes
 
 
@@ -223,14 +223,14 @@ class ReductionBasis:
     The basis monomials come from the greedy Koszul quotient, and the twisted
     image d(t^w dlog_{[n] minus i}) of each pair (i, w) is built once,
     times ``scale`` (the lcm of the denominators of gamma and the fiber) so
-    that it is integral; that keeps its span and support.  Each
-    coefficient degree e gets one factored matrix whose columns are the basis
-    unit vectors followed by the degree-e parts of the images of the
-    one-lower slice (the Koszul images, as ``check_gr_equals_koszul``
-    certifies).  Each monomial is solved once, in integers: the solution's
-    columns are subtracted whole, and the lower-degree remainder is rewritten
-    through the normal forms of its monomials, kept in ``normal_forms`` as
-    (numerators, denominator) in lowest common terms.
+    that it is integral; that keeps its span and support.  Each monomial of
+    degree e is solved once, in integers, against the Kouchnirenko result's
+    factored top slice of degree e, whose image columns are the leading
+    parts of the images (as ``check_gr_equals_koszul`` certifies) and whose
+    unit pivots are the basis.  The chosen images are subtracted whole, and
+    the lower-degree remainder is rewritten through the normal forms of its
+    monomials, kept in ``normal_forms`` as (numerators, denominator) in
+    lowest common terms.
     """
 
     def __init__(self, gamma, fiber, polytope: NewtonPolytope, kouchnirenko):
@@ -242,8 +242,12 @@ class ReductionBasis:
         self.ring = kouchnirenko.ring
         self.kouchnirenko = kouchnirenko
         self.basis: list[Vector] = list(kouchnirenko.monomial_basis)
+        self._position = {w: k for k, w in enumerate(self.basis)}
+        n = polytope.n
+        # dlog t_i ^ dlog_{[n] minus i} = sign_i * dlog_{[n]}
+        rests = [tuple(k for k in range(n) if k != i) for i in range(n)]
+        self._signs = [next(wedge_terms(rest, n))[1] for rest in rests]
         self._images: dict[tuple[int, Vector], dict[Vector, int]] = {}
-        self._degree_data: dict[int, tuple] = {}
         self.normal_forms: dict[Vector, tuple[tuple[int, ...], int]] = {}
 
     @property
@@ -255,61 +259,46 @@ class ReductionBasis:
         of t^u dlog_{[n]}."""
         img = self._images.get((i, w))
         if img is None:
-            n = self.polytope.n
-            rest = tuple(k for k in range(n) if k != i)
-            ((_, sign, _),) = wedge_terms(rest, n)  # dlog t_i ^ dlog_rest
             terms = _partial(w, i, self.gamma[i], self.fiber, self.polytope.matrix)
+            sign = self._signs[i]
             img = {u: sign * int(c * self.scale) for u, c in terms.items() if c}
             self._images[(i, w)] = img
         return img
 
-    def _data(self, e: int) -> tuple:
-        """Row index, columns (basis position or None, whole form) and the
-        factored matrix of degree e."""
-        data = self._degree_data.get(e)
-        if data is None:
-            P = self.polytope
-            index = {w: r for r, w in enumerate(self.ring.monomials_of_degree(e))}
-            columns = [(k, {w: 1}) for k, w in enumerate(self.basis) if w in index]
-            for prev in self.ring.monomials_of_degree(e - P.gauge_denominator):
-                for i in range(P.n):
-                    img = self.image(i, prev)
-                    if any(u in index for u in img):
-                        columns.append((None, img))
-            entries = {
-                (index[u], j): c
-                for j, (_, form) in enumerate(columns)
-                for u, c in form.items()
-                if u in index
-            }
-            mat = SparseRationalMatrix(len(index), len(columns), entries)
-            data = self._degree_data[e] = (index, columns, Echelon(mat))
-        return data
-
     def _step(self, w: Vector):
-        """Solve t^w once at its degree: its basis coordinates and the remainder
-        after subtracting every chosen column's whole form, both over D."""
+        """Solve t^w once against its degree's top slice of the Kouchnirenko
+        result: its basis coordinates and the remainder after subtracting
+        every chosen image whole, both over D * scale."""
         P = self.polytope
-        e = P.graded_degree(w)
-        index, columns, echelon = self._data(e)
-        solved = echelon.solve_integer({index[w]: 1})
-        if solved is None:
-            raise AssertionError(
-                "top part not in basis + image; truncation logic broken"
-            )
-        x, D = solved
+        n, e = P.n, P.graded_degree(w)
+        index, prev, echelon = self.kouchnirenko.top_slice(e)
+        # The unit columns make every right-hand side solvable.
+        x, D = echelon.solve_integer({index[w]: 1})
+        width = n * len(prev)
+        mono = self.ring.monomials_of_degree(e)
         coords = [0] * self.dimension
-        rest = {w: D}
-        for (k, form), c in zip(columns, x):
-            if c:
-                if k is not None:
-                    coords[k] += c
-                for u, v in form.items():
-                    rest[u] = rest.get(u, 0) - c * v
+        rest = {w: D * self.scale}
+        for c, xc in enumerate(x):
+            if not xc:
+                continue
+            if c >= width:
+                u = mono[c - width]
+                if u not in self._position:
+                    raise AssertionError(
+                        "top part not in basis + image; truncation logic broken"
+                    )
+                coords[self._position[u]] = xc * self.scale
+                rest[u] = rest.get(u, 0) - xc * self.scale
+                continue
+            # Image column c is the leading part of image(i, prev[c // n])
+            # over its wedge sign and scale.
+            i = c % n
+            for u, v in self.image(i, prev[c // n]).items():
+                rest[u] = rest.get(u, 0) - self._signs[i] * xc * v
         rest = {u: c for u, c in rest.items() if c}
         if any(P.graded_degree(u) >= e for u in rest):
             raise AssertionError("reduction did not lower the degree")
-        return coords, rest, D
+        return coords, rest, D * self.scale
 
     def reduce_monomial(self, w) -> tuple[Fraction, ...]:
         """Normal form of t^w dlog_{[n]}: its coordinates against the basis.

@@ -13,7 +13,7 @@ import itertools
 
 from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
 from .lattice import NewtonPolytope
-from .linalg import RationalSpan, SparseRationalMatrix, rank
+from .linalg import Echelon, SparseRationalMatrix, rank
 from .nondegeneracy import is_nondegenerate
 from .rings import (
     ConeRing,
@@ -297,6 +297,7 @@ class KouchnirenkoResult:
         truncation,
         lower_dims,
         ring,
+        sequence,
     ):
         self.vanishing: bool = vanishing
         self.top_dim: int = top_dim
@@ -307,6 +308,27 @@ class KouchnirenkoResult:
         self.truncation: int = truncation
         self.lower_dims: dict[int, dict] = lower_dims
         self.ring: ConeRing = ring
+        self.sequence: list = sequence
+        self._slices: dict[int, tuple] = {}
+
+    def top_slice(self, d: int) -> tuple:
+        """Row index, the slice of degree d - M and the factored matrix
+        [sequence_image | identity] of top degree d, built once.
+
+        Image column c holds g_i * t^w for i = c % n and w the (c // n)-th
+        monomial of degree d - M; unit column n * len(prev) + r stands for
+        the r-th monomial of degree d, and its pivots are the basis.
+        """
+        if d not in self._slices:
+            ring, M = self.ring, self.ring.gauge_denominator
+            image = sequence_image(ring, self.sequence, M, d)
+            entries = dict(image.entries)
+            entries.update(((r, image.cols + r), 1) for r in range(image.rows))
+            mat = SparseRationalMatrix(image.rows, image.cols + image.rows, entries)
+            index = {w: r for r, w in enumerate(ring.monomials_of_degree(d))}
+            prev = ring.monomials_of_degree(d - M)
+            self._slices[d] = (index, prev, Echelon(mat))
+        return self._slices[d]
 
     def to_json(self):
         return {
@@ -363,28 +385,26 @@ def verify_kouchnirenko(
     vanishing = all(d["total"] == 0 for d in lower.values())
     per_degree = dims[n]["per_degree"]
     top_dim = dims[n]["total"]
-    # Greedy monomial basis of the top quotient, degree by degree: the
-    # first monomials completing the column span of the top Koszul map.
-    basis = []
-    for d in range(expected.degree + 1):
-        top_map = cx.differential(n - 1, d - M)
-        span = RationalSpan(top_map.rows)
-        for column in top_map.columns():
-            span.add(column)
-        for i, w in enumerate(ring.monomials_of_degree(d)):
-            if span.add({i: 1}):
-                basis.append(w)
-    return KouchnirenkoResult(
+    result = KouchnirenkoResult(
         vanishing=vanishing,
         top_dim=top_dim,
         equals_volume=top_dim == polytope.normalized_volume,
-        monomial_basis=basis,
+        monomial_basis=[],
         per_degree=per_degree,
         expected_polynomial=expected,
         truncation=truncation,
         lower_dims=lower,
         ring=ring,
+        sequence=sequence,
     )
+    # Greedy monomial basis of the top quotient, degree by degree: the
+    # first monomials completing the column span of the top Koszul map.
+    for d in range(expected.degree + 1):
+        _, prev, echelon = result.top_slice(d)
+        width, mono = n * len(prev), ring.monomials_of_degree(d)
+        units = [j - width for _, j, _ in echelon.pivots if j >= width]
+        result.monomial_basis += [mono[r] for r in units]
+    return result
 
 
 class PoincareCheck:

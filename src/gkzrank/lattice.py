@@ -24,7 +24,8 @@ Determinants are taken in integers by Bareiss elimination; they give the
 normalized volume, the facet normals (as signed maximal minors) and each
 incidence sign, the product of two minor signs on the first rows where the
 face basis is nonsingular.  Ranks go through ``linalg.rank``; a face's edge
-basis is the one greedy choice, kept in a ``RationalSpan``.
+basis is the ordered greedy choice, read off the pivot columns of one
+``linalg.Echelon``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .errors import FaceContainsOrigin, NotInCone, RankDeficient, ShapeMismatch
-from .linalg import RationalSpan, SparseRationalMatrix, rank
+from .linalg import Echelon, SparseRationalMatrix, rank
 
 Vector = tuple[int, ...]
 
@@ -45,6 +46,12 @@ def _dot(u, v) -> Fraction | int:
 
 def _sub(u, v) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
+
+
+def _check_length(w, n):
+    """Reject a point of the wrong length, which a dot product would truncate."""
+    if len(w) != n:
+        raise ShapeMismatch(f"point {tuple(w)} has length {len(w)}, expected {n}")
 
 
 def _primitive(v):
@@ -138,14 +145,11 @@ class Face:
 
 
 def _affine_basis(vertices) -> tuple[Vector, ...]:
-    v0 = vertices[0]
-    span = RationalSpan(len(v0))
-    basis = []
-    for v in vertices[1:]:
-        d = _sub(v, v0)
-        if span.add({j: Fraction(c) for j, c in enumerate(d) if c != 0}):
-            basis.append(d)
-    return tuple(basis)
+    """The edges from the first vertex that the ordered greedy choice keeps."""
+    edges = [_sub(v, vertices[0]) for v in vertices[1:]]
+    entries = {(i, k): c for k, d in enumerate(edges) for i, c in enumerate(d)}
+    m = SparseRationalMatrix(len(vertices[0]), len(edges), entries)
+    return tuple(edges[j] for _, j, _ in Echelon(m).pivots)
 
 
 def _kernel_normal(points, n):
@@ -275,10 +279,7 @@ class NewtonPolytope:
         """Whether w lies in the exponent cone; the membership check that
         ``gauge``, ``graded_degree`` and ``tight_facets`` share, so a point
         of the wrong length is rejected here."""
-        if len(w) != self.n:
-            raise ShapeMismatch(
-                f"point {tuple(w)} has length {len(w)}, expected {self.n}"
-            )
+        _check_length(w, self.n)
         return all(_dot(m, w) <= 0 for _, m in self._cone_facets)
 
     def _checked_scaled_gauge(self, w) -> int:
@@ -349,6 +350,7 @@ class NewtonPolytope:
 
     def point_on_face(self, w, face: Face) -> bool:
         """Whether w (a point of the hull) lies on the given face."""
+        _check_length(w, self.n)
         return all(
             self.facets[i].value(w) == self.facets[i].level for i in face.active
         )
@@ -559,6 +561,7 @@ class ExponentCone:
         self.inequalities: tuple[Vector, ...] = inequalities
 
     def contains(self, w) -> bool:
+        _check_length(w, len(self.generators[0]))
         return all(_dot(m, w) >= 0 for m in self.inequalities)
 
     @property

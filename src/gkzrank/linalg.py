@@ -1,13 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
 Matrices hold ``fractions.Fraction`` entries and answers are exact; no
-floating point is used anywhere.  ``Echelon`` is the one elimination: it clears each row to
-integers once, factors the matrix fraction-free, picking pivots
-Markowitz-style (sparsest row, then least-populated column) to keep fill-in
-modest on the block matrices produced by the Koszul and de Rham complexes,
-and reuses that factorization for its rank and for every right-hand side it
-solves, in integers over one denominator.  ``rank`` and ``solve`` are one-shot
-wrappers around it.  ``RationalSpan`` serves only ordered greedy choice.
+floating point is used anywhere.  ``Echelon`` is the one elimination: it
+clears each row to integers once, factors the matrix fraction-free, taking
+the columns in index order and pivoting each on its sparsest live row, and
+reuses that factorization for its rank, for its pivot columns (the ordered
+greedy choice of independent columns) and for every right-hand side it
+solves, in integers over one denominator.  ``rank`` and ``solve`` are
+one-shot wrappers around it.
 """
 
 from __future__ import annotations
@@ -105,10 +105,13 @@ class Echelon:
     """One elimination of a fixed matrix, kept for every later question.
 
     Each row is cleared to integers by the lcm of its denominators, then
-    reduced once, Markowitz-style and fraction-free: r <- (a r - b p) /
-    content, with a = pivot/g, b = c/g, g = gcd(pivot, c), and content
-    making r primitive.  Pivots are kept as (row, column, integer row) and
-    each step's updates as (target row, a, b, content).  ``solve_integer``
+    reduced once, fraction-free: r <- (a r - b p) / content, with
+    a = pivot/g, b = c/g, g = gcd(pivot, c), and content making r
+    primitive.  Columns are taken in index order, each pivoted on its
+    sparsest live row (ties to the lowest row index), so the pivot columns
+    are the first columns, in order, that are independent of the ones
+    before them.  Pivots are kept as (row, column, integer row) and each
+    step's updates as (target row, a, b, content).  ``solve_integer``
     replays the log on an integer right-hand side, back-substitutes over one
     denominator and checks the answer in integers against the scaled rows.
     """
@@ -119,59 +122,52 @@ class Echelon:
             rows[i][j] = v
         self._scales = [lcm(*(v.denominator for v in r.values())) for r in rows]
         self._columns: list[list[tuple[int, int]]] = [[] for _ in range(m.cols)]
+        # holders[j]: the live rows with an entry in column j.
+        holders: list[set[int]] = [set() for _ in range(m.cols)]
         for i, (r, s) in enumerate(zip(rows, self._scales)):
             for j, v in r.items():
                 r[j] = v.numerator * (s // v.denominator)
                 self._columns[j].append((i, r[j]))
-        where = {id(r): i for i, r in enumerate(rows)}
+                holders[j].add(i)
         self.pivots: list[tuple[int, int, dict[int, int]]] = []
         self._log: list[list[tuple[int, int, int, int]]] = []
-        live = [r for r in rows if r]
-        col_count: dict[int, int] = {}
-        for r in live:
-            for j in r:
-                col_count[j] = col_count.get(j, 0) + 1
-        while live:
-            # Markowitz-style choice: sparsest row, then its rarest column.
-            # Scaling a row changes neither its support nor a cancellation,
-            # so the choices are those of an elimination over Q.
-            best = min(live, key=len)
-            pj = min(best, key=lambda j: (col_count.get(j, 0), j))
-            pv = best[pj]
-            live.remove(best)
+        for pj, live in enumerate(holders):
+            if not live:
+                continue
+            # After column pj no live row holds a column <= pj, so one pass
+            # suffices.  Scaling a row changes neither its support nor a
+            # cancellation, so the choices are those of an elimination over Q.
+            p = min(live, key=lambda i: (len(rows[i]), i))
+            best = rows[p]
             for j in best:
-                col_count[j] -= 1
+                holders[j].discard(p)
+            pv = best[pj]
             ops = []
-            nxt = []
-            for r in live:
-                c = r.get(pj)
-                if c is not None:
-                    g = gcd(pv, c)
-                    a, b = pv // g, c // g
-                    if a != 1:
-                        for j in r:
-                            r[j] *= a
-                    for j, v in best.items():
-                        old = r.get(j)
-                        if old is None:
-                            r[j] = -b * v
-                            col_count[j] = col_count.get(j, 0) + 1
+            for t in sorted(live):
+                r = rows[t]
+                g = gcd(pv, r[pj])
+                a, b = pv // g, r[pj] // g
+                if a != 1:
+                    for j in r:
+                        r[j] *= a
+                for j, v in best.items():
+                    old = r.get(j)
+                    if old is None:
+                        r[j] = -b * v
+                        holders[j].add(t)
+                    else:
+                        new = old - b * v
+                        if new == 0:
+                            del r[j]
+                            holders[j].discard(t)
                         else:
-                            new = old - b * v
-                            if new == 0:
-                                del r[j]
-                                col_count[j] -= 1
-                            else:
-                                r[j] = new
-                    content = gcd(*r.values()) or 1
-                    if content != 1:
-                        for j in r:
-                            r[j] //= content
-                    ops.append((where[id(r)], a, b, content))
-                if r:
-                    nxt.append(r)
-            live = nxt
-            self.pivots.append((where[id(best)], pj, best))
+                            r[j] = new
+                content = gcd(*r.values()) or 1
+                if content != 1:
+                    for j in r:
+                        r[j] //= content
+                ops.append((t, a, b, content))
+            self.pivots.append((p, pj, best))
             self._log.append(ops)
         self._pivot_rows = {p for p, _, _ in self.pivots}
 
@@ -239,51 +235,6 @@ class Echelon:
 def rank(m: SparseRationalMatrix) -> int:
     """Exact rank over Q."""
     return Echelon(m).rank
-
-
-class RationalSpan:
-    """Row space maintained incrementally in echelon form.
-
-    ``add`` reports whether the rank grew, so a caller keeps the first
-    vectors, in its own order, that enlarge the span; ``Echelon`` picks its
-    own pivot order.  Ordered greedy choice is its one use.  Vectors are
-    sparse dicts col -> Fraction.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._pivots: dict[int, dict[int, Fraction]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def residue(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        v = {j: Fraction(c) for j, c in vec.items() if c != 0}
-        for pj in sorted(self._pivots):
-            c = v.get(pj)
-            if c is None:
-                continue
-            row = self._pivots[pj]
-            for j, w in row.items():
-                new = v.get(j, Fraction(0)) - c * w
-                if new == 0:
-                    v.pop(j, None)
-                else:
-                    v[j] = new
-        return v
-
-    def contains(self, vec) -> bool:
-        return not self.residue(vec)
-
-    def add(self, vec) -> bool:
-        v = self.residue(vec)
-        if not v:
-            return False
-        pj = min(v)
-        pv = v[pj]
-        self._pivots[pj] = {j: c / pv for j, c in v.items()}
-        return True
 
 
 def solve(m: SparseRationalMatrix, rhs) -> list[Fraction] | None:

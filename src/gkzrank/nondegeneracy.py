@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import FaceContainsOrigin
 from .lattice import Face, NewtonPolytope
-from .linalg import RationalSpan, rank
+from .linalg import Echelon, SparseRationalMatrix, rank
 from .rings import (
     FaceRing,
     RingElement,
@@ -96,21 +96,18 @@ def choose_spanning_subset(fiber, face: Face, polytope: NewtonPolytope):
     the whole set has smaller rank the face is deficient and the fiber is
     degenerate, reported as None.
     """
-    gs = log_derivative_classes(fiber, face, polytope)
+    return _spanning_subset(log_derivative_classes(fiber, face, polytope), face)
+
+
+def _spanning_subset(gs, face: Face):
+    """The first face.dim + 1 pivot columns of the classes, or None."""
     exps = sorted({w for g in gs for w in g.terms})
-    index = {w: i for i, w in enumerate(exps)}
-    target = face.dim + 1
-    span = RationalSpan(len(exps))
-    chosen = []
-    for i, g in enumerate(gs):
-        vec = {index[w]: c for w, c in g.terms.items()}
-        if vec and span.add(vec):
-            chosen.append(i + 1)
-        if len(chosen) == target:
-            break
-    if len(chosen) < target:
+    index = {w: r for r, w in enumerate(exps)}
+    entries = {(index[w], i): c for i, g in enumerate(gs) for w, c in g.terms.items()}
+    pivots = Echelon(SparseRationalMatrix(len(exps), len(gs), entries)).pivots
+    if len(pivots) <= face.dim:
         return None
-    return tuple(chosen)
+    return tuple(j + 1 for _, j, _ in pivots[: face.dim + 1])
 
 
 def _face_quotient_dims(ring: FaceRing, gs, bound: int):
@@ -135,24 +132,21 @@ def certify_face(
     # Semigroup generators of the face cone have gauge below the span
     # dimension, so this window certifies vanishing forever beyond it.
     bound = expected_poly.degree + k * M
-    chosen = choose_spanning_subset(fiber, face, polytope)
+    expected = tuple(expected_poly.coeff(d) for d in range(bound + 1))
+    gs = log_derivative_classes(fiber, face, polytope)
+    chosen = _spanning_subset(gs, face)
     if chosen is None:
         return FaceCertificate(
             face_id=face.id,
             face_vertices=face.vertices,
             spanning_indices=(),
             quotient_dims=(),
-            expected_dims=tuple(
-                expected_poly.coeff(d) for d in range(bound + 1)
-            ),
+            expected_dims=expected,
             verdict="infinite",
             bound_used=bound,
             failure_degree=None,
         )
-    gs = log_derivative_classes(fiber, face, polytope)
-    selected = [gs[i - 1] for i in chosen]
-    dims = _face_quotient_dims(ring, selected, bound)
-    expected = tuple(expected_poly.coeff(d) for d in range(bound + 1))
+    dims = _face_quotient_dims(ring, [gs[i - 1] for i in chosen], bound)
     failure = None
     for d, (got, want) in enumerate(zip(dims, expected)):
         if got != want:

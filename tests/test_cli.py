@@ -299,6 +299,18 @@ GOLDEN_SPECS = {
         "gamma": ["0", "0"],
         "fiber": [str((7 * i) % 13 + 1) for i in range(16)],
     },
+    # rank 16; recorded while Echelon still picked Markowitz pivots, before
+    # its columns were taken in order
+    "cross-polytope-4": {
+        "matrix": [
+            [1, -1, 0, 0, 0, 0, 0, 0],
+            [0, 0, 1, -1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, -1, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1, -1],
+        ],
+        "gamma": ["0", "0", "0", "0"],
+        "fiber": ["1", "2", "3", "5", "7", "11", "13", "17"],
+    },
 }
 GOLDEN = {
     "gauss": (
@@ -324,6 +336,9 @@ GOLDEN = {
     ),
     "normal-curve-16": (
         0, "2feb5fb900389120e38459b34e786792e06c350c04c1bd1c979c6b3bce9ebe54"
+    ),
+    "cross-polytope-4": (
+        0, "a0798691309712ffd62fc560c108f3472a75cad143593959d66591dc65c09b76"
     ),
 }
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gkzrank import PolyZ, RationalFunctionQ, SparseRationalMatrix
-from gkzrank.linalg import Echelon, RationalSpan, rank, solve
+from gkzrank.linalg import Echelon, rank, solve
 
 F = Fraction
 
@@ -210,51 +210,39 @@ def _as_dense(rhs, rows):
 
 
 class _FractionEchelon:
-    """The Markowitz elimination over Q that ``Echelon`` replaced, kept as
-    the reference: the same pivot choices on ``Fraction`` rows, one
+    """The elimination over Q that ``Echelon`` does fraction-free, kept as the
+    reference: the same pivot rule (columns in order, each on its sparsest
+    live row, ties to the lowest row index) on ``Fraction`` rows, one
     ``Fraction`` factor per row operation."""
 
     def __init__(self, m):
         rows = [dict() for _ in range(m.rows)]
         for (i, j), v in m.entries.items():
             rows[i][j] = v
-        where = {id(r): i for i, r in enumerate(rows)}
         self.cols = m.cols
         self.pivots, self.log = [], []
-        live = [r for r in rows if r]
-        col_count = {}
-        for r in live:
-            for j in r:
-                col_count[j] = col_count.get(j, 0) + 1
-        while live:
-            best = min(live, key=len)
-            pj = min(best, key=lambda j: (col_count.get(j, 0), j))
-            pv = best[pj]
-            live.remove(best)
-            for j in best:
-                col_count[j] -= 1
-            ops, nxt = [], []
-            for r in live:
-                c = r.get(pj)
-                if c is not None:
-                    factor = c / pv
-                    ops.append((where[id(r)], factor))
-                    for j, v in best.items():
-                        old = r.get(j)
-                        if old is None:
-                            r[j] = -factor * v
-                            col_count[j] = col_count.get(j, 0) + 1
-                        else:
-                            new = old - factor * v
-                            if new == 0:
-                                del r[j]
-                                col_count[j] -= 1
-                            else:
-                                r[j] = new
-                if r:
-                    nxt.append(r)
-            live = nxt
-            self.pivots.append((where[id(best)], pj, best))
+        live = set(range(m.rows))
+        for pj in range(m.cols):
+            holders = sorted(i for i in live if pj in rows[i])
+            if not holders:
+                continue
+            p = min(holders, key=lambda i: len(rows[i]))
+            live.remove(p)
+            best, pv = rows[p], rows[p][pj]
+            ops = []
+            for i in holders:
+                if i == p:
+                    continue
+                r = rows[i]
+                factor = r[pj] / pv
+                ops.append((i, factor))
+                for j, v in best.items():
+                    new = r.get(j, 0) - factor * v
+                    if new == 0:
+                        del r[j]
+                    else:
+                        r[j] = new
+            self.pivots.append((p, pj, best))
             self.log.append(ops)
         self.pivot_rows = {p for p, _, _ in self.pivots}
 
@@ -412,7 +400,80 @@ class TestEchelon:
         assert echelon.solve({1: 3, 3: 5}) is None
 
 
+class RationalSpan:
+    """Row space maintained incrementally in echelon form, in ``Fraction``s.
+
+    ``add`` reports whether the rank grew, so a caller keeps the first
+    vectors, in its own order, that enlarge the span: the ordered greedy
+    choice that ``Echelon``'s pivot columns give, kept as its reference.
+    Vectors are sparse dicts col -> Fraction.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._pivots: dict[int, dict[int, Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def residue(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        v = {j: Fraction(c) for j, c in vec.items() if c != 0}
+        for pj in sorted(self._pivots):
+            c = v.get(pj)
+            if c is None:
+                continue
+            row = self._pivots[pj]
+            for j, w in row.items():
+                new = v.get(j, Fraction(0)) - c * w
+                if new == 0:
+                    v.pop(j, None)
+                else:
+                    v[j] = new
+        return v
+
+    def contains(self, vec) -> bool:
+        return not self.residue(vec)
+
+    def add(self, vec) -> bool:
+        v = self.residue(vec)
+        if not v:
+            return False
+        pj = min(v)
+        pv = v[pj]
+        self._pivots[pj] = {j: c / pv for j, c in v.items()}
+        return True
+
+
+def _greedy_case(rnd):
+    """Small-entry columns, so rows tie on length, with zero columns and
+    repeated (rescaled) columns mixed in."""
+    rows = rnd.randint(0, 6)
+    columns = []
+    for _ in range(rnd.randint(0, 9)):
+        kind = rnd.random()
+        if kind < 0.15 or not rows:
+            columns.append([F(0)] * rows)
+        elif kind < 0.35 and columns:
+            c = F(rnd.choice((-2, -1, 1, 3)), rnd.randint(1, 2))
+            columns.append([c * v for v in rnd.choice(columns)])
+        else:
+            columns.append([F(rnd.choice((-1, 0, 0, 1, 2))) for _ in range(rows)])
+    dense = [[col[i] for col in columns] for i in range(rows)]
+    return SparseRationalMatrix(rows, len(columns), {
+        (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row)
+    })
+
+
 class TestRationalSpan:
+    def test_pivot_columns_are_the_ordered_greedy_choice(self):
+        for seed in range(1000):
+            m = _greedy_case(random.Random(5000 + seed))
+            span = RationalSpan(m.rows)
+            greedy = [j for j, col in enumerate(m.columns()) if span.add(col)]
+            assert [j for _, j, _ in Echelon(m).pivots] == greedy, seed
+
+
     def test_incremental_rank(self):
         span = RationalSpan(3)
         assert span.add({0: F(1), 1: F(1)})

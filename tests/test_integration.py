@@ -175,33 +175,40 @@ def test_derham_dims_reuse_the_kouchnirenko_result(monkeypatch, gauss):
 def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
     from gkzrank import connection_matrices
 
-    P = NewtonPolytope(validate_matrix(rows))
+    matrix = validate_matrix(rows)
+    P = NewtonPolytope(matrix)
     gamma = [0] * P.n
-    _, basis = h_top_dimension(gamma, fiber, P)
-    built, solved, steps = [], [], []
-    echelon_init = linalg.Echelon.__init__
+    factored, degrees, solved = [], [], []
+    make = homology.Echelon
+    step = derham.ReductionBasis._step
     echelon_solve = linalg.Echelon.solve_integer
-    degree_data = derham.ReductionBasis._data
 
-    def counted_init(self, m):
-        built.append(self)
-        echelon_init(self, m)
+    def counted_echelon(m):
+        factored.append(make(m))
+        return factored[-1]
+
+    def counted_step(self, w):
+        degrees.append(P.graded_degree(w))
+        return step(self, w)
 
     def counted_solve(self, rhs):
-        solved.append(self)
+        solved.append((degrees[-1], self))
         return echelon_solve(self, rhs)
 
-    def counted_data(self, e):
-        steps.append(e)
-        return degree_data(self, e)
-
-    monkeypatch.setattr(linalg.Echelon, "__init__", counted_init)
+    monkeypatch.setattr(homology, "Echelon", counted_echelon)
+    monkeypatch.setattr(derham.ReductionBasis, "_step", counted_step)
     monkeypatch.setattr(linalg.Echelon, "solve_integer", counted_solve)
-    monkeypatch.setattr(derham.ReductionBasis, "_data", counted_data)
+    kz = verify_kouchnirenko(matrix, fiber, P)
+    basis_degrees = set(kz._slices)
+    _, basis = h_top_dimension(gamma, fiber, P, kouchnirenko=kz)
     connection_matrices(gamma, fiber, basis)
-    # Every reduction step solves once, against its degree's one factorization.
-    assert len(solved) == len(steps) > len(set(steps)) == len(built)
-    assert {id(e) for e in solved} == {id(e) for e in built}
+    slices = {d: data[2] for d, data in kz._slices.items()}
+    # The basis and the reduction share one factorization per degree.
+    assert [id(e) for e in factored] == [id(e) for e in slices.values()]
+    assert basis_degrees & {d for d, _ in solved}
+    # Every reduction step solves once, against its own degree's slice.
+    assert len(solved) == len(degrees) > len(set(degrees))
+    assert all(e is slices[d] for d, e in solved)
 
 
 def test_cohomology_ranks_each_map_once(monkeypatch, gauss):

@@ -131,6 +131,17 @@ class TestGauge:
             with pytest.raises(ShapeMismatch, match="expected 2"):
                 member(w)
 
+    @pytest.mark.parametrize("w", [(1,), (1, 2, 3)])
+    def test_wrong_length_point_is_rejected_by_cone_and_face(self, w):
+        matrix = validate_matrix([[1] * 5, [0, 1, 2, 3, 4]])
+        P = NewtonPolytope(matrix)
+        with pytest.raises(ShapeMismatch, match="expected 2"):
+            exponent_cone(matrix, P).contains(w)
+        assert P.faces
+        for face in P.faces:
+            with pytest.raises(ShapeMismatch, match="expected 2"):
+                P.point_on_face(w, face)
+
 
 class TestGaugeDenominator:
     @pytest.mark.parametrize(

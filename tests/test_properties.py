@@ -19,7 +19,6 @@ from gkzrank.errors import GammaNotNormalized
 
 pytestmark = pytest.mark.filterwarnings("ignore::gkzrank.errors.GammaNotNormalized")
 
-from gkzrank.linalg import RationalSpan
 
 from gkzrank import (
     ConeRing,
@@ -38,6 +37,7 @@ from gkzrank import (
     twisted_differential,
     validate_matrix,
 )
+from test_exact_core import RationalSpan
 
 F = Fraction
 
