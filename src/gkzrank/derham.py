@@ -269,33 +269,23 @@ class ReductionBasis:
         """Solve t^w once against its degree's top slice of the Kouchnirenko
         result: its basis coordinates and the remainder after subtracting
         every chosen image whole, both over D * scale."""
-        P = self.polytope
-        n, e = P.n, P.graded_degree(w)
-        index, prev, echelon = self.kouchnirenko.top_slice(e)
-        # The unit columns make every right-hand side solvable.
-        x, D = echelon.solve_integer({index[w]: 1})
-        width = n * len(prev)
-        mono = self.ring.monomials_of_degree(e)
+        units, images, D = self.kouchnirenko.solve_top(w)
         coords = [0] * self.dimension
         rest = {w: D * self.scale}
-        for c, xc in enumerate(x):
-            if not xc:
-                continue
-            if c >= width:
-                u = mono[c - width]
-                if u not in self._position:
-                    raise AssertionError(
-                        "top part not in basis + image; truncation logic broken"
-                    )
-                coords[self._position[u]] = xc * self.scale
-                rest[u] = rest.get(u, 0) - xc * self.scale
-                continue
-            # Image column c is the leading part of image(i, prev[c // n])
-            # over its wedge sign and scale.
-            i = c % n
-            for u, v in self.image(i, prev[c // n]).items():
-                rest[u] = rest.get(u, 0) - self._signs[i] * xc * v
+        for u, x in units.items():
+            if u not in self._position:
+                raise AssertionError(
+                    "top part not in basis + image; truncation logic broken"
+                )
+            coords[self._position[u]] = x * self.scale
+            rest[u] = rest.get(u, 0) - x * self.scale
+        # g_i * t^v is the leading part of image(i, v) over its wedge sign
+        # and scale.
+        for i, v, x in images:
+            for u, c in self.image(i, v).items():
+                rest[u] = rest.get(u, 0) - self._signs[i] * x * c
         rest = {u: c for u, c in rest.items() if c}
+        P, e = self.polytope, self.polytope.graded_degree(w)
         if any(P.graded_degree(u) >= e for u in rest):
             raise AssertionError("reduction did not lower the degree")
         return coords, rest, D * self.scale

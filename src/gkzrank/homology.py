@@ -311,14 +311,12 @@ class KouchnirenkoResult:
         self.sequence: list = sequence
         self._slices: dict[int, tuple] = {}
 
-    def top_slice(self, d: int) -> tuple:
+    def _top_slice(self, d: int) -> tuple:
         """Row index, the slice of degree d - M and the factored matrix
-        [sequence_image | identity] of top degree d, built once.
-
-        Image column c holds g_i * t^w for i = c % n and w the (c // n)-th
-        monomial of degree d - M; unit column n * len(prev) + r stands for
-        the r-th monomial of degree d, and its pivots are the basis.
-        """
+        [sequence_image | identity] of top degree d, built once.  Image
+        column c holds g_i * t^v for i = c % k and v the (c // k)-th
+        monomial of degree d - M; unit column k * len(prev) + r stands for
+        the r-th monomial of degree d."""
         if d not in self._slices:
             ring, M = self.ring, self.ring.gauge_denominator
             image = sequence_image(ring, self.sequence, M, d)
@@ -329,6 +327,29 @@ class KouchnirenkoResult:
             prev = ring.monomials_of_degree(d - M)
             self._slices[d] = (index, prev, Echelon(mat))
         return self._slices[d]
+
+    def top_basis(self, d: int) -> list:
+        """The greedy basis monomials of top degree d: the first monomials
+        that complete the span of the sequence image, the unit pivots."""
+        _, prev, echelon = self._top_slice(d)
+        mono = self.ring.monomials_of_degree(d)
+        width = len(self.sequence) * len(prev)
+        return [mono[j - width] for _, j, _ in echelon.pivots if j >= width]
+
+    def solve_top(self, w) -> tuple[dict, list, int]:
+        """t^w against its degree's top slice, in integers: (units, images,
+        D) with D * t^w = sum of x * t^u over units and of x * g_i * t^v
+        over the (i, v, x) in images.  The unit columns make every
+        monomial solvable."""
+        k = len(self.sequence)
+        d = self.ring.degree(w)
+        index, prev, echelon = self._top_slice(d)
+        x, D = echelon.solve_integer({index[w]: 1})
+        width = k * len(prev)
+        mono = self.ring.monomials_of_degree(d)
+        units = {mono[c - width]: xc for c, xc in enumerate(x[width:], width) if xc}
+        images = [(c % k, prev[c // k], xc) for c, xc in enumerate(x[:width]) if xc]
+        return units, images, D
 
     def to_json(self):
         return {
@@ -397,13 +418,8 @@ def verify_kouchnirenko(
         ring=ring,
         sequence=sequence,
     )
-    # Greedy monomial basis of the top quotient, degree by degree: the
-    # first monomials completing the column span of the top Koszul map.
     for d in range(expected.degree + 1):
-        _, prev, echelon = result.top_slice(d)
-        width, mono = n * len(prev), ring.monomials_of_degree(d)
-        units = [j - width for _, j, _ in echelon.pivots if j >= width]
-        result.monomial_basis += [mono[r] for r in units]
+        result.monomial_basis += result.top_basis(d)
     return result
 
 

@@ -7,7 +7,9 @@ the columns in index order and pivoting each on its sparsest live row, and
 reuses that factorization for its rank, for its pivot columns (the ordered
 greedy choice of independent columns) and for every right-hand side it
 solves, in integers over one denominator.  ``rank`` and ``solve`` are
-one-shot wrappers around it.
+one-shot wrappers around it.  ``RationalSpan`` makes the same greedy choice
+one vector at a time in ``Fraction``s; no library code calls it, and it is
+kept as the reference for ``Echelon``'s pivot columns.
 """
 
 from __future__ import annotations
@@ -230,6 +232,53 @@ class Echelon:
         """``solve_integer``'s answer as rationals, or None if inconsistent."""
         solved = self.solve_integer(rhs)
         return None if solved is None else [Fraction(x, solved[1]) for x in solved[0]]
+
+
+class RationalSpan:
+    """Row space maintained incrementally in echelon form, in ``Fraction``s.
+
+    ``add`` reports whether the rank grew, so a caller keeps the first
+    vectors, in its own order, that enlarge the span: the ordered greedy
+    choice.  The library reads that choice off ``Echelon``'s pivot columns;
+    this separate elimination is the reference they are tested against, and
+    the benchmark's tracer (``bench/trace_child.py``) still counts its
+    ``add``.  Vectors are sparse dicts col -> Fraction.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._pivots: dict[int, dict[int, Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def residue(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        v = {j: Fraction(c) for j, c in vec.items() if c != 0}
+        for pj in sorted(self._pivots):
+            c = v.get(pj)
+            if c is None:
+                continue
+            row = self._pivots[pj]
+            for j, w in row.items():
+                new = v.get(j, Fraction(0)) - c * w
+                if new == 0:
+                    v.pop(j, None)
+                else:
+                    v[j] = new
+        return v
+
+    def contains(self, vec) -> bool:
+        return not self.residue(vec)
+
+    def add(self, vec) -> bool:
+        v = self.residue(vec)
+        if not v:
+            return False
+        pj = min(v)
+        pv = v[pj]
+        self._pivots[pj] = {j: c / pv for j, c in v.items()}
+        return True
 
 
 def rank(m: SparseRationalMatrix) -> int:

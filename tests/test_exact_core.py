@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gkzrank import PolyZ, RationalFunctionQ, SparseRationalMatrix
-from gkzrank.linalg import Echelon, rank, solve
+from gkzrank.linalg import Echelon, RationalSpan, rank, solve
 
 F = Fraction
 
@@ -400,51 +400,6 @@ class TestEchelon:
         assert echelon.solve({1: 3, 3: 5}) is None
 
 
-class RationalSpan:
-    """Row space maintained incrementally in echelon form, in ``Fraction``s.
-
-    ``add`` reports whether the rank grew, so a caller keeps the first
-    vectors, in its own order, that enlarge the span: the ordered greedy
-    choice that ``Echelon``'s pivot columns give, kept as its reference.
-    Vectors are sparse dicts col -> Fraction.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._pivots: dict[int, dict[int, Fraction]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def residue(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        v = {j: Fraction(c) for j, c in vec.items() if c != 0}
-        for pj in sorted(self._pivots):
-            c = v.get(pj)
-            if c is None:
-                continue
-            row = self._pivots[pj]
-            for j, w in row.items():
-                new = v.get(j, Fraction(0)) - c * w
-                if new == 0:
-                    v.pop(j, None)
-                else:
-                    v[j] = new
-        return v
-
-    def contains(self, vec) -> bool:
-        return not self.residue(vec)
-
-    def add(self, vec) -> bool:
-        v = self.residue(vec)
-        if not v:
-            return False
-        pj = min(v)
-        pv = v[pj]
-        self._pivots[pj] = {j: c / pv for j, c in v.items()}
-        return True
-
-
 def _greedy_case(rnd):
     """Small-entry columns, so rows tie on length, with zero columns and
     repeated (rescaled) columns mixed in."""
@@ -472,7 +427,6 @@ class TestRationalSpan:
             span = RationalSpan(m.rows)
             greedy = [j for j, col in enumerate(m.columns()) if span.add(col)]
             assert [j for _, j, _ in Echelon(m).pivots] == greedy, seed
-
 
     def test_incremental_rank(self):
         span = RationalSpan(3)

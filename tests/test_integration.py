@@ -211,6 +211,28 @@ def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
     assert all(e is slices[d] for d, e in solved)
 
 
+@pytest.mark.parametrize("rows,fiber", EXTRA_CASES)
+def test_solve_top_rewrites_each_monomial(rows, fiber):
+    # D * t^w is the sum of the unit terms and of the sequence products
+    # that solve_top reports, and only basis monomials appear as units.
+    matrix = validate_matrix(rows)
+    P = NewtonPolytope(matrix)
+    kz = verify_kouchnirenko(matrix, fiber, P)
+    ring, basis = kz.ring, set(kz.monomial_basis)
+    for d in range(kz.truncation + 1):
+        assert kz.top_basis(d) == [w for w in kz.monomial_basis if P.graded_degree(w) == d]
+        for w in ring.monomials_of_degree(d):
+            units, images, D = kz.solve_top(w)
+            assert D > 0 and set(units) <= basis
+            total = dict(units)
+            for i, v, x in images:
+                for u, c in kz.sequence[i].terms.items():
+                    prod = ring.multiply_monomials(u, v)
+                    if prod is not None:
+                        total[prod] = total.get(prod, 0) + x * c
+            assert {u: c for u, c in total.items() if c} == {w: D}
+
+
 def test_cohomology_ranks_each_map_once(monkeypatch, gauss):
     from gkzrank import derham_cohomology_dims, log_derivative_classes
 

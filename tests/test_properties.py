@@ -19,6 +19,7 @@ from gkzrank.errors import GammaNotNormalized
 
 pytestmark = pytest.mark.filterwarnings("ignore::gkzrank.errors.GammaNotNormalized")
 
+from gkzrank.linalg import RationalSpan
 
 from gkzrank import (
     ConeRing,
@@ -37,7 +38,6 @@ from gkzrank import (
     twisted_differential,
     validate_matrix,
 )
-from test_exact_core import RationalSpan
 
 F = Fraction
 

@@ -30,7 +30,7 @@ from gkzrank import (
 from gkzrank.errors import RankDeficient
 from gkzrank.homology import GradedKoszulComplex, wedge_terms
 from gkzrank.lattice import NewtonPolytope, _det, _kernel_normal
-from gkzrank.linalg import SparseRationalMatrix, rank, solve
+from gkzrank.linalg import RationalSpan, SparseRationalMatrix, rank, solve
 from gkzrank.nondegeneracy import _face_quotient_dims
 from gkzrank.rings import (
     _integer_inverse,
@@ -41,7 +41,6 @@ from gkzrank.rings import (
 from gkzrank.series import PolyZ
 
 from test_cli import GOLDEN_SPECS
-from test_exact_core import RationalSpan
 
 
 class TestGradedPiece:
@@ -886,18 +885,9 @@ def test_bench_trace_targets_are_class_attributes():
     path = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
     targets = runpy.run_path(str(path), run_name="trace_child")["TARGETS"]
     assert targets
-    # RationalSpan was deleted from the library (Echelon's pivot columns are
-    # the ordered greedy choice); the tracer reports its target as missing
-    # until the benchmark's target list is next changed.  Only that target
-    # may be stale, and it must really be gone.
-    deleted = {("gkzrank.linalg", "RationalSpan.add")}
-    assert deleted <= {(modname, attr) for _, modname, attr, _ in targets}
     for _, modname, attr, _ in targets:
         owner = importlib.import_module(modname)
         owner_name, _, name = attr.rpartition(".")
-        if (modname, attr) in deleted:
-            assert not hasattr(owner, owner_name), attr
-            continue
         if owner_name:
             owner = getattr(owner, owner_name)
         assert callable(vars(owner).get(name)), f"{modname}.{attr}"
