@@ -226,8 +226,9 @@ class ReductionBasis:
     that it is integral; that keeps its span and support.  Each monomial of
     degree e is solved once, in integers, against the Kouchnirenko result's
     factored top slice of degree e, whose image columns are the leading
-    parts of the images (as ``check_gr_equals_koszul`` certifies) and whose
-    unit pivots are the basis.  The chosen images are subtracted whole, and
+    parts of the images (as ``check_gr_equals_koszul`` certifies), each
+    scaled to integers, which ``solve_top`` undoes, and whose unit pivots
+    are the basis.  The chosen images are subtracted whole, and
     the lower-degree remainder is rewritten through the normal forms of its
     monomials, kept in ``normal_forms`` as (numerators, denominator) in
     lowest common terms.

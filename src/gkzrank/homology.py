@@ -19,6 +19,7 @@ from .rings import (
     ConeRing,
     GradedRingHandle,
     cone_numerator,
+    integral_classes,
     log_derivative_classes,
     sequence_image,
 )
@@ -151,17 +152,19 @@ class GradedKoszulComplex:
                 if not nxt.matmul(mat).is_zero():
                     raise AssertionError(f"d o d != 0 at {(q, d)}")
 
-    def cohomology_dims(self) -> dict[int, dict]:
+    def cohomology_dims(self, known: dict | None = None) -> dict[int, dict]:
         """Per-degree and total cohomology dimensions.
 
         H^q at internal degree d uses the incoming differential from degree
         d - step; degrees whose outgoing map would leave the truncation are
-        omitted for q < m (they are not certified).
+        omitted for q < m (they are not certified).  ``known`` maps (q, d)
+        to the rank of that map where the caller already has it.
         """
         out: dict[int, dict] = {}
         # Each map is ranked once, though it is the outgoing map at q and the
         # incoming one at q + 1; a map that was never stored is zero.
-        ranks = {key: rank(mat) for key, mat in self.diffs.items()}
+        known = known or {}
+        ranks = {k: known[k] if k in known else rank(m) for k, m in self.diffs.items()}
         for q in range(self.m + 1):
             per = {}
             for d in range(self.truncation + 1):
@@ -286,40 +289,41 @@ def check_face_complex_exactness(
 
 
 class KouchnirenkoResult:
-    def __init__(
-        self,
-        vanishing,
-        top_dim,
-        equals_volume,
-        monomial_basis,
-        per_degree,
-        expected_polynomial,
-        truncation,
-        lower_dims,
-        ring,
-        sequence,
-    ):
-        self.vanishing: bool = vanishing
-        self.top_dim: int = top_dim
-        self.equals_volume: bool = equals_volume
-        self.monomial_basis: list = monomial_basis
-        self.per_degree: dict[int, int] = per_degree
-        self.expected_polynomial: PolyZ = expected_polynomial
-        self.truncation: int = truncation
-        self.lower_dims: dict[int, dict] = lower_dims
+    """Koszul counts of one fiber's leading classes, and the factored top
+    slices behind its monomial basis and its solves, all built in integers
+    from ``integral_classes``.  Each top map is the sequence image of its
+    target degree's slice up to the signs and order of its columns, so its
+    rank is read off that slice and no top map is eliminated on its own."""
+
+    def __init__(self, ring: ConeRing, sequence, expected_polynomial, truncation):
         self.ring: ConeRing = ring
         self.sequence: list = sequence
+        self.expected_polynomial: PolyZ = expected_polynomial
+        self.truncation: int = truncation
+        self._scaled, self._scales = integral_classes(sequence)
         self._slices: dict[int, tuple] = {}
+        cx = GradedKoszulComplex(ring, self._scaled, truncation)
+        n = cx.m
+        top = {(q, d): self._image_rank(d + cx.step) for q, d in cx.diffs if q == n - 1}
+        dims = cx.cohomology_dims(top)
+        self.lower_dims: dict[int, dict] = {q: dims[q] for q in range(n)}
+        self.vanishing: bool = all(h["total"] == 0 for h in self.lower_dims.values())
+        self.per_degree: dict[int, int] = dims[n]["per_degree"]
+        self.top_dim: int = dims[n]["total"]
+        self.equals_volume: bool = self.top_dim == ring.polytope.normalized_volume
+        self.monomial_basis: list = [
+            w for d in range(expected_polynomial.degree + 1) for w in self.top_basis(d)
+        ]
 
     def _top_slice(self, d: int) -> tuple:
-        """Row index, the slice of degree d - M and the factored matrix
-        [sequence_image | identity] of top degree d, built once.  Image
-        column c holds g_i * t^v for i = c % k and v the (c // k)-th
-        monomial of degree d - M; unit column k * len(prev) + r stands for
-        the r-th monomial of degree d."""
+        """Row index, the slice of degree d - M and the factored integer
+        matrix [sequence_image | identity] of top degree d, built once.
+        Image column c holds c_i * g_i * t^v for i = c % k and v the
+        (c // k)-th monomial of degree d - M; unit column k * len(prev) + r
+        stands for the r-th monomial of degree d."""
         if d not in self._slices:
             ring, M = self.ring, self.ring.gauge_denominator
-            image = sequence_image(ring, self.sequence, M, d)
+            image = sequence_image(ring, self._scaled, M, d)
             entries = dict(image.entries)
             entries.update(((r, image.cols + r), 1) for r in range(image.rows))
             mat = SparseRationalMatrix(image.rows, image.cols + image.rows, entries)
@@ -327,6 +331,11 @@ class KouchnirenkoResult:
             prev = ring.monomials_of_degree(d - M)
             self._slices[d] = (index, prev, Echelon(mat))
         return self._slices[d]
+
+    def _image_rank(self, d: int) -> int:
+        """Rank of the sequence image into degree d: its slice's pivots
+        left of the unit columns, i.e. all of them but the unit pivots."""
+        return self._top_slice(d)[2].rank - len(self.top_basis(d))
 
     def top_basis(self, d: int) -> list:
         """The greedy basis monomials of top degree d: the first monomials
@@ -339,7 +348,8 @@ class KouchnirenkoResult:
     def solve_top(self, w) -> tuple[dict, list, int]:
         """t^w against its degree's top slice, in integers: (units, images,
         D) with D * t^w = sum of x * t^u over units and of x * g_i * t^v
-        over the (i, v, x) in images.  The unit columns make every
+        over the (i, v, x) in images, for the unscaled g_i: x is c_i times
+        the slice's coefficient of c_i * g_i.  The unit columns make every
         monomial solvable."""
         k = len(self.sequence)
         d = self.ring.degree(w)
@@ -348,7 +358,10 @@ class KouchnirenkoResult:
         width = k * len(prev)
         mono = self.ring.monomials_of_degree(d)
         units = {mono[c - width]: xc for c, xc in enumerate(x[width:], width) if xc}
-        images = [(c % k, prev[c // k], xc) for c, xc in enumerate(x[:width]) if xc]
+        images = [
+            (c % k, prev[c // k], xc * self._scales[c % k])
+            for c, xc in enumerate(x[:width]) if xc
+        ]
         return units, images, D
 
     def to_json(self):
@@ -391,36 +404,14 @@ def verify_kouchnirenko(
         if not report.overall:
             bad = [c.face_id for c in report.offending_faces()]
             raise DegenerateFiber(f"degenerate fiber; offending faces {bad}")
-    n = polytope.n
-    M = polytope.gauge_denominator
     ring = ConeRing(polytope)
     expected = expected_top_polynomial(polytope)
-    truncation = expected.degree + M
+    truncation = expected.degree + polytope.gauge_denominator
     if truncation_cap is not None and truncation > truncation_cap:
         raise TruncationTooSmall(truncation, truncation_cap)
     polytope.points_of_degree(truncation)  # size the point table once
     sequence = log_derivative_classes(fiber, None, polytope)
-    cx = GradedKoszulComplex(ring, sequence, truncation)
-    dims = cx.cohomology_dims()
-    lower = {q: dims[q] for q in range(n)}
-    vanishing = all(d["total"] == 0 for d in lower.values())
-    per_degree = dims[n]["per_degree"]
-    top_dim = dims[n]["total"]
-    result = KouchnirenkoResult(
-        vanishing=vanishing,
-        top_dim=top_dim,
-        equals_volume=top_dim == polytope.normalized_volume,
-        monomial_basis=[],
-        per_degree=per_degree,
-        expected_polynomial=expected,
-        truncation=truncation,
-        lower_dims=lower,
-        ring=ring,
-        sequence=sequence,
-    )
-    for d in range(expected.degree + 1):
-        result.monomial_basis += result.top_basis(d)
-    return result
+    return KouchnirenkoResult(ring, sequence, expected, truncation)
 
 
 class PoincareCheck:

@@ -27,6 +27,9 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(value) -> str:
+    """An ``int`` or a ``Fraction`` prints as is, anything else as a ``Fraction``."""
+    if type(value) is int or isinstance(value, Fraction):
+        return str(value)
     return str(Fraction(value))
 
 

@@ -1,6 +1,6 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices hold ``fractions.Fraction`` entries and answers are exact; no
+Entries are ``int`` or ``fractions.Fraction`` and answers are exact; no
 floating point is used anywhere.  ``Echelon`` is the one elimination: it
 clears each row to integers once, factors the matrix fraction-free, taking
 the columns in index order and pivoting each on its sparsest live row, and
@@ -19,14 +19,15 @@ from math import gcd, lcm
 
 
 class SparseRationalMatrix:
-    """Sparse matrix over Q stored as a map (row, col) -> nonzero Fraction."""
+    """Sparse matrix over Q stored as a map (row, col) -> nonzero entry; an
+    ``int`` is stored as given and any other value as a ``Fraction``."""
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self.entries: dict[tuple[int, int], int | Fraction] = {}
         if entries:
             for (i, j), v in entries.items():
                 self.set(i, j, v)
@@ -45,7 +46,8 @@ class SparseRationalMatrix:
     def set(self, i, j, value):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        value = Fraction(value)
+        if type(value) is not int:
+            value = Fraction(value)
         if value == 0:
             self.entries.pop((i, j), None)
         else:
@@ -65,9 +67,9 @@ class SparseRationalMatrix:
         m.entries = dict(self.entries)
         return m
 
-    def columns(self) -> list[dict[int, Fraction]]:
+    def columns(self) -> list[dict[int, int | Fraction]]:
         """Every column as a sparse dict row -> value, in one pass."""
-        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        out: list[dict[int, int | Fraction]] = [{} for _ in range(self.cols)]
         for (i, j), v in self.entries.items():
             out[j][i] = v
         return out
@@ -184,7 +186,10 @@ class Echelon:
         variables are set to zero.
         """
         items = rhs.items() if isinstance(rhs, dict) else enumerate(rhs)
-        scaled = {i: Fraction(v) * self._scales[i] for i, v in items if v != 0}
+        scaled = {
+            i: (v if type(v) is int else Fraction(v)) * self._scales[i]
+            for i, v in items if v != 0
+        }
         den = lcm(*(v.denominator for v in scaled.values()))
         b = {i: v.numerator * (den // v.denominator) for i, v in scaled.items()}
         # y / (den * f) is the scaled right-hand side under the row

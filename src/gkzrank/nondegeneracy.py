@@ -20,6 +20,7 @@ from .rings import (
     FaceRing,
     RingElement,
     cone_numerator,
+    integral_classes,
     log_derivative_classes,
     sequence_image,
 )
@@ -96,7 +97,8 @@ def choose_spanning_subset(fiber, face: Face, polytope: NewtonPolytope):
     the whole set has smaller rank the face is deficient and the fiber is
     degenerate, reported as None.
     """
-    return _spanning_subset(log_derivative_classes(fiber, face, polytope), face)
+    gs, _ = integral_classes(log_derivative_classes(fiber, face, polytope))
+    return _spanning_subset(gs, face)
 
 
 def _spanning_subset(gs, face: Face):
@@ -133,7 +135,8 @@ def certify_face(
     # dimension, so this window certifies vanishing forever beyond it.
     bound = expected_poly.degree + k * M
     expected = tuple(expected_poly.coeff(d) for d in range(bound + 1))
-    gs = log_derivative_classes(fiber, face, polytope)
+    # In integers once; the pivots and quotient dimensions do not change.
+    gs, _ = integral_classes(log_derivative_classes(fiber, face, polytope))
     chosen = _spanning_subset(gs, face)
     if chosen is None:
         return FaceCertificate(

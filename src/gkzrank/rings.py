@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import FaceContainsOrigin, NotAFacePair, NotInCone
 from .lattice import Face, NewtonPolytope, Vector, _det, _dot, _nonsingular_minor
@@ -30,7 +31,7 @@ class RingElement:
     """Finite rational combination of lattice monomials."""
 
     def __init__(self, terms=None):
-        self.terms: dict[Vector, Fraction] = {} if terms is None else terms
+        self.terms: dict[Vector, int | Fraction] = {} if terms is None else terms
 
     @classmethod
     def monomial(cls, w, coeff=1) -> "RingElement":
@@ -288,18 +289,32 @@ def log_derivative_classes(
     return out
 
 
+def integral_classes(sequence) -> tuple[list[RingElement], list[int]]:
+    """(c_1 g_1, .., c_k g_k) in ``int`` coefficients, c_i the lcm of the
+    coefficient denominators of g_i, and the scales c_i.  Scaling a class
+    scales one column of each matrix built from the sequence, so ranks,
+    pivot columns and Koszul cohomology stay those of (g_1..g_k)."""
+    scales = [lcm(*(c.denominator for c in g.terms.values())) for g in sequence]
+    scaled = [
+        RingElement({w: c.numerator * (s // c.denominator) for w, c in g.terms.items()})
+        for g, s in zip(sequence, scales)
+    ]
+    return scaled, scales
+
+
 def sequence_image(ring: GradedRingHandle, sequence, step: int, d: int):
     """The matrix of (g_1..g_k): R_{d-step}^k -> R_d on one degree slice.
 
     Rows follow ``ring.monomials_of_degree(d)``; column w * k + i holds
-    g_i * t^w for the w-th monomial of degree d - step.  A product that
-    vanishes in the ring is dropped; one that leaves the slice means the
-    sequence is not homogeneous of degree ``step`` and raises.
+    g_i * t^w for the w-th monomial of degree d - step, so a sequence from
+    ``integral_classes`` gives the columns c_i * g_i * t^w in integers.  A
+    product that vanishes in the ring is dropped; one that leaves the slice
+    means the sequence is not homogeneous of degree ``step`` and raises.
     """
     index = {w: r for r, w in enumerate(ring.monomials_of_degree(d))}
     prev = ring.monomials_of_degree(d - step)
     k = len(sequence)
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int | Fraction] = {}
     for a, w in enumerate(prev):
         for i, g in enumerate(sequence):
             for u, c in g.terms.items():

@@ -311,6 +311,18 @@ GOLDEN_SPECS = {
         "gamma": ["0", "0", "0", "0"],
         "fiber": ["1", "2", "3", "5", "7", "11", "13", "17"],
     },
+    # the 10 homogenized lattice points of 3 * simplex_2, the derham
+    # ladder's slowest problem; recorded while the sequence images still
+    # carried Fraction entries
+    "simplex-points-3": {
+        "matrix": [
+            [1] * 10,
+            [0, 0, 0, 0, 1, 1, 1, 2, 2, 3],
+            [0, 1, 2, 3, 0, 1, 2, 0, 1, 0],
+        ],
+        "gamma": ["0", "0", "0"],
+        "fiber": [str((7 * i) % 13 + 1) for i in range(10)],
+    },
 }
 GOLDEN = {
     "gauss": (
@@ -340,6 +352,9 @@ GOLDEN = {
     "cross-polytope-4": (
         0, "a0798691309712ffd62fc560c108f3472a75cad143593959d66591dc65c09b76"
     ),
+    "simplex-points-3": (
+        0, "517bcd4dd9e40e872af23d26d1380ccb3b2285d4104430b72c523b940324cbb5"
+    ),
 }
 
 
@@ -351,6 +366,15 @@ def test_golden_report_bytes(name, tmp_path, capsys):
         code = main(["analyze", path, "--no-timings"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[name]
+
+
+def test_format_rational_prints_ints_and_fractions_as_they_are():
+    from fractions import Fraction
+
+    from gkzrank.jsonio import format_rational
+
+    values = (3, -7, Fraction(6, 4), Fraction(5, 1), "6/4", 2.5)
+    assert [format_rational(v) for v in values] == ["3", "-7", "3/2", "5", "3/2", "5/2"]
 
 
 # SHA-256 of the ``gkz face-complex`` and ``gkz gkz-ops`` stdout for the same

@@ -60,6 +60,18 @@ class TestSparseMatrix:
         m.set(0, 1, 0)
         assert m.nnz() == 0
 
+    def test_set_keeps_ints_and_builds_fractions_for_the_rest(self):
+        m = SparseRationalMatrix(2, 3)
+        m.set(0, 0, 3)
+        m.set(0, 1, F(1, 2))
+        m.set(0, 2, "2/3")
+        m.set(1, 0, 0)
+        m.set(1, 1, F(0))
+        assert m.entries == {(0, 0): 3, (0, 1): F(1, 2), (0, 2): F(2, 3)}
+        assert [type(m.entries[0, j]) for j in range(3)] == [int, F, F]
+        m.set(0, 0, 0)
+        assert m.nnz() == 2
+
     def test_matmul(self):
         a = SparseRationalMatrix.from_dense([[1, 2], [3, 4]])
         b = SparseRationalMatrix.from_dense([[0, 1], [1, 0]])

@@ -1,5 +1,8 @@
 """Cross-route agreement on matrices beyond the named fixtures."""
 
+from collections import Counter
+from fractions import Fraction as F
+
 import pytest
 
 from gkzrank import derham, homology, linalg, nondegeneracy, pipeline
@@ -29,6 +32,8 @@ EXTRA_CASES = [
     ([[2, 0], [0, 3]], [5, -7]),  # gauge denominator 6
     # octahedron: origin interior in three dimensions, rank 2^3
     ([[1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]], [1] * 6),
+    # classes with different denominators: c_1 = 4, c_2 = 3
+    ([[1, 0, -1, 0], [0, 1, 0, -1]], [F(1, 2), F(2, 3), F(3, 4), 5]),
 ]
 
 
@@ -164,14 +169,89 @@ def test_derham_dims_reuse_the_kouchnirenko_result(monkeypatch, gauss):
     assert calls == {"certify_face": 0, "koszul": 0}
 
 
-@pytest.mark.parametrize(
-    "rows,fiber",
-    [
-        ([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]], [1, 2, 3, 4]),
-        # rational normal curve, M = 1 with five columns
-        ([[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]], [1, 8, 2, 9, 3]),
-    ],
-)
+GAUSS_AND_NORMAL_CURVE = [
+    ([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]], [1, 2, 3, 4]),
+    # rational normal curve, M = 1 with five columns
+    ([[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]], [1, 8, 2, 9, 3]),
+]
+
+
+@pytest.mark.parametrize("rows,fiber", GAUSS_AND_NORMAL_CURVE)
+def test_top_maps_are_ranked_off_their_slices(monkeypatch, rows, fiber):
+    # No top Koszul map goes to rank: each is read off the factored slice
+    # of its target degree, and each top degree is factored exactly once.
+    matrix = validate_matrix(rows)
+    P = NewtonPolytope(matrix)
+    complexes, ranked, factored = [], [], []
+    koszul_init = homology.GradedKoszulComplex.__init__
+    rank = linalg.rank
+    make = homology.Echelon
+
+    def recorded_init(self, *args):
+        koszul_init(self, *args)
+        complexes.append(self)
+
+    def counted_rank(m):
+        ranked.append(m)
+        return rank(m)
+
+    def counted_echelon(m):
+        factored.append(make(m))
+        return factored[-1]
+
+    monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", recorded_init)
+    for module in (linalg, homology, nondegeneracy):
+        monkeypatch.setattr(module, "rank", counted_rank)
+    monkeypatch.setattr(homology, "Echelon", counted_echelon)
+    kz = verify_kouchnirenko(matrix, fiber, P)
+    monkeypatch.undo()
+    (cx,) = complexes
+    top = {(q, d): m for (q, d), m in cx.diffs.items() if q == cx.m - 1}
+    counts = Counter(map(id, ranked))
+    assert top and not any(id(m) in counts for m in top.values())
+    assert all(counts[id(m)] == 1 for key, m in cx.diffs.items() if key not in top)
+    assert [id(e) for e in factored] == [id(s[2]) for s in kz._slices.values()]
+    assert {d + cx.step for _, d in top} <= set(kz._slices)
+    # The ranks read off the slices are those of the maps themselves.
+    full = cx.cohomology_dims()
+    assert {q: full[q] for q in range(cx.m)} == kz.lower_dims
+    assert full[cx.m] == {"per_degree": kz.per_degree, "total": kz.top_dim}
+
+
+def test_koszul_maps_and_slices_hold_integers(monkeypatch):
+    # The gauss-rational fiber gives classes with denominators; the
+    # matrices built from them hold ints all the same.
+    matrix = validate_matrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    P = NewtonPolytope(matrix)
+    fiber = [F(1, 2), 2, F(-3, 4), F(5, 3)]
+    complexes, matrices = [], []
+    koszul_init = homology.GradedKoszulComplex.__init__
+
+    def recorded_init(self, *args):
+        koszul_init(self, *args)
+        complexes.append(self)
+
+    def recorded_image(*args):
+        matrices.append(image(*args))
+        return matrices[-1]
+
+    def recorded_echelon(m):
+        matrices.append(m)
+        return make(m)
+
+    image, make = homology.sequence_image, homology.Echelon
+    monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", recorded_init)
+    for module in (homology, nondegeneracy):
+        monkeypatch.setattr(module, "sequence_image", recorded_image)
+        monkeypatch.setattr(module, "Echelon", recorded_echelon)
+    kz = verify_kouchnirenko(matrix, fiber, P)
+    assert any(c.denominator > 1 for g in kz.sequence for c in g.terms.values())
+    matrices += [m for cx in complexes for m in cx.diffs.values()]
+    assert complexes and len(matrices) > len(kz._slices)
+    assert all(type(v) is int for m in matrices for v in m.entries.values())
+
+
+@pytest.mark.parametrize("rows,fiber", GAUSS_AND_NORMAL_CURVE)
 def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
     from gkzrank import connection_matrices
 
