@@ -3,28 +3,22 @@
 Forms carry semigroup-ring coefficients; the differential conjugates the
 exterior derivative by the monomial power of the parameter vector and the
 exponential of the fiber polynomial.  The gauge filtration turns its leading
-part into the Koszul differential, which drives the reduction of any top
-form onto the monomial cohomology basis, in integers over one denominator
-per monomial, and from there the Gauss-Manin connection matrices.
+part into the Koszul differential (``oracles.check_gr_equals_koszul``
+checks this), which drives the reduction of any top form onto the monomial
+cohomology basis, in integers over one denominator per monomial, and from
+there the Gauss-Manin connection matrices.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import GammaNotNormalized, NotInCone
-from .homology import (
-    CochainComplexQ,
-    KouchnirenkoResult,
-    verify_kouchnirenko,
-    wedge_terms,
-)
+from .homology import KouchnirenkoResult, verify_kouchnirenko, wedge_terms
 from .lattice import NewtonPolytope, Vector
 from .linalg import SparseRationalMatrix, rank
-from .rings import ConeRing, log_derivative_classes
 
 
 class LogForm:
@@ -143,78 +137,6 @@ def twisted_differential(
             for u, v in _partial(w, i, gamma[i], fiber, polytope.matrix).items():
                 out.add_term(J, u, sign * c * v)
     return out
-
-
-def filtration_level(form: LogForm, polytope: NewtonPolytope):
-    """Least filtration spot containing the form; None for the zero form."""
-    if form.is_zero():
-        return None
-    M = polytope.gauge_denominator
-    levels = []
-    for (I, w), _ in form.terms.items():
-        levels.append(polytope.graded_degree(w) - M * len(I))
-    return max(levels)
-
-
-def _top_part(form: LogForm, polytope: NewtonPolytope, level: int) -> LogForm:
-    M = polytope.gauge_denominator
-    out = LogForm(form.n, form.degree)
-    for (I, w), c in form.terms.items():
-        if polytope.graded_degree(w) - M * len(I) == level:
-            out.add_term(I, w, c)
-    return out
-
-
-class GrComparison:
-    def __init__(self, ok, checked, first_failure=None):
-        self.ok: bool = ok
-        self.checked: int = checked
-        self.first_failure: LogForm | None = first_failure
-
-
-def check_gr_equals_koszul(
-    gamma, fiber, polytope: NewtonPolytope, samples=None, degree_bound=None
-) -> GrComparison:
-    """Leading part of the twisted differential versus the Koszul rule.
-
-    Samples must be homogeneous forms (all terms at one filtration level).
-    By default every monomial form with coefficient degree up to two grading
-    windows is tried.
-    """
-    n = polytope.n
-    M = polytope.gauge_denominator
-    ring = ConeRing(polytope)
-    gs = log_derivative_classes(fiber, None, polytope)
-    if samples is None:
-        if degree_bound is None:
-            degree_bound = 2 * M
-        samples = []
-        for q in range(n):
-            for I in itertools.combinations(range(n), q):
-                for d in range(degree_bound + 1):
-                    for w in ring.monomials_of_degree(d):
-                        samples.append(LogForm.monomial(n, I, w))
-    checked = 0
-    for form in samples:
-        if form.is_zero():
-            checked += 1
-            continue
-        level = filtration_level(form, polytope)
-        if _top_part(form, polytope, level).terms != form.terms:
-            raise ValueError("sample form is not homogeneous")
-        d_form = twisted_differential(gamma, fiber, form, polytope)
-        top = _top_part(d_form, polytope, level)
-        koszul = LogForm(n, form.degree + 1)
-        for (I, w), c in form.terms.items():
-            for i, sign, J in wedge_terms(I, n):
-                for u, coeff in gs[i].terms.items():
-                    prod = ring.multiply_monomials(u, w)
-                    if prod is not None:
-                        koszul.add_term(J, prod, sign * c * coeff)
-        checked += 1
-        if top.terms != koszul.terms:
-            return GrComparison(False, checked, form)
-    return GrComparison(True, checked)
 
 
 class ReductionBasis:
@@ -412,51 +334,3 @@ def connection_matrices(gamma, fiber, basis: ReductionBasis):
     return out
 
 
-def derham_cohomology_dims(
-    gamma, fiber, polytope: NewtonPolytope, level_cap=None, *,
-    kouchnirenko: KouchnirenkoResult | None = None,
-):
-    """Truncated dimensions of every cohomology spot of the twisted complex.
-
-    Opt-in diagnostic: with the leading parts certified exact away from the
-    top, every spot below the top must report zero at any cap, because a
-    cocycle always bounds at its own filtration level.  A ``kouchnirenko``
-    result already computed for this fiber is reused; without one the fiber
-    is certified here and a degenerate one raises.
-    """
-    kz = kouchnirenko or verify_kouchnirenko(polytope.matrix, fiber, polytope)
-    _warn_if_not_normalized(gamma, polytope)
-    gamma = [Fraction(g) for g in gamma]
-    fiber = [Fraction(c) for c in fiber]
-    n = polytope.n
-    M = polytope.gauge_denominator
-    ring = kz.ring
-    if level_cap is None:
-        level_cap = max(0, kz.truncation - M * n)
-
-    def slice_basis(q):
-        out = []
-        bound = level_cap + M * q
-        for I in itertools.combinations(range(n), q):
-            for d in range(bound + 1):
-                for w in ring.monomials_of_degree(d):
-                    out.append((I, w))
-        return out
-
-    bases = {q: slice_basis(q) for q in range(n + 1)}
-    A = polytope.matrix
-    mats = {}
-    for q in range(n):
-        src = bases[q]
-        dst = bases[q + 1]
-        index = {lbl: i for i, lbl in enumerate(dst)}
-        mat = SparseRationalMatrix(len(dst), len(src))
-        for col, (I, w) in enumerate(src):
-            for i, sign, J in wedge_terms(I, n):
-                for u, c in _partial(w, i, gamma[i], fiber, A).items():
-                    row = index.get((J, u))
-                    if row is None:
-                        raise AssertionError("filtration cap leaked")
-                    mat.set(row, col, sign * c)
-        mats[q] = mat
-    return CochainComplexQ(bases, mats).cohomology_dims()

@@ -1,10 +1,9 @@
-"""Koszul complexes, the facial resolution complex, and cohomology counts.
+"""Koszul complexes of the leading classes, and their cohomology counts.
 
-All complexes live over Q and are validated exactly: the composite of two
-consecutive differentials must be the zero matrix.  The Koszul complex of
-the leading log-derivative classes is internally graded and its differential
-raises the grading by the gauge denominator; cohomology is computed strand
-by strand.
+The composite of two consecutive differentials is checked to be the zero
+matrix.  The Koszul complex of the leading log-derivative classes is
+internally graded and its differential raises the grading by the gauge
+denominator; cohomology is computed strand by strand.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .linalg import Echelon, SparseRationalMatrix, rank
 from .nondegeneracy import is_nondegenerate
 from .rings import (
     ConeRing,
-    GradedRingHandle,
     cone_numerator,
     integral_classes,
     log_derivative_classes,
@@ -31,47 +29,6 @@ def wedge_terms(I: tuple[int, ...], n: int):
     for i in range(n):
         if i not in I:
             yield i, (-1) ** sum(1 for k in I if k < i), tuple(sorted(I + (i,)))
-
-
-class CochainComplexQ:
-    """A finite complex of Q-vector spaces with labeled bases.
-
-    ``bases[q]`` is the list of basis labels in cohomological degree q and
-    ``diffs[q]`` the matrix of d: C^q -> C^{q+1} (one column per source basis
-    label).  Composites are checked to vanish on construction.
-    """
-
-    def __init__(self, bases: dict[int, list], diffs: dict[int, SparseRationalMatrix]):
-        self.bases = {q: list(b) for q, b in bases.items() if b}
-        self.diffs = {}
-        for q, m in diffs.items():
-            src = len(self.bases.get(q, ()))
-            dst = len(self.bases.get(q + 1, ()))
-            if m.rows != dst or m.cols != src:
-                raise ValueError(f"differential at {q} has wrong shape")
-            self.diffs[q] = m
-        self.validate()
-
-    @property
-    def degrees(self):
-        return sorted(self.bases)
-
-    def dim(self, q: int) -> int:
-        return len(self.bases.get(q, ()))
-
-    def validate(self):
-        for q in list(self.diffs):
-            if q + 1 in self.diffs:
-                prod = self.diffs[q + 1].matmul(self.diffs[q])
-                if not prod.is_zero():
-                    raise AssertionError(f"d o d != 0 at degree {q}")
-
-    def cohomology_dims(self) -> dict[int, int]:
-        ranks = {q: rank(m) for q, m in self.diffs.items()}
-        return {
-            q: self.dim(q) - ranks.get(q, 0) - ranks.get(q - 1, 0)
-            for q in self.degrees
-        }
 
 
 # -- Koszul complexes ----------------------------------------------------------
@@ -179,110 +136,6 @@ class GradedKoszulComplex:
 
 
 # -- the facial resolution complex ---------------------------------------------
-
-
-class FaceComplex:
-    """The complex of facial rings indexed by origin-clear faces.
-
-    Spot q collects the faces of dimension n-1-q; differentials are the
-    signed facial projections, and when the origin is interior an
-    augmentation to the ground field is appended.  The complex splits into
-    finite weight pieces, one for each lattice point of the exponent cone.
-    """
-
-    def __init__(self, polytope: NewtonPolytope):
-        self.polytope = polytope
-        n = polytope.n
-        self.levels = {q: polytope.index_set(n - 1 - q) for q in range(n)}
-        self.augmented = polytope.origin_interior
-        self.signs: dict[tuple[int, int], int] = {}
-        for q in range(n - 1):
-            next_ids = {f.id for f in self.levels[q + 1]}
-            for face in self.levels[q]:
-                for sub in polytope.subfaces(face):
-                    if sub.id in next_ids:
-                        self.signs[(face.id, sub.id)] = polytope.incidence_sign(
-                            face, sub
-                        )
-
-    def weight_piece(self, w) -> CochainComplexQ:
-        P = self.polytope
-        n = P.n
-        bases: dict[int, list] = {}
-        for q in range(n):
-            lbls = [
-                f.id for f in self.levels[q] if P.face_cone_contains(w, f)
-            ]
-            if lbls:
-                bases[q] = lbls
-        if self.augmented and all(c == 0 for c in w):
-            bases[n] = ["unit"]
-        diffs: dict[int, SparseRationalMatrix] = {}
-        for q in range(n - 1):
-            src = bases.get(q, [])
-            dst = bases.get(q + 1, [])
-            mat = SparseRationalMatrix(len(dst), len(src))
-            for col, fid in enumerate(src):
-                for row, gid in enumerate(dst):
-                    s = self.signs.get((fid, gid))
-                    if s is not None:
-                        mat.set(row, col, s)
-            if src:
-                diffs[q] = mat
-        if self.augmented and n in bases:
-            src = bases.get(n - 1, [])
-            mat = SparseRationalMatrix(1, len(src))
-            for col in range(len(src)):
-                mat.set(0, col, 1)
-            if src:
-                diffs[n - 1] = mat
-        return CochainComplexQ(bases, diffs)
-
-
-class FaceComplexReport:
-    def __init__(self, ok, weights_checked, weight_bound, failures=None):
-        self.ok: bool = ok
-        self.weights_checked: int = weights_checked
-        self.weight_bound: int = weight_bound
-        self.failures: list = [] if failures is None else failures
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "weights_checked": self.weights_checked,
-            "weight_bound": self.weight_bound,
-            "failures": [
-                {"weight": list(w), "dims": dims} for w, dims in self.failures
-            ],
-        }
-
-
-def check_face_complex_exactness(
-    polytope: NewtonPolytope, weight_bound: int
-) -> FaceComplexReport:
-    """Verify the weight pieces are exact away from spot zero.
-
-    Every lattice point w of the cone with scaled gauge at most the bound
-    must give a piece with one-dimensional kernel at the left end and no
-    higher cohomology.
-    """
-    if weight_bound < 0:
-        raise ValueError(f"weight bound must be >= 0: {weight_bound}")
-    fc = FaceComplex(polytope)
-    ring = ConeRing(polytope)
-    failures = []
-    count = 0
-    for d in range(weight_bound + 1):
-        for w in ring.monomials_of_degree(d):
-            count += 1
-            piece = fc.weight_piece(w)
-            dims = piece.cohomology_dims()
-            good = dims.get(0, 0) == 1 and all(
-                v == 0 for q, v in dims.items() if q != 0
-            )
-            if not good:
-                failures.append((w, dims))
-    return FaceComplexReport(not failures, count, weight_bound, failures)
 
 
 # -- the Kouchnirenko-style verification ----------------------------------------
@@ -463,37 +316,3 @@ def poincare_identity_check(
     )
 
 
-class RegularSequenceCheck:
-    def __init__(self, ok, vanishing_below, embeds_in_quotient, dims):
-        self.ok: bool = ok
-        self.vanishing_below: bool = vanishing_below
-        self.embeds_in_quotient: bool = embeds_in_quotient
-        self.dims: dict[int, dict] = dims
-
-
-def koszul_regular_sequence_check(
-    ring: GradedRingHandle, sequence, regular_length: int, truncation: int
-) -> RegularSequenceCheck:
-    """Vanishing below the regular length, and the top bound, on a toy module.
-
-    For a sequence whose first ``regular_length`` entries act regularly the
-    cohomology below that spot must vanish, and the dimension at the spot is
-    bounded per degree by the quotient modulo those entries.
-    """
-    cx = GradedKoszulComplex(ring, sequence, truncation)
-    dims = cx.cohomology_dims()
-    d = regular_length
-    vanishing = all(dims[q]["total"] == 0 for q in range(d))
-    embeds = True
-    if d <= cx.m:
-        # per_degree holds the certified degrees with nonzero H^d only.
-        for e, h in dims[d]["per_degree"].items():
-            image = sequence_image(ring, cx.sequence[:d], cx.step, e)
-            if h > image.rows - rank(image):
-                embeds = False
-    return RegularSequenceCheck(
-        ok=vanishing and embeds,
-        vanishing_below=vanishing,
-        embeds_in_quotient=embeds,
-        dims=dims,
-    )

@@ -282,19 +282,15 @@ class NewtonPolytope:
         _check_length(w, self.n)
         return all(_dot(m, w) <= 0 for _, m in self._cone_facets)
 
-    def _checked_scaled_gauge(self, w) -> int:
-        """gauge_denominator times the gauge of a cone point: an integer."""
-        if not self.cone_contains(w):
-            raise NotInCone(f"{w} violates a zero-level facet inequality")
-        return max(0, max(k * _dot(m, w) for _, m, k in self._gauge_facets))
-
     def gauge(self, w) -> Fraction:
         """Least r >= 0 with w inside r times the hull; w must be in the cone."""
-        return Fraction(self._checked_scaled_gauge(w), self.gauge_denominator)
+        return Fraction(self.graded_degree(w), self.gauge_denominator)
 
     def graded_degree(self, w) -> int:
         """The gauge scaled by the common denominator; an integer for lattice w."""
-        return self._checked_scaled_gauge(w)
+        if not self.cone_contains(w):
+            raise NotInCone(f"{w} violates a zero-level facet inequality")
+        return max(0, max(k * _dot(m, w) for _, m, k in self._gauge_facets))
 
     def _gauge_and_tight(self, w) -> tuple[int, frozenset[int]]:
         """The scaled gauge of a cone point and the facets tight at it: the

@@ -27,10 +27,14 @@ class SparseRationalMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], int | Fraction] = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self.set(i, j, v)
+        entries = entries or {}
+        for i, j in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError((i, j))
+        self.entries: dict[tuple[int, int], int | Fraction] = {
+            k: x for k, v in entries.items()
+            if (x := v if type(v) is int else Fraction(v))
+        }
 
     @classmethod
     def from_dense(cls, rows_list):

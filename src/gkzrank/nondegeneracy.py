@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FaceContainsOrigin
 from .lattice import Face, NewtonPolytope
 from .linalg import Echelon, SparseRationalMatrix, rank
 from .rings import (
     FaceRing,
-    RingElement,
     cone_numerator,
     integral_classes,
     log_derivative_classes,
@@ -75,30 +73,6 @@ class NondegeneracyReport:
             "overall": self.overall,
             "faces": [c.to_json() for c in self.certificates],
         }
-
-
-def face_polynomial(fiber, face: Face, polytope: NewtonPolytope) -> RingElement:
-    """Restriction of the fiber polynomial to the columns on the face."""
-    if face.contains_origin:
-        raise FaceContainsOrigin(face.id)
-    A = polytope.matrix
-    fiber = [Fraction(c) for c in fiber]
-    out = RingElement()
-    for j, w in enumerate(A.columns):
-        if polytope.point_on_face(w, face):
-            out.add_term(w, fiber[j])
-    return out
-
-
-def choose_spanning_subset(fiber, face: Face, polytope: NewtonPolytope):
-    """Row indices (1-based) whose log-derivatives span the full set, or None.
-
-    The target size is the dimension of the linear span of the face; when
-    the whole set has smaller rank the face is deficient and the fiber is
-    degenerate, reported as None.
-    """
-    gs, _ = integral_classes(log_derivative_classes(fiber, face, polytope))
-    return _spanning_subset(gs, face)
 
 
 def _spanning_subset(gs, face: Face):

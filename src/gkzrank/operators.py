@@ -122,22 +122,6 @@ def lattice_kernel(matrix: ExponentMatrix) -> list[BoxOperator]:
     return [box_operator(matrix, row[n:]) for row in hnf if not any(row[:n])]
 
 
-def in_kernel_lattice(basis: list[BoxOperator], relation) -> bool:
-    """Whether the relation is an integer combination of the basis."""
-    v = [int(c) for c in relation]
-    if basis and len(v) != len(basis[0].relation):
-        raise NotARelation("length does not match the column count")
-    # The Hermite form spans the same lattice with strictly increasing
-    # pivots, so eliminating each pivot in turn never disturbs an earlier one.
-    for row in _row_hnf([list(b.relation) for b in basis]):
-        pcol = next(k for k, c in enumerate(row) if c != 0)
-        if v[pcol] % row[pcol] != 0:
-            return False
-        q = v[pcol] // row[pcol]
-        v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
-
-
 def euler_operators(matrix: ExponentMatrix, gamma) -> list[EulerOperator]:
     """One operator per matrix row, carrying the matching parameter entry."""
     gamma = [Fraction(g) for g in gamma]

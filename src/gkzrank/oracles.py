@@ -1,0 +1,573 @@
+"""Checks of the paper's intermediate claims, which ``gkz analyze`` never runs.
+
+Exactness of the facial resolution complex, gr of the twisted differential
+equal to the Koszul differential, vanishing lower de Rham cohomology, regular
+sequences on a free polynomial ring, the face-search graded product, and
+Poincare series in lowest terms.  The tests, the demos and ``gkz face-complex``
+load this module; ``pipeline`` never imports it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import gcd, lcm
+
+from .derham import LogForm, _partial, _warn_if_not_normalized, twisted_differential
+from .errors import FaceContainsOrigin, NotAFacePair, NotARelation, NotInCone
+from .homology import (
+    GradedKoszulComplex, KouchnirenkoResult, verify_kouchnirenko, wedge_terms,
+)
+from .lattice import Face, NewtonPolytope, Vector, _dot
+from .linalg import SparseRationalMatrix, rank
+from .nondegeneracy import _spanning_subset
+from .operators import BoxOperator, _row_hnf
+from .rings import (
+    ConeRing, GradedRingHandle, RingElement, integral_classes,
+    log_derivative_classes, sequence_image,
+)
+from .series import PolyZ
+
+
+def _poly_divmod_q(num: list[Fraction], den: list[Fraction]):
+    num = list(num)
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    while len(num) >= len(den) and any(num):
+        while num and num[-1] == 0:
+            num.pop()
+        if len(num) < len(den):
+            break
+        c = num[-1] / den[-1]
+        shift = len(num) - len(den)
+        q[shift] = c
+        for i, d in enumerate(den):
+            num[shift + i] -= c * d
+        num.pop()
+    while num and num[-1] == 0:
+        num.pop()
+    return q, num
+
+
+def _poly_gcd_z(a: PolyZ, b: PolyZ) -> PolyZ:
+    """Monic-free gcd over Q, returned primitive over Z."""
+    fa = [Fraction(c) for c in a.coeffs]
+    fb = [Fraction(c) for c in b.coeffs]
+    while fb and any(fb):
+        _, r = _poly_divmod_q(fa, fb)
+        fa, fb = fb, r
+    if not fa:
+        return PolyZ()
+    denom_lcm = lcm(*(c.denominator for c in fa))
+    ints = [int(c * denom_lcm) for c in fa]
+    return PolyZ(ints).primitive()
+
+
+class RationalFunctionQ:
+    """A fraction of integer polynomials, kept in lowest terms.
+
+    The sign convention makes the lowest nonzero denominator coefficient
+    positive, so series like 1/(1-t) print in the familiar orientation.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: PolyZ, den: PolyZ):
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero():
+            self.num, self.den = PolyZ(), PolyZ([1])
+            return
+        g = _poly_gcd_z(num, den)
+        if g.degree > 0:
+            qn, rn = _poly_divmod_q(
+                [Fraction(c) for c in num.coeffs], [Fraction(c) for c in g.coeffs]
+            )
+            qd, rd = _poly_divmod_q(
+                [Fraction(c) for c in den.coeffs], [Fraction(c) for c in g.coeffs]
+            )
+            assert not any(rn) and not any(rd)
+            num = PolyZ([int(c) for c in qn])
+            den = PolyZ([int(c) for c in qd])
+        cg = gcd(num.content(), den.content())
+        if cg > 1:
+            num = PolyZ([c // cg for c in num.coeffs])
+            den = PolyZ([c // cg for c in den.coeffs])
+        low = next(c for c in den.coeffs if c != 0)
+        if low < 0:
+            num, den = -num, -den
+        self.num, self.den = num, den
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalFunctionQ):
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def taylor(self, upto: int) -> list[int]:
+        """Coefficients of the power series expansion through degree ``upto``."""
+        d0 = self.den.coeff(0)
+        if d0 == 0:
+            raise ValueError("denominator vanishes at t=0")
+        out: list[Fraction] = []
+        for k in range(upto + 1):
+            s = Fraction(self.num.coeff(k))
+            for j in range(1, min(k, self.den.degree) + 1):
+                s -= self.den.coeff(j) * out[k - j]
+            out.append(s / d0)
+        ints = []
+        for c in out:
+            if c.denominator != 1:
+                raise ValueError("series has non-integer coefficients")
+            ints.append(int(c))
+        return ints
+
+    def pole_order_at_one(self) -> int:
+        """Multiplicity of the pole at t=1 (negative for a zero there)."""
+
+        def one_multiplicity(poly: PolyZ) -> int:
+            cs = [Fraction(c) for c in poly.coeffs]
+            k = 0
+            while cs and sum(cs) == 0:
+                q, r = _poly_divmod_q(cs, [Fraction(1), Fraction(-1)])
+                assert not any(r)
+                cs = q
+                k += 1
+            return k
+
+        return one_multiplicity(self.den) - one_multiplicity(self.num)
+
+    def __str__(self):
+        if self.den == PolyZ([1]):
+            return str(self.num)
+        return f"({self.num})/({self.den})"
+
+    __repr__ = __str__
+
+
+class FreeRing(GradedRingHandle):
+    """Polynomial ring in k variables with positive integer weights."""
+
+    def __init__(self, k: int, weights=None):
+        self.k = k
+        self.weights = tuple(weights) if weights else (1,) * k
+        if any(w <= 0 for w in self.weights):
+            raise ValueError("weights must be positive")
+        self._slices: dict[int, tuple[Vector, ...]] = {}
+
+    def variable(self, i: int) -> RingElement:
+        e = [0] * self.k
+        e[i] = 1
+        return RingElement.monomial(tuple(e))
+
+    def degree(self, w) -> int:
+        return _dot(self.weights, w)
+
+    def monomials_of_degree(self, d: int) -> tuple[Vector, ...]:
+        if d < 0:
+            return ()
+        cached = self._slices.get(d)
+        if cached is None:
+            out = []
+            for combo in itertools.product(
+                *(range(d // w + 1) for w in self.weights)
+            ):
+                if _dot(self.weights, combo) == d:
+                    out.append(combo)
+            cached = tuple(sorted(out))
+            self._slices[d] = cached
+        return cached
+
+    def multiply_monomials(self, w1, w2) -> Vector:
+        return tuple(a + b for a, b in zip(w1, w2))
+
+    def poincare_series(self) -> RationalFunctionQ:
+        den = PolyZ([1])
+        for w in self.weights:
+            den = den * (PolyZ([1]) - PolyZ.monomial(w))
+        return RationalFunctionQ(PolyZ([1]), den)
+
+
+def gr_multiply(w1, w2, polytope: NewtonPolytope):
+    """Product of two cone monomials in the associated graded ring.
+
+    Returns the exponent sum when some origin-free face cone contains both
+    factors, and None for a vanishing product.  This is the face-search form
+    of the rule.  ConeRing uses the equivalent tight-set form: the product
+    survives exactly when some positive-level facet is tight at both
+    factors, i.e. when their gauges add.
+    """
+    w1, w2 = tuple(w1), tuple(w2)
+    for w in (w1, w2):
+        if not polytope.cone_contains(w):
+            raise NotInCone(w)
+    for face in polytope.origin_free_faces():
+        if polytope.face_cone_contains(w1, face) and polytope.face_cone_contains(
+            w2, face
+        ):
+            return tuple(a + b for a, b in zip(w1, w2))
+    return None
+
+
+def face_projection(
+    x: RingElement, face: Face, subface: Face, polytope: NewtonPolytope
+) -> RingElement:
+    """Keep the terms whose exponents lie in the subface cone.
+
+    The subface must be a codimension-one face of the given face; the map is
+    a ring homomorphism for the graded multiplication.
+    """
+    if (
+        subface.dim != face.dim - 1
+        or not set(subface.vertices) < set(face.vertices)
+    ):
+        raise NotAFacePair((face.id, subface.id))
+    out = RingElement()
+    for w, c in x.terms.items():
+        if polytope.face_cone_contains(w, subface):
+            out.add_term(w, c)
+    return out
+
+
+class CochainComplexQ:
+    """A finite complex of Q-vector spaces with labeled bases.
+
+    ``bases[q]`` is the list of basis labels in cohomological degree q and
+    ``diffs[q]`` the matrix of d: C^q -> C^{q+1} (one column per source basis
+    label).  Composites are checked to vanish on construction.
+    """
+
+    def __init__(self, bases: dict[int, list], diffs: dict[int, SparseRationalMatrix]):
+        self.bases = {q: list(b) for q, b in bases.items() if b}
+        self.diffs = {}
+        for q, m in diffs.items():
+            src = len(self.bases.get(q, ()))
+            dst = len(self.bases.get(q + 1, ()))
+            if m.rows != dst or m.cols != src:
+                raise ValueError(f"differential at {q} has wrong shape")
+            self.diffs[q] = m
+        self.validate()
+
+    @property
+    def degrees(self):
+        return sorted(self.bases)
+
+    def dim(self, q: int) -> int:
+        return len(self.bases.get(q, ()))
+
+    def validate(self):
+        for q in list(self.diffs):
+            if q + 1 in self.diffs:
+                prod = self.diffs[q + 1].matmul(self.diffs[q])
+                if not prod.is_zero():
+                    raise AssertionError(f"d o d != 0 at degree {q}")
+
+    def cohomology_dims(self) -> dict[int, int]:
+        ranks = {q: rank(m) for q, m in self.diffs.items()}
+        return {
+            q: self.dim(q) - ranks.get(q, 0) - ranks.get(q - 1, 0)
+            for q in self.degrees
+        }
+
+
+class FaceComplex:
+    """The complex of facial rings indexed by origin-clear faces.
+
+    Spot q collects the faces of dimension n-1-q; differentials are the
+    signed facial projections, and when the origin is interior an
+    augmentation to the ground field is appended.  The complex splits into
+    finite weight pieces, one for each lattice point of the exponent cone.
+    """
+
+    def __init__(self, polytope: NewtonPolytope):
+        self.polytope = polytope
+        n = polytope.n
+        self.levels = {q: polytope.index_set(n - 1 - q) for q in range(n)}
+        self.augmented = polytope.origin_interior
+        self.signs: dict[tuple[int, int], int] = {}
+        for q in range(n - 1):
+            next_ids = {f.id for f in self.levels[q + 1]}
+            for face in self.levels[q]:
+                for sub in polytope.subfaces(face):
+                    if sub.id in next_ids:
+                        self.signs[(face.id, sub.id)] = polytope.incidence_sign(
+                            face, sub
+                        )
+
+    def weight_piece(self, w) -> CochainComplexQ:
+        P = self.polytope
+        n = P.n
+        bases: dict[int, list] = {}
+        for q in range(n):
+            lbls = [
+                f.id for f in self.levels[q] if P.face_cone_contains(w, f)
+            ]
+            if lbls:
+                bases[q] = lbls
+        if self.augmented and all(c == 0 for c in w):
+            bases[n] = ["unit"]
+        diffs: dict[int, SparseRationalMatrix] = {}
+        for q in range(n - 1):
+            src = bases.get(q, [])
+            dst = bases.get(q + 1, [])
+            mat = SparseRationalMatrix(len(dst), len(src))
+            for col, fid in enumerate(src):
+                for row, gid in enumerate(dst):
+                    s = self.signs.get((fid, gid))
+                    if s is not None:
+                        mat.set(row, col, s)
+            if src:
+                diffs[q] = mat
+        if self.augmented and n in bases:
+            src = bases.get(n - 1, [])
+            mat = SparseRationalMatrix(1, len(src))
+            for col in range(len(src)):
+                mat.set(0, col, 1)
+            if src:
+                diffs[n - 1] = mat
+        return CochainComplexQ(bases, diffs)
+
+
+class FaceComplexReport:
+    def __init__(self, ok, weights_checked, weight_bound, failures=None):
+        self.ok: bool = ok
+        self.weights_checked: int = weights_checked
+        self.weight_bound: int = weight_bound
+        self.failures: list = [] if failures is None else failures
+
+    def to_json(self):
+        return {
+            "ok": self.ok,
+            "weights_checked": self.weights_checked,
+            "weight_bound": self.weight_bound,
+            "failures": [
+                {"weight": list(w), "dims": dims} for w, dims in self.failures
+            ],
+        }
+
+
+def check_face_complex_exactness(
+    polytope: NewtonPolytope, weight_bound: int
+) -> FaceComplexReport:
+    """Verify the weight pieces are exact away from spot zero.
+
+    Every lattice point w of the cone with scaled gauge at most the bound
+    must give a piece with one-dimensional kernel at the left end and no
+    higher cohomology.
+    """
+    if weight_bound < 0:
+        raise ValueError(f"weight bound must be >= 0: {weight_bound}")
+    fc = FaceComplex(polytope)
+    ring = ConeRing(polytope)
+    failures = []
+    count = 0
+    for d in range(weight_bound + 1):
+        for w in ring.monomials_of_degree(d):
+            count += 1
+            piece = fc.weight_piece(w)
+            dims = piece.cohomology_dims()
+            good = dims.get(0, 0) == 1 and all(
+                v == 0 for q, v in dims.items() if q != 0
+            )
+            if not good:
+                failures.append((w, dims))
+    return FaceComplexReport(not failures, count, weight_bound, failures)
+
+
+class RegularSequenceCheck:
+    def __init__(self, ok, vanishing_below, embeds_in_quotient, dims):
+        self.ok: bool = ok
+        self.vanishing_below: bool = vanishing_below
+        self.embeds_in_quotient: bool = embeds_in_quotient
+        self.dims: dict[int, dict] = dims
+
+
+def koszul_regular_sequence_check(
+    ring: GradedRingHandle, sequence, regular_length: int, truncation: int
+) -> RegularSequenceCheck:
+    """Vanishing below the regular length, and the top bound, on a toy module.
+
+    For a sequence whose first ``regular_length`` entries act regularly the
+    cohomology below that spot must vanish, and the dimension at the spot is
+    bounded per degree by the quotient modulo those entries.
+    """
+    cx = GradedKoszulComplex(ring, sequence, truncation)
+    dims = cx.cohomology_dims()
+    d = regular_length
+    vanishing = all(dims[q]["total"] == 0 for q in range(d))
+    embeds = True
+    if d <= cx.m:
+        # per_degree holds the certified degrees with nonzero H^d only.
+        for e, h in dims[d]["per_degree"].items():
+            image = sequence_image(ring, cx.sequence[:d], cx.step, e)
+            if h > image.rows - rank(image):
+                embeds = False
+    return RegularSequenceCheck(
+        ok=vanishing and embeds,
+        vanishing_below=vanishing,
+        embeds_in_quotient=embeds,
+        dims=dims,
+    )
+
+
+def filtration_level(form: LogForm, polytope: NewtonPolytope):
+    """Least filtration spot containing the form; None for the zero form."""
+    if form.is_zero():
+        return None
+    M = polytope.gauge_denominator
+    levels = []
+    for (I, w), _ in form.terms.items():
+        levels.append(polytope.graded_degree(w) - M * len(I))
+    return max(levels)
+
+
+def _top_part(form: LogForm, polytope: NewtonPolytope, level: int) -> LogForm:
+    M = polytope.gauge_denominator
+    out = LogForm(form.n, form.degree)
+    for (I, w), c in form.terms.items():
+        if polytope.graded_degree(w) - M * len(I) == level:
+            out.add_term(I, w, c)
+    return out
+
+
+class GrComparison:
+    def __init__(self, ok, checked, first_failure=None):
+        self.ok: bool = ok
+        self.checked: int = checked
+        self.first_failure: LogForm | None = first_failure
+
+
+def check_gr_equals_koszul(
+    gamma, fiber, polytope: NewtonPolytope, samples=None, degree_bound=None
+) -> GrComparison:
+    """Leading part of the twisted differential versus the Koszul rule.
+
+    Samples must be homogeneous forms (all terms at one filtration level).
+    By default every monomial form with coefficient degree up to two grading
+    windows is tried.
+    """
+    n = polytope.n
+    M = polytope.gauge_denominator
+    ring = ConeRing(polytope)
+    gs = log_derivative_classes(fiber, None, polytope)
+    if samples is None:
+        if degree_bound is None:
+            degree_bound = 2 * M
+        samples = []
+        for q in range(n):
+            for I in itertools.combinations(range(n), q):
+                for d in range(degree_bound + 1):
+                    for w in ring.monomials_of_degree(d):
+                        samples.append(LogForm.monomial(n, I, w))
+    checked = 0
+    for form in samples:
+        if form.is_zero():
+            checked += 1
+            continue
+        level = filtration_level(form, polytope)
+        if _top_part(form, polytope, level).terms != form.terms:
+            raise ValueError("sample form is not homogeneous")
+        d_form = twisted_differential(gamma, fiber, form, polytope)
+        top = _top_part(d_form, polytope, level)
+        koszul = LogForm(n, form.degree + 1)
+        for (I, w), c in form.terms.items():
+            for i, sign, J in wedge_terms(I, n):
+                for u, coeff in gs[i].terms.items():
+                    prod = ring.multiply_monomials(u, w)
+                    if prod is not None:
+                        koszul.add_term(J, prod, sign * c * coeff)
+        checked += 1
+        if top.terms != koszul.terms:
+            return GrComparison(False, checked, form)
+    return GrComparison(True, checked)
+
+
+def derham_cohomology_dims(
+    gamma, fiber, polytope: NewtonPolytope, level_cap=None, *,
+    kouchnirenko: KouchnirenkoResult | None = None,
+):
+    """Truncated dimensions of every cohomology spot of the twisted complex.
+
+    Opt-in diagnostic: with the leading parts certified exact away from the
+    top, every spot below the top must report zero at any cap, because a
+    cocycle always bounds at its own filtration level.  A ``kouchnirenko``
+    result already computed for this fiber is reused; without one the fiber
+    is certified here and a degenerate one raises.
+    """
+    kz = kouchnirenko or verify_kouchnirenko(polytope.matrix, fiber, polytope)
+    _warn_if_not_normalized(gamma, polytope)
+    gamma = [Fraction(g) for g in gamma]
+    fiber = [Fraction(c) for c in fiber]
+    n = polytope.n
+    M = polytope.gauge_denominator
+    ring = kz.ring
+    if level_cap is None:
+        level_cap = max(0, kz.truncation - M * n)
+
+    def slice_basis(q):
+        out = []
+        bound = level_cap + M * q
+        for I in itertools.combinations(range(n), q):
+            for d in range(bound + 1):
+                for w in ring.monomials_of_degree(d):
+                    out.append((I, w))
+        return out
+
+    bases = {q: slice_basis(q) for q in range(n + 1)}
+    A = polytope.matrix
+    mats = {}
+    for q in range(n):
+        src = bases[q]
+        dst = bases[q + 1]
+        index = {lbl: i for i, lbl in enumerate(dst)}
+        mat = SparseRationalMatrix(len(dst), len(src))
+        for col, (I, w) in enumerate(src):
+            for i, sign, J in wedge_terms(I, n):
+                for u, c in _partial(w, i, gamma[i], fiber, A).items():
+                    row = index.get((J, u))
+                    if row is None:
+                        raise AssertionError("filtration cap leaked")
+                    mat.set(row, col, sign * c)
+        mats[q] = mat
+    return CochainComplexQ(bases, mats).cohomology_dims()
+
+
+def face_polynomial(fiber, face: Face, polytope: NewtonPolytope) -> RingElement:
+    """Restriction of the fiber polynomial to the columns on the face."""
+    if face.contains_origin:
+        raise FaceContainsOrigin(face.id)
+    A = polytope.matrix
+    fiber = [Fraction(c) for c in fiber]
+    out = RingElement()
+    for j, w in enumerate(A.columns):
+        if polytope.point_on_face(w, face):
+            out.add_term(w, fiber[j])
+    return out
+
+
+def choose_spanning_subset(fiber, face: Face, polytope: NewtonPolytope):
+    """Row indices (1-based) whose log-derivatives span the full set, or None.
+
+    The target size is the dimension of the linear span of the face; when
+    the whole set has smaller rank the face is deficient and the fiber is
+    degenerate, reported as None.
+    """
+    gs, _ = integral_classes(log_derivative_classes(fiber, face, polytope))
+    return _spanning_subset(gs, face)
+
+
+def in_kernel_lattice(basis: list[BoxOperator], relation) -> bool:
+    """Whether the relation is an integer combination of the basis."""
+    v = [int(c) for c in relation]
+    if basis and len(v) != len(basis[0].relation):
+        raise NotARelation("length does not match the column count")
+    # The Hermite form spans the same lattice with strictly increasing
+    # pivots, so eliminating each pivot in turn never disturbs an earlier one.
+    for row in _row_hnf([list(b.relation) for b in basis]):
+        pcol = next(k for k, c in enumerate(row) if c != 0)
+        if v[pcol] % row[pcol] != 0:
+            return False
+        q = v[pcol] // row[pcol]
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)

@@ -12,11 +12,7 @@ import time
 
 from .derham import connection_matrices, h_top_dimension
 from .errors import UnknownSubcommand
-from .homology import (
-    check_face_complex_exactness,
-    poincare_identity_check,
-    verify_kouchnirenko,
-)
+from .homology import poincare_identity_check, verify_kouchnirenko
 from .jsonio import (
     DEFAULT_WEIGHT_BOUND,
     GEOMETRY_SUBCOMMANDS,
@@ -51,30 +47,6 @@ class RankReport:
         if self.timings is not None:
             out["timings"] = {k: round(v, 6) for k, v in self.timings.items()}
         return out
-
-
-class _Clock:
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.timings: dict[str, float] = {}
-
-    def stage(self, name):
-        return _Stage(self, name)
-
-
-class _Stage:
-    def __init__(self, clock, name):
-        self.clock = clock
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        if self.clock.enabled:
-            self.clock.timings[self.name] = time.perf_counter() - self.t0
-        return False
 
 
 def _operators_json(matrix: ExponentMatrix, gamma):
@@ -116,46 +88,49 @@ def run_analyze(spec: ProblemSpec, with_timings: bool = True) -> RankReport:
     """Full pipeline: geometry, certification, cohomology, operators.
 
     Each stage's result is passed on to the stages that need it, so the
-    fiber is certified once and the Koszul complex is built once.
+    fiber is certified once and the Koszul complex is built once.  Each
+    stage's time is the lap since the previous stage ended.
     """
-    clock = _Clock(with_timings)
+    timings: dict[str, float] = {}
+    last = time.perf_counter()
+
+    def lap(stage):
+        nonlocal last
+        now = time.perf_counter()
+        timings[stage], last = now - last, now
+
     body: dict = {}
-    with clock.stage("validate"):
-        matrix, polytope = _validated(spec)
-    with clock.stage("polytope"):
-        body["polytope"] = polytope_summary_json(polytope)
-    with clock.stage("normalize_gamma"):
-        cone = exponent_cone(matrix, polytope)
-        gamma_norm = normalize_gamma(spec.gamma, cone)
-        body["gamma_normalized"] = [format_rational(g) for g in gamma_norm]
-    with clock.stage("nondegeneracy"):
-        report = is_nondegenerate(matrix, spec.fiber, polytope)
-        body["nondegeneracy"] = report.to_json()
+    matrix, polytope = _validated(spec)
+    lap("validate")
+    body["polytope"] = polytope_summary_json(polytope)
+    lap("polytope")
+    gamma_norm = normalize_gamma(spec.gamma, exponent_cone(matrix, polytope))
+    body["gamma_normalized"] = [format_rational(g) for g in gamma_norm]
+    lap("normalize_gamma")
+    report = is_nondegenerate(matrix, spec.fiber, polytope)
+    body["nondegeneracy"] = report.to_json()
+    lap("nondegeneracy")
     degenerate = not report.overall
     if degenerate:
-        body["koszul"] = None
-        body["poincare"] = None
-        body["derham"] = None
+        body.update(koszul=None, poincare=None, derham=None)
     else:
-        with clock.stage("koszul"):
-            kz = _kouchnirenko(
-                spec, matrix, polytope, require_nondegenerate=False
-            )
-            body["koszul"] = kz.to_json()
-        with clock.stage("poincare"):
-            body["poincare"] = poincare_identity_check(
-                matrix, spec.fiber, polytope, kouchnirenko=kz
-            ).to_json()
-        with clock.stage("derham"):
-            body["derham"] = _derham_json(gamma_norm, spec.fiber, polytope, kz)
+        kz = _kouchnirenko(spec, matrix, polytope, require_nondegenerate=False)
+        body["koszul"] = kz.to_json()
+        lap("koszul")
+        body["poincare"] = poincare_identity_check(
+            matrix, spec.fiber, polytope, kouchnirenko=kz
+        ).to_json()
+        lap("poincare")
+        body["derham"] = _derham_json(gamma_norm, spec.fiber, polytope, kz)
+        lap("derham")
         body["rank_agreement"] = (
             polytope.normalized_volume
             == kz.top_dim
             == body["derham"]["dimension"]
         )
-    with clock.stage("operators"):
-        body["gkz"] = _operators_json(matrix, gamma_norm)
-    return RankReport(spec, degenerate, body, clock.timings if with_timings else None)
+    body["gkz"] = _operators_json(matrix, gamma_norm)
+    lap("operators")
+    return RankReport(spec, degenerate, body, timings if with_timings else None)
 
 
 SUBCOMMANDS = (
@@ -189,6 +164,8 @@ def run_subcommand(name: str, spec: ProblemSpec) -> dict:
             kouchnirenko=_kouchnirenko(spec, matrix, polytope),
         ).to_json()
     if name == "face-complex":
+        from .oracles import check_face_complex_exactness
+
         bound = spec.options.get("weight_bound", DEFAULT_WEIGHT_BOUND)
         return check_face_complex_exactness(polytope, bound).to_json()
     gamma_norm = normalize_gamma(spec.gamma, exponent_cone(matrix, polytope))

@@ -4,8 +4,7 @@ The full ring collects all lattice points of the exponent cone, graded by
 the scaled gauge; its multiplication is the associated-graded rule where a
 product of two monomials survives exactly when the factors sit in a common
 face cone avoiding the origin.  Facial rings restrict to the cone over a
-single origin-free face and multiply honestly.  A small free polynomial ring
-is included for regular-sequence experiments.
+single origin-free face and multiply honestly.
 
 Poincare series are computed exactly by triangulating the relevant faces,
 taking half-open simplicial cones and counting the lattice points in the
@@ -21,10 +20,10 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .errors import FaceContainsOrigin, NotAFacePair, NotInCone
+from .errors import FaceContainsOrigin, NotInCone
 from .lattice import Face, NewtonPolytope, Vector, _det, _dot, _nonsingular_minor
 from .linalg import SparseRationalMatrix
-from .series import PolyZ, RationalFunctionQ
+from .series import PolyZ
 
 
 class RingElement:
@@ -168,91 +167,7 @@ class FaceRing(GradedRingHandle):
         return _cone_poincare(self.polytope, [self.face])
 
 
-class FreeRing(GradedRingHandle):
-    """Polynomial ring in k variables with positive integer weights."""
-
-    def __init__(self, k: int, weights=None):
-        self.k = k
-        self.weights = tuple(weights) if weights else (1,) * k
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        self._slices: dict[int, tuple[Vector, ...]] = {}
-
-    def variable(self, i: int) -> RingElement:
-        e = [0] * self.k
-        e[i] = 1
-        return RingElement.monomial(tuple(e))
-
-    def degree(self, w) -> int:
-        return _dot(self.weights, w)
-
-    def monomials_of_degree(self, d: int) -> tuple[Vector, ...]:
-        if d < 0:
-            return ()
-        cached = self._slices.get(d)
-        if cached is None:
-            out = []
-            for combo in itertools.product(
-                *(range(d // w + 1) for w in self.weights)
-            ):
-                if _dot(self.weights, combo) == d:
-                    out.append(combo)
-            cached = tuple(sorted(out))
-            self._slices[d] = cached
-        return cached
-
-    def multiply_monomials(self, w1, w2) -> Vector:
-        return tuple(a + b for a, b in zip(w1, w2))
-
-    def poincare_series(self) -> RationalFunctionQ:
-        den = PolyZ([1])
-        for w in self.weights:
-            den = den * (PolyZ([1]) - PolyZ.monomial(w))
-        return RationalFunctionQ(PolyZ([1]), den)
-
-
 # -- spec-level operations ----------------------------------------------------
-
-
-def gr_multiply(w1, w2, polytope: NewtonPolytope):
-    """Product of two cone monomials in the associated graded ring.
-
-    Returns the exponent sum when some origin-free face cone contains both
-    factors, and None for a vanishing product.  This is the face-search form
-    of the rule.  ConeRing uses the equivalent tight-set form: the product
-    survives exactly when some positive-level facet is tight at both
-    factors, i.e. when their gauges add.
-    """
-    w1, w2 = tuple(w1), tuple(w2)
-    for w in (w1, w2):
-        if not polytope.cone_contains(w):
-            raise NotInCone(w)
-    for face in polytope.origin_free_faces():
-        if polytope.face_cone_contains(w1, face) and polytope.face_cone_contains(
-            w2, face
-        ):
-            return tuple(a + b for a, b in zip(w1, w2))
-    return None
-
-
-def face_projection(
-    x: RingElement, face: Face, subface: Face, polytope: NewtonPolytope
-) -> RingElement:
-    """Keep the terms whose exponents lie in the subface cone.
-
-    The subface must be a codimension-one face of the given face; the map is
-    a ring homomorphism for the graded multiplication.
-    """
-    if (
-        subface.dim != face.dim - 1
-        or not set(subface.vertices) < set(face.vertices)
-    ):
-        raise NotAFacePair((face.id, subface.id))
-    out = RingElement()
-    for w, c in x.terms.items():
-        if polytope.face_cone_contains(w, subface):
-            out.add_term(w, c)
-    return out
 
 
 def log_derivative_classes(
@@ -435,6 +350,8 @@ def cone_numerator(polytope: NewtonPolytope, faces):
 
 def _cone_poincare(polytope: NewtonPolytope, faces) -> RationalFunctionQ:
     """Poincare series of the semigroup of the cone over the given faces."""
+    from .oracles import RationalFunctionQ
+
     numerator, k = cone_numerator(polytope, faces)
     den = PolyZ([1]) - PolyZ.monomial(polytope.gauge_denominator)
     return RationalFunctionQ(numerator, den ** k)

@@ -23,7 +23,8 @@ from gkzrank import (
     verify_kouchnirenko,
 )
 from gkzrank.cli import main
-from gkzrank.operators import euler_operators, in_kernel_lattice
+from gkzrank.operators import euler_operators
+from gkzrank.oracles import in_kernel_lattice
 
 F = Fraction
 

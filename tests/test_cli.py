@@ -47,6 +47,19 @@ class TestRunAnalyze:
         assert body["koszul"] is None and body["derham"] is None
         assert body["gkz"]["box"]  # operators still emitted
 
+    @pytest.mark.parametrize(
+        "fiber,degenerate", [(["1", "2", "3", "4"], False), (["1"] * 4, True)]
+    )
+    def test_timings_name_the_stages_in_order(self, fiber, degenerate):
+        spec = ProblemSpec.from_json(dict(GAUSS_SPEC, fiber=fiber))
+        report = run_analyze(spec)
+        cohomology = [] if degenerate else ["koszul", "poincare", "derham"]
+        stages = ["validate", "polytope", "normalize_gamma", "nondegeneracy"]
+        assert report.degenerate is degenerate
+        assert list(report.to_json()["timings"]) == stages + cohomology + ["operators"]
+        assert all(t >= 0 for t in report.timings.values())
+        assert "timings" not in run_analyze(spec, with_timings=False).to_json()
+
     def test_rank_numbers_agree(self):
         report = run_analyze(ProblemSpec.from_json(GAUSS_SPEC))
         body = report.to_json()

@@ -72,6 +72,17 @@ class TestSparseMatrix:
         m.set(0, 0, 0)
         assert m.nnz() == 2
 
+    def test_constructor_keeps_ints_drops_zeros_and_checks_bounds(self):
+        entries = {(0, 0): 3, (0, 1): 0, (0, 2): "2/3", (1, 1): F(0)}
+        m = SparseRationalMatrix(2, 3, entries)
+        assert m.entries == {(0, 0): 3, (0, 2): F(2, 3)}
+        assert type(m.entries[0, 0]) is int and type(m.entries[0, 2]) is F
+        for key in [(-1, 0), (2, 0), (0, -1), (0, 3)]:
+            with pytest.raises(IndexError):
+                SparseRationalMatrix(2, 3, {key: 1})
+        with pytest.raises(IndexError):
+            SparseRationalMatrix(2, 3, {(2, 0): 0})
+
     def test_matmul(self):
         a = SparseRationalMatrix.from_dense([[1, 2], [3, 4]])
         b = SparseRationalMatrix.from_dense([[0, 1], [1, 0]])

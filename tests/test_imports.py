@@ -1,7 +1,9 @@
 """What each entry point loads: the package surface is lazy, ``gkz volume``
-and ``gkz faces`` stay clear of the cohomology stack, no ``gkz`` process
-loads ``dataclasses`` or ``inspect``, and ``pipeline`` still loads every
-module the benchmark's tracer wraps."""
+and ``gkz faces`` stay clear of the cohomology stack and the claim checks,
+``gkz analyze`` loads exactly the 13 modules it runs and only
+``gkz face-complex`` loads ``gkzrank.oracles``, no ``gkz`` process loads
+``dataclasses`` or ``inspect``, and ``pipeline`` still loads every module
+the benchmark's tracer wraps."""
 
 import importlib
 import json
@@ -19,6 +21,15 @@ ROOT = Path(__file__).resolve().parents[1]
 COHOMOLOGY_STACK = {
     f"gkzrank.{m}"
     for m in ("derham", "homology", "nondegeneracy", "operators", "rings", "series")
+}
+# The checks of the paper's claims; the tracer wraps nothing in it, so it is
+# kept apart from the stack that test_pipeline_loads_every_traced_module reads.
+ORACLES = "gkzrank.oracles"
+ANALYZE_MODULES = {"gkzrank"} | COHOMOLOGY_STACK | {
+    f"gkzrank.{m}" for m in ("cli", "errors", "jsonio", "lattice", "linalg", "pipeline")
+}
+GAUSS_SPEC = {
+    "matrix": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]], "fiber": ["1", "2", "3", "4"]
 }
 
 # The public names: one per object, no alias functions beside the classes
@@ -71,8 +82,31 @@ def test_geometry_subcommands_skip_the_cohomology_stack(command, tmp_path):
         f"assert main([{command!r}, {str(spec)!r}, '--out', {str(out)!r}]) == 0"
     )
     assert "gkzrank.pipeline" not in loaded
-    assert not loaded & COHOMOLOGY_STACK
+    assert not loaded & (COHOMOLOGY_STACK | {ORACLES})
     assert json.loads(out.read_text())["normalized_volume"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["analyze"], 0), (["analyze", "--fiber", "1,1,1,1"], 2)]
+    + [([c], 0) for c in ("nondegenerate", "koszul", "derham", "gkz-ops", "poincare")]
+    + [(["face-complex"], 0)],
+    ids=["analyze-nondegenerate", "analyze-degenerate", "nondegenerate", "koszul",
+         "derham", "gkz-ops", "poincare", "face-complex"],
+)
+def test_only_face_complex_loads_the_claim_checks(argv, code, tmp_path):
+    spec = tmp_path / "problem.json"
+    spec.write_text(json.dumps(GAUSS_SPEC))
+    out = tmp_path / "out.json"
+    loaded = _loaded_after(
+        "from gkzrank.cli import main\n"
+        f"assert main({argv[:1] + [str(spec)] + argv[1:] + ['--out', str(out)]!r})"
+        f" == {code}"
+    )
+    assert json.loads(out.read_text())
+    if argv[0] == "analyze":
+        assert loaded == ANALYZE_MODULES
+    assert (ORACLES in loaded) == (argv[0] == "face-complex")
 
 
 # The records are plain classes: a dataclass import costs every process the

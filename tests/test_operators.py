@@ -14,7 +14,8 @@ from gkzrank import (
     render_euler,
     validate_matrix,
 )
-from gkzrank.operators import _row_hnf, in_kernel_lattice
+from gkzrank.operators import _row_hnf
+from gkzrank.oracles import in_kernel_lattice
 
 
 class TestLatticeKernel:

@@ -490,7 +490,7 @@ class TestIntegerKernel:
         def forbidden(*args):
             raise AssertionError("polynomial gcd on the analyze path")
 
-        monkeypatch.setattr("gkzrank.series._poly_gcd_z", forbidden)
+        monkeypatch.setattr("gkzrank.oracles._poly_gcd_z", forbidden)
         spec = ProblemSpec.from_json(
             {"matrix": [[3, 0, -2], [0, 2, -3]], "fiber": ["1", "2", "3"]}
         )
