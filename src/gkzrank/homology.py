@@ -58,6 +58,7 @@ class GradedKoszulComplex:
         self.m = len(self.sequence)
         self.bases: dict[tuple[int, int], list] = {}
         self.diffs: dict[tuple[int, int], SparseRationalMatrix] = {}
+        self.images: dict[int, SparseRationalMatrix] = {}
         self._build()
         self.validate()
 
@@ -82,14 +83,16 @@ class GradedKoszulComplex:
                 if labels:
                     self.bases[(q, d)] = labels
         position = {J: k for level in wedges for k, J in enumerate(level)}
-        # The sequence image on each slice, placed once per wedge set: the
-        # column of (I, w) gets, for each i not in I, the signed column
-        # g_i * t^w in the rows of J = I + {i}.
+        # The sequence image on each slice, kept in ``images`` by target
+        # degree and placed once per wedge set: the column of (I, w) gets,
+        # for each i not in I, the signed column g_i * t^w in the rows of
+        # J = I + {i}.
         for d in range(D + 1 - step):
             src, dst = len(slices[d]), len(slices[d + step])
             if not src or not dst:
                 continue
-            columns = sequence_image(ring, self.sequence, step, d + step).columns()
+            self.images[d + step] = sequence_image(ring, self.sequence, step, d + step)
+            columns = self.images[d + step].columns()
             for q in range(m):
                 entries = {}
                 for a, I in enumerate(wedges[q]):
@@ -156,6 +159,8 @@ class KouchnirenkoResult:
         self._scaled, self._scales = integral_classes(sequence)
         self._slices: dict[int, tuple] = {}
         cx = GradedKoszulComplex(ring, self._scaled, truncation)
+        # A zero sequence has no degree, so its complex steps by 1, not M.
+        self._images = cx.images if cx.step == ring.gauge_denominator else {}
         n = cx.m
         top = {(q, d): self._image_rank(d + cx.step) for q, d in cx.diffs if q == n - 1}
         dims = cx.cohomology_dims(top)
@@ -173,10 +178,11 @@ class KouchnirenkoResult:
         matrix [sequence_image | identity] of top degree d, built once.
         Image column c holds c_i * g_i * t^v for i = c % k and v the
         (c // k)-th monomial of degree d - M; unit column k * len(prev) + r
-        stands for the r-th monomial of degree d."""
+        stands for the r-th monomial of degree d.  The Koszul build's image
+        is reused where it made one."""
         if d not in self._slices:
             ring, M = self.ring, self.ring.gauge_denominator
-            image = sequence_image(ring, self._scaled, M, d)
+            image = self._images.get(d) or sequence_image(ring, self._scaled, M, d)
             entries = dict(image.entries)
             entries.update(((r, image.cols + r), 1) for r in range(image.rows))
             mat = SparseRationalMatrix(image.rows, image.cols + image.rows, entries)

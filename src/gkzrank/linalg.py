@@ -2,14 +2,16 @@
 
 Entries are ``int`` or ``fractions.Fraction`` and answers are exact; no
 floating point is used anywhere.  ``Echelon`` is the one elimination: it
-clears each row to integers once, factors the matrix fraction-free, taking
-the columns in index order and pivoting each on its sparsest live row, and
-reuses that factorization for its rank, for its pivot columns (the ordered
-greedy choice of independent columns) and for every right-hand side it
-solves, in integers over one denominator.  ``rank`` and ``solve`` are
-one-shot wrappers around it.  ``RationalSpan`` makes the same greedy choice
-one vector at a time in ``Fraction``s; no library code calls it, and it is
-kept as the reference for ``Echelon``'s pivot columns.
+clears rows to integers unless all entries are ``int`` (as in every matrix
+the library builds), factors the matrix fraction-free, taking the columns
+in index order and pivoting each on its sparsest live row, and reuses that
+factorization for its rank, for its pivot columns (the ordered greedy
+choice of independent columns) and for every right-hand side it solves, in
+integers over one denominator.  ``rank`` and ``solve`` are one-shot
+wrappers around it; ``rank`` eliminates along the shorter side.
+``RationalSpan`` makes the same greedy choice one vector at a time in
+``Fraction``s; no library code calls it, and it is kept as the reference
+for ``Echelon``'s pivot columns.
 """
 
 from __future__ import annotations
@@ -112,8 +114,9 @@ class SparseRationalMatrix:
 class Echelon:
     """One elimination of a fixed matrix, kept for every later question.
 
-    Each row is cleared to integers by the lcm of its denominators, then
-    reduced once, fraction-free: r <- (a r - b p) / content, with
+    Unless every entry is an ``int``, each row is cleared to integers by the
+    lcm of its denominators; rows are then reduced once, fraction-free:
+    r <- (a r - b p) / content, with
     a = pivot/g, b = c/g, g = gcd(pivot, c), and content making r
     primitive.  Columns are taken in index order, each pivoted on its
     sparsest live row (ties to the lowest row index), so the pivot columns
@@ -121,22 +124,25 @@ class Echelon:
     before them.  Pivots are kept as (row, column, integer row) and each
     step's updates as (target row, a, b, content).  ``solve_integer``
     replays the log on an integer right-hand side, back-substitutes over one
-    denominator and checks the answer in integers against the scaled rows.
+    denominator and checks the answer in integers against the scaled rows
+    of the matrix, which must not change after the factorization.
     """
 
     def __init__(self, m: SparseRationalMatrix):
+        self._matrix = m
         rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
-        for (i, j), v in m.entries.items():
-            rows[i][j] = v
-        self._scales = [lcm(*(v.denominator for v in r.values())) for r in rows]
-        self._columns: list[list[tuple[int, int]]] = [[] for _ in range(m.cols)]
         # holders[j]: the live rows with an entry in column j.
         holders: list[set[int]] = [set() for _ in range(m.cols)]
-        for i, (r, s) in enumerate(zip(rows, self._scales)):
-            for j, v in r.items():
-                r[j] = v.numerator * (s // v.denominator)
-                self._columns[j].append((i, r[j]))
-                holders[j].add(i)
+        for (i, j), v in m.entries.items():
+            rows[i][j] = v
+            holders[j].add(i)
+        self._scales = [1] * m.rows
+        if any(type(v) is not int for v in m.entries.values()):
+            self._scales = [lcm(*(v.denominator for v in r.values())) for r in rows]
+            for r, s in zip(rows, self._scales):
+                for j, v in r.items():
+                    r[j] = v.numerator * (s // v.denominator)
+        self._columns: list[list[tuple[int, int]]] | None = None
         self.pivots: list[tuple[int, int, dict[int, int]]] = []
         self._log: list[list[tuple[int, int, int, int]]] = []
         for pj, live in enumerate(holders):
@@ -145,20 +151,25 @@ class Echelon:
             # After column pj no live row holds a column <= pj, so one pass
             # suffices.  Scaling a row changes neither its support nor a
             # cancellation, so the choices are those of an elimination over Q.
-            p = min(live, key=lambda i: (len(rows[i]), i))
+            if len(live) == 1:
+                p = next(iter(live))
+            else:
+                p = min(live, key=lambda i: (len(rows[i]), i))
             best = rows[p]
             for j in best:
                 holders[j].discard(p)
             pv = best[pj]
+            rest = [(j, v) for j, v in best.items() if j != pj]
             ops = []
             for t in sorted(live):
                 r = rows[t]
-                g = gcd(pv, r[pj])
-                a, b = pv // g, r[pj] // g
+                c = r.pop(pj)
+                g = gcd(pv, c)
+                a, b = pv // g, c // g
                 if a != 1:
                     for j in r:
                         r[j] *= a
-                for j, v in best.items():
+                for j, v in rest:
                     old = r.get(j)
                     if old is None:
                         r[j] = -b * v
@@ -213,7 +224,7 @@ class Echelon:
                     y[t] = v // content
         if any(v for i, v in y.items() if i not in self._pivot_rows):
             return None
-        X = [0] * len(self._columns)
+        X = [0] * self._matrix.cols
         for p, pj, row in reversed(self.pivots):
             s = y.get(p, 0)
             for j, v in row.items():
@@ -227,6 +238,10 @@ class Echelon:
                 f, s = f * k, s * k
             X[pj] = s // pv
         # Verify in integers: scaled row i of m times X is b_i * f.
+        if self._columns is None:
+            self._columns = cols = [[] for _ in range(self._matrix.cols)]
+            for (i, j), v in self._matrix.entries.items():
+                cols[j].append((i, v.numerator * (self._scales[i] // v.denominator)))
         check: dict[int, int] = {}
         for j, xj in enumerate(X):
             if xj:
@@ -291,7 +306,10 @@ class RationalSpan:
 
 
 def rank(m: SparseRationalMatrix) -> int:
-    """Exact rank over Q."""
+    """Exact rank over Q; a tall matrix is ranked as its transpose."""
+    if m.rows > m.cols:
+        entries = {(j, i): v for (i, j), v in m.entries.items()}
+        m = SparseRationalMatrix(m.cols, m.rows, entries)
     return Echelon(m).rank
 
 

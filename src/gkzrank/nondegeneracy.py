@@ -7,13 +7,16 @@ and compare the quotient's degree dimensions with the predicted polynomial
 Facial rings are Cohen-Macaulay, so matching the polynomial through its
 degree and vanishing over one generator window decides finiteness exactly:
 a mismatch or any surviving dimension in the window certifies degeneracy.
+The shift lemma spares most ranks: if the quotient is zero in degree d - M
+and each monomial of degree d is a face vertex (of degree M) times one of
+degree d - M, it is zero in degree d, a true zero that needs no rank.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import Face, NewtonPolytope
+from .lattice import Face, NewtonPolytope, _sub
 from .linalg import Echelon, SparseRationalMatrix, rank
 from .rings import (
     FaceRing,
@@ -87,10 +90,17 @@ def _spanning_subset(gs, face: Face):
 
 
 def _face_quotient_dims(ring: FaceRing, gs, bound: int):
-    """Dimensions of the facial ring modulo the chosen classes, by degree."""
+    """Dimensions of the facial ring modulo the chosen classes, by degree;
+    a degree the shift lemma proves zero is not ranked."""
     M = ring.gauge_denominator
     dims = []
     for d in range(bound + 1):
+        if d >= M and dims[d - M] == 0:
+            below = set(ring.monomials_of_degree(d - M))
+            if all(any(_sub(w, v) in below for v in ring.face.vertices)
+                   for w in ring.monomials_of_degree(d)):
+                dims.append(0)
+                continue
         image = sequence_image(ring, gs, M, d)
         dims.append(image.rows - rank(image))
     return tuple(dims)
@@ -105,8 +115,11 @@ def certify_face(
     ring = FaceRing(polytope, face)
     expected_poly, k = numerator or cone_numerator(polytope, [face])
     assert k == face.dim + 1, "face pieces must have dim + 1 generators"
-    # Semigroup generators of the face cone have gauge below the span
-    # dimension, so this window certifies vanishing forever beyond it.
+    # Shift lemma: a face vertex v has scaled degree M and the ideal is
+    # closed under t^v, so if the quotient is zero in degree d - M and each
+    # t^w of degree d is t^v * t^(w - v) in the face ring, it is zero in d.
+    # Past the numerator's degree every w has such a v (a spare generator of
+    # its simplicial piece), so zeros there on M degrees in a row persist.
     bound = expected_poly.degree + k * M
     expected = tuple(expected_poly.coeff(d) for d in range(bound + 1))
     # In integers once; the pivots and quotient dimensions do not change.
@@ -124,11 +137,8 @@ def certify_face(
             failure_degree=None,
         )
     dims = _face_quotient_dims(ring, [gs[i - 1] for i in chosen], bound)
-    failure = None
-    for d, (got, want) in enumerate(zip(dims, expected)):
-        if got != want:
-            failure = d
-            break
+    mismatches = (d for d, (got, want) in enumerate(zip(dims, expected)) if got != want)
+    failure = next(mismatches, None)
     return FaceCertificate(
         face_id=face.id,
         face_vertices=face.vertices,

@@ -225,22 +225,28 @@ def sequence_image(ring: GradedRingHandle, sequence, step: int, d: int):
     ``integral_classes`` gives the columns c_i * g_i * t^w in integers.  A
     product that vanishes in the ring is dropped; one that leaves the slice
     means the sequence is not homogeneous of degree ``step`` and raises.
+    Each product t^u * t^w is formed once, for all classes with u in their
+    support.
     """
     index = {w: r for r, w in enumerate(ring.monomials_of_degree(d))}
     prev = ring.monomials_of_degree(d - step)
+    # row_of[u]: the row of t^u * t^w for the current w, None if it vanishes.
+    row_of = dict.fromkeys(u for g in sequence for u in g.terms)
     k = len(sequence)
     entries: dict[tuple[int, int], int | Fraction] = {}
     for a, w in enumerate(prev):
+        for u in row_of:
+            prod = ring.multiply_monomials(u, w)
+            r = None if prod is None else index.get(prod, -1)
+            if r == -1:
+                raise AssertionError("product left its degree slice")
+            row_of[u] = r
         for i, g in enumerate(sequence):
             for u, c in g.terms.items():
-                prod = ring.multiply_monomials(u, w)
-                if prod is None:
-                    continue
-                r = index.get(prod)
-                if r is None:
-                    raise AssertionError("product left its degree slice")
-                key = (r, a * k + i)
-                entries[key] = entries.get(key, 0) + c
+                r = row_of[u]
+                if r is not None:
+                    key = (r, a * k + i)
+                    entries[key] = entries.get(key, 0) + c
     return SparseRationalMatrix(len(index), k * len(prev), entries)
 
 

@@ -332,7 +332,60 @@ def _reference_cases():
         yield rnd, *_hard_matrix(rnd, ("mixed", "tall", "wide")[seed % 3])
 
 
+def _transpose(m):
+    return SparseRationalMatrix(
+        m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()}
+    )
+
+
+def _random_sparse(rnd, integral):
+    """A sparse ``int`` or ``Fraction`` matrix of any shape up to 9 x 9,
+    often a product through a narrow middle, so rank-deficient."""
+    rows, cols = rnd.randint(0, 9), rnd.randint(0, 9)
+
+    def entry():
+        v = rnd.randint(-4, 4)
+        return v if integral else Fraction(v, rnd.randint(1, 5))
+
+    def sparse(r, c, density):
+        return [[entry() if rnd.random() < density else 0 for _ in range(c)]
+                for _ in range(r)]
+
+    if rows and cols and rnd.random() < 0.5:
+        inner = rnd.randint(1, min(rows, cols))
+        left, right = sparse(rows, inner, 0.6), sparse(inner, cols, 0.6)
+        dense = [[sum(a * b[j] for a, b in zip(row, right)) for j in range(cols)]
+                 for row in left]
+    else:
+        dense = sparse(rows, cols, 0.3)
+    entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+    return SparseRationalMatrix(rows, cols, entries)
+
+
 class TestEchelon:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rank_of_transpose(self, seed):
+        # ``rank`` ranks a tall matrix as its transpose; both sides, and the
+        # elimination taken along either side, agree.
+        rnd = random.Random(7000 + seed)
+        m = _random_sparse(rnd, integral=seed % 2 == 0)
+        t = _transpose(m)
+        assert rank(m) == rank(t) == Echelon(m).rank == Echelon(t).rank
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_integral_input_factors_as_cleared_fractions(self, seed):
+        # ``int`` entries are taken as they are; the same values given as
+        # ``Fraction``s go through row clearing and must factor identically.
+        rnd = random.Random(8000 + seed)
+        m = _random_sparse(rnd, integral=True)
+        f = SparseRationalMatrix(
+            m.rows, m.cols, {k: Fraction(v) for k, v in m.entries.items()}
+        )
+        a, b = Echelon(m), Echelon(f)
+        assert (a.pivots, a._log) == (b.pivots, b._log)
+        rhs = {i: rnd.randint(-3, 3) for i in range(m.rows)}
+        assert a.solve_integer(rhs) == b.solve_integer(rhs)
+
     @pytest.mark.parametrize("seed", range(60))
     def test_rank_matches_dense_reference(self, seed):
         m, dense = _random_matrix(random.Random(seed))

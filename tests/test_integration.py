@@ -179,13 +179,19 @@ GAUSS_AND_NORMAL_CURVE = [
 @pytest.mark.parametrize("rows,fiber", GAUSS_AND_NORMAL_CURVE)
 def test_top_maps_are_ranked_off_their_slices(monkeypatch, rows, fiber):
     # No top Koszul map goes to rank: each is read off the factored slice
-    # of its target degree, and each top degree is factored exactly once.
+    # of its target degree, and each top degree is factored exactly once,
+    # from the sequence image the Koszul build made for it.
     matrix = validate_matrix(rows)
     P = NewtonPolytope(matrix)
-    complexes, ranked, factored = [], [], []
+    complexes, ranked, factored, images = [], [], [], []
     koszul_init = homology.GradedKoszulComplex.__init__
     rank = linalg.rank
     make = homology.Echelon
+    image = homology.sequence_image
+
+    def counted_image(ring, sequence, step, d):
+        images.append(d)
+        return image(ring, sequence, step, d)
 
     def recorded_init(self, *args):
         koszul_init(self, *args)
@@ -203,9 +209,11 @@ def test_top_maps_are_ranked_off_their_slices(monkeypatch, rows, fiber):
     for module in (linalg, homology, nondegeneracy):
         monkeypatch.setattr(module, "rank", counted_rank)
     monkeypatch.setattr(homology, "Echelon", counted_echelon)
+    monkeypatch.setattr(homology, "sequence_image", counted_image)
     kz = verify_kouchnirenko(matrix, fiber, P)
     monkeypatch.undo()
     (cx,) = complexes
+    assert set(Counter(images).values()) == {1} and set(kz._slices) <= set(images)
     top = {(q, d): m for (q, d), m in cx.diffs.items() if q == cx.m - 1}
     counts = Counter(map(id, ranked))
     assert top and not any(id(m) in counts for m in top.values())

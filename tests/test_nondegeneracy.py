@@ -1,7 +1,10 @@
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gkzrank.nondegeneracy as nondegeneracy
 from gkzrank import (
     FaceContainsOrigin,
     NewtonPolytope,
@@ -12,6 +15,16 @@ from gkzrank import (
     validate_matrix,
     verify_kouchnirenko,
 )
+from gkzrank.linalg import rank
+from gkzrank.nondegeneracy import _face_quotient_dims, _spanning_subset, certify_face
+from gkzrank.rings import (
+    FaceRing,
+    cone_numerator,
+    integral_classes,
+    log_derivative_classes,
+    sequence_image,
+)
+from test_cli import GOLDEN_SPECS
 
 GAUSS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 
@@ -154,3 +167,89 @@ class TestCertificateShape:
             assert cert.verdict == "finite"
             assert cert.quotient_dims == cert.expected_dims
             assert cert.bound_used == len(cert.quotient_dims) - 1
+
+
+# -- the shift lemma ----------------------------------------------------------
+
+
+def _rank_every_degree(ring, gs, bound):
+    """The face quotient ranked in every degree of the window: the oracle."""
+    M = ring.gauge_denominator
+    dims = []
+    for d in range(bound + 1):
+        image = sequence_image(ring, gs, M, d)
+        dims.append(image.rows - rank(image))
+    return tuple(dims)
+
+
+def _certified_faces(rows, fiber):
+    """(face, ring, chosen classes, window) for every face that certify_face
+    ranks, as it builds them."""
+    P = NewtonPolytope(validate_matrix(rows))
+    M = P.gauge_denominator
+    for face in P.origin_free_faces():
+        numerator, k = cone_numerator(P, [face])
+        gs, _ = integral_classes(log_derivative_classes(fiber, face, P))
+        chosen = _spanning_subset(gs, face)
+        if chosen is not None:
+            yield face, FaceRing(P, face), [gs[i - 1] for i in chosen], (
+                numerator.degree + k * M
+            )
+
+
+def _shift_lemma_specs():
+    problems = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "bench" / "problems.py")
+    )
+    specs = dict(GOLDEN_SPECS)
+    for seed in (1, 2, 3):
+        drawn, _ = problems["sweep"](seed)
+        specs.update((f"sweep-{seed}-{p['id']}", p["spec"]) for p in drawn)
+    return specs
+
+
+class TestShiftLemma:
+    def test_matches_ranking_every_degree(self):
+        # Nondegenerate and degenerate faces alike: a degree recorded as 0
+        # without ranking must be 0 when ranked.
+        seen = {"vanishing": 0, "surviving": 0}
+        for name, spec in _shift_lemma_specs().items():
+            fiber = [Fraction(c) for c in spec["fiber"]]
+            for face, ring, gs, bound in _certified_faces(spec["matrix"], fiber):
+                want = _rank_every_degree(ring, gs, bound)
+                assert _face_quotient_dims(ring, gs, bound) == want, (name, face.id)
+                seen["surviving" if want[-1] else "vanishing"] += 1
+        assert seen["vanishing"] > 100 and seen["surviving"] > 5, seen
+
+    def test_top_degrees_of_simplex_points_facet_are_not_ranked(self, monkeypatch):
+        spec = GOLDEN_SPECS["simplex-points-3"]
+        ranked = []
+
+        def recorded(ring, gs, M, d):
+            ranked.append(d)
+            return sequence_image(ring, gs, M, d)
+
+        monkeypatch.setattr(nondegeneracy, "sequence_image", recorded)
+        P = NewtonPolytope(validate_matrix(spec["matrix"]))
+        (facet,) = [f for f in P.origin_free_faces() if f.dim == P.n - 1]
+        cert = certify_face([Fraction(c) for c in spec["fiber"]], facet, P)
+        assert (cert.verdict, cert.bound_used) == ("finite", 5)
+        assert cert.quotient_dims == (1, 7, 1, 0, 0, 0)
+        assert ranked == [0, 1, 2, 3]
+
+    def test_degenerate_tail_is_ranked(self, monkeypatch):
+        # Gauss with the product fiber (1, a, b, ab): the facet quotient never
+        # vanishes, so no degree of its window is decided by a shift.
+        ranked = []
+
+        def recorded(ring, gs, M, d):
+            ranked.append(d)
+            return sequence_image(ring, gs, M, d)
+
+        monkeypatch.setattr(nondegeneracy, "sequence_image", recorded)
+        P = NewtonPolytope(validate_matrix(GAUSS))
+        (facet,) = [f for f in P.origin_free_faces() if f.dim == P.n - 1]
+        cert = certify_face([1, 2, 3, 6], facet, P)
+        assert (cert.verdict, cert.failure_degree) == ("infinite", 2)
+        assert cert.quotient_dims == (1, 1, 1, 1, 1)
+        assert ranked == list(range(cert.bound_used + 1)) == [0, 1, 2, 3, 4]

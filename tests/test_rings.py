@@ -627,6 +627,27 @@ class TestSequenceImage:
             assert column == expected
         assert dropped
 
+    def test_each_product_is_formed_once(self, monkeypatch):
+        # Classes sharing a support monomial share its product t^u * t^w.
+        P = KERNEL_POLYTOPES[-1]
+        ring = ConeRing(P)
+        M = P.gauge_denominator
+        gs = log_derivative_classes(_seeded_fiber(P, 0), None, P)
+        support = {u for g in gs for u in g.terms}
+        assert len(gs) > 1 and sum(len(g.terms) for g in gs) > len(support)
+        calls = []
+        multiply = ConeRing.multiply_monomials
+
+        def counted(self, u, w):
+            calls.append((u, w))
+            return multiply(self, u, w)
+
+        monkeypatch.setattr(ConeRing, "multiply_monomials", counted)
+        sequence_image(ring, gs, M, 2 * M)
+        assert len(calls) == len(set(calls)) == len(support) * len(
+            ring.monomials_of_degree(M)
+        )
+
     def test_product_leaving_the_slice_raises(self):
         ring = FreeRing(2)
         with pytest.raises(AssertionError):
