@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from .errors import GammaNotNormalized, NotInCone
 from .homology import KouchnirenkoResult, verify_kouchnirenko, wedge_terms
@@ -104,17 +105,19 @@ def _warn_if_not_normalized(gamma, polytope: NewtonPolytope):
         )
 
 
-def _partial(w, i, gamma_i, fiber, A) -> dict[Vector, Fraction]:
-    """The i-th component of the twisted differential on t^w, unsigned.
+def _partial(w, i, scale, gamma_i, fiber, columns) -> dict[Vector, int | Fraction]:
+    """``scale`` times the i-th component of the twisted differential on
+    t^w, unsigned, for gamma_i and the fiber given times ``scale``.
 
-    That is (w_i + gamma_i) t^w plus fiber_j A_ij t^(w + a_j) per column;
-    coefficients of repeated columns add up and may cancel to zero.
+    That is (w_i + gamma_i) t^w plus fiber_j A_ij t^(w + a_j) per column
+    a_j; coefficients of repeated columns add up and may cancel to zero.
+    Integers in give integers out.
     """
-    out = {w: w[i] + gamma_i}
-    for j, a in enumerate(A.rows[i]):
-        if a != 0 and fiber[j] != 0:
-            u = tuple(x + y for x, y in zip(w, A.column(j)))
-            out[u] = out.get(u, 0) + fiber[j] * a
+    out = {w: scale * w[i] + gamma_i}
+    for c, a in zip(fiber, columns):
+        if c and a[i]:
+            u = tuple(map(add, w, a))
+            out[u] = out.get(u, 0) + c * a[i]
     return out
 
 
@@ -131,10 +134,11 @@ def twisted_differential(
     n = polytope.n
     gamma = [Fraction(g) for g in gamma]
     fiber = [Fraction(c) for c in fiber]
+    columns = polytope.matrix.columns
     out = LogForm(n, form.degree + 1)
     for (I, w), c in form.terms.items():
         for i, sign, J in wedge_terms(I, n):
-            for u, v in _partial(w, i, gamma[i], fiber, polytope.matrix).items():
+            for u, v in _partial(w, i, 1, gamma[i], fiber, columns).items():
                 out.add_term(J, u, sign * c * v)
     return out
 
@@ -162,6 +166,9 @@ class ReductionBasis:
         self.gamma = tuple(Fraction(g) for g in gamma)
         self.fiber = tuple(Fraction(c) for c in fiber)
         self.scale = lcm(*(c.denominator for c in self.gamma + self.fiber))
+        s = self.scale
+        self._scaled = [[int(x * s) for x in v] for v in (self.gamma, self.fiber)]
+        self._columns = polytope.matrix.columns
         self.ring = kouchnirenko.ring
         self.kouchnirenko = kouchnirenko
         self.basis: list[Vector] = list(kouchnirenko.monomial_basis)
@@ -172,6 +179,7 @@ class ReductionBasis:
         self._signs = [next(wedge_terms(rest, n))[1] for rest in rests]
         self._images: dict[tuple[int, Vector], dict[Vector, int]] = {}
         self.normal_forms: dict[Vector, tuple[tuple[int, ...], int]] = {}
+        self._coordinates: dict[Vector, tuple[Fraction, ...]] = {}
 
     @property
     def dimension(self) -> int:
@@ -182,9 +190,10 @@ class ReductionBasis:
         of t^u dlog_{[n]}."""
         img = self._images.get((i, w))
         if img is None:
-            terms = _partial(w, i, self.gamma[i], self.fiber, self.polytope.matrix)
+            gamma, fiber = self._scaled
+            terms = _partial(w, i, self.scale, gamma[i], fiber, self._columns)
             sign = self._signs[i]
-            img = {u: sign * int(c * self.scale) for u, c in terms.items() if c}
+            img = {u: sign * c for u, c in terms.items() if c}
             self._images[(i, w)] = img
         return img
 
@@ -220,9 +229,13 @@ class ReductionBasis:
         on an explicit stack, since chains run as deep as the degree; each
         remainder lies strictly below its monomial's degree, so it empties.
         Their normal forms are combined over the lcm of their denominators,
-        and the common content is removed once.
+        and the common content is removed once.  Rationals are made once per
+        monomial asked for.
         """
         w = tuple(w)
+        out = self._coordinates.get(w)
+        if out is not None:
+            return out
         nf = self.normal_forms
         if w not in nf and not self.polytope.cone_contains(w):
             raise NotInCone(w)
@@ -247,7 +260,8 @@ class ReductionBasis:
                             coords[k] += c * y
                 g = gcd(D * L, *coords)
                 nf[u] = (tuple(y // g for y in coords), D * L // g)
-        return tuple(Fraction(y, nf[w][1]) for y in nf[w][0])
+        out = self._coordinates[w] = tuple(Fraction(y, nf[w][1]) for y in nf[w][0])
+        return out
 
     def reduce(self, form: LogForm) -> tuple[Fraction, ...]:
         """Coordinates of an n-form against the basis, modulo exact forms."""

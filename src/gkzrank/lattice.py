@@ -16,9 +16,9 @@ table per polytope, built to the requested degree when a request goes past
 it.  A build visits only the points it keeps: the facet inequalities,
 solved for the last coordinate, give its interval over each point of the
 scaled box of the others; ``normalize_gamma`` searches its shells the same
-way.  The table also records, for each point, the facets on which it is
-tight; face-cone membership and the associated-graded product are set
-operations on those.
+way.  The table also records each point's scaled degree and the facets
+on which it is tight; face-cone membership and the associated-graded
+product are set operations on those.
 
 Determinants are taken in integers by Bareiss elimination; they give the
 normalized volume, the facet normals (as signed maximal minors) and each
@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
+from operator import mul
 
 from .errors import FaceContainsOrigin, NotInCone, RankDeficient, ShapeMismatch
 from .linalg import Echelon, SparseRationalMatrix, rank
@@ -41,7 +42,7 @@ Vector = tuple[int, ...]
 
 
 def _dot(u, v) -> Fraction | int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _sub(u, v) -> Vector:
@@ -55,9 +56,7 @@ def _check_length(w, n):
 
 
 def _primitive(v):
-    g = 0
-    for c in v:
-        g = gcd(g, c)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(c // g for c in v)
@@ -199,20 +198,28 @@ class NewtonPolytope:
         self.positive_facets = frozenset(i for i, _, _ in self._gauge_facets)
         self.normalized_volume = self._compute_normalized_volume()
         # The point table: (top degree, points by degree, tight facets by
-        # point), built on the first slice request.
-        self._table = (-1, {}, {})
+        # point, scaled degree by point), built on the first slice request.
+        self._table = (-1, {}, {}, {})
 
     # -- construction -----------------------------------------------------
 
     def _find_facets(self, points) -> tuple[Facet, ...]:
         n = self.n
         found: dict[tuple[Vector, int], Facet] = {}
-        for combo in itertools.combinations(points, n):
-            normal = _kernel_normal(combo, n)
+        # n-subsets inside a hyperplane already evaluated: each spans that
+        # hyperplane or is dependent, so it is skipped untested.
+        covered: set[tuple[int, ...]] = set()
+        for combo in itertools.combinations(range(len(points)), n):
+            if combo in covered:
+                continue
+            normal = _kernel_normal([points[k] for k in combo], n)
             if normal is None:
                 continue
-            level = _dot(normal, combo[0])
+            level = _dot(normal, points[combo[0]])
             values = [_dot(normal, p) for p in points]
+            on = [k for k, v in enumerate(values) if v == level]
+            if len(on) > n:
+                covered.update(itertools.combinations(on, n))
             if all(v <= level for v in values):
                 key = (normal, level)
             elif all(v >= level for v in values):
@@ -287,10 +294,14 @@ class NewtonPolytope:
         return Fraction(self.graded_degree(w), self.gauge_denominator)
 
     def graded_degree(self, w) -> int:
-        """The gauge scaled by the common denominator; an integer for lattice w."""
-        if not self.cone_contains(w):
-            raise NotInCone(f"{w} violates a zero-level facet inequality")
-        return max(0, max(k * _dot(m, w) for _, m, k in self._gauge_facets))
+        """The gauge scaled by the common denominator; an integer for lattice w.
+        Table points read the degree recorded when the table was built."""
+        d = self._table[3].get(w) if type(w) is tuple else None
+        if d is None:
+            if not self.cone_contains(w):
+                raise NotInCone(f"{w} violates a zero-level facet inequality")
+            d = max(0, max(k * _dot(m, w) for _, m, k in self._gauge_facets))
+        return d
 
     def _gauge_and_tight(self, w) -> tuple[int, frozenset[int]]:
         """The scaled gauge of a cone point and the facets tight at it: the
@@ -324,14 +335,15 @@ class NewtonPolytope:
         """
         if d < 0:
             return ()
-        top, slices, _ = self._table
+        top, slices, _, _ = self._table
         if d > top:
-            top, slices, _ = self._build_table(d)
+            top, slices, _, _ = self._build_table(d)
         return slices.get(d, ())
 
     def _build_table(self, top: int):
         slices: dict[int, list[Vector]] = {}
         tight: dict[Vector, frozenset[int]] = {}
+        degree: dict[Vector, int] = {}
         # Points share one object per distinct tight set (there are about
         # as many as faces), which keeps the table's memory near the points'.
         distinct: dict[frozenset[int], frozenset[int]] = {}
@@ -340,8 +352,9 @@ class NewtonPolytope:
             d, t = self._gauge_and_tight(w)
             slices.setdefault(d, []).append(w)
             tight[w] = distinct.setdefault(t, t)
+            degree[w] = d
         # One assignment, so a reader never sees parts of two tables.
-        self._table = (top, {d: tuple(p) for d, p in slices.items()}, tight)
+        self._table = (top, {d: tuple(p) for d, p in slices.items()}, tight, degree)
         return self._table
 
     def point_on_face(self, w, face: Face) -> bool:
@@ -372,11 +385,8 @@ class NewtonPolytope:
 
     def subfaces(self, face: Face) -> list[Face]:
         """Codimension-one faces of the given face."""
-        out = []
-        for g in self.faces:
-            if g.dim == face.dim - 1 and set(g.vertices) < set(face.vertices):
-                out.append(g)
-        return out
+        dim, verts = face.dim - 1, set(face.vertices)
+        return [g for g in self.faces if g.dim == dim and set(g.vertices) < verts]
 
     def face_by_vertices(self, vertices) -> Face:
         return self._faces_by_vertices[tuple(sorted(vertices))]
@@ -447,10 +457,7 @@ class NewtonPolytope:
         """Normalized volume under each top-index face, coned to the origin."""
         out = {}
         for face in self.index_set(self.n - 1):
-            total = 0
-            for s in self.triangulate_face(face):
-                total += abs(_det(s))
-            out[face.id] = total
+            out[face.id] = sum(abs(_det(s)) for s in self.triangulate_face(face))
         return out
 
     # -- gauge denominator ---------------------------------------------------
@@ -487,9 +494,7 @@ class NewtonPolytope:
     # -- summaries -----------------------------------------------------------
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(
-            len(self.faces_of_dim(p)) for p in range(self.n)
-        )
+        return tuple(len(self.faces_of_dim(p)) for p in range(self.n))
 
     def __repr__(self):
         return (

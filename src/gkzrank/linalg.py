@@ -7,8 +7,10 @@ the library builds), factors the matrix fraction-free, taking the columns
 in index order and pivoting each on its sparsest live row, and reuses that
 factorization for its rank, for its pivot columns (the ordered greedy
 choice of independent columns) and for every right-hand side it solves, in
-integers over one denominator.  ``rank`` and ``solve`` are one-shot
-wrappers around it; ``rank`` eliminates along the shorter side.
+integers over one denominator: the back-substitution keeps only the
+nonzero unknowns and the answer is checked in integers against the
+matrix.  ``rank`` and ``solve`` are one-shot wrappers around it; ``rank``
+eliminates along the shorter side; ``matmul`` of ``int`` factors is ``int``.
 ``RationalSpan`` makes the same greedy choice one vector at a time in
 ``Fraction``s; no library code calls it, and it is kept as the reference
 for ``Echelon``'s pivot columns.
@@ -82,9 +84,11 @@ class SparseRationalMatrix:
 
     def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         """The product in integers: each factor is scaled by the lcm of its
-        denominators, and the result is divided by both scales once."""
+        denominators, and the result is divided by both scales once.  Two
+        all-``int`` factors give ``int`` entries."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
+        whole = all(type(v) is int for m in (self, other) for v in m.entries.values())
         s = lcm(*(v.denominator for v in self.entries.values()))
         t = lcm(*(v.denominator for v in other.entries.values()))
         by_row: dict[int, list[tuple[int, int]]] = {}
@@ -98,7 +102,9 @@ class SparseRationalMatrix:
                 key = (i, j)
                 acc[key] = acc.get(key, 0) + u * v
         out = SparseRationalMatrix(self.rows, other.cols)
-        out.entries = {key: Fraction(v, s * t) for key, v in acc.items() if v}
+        out.entries = {
+            key: v if whole else Fraction(v, s * t) for key, v in acc.items() if v
+        }
         return out
 
     def to_dense(self):
@@ -207,8 +213,8 @@ class Echelon:
         }
         den = lcm(*(v.denominator for v in scaled.values()))
         b = {i: v.numerator * (den // v.denominator) for i, v in scaled.items()}
-        # y / (den * f) is the scaled right-hand side under the row
-        # operations, then x = X / (den * f); an inexact division rescales.
+        # y / (den * f) is the scaled right-hand side under the row operations,
+        # then x = X / (den * f * g); inexact divisions rescale y, or X and g.
         y = dict(b)
         f = 1
         for (p, _, _), ops in zip(self.pivots, self._log):
@@ -224,33 +230,36 @@ class Echelon:
                     y[t] = v // content
         if any(v for i, v in y.items() if i not in self._pivot_rows):
             return None
-        X = [0] * self._matrix.cols
+        X: dict[int, int] = {}
+        g = 1
         for p, pj, row in reversed(self.pivots):
-            s = y.get(p, 0)
+            s = y.get(p, 0) * g
             for j, v in row.items():
-                if j != pj and X[j]:
+                if j in X:
                     s -= v * X[j]
+            if not s:
+                continue
             pv = row[pj]
             if s % pv:
                 k = abs(pv) // gcd(s, pv)
-                X = [xj * k for xj in X]
-                y = {i: yi * k for i, yi in y.items()}
-                f, s = f * k, s * k
+                for j in X:
+                    X[j] *= k
+                g, s = g * k, s * k
             X[pj] = s // pv
+        f *= g
         # Verify in integers: scaled row i of m times X is b_i * f.
         if self._columns is None:
             self._columns = cols = [[] for _ in range(self._matrix.cols)]
             for (i, j), v in self._matrix.entries.items():
                 cols[j].append((i, v.numerator * (self._scales[i] // v.denominator)))
         check: dict[int, int] = {}
-        for j, xj in enumerate(X):
-            if xj:
-                for i, v in self._columns[j]:
-                    check[i] = check.get(i, 0) + v * xj
+        for j, xj in X.items():
+            for i, v in self._columns[j]:
+                check[i] = check.get(i, 0) + v * xj
         for i in check.keys() | b.keys():
             if check.get(i, 0) != b.get(i, 0) * f:
                 return None
-        return X, den * f
+        return [X.get(j, 0) for j in range(self._matrix.cols)], den * f
 
     def solve(self, rhs) -> list[Fraction] | None:
         """``solve_integer``'s answer as rationals, or None if inconsistent."""

@@ -515,7 +515,7 @@ def derham_cohomology_dims(
         return out
 
     bases = {q: slice_basis(q) for q in range(n + 1)}
-    A = polytope.matrix
+    columns = polytope.matrix.columns
     mats = {}
     for q in range(n):
         src = bases[q]
@@ -524,7 +524,7 @@ def derham_cohomology_dims(
         mat = SparseRationalMatrix(len(dst), len(src))
         for col, (I, w) in enumerate(src):
             for i, sign, J in wedge_terms(I, n):
-                for u, c in _partial(w, i, gamma[i], fiber, A).items():
+                for u, c in _partial(w, i, 1, gamma[i], fiber, columns).items():
                     row = index.get((J, u))
                     if row is None:
                         raise AssertionError("filtration cap leaked")

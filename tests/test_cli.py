@@ -336,6 +336,29 @@ GOLDEN_SPECS = {
         "gamma": ["0", "0", "0"],
         "fiber": [str((7 * i) % 13 + 1) for i in range(10)],
     },
+    # the 9 homogenized points of the 2 x 2 square: three collinear points
+    # on each edge and all nine on the hyperplane x_0 = 1
+    "square-grid-2": {
+        "matrix": [
+            [1] * 9,
+            [0, 0, 0, 1, 1, 1, 2, 2, 2],
+            [0, 1, 2, 0, 1, 2, 0, 1, 2],
+        ],
+        "gamma": ["0", "0", "0"],
+        "fiber": [str((7 * i) % 13 + 1) for i in range(9)],
+    },
+    # M = 4 with gamma 1/2, so the de Rham images are scaled by 2; the point
+    # table is built to degree 3 and then rebuilt to degree 4
+    "diamond-pyramid-4": {
+        "matrix": [[4, 4, 4, 4], [1, -1, 0, 0], [0, 0, 1, -1]],
+        "gamma": ["1/2", "1/2", "1/2"],
+        "fiber": ["1", "2", "3", "5"],
+    },
+    "octahedron": {
+        "matrix": [[1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]],
+        "gamma": ["0", "0", "0"],
+        "fiber": ["1", "2", "3", "5", "7", "11"],
+    },
 }
 GOLDEN = {
     "gauss": (
@@ -367,6 +390,17 @@ GOLDEN = {
     ),
     "simplex-points-3": (
         0, "517bcd4dd9e40e872af23d26d1380ccb3b2285d4104430b72c523b940324cbb5"
+    ),
+    # recorded before the de Rham images, the facet search and the degree
+    # lookups moved to integer kernels
+    "square-grid-2": (
+        0, "93811ed1dc8b0e3ba16270dceefcf5b147ab4fedfcc0cbdf85a31b6b1d8a8a63"
+    ),
+    "diamond-pyramid-4": (
+        0, "7f09a842730df5f2674d17430360686067e00c24a7b4cf9de4ca3e61a3d56670"
+    ),
+    "octahedron": (
+        0, "80c40be728c754476ea0829b27cde6bf7a8035bfbb380bf9ffda088527295ac3"
     ),
 }
 

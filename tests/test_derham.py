@@ -404,6 +404,31 @@ class TestMemoizedReduction:
         assert len(solved) == len(set(solved)) == len(basis.normal_forms)
 
     @pytest.mark.parametrize("rows,gamma,fiber", REDUCTION_CASES)
+    def test_integer_images_match_fraction_terms(self, rows, gamma, fiber):
+        # The images are built from scale * gamma and scale * fiber in
+        # integers; they are the wedge sign times scale times the Fraction
+        # terms of the unscaled differential.
+        P = NewtonPolytope(validate_matrix(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GammaNotNormalized)
+            _, basis = h_top_dimension(gamma, fiber, P)
+        gamma, fiber = [F(g) for g in gamma], [F(c) for c in fiber]
+        columns = P.matrix.columns
+        monomials = [
+            w for d in range(basis.kouchnirenko.truncation + 1)
+            for w in basis.ring.monomials_of_degree(d)
+        ]
+        for i in range(P.n):
+            for w in monomials:
+                terms = derham._partial(w, i, 1, gamma[i], fiber, columns)
+                expected = {
+                    u: (-1) ** i * basis.scale * c for u, c in terms.items() if c
+                }
+                image = basis.image(i, w)
+                assert image == expected
+                assert all(type(c) is int for c in image.values())
+
+    @pytest.mark.parametrize("rows,gamma,fiber", REDUCTION_CASES)
     def test_normal_forms_in_lowest_common_terms(self, rows, gamma, fiber):
         P = NewtonPolytope(validate_matrix(rows))
         _, basis = h_top_dimension(gamma, fiber, P)

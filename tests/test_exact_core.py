@@ -128,6 +128,25 @@ class TestSparseMatrix:
             )
         assert seen["cancelled"] >= 1 and seen["fractional"] >= 50
 
+    def test_matmul_keeps_int_entries_for_int_factors(self):
+        rnd = random.Random(19)
+        for _ in range(40):
+            r, k, c = (rnd.randint(1, 5) for _ in range(3))
+            x = [[rnd.randint(-4, 4) * (rnd.random() < 0.6) for _ in range(k)]
+                 for _ in range(r)]
+            y = [[rnd.randint(-4, 4) * (rnd.random() < 0.6) for _ in range(c)]
+                 for _ in range(k)]
+            a = SparseRationalMatrix.from_dense(x)
+            b = SparseRationalMatrix.from_dense(y)
+            fa, fb = _as_fractions(a), _as_fractions(b)
+            product = a.matmul(b)
+            assert all(type(v) is int for v in product.entries.values())
+            assert product.entries == fa.matmul(fb).entries
+            # Any Fraction factor, even with denominator 1, gives Fractions.
+            for mixed in (fa.matmul(b), a.matmul(fb), fa.matmul(fb)):
+                assert mixed.entries == product.entries
+                assert all(type(v) is F for v in mixed.entries.values())
+
     def test_rank(self):
         m = SparseRationalMatrix.from_dense(
             [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
@@ -230,6 +249,10 @@ def _as_dense(rhs, rows):
     if isinstance(rhs, dict):
         return [Fraction(rhs.get(i, 0)) for i in range(rows)]
     return [Fraction(v) for v in rhs]
+
+
+def _as_fractions(m):
+    return SparseRationalMatrix(m.rows, m.cols, {k: F(v) for k, v in m.entries.items()})
 
 
 class _FractionEchelon:
@@ -436,6 +459,28 @@ class TestEchelon:
         m = SparseRationalMatrix.from_dense([[1, 1], [1, 3]])
         assert Echelon(m).solve({1: 1}) == [F(-1, 2), F(1, 2)]
         assert Echelon(m).solve([0, 2]) == [F(-1), F(1)]
+
+    def test_inexact_back_substitution_skips_zero_unknowns(self):
+        # Back-substitution sets x_4 = 1, skips x_3 (its right side is 0),
+        # divides -1 by the pivot 2 for x_2, which rescales x_4 alone, and
+        # reads the right side of x_1 at the new scale; x_0 is skipped.
+        m = SparseRationalMatrix.from_dense([
+            [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 2, 0, 1],
+            [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
+        ])
+        rhs = {1: 1, 4: 1}
+        echelon = Echelon(m)
+        assert echelon.solve_integer(rhs) == ([0, 2, -1, 0, 2], 2)
+        assert echelon.solve(rhs) == _FractionEchelon(_as_fractions(m)).solve(rhs) == [
+            F(0), F(1), F(-1, 2), F(0), F(1)
+        ]
+        # The same after a forward pass whose content division is inexact.
+        m = SparseRationalMatrix.from_dense(
+            [[2, 1, 0, 1], [2, 3, 0, 1], [0, 0, 3, 0], [0, 2, 0, 3]]
+        )
+        ref = _FractionEchelon(_as_fractions(m))
+        for rhs in ({0: 1, 1: 5, 3: 4}, {0: 1, 3: 1}, [3, 0, 0, 2]):
+            assert Echelon(m).solve(rhs) == ref.solve(rhs)
 
     def test_corrupted_log_never_answers_wrongly(self):
         # The integer check is the last word: a factorization whose log was

@@ -15,7 +15,9 @@ from gkzrank import (
     normalize_gamma,
     validate_matrix,
 )
-from gkzrank.lattice import rational_rank
+from gkzrank import lattice
+from gkzrank.lattice import _kernel_normal, rational_rank
+from test_cli import GOLDEN_SPECS
 
 
 class TestValidateMatrix:
@@ -110,6 +112,8 @@ class TestGauge:
     def test_interval_midpoint(self):
         P = NewtonPolytope(validate_matrix([[1, 2]]))
         assert P.gauge((1,)) == Fraction(1, 2)
+        P.points_of_degree(3)  # a table point, also when given as a list
+        assert P.gauge((1,)) == P.gauge([1]) == Fraction(1, 2)
 
     def test_origin(self, polytopes):
         for name, (_, P, _) in polytopes.items():
@@ -127,9 +131,12 @@ class TestGauge:
     @pytest.mark.parametrize("w", [(1,), (1, 2, 3)])
     def test_wrong_length_point_is_rejected(self, w):
         P = NewtonPolytope(validate_matrix([[1] * 5, [0, 1, 2, 3, 4]]))
-        for member in (P.gauge, P.graded_degree, P.tight_facets, P.cone_contains):
-            with pytest.raises(ShapeMismatch, match="expected 2"):
-                member(w)
+        for table_top in (-1, 4):  # before the point table is built and after
+            P.points_of_degree(table_top)
+            assert P._table[0] == table_top
+            for member in (P.gauge, P.graded_degree, P.tight_facets, P.cone_contains):
+                with pytest.raises(ShapeMismatch, match="expected 2"):
+                    member(w)
 
     @pytest.mark.parametrize("w", [(1,), (1, 2, 3)])
     def test_wrong_length_point_is_rejected_by_cone_and_face(self, w):
@@ -290,6 +297,42 @@ def _ref_cube_search(gamma, cone):
                 return shifted
 
 
+def _ref_all_subsets_facets(P):
+    """(normal, level) of every supporting hyperplane through n independent
+    points, testing every n-subset of the points, in the facets' order."""
+    found = set()
+    for combo in itertools.combinations(P.points, P.n):
+        normal = _kernel_normal(combo, P.n)
+        if normal is None:
+            continue
+        level = sum(a * b for a, b in zip(normal, combo[0]))
+        values = [sum(a * b for a, b in zip(normal, p)) for p in P.points]
+        if all(v <= level for v in values):
+            found.add((normal, level))
+        elif all(v >= level for v in values):
+            found.add((tuple(-c for c in normal), -level))
+    return sorted(found, key=lambda key: (key[1], key[0]))
+
+
+def _collinear_coplanar_matrix(rnd, n):
+    """Random columns plus whole lines and planes of lattice points, so that
+    many n-subsets share one hyperplane; None when not of full rank."""
+    def point():
+        return [rnd.randint(-2, 2) for _ in range(n)]
+
+    cols = [point() for _ in range(rnd.randint(1, 3))]
+    for _ in range(rnd.randint(1, 2)):
+        base, steps = point(), [point() for _ in range(min(2, n - 1) or 1)]
+        for t in itertools.product(range(3), repeat=len(steps)):
+            cols.append([b + sum(k * d[i] for k, d in zip(t, steps))
+                         for i, b in enumerate(base)])
+    cols = cols[:11]
+    try:
+        return validate_matrix([list(r) for r in zip(*cols)])
+    except RankDeficient:
+        return None
+
+
 def _random_matrices(seed, count, dims, bound=2):
     rnd = random.Random(seed)
     out = []
@@ -320,6 +363,42 @@ class TestEnumerationsMatchReferences:
                     _ref_points_in_box(P, bound)
                 ), (matrix.rows, bound)
         assert {m.n for m in matrices} == {1, 2, 3, 4}
+
+    def test_facets_match_the_all_subsets_search(self):
+        rnd = random.Random(15)
+        matrices = [GOLDEN_SPECS[name]["matrix"] for name in sorted(GOLDEN_SPECS)]
+        while len(matrices) < len(GOLDEN_SPECS) + 48:
+            m = _collinear_coplanar_matrix(rnd, 1 + len(matrices) % 4)
+            if m is not None:
+                matrices.append(m.rows)
+        skipped = 0
+        for rows in matrices:
+            P = NewtonPolytope(validate_matrix(rows))
+            assert [(f.normal, f.level) for f in P.facets] == (
+                _ref_all_subsets_facets(P)
+            ), rows
+            shared = max(
+                len({p for p in P.points if f.value(p) == f.level}) for f in P.facets
+            )
+            skipped += shared > P.n
+        assert skipped > len(matrices) // 2
+        assert {len(rows) for rows in matrices} == {1, 2, 3, 4}
+
+    def test_facet_search_skips_subsets_of_evaluated_hyperplanes(self, monkeypatch):
+        # normal-curve-16: 16 pairs with the origin, each its own line, and
+        # the first of the 120 pairs on x_0 = 1; the other 119 are skipped.
+        calls = []
+
+        def counted(points, n):
+            calls.append(tuple(points))
+            return _kernel_normal(points, n)
+
+        monkeypatch.setattr(lattice, "_kernel_normal", counted)
+        P = NewtonPolytope(validate_matrix([[1] * 16, list(range(16))]))
+        assert len(calls) == 17
+        assert [(f.normal, f.level) for f in P.facets] == [
+            ((-15, 1), 0), ((0, -1), 0), ((1, 0), 1)
+        ]
 
     def test_representative_matches_the_cube_search(self):
         rnd = random.Random(13)

@@ -413,6 +413,12 @@ class TestIntegerKernel:
             for w in expected:
                 assert P.graded_degree(w) == d
                 assert P.gauge(w) == _ref_gauge(P, w)
+        # Every point of the last table reads the degree recorded for it,
+        # which is the facet maximum.
+        _, slices, _, degree = P._table
+        assert sorted(degree) == sorted(w for ws in slices.values() for w in ws)
+        for w, d in degree.items():
+            assert P.graded_degree(w) == d == _ref_gauge(P, w) * M
 
     @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
     def test_face_cone_contains(self, index):
