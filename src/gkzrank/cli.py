@@ -1,15 +1,14 @@
-"""Command-line front end.
+"""Command-line front end: ``gkz COMMAND SPEC [OPTIONS]``, parsed by hand.
 
 ``gkz analyze problem.json`` runs the full pipeline; the focused
 subcommands run only the prefix they need, and ``volume`` and ``faces``
 do not import it.  Exit codes: 0 on success, 2 when the fiber is
-degenerate (the report is still emitted), 1 on input errors.  Reports are
-deterministic; timings can be suppressed for byte-identical output.
+degenerate (the report is still emitted), 1 on usage and input errors.
+Reports are deterministic; timings can be suppressed for stable bytes.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -27,68 +26,96 @@ from .jsonio import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_DEGENERATE = 2
+USAGE = "usage: gkz {} SPEC [OPTIONS]\n"
+
+# option -> (usage form, help); a switch's usage form is the option alone
+OPTIONS = {
+    "--out": ("--out FILE", "write the report to this file"),
+    "--fiber": ("--fiber A1,A2,...", "override the fiber, comma-separated rationals"),
+    "--gamma": ("--gamma G1,G2,...", "override gamma, comma-separated rationals"),
+    "--no-timings": ("--no-timings", "omit timings for stable bytes"),
+    "--weight-bound": ("--weight-bound N", "largest scaled gauge to check, an int "
+                       f"(default {DEFAULT_WEIGHT_BOUND})"),
+}
+# command -> (help, the options it takes beside --out, --fiber and --gamma)
+COMMANDS = {
+    "analyze": ("run the full pipeline and emit a rank report", ("--no-timings",)),
+    "volume": ("normalized volume of the Newton polytope", ()),
+    "faces": ("facets, face lattice summary and index sets", ()),
+    "nondegenerate": ("certify the fiber face by face", ()),
+    "koszul": ("Koszul cohomology scan at the certified truncation", ()),
+    "derham": ("top de Rham dimension, basis and connection matrices", ()),
+    "gkz-ops": ("emit the Euler and box operators", ()),
+    "poincare": ("check the top-cohomology series identity", ()),
+    "face-complex": ("exactness of the facial complex by weight", ("--weight-bound",)),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    # exit code 2 is reserved for degenerate fibers; usage errors are input
-    # errors
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+def _help(command) -> str:
+    if command is None:
+        about = "Exact rank certification for A-hypergeometric systems."
+        rows = [(name, what) for name, (what, _) in COMMANDS.items()]
+    else:
+        about, extra = COMMANDS[command]
+        flags = ("--out", "--fiber", "--gamma") + extra
+        rows = [("SPEC", "path to a problem JSON file")] + [OPTIONS[f] for f in flags]
+    rows.append(("-h, --help", "show this help; after COMMAND, its options"))
+    table = "".join(f"  {form:<22}{what}\n" for form, what in rows)
+    return USAGE.format(command or "COMMAND") + f"\n{about}\n\n{table}"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="gkz",
-        description=(
-            "Exact rank certification for A-hypergeometric systems: polytope "
-            "volume, Koszul cohomology and twisted de Rham reduction."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse(argv: list) -> dict:
+    """``command``, ``spec`` and the options given (``--no-timings`` as
+    ``no_timings``) in the words after ``gkz``.  ``-h`` or ``--help`` anywhere
+    prints help and exits 0; a usage error exits 1, as 2 means degenerate."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("spec", help="path to a problem JSON file")
-        p.add_argument("--out", help="write the report to this file")
-        p.add_argument(
-            "--fiber", help="override the fiber, comma-separated rationals"
-        )
-        p.add_argument(
-            "--gamma", help="override gamma, comma-separated rationals"
-        )
-        return p
+    def fail(why):
+        sys.stderr.write(USAGE.format(command or "COMMAND") + f"gkz: error: {why}\n")
+        raise SystemExit(EXIT_INPUT_ERROR)
 
-    add("analyze", "run the full pipeline and emit a rank report").add_argument(
-        "--no-timings", action="store_true", help="omit timings for stable bytes"
-    )
-    add("volume", "normalized volume of the Newton polytope")
-    add("faces", "facets, face lattice summary and index sets")
-    add("nondegenerate", "certify the fiber face by face")
-    add("koszul", "Koszul cohomology scan at the certified truncation")
-    add("derham", "top de Rham dimension, basis and connection matrices")
-    add("gkz-ops", "emit the Euler and box operators")
-    add("poincare", "check the top-cohomology series identity")
-    fc = add("face-complex", "exactness of the facial complex by weight")
-    fc.add_argument(
-        "--weight-bound",
-        type=int,
-        default=None,
-        help=f"largest scaled gauge to check (default {DEFAULT_WEIGHT_BOUND})",
-    )
-    return parser
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help(command))
+        raise SystemExit(EXIT_OK)
+    if command is None:
+        fail(f"unknown command {argv[0]!r}" if argv else "no command given")
+    flags = ("--out", "--fiber", "--gamma") + COMMANDS[command][1]
+    args = {"command": command}
+    specs, words = [], iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        key = flag[2:].replace("-", "_")
+        if not word.startswith("-"):
+            specs.append(word)
+        elif flag not in flags or eq and OPTIONS[flag][0] == flag:
+            fail(f"{command} takes no option {word!r}")
+        elif OPTIONS[flag][0] == flag:
+            args[key] = True
+        else:
+            args[key] = value if eq else next(words, None)
+            if args[key] is None:
+                fail(f"{flag} needs a value")
+    if len(specs) != 1:
+        fail(f"expected one SPEC, got {specs or 'none'}")
+    args["spec"] = specs[0]
+    if "weight_bound" in args:
+        try:
+            args["weight_bound"] = int(args["weight_bound"])
+        except ValueError:
+            fail(f"--weight-bound takes an int, not {args['weight_bound']!r}")
+    return args
 
 
-def _load_spec(args) -> ProblemSpec:
-    with open(args.spec, "r", encoding="utf-8") as fh:
+def _load_spec(args: dict) -> ProblemSpec:
+    with open(args["spec"], "r", encoding="utf-8") as fh:
         data = json.load(fh)
     spec = ProblemSpec.from_json(data)
-    if getattr(args, "fiber", None):
-        spec.fiber = [parse_rational(tok) for tok in args.fiber.split(",")]
-    if getattr(args, "gamma", None):
-        spec.gamma = [parse_rational(tok) for tok in args.gamma.split(",")]
-    if getattr(args, "weight_bound", None) is not None:
-        spec.options["weight_bound"] = args.weight_bound
+    if args.get("fiber"):
+        spec.fiber = [parse_rational(tok) for tok in args["fiber"].split(",")]
+    if args.get("gamma"):
+        spec.gamma = [parse_rational(tok) for tok in args["gamma"].split(",")]
+    if "weight_bound" in args:
+        spec.options["weight_bound"] = args["weight_bound"]
         check_options(spec.options)
     return spec
 
@@ -103,37 +130,37 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    command, out = args["command"], args.get("out")
     try:
         spec = _load_spec(args)
     except (OSError, json.JSONDecodeError, ValueError, GkzError) as exc:
-        _emit(error_json("input", exc), getattr(args, "out", None))
+        _emit(error_json("input", exc), out)
         return EXIT_INPUT_ERROR
     try:
-        if args.command in GEOMETRY_SUBCOMMANDS:
-            _emit(geometry_answer(args.command, spec), args.out)
+        if command in GEOMETRY_SUBCOMMANDS:
+            _emit(geometry_answer(command, spec), out)
             return EXIT_OK
         # the cohomology stack loads only for the subcommands that run it
         from .pipeline import run_analyze, run_subcommand
 
-        if args.command == "analyze":
-            report = run_analyze(spec, with_timings=not args.no_timings)
-            _emit(report.to_json(), args.out)
+        if command == "analyze":
+            report = run_analyze(spec, with_timings=not args.get("no_timings"))
+            _emit(report.to_json(), out)
             return EXIT_DEGENERATE if report.degenerate else EXIT_OK
-        result = run_subcommand(args.command, spec)
-        _emit(result, args.out)
-        if args.command == "nondegenerate" and not result.get("overall", True):
+        result = run_subcommand(command, spec)
+        _emit(result, out)
+        if command == "nondegenerate" and not result.get("overall", True):
             return EXIT_DEGENERATE
         return EXIT_OK
     except DegenerateFiber as exc:
-        _emit(error_json(args.command, exc), getattr(args, "out", None))
+        _emit(error_json(command, exc), out)
         return EXIT_DEGENERATE
     except UnknownSubcommand as exc:
-        _emit(error_json("dispatch", exc), getattr(args, "out", None))
+        _emit(error_json("dispatch", exc), out)
         return EXIT_INPUT_ERROR
     except GkzError as exc:
-        _emit(error_json(args.command, exc), getattr(args, "out", None))
+        _emit(error_json(command, exc), out)
         return EXIT_INPUT_ERROR
 
 

@@ -216,10 +216,11 @@ class KouchnirenkoResult:
         x, D = echelon.solve_integer({index[w]: 1})
         width = k * len(prev)
         mono = self.ring.monomials_of_degree(d)
-        units = {mono[c - width]: xc for c, xc in enumerate(x[width:], width) if xc}
+        nonzero = sorted(x.items())
+        units = {mono[c - width]: xc for c, xc in nonzero if c >= width}
         images = [
             (c % k, prev[c // k], xc * self._scales[c % k])
-            for c, xc in enumerate(x[:width]) if xc
+            for c, xc in nonzero if c < width
         ]
         return units, images, D
 

@@ -200,11 +200,11 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def solve_integer(self, rhs) -> tuple[list[int], int] | None:
-        """(X, D) with m @ X / D = rhs, X integer, D > 0; None if inconsistent.
+    def solve_integer(self, rhs) -> tuple[dict[int, int], int] | None:
+        """(X, D) with m @ X / D = rhs, D > 0; None if inconsistent.
 
-        ``rhs`` is a dense list or a sparse dict row -> value.  Free
-        variables are set to zero.
+        ``rhs`` is a dense list or a sparse dict row -> value.  X is a dict
+        column -> nonzero int: free variables are zero, so absent from it.
         """
         items = rhs.items() if isinstance(rhs, dict) else enumerate(rhs)
         scaled = {
@@ -259,12 +259,15 @@ class Echelon:
         for i in check.keys() | b.keys():
             if check.get(i, 0) != b.get(i, 0) * f:
                 return None
-        return [X.get(j, 0) for j in range(self._matrix.cols)], den * f
+        return X, den * f
 
     def solve(self, rhs) -> list[Fraction] | None:
-        """``solve_integer``'s answer as rationals, or None if inconsistent."""
+        """``solve_integer``'s answer as a dense list of rationals, or None."""
         solved = self.solve_integer(rhs)
-        return None if solved is None else [Fraction(x, solved[1]) for x in solved[0]]
+        if solved is None:
+            return None
+        X, D = solved
+        return [Fraction(X.get(j, 0), D) for j in range(self._matrix.cols)]
 
 
 class RationalSpan:

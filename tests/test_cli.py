@@ -170,6 +170,66 @@ class TestCliExitCodes:
         capsys.readouterr()
 
 
+# Usage errors print the usage line and ``gkz: error:`` to stderr, nothing to
+# stdout, and exit 1; "SPEC" stands for a problem file that exists.
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["frobnicate", "SPEC"],
+    "missing-spec": ["analyze", "--no-timings"],
+    "second-spec": ["analyze", "SPEC", "SPEC"],
+    "unknown-option": ["analyze", "SPEC", "--bogus"],
+    "abbreviated-switch": ["analyze", "SPEC", "--no-tim"],
+    "abbreviated-option": ["analyze", "SPEC", "--o", "report.json"],
+    "missing-value": ["analyze", "SPEC", "--out"],
+    "missing-value-before-spec": ["volume", "--fiber"],
+    "word-weight-bound": ["face-complex", "SPEC", "--weight-bound", "x"],
+    "fraction-weight-bound": ["face-complex", "SPEC", "--weight-bound=2.5"],
+    "switch-with-value": ["analyze", "SPEC", "--no-timings=yes"],
+    "switch-of-analyze-to-volume": ["volume", "SPEC", "--no-timings"],
+    "bound-of-face-complex-to-analyze": ["analyze", "SPEC", "--weight-bound", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_exits_one(name, tmp_path, capsys):
+    path = write_spec(tmp_path, GAUSS_SPEC)
+    argv = [path if word == "SPEC" else word for word in USAGE_ERRORS[name]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out == "" and "\ngkz: error: " in err and err.startswith("usage: gkz ")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["analyze", "--help"], ["analyze", "SPEC", "--out", "x", "-h"]]
+)
+def test_help_exits_zero(argv, tmp_path, capsys):
+    argv = [write_spec(tmp_path, GAUSS_SPEC) if w == "SPEC" else w for w in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert not (tmp_path / "x").exists()
+    if argv == ["--help"]:
+        commands = ["analyze", "volume", "faces", "nondegenerate", "koszul",
+                    "derham", "gkz-ops", "poincare", "face-complex"]
+        assert all(f"\n  {c} " in out for c in commands)
+    else:
+        assert "--no-timings" in out and "--weight-bound" not in out
+
+
+def test_option_forms_and_places_give_the_same_report(tmp_path, capsys):
+    path = write_spec(tmp_path, GAUSS_SPEC)
+    a, b, c = (tmp_path / f"{k}.json" for k in "abc")
+    assert main(["analyze", path, "--no-timings", "--out", str(a)]) == 0
+    assert main(["analyze", path, "--no-timings", f"--out={b}"]) == 0
+    assert main(["analyze", "--out", str(c), "--no-timings", path]) == 0
+    assert capsys.readouterr().out == ""
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    assert json.loads(a.read_text())["rank_agreement"] is True
+
+
 MALFORMED_SPECS = {
     "string-fiber": {"matrix": [[1, 2]], "fiber": "12"},
     "string-gamma": {"matrix": [[1, 2]], "gamma": "0"},

@@ -259,7 +259,8 @@ class _FractionEchelon:
     """The elimination over Q that ``Echelon`` does fraction-free, kept as the
     reference: the same pivot rule (columns in order, each on its sparsest
     live row, ties to the lowest row index) on ``Fraction`` rows, one
-    ``Fraction`` factor per row operation."""
+    ``Fraction`` factor per row operation.  Every division is exact, also on
+    ``int`` entries, where ``/`` would compute ``float``s."""
 
     def __init__(self, m):
         rows = [dict() for _ in range(m.rows)]
@@ -280,7 +281,7 @@ class _FractionEchelon:
                 if i == p:
                     continue
                 r = rows[i]
-                factor = r[pj] / pv
+                factor = Fraction(r[pj], pv)
                 ops.append((i, factor))
                 for j, v in best.items():
                     new = r.get(j, 0) - factor * v
@@ -308,7 +309,7 @@ class _FractionEchelon:
             for j, v in row.items():
                 if j != pj and x[j]:
                     s -= v * x[j]
-            x[pj] = s / row[pj]
+            x[pj] = Fraction(s, row[pj])
         return x
 
 
@@ -353,6 +354,10 @@ def _reference_cases():
     for seed in range(45):
         rnd = random.Random(3000 + seed)
         yield rnd, *_hard_matrix(rnd, ("mixed", "tall", "wide")[seed % 3])
+    # All ints, as the library's matrices are; this generator's right-hand
+    # sides include e_0, which back-substitutes to (5/12, -1/4).
+    dense = [[3, 1], [3, 5]]
+    yield random.Random(28), SparseRationalMatrix.from_dense(dense), dense
 
 
 def _transpose(m):
@@ -470,7 +475,7 @@ class TestEchelon:
         ])
         rhs = {1: 1, 4: 1}
         echelon = Echelon(m)
-        assert echelon.solve_integer(rhs) == ([0, 2, -1, 0, 2], 2)
+        assert echelon.solve_integer(rhs) == ({1: 2, 2: -1, 4: 2}, 2)
         assert echelon.solve(rhs) == _FractionEchelon(_as_fractions(m)).solve(rhs) == [
             F(0), F(1), F(-1, 2), F(0), F(1)
         ]

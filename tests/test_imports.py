@@ -2,8 +2,8 @@
 and ``gkz faces`` stay clear of the cohomology stack and the claim checks,
 ``gkz analyze`` loads exactly the 13 modules it runs and only
 ``gkz face-complex`` loads ``gkzrank.oracles``, no ``gkz`` process loads
-``dataclasses`` or ``inspect``, and ``pipeline`` still loads every module
-the benchmark's tracer wraps."""
+``dataclasses``, ``inspect``, ``argparse``, ``gettext`` or ``locale``, and
+``pipeline`` still loads every module the benchmark's tracer wraps."""
 
 import importlib
 import json
@@ -111,6 +111,8 @@ def test_only_face_complex_loads_the_claim_checks(argv, code, tmp_path):
 
 # The records are plain classes: a dataclass import costs every process the
 # ``inspect``/``ast``/``dis`` chain plus code generation per record class.
+# The argv parser is a loop: ``argparse`` brings ``gettext``, and building its
+# parsers ``locale``, several milliseconds per process in all.
 @pytest.mark.parametrize(
     "command,fiber,code",
     [("analyze", "1,2,3,4", 0), ("analyze", "1,1,1,1", 2), ("volume", "1,2,3,4", 0)],
@@ -127,7 +129,7 @@ def test_cli_runs_load_no_dataclass_machinery(command, fiber, code, tmp_path):
         prefix="",
     )
     assert "gkzrank.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     assert json.loads(out.read_text())
 
 
