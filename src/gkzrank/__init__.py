@@ -21,8 +21,7 @@ _EXPORTS = {
     "errors": """DegenerateFiber FaceContainsOrigin GammaNotNormalized GkzError
         MismatchAtDegree NotAFacePair NotARelation NotInCone RankDeficient
         ShapeMismatch TruncationTooSmall UnknownSubcommand""",
-    "homology": """GradedKoszulComplex KouchnirenkoResult poincare_identity_check
-        verify_kouchnirenko""",
+    "homology": "KouchnirenkoResult poincare_identity_check verify_kouchnirenko",
     "lattice": """ExponentCone ExponentMatrix Face Facet NewtonPolytope
         exponent_cone normalize_gamma validate_matrix""",
     "jsonio": "ProblemSpec",
@@ -30,8 +29,8 @@ _EXPORTS = {
     "nondegeneracy": "FaceCertificate NondegeneracyReport is_nondegenerate",
     "operators": """BoxOperator EulerOperator box_operator euler_operators
         lattice_kernel render_box render_euler""",
-    "oracles": """CochainComplexQ FaceComplex FreeRing RationalFunctionQ
-        check_face_complex_exactness check_gr_equals_koszul
+    "oracles": """CochainComplexQ FaceComplex FreeRing GradedKoszulComplex
+        RationalFunctionQ check_face_complex_exactness check_gr_equals_koszul
         choose_spanning_subset derham_cohomology_dims face_polynomial
         face_projection filtration_level gr_multiply
         koszul_regular_sequence_check""",

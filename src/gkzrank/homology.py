@@ -1,18 +1,22 @@
-"""Koszul complexes of the leading classes, and their cohomology counts.
+"""Top Koszul cohomology of the leading classes, and the proof that the
+lower cohomology vanishes, both read off the factored top slices.
 
-The composite of two consecutive differentials is checked to be the zero
-matrix.  The Koszul complex of the leading log-derivative classes is
-internally graded and its differential raises the grading by the gauge
-denominator; cohomology is computed strand by strand.
+The Koszul complex of the leading log-derivative classes is internally
+graded and its differential raises the grading by the gauge denominator M.
+``KouchnirenkoResult`` builds none of its maps: the nested quotients
+R/(g_1..g_j), counted by degree from the pivots of the top slices that the
+monomial basis and the de Rham solves factor anyway, decide the lower
+vanishing (see its docstring).  The full complex, with its d o d check, is
+the reference ``oracles.GradedKoszulComplex``.
 """
 
 from __future__ import annotations
 
-import itertools
+from itertools import accumulate
 
 from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
 from .lattice import NewtonPolytope
-from .linalg import Echelon, SparseRationalMatrix, rank
+from .linalg import Echelon, SparseRationalMatrix
 from .nondegeneracy import is_nondegenerate
 from .rings import (
     ConeRing,
@@ -31,125 +35,46 @@ def wedge_terms(I: tuple[int, ...], n: int):
             yield i, (-1) ** sum(1 for k in I if k < i), tuple(sorted(I + (i,)))
 
 
-# -- Koszul complexes ----------------------------------------------------------
+def __getattr__(name):
+    # The full complex is the reference in ``oracles``; it still resolves
+    # here, on first use, for callers that name it by its old home.
+    if name == "GradedKoszulComplex":
+        from .oracles import GradedKoszulComplex
 
-
-class GradedKoszulComplex:
-    """Koszul complex of a homogeneous sequence, truncated in the grading.
-
-    Bases are indexed by (wedge index set, monomial); the wedge set carries
-    no degree, so the strand through K^q in internal degree d maps to
-    internal degree d + step at q + 1.  New wedge factors multiply from the
-    left, matching the twisted de Rham differential.  Composites are
-    checked to vanish on construction.
-    """
-
-    def __init__(self, ring, sequence, truncation):
-        self.ring = ring
-        self.sequence = list(sequence)
-        self.truncation = truncation
-        degs = set()
-        for g in self.sequence:
-            for w in g.terms:
-                degs.add(ring.degree(w))
-        if len(degs) > 1:
-            raise ValueError("sequence elements must share a single degree")
-        self.step = degs.pop() if degs else 1
-        self.m = len(self.sequence)
-        self.bases: dict[tuple[int, int], list] = {}
-        self.diffs: dict[tuple[int, int], SparseRationalMatrix] = {}
-        self.images: dict[int, SparseRationalMatrix] = {}
-        self._build()
-        self.validate()
-
-    def basis(self, q: int, d: int) -> list:
-        return self.bases.get((q, d), [])
-
-    def differential(self, q: int, d: int) -> SparseRationalMatrix:
-        key = (q, d)
-        if key not in self.diffs:
-            return SparseRationalMatrix(
-                len(self.basis(q + 1, d + self.step)), len(self.basis(q, d))
-            )
-        return self.diffs[key]
-
-    def _build(self):
-        ring, m, D, step = self.ring, self.m, self.truncation, self.step
-        slices = {d: ring.monomials_of_degree(d) for d in range(D + 1)}
-        wedges = [list(itertools.combinations(range(m), q)) for q in range(m + 1)]
-        for q in range(m + 1):
-            for d in range(D + 1):
-                labels = [(I, w) for I in wedges[q] for w in slices[d]]
-                if labels:
-                    self.bases[(q, d)] = labels
-        position = {J: k for level in wedges for k, J in enumerate(level)}
-        # The sequence image on each slice, kept in ``images`` by target
-        # degree and placed once per wedge set: the column of (I, w) gets,
-        # for each i not in I, the signed column g_i * t^w in the rows of
-        # J = I + {i}.
-        for d in range(D + 1 - step):
-            src, dst = len(slices[d]), len(slices[d + step])
-            if not src or not dst:
-                continue
-            self.images[d + step] = sequence_image(ring, self.sequence, step, d + step)
-            columns = self.images[d + step].columns()
-            for q in range(m):
-                entries = {}
-                for a, I in enumerate(wedges[q]):
-                    for i, sign, J in wedge_terms(I, m):
-                        top = position[J] * dst
-                        for k in range(src):
-                            for r, c in columns[k * m + i].items():
-                                entries[(top + r, a * src + k)] = sign * c
-                self.diffs[(q, d)] = SparseRationalMatrix(
-                    len(wedges[q + 1]) * dst, len(wedges[q]) * src, entries
-                )
-
-    def validate(self):
-        for (q, d), mat in self.diffs.items():
-            nxt = self.diffs.get((q + 1, d + self.step))
-            if nxt is not None:
-                if not nxt.matmul(mat).is_zero():
-                    raise AssertionError(f"d o d != 0 at {(q, d)}")
-
-    def cohomology_dims(self, known: dict | None = None) -> dict[int, dict]:
-        """Per-degree and total cohomology dimensions.
-
-        H^q at internal degree d uses the incoming differential from degree
-        d - step; degrees whose outgoing map would leave the truncation are
-        omitted for q < m (they are not certified).  ``known`` maps (q, d)
-        to the rank of that map where the caller already has it.
-        """
-        out: dict[int, dict] = {}
-        # Each map is ranked once, though it is the outgoing map at q and the
-        # incoming one at q + 1; a map that was never stored is zero.
-        known = known or {}
-        ranks = {k: known[k] if k in known else rank(m) for k, m in self.diffs.items()}
-        for q in range(self.m + 1):
-            per = {}
-            for d in range(self.truncation + 1):
-                if q < self.m and d + self.step > self.truncation:
-                    continue
-                dim = len(self.basis(q, d))
-                h = dim - ranks.get((q, d), 0) - ranks.get((q - 1, d - self.step), 0)
-                if h:
-                    per[d] = h
-            out[q] = {"per_degree": per, "total": sum(per.values())}
-        return out
-
-
-# -- the facial resolution complex ---------------------------------------------
+        return GradedKoszulComplex
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- the Kouchnirenko-style verification ----------------------------------------
 
 
 class KouchnirenkoResult:
-    """Koszul counts of one fiber's leading classes, and the factored top
-    slices behind its monomial basis and its solves, all built in integers
-    from ``integral_classes``.  Each top map is the sequence image of its
-    target degree's slice up to the signs and order of its columns, so its
-    rank is read off that slice and no top map is eliminated on its own."""
+    """Koszul counts of one fiber's leading classes, read off the factored
+    top slices behind its monomial basis and its solves, all built in
+    integers from ``integral_classes``.
+
+    Let R be the cone ring, g_1..g_k the classes (homogeneous of degree M)
+    and S_j = R/(g_1..g_j), so S_0 = R and S_k is the top cohomology.  The
+    top slice of degree d is [sequence image | identity] with the image
+    columns class by class: column i * |R_{d-M}| + a holds c_i * g_i * t^v
+    for v the a-th monomial of degree d - M.  ``Echelon`` takes columns in
+    order, so dim S_j(d) is |R_d| minus the pivots in the first j blocks.
+
+    ``vanishing`` is the nested criterion
+    dim S_j(d) = dim S_{j-1}(d) - dim S_{j-1}(d - M)
+    for every j and every d up to the truncation D, i.e. g_j is injective
+    from S_{j-1}(d - M) to S_{j-1}(d).  The Koszul complex of (g_1..g_j) is
+    the mapping cone of g_j on that of (g_1..g_{j-1}), and the long exact
+    sequences of the cones hold degree by degree (Eisenbud, *Commutative
+    Algebra*, 1995, 17.2-17.3; Bruns and Herzog, *Cohen-Macaulay Rings*,
+    1993, 1.6).  Going up in j, the criterion in every degree up to D gives
+    H^q = 0 for q < k in every degree d with d + M <= D; going down in j,
+    by induction on d from below, H^q = 0 in those degrees gives the
+    criterion back.  Those are exactly the q < k degrees that the full
+    complex (``oracles.GradedKoszulComplex``) certifies, since its outgoing
+    map from degree d must stay within D, so ``vanishing`` is its answer
+    with no Koszul map built.  ``per_degree`` and ``top_dim`` are those of
+    S_k, in every degree up to D."""
 
     def __init__(self, ring: ConeRing, sequence, expected_polynomial, truncation):
         self.ring: ConeRing = ring
@@ -158,43 +83,50 @@ class KouchnirenkoResult:
         self.truncation: int = truncation
         self._scaled, self._scales = integral_classes(sequence)
         self._slices: dict[int, tuple] = {}
-        cx = GradedKoszulComplex(ring, self._scaled, truncation)
+        quotients = [self._quotient_dims(d) for d in range(truncation + 1)]
         # A zero sequence has no degree, so its complex steps by 1, not M.
-        self._images = cx.images if cx.step == ring.gauge_denominator else {}
-        n = cx.m
-        top = {(q, d): self._image_rank(d + cx.step) for q, d in cx.diffs if q == n - 1}
-        dims = cx.cohomology_dims(top)
-        self.lower_dims: dict[int, dict] = {q: dims[q] for q in range(n)}
-        self.vanishing: bool = all(h["total"] == 0 for h in self.lower_dims.values())
-        self.per_degree: dict[int, int] = dims[n]["per_degree"]
-        self.top_dim: int = dims[n]["total"]
+        step = ring.gauge_denominator if any(g.terms for g in self._scaled) else 1
+        self.vanishing: bool = all(
+            S[j] == S[j - 1] - (quotients[d - step][j - 1] if d >= step else 0)
+            for d, S in enumerate(quotients) for j in range(1, len(S))
+        )
+        self.per_degree: dict[int, int] = {d: S[-1] for d, S in enumerate(quotients) if S[-1]}
+        self.top_dim: int = sum(self.per_degree.values())
         self.equals_volume: bool = self.top_dim == ring.polytope.normalized_volume
         self.monomial_basis: list = [
             w for d in range(expected_polynomial.degree + 1) for w in self.top_basis(d)
         ]
 
+    def _quotient_dims(self, d: int) -> list[int]:
+        """dim S_j(d) for j = 0..k; below degree M no class reaches d."""
+        k, size = len(self._scaled), len(self.ring.monomials_of_degree(d))
+        blocks = [0] * (k + 1)
+        if d >= self.ring.gauge_denominator:
+            _, prev, echelon = self._top_slice(d)
+            for _, c, _ in echelon.pivots:
+                if c < k * len(prev):
+                    blocks[c // len(prev) + 1] += 1
+        return [size - p for p in accumulate(blocks)]
+
     def _top_slice(self, d: int) -> tuple:
         """Row index, the slice of degree d - M and the factored integer
-        matrix [sequence_image | identity] of top degree d, built once.
-        Image column c holds c_i * g_i * t^v for i = c % k and v the
-        (c // k)-th monomial of degree d - M; unit column k * len(prev) + r
-        stands for the r-th monomial of degree d.  The Koszul build's image
-        is reused where it made one."""
+        matrix [sequence image | identity] of top degree d, built once.
+        Image column i * len(prev) + a holds c_i * g_i * t^v for v the a-th
+        monomial of degree d - M (``sequence_image``'s columns, regrouped
+        class by class); unit column k * len(prev) + r stands for the r-th
+        monomial of degree d."""
         if d not in self._slices:
             ring, M = self.ring, self.ring.gauge_denominator
-            image = self._images.get(d) or sequence_image(ring, self._scaled, M, d)
-            entries = dict(image.entries)
+            prev, k = ring.monomials_of_degree(d - M), len(self._scaled)
+            image = sequence_image(ring, self._scaled, M, d)
+            entries = {
+                (r, c % k * len(prev) + c // k): v for (r, c), v in image.entries.items()
+            }
             entries.update(((r, image.cols + r), 1) for r in range(image.rows))
             mat = SparseRationalMatrix(image.rows, image.cols + image.rows, entries)
             index = {w: r for r, w in enumerate(ring.monomials_of_degree(d))}
-            prev = ring.monomials_of_degree(d - M)
             self._slices[d] = (index, prev, Echelon(mat))
         return self._slices[d]
-
-    def _image_rank(self, d: int) -> int:
-        """Rank of the sequence image into degree d: its slice's pivots
-        left of the unit columns, i.e. all of them but the unit pivots."""
-        return self._top_slice(d)[2].rank - len(self.top_basis(d))
 
     def top_basis(self, d: int) -> list:
         """The greedy basis monomials of top degree d: the first monomials
@@ -210,16 +142,16 @@ class KouchnirenkoResult:
         over the (i, v, x) in images, for the unscaled g_i: x is c_i times
         the slice's coefficient of c_i * g_i.  The unit columns make every
         monomial solvable."""
-        k = len(self.sequence)
         d = self.ring.degree(w)
         index, prev, echelon = self._top_slice(d)
         x, D = echelon.solve_integer({index[w]: 1})
-        width = k * len(prev)
+        P = len(prev)
+        width = len(self.sequence) * P
         mono = self.ring.monomials_of_degree(d)
         nonzero = sorted(x.items())
         units = {mono[c - width]: xc for c, xc in nonzero if c >= width}
         images = [
-            (c % k, prev[c // k], xc * self._scales[c % k])
+            (c // P, prev[c % P], xc * self._scales[c // P])
             for c, xc in nonzero if c < width
         ]
         return units, images, D
@@ -255,7 +187,7 @@ def verify_kouchnirenko(
     the fiber is nondegenerate.  With ``require_nondegenerate`` the fiber is
     certified first and a degenerate one raises; without it the scan runs
     anyway and reports whatever failure signal appears.  A truncation above
-    ``truncation_cap`` raises TruncationTooSmall before the complex is built.
+    ``truncation_cap`` raises TruncationTooSmall before any slice is built.
     """
     if polytope is None:
         polytope = NewtonPolytope(matrix)

@@ -3,15 +3,28 @@
 Every nondegenerate draw must give the same rank by normalized volume, top
 Koszul cohomology and the de Rham cokernel, with the lower Koszul
 cohomology zero; a degenerate draw is an answer, not an error.  Two
-families with closed-form ranks pin the common value itself.
+families with closed-form ranks pin the common value itself.  The Koszul
+counts read off the top slices are compared with the full complex on the
+same draws, degenerate fibers included.
 """
 
 import random
 import warnings
 
 import pytest
+from conftest import FIXTURES, GAUSS_ROWS
 
-from gkzrank import ProblemSpec, RankDeficient, NewtonPolytope, run_analyze, validate_matrix
+from gkzrank import (
+    GradedKoszulComplex,
+    KouchnirenkoResult,
+    NewtonPolytope,
+    ProblemSpec,
+    RankDeficient,
+    run_analyze,
+    validate_matrix,
+    verify_kouchnirenko,
+)
+from gkzrank.rings import integral_classes
 
 # Cost caps on a draw's normalized volume, by dimension, which keep the
 # whole sweep near a second.
@@ -79,3 +92,53 @@ def test_closed_form_ranks(rows, rank):
     assert report["rank_agreement"] is True
     assert report["koszul"]["vanishing"] is True
     assert report["derham"]["dimension"] == rank
+
+
+# Fibers degenerate by construction: the Gauss product fiber (1, a, b, ab),
+# whose square face polynomial factors; (1, 2a, a^2) on a collinear edge, a
+# perfect square there, alone and inside a 3-D polytope; and a zero fiber,
+# whose classes are all zero.
+DEGENERATE = [
+    (GAUSS_ROWS, [1, 2, 3, 6]),
+    ([[1, 1, 1], [0, 1, 2]], [1, 6, 9]),
+    ([[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]], [1, 4, 4, 5]),
+    ([[1, 2]], [0, 0]),
+]
+
+
+def _differential_cases():
+    """The Tier-1 fixtures, the seeded draws above and the degenerate fibers."""
+    yield from FIXTURES.values()
+    yield from ((rows, fiber) for rows, fiber, _ in _draws(2026, 40))
+    yield from DEGENERATE
+
+
+def _full_complex_counts(kz):
+    """(vanishing, per_degree, top_dim) of the full graded Koszul complex."""
+    seq, _ = integral_classes(kz.sequence)
+    cx = GradedKoszulComplex(kz.ring, seq, kz.truncation)
+    dims = cx.cohomology_dims()
+    lower = all(dims[q]["total"] == 0 for q in range(cx.m))
+    return lower, dims[cx.m]["per_degree"], dims[cx.m]["total"]
+
+
+def test_nested_criterion_matches_the_full_koszul_complex():
+    seen = []
+    for rows, fiber in _differential_cases():
+        matrix = validate_matrix(rows)
+        kz = verify_kouchnirenko(matrix, fiber, require_nondegenerate=False)
+        want = _full_complex_counts(kz)
+        assert (kz.vanishing, kz.per_degree, kz.top_dim) == want, (rows, fiber)
+        seen.append(kz.vanishing)
+    assert seen.count(False) >= len(DEGENERATE) and seen.count(True) > 30
+
+
+@pytest.mark.parametrize("rows,fiber", list(FIXTURES.values()) + DEGENERATE)
+def test_nested_criterion_matches_at_every_truncation(rows, fiber):
+    # The criterion is checked in every degree up to D, the full complex
+    # certifies its lower degrees d with d + M <= D: the two agree at any D.
+    kz = verify_kouchnirenko(validate_matrix(rows), fiber, require_nondegenerate=False)
+    for truncation in range(kz.truncation + 2):
+        cut = KouchnirenkoResult(kz.ring, kz.sequence, kz.expected_polynomial, truncation)
+        want = _full_complex_counts(cut)
+        assert (cut.vanishing, cut.per_degree, cut.top_dim) == want, truncation

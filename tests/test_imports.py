@@ -109,6 +109,20 @@ def test_only_face_complex_loads_the_claim_checks(argv, code, tmp_path):
     assert (ORACLES in loaded) == (argv[0] == "face-complex")
 
 
+def test_the_full_koszul_complex_resolves_from_homology_on_first_use():
+    # It lives in ``oracles``, which an ``analyze`` run never loads; the
+    # benchmark's tracer still names it as ``gkzrank.homology``'s.
+    loaded = _loaded_after(
+        "import sys\n"
+        "from gkzrank import ProblemSpec, homology, pipeline\n"
+        f"pipeline.run_analyze(ProblemSpec.from_json({GAUSS_SPEC!r}))\n"
+        f"assert {ORACLES!r} not in sys.modules\n"
+        "from gkzrank.oracles import GradedKoszulComplex\n"
+        "assert homology.GradedKoszulComplex is GradedKoszulComplex\n"
+    )
+    assert ORACLES in loaded
+
+
 # The records are plain classes: a dataclass import costs every process the
 # ``inspect``/``ast``/``dis`` chain plus code generation per record class.
 # The argv parser is a loop: ``argparse`` brings ``gettext``, and building its

@@ -18,6 +18,7 @@ from gkzrank import (
     validate_matrix,
     verify_kouchnirenko,
 )
+from gkzrank.rings import integral_classes
 
 EXTRA_CASES = [
     # rows, fiber
@@ -121,9 +122,12 @@ def test_truncation_cap_stays_with_its_run(monkeypatch):
 
 
 def test_analyze_computes_each_object_once(monkeypatch):
-    calls = {"certify_face": 0, "koszul": 0}
+    # Each face is certified once, and the lower Koszul vanishing is read
+    # off the top slices: no Koszul complex is built and no map multiplied.
+    calls = {"certify_face": 0, "koszul": 0, "matmul": 0}
     certify_face = nondegeneracy.certify_face
     koszul_init = homology.GradedKoszulComplex.__init__
+    matmul = linalg.SparseRationalMatrix.matmul
 
     def counted_certify(*args):
         calls["certify_face"] += 1
@@ -133,13 +137,19 @@ def test_analyze_computes_each_object_once(monkeypatch):
         calls["koszul"] += 1
         koszul_init(self, *args)
 
+    def counted_matmul(self, other):
+        calls["matmul"] += 1
+        return matmul(self, other)
+
     monkeypatch.setattr(nondegeneracy, "certify_face", counted_certify)
     monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", counted_init)
+    monkeypatch.setattr(linalg.SparseRationalMatrix, "matmul", counted_matmul)
     body = run_analyze(_gauss_spec(), with_timings=False).to_json()
-    assert body["rank_agreement"] is True
+    assert body["rank_agreement"] is True and body["koszul"]["vanishing"] is True
     assert calls == {
         "certify_face": len(body["nondegeneracy"]["faces"]),
-        "koszul": 1,
+        "koszul": 0,
+        "matmul": 0,
     }
 
 
@@ -178,13 +188,12 @@ GAUSS_AND_NORMAL_CURVE = [
 
 @pytest.mark.parametrize("rows,fiber", GAUSS_AND_NORMAL_CURVE)
 def test_top_maps_are_ranked_off_their_slices(monkeypatch, rows, fiber):
-    # No top Koszul map goes to rank: each is read off the factored slice
-    # of its target degree, and each top degree is factored exactly once,
-    # from the sequence image the Koszul build made for it.
+    # Every Koszul count is read off the factored top slices: each top
+    # degree from M to the truncation is imaged and factored exactly once,
+    # and nothing else is ranked or factored on the way.
     matrix = validate_matrix(rows)
     P = NewtonPolytope(matrix)
-    complexes, ranked, factored, images = [], [], [], []
-    koszul_init = homology.GradedKoszulComplex.__init__
+    ranked, factored, images = [], [], []
     rank = linalg.rank
     make = homology.Echelon
     image = homology.sequence_image
@@ -192,10 +201,6 @@ def test_top_maps_are_ranked_off_their_slices(monkeypatch, rows, fiber):
     def counted_image(ring, sequence, step, d):
         images.append(d)
         return image(ring, sequence, step, d)
-
-    def recorded_init(self, *args):
-        koszul_init(self, *args)
-        complexes.append(self)
 
     def counted_rank(m):
         ranked.append(m)
@@ -205,24 +210,22 @@ def test_top_maps_are_ranked_off_their_slices(monkeypatch, rows, fiber):
         factored.append(make(m))
         return factored[-1]
 
-    monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", recorded_init)
-    for module in (linalg, homology, nondegeneracy):
+    for module in (linalg, nondegeneracy, derham, oracles):
         monkeypatch.setattr(module, "rank", counted_rank)
     monkeypatch.setattr(homology, "Echelon", counted_echelon)
     monkeypatch.setattr(homology, "sequence_image", counted_image)
-    kz = verify_kouchnirenko(matrix, fiber, P)
+    kz = verify_kouchnirenko(matrix, fiber, P, require_nondegenerate=False)
     monkeypatch.undo()
-    (cx,) = complexes
-    assert set(Counter(images).values()) == {1} and set(kz._slices) <= set(images)
-    top = {(q, d): m for (q, d), m in cx.diffs.items() if q == cx.m - 1}
-    counts = Counter(map(id, ranked))
-    assert top and not any(id(m) in counts for m in top.values())
-    assert all(counts[id(m)] == 1 for key, m in cx.diffs.items() if key not in top)
+    M = P.gauge_denominator
+    assert set(Counter(images).values()) == {1} and set(kz._slices) == set(images)
+    assert set(range(M, kz.truncation + 1)) <= set(kz._slices)
     assert [id(e) for e in factored] == [id(s[2]) for s in kz._slices.values()]
-    assert {d + cx.step for _, d in top} <= set(kz._slices)
-    # The ranks read off the slices are those of the maps themselves.
+    assert ranked == []
+    # The counts read off the slices are those of the full complex.
+    seq, _ = integral_classes(kz.sequence)
+    cx = GradedKoszulComplex(kz.ring, seq, kz.truncation)
     full = cx.cohomology_dims()
-    assert {q: full[q] for q in range(cx.m)} == kz.lower_dims
+    assert kz.vanishing is all(full[q]["total"] == 0 for q in range(cx.m))
     assert full[cx.m] == {"per_degree": kz.per_degree, "total": kz.top_dim}
 
 
@@ -232,12 +235,7 @@ def test_koszul_maps_and_slices_hold_integers(monkeypatch):
     matrix = validate_matrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
     P = NewtonPolytope(matrix)
     fiber = [F(1, 2), 2, F(-3, 4), F(5, 3)]
-    complexes, matrices = [], []
-    koszul_init = homology.GradedKoszulComplex.__init__
-
-    def recorded_init(self, *args):
-        koszul_init(self, *args)
-        complexes.append(self)
+    matrices = []
 
     def recorded_image(*args):
         matrices.append(image(*args))
@@ -248,14 +246,12 @@ def test_koszul_maps_and_slices_hold_integers(monkeypatch):
         return make(m)
 
     image, make = homology.sequence_image, homology.Echelon
-    monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", recorded_init)
     for module in (homology, nondegeneracy):
         monkeypatch.setattr(module, "sequence_image", recorded_image)
         monkeypatch.setattr(module, "Echelon", recorded_echelon)
     kz = verify_kouchnirenko(matrix, fiber, P)
     assert any(c.denominator > 1 for g in kz.sequence for c in g.terms.values())
-    matrices += [m for cx in complexes for m in cx.diffs.values()]
-    assert complexes and len(matrices) > len(kz._slices)
+    assert len(matrices) > 2 * len(kz._slices)
     assert all(type(v) is int for m in matrices for v in m.entries.values())
 
 
@@ -334,7 +330,7 @@ def test_cohomology_ranks_each_map_once(monkeypatch, gauss):
         ranked.append(m)
         return linalg.rank(m)
 
-    monkeypatch.setattr(homology, "rank", counted_rank)
+    monkeypatch.setattr(oracles, "rank", counted_rank)
     dims = cx.cohomology_dims()
     assert dims[P.n]["total"] == kz.top_dim
     assert sorted(map(id, ranked)) == sorted(map(id, cx.diffs.values()))
