@@ -37,7 +37,8 @@ def wedge_terms(I: tuple[int, ...], n: int):
 
 def __getattr__(name):
     # The full complex is the reference in ``oracles``; it still resolves
-    # here, on first use, for callers that name it by its old home.
+    # here, on first use, because callers such as the benchmark's tracer
+    # name it by this module.
     if name == "GradedKoszulComplex":
         from .oracles import GradedKoszulComplex
 
@@ -84,13 +85,16 @@ class KouchnirenkoResult:
         self._scaled, self._scales = integral_classes(sequence)
         self._slices: dict[int, tuple] = {}
         quotients = [self._quotient_dims(d) for d in range(truncation + 1)]
-        # A zero sequence has no degree, so its complex steps by 1, not M.
+        # A zero sequence has no degree: the full complex then steps by 1,
+        # not M, and so does the criterion.
         step = ring.gauge_denominator if any(g.terms for g in self._scaled) else 1
         self.vanishing: bool = all(
             S[j] == S[j - 1] - (quotients[d - step][j - 1] if d >= step else 0)
             for d, S in enumerate(quotients) for j in range(1, len(S))
         )
-        self.per_degree: dict[int, int] = {d: S[-1] for d, S in enumerate(quotients) if S[-1]}
+        self.per_degree: dict[int, int] = {
+            d: S[-1] for d, S in enumerate(quotients) if S[-1]
+        }
         self.top_dim: int = sum(self.per_degree.values())
         self.equals_volume: bool = self.top_dim == ring.polytope.normalized_volume
         self.monomial_basis: list = [
@@ -119,8 +123,10 @@ class KouchnirenkoResult:
             ring, M = self.ring, self.ring.gauge_denominator
             prev, k = ring.monomials_of_degree(d - M), len(self._scaled)
             image = sequence_image(ring, self._scaled, M, d)
+            # sequence_image's column a * k + i goes to i * len(prev) + a.
             entries = {
-                (r, c % k * len(prev) + c // k): v for (r, c), v in image.entries.items()
+                (r, c % k * len(prev) + c // k): v
+                for (r, c), v in image.entries.items()
             }
             entries.update(((r, image.cols + r), 1) for r in range(image.rows))
             mat = SparseRationalMatrix(image.rows, image.cols + image.rows, entries)

@@ -7,9 +7,15 @@ and compare the quotient's degree dimensions with the predicted polynomial
 Facial rings are Cohen-Macaulay, so matching the polynomial through its
 degree and vanishing over one generator window decides finiteness exactly:
 a mismatch or any surviving dimension in the window certifies degeneracy.
-The shift lemma spares most ranks: if the quotient is zero in degree d - M
-and each monomial of degree d is a face vertex (of degree M) times one of
-degree d - M, it is zero in degree d, a true zero that needs no rank.
+
+The shift lemma: if the quotient is zero in degree d - M and each monomial
+of degree d is a face vertex (of degree M) times one of degree d - M, it is
+zero in degree d.  Past the numerator's degree every monomial is such a
+product (a spare generator of its simplicial piece), so M zero degrees in a
+row there stay zero forever.  The window therefore ends at the numerator's
+degree plus M (``_window``): a quotient that matches the polynomial through
+it is zero ever after, so no mismatch can sit past it.  Inside the window
+the lemma also spares ranks: a degree it proves zero is not ranked.
 """
 
 from __future__ import annotations
@@ -89,6 +95,12 @@ def _spanning_subset(gs, face: Face):
     return tuple(j + 1 for _, j, _ in pivots[: face.dim + 1])
 
 
+def _window(numerator, M: int) -> int:
+    """The last degree a face certificate reads: the numerator's degree
+    plus M, by the shift lemma."""
+    return numerator.degree + M
+
+
 def _face_quotient_dims(ring: FaceRing, gs, bound: int):
     """Dimensions of the facial ring modulo the chosen classes, by degree;
     a degree the shift lemma proves zero is not ranked."""
@@ -115,12 +127,7 @@ def certify_face(
     ring = FaceRing(polytope, face)
     expected_poly, k = numerator or cone_numerator(polytope, [face])
     assert k == face.dim + 1, "face pieces must have dim + 1 generators"
-    # Shift lemma: a face vertex v has scaled degree M and the ideal is
-    # closed under t^v, so if the quotient is zero in degree d - M and each
-    # t^w of degree d is t^v * t^(w - v) in the face ring, it is zero in d.
-    # Past the numerator's degree every w has such a v (a spare generator of
-    # its simplicial piece), so zeros there on M degrees in a row persist.
-    bound = expected_poly.degree + k * M
+    bound = _window(expected_poly, M)
     expected = tuple(expected_poly.coeff(d) for d in range(bound + 1))
     # In integers once; the pivots and quotient dimensions do not change.
     gs, _ = integral_classes(log_derivative_classes(fiber, face, polytope))
@@ -162,7 +169,7 @@ def is_nondegenerate(matrix, fiber, polytope: NewtonPolytope | None = None):
     numerators = [cone_numerator(polytope, [face]) for face in faces]
     # One point-table build, to the last degree any certificate reads.
     M = polytope.gauge_denominator
-    polytope.points_of_degree(max(p.degree + k * M for p, k in numerators))
+    polytope.points_of_degree(max(_window(p, M) for p, _ in numerators))
     certificates = [
         certify_face(fiber, face, polytope, nu)
         for face, nu in zip(faces, numerators)

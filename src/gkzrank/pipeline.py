@@ -88,7 +88,7 @@ def run_analyze(spec: ProblemSpec, with_timings: bool = True) -> RankReport:
     """Full pipeline: geometry, certification, cohomology, operators.
 
     Each stage's result is passed on to the stages that need it, so the
-    fiber is certified once and the Koszul complex is built once.  Each
+    fiber is certified once and each top Koszul slice factored once.  Each
     stage's time is the lap since the previous stage ended.
     """
     timings: dict[str, float] = {}

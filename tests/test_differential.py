@@ -3,13 +3,15 @@
 Every nondegenerate draw must give the same rank by normalized volume, top
 Koszul cohomology and the de Rham cokernel, with the lower Koszul
 cohomology zero; a degenerate draw is an answer, not an error.  Two
-families with closed-form ranks pin the common value itself.  The Koszul
-counts read off the top slices are compared with the full complex on the
-same draws, degenerate fibers included.
+families with closed-form ranks pin the common value itself.  On the same
+draws, degenerate fibers included, the Koszul counts read off the top
+slices are compared with the full complex, and the face certificates with
+certificates over the longer window numerator degree + k * M.
 """
 
 import random
 import warnings
+from fractions import Fraction as F
 
 import pytest
 from conftest import FIXTURES, GAUSS_ROWS
@@ -20,11 +22,20 @@ from gkzrank import (
     NewtonPolytope,
     ProblemSpec,
     RankDeficient,
+    is_nondegenerate,
     run_analyze,
     validate_matrix,
     verify_kouchnirenko,
 )
-from gkzrank.rings import integral_classes
+from gkzrank.linalg import rank
+from gkzrank.nondegeneracy import _spanning_subset
+from gkzrank.rings import (
+    FaceRing,
+    cone_numerator,
+    integral_classes,
+    log_derivative_classes,
+    sequence_image,
+)
 
 # Cost caps on a draw's normalized volume, by dimension, which keep the
 # whole sweep near a second.
@@ -128,7 +139,8 @@ def test_nested_criterion_matches_the_full_koszul_complex():
         matrix = validate_matrix(rows)
         kz = verify_kouchnirenko(matrix, fiber, require_nondegenerate=False)
         want = _full_complex_counts(kz)
-        assert (kz.vanishing, kz.per_degree, kz.top_dim) == want, (rows, fiber)
+        got = (kz.vanishing, kz.per_degree, kz.top_dim)
+        assert got == want, (rows, fiber)
         seen.append(kz.vanishing)
     assert seen.count(False) >= len(DEGENERATE) and seen.count(True) > 30
 
@@ -137,8 +149,61 @@ def test_nested_criterion_matches_the_full_koszul_complex():
 def test_nested_criterion_matches_at_every_truncation(rows, fiber):
     # The criterion is checked in every degree up to D, the full complex
     # certifies its lower degrees d with d + M <= D: the two agree at any D.
-    kz = verify_kouchnirenko(validate_matrix(rows), fiber, require_nondegenerate=False)
+    matrix = validate_matrix(rows)
+    kz = verify_kouchnirenko(matrix, fiber, require_nondegenerate=False)
     for truncation in range(kz.truncation + 2):
-        cut = KouchnirenkoResult(kz.ring, kz.sequence, kz.expected_polynomial, truncation)
+        cut = KouchnirenkoResult(
+            kz.ring, kz.sequence, kz.expected_polynomial, truncation
+        )
         want = _full_complex_counts(cut)
         assert (cut.vanishing, cut.per_degree, cut.top_dim) == want, truncation
+
+
+def _certify_over_the_long_window(fiber, face, P):
+    """(verdict, failure degree, spanning indices, quotient dims, expected
+    dims) of one face over the window numerator degree + k * M that
+    ``certify_face`` read before the shift lemma cut it short, with every
+    degree ranked."""
+    numerator, k = cone_numerator(P, [face])
+    M = P.gauge_denominator
+    bound = numerator.degree + k * M
+    expected = tuple(numerator.coeff(d) for d in range(bound + 1))
+    gs, _ = integral_classes(log_derivative_classes(fiber, face, P))
+    chosen = _spanning_subset(gs, face)
+    if chosen is None:
+        return "infinite", None, (), (), expected
+    ring, gs = FaceRing(P, face), [gs[i - 1] for i in chosen]
+    dims = []
+    for d in range(bound + 1):
+        image = sequence_image(ring, gs, M, d)
+        dims.append(image.rows - rank(image))
+    mismatches = (d for d, (got, want) in enumerate(zip(dims, expected)) if got != want)
+    failure = next(mismatches, None)
+    verdict = "finite" if failure is None else "infinite"
+    return verdict, failure, chosen, tuple(dims), expected
+
+
+def test_face_windows_end_at_numerator_degree_plus_m():
+    # M zero degrees past the numerator's degree persist (the shift lemma),
+    # so the short window decides every face as the long one does.
+    verdicts = []
+    for rows, fiber in _differential_cases():
+        P = NewtonPolytope(validate_matrix(rows))
+        fiber = [F(c) for c in fiber]
+        report = is_nondegenerate(P.matrix, fiber, P)
+        for face, cert in zip(P.origin_free_faces(), report.certificates):
+            verdict, failure, chosen, dims, expected = _certify_over_the_long_window(
+                fiber, face, P
+            )
+            assert (cert.verdict, cert.failure_degree, cert.spanning_indices) == (
+                verdict, failure, chosen
+            ), (rows, fiber, face.id)
+            numerator, _ = cone_numerator(P, [face])
+            assert cert.bound_used == numerator.degree + P.gauge_denominator
+            assert cert.expected_dims == expected[: cert.bound_used + 1]
+            assert cert.quotient_dims == dims[: len(cert.quotient_dims)]
+            verdicts.append((verdict, failure is None, bool(chosen)))
+    # Finite faces, mismatches and deficient spanning sets all occur.
+    assert set(verdicts) == {
+        ("finite", True, True), ("infinite", False, True), ("infinite", True, False)
+    }

@@ -901,7 +901,7 @@ def test_analyze_builds_the_point_table_at_most_twice(monkeypatch):
         assert report.to_json().get("rank_agreement", True) is True, name
         counts[name] = len(builds)
         if name == "octahedron":
-            assert builds == [3, 4]  # face window 3, truncation 4
+            assert builds == [1, 4]  # face window 1, truncation 4
     assert max(counts.values()) <= 2, counts
     assert counts["gauss-degenerate"] == 1
 
