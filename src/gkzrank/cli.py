@@ -92,8 +92,8 @@ def _parse(argv: list) -> dict:
         elif OPTIONS[flag][0] == flag:
             args[key] = True
         else:
-            args[key] = value if eq else next(words, None)
-            if args[key] is None:
+            args[key] = value if eq else next(words, "")
+            if not args[key]:
                 fail(f"{flag} needs a value")
     if len(specs) != 1:
         fail(f"expected one SPEC, got {specs or 'none'}")
@@ -110,9 +110,9 @@ def _load_spec(args: dict) -> ProblemSpec:
     with open(args["spec"], "r", encoding="utf-8") as fh:
         data = json.load(fh)
     spec = ProblemSpec.from_json(data)
-    if args.get("fiber"):
+    if "fiber" in args:
         spec.fiber = [parse_rational(tok) for tok in args["fiber"].split(",")]
-    if args.get("gamma"):
+    if "gamma" in args:
         spec.gamma = [parse_rational(tok) for tok in args["gamma"].split(",")]
     if "weight_bound" in args:
         spec.options["weight_bound"] = args["weight_bound"]

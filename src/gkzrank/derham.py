@@ -154,10 +154,11 @@ class ReductionBasis:
     factored top slice of degree e, whose image columns are the leading
     parts of the images (as ``check_gr_equals_koszul`` certifies), each
     scaled to integers, which ``solve_top`` undoes, and whose unit pivots
-    are the basis.  The chosen images are subtracted whole, and
-    the lower-degree remainder is rewritten through the normal forms of its
-    monomials, kept in ``normal_forms`` as (numerators, denominator) in
-    lowest common terms.
+    are the basis.  Degree e then cancels, so only the tails of the chosen
+    images (their terms below e) are subtracted, each image checked once,
+    in integers, against its slice column.  The remainder is rewritten
+    through the normal forms of its monomials, kept in ``normal_forms`` as
+    (numerators, denominator) in lowest common terms.
     """
 
     def __init__(self, gamma, fiber, polytope: NewtonPolytope, kouchnirenko):
@@ -178,6 +179,7 @@ class ReductionBasis:
         rests = [tuple(k for k in range(n) if k != i) for i in range(n)]
         self._signs = [next(wedge_terms(rest, n))[1] for rest in rests]
         self._images: dict[tuple[int, Vector], dict[Vector, int]] = {}
+        self._tails: dict[tuple[int, Vector], list[tuple[Vector, int]]] = {}
         self.normal_forms: dict[Vector, tuple[tuple[int, ...], int]] = {}
         self._coordinates: dict[Vector, tuple[Fraction, ...]] = {}
 
@@ -197,30 +199,43 @@ class ReductionBasis:
             self._images[(i, w)] = img
         return img
 
+    def _tail(self, i: int, v: Vector) -> list[tuple[Vector, int]]:
+        """The terms of image(i, v) below degree deg v + M times the wedge
+        sign, built once, after checking that the other terms are sign_i *
+        scale / c_i times the slice column c_i * g_i * t^v."""
+        tail = self._tails.get((i, v))
+        if tail is None:
+            P, sign = self.polytope, self._signs[i]
+            e = P.graded_degree(v) + P.gauge_denominator
+            c_i, column = self.kouchnirenko.top_column(i, v)
+            lead, tail = {}, []
+            for u, c in self.image(i, v).items():
+                if P.graded_degree(u) < e:
+                    tail.append((u, sign * c))
+                else:
+                    lead[u] = sign * c_i * c
+            if lead != {u: self.scale * c for u, c in column.items()}:
+                raise AssertionError("image leading part is not its slice column")
+            self._tails[(i, v)] = tail
+        return tail
+
     def _step(self, w: Vector):
         """Solve t^w once against its degree's top slice of the Kouchnirenko
-        result: its basis coordinates and the remainder after subtracting
-        every chosen image whole, both over D * scale."""
+        result: its basis coordinates and the remainder, the chosen images'
+        tails, both over D * scale."""
         units, images, D = self.kouchnirenko.solve_top(w)
         coords = [0] * self.dimension
-        rest = {w: D * self.scale}
         for u, x in units.items():
             if u not in self._position:
                 raise AssertionError(
                     "top part not in basis + image; truncation logic broken"
                 )
             coords[self._position[u]] = x * self.scale
-            rest[u] = rest.get(u, 0) - x * self.scale
-        # g_i * t^v is the leading part of image(i, v) over its wedge sign
-        # and scale.
+        rest: dict[Vector, int] = {}
         for i, v, x in images:
-            for u, c in self.image(i, v).items():
-                rest[u] = rest.get(u, 0) - self._signs[i] * x * c
-        rest = {u: c for u, c in rest.items() if c}
-        P, e = self.polytope, self.polytope.graded_degree(w)
-        if any(P.graded_degree(u) >= e for u in rest):
-            raise AssertionError("reduction did not lower the degree")
-        return coords, rest, D * self.scale
+            for u, c in self._tail(i, v):
+                rest[u] = rest.get(u, 0) - x * c
+        return coords, {u: c for u, c in rest.items() if c}, D * self.scale
 
     def reduce_monomial(self, w) -> tuple[Fraction, ...]:
         """Normal form of t^w dlog_{[n]}: its coordinates against the basis.
@@ -333,18 +348,10 @@ def connection_matrices(gamma, fiber, basis: ReductionBasis):
     of the j-th column monomial times the l-th basis monomial.
     """
     _check_built_for(basis, gamma, fiber)
-    A = basis.polytope.matrix
-    dim = basis.dimension
     out = []
-    for j in range(A.num_columns):
-        wj = A.column(j)
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
-        for l, wl in enumerate(basis.basis):
-            shifted = tuple(a + b for a, b in zip(wj, wl))
-            coords = basis.reduce_monomial(shifted)
-            for k in range(dim):
-                mat[k][l] = coords[k]
-        out.append(mat)
+    for wj in basis.polytope.matrix.columns:
+        cols = [basis.reduce_monomial(tuple(map(add, wj, wl))) for wl in basis.basis]
+        out.append([list(row) for row in zip(*cols)])
     return out
 
 

@@ -106,19 +106,19 @@ class KouchnirenkoResult:
         k, size = len(self._scaled), len(self.ring.monomials_of_degree(d))
         blocks = [0] * (k + 1)
         if d >= self.ring.gauge_denominator:
-            _, prev, echelon = self._top_slice(d)
+            _, positions, echelon = self._top_slice(d)
             for _, c, _ in echelon.pivots:
-                if c < k * len(prev):
-                    blocks[c // len(prev) + 1] += 1
+                if c < k * len(positions):
+                    blocks[c // len(positions) + 1] += 1
         return [size - p for p in accumulate(blocks)]
 
     def _top_slice(self, d: int) -> tuple:
-        """Row index, the slice of degree d - M and the factored integer
-        matrix [sequence image | identity] of top degree d, built once.
-        Image column i * len(prev) + a holds c_i * g_i * t^v for v the a-th
-        monomial of degree d - M (``sequence_image``'s columns, regrouped
-        class by class); unit column k * len(prev) + r stands for the r-th
-        monomial of degree d."""
+        """Row index, the positions of the monomials of degree d - M and the
+        factored integer matrix [sequence image | identity] of top degree d,
+        built once.  Image column i * len(prev) + a holds c_i * g_i * t^v
+        for v the a-th monomial of degree d - M (``sequence_image``'s
+        columns, regrouped class by class); unit column k * len(prev) + r
+        stands for the r-th monomial of degree d."""
         if d not in self._slices:
             ring, M = self.ring, self.ring.gauge_denominator
             prev, k = ring.monomials_of_degree(d - M), len(self._scaled)
@@ -131,36 +131,45 @@ class KouchnirenkoResult:
             entries.update(((r, image.cols + r), 1) for r in range(image.rows))
             mat = SparseRationalMatrix(image.rows, image.cols + image.rows, entries)
             index = {w: r for r, w in enumerate(ring.monomials_of_degree(d))}
-            self._slices[d] = (index, prev, Echelon(mat))
+            positions = {v: a for a, v in enumerate(prev)}
+            self._slices[d] = (index, positions, Echelon(mat))
         return self._slices[d]
 
     def top_basis(self, d: int) -> list:
         """The greedy basis monomials of top degree d: the first monomials
         that complete the span of the sequence image, the unit pivots."""
-        _, prev, echelon = self._top_slice(d)
+        _, positions, echelon = self._top_slice(d)
         mono = self.ring.monomials_of_degree(d)
-        width = len(self.sequence) * len(prev)
+        width = len(self.sequence) * len(positions)
         return [mono[j - width] for _, j, _ in echelon.pivots if j >= width]
 
     def solve_top(self, w) -> tuple[dict, list, int]:
         """t^w against its degree's top slice, in integers: (units, images,
         D) with D * t^w = sum of x * t^u over units and of x * g_i * t^v
         over the (i, v, x) in images, for the unscaled g_i: x is c_i times
-        the slice's coefficient of c_i * g_i.  The unit columns make every
-        monomial solvable."""
+        the slice's coefficient of c_i * g_i.  The right-hand side is t^w's
+        unit column, factored with the slice."""
         d = self.ring.degree(w)
-        index, prev, echelon = self._top_slice(d)
-        x, D = echelon.solve_integer({index[w]: 1})
-        P = len(prev)
+        index, positions, echelon = self._top_slice(d)
+        P = len(positions)
         width = len(self.sequence) * P
+        x, D = echelon.solve_column(width + index[w])
         mono = self.ring.monomials_of_degree(d)
-        nonzero = sorted(x.items())
-        units = {mono[c - width]: xc for c, xc in nonzero if c >= width}
+        prev = self.ring.monomials_of_degree(d - self.ring.gauge_denominator)
+        units = {mono[c - width]: xc for c, xc in x.items() if c >= width}
         images = [
             (c // P, prev[c % P], xc * self._scales[c // P])
-            for c, xc in nonzero if c < width
+            for c, xc in x.items() if c < width
         ]
         return units, images, D
+
+    def top_column(self, i: int, v) -> tuple[int, dict]:
+        """c_i and the top slice's column c_i * g_i * t^v, monomial -> int."""
+        d = self.ring.degree(v) + self.ring.gauge_denominator
+        _, positions, echelon = self._top_slice(d)
+        mono = self.ring.monomials_of_degree(d)
+        column = echelon.column(i * len(positions) + positions[v])
+        return self._scales[i], {mono[r]: c for r, c in column}
 
     def to_json(self):
         return {

@@ -33,11 +33,20 @@ def format_rational(value) -> str:
     return str(Fraction(value))
 
 
+OPTION_KEYS = ("truncation_cap", "weight_bound")
+
+
 def check_options(options: dict) -> None:
-    """Nonnegative integer options only: a negative weight bound would check
-    no weight and still report the face complex exact, and a negative
-    truncation cap is one no run can meet."""
-    for key in ("truncation_cap", "weight_bound"):
+    """Known, nonnegative integer options only: a misspelt key would run
+    without its budget, a negative weight bound would check no weight and
+    still report the face complex exact, and a negative truncation cap is
+    one no run can meet."""
+    for key in options:
+        if key not in OPTION_KEYS:
+            raise ShapeMismatch(
+                f"unknown option {key!r}; options are {', '.join(OPTION_KEYS)}"
+            )
+    for key in OPTION_KEYS:
         value = options.get(key, 0)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ShapeMismatch(f"option '{key}' must be an integer: {value!r}")

@@ -4,22 +4,22 @@ Entries are ``int`` or ``fractions.Fraction`` and answers are exact; no
 floating point is used anywhere.  ``Echelon`` is the one elimination: it
 clears rows to integers unless all entries are ``int`` (as in every matrix
 the library builds), factors the matrix fraction-free, taking the columns
-in index order and pivoting each on its sparsest live row, and reuses that
-factorization for its rank, for its pivot columns (the ordered greedy
-choice of independent columns) and for every right-hand side it solves, in
-integers over one denominator: the back-substitution keeps only the
-nonzero unknowns and the answer is checked in integers against the
-matrix.  ``rank`` and ``solve`` are one-shot wrappers around it; ``rank``
-eliminates along the shorter side; ``matmul`` of ``int`` factors is ``int``.
-``RationalSpan`` makes the same greedy choice one vector at a time in
-``Fraction``s; no library code calls it, and it is kept as the reference
-for ``Echelon``'s pivot columns.
+in index order and pivoting each on its sparsest live row, and keeps no
+log: its rank, its pivot columns (the ordered greedy choice) and every
+solve are read off the factored rows, a solve being a back-substitution
+from a factored column, checked in integers against the matrix.  ``rank``
+eliminates along the shorter side; ``solve`` factors [m | rhs] and solves
+its last column; ``matmul`` of ``int`` factors is ``int``.
+``RationalSpan`` makes the greedy choice one vector at a time in
+``Fraction``s, as the tests' reference for ``Echelon``'s pivot columns.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 
 class SparseRationalMatrix:
@@ -127,11 +127,10 @@ class Echelon:
     primitive.  Columns are taken in index order, each pivoted on its
     sparsest live row (ties to the lowest row index), so the pivot columns
     are the first columns, in order, that are independent of the ones
-    before them.  Pivots are kept as (row, column, integer row) and each
-    step's updates as (target row, a, b, content).  ``solve_integer``
-    replays the log on an integer right-hand side, back-substitutes over one
-    denominator and checks the answer in integers against the scaled rows
-    of the matrix, which must not change after the factorization.
+    before them.  Pivots are kept as (row, column, integer row), each row as
+    it stood when it became a pivot; the row operations are not recorded,
+    since a right-hand side that is a column of the matrix is transformed
+    with it (``solve_column``).
     """
 
     def __init__(self, m: SparseRationalMatrix):
@@ -149,8 +148,8 @@ class Echelon:
                 for j, v in r.items():
                     r[j] = v.numerator * (s // v.denominator)
         self._columns: list[list[tuple[int, int]]] | None = None
+        self._back: list[tuple[int, int, list, dict[int, int]]] | None = None
         self.pivots: list[tuple[int, int, dict[int, int]]] = []
-        self._log: list[list[tuple[int, int, int, int]]] = []
         for pj, live in enumerate(holders):
             if not live:
                 continue
@@ -166,8 +165,7 @@ class Echelon:
                 holders[j].discard(p)
             pv = best[pj]
             rest = [(j, v) for j, v in best.items() if j != pj]
-            ops = []
-            for t in sorted(live):
+            for t in live:
                 r = rows[t]
                 c = r.pop(pj)
                 g = gcd(pv, c)
@@ -191,83 +189,59 @@ class Echelon:
                 if content != 1:
                     for j in r:
                         r[j] //= content
-                ops.append((t, a, b, content))
             self.pivots.append((p, pj, best))
-            self._log.append(ops)
-        self._pivot_rows = {p for p, _, _ in self.pivots}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def solve_integer(self, rhs) -> tuple[dict[int, int], int] | None:
-        """(X, D) with m @ X / D = rhs, D > 0; None if inconsistent.
-
-        ``rhs`` is a dense list or a sparse dict row -> value.  X is a dict
-        column -> nonzero int: free variables are zero, so absent from it.
-        """
-        items = rhs.items() if isinstance(rhs, dict) else enumerate(rhs)
-        scaled = {
-            i: (v if type(v) is int else Fraction(v)) * self._scales[i]
-            for i, v in items if v != 0
-        }
-        den = lcm(*(v.denominator for v in scaled.values()))
-        b = {i: v.numerator * (den // v.denominator) for i, v in scaled.items()}
-        # y / (den * f) is the scaled right-hand side under the row operations,
-        # then x = X / (den * f * g); inexact divisions rescale y, or X and g.
-        y = dict(b)
-        f = 1
-        for (p, _, _), ops in zip(self.pivots, self._log):
-            yp = y.get(p, 0)
-            for t, a, c, content in ops:
-                yt = y.get(t, 0)
-                if yt or yp:
-                    v = a * yt - c * yp
-                    if v % content:
-                        k = content // gcd(v, content)
-                        y = {i: yi * k for i, yi in y.items()}
-                        f, v, yp = f * k, v * k, yp * k
-                    y[t] = v // content
-        if any(v for i, v in y.items() if i not in self._pivot_rows):
-            return None
-        X: dict[int, int] = {}
-        g = 1
-        for p, pj, row in reversed(self.pivots):
-            s = y.get(p, 0) * g
-            for j, v in row.items():
-                if j in X:
-                    s -= v * X[j]
-            if not s:
-                continue
-            pv = row[pj]
-            if s % pv:
-                k = abs(pv) // gcd(s, pv)
-                for j in X:
-                    X[j] *= k
-                g, s = g * k, s * k
-            X[pj] = s // pv
-        f *= g
-        # Verify in integers: scaled row i of m times X is b_i * f.
+    def column(self, j: int) -> list[tuple[int, int]]:
+        """Column j of the integer rows as (row, entry) pairs."""
         if self._columns is None:
             self._columns = cols = [[] for _ in range(self._matrix.cols)]
-            for (i, j), v in self._matrix.entries.items():
-                cols[j].append((i, v.numerator * (self._scales[i] // v.denominator)))
-        check: dict[int, int] = {}
-        for j, xj in X.items():
-            for i, v in self._columns[j]:
-                check[i] = check.get(i, 0) + v * xj
-        for i in check.keys() | b.keys():
-            if check.get(i, 0) != b.get(i, 0) * f:
-                return None
-        return X, den * f
+            for (i, k), v in self._matrix.entries.items():
+                cols[k].append((i, v.numerator * (self._scales[i] // v.denominator)))
+        return self._columns[j]
 
-    def solve(self, rhs) -> list[Fraction] | None:
-        """``solve_integer``'s answer as a dense list of rationals, or None."""
-        solved = self.solve_integer(rhs)
-        if solved is None:
-            return None
-        X, D = solved
-        return [Fraction(X.get(j, 0), D) for j in range(self._matrix.cols)]
+    def solve_column(self, c: int) -> tuple[dict[int, int], int]:
+        """(X, D) with m @ X = D * m[:, c], D > 0 and X a dict from pivot
+        columns to nonzero ints: ({c: 1}, 1) if c is a pivot column.  Any
+        other column has no entry in the later pivot rows, and in the
+        earlier ones it is transformed with them, so X is back-substituted
+        over their pivot-column entries (listed on the first solve) over one
+        denominator, then checked in integers against m."""
+        if self._back is None:
+            cols = {pj for _, pj, _ in self.pivots}
+            self._back = [
+                (pj, row[pj], [(j, v) for j, v in row.items() if j in cols], row)
+                for _, pj, row in self.pivots
+            ]
+        k = bisect_left(self._back, c, key=itemgetter(0))
+        if k < len(self._back) and self._back[k][0] == c:
+            return {c: 1}, 1
+        X: dict[int, int] = {}
+        g = 1
+        for pj, pv, entries, row in reversed(self._back[:k]):
+            s = row.get(c, 0) * g
+            for j, v in entries:
+                xj = X.get(j)
+                if xj:
+                    s -= v * xj
+            if not s:
+                continue
+            if s % pv:
+                f = abs(pv) // gcd(s, pv)
+                for j in X:
+                    X[j] *= f
+                g, s = g * f, s * f
+            X[pj] = s // pv
+        check = {i: -g * v for i, v in self.column(c)}
+        for j, xj in X.items():
+            for i, v in self.column(j):
+                check[i] = check.get(i, 0) + v * xj
+        if any(check.values()):
+            raise AssertionError("column solve failed its integer check")
+        return X, g
 
 
 class RationalSpan:
@@ -326,5 +300,13 @@ def rank(m: SparseRationalMatrix) -> int:
 
 
 def solve(m: SparseRationalMatrix, rhs) -> list[Fraction] | None:
-    """One exact solution of m @ x = rhs, or None; see ``Echelon.solve``."""
-    return Echelon(m).solve(rhs)
+    """One exact solution of m @ x = rhs, free variables zero, or None:
+    [m | rhs] is factored and its last column solved.  ``rhs`` is a dense
+    list or a sparse dict row -> value."""
+    items = rhs.items() if isinstance(rhs, dict) else enumerate(rhs)
+    entries = {**m.entries, **{(i, m.cols): v for i, v in items}}
+    augmented = SparseRationalMatrix(m.rows, m.cols + 1, entries)
+    X, D = Echelon(augmented).solve_column(m.cols)
+    if m.cols in X:
+        return None
+    return [Fraction(X.get(j, 0), D) for j in range(m.cols)]

@@ -182,6 +182,12 @@ USAGE_ERRORS = {
     "abbreviated-option": ["analyze", "SPEC", "--o", "report.json"],
     "missing-value": ["analyze", "SPEC", "--out"],
     "missing-value-before-spec": ["volume", "--fiber"],
+    "empty-fiber": ["analyze", "SPEC", "--fiber", ""],
+    "empty-fiber-joined": ["analyze", "SPEC", "--fiber="],
+    "empty-gamma": ["analyze", "SPEC", "--gamma", ""],
+    "empty-gamma-joined": ["analyze", "SPEC", "--gamma="],
+    "empty-out": ["analyze", "SPEC", "--out", ""],
+    "empty-out-joined": ["analyze", "SPEC", "--out="],
     "word-weight-bound": ["face-complex", "SPEC", "--weight-bound", "x"],
     "fraction-weight-bound": ["face-complex", "SPEC", "--weight-bound=2.5"],
     "switch-with-value": ["analyze", "SPEC", "--no-timings=yes"],
@@ -199,6 +205,9 @@ def test_usage_error_exits_one(name, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert exc.value.code == 1
     assert out == "" and "\ngkz: error: " in err and err.startswith("usage: gkz ")
+    if name.startswith("empty-"):
+        flag = USAGE_ERRORS[name][2].partition("=")[0]
+        assert err.endswith(f"gkz: error: {flag} needs a value\n")
 
 
 @pytest.mark.parametrize(
@@ -242,6 +251,8 @@ MALFORMED_SPECS = {
     "negative-bound": {"matrix": [[1, 2]], "options": {"weight_bound": -3}},
     # a cap no run can meet
     "negative-cap": {"matrix": [[1, 2]], "options": {"truncation_cap": -1}},
+    # a misspelt key would run without its budget
+    "unknown-option": {"matrix": [[1, 2]], "options": {"truncaton_cap": 3}},
 }
 
 

@@ -385,23 +385,41 @@ class TestMemoizedReduction:
         kz = verify_kouchnirenko(matrix, fiber, P)
         built, solved = [], []
         partial = derham._partial
-        echelon_solve = linalg.Echelon.solve_integer
+        column_solve = linalg.Echelon.solve_column
 
         def counted_partial(w, i, *args):
             built.append((i, w))
             return partial(w, i, *args)
 
-        def counted_solve(self, rhs):
-            solved.append((id(self), tuple(sorted(rhs))))
-            return echelon_solve(self, rhs)
+        def counted_solve(self, c):
+            solved.append((id(self), c))
+            return column_solve(self, c)
 
         monkeypatch.setattr(derham, "_partial", counted_partial)
-        monkeypatch.setattr(linalg.Echelon, "solve_integer", counted_solve)
+        monkeypatch.setattr(linalg.Echelon, "solve_column", counted_solve)
         _, basis = h_top_dimension(gamma, fiber, P, kouchnirenko=kz)
         assert solved == []
         connection_matrices(gamma, fiber, basis)
         assert built and len(built) == len(set(built))
         assert len(solved) == len(set(solved)) == len(basis.normal_forms)
+
+    def test_perturbed_leading_coefficient_raises(self):
+        # Only the tails of the chosen images are subtracted, so each image
+        # is checked once against its top-slice column: one leading
+        # coefficient off by one raises instead of reducing wrongly.
+        P = NewtonPolytope(validate_matrix([[1] * 5, list(range(5))]))
+        _, basis = h_top_dimension([0, 0], [1, 8, 2, 9, 3], P)
+        kz = basis.kouchnirenko
+        w = next(
+            w for d in range(kz.truncation, -1, -1)
+            for w in basis.ring.monomials_of_degree(d) if kz.solve_top(w)[1]
+        )
+        i, v, _ = kz.solve_top(w)[1][0]
+        image = basis.image(i, v)
+        e = P.graded_degree(v) + P.gauge_denominator
+        image[next(u for u in image if P.graded_degree(u) == e)] += 1
+        with pytest.raises(AssertionError, match="leading part"):
+            basis.reduce_monomial(w)
 
     @pytest.mark.parametrize("rows,gamma,fiber", REDUCTION_CASES)
     def test_integer_images_match_fraction_terms(self, rows, gamma, fiber):

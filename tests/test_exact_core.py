@@ -410,9 +410,12 @@ class TestEchelon:
             m.rows, m.cols, {k: Fraction(v) for k, v in m.entries.items()}
         )
         a, b = Echelon(m), Echelon(f)
-        assert (a.pivots, a._log) == (b.pivots, b._log)
+        assert a.pivots == b.pivots
+        assert [a.solve_column(c) for c in range(m.cols)] == [
+            b.solve_column(c) for c in range(m.cols)
+        ]
         rhs = {i: rnd.randint(-3, 3) for i in range(m.rows)}
-        assert a.solve_integer(rhs) == b.solve_integer(rhs)
+        assert solve(m, rhs) == solve(f, rhs)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_rank_matches_dense_reference(self, seed):
@@ -423,13 +426,12 @@ class TestEchelon:
     def test_solve_exactly_when_consistent(self, seed):
         rnd = random.Random(seed)
         m, dense = _random_matrix(rnd)
-        echelon = Echelon(m)
         r = _dense_rank(dense, m.cols)
         for rhs in _random_rhs(rnd, m, dense):
             b = _as_dense(rhs, m.rows)
             augmented = [row + [v] for row, v in zip(dense, b)]
             consistent = _dense_rank(augmented, m.cols + 1) == r
-            x = echelon.solve(rhs)
+            x = solve(m, rhs)
             if not consistent:
                 assert x is None
                 continue
@@ -438,14 +440,28 @@ class TestEchelon:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_repeated_solves_match_one_shot_solves(self, seed):
+        # One factorization answers every column, in any order, as a fresh
+        # factorization per column does: a pivot column is itself, and any
+        # other column is ``solve``'s answer over the columns before it.
         rnd = random.Random(1000 + seed)
         m, dense = _random_matrix(rnd)
-        rhss = _random_rhs(rnd, m, dense) + _random_rhs(rnd, m, dense)
-        order = list(range(len(rhss)))
+        order = list(range(m.cols))
         rnd.shuffle(order)
         echelon = Echelon(m)
-        reused = {k: echelon.solve(rhss[k]) for k in order}
-        assert reused == {k: solve(m, rhss[k]) for k in range(len(rhss))}
+        reused = {c: echelon.solve_column(c) for c in order}
+        assert reused == {c: Echelon(m).solve_column(c) for c in range(m.cols)}
+        pivot_cols = {j for _, j, _ in echelon.pivots}
+        for c, solved in reused.items():
+            left = SparseRationalMatrix(
+                m.rows, c, {(i, j): v for (i, j), v in m.entries.items() if j < c}
+            )
+            x = solve(left, [row[c] for row in dense])
+            X, D = solved
+            assert D > 0 and set(X) <= pivot_cols and all(X.values())
+            if c in pivot_cols:
+                assert x is None and solved == ({c: 1}, 1)
+            else:
+                assert x == [F(X.get(j, 0), D) for j in range(c)]
 
     def test_matches_fraction_reference(self):
         # Scaled rows keep every support and cancellation, so the pivots
@@ -456,14 +472,23 @@ class TestEchelon:
                 (p, j) for p, j, _ in ref.pivots
             ]
             for rhs in _random_rhs(rnd, m, dense):
-                assert echelon.solve(rhs) == ref.solve(rhs)
+                assert solve(m, rhs) == ref.solve(rhs)
 
     def test_inexact_content_division_rescales(self):
-        # Eliminating row 0 from row 1 leaves (0, 2), made primitive by
-        # content 2, so the replayed right-hand side e_1 becomes 1/2 there.
+        # The right-hand side is a column of the factored matrix, so a
+        # content division divides it with its row and stays exact: [1 3 2]
+        # less [1 1 0] is [0 2 2], made primitive by content 2.  With e_1
+        # the row is [0 2 1], and back-substitution divides 1 by the pivot
+        # 2 inexactly, so the unknowns are rescaled over the denominator 2.
+        m = SparseRationalMatrix.from_dense([[1, 1, 0], [1, 3, 2]])
+        echelon = Echelon(m)
+        assert echelon.pivots[1] == (1, 1, {1: 1, 2: 1})
+        assert echelon.solve_column(2) == ({1: 1, 0: -1}, 1)
+        m = SparseRationalMatrix.from_dense([[1, 1, 0], [1, 3, 1]])
+        assert Echelon(m).solve_column(2) == ({1: 1, 0: -1}, 2)
         m = SparseRationalMatrix.from_dense([[1, 1], [1, 3]])
-        assert Echelon(m).solve({1: 1}) == [F(-1, 2), F(1, 2)]
-        assert Echelon(m).solve([0, 2]) == [F(-1), F(1)]
+        assert solve(m, {1: 1}) == [F(-1, 2), F(1, 2)]
+        assert solve(m, [0, 2]) == [F(-1), F(1)]
 
     def test_inexact_back_substitution_skips_zero_unknowns(self):
         # Back-substitution sets x_4 = 1, skips x_3 (its right side is 0),
@@ -474,9 +499,11 @@ class TestEchelon:
             [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
         ])
         rhs = {1: 1, 4: 1}
-        echelon = Echelon(m)
-        assert echelon.solve_integer(rhs) == ({1: 2, 2: -1, 4: 2}, 2)
-        assert echelon.solve(rhs) == _FractionEchelon(_as_fractions(m)).solve(rhs) == [
+        augmented = SparseRationalMatrix(
+            5, 6, {**m.entries, **{(i, 5): v for i, v in rhs.items()}}
+        )
+        assert Echelon(augmented).solve_column(5) == ({1: 2, 2: -1, 4: 2}, 2)
+        assert solve(m, rhs) == _FractionEchelon(_as_fractions(m)).solve(rhs) == [
             F(0), F(1), F(-1, 2), F(0), F(1)
         ]
         # The same after a forward pass whose content division is inexact.
@@ -485,45 +512,52 @@ class TestEchelon:
         )
         ref = _FractionEchelon(_as_fractions(m))
         for rhs in ({0: 1, 1: 5, 3: 4}, {0: 1, 3: 1}, [3, 0, 0, 2]):
-            assert Echelon(m).solve(rhs) == ref.solve(rhs)
+            assert solve(m, rhs) == ref.solve(rhs)
 
-    def test_corrupted_log_never_answers_wrongly(self):
-        # The integer check is the last word: a factorization whose log was
-        # tampered with may fail to solve, but never returns a wrong answer.
-        caught = 0
-        for rnd, m, dense in _reference_cases():
+    def test_corrupted_pivot_row_never_answers_wrongly(self):
+        # The integer check is the last word: a factorization with a pivot
+        # row tampered with raises on a solve that reads the bad entry, and
+        # never returns a wrong answer.
+        caught = answered = 0
+        for _, m, dense in _reference_cases():
             echelon = Echelon(m)
-            steps = [ops for ops in echelon._log if ops]
-            if not steps:
+            pivot_cols = {j for _, j, _ in echelon.pivots}
+            bad = [
+                (row, j) for _, pj, row in echelon.pivots
+                for j in row if j != pj and j in pivot_cols
+            ]
+            if not bad:
                 continue
-            t, a, b, content = steps[0][0]
-            steps[0][0] = (t, a, b + 1, content)
-            for rhs in _random_rhs(rnd, m, dense):
-                x = echelon.solve(rhs)
-                b_dense = _as_dense(rhs, m.rows)
-                if x is None:
-                    caught += _FractionEchelon(m).solve(rhs) is not None
-                else:
-                    image = [sum(v * y for v, y in zip(row, x)) for row in dense]
-                    assert image == b_dense
-        assert caught > 0
+            row, j = bad[0]
+            row[j] += 1
+            for c in range(m.cols):
+                try:
+                    X, D = echelon.solve_column(c)
+                except AssertionError:
+                    caught += 1
+                    continue
+                answered += 1
+                assert all(
+                    sum(r[k] * X.get(k, 0) for k in range(c + 1)) == D * r[c]
+                    for r in dense
+                )
+        assert caught > 0 and answered > 0
 
     @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
     def test_empty_shapes(self, rows, cols):
-        echelon = Echelon(SparseRationalMatrix(rows, cols))
-        assert echelon.rank == 0
-        assert echelon.solve({}) == [Fraction(0)] * cols
-        assert echelon.solve([0] * rows) == [Fraction(0)] * cols
+        m = SparseRationalMatrix(rows, cols)
+        assert Echelon(m).rank == 0
+        assert solve(m, {}) == [Fraction(0)] * cols
+        assert solve(m, [0] * rows) == [Fraction(0)] * cols
         if rows:
-            assert echelon.solve({rows - 1: F(1)}) is None
+            assert solve(m, {rows - 1: F(1)}) is None
 
     def test_zero_rows_do_not_count(self):
         m = SparseRationalMatrix.from_dense([[0, 0], [1, 2], [0, 0], [2, 4]])
-        echelon = Echelon(m)
-        assert echelon.rank == 1
-        assert echelon.solve({1: 3, 3: 6}) is not None
-        assert echelon.solve({0: 1}) is None
-        assert echelon.solve({1: 3, 3: 5}) is None
+        assert Echelon(m).rank == 1
+        assert solve(m, {1: 3, 3: 6}) == [F(3), F(0)]
+        assert solve(m, {0: 1}) is None
+        assert solve(m, {1: 3, 3: 5}) is None
 
 
 def _greedy_case(rnd):

@@ -265,7 +265,7 @@ def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
     factored, degrees, solved = [], [], []
     make = homology.Echelon
     step = derham.ReductionBasis._step
-    echelon_solve = linalg.Echelon.solve_integer
+    column_solve = linalg.Echelon.solve_column
 
     def counted_echelon(m):
         factored.append(make(m))
@@ -275,13 +275,13 @@ def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
         degrees.append(P.graded_degree(w))
         return step(self, w)
 
-    def counted_solve(self, rhs):
+    def counted_solve(self, c):
         solved.append((degrees[-1], self))
-        return echelon_solve(self, rhs)
+        return column_solve(self, c)
 
     monkeypatch.setattr(homology, "Echelon", counted_echelon)
     monkeypatch.setattr(derham.ReductionBasis, "_step", counted_step)
-    monkeypatch.setattr(linalg.Echelon, "solve_integer", counted_solve)
+    monkeypatch.setattr(linalg.Echelon, "solve_column", counted_solve)
     kz = verify_kouchnirenko(matrix, fiber, P)
     basis_degrees = set(kz._slices)
     _, basis = h_top_dimension(gamma, fiber, P, kouchnirenko=kz)
