@@ -185,7 +185,7 @@ class KouchnirenkoResult:
 
 def expected_top_polynomial(polytope: NewtonPolytope) -> PolyZ:
     """The series of the full ring times (1 - t^M)^n: the cone's numerator."""
-    numerator, k = cone_numerator(polytope, polytope.index_set(polytope.n - 1))
+    numerator, k = cone_numerator(polytope)
     assert k == polytope.n, "full-cone pieces must have n generators"
     return numerator
 
@@ -216,7 +216,6 @@ def verify_kouchnirenko(
     truncation = expected.degree + polytope.gauge_denominator
     if truncation_cap is not None and truncation > truncation_cap:
         raise TruncationTooSmall(truncation, truncation_cap)
-    polytope.points_of_degree(truncation)  # size the point table once
     sequence = log_derivative_classes(fiber, None, polytope)
     return KouchnirenkoResult(ring, sequence, expected, truncation)
 

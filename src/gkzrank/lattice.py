@@ -11,14 +11,18 @@ adequate at the intended scale (a handful of dimensions and columns).
 The gauge is evaluated in integers.  Its denominator M is the lcm of the
 positive facet levels, read off the facets with no search: M times the
 gauge is the largest of the dot products with the positive facet normals,
-each scaled by M over its level.  Degree slices of the cone come from one
-table per polytope, built to the requested degree when a request goes past
-it.  A build visits only the points it keeps: the facet inequalities,
-solved for the last coordinate, give its interval over each point of the
-scaled box of the others; ``normalize_gamma`` searches its shells the same
-way.  The table also records each point's scaled degree and the facets
-on which it is tight; face-cone membership and the associated-graded
-product are set operations on those.
+each scaled by M over its level.  Cone lattice points are listed from a
+half-open simplicial tiling: the faces are triangulated, and each piece is
+inverted once in integers and opened lexicographically, away from
+z(eps) = g_1 + eps g_2 + ... on the first piece, so the pieces tile the
+cone without overlap.  Each cone point is then exactly one
+p + n_1 g_1 + ... + n_k g_k with p in one piece's half-open parallelepiped,
+of degree deg p + M (n_1 + ... + n_k) (Stanley 1980; Koeppe and
+Verdoolaege 2008), so a degree slice is listed with no search.  Each listed
+point's scaled degree and tight facets are recorded; face-cone membership
+and the associated-graded product are set operations on those.
+``normalize_gamma`` solves the facet inequalities for the last coordinate
+over each point of its shells.
 
 Determinants are taken in integers by Bareiss elimination; they give the
 normalized volume, the facet normals (as signed maximal minors) and each
@@ -197,9 +201,14 @@ class NewtonPolytope:
         )
         self.positive_facets = frozenset(i for i, _, _ in self._gauge_facets)
         self.normalized_volume = self._compute_normalized_volume()
-        # The point table: (top degree, points by degree, tight facets by
-        # point, scaled degree by point), built on the first slice request.
-        self._table = (-1, {}, {}, {})
+        # The full cone's tiling, built on first use, and the slices listed so
+        # far with their points' degrees and tight facets; points share one
+        # object per distinct tight set (about as many as faces).
+        self._pieces = None
+        self._slices: dict[int, tuple[Vector, ...]] = {}
+        self._degree: dict[Vector, int] = {}
+        self._tight: dict[Vector, frozenset[int]] = {}
+        self._distinct: dict[frozenset[int], frozenset[int]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -295,8 +304,8 @@ class NewtonPolytope:
 
     def graded_degree(self, w) -> int:
         """The gauge scaled by the common denominator; an integer for lattice w.
-        Table points read the degree recorded when the table was built."""
-        d = self._table[3].get(w) if type(w) is tuple else None
+        A listed point reads the degree recorded when its slice was listed."""
+        d = self._degree.get(w) if type(w) is tuple else None
         if d is None:
             if not self.cone_contains(w):
                 raise NotInCone(f"{w} violates a zero-level facet inequality")
@@ -317,45 +326,40 @@ class NewtonPolytope:
     def tight_facets(self, w) -> frozenset[int] | None:
         """Facets on which w, scaled to gauge one, is tight; None off the cone.
 
-        Table points read the set recorded when the table was built; any
+        A listed point reads the set recorded when its slice was listed; any
         other point computes it on the spot and nothing is stored.
         """
-        tight = self._table[2].get(w)
+        tight = self._tight.get(w) if type(w) is tuple else None
         if tight is None and self.cone_contains(w):
             tight = self._gauge_and_tight(w)[1]
         return tight
 
     def points_of_degree(self, d: int) -> tuple[Vector, ...]:
-        """Sorted cone lattice points of graded degree d, read from the table.
-
-        A request past the table's top degree rebuilds it to exactly that
-        degree.  A consumer that knows its largest degree asks for it first
-        (the face certificates their largest window, the Koszul stage its
-        truncation), so each builds the table at most once.
-        """
+        """Sorted cone lattice points of graded degree d: each
+        p + n_1 g_1 + ... + n_k g_k with deg p + M (n_1 + ... + n_k) = d,
+        over the full cone's pieces.  A slice is listed on its first request
+        and its points' degrees and tight facets are recorded before it is
+        published, so a concurrent reader sees the whole slice or none."""
         if d < 0:
             return ()
-        top, slices, _, _ = self._table
-        if d > top:
-            top, slices, _, _ = self._build_table(d)
-        return slices.get(d, ())
-
-    def _build_table(self, top: int):
-        slices: dict[int, list[Vector]] = {}
-        tight: dict[Vector, frozenset[int]] = {}
-        degree: dict[Vector, int] = {}
-        # Points share one object per distinct tight set (there are about
-        # as many as faces), which keeps the table's memory near the points'.
-        distinct: dict[frozenset[int], frozenset[int]] = {}
-        bound = Fraction(top, self.gauge_denominator)
-        for w in self.lattice_points_with_gauge_at_most(bound):
-            d, t = self._gauge_and_tight(w)
-            slices.setdefault(d, []).append(w)
-            tight[w] = distinct.setdefault(t, t)
-            degree[w] = d
-        # One assignment, so a reader never sees parts of two tables.
-        self._table = (top, {d: tuple(p) for d, p in slices.items()}, tight, degree)
-        return self._table
+        points = self._slices.get(d)
+        if points is None:
+            M = self.gauge_denominator
+            points = sorted(
+                tuple(map(sum, zip(p, *chosen)))
+                for gens, parallelepiped in self.cone_pieces()
+                for dp, p in parallelepiped
+                if dp <= d and (d - dp) % M == 0
+                for chosen in itertools.combinations_with_replacement(
+                    gens, (d - dp) // M
+                )
+            )
+            for w in points:
+                t = self._gauge_and_tight(w)[1]
+                self._tight[w] = self._distinct.setdefault(t, t)
+                self._degree[w] = d
+            self._slices[d] = points = tuple(points)
+        return points
 
     def point_on_face(self, w, face: Face) -> bool:
         """Whether w (a point of the hull) lies on the given face."""
@@ -440,6 +444,30 @@ class NewtonPolytope:
                     simplices.append((v0,) + s)
         return simplices
 
+    def cone_pieces(self, face: Face | None = None):
+        """Half-open simplicial pieces tiling the cone over one face avoiding
+        the origin, or the full cone (built once and kept) when ``face`` is
+        None: each piece's generators, of gauge one, and the (degree, point)
+        pairs of its half-open parallelepiped."""
+        if face is not None:
+            return self._tile([face])
+        if self._pieces is None:
+            self._pieces = self._tile(self.index_set(self.n - 1))
+        return self._pieces
+
+    def _tile(self, faces):
+        cones = [s for face in faces for s in self.triangulate_face(face)]
+        first = cones[0]
+        pieces = []
+        for gens in cones:
+            assert len(gens) == len(first), "simplicial pieces of different sizes"
+            inverse = _integer_inverse(gens)
+            rows, _, adj = inverse
+            half_open = [_opens_below(a, first, rows) for a in adj]
+            points = _parallelepiped_points(gens, inverse, half_open)
+            pieces.append((gens, [(self.graded_degree(p), p) for p in points]))
+        return pieces
+
     def _compute_normalized_volume(self) -> int:
         v0 = self.vertices[0]
         total = 0
@@ -469,27 +497,10 @@ class NewtonPolytope:
         )
 
     def lattice_points_with_gauge_at_most(self, bound: Fraction):
-        """All cone lattice points w with gauge(w) <= bound, sorted.
-
-        These are the lattice points of the dilate bound * hull.  Over each
-        point of the scaled box of the first n - 1 coordinates, the facet
-        inequalities with their levels scaled bound the last coordinate.
-        """
-        bound = Fraction(bound)
-        num, den = bound.numerator, bound.denominator
-        rows = [
-            ([c * den for c in f.normal[:-1]], f.normal[-1] * den, f.level * num)
-            for f in self.facets
-        ]
-        box = [
-            (min(0, floor(lo * bound)), max(0, ceil(hi * bound)))
-            for lo, hi in self.bounding_box()
-        ]
-        return [
-            p + (x,)
-            for p in itertools.product(*(range(lo, hi + 1) for lo, hi in box[:-1]))
-            for x in _last_interval(rows, p, *box[-1])
-        ]
+        """All cone lattice points w with gauge(w) <= bound, sorted: the
+        lattice points of the dilate bound * hull, read from the slices."""
+        top = floor(Fraction(bound) * self.gauge_denominator)
+        return sorted(w for d in range(top + 1) for w in self.points_of_degree(d))
 
     # -- summaries -----------------------------------------------------------
 
@@ -552,6 +563,75 @@ def _nonsingular_minor(columns) -> tuple[tuple[int, ...], int]:
         if det:
             return rows, det
     raise AssertionError("columns are linearly dependent")
+
+
+def _integer_inverse(gens):
+    """Rows, determinant and adjugate of one nonsingular k x k minor.
+
+    For a point w in the span of the k generators, the adjugate applied to
+    w restricted to those rows gives det times its cone coordinates; the
+    determinant is made positive.
+    """
+    rows, det = _nonsingular_minor(gens)
+    minor = [[g[r] for g in gens] for r in rows]
+    sign, k = (1 if det > 0 else -1), len(gens)
+    adj = [
+        [
+            sign * (-1) ** (i + j) * _det(
+                [row[:j] + row[j + 1:] for r, row in enumerate(minor) if r != i]
+            )
+            for i in range(k)
+        ]
+        for j in range(k)
+    ]
+    return rows, sign * det, adj
+
+
+def _parallelepiped_points(gens, inverse, half_open):
+    """Lattice points of the fundamental parallelepiped of a simplicial cone.
+
+    ``inverse`` is ``_integer_inverse(gens)``.  ``half_open[j]`` True means
+    the coordinate of generator j runs over (0, 1]; otherwise over [0, 1).
+    Every point of the bounding box is tested in integers.
+    """
+    n = len(gens[0])
+    lo = [0] * n
+    hi = [0] * n
+    for g in gens:
+        for k, c in enumerate(g):
+            if c < 0:
+                lo[k] += c
+            else:
+                hi[k] += c
+    rows, det, adj = inverse
+    others = [r for r in range(n) if r not in rows]
+    out = []
+    for w in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        ws = [w[r] for r in rows]
+        x = [_dot(a, ws) for a in adj]
+        if not all(
+            0 < c <= det if h else 0 <= c < det for c, h in zip(x, half_open)
+        ):
+            continue
+        # Off the chosen rows the point must lie in the span too.
+        if all(
+            sum(g[r] * c for g, c in zip(gens, x)) == det * w[r] for r in others
+        ):
+            out.append(w)
+    return out
+
+
+def _opens_below(adj_row, first, rows) -> bool:
+    """Whether one cone coordinate of z(eps) is negative as eps -> 0+.
+
+    The coordinate is det^-1 times the sum of eps^(i-1) adj_row . g_i over
+    the first piece's generators g_i; its first nonzero term decides.
+    """
+    for g in first:
+        c = _dot(adj_row, [g[r] for r in rows])
+        if c:
+            return c < 0
+    raise AssertionError("perturbation lies on a wall of a simplicial piece")
 
 
 class ExponentCone:

@@ -118,14 +118,11 @@ def _face_quotient_dims(ring: FaceRing, gs, bound: int):
     return tuple(dims)
 
 
-def certify_face(
-    fiber, face: Face, polytope: NewtonPolytope, numerator=None
-) -> FaceCertificate:
-    """Decide finiteness of the quotient attached to one origin-free face;
-    ``numerator`` is the face's ``cone_numerator`` if already computed."""
+def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate:
+    """Decide finiteness of the quotient attached to one origin-free face."""
     M = polytope.gauge_denominator
     ring = FaceRing(polytope, face)
-    expected_poly, k = numerator or cone_numerator(polytope, [face])
+    expected_poly, k = cone_numerator(polytope, face)
     assert k == face.dim + 1, "face pieces must have dim + 1 generators"
     bound = _window(expected_poly, M)
     expected = tuple(expected_poly.coeff(d) for d in range(bound + 1))
@@ -166,13 +163,6 @@ def is_nondegenerate(matrix, fiber, polytope: NewtonPolytope | None = None):
     if len(fiber) != polytope.matrix.num_columns:
         raise ValueError("fiber length does not match the column count")
     faces = polytope.origin_free_faces()
-    numerators = [cone_numerator(polytope, [face]) for face in faces]
-    # One point-table build, to the last degree any certificate reads.
-    M = polytope.gauge_denominator
-    polytope.points_of_degree(max(_window(p, M) for p, _ in numerators))
-    certificates = [
-        certify_face(fiber, face, polytope, nu)
-        for face, nu in zip(faces, numerators)
-    ]
+    certificates = [certify_face(fiber, face, polytope) for face in faces]
     overall = all(c.verdict == "finite" for c in certificates)
     return NondegeneracyReport(overall, certificates)

@@ -6,22 +6,18 @@ product of two monomials survives exactly when the factors sit in a common
 face cone avoiding the origin.  Facial rings restrict to the cone over a
 single origin-free face and multiply honestly.
 
-Poincare series are computed exactly by triangulating the relevant faces,
-taking half-open simplicial cones and counting the lattice points in the
-fundamental parallelepiped of each piece, inverted once in integers.  The
-pieces are opened lexicographically, away from z(eps) = g_1 + eps g_2 + ...
-on the first piece, so they tile without overlap and no generic point is
-searched for.  The count by degree is the numerator over (1 - t^M)^k.
+Poincare series are read off the half-open simplicial tiling that
+``NewtonPolytope.cone_pieces`` builds: its parallelepiped points counted by
+degree are the numerator over (1 - t^M)^k.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import lcm
 
 from .errors import FaceContainsOrigin, NotInCone
-from .lattice import Face, NewtonPolytope, Vector, _det, _dot, _nonsingular_minor
+from .lattice import Face, NewtonPolytope, Vector
 from .linalg import SparseRationalMatrix
 from .series import PolyZ
 
@@ -131,8 +127,7 @@ class ConeRing(GradedRingHandle):
         return tuple(a + b for a, b in zip(w1, w2))
 
     def poincare_series(self) -> RationalFunctionQ:
-        return _cone_poincare(self.polytope, self.polytope.index_set(
-            self.polytope.n - 1))
+        return _cone_poincare(self.polytope)
 
 
 class FaceRing(GradedRingHandle):
@@ -164,7 +159,7 @@ class FaceRing(GradedRingHandle):
         return tuple(a + b for a, b in zip(w1, w2))
 
     def poincare_series(self) -> RationalFunctionQ:
-        return _cone_poincare(self.polytope, [self.face])
+        return _cone_poincare(self.polytope, self.face)
 
 
 # -- spec-level operations ----------------------------------------------------
@@ -255,109 +250,28 @@ def poincare_series(ring: GradedRingHandle) -> RationalFunctionQ:
     return ring.poincare_series()
 
 
-# -- half-open simplicial cone decomposition ----------------------------------
+# -- Poincare series from the half-open tiling ---------------------------------
 
 
-def _integer_inverse(gens):
-    """Rows, determinant and adjugate of one nonsingular k x k minor.
-
-    For a point w in the span of the k generators, the adjugate applied to
-    w restricted to those rows gives det times its cone coordinates; the
-    determinant is made positive.
-    """
-    rows, det = _nonsingular_minor(gens)
-    minor = [[g[r] for g in gens] for r in rows]
-    sign, k = (1 if det > 0 else -1), len(gens)
-    adj = [
-        [
-            sign * (-1) ** (i + j) * _det(
-                [row[:j] + row[j + 1:] for r, row in enumerate(minor) if r != i]
-            )
-            for i in range(k)
-        ]
-        for j in range(k)
-    ]
-    return rows, sign * det, adj
-
-
-def _parallelepiped_points(gens, inverse, half_open):
-    """Lattice points of the fundamental parallelepiped of a simplicial cone.
-
-    ``inverse`` is ``_integer_inverse(gens)``.  ``half_open[j]`` True means
-    the coordinate of generator j runs over (0, 1]; otherwise over [0, 1).
-    Every point of the bounding box is tested in integers.
-    """
-    n = len(gens[0])
-    lo = [0] * n
-    hi = [0] * n
-    for g in gens:
-        for k, c in enumerate(g):
-            if c < 0:
-                lo[k] += c
-            else:
-                hi[k] += c
-    rows, det, adj = inverse
-    others = [r for r in range(n) if r not in rows]
-    out = []
-    for w in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        ws = [w[r] for r in rows]
-        x = [_dot(a, ws) for a in adj]
-        if not all(
-            0 < c <= det if h else 0 <= c < det for c, h in zip(x, half_open)
-        ):
-            continue
-        # Off the chosen rows the point must lie in the span too.
-        if all(
-            sum(g[r] * c for g, c in zip(gens, x)) == det * w[r] for r in others
-        ):
-            out.append(w)
-    return out
-
-
-def _opens_below(adj_row, first, rows) -> bool:
-    """Whether one cone coordinate of z(eps) is negative as eps -> 0+.
-
-    The coordinate is det^-1 times the sum of eps^(i-1) adj_row . g_i over
-    the first piece's generators g_i; its first nonzero term decides.
-    """
-    for g in first:
-        c = _dot(adj_row, [g[r] for r in rows])
-        if c:
-            return c < 0
-    raise AssertionError("perturbation lies on a wall of a simplicial piece")
-
-
-def cone_numerator(polytope: NewtonPolytope, faces):
-    """Numerator and exponent k of the cone's series over (1 - t^M)^k.
-
-    Each simplicial piece has k generators of gauge one and contributes
-    its half-open parallelepiped points, by degree.  The pieces are opened
-    away from z(eps) = g_1 + eps g_2 + ... + eps^(k-1) g_k on the first
-    piece, so they tile the cone without overlap.
-    """
-    cones = [
-        s for face in sorted(faces, key=lambda f: f.id)
-        for s in polytope.triangulate_face(face)
-    ]
-    first = cones[0]
-    k = len(first)
+def cone_numerator(polytope: NewtonPolytope, face: Face | None = None):
+    """Numerator and exponent k of the series over (1 - t^M)^k of the cone
+    over one face, or of the full cone when ``face`` is None: the tiling's
+    parallelepiped points counted by degree, with k generators a piece."""
+    pieces = polytope.cone_pieces(face)
     counts = []
-    for gens in cones:
-        assert len(gens) == k, "simplicial pieces of different sizes"
-        inverse = _integer_inverse(gens)
-        rows, _, adj = inverse
-        half_open = [_opens_below(a, first, rows) for a in adj]
-        for p in _parallelepiped_points(gens, inverse, half_open):
-            d = polytope.graded_degree(p)
+    for _, points in pieces:
+        for d, _ in points:
             counts.extend([0] * (d + 1 - len(counts)))
             counts[d] += 1
-    return PolyZ(counts), k
+    return PolyZ(counts), len(pieces[0][0])
 
 
-def _cone_poincare(polytope: NewtonPolytope, faces) -> RationalFunctionQ:
-    """Poincare series of the semigroup of the cone over the given faces."""
+def _cone_poincare(
+    polytope: NewtonPolytope, face: Face | None = None
+) -> RationalFunctionQ:
+    """Poincare series of the semigroup of the cone over a face or the full cone."""
     from .oracles import RationalFunctionQ
 
-    numerator, k = cone_numerator(polytope, faces)
+    numerator, k = cone_numerator(polytope, face)
     den = PolyZ([1]) - PolyZ.monomial(polytope.gauge_denominator)
     return RationalFunctionQ(numerator, den ** k)

@@ -422,8 +422,8 @@ GOLDEN_SPECS = {
         "gamma": ["0", "0", "0"],
         "fiber": [str((7 * i) % 13 + 1) for i in range(9)],
     },
-    # M = 4 with gamma 1/2, so the de Rham images are scaled by 2; the point
-    # table is built once, to the Koszul truncation 15
+    # M = 4 with gamma 1/2, so the de Rham images are scaled by 2; the slices
+    # are listed to the Koszul truncation 15
     "diamond-pyramid-4": {
         "matrix": [[4, 4, 4, 4], [1, -1, 0, 0], [0, 0, 1, -1]],
         "gamma": ["1/2", "1/2", "1/2"],

@@ -171,7 +171,7 @@ def _certify_over_the_long_window(fiber, face, P):
     dims) of one face over the window numerator degree + k * M that
     ``certify_face`` read before the shift lemma cut it short, with every
     degree ranked."""
-    numerator, k = cone_numerator(P, [face])
+    numerator, k = cone_numerator(P, face)
     M = P.gauge_denominator
     bound = numerator.degree + k * M
     expected = tuple(numerator.coeff(d) for d in range(bound + 1))
@@ -205,7 +205,7 @@ def test_face_windows_end_at_numerator_degree_plus_m():
             assert (cert.verdict, cert.failure_degree, cert.spanning_indices) == (
                 verdict, failure, chosen
             ), (rows, fiber, face.id)
-            numerator, _ = cone_numerator(P, [face])
+            numerator, _ = cone_numerator(P, face)
             assert cert.bound_used == numerator.degree + P.gauge_denominator
             assert cert.expected_dims == expected[: cert.bound_used + 1]
             assert cert.quotient_dims == dims[: len(cert.quotient_dims)]

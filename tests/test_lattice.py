@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -112,7 +114,7 @@ class TestGauge:
     def test_interval_midpoint(self):
         P = NewtonPolytope(validate_matrix([[1, 2]]))
         assert P.gauge((1,)) == Fraction(1, 2)
-        P.points_of_degree(3)  # a table point, also when given as a list
+        P.points_of_degree(3)  # a listed point, also when given as a list
         assert P.gauge((1,)) == P.gauge([1]) == Fraction(1, 2)
 
     def test_origin(self, polytopes):
@@ -128,15 +130,18 @@ class TestGauge:
         with pytest.raises(NotInCone):
             P.gauge((-1,))
 
-    @pytest.mark.parametrize("w", [(1,), (1, 2, 3)])
+    @pytest.mark.parametrize("w", [(1,), (1, 2, 3), [1], [1, 2, 3]])
     def test_wrong_length_point_is_rejected(self, w):
         P = NewtonPolytope(validate_matrix([[1] * 5, [0, 1, 2, 3, 4]]))
-        for table_top in (-1, 4):  # before the point table is built and after
-            P.points_of_degree(table_top)
-            assert P._table[0] == table_top
-            for member in (P.gauge, P.graded_degree, P.tight_facets, P.cone_contains):
+        members = (P.gauge, P.graded_degree, P.tight_facets, P.cone_contains)
+        for listed in (False, True):  # before a slice is listed and after
+            if listed:
+                assert (2, 3) in P.points_of_degree(2)
+            for member in members:
                 with pytest.raises(ShapeMismatch, match="expected 2"):
                     member(w)
+                # A list of the right length reads as its tuple.
+                assert member([2, 3]) == member((2, 3))
 
     @pytest.mark.parametrize("w", [(1,), (1, 2, 3)])
     def test_wrong_length_point_is_rejected_by_cone_and_face(self, w):
@@ -349,6 +354,42 @@ def _random_matrices(seed, count, dims, bound=2):
     return out
 
 
+def test_concurrent_listing_matches_one_thread():
+    # Four threads list the slices of one fresh polytope in different orders;
+    # each reads a whole slice with the degrees and tight facets recorded.
+    rows = [[1, -2, 1, 0], [2, 1, -2, 0], [2, 1, 0, -2]]
+
+    def read(P, degrees):
+        return {
+            d: [(w, P.graded_degree(w), P.tight_facets(w)) for w in P.points_of_degree(d)]
+            for d in degrees
+        }
+
+    reference = NewtonPolytope(validate_matrix(rows))
+    degrees = list(range(2 * reference.gauge_denominator + 1))
+    expected = read(reference, degrees)
+    P = NewtonPolytope(validate_matrix(rows))
+    results = [None] * 4
+
+    def work(i):
+        order = degrees[:]
+        random.Random(i).shuffle(order)
+        results[i] = read(P, order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
+
+
 class TestEnumerationsMatchReferences:
     BOUNDS = (0, Fraction(1, 3), 1, Fraction(5, 2), 3)
 
@@ -356,13 +397,21 @@ class TestEnumerationsMatchReferences:
         matrices = _random_matrices(11, 90, (1, 2, 3)) + _random_matrices(
             12, 12, (4,), bound=1
         )
+        # M = 60, with pieces whose parallelepipeds hold nonzero points.
+        matrices.append(validate_matrix([[1, -2, 1, 0], [2, 1, -2, 0], [2, 1, 0, -2]]))
+        origins = set()
         for matrix in matrices:
             P = NewtonPolytope(matrix)
             for bound in self.BOUNDS:
                 assert P.lattice_points_with_gauge_at_most(bound) == (
                     _ref_points_in_box(P, bound)
                 ), (matrix.rows, bound)
+            if (0,) * P.n in P.vertices:
+                origins.add("vertex")
+            else:
+                origins.add("interior" if P.origin_interior else "boundary")
         assert {m.n for m in matrices} == {1, 2, 3, 4}
+        assert origins == {"vertex", "interior", "boundary"}
 
     def test_facets_match_the_all_subsets_search(self):
         rnd = random.Random(15)

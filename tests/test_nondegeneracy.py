@@ -188,7 +188,7 @@ def _certified_faces(rows, fiber):
     P = NewtonPolytope(validate_matrix(rows))
     M = P.gauge_denominator
     for face in P.origin_free_faces():
-        numerator, k = cone_numerator(P, [face])
+        numerator, k = cone_numerator(P, face)
         gs, _ = integral_classes(log_derivative_classes(fiber, face, P))
         chosen = _spanning_subset(gs, face)
         if chosen is not None:

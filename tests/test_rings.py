@@ -29,15 +29,17 @@ from gkzrank import (
 )
 from gkzrank.errors import RankDeficient
 from gkzrank.homology import GradedKoszulComplex, wedge_terms
-from gkzrank.lattice import NewtonPolytope, _det, _kernel_normal
-from gkzrank.linalg import RationalSpan, SparseRationalMatrix, rank, solve
-from gkzrank.nondegeneracy import _face_quotient_dims
-from gkzrank.rings import (
+from gkzrank.lattice import (
+    NewtonPolytope,
+    _det,
     _integer_inverse,
+    _kernel_normal,
     _opens_below,
     _parallelepiped_points,
-    cone_numerator,
 )
+from gkzrank.linalg import RationalSpan, SparseRationalMatrix, rank, solve
+from gkzrank.nondegeneracy import _face_quotient_dims
+from gkzrank.rings import cone_numerator
 from gkzrank.series import PolyZ
 
 from test_cli import GOLDEN_SPECS
@@ -226,13 +228,16 @@ class TestPoincareSeries:
 
         for name, (_, P, _) in polytopes.items():
             facets = P.index_set(P.n - 1)
-            expected = cone_numerator(P, facets)
+            expected = cone_numerator(P)
             cones = [
                 s for f in sorted(facets, key=lambda f: f.id) for s in pull_max(P, f)
             ]
             assert _ref_numerator(P, cones) == expected[0]
-            monkeypatch.setattr(P, "triangulate_face", lambda f, P=P: pull_max(P, f))
-            assert cone_numerator(P, facets) == expected
+            fresh = NewtonPolytope(P.matrix)  # its tiling is not built yet
+            monkeypatch.setattr(
+                fresh, "triangulate_face", lambda f, P=fresh: pull_max(P, f)
+            )
+            assert cone_numerator(fresh) == expected
 
 
 class TestLogDerivativeClasses:
@@ -399,11 +404,11 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
     def test_slices_match_box_filter(self, index):
         P0 = KERNEL_POLYTOPES[index]
-        P = NewtonPolytope(P0.matrix)  # a fresh table
+        P = NewtonPolytope(P0.matrix)  # no slice listed yet
         M = P.gauge_denominator
         box = _ref_box(P, 2)
         degrees = list(range(2 * M + 1))
-        random.Random(index).shuffle(degrees)  # rebuilds in any order
+        random.Random(index).shuffle(degrees)  # lists the slices in any order
         for d in degrees:
             expected = tuple(
                 w for w in box
@@ -413,9 +418,9 @@ class TestIntegerKernel:
             for w in expected:
                 assert P.graded_degree(w) == d
                 assert P.gauge(w) == _ref_gauge(P, w)
-        # Every point of the last table reads the degree recorded for it,
-        # which is the facet maximum.
-        _, slices, _, degree = P._table
+        # Every listed point reads the degree recorded for it, which is the
+        # facet maximum.
+        slices, degree = P._slices, P._degree
         assert sorted(degree) == sorted(w for ws in slices.values() for w in ws)
         for w, d in degree.items():
             assert P.graded_degree(w) == d == _ref_gauge(P, w) * M
@@ -424,7 +429,7 @@ class TestIntegerKernel:
     def test_face_cone_contains(self, index):
         P = KERNEL_POLYTOPES[index]
         M = P.gauge_denominator
-        ConeRing(P).monomials_of_degree(M)  # table points and others
+        ConeRing(P).monomials_of_degree(M)  # listed points and others
         for w in _ref_box(P, 2):
             r = _ref_gauge(P, w)
             if r is not None and r * M > 2 * M:
@@ -446,7 +451,7 @@ class TestIntegerKernel:
         P0 = KERNEL_POLYTOPES[index]
         M = P0.gauge_denominator
         pts = [w for d in range(M + 1) for w in ConeRing(P0).monomials_of_degree(d)]
-        # Factors from the table and, on a fresh polytope, computed directly.
+        # Factors listed and, on a fresh polytope, computed directly.
         for P in (P0, NewtonPolytope(P0.matrix)):
             ring = ConeRing(P)
             for w1 in pts:
@@ -473,12 +478,12 @@ class TestIntegerKernel:
     def test_cone_numerator_matches_generic_point(self, index):
         P = KERNEL_POLYTOPES[index]
         facets = P.index_set(P.n - 1)
-        top, k = cone_numerator(P, facets)
+        top, k = cone_numerator(P)
         assert k == P.n
         assert top == _ref_numerator(P, _ref_cones(P, facets))
         assert sum(top.coeffs) == P.normalized_volume  # the numerator at t = 1
         for face in P.origin_free_faces():
-            numerator, k = cone_numerator(P, [face])
+            numerator, k = cone_numerator(P, face)
             assert k == face.dim + 1
             assert numerator == _ref_numerator(P, _ref_cones(P, [face]))
 
@@ -866,44 +871,55 @@ class TestGaugeDenominatorByConstruction:
         )
 
     def test_polytope_and_volume_enumerate_no_points(self, monkeypatch):
-        def refuse(self, bound):
+        def refuse(self, *args):
             raise AssertionError("lattice points enumerated")
 
-        monkeypatch.setattr(NewtonPolytope, "lattice_points_with_gauge_at_most", refuse)
+        monkeypatch.setattr(NewtonPolytope, "points_of_degree", refuse)
+        monkeypatch.setattr(NewtonPolytope, "cone_pieces", refuse)
         rows = [[1, -2, 1, 0], [2, 1, -2, 0], [2, 1, 0, -2]]
         assert NewtonPolytope(validate_matrix(rows)).gauge_denominator == 60
         spec = ProblemSpec.from_json({"matrix": rows, "fiber": ["6", "7", "11", "19"]})
         assert run_subcommand("volume", spec) == {"normalized_volume": 34}
 
 
-def test_analyze_builds_the_point_table_at_most_twice(monkeypatch):
-    # The face certificates size the table to their largest window and the
-    # Koszul stage to its truncation; nothing else reads past those.
-    builds = []
-    scan = NewtonPolytope.lattice_points_with_gauge_at_most
+def test_analyze_lists_each_slice_once_within_its_windows(monkeypatch):
+    # One polytope per run lists each slice once, and no slice past the
+    # largest face window or, for a nondegenerate fiber, the truncation;
+    # no box of lattice points is scanned.
+    slices = {}
+    points_of_degree = NewtonPolytope.points_of_degree
 
-    def counted(self, bound):
-        builds.append(bound)
-        return scan(self, bound)
+    def recorded(self, d):
+        points = points_of_degree(self, d)
+        if d >= 0:
+            assert slices.setdefault((self, d), points) is points, d
+        return points
 
-    monkeypatch.setattr(NewtonPolytope, "lattice_points_with_gauge_at_most", counted)
+    def refuse(self, bound):
+        raise AssertionError("lattice points scanned up to a gauge bound")
+
+    monkeypatch.setattr(NewtonPolytope, "points_of_degree", recorded)
+    monkeypatch.setattr(NewtonPolytope, "lattice_points_with_gauge_at_most", refuse)
     problems = runpy.run_path(
         str(Path(__file__).resolve().parents[1] / "bench" / "problems.py")
     )
     specs = dict(GOLDEN_SPECS)
     specs.update((p["id"], p["spec"]) for p in problems["cohomology"]())
-    counts = {}
     for name, spec in specs.items():
-        builds.clear()
+        slices.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = run_analyze(ProblemSpec.from_json(spec), with_timings=False)
-        assert report.to_json().get("rank_agreement", True) is True, name
-        counts[name] = len(builds)
+        body = report.to_json()
+        assert body.get("rank_agreement", True) is True, name
+        windows = [f["bound_used"] for f in body["nondegeneracy"]["faces"]]
+        if body["koszul"] is not None:
+            windows.append(body["koszul"]["truncation"])
+        assert len({P for P, _ in slices}) == 1, name
+        assert max(d for _, d in slices) <= max(windows), name
         if name == "octahedron":
-            assert builds == [1, 4]  # face window 1, truncation 4
-    assert max(counts.values()) <= 2, counts
-    assert counts["gauss-degenerate"] == 1
+            assert {d for _, d in slices} == set(range(5))  # truncation 4
+    assert {"gauss-degenerate", "octahedron"} <= set(specs)
 
 
 def test_bench_trace_targets_are_class_attributes():
