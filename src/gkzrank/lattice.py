@@ -18,9 +18,11 @@ z(eps) = g_1 + eps g_2 + ... on the first piece, so the pieces tile the
 cone without overlap.  Each cone point is then exactly one
 p + n_1 g_1 + ... + n_k g_k with p in one piece's half-open parallelepiped,
 of degree deg p + M (n_1 + ... + n_k) (Stanley 1980; Koeppe and
-Verdoolaege 2008), so a degree slice is listed with no search.  Each listed
-point's scaled degree and tight facets are recorded; face-cone membership
-and the associated-graded product are set operations on those.
+Verdoolaege 2008), so a degree slice is listed with no search.  The cone
+over each face avoiding the origin is tiled the same way from the face's
+own triangulation, and its slices are listed from its own pieces.  Each
+tiling is built once per polytope and kept, and each listed point's degree
+is recorded; the facets tight at a point are computed only on request.
 ``normalize_gamma`` solves the facet inequalities for the last coordinate
 over each point of its shells.
 
@@ -199,16 +201,13 @@ class NewtonPolytope:
         self._cone_facets = tuple(
             (i, f.normal) for i, f in enumerate(self.facets) if f.level == 0
         )
-        self.positive_facets = frozenset(i for i, _, _ in self._gauge_facets)
         self.normalized_volume = self._compute_normalized_volume()
-        # The full cone's tiling, built on first use, and the slices listed so
-        # far with their points' degrees and tight facets; points share one
-        # object per distinct tight set (about as many as faces).
-        self._pieces = None
-        self._slices: dict[int, tuple[Vector, ...]] = {}
+        # Each cone's tiling and listed slices, keyed by the faces it is tiled
+        # over (``_cone``), and the degree of every listed point.
+        self._top_faces = tuple(self.index_set(self.n - 1))
+        self._pieces: dict[tuple[Face, ...], list] = {}
+        self._slices: dict[tuple[tuple[Face, ...], int], tuple[Vector, ...]] = {}
         self._degree: dict[Vector, int] = {}
-        self._tight: dict[Vector, frozenset[int]] = {}
-        self._distinct: dict[frozenset[int], frozenset[int]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -312,53 +311,40 @@ class NewtonPolytope:
             d = max(0, max(k * _dot(m, w) for _, m, k in self._gauge_facets))
         return d
 
-    def _gauge_and_tight(self, w) -> tuple[int, frozenset[int]]:
-        """The scaled gauge of a cone point and the facets tight at it: the
-        positive facets attaining the gauge and the zero-level facets
-        through it, from one pass over the facet values."""
-        values = [(i, k * _dot(m, w)) for i, m, k in self._gauge_facets]
-        top = max(0, max(v for _, v in values))
-        return top, frozenset(
-            [i for i, v in values if v == top]
+    def tight_facets(self, w) -> frozenset[int] | None:
+        """Facets on which w, scaled to gauge one, is tight; None off the cone:
+        the positive facets attaining the scaled gauge and the zero-level
+        facets through w, computed on request and not stored."""
+        if not self.cone_contains(w):
+            return None
+        top = self.graded_degree(w)
+        return frozenset(
+            [i for i, m, k in self._gauge_facets if k * _dot(m, w) == top]
             + [i for i, m in self._cone_facets if _dot(m, w) == 0]
         )
 
-    def tight_facets(self, w) -> frozenset[int] | None:
-        """Facets on which w, scaled to gauge one, is tight; None off the cone.
-
-        A listed point reads the set recorded when its slice was listed; any
-        other point computes it on the spot and nothing is stored.
-        """
-        tight = self._tight.get(w) if type(w) is tuple else None
-        if tight is None and self.cone_contains(w):
-            tight = self._gauge_and_tight(w)[1]
-        return tight
-
-    def points_of_degree(self, d: int) -> tuple[Vector, ...]:
-        """Sorted cone lattice points of graded degree d: each
-        p + n_1 g_1 + ... + n_k g_k with deg p + M (n_1 + ... + n_k) = d,
-        over the full cone's pieces.  A slice is listed on its first request
-        and its points' degrees and tight facets are recorded before it is
-        published, so a concurrent reader sees the whole slice or none."""
-        if d < 0:
-            return ()
-        points = self._slices.get(d)
+    def points_of_degree(self, d: int, face: Face | None = None) -> tuple[Vector, ...]:
+        """Sorted lattice points of graded degree d in the full cone, or in the
+        cone over one face avoiding the origin: each p + n_1 g_1 + ... + n_k g_k
+        with deg p + M (n_1 + ... + n_k) = d, over that cone's pieces.  A slice
+        is listed on its first request and its points' degrees are recorded
+        before it is published, so a concurrent reader sees the whole slice or
+        none."""
+        cone = self._cone(face)
+        points = self._slices.get((cone, d))
         if points is None:
             M = self.gauge_denominator
-            points = sorted(
+            points = tuple(sorted(
                 tuple(map(sum, zip(p, *chosen)))
-                for gens, parallelepiped in self.cone_pieces()
+                for gens, parallelepiped in self.cone_pieces(face)
                 for dp, p in parallelepiped
                 if dp <= d and (d - dp) % M == 0
                 for chosen in itertools.combinations_with_replacement(
                     gens, (d - dp) // M
                 )
-            )
-            for w in points:
-                t = self._gauge_and_tight(w)[1]
-                self._tight[w] = self._distinct.setdefault(t, t)
-                self._degree[w] = d
-            self._slices[d] = points = tuple(points)
+            ))
+            self._degree.update(dict.fromkeys(points, d))
+            self._slices[cone, d] = points
         return points
 
     def point_on_face(self, w, face: Face) -> bool:
@@ -444,16 +430,26 @@ class NewtonPolytope:
                     simplices.append((v0,) + s)
         return simplices
 
+    def _cone(self, face: Face | None) -> tuple[Face, ...]:
+        """The faces whose cones tile the full cone (``face`` None) or the
+        cone over one face avoiding the origin: a full cone over one face is
+        that face's cone, tiled and listed once."""
+        if face is None:
+            return self._top_faces
+        if face.contains_origin:
+            raise FaceContainsOrigin(face.id)
+        return (face,)
+
     def cone_pieces(self, face: Face | None = None):
-        """Half-open simplicial pieces tiling the cone over one face avoiding
-        the origin, or the full cone (built once and kept) when ``face`` is
-        None: each piece's generators, of gauge one, and the (degree, point)
-        pairs of its half-open parallelepiped."""
-        if face is not None:
-            return self._tile([face])
-        if self._pieces is None:
-            self._pieces = self._tile(self.index_set(self.n - 1))
-        return self._pieces
+        """Half-open simplicial pieces tiling the full cone (``face`` None) or
+        the cone over one face avoiding the origin, built once per polytope
+        and kept: each piece's generators, of gauge one, and the (degree,
+        point) pairs of its half-open parallelepiped."""
+        cone = self._cone(face)
+        pieces = self._pieces.get(cone)
+        if pieces is None:
+            pieces = self._pieces[cone] = self._tile(cone)
+        return pieces
 
     def _tile(self, faces):
         cones = [s for face in faces for s in self.triangulate_face(face)]

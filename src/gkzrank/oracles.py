@@ -194,9 +194,8 @@ def gr_multiply(w1, w2, polytope: NewtonPolytope):
 
     Returns the exponent sum when some origin-free face cone contains both
     factors, and None for a vanishing product.  This is the face-search form
-    of the rule.  ConeRing uses the equivalent tight-set form: the product
-    survives exactly when some positive-level facet is tight at both
-    factors, i.e. when their gauges add.
+    of the rule.  ConeRing uses the equivalent degree form: the product
+    survives exactly when the gauges of the factors add.
     """
     w1, w2 = tuple(w1), tuple(w2)
     for w in (w1, w2):

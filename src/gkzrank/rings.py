@@ -1,14 +1,17 @@
 """Graded semigroup rings attached to the Newton polytope.
 
-The full ring collects all lattice points of the exponent cone, graded by
-the scaled gauge; its multiplication is the associated-graded rule where a
-product of two monomials survives exactly when the factors sit in a common
-face cone avoiding the origin.  Facial rings restrict to the cone over a
-single origin-free face and multiply honestly.
+``ConeRing(polytope)`` is the ring on the lattice points of the exponent
+cone, ``ConeRing(polytope, face)`` the ring on the cone over one face
+avoiding the origin; ``FaceRing`` only checks that the face avoids it.  Both
+are graded by the scaled gauge and list their slices from the cone's
+half-open simplicial tiling.  A product t^u t^w survives exactly when
+deg(u + w) = deg u + deg w.  The gauge is the largest positive facet
+functional, so this is the equality case of its subadditivity, some facet
+tight at both factors, and the full ring is the associated graded ring.  On
+a face cone such a facet is tight on the whole face: no product vanishes.
 
-Poincare series are read off the half-open simplicial tiling that
-``NewtonPolytope.cone_pieces`` builds: its parallelepiped points counted by
-degree are the numerator over (1 - t^M)^k.
+Poincare series are read off the same tiling: its parallelepiped points
+counted by degree are the numerator over (1 - t^M)^k.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import FaceContainsOrigin, NotInCone
+from .errors import FaceContainsOrigin
 from .lattice import Face, NewtonPolytope, Vector
 from .linalg import SparseRationalMatrix
 from .series import PolyZ
@@ -99,43 +102,11 @@ class GradedRingHandle:
 
 
 class ConeRing(GradedRingHandle):
-    """Associated-graded ring on the lattice points of the exponent cone."""
+    """Graded ring on the lattice points of the exponent cone, or of the
+    cone over one face avoiding the origin; a product survives exactly when
+    the degrees of its factors add."""
 
-    def __init__(self, polytope: NewtonPolytope):
-        self.polytope = polytope
-
-    @property
-    def gauge_denominator(self) -> int:
-        return self.polytope.gauge_denominator
-
-    def degree(self, w) -> int:
-        return self.polytope.graded_degree(w)
-
-    def monomials_of_degree(self, d: int) -> tuple[Vector, ...]:
-        return self.polytope.points_of_degree(d)
-
-    def multiply_monomials(self, w1, w2) -> Vector | None:
-        # The gauge is the largest of the positive-facet functionals, so it
-        # is additive on w1, w2 exactly when one facet is tight at both:
-        # the equality case of max-subadditivity.
-        P = self.polytope
-        t1, t2 = P.tight_facets(w1), P.tight_facets(w2)
-        if t1 is None or t2 is None:
-            raise NotInCone(w1 if t1 is None else w2)
-        if P.positive_facets.isdisjoint(t1 & t2):
-            return None
-        return tuple(a + b for a, b in zip(w1, w2))
-
-    def poincare_series(self) -> RationalFunctionQ:
-        return _cone_poincare(self.polytope)
-
-
-class FaceRing(GradedRingHandle):
-    """Semigroup ring on the lattice points of the cone over one face."""
-
-    def __init__(self, polytope: NewtonPolytope, face: Face):
-        if face.contains_origin:
-            raise FaceContainsOrigin(face.id)
+    def __init__(self, polytope: NewtonPolytope, face: Face | None = None):
         self.polytope = polytope
         self.face = face
 
@@ -147,19 +118,28 @@ class FaceRing(GradedRingHandle):
         return self.polytope.graded_degree(w)
 
     def monomials_of_degree(self, d: int) -> tuple[Vector, ...]:
-        P = self.polytope
-        active = self.face.active
-        return tuple(
-            w for w in P.points_of_degree(d) if active <= P.tight_facets(w)
-        )
+        return self.polytope.points_of_degree(d, self.face)
 
-    def multiply_monomials(self, w1, w2) -> Vector:
-        # The face cone is closed under addition and avoids the origin, so
-        # products never die here.
-        return tuple(a + b for a, b in zip(w1, w2))
+    def multiply_monomials(self, w1, w2) -> Vector | None:
+        degree = self.polytope.graded_degree
+        w = tuple(a + b for a, b in zip(w1, w2))
+        return w if degree(w1) + degree(w2) == degree(w) else None
 
     def poincare_series(self) -> RationalFunctionQ:
-        return _cone_poincare(self.polytope, self.face)
+        from .oracles import RationalFunctionQ
+
+        numerator, k = cone_numerator(self.polytope, self.face)
+        den = PolyZ([1]) - PolyZ.monomial(self.gauge_denominator)
+        return RationalFunctionQ(numerator, den ** k)
+
+
+class FaceRing(ConeRing):
+    """The ring on the cone over one face, which must avoid the origin."""
+
+    def __init__(self, polytope: NewtonPolytope, face: Face):
+        if face.contains_origin:
+            raise FaceContainsOrigin(face.id)
+        super().__init__(polytope, face)
 
 
 # -- spec-level operations ----------------------------------------------------
@@ -264,14 +244,3 @@ def cone_numerator(polytope: NewtonPolytope, face: Face | None = None):
             counts.extend([0] * (d + 1 - len(counts)))
             counts[d] += 1
     return PolyZ(counts), len(pieces[0][0])
-
-
-def _cone_poincare(
-    polytope: NewtonPolytope, face: Face | None = None
-) -> RationalFunctionQ:
-    """Poincare series of the semigroup of the cone over a face or the full cone."""
-    from .oracles import RationalFunctionQ
-
-    numerator, k = cone_numerator(polytope, face)
-    den = PolyZ([1]) - PolyZ.monomial(polytope.gauge_denominator)
-    return RationalFunctionQ(numerator, den ** k)

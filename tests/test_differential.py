@@ -5,7 +5,8 @@ Koszul cohomology and the de Rham cokernel, with the lower Koszul
 cohomology zero; a degenerate draw is an answer, not an error.  Two
 families with closed-form ranks pin the common value itself.  On the same
 draws, degenerate fibers included, the Koszul counts read off the top
-slices are compared with the full complex, the face certificates with
+slices are compared with the full complex, each face cone's slices with
+the full slices filtered by face-cone membership, the face certificates with
 certificates over the longer window numerator degree + k * M, the column
 solves of the top slices with a ``Fraction`` elimination, and the de Rham
 normal forms with a reduction that subtracts whole images.
@@ -19,6 +20,7 @@ import pytest
 from conftest import FIXTURES, GAUSS_ROWS
 from test_derham import _reference_reduce
 from test_exact_core import _FractionEchelon
+from test_properties import PROPERTY_MATRICES
 
 from gkzrank import (
     GradedKoszulComplex,
@@ -164,6 +166,30 @@ def test_nested_criterion_matches_at_every_truncation(rows, fiber):
         )
         want = _full_complex_counts(cut)
         assert (cut.vanishing, cut.per_degree, cut.top_dim) == want, truncation
+
+
+def test_face_slices_match_the_filtered_full_slices():
+    # The old route to a face cone's slice, kept as the reference: the full
+    # cone's slice filtered by face-cone membership.  The face's own tiling
+    # must list the same sorted points in every degree through the face's
+    # window, on a polytope that has listed no full slice.
+    cases = list(_differential_cases()) + list(PROPERTY_MATRICES.values())
+    faces = multi_piece = 0
+    for rows, _ in cases:
+        P, ref = (NewtonPolytope(validate_matrix(rows)) for _ in range(2))
+        M = P.gauge_denominator
+        for face, ref_face in zip(P.origin_free_faces(), ref.origin_free_faces()):
+            window = cone_numerator(P, face)[0].degree + M
+            for d in range(window + 1):
+                got = P.points_of_degree(d, face)
+                assert got == tuple(
+                    w for w in ref.points_of_degree(d)
+                    if ref.face_cone_contains(w, ref_face)
+                ), (rows, face.id, d)
+                assert all(P.graded_degree(w) == d for w in got)
+            faces += 1
+            multi_piece += len(P.cone_pieces(face)) > 1
+    assert faces > 200 and multi_piece >= 3
 
 
 def _certify_over_the_long_window(fiber, face, P):

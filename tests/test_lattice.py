@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from gkzrank import (
+    FaceContainsOrigin,
     NewtonPolytope,
     NotInCone,
     RankDeficient,
@@ -19,6 +20,7 @@ from gkzrank import (
 )
 from gkzrank import lattice
 from gkzrank.lattice import _kernel_normal, rational_rank
+from gkzrank.rings import cone_numerator
 from test_cli import GOLDEN_SPECS
 
 
@@ -218,6 +220,27 @@ class TestFaceLattice:
                 expected = all(P.facets[i].level == 0 for i in face.active)
                 assert face.contains_origin == expected
 
+    def test_face_through_the_origin_is_not_tiled(self):
+        # Its simplices have the origin as a vertex, so no piece is
+        # nonsingular; every route to its tiling names the face instead.
+        P = NewtonPolytope(validate_matrix([[1, 0, -1], [0, 1, 1]]))
+        through = [f for f in P.faces if f.contains_origin]
+        assert [f.id for f in through] == [1, 4, 6]
+        for face in through:
+            for call in (
+                P.cone_pieces,
+                lambda face: cone_numerator(P, face),
+                lambda face: P.points_of_degree(0, face),
+                lambda face: P.points_of_degree(-1, face),
+            ):
+                with pytest.raises(FaceContainsOrigin, match=f"^{face.id}$"):
+                    call(face)
+        # The faces avoiding the origin are tiled, whether or not they lie on
+        # a facet through it.
+        for face in P.origin_free_faces():
+            assert P.cone_pieces(face) is P.cone_pieces(face)
+            assert cone_numerator(P, face)[1] == face.dim + 1
+
     def test_closed_under_intersection(self, gauss):
         _, P, _ = gauss
         sets = [set(f.vertices) for f in P.faces]
@@ -355,13 +378,15 @@ def _random_matrices(seed, count, dims, bound=2):
 
 
 def test_concurrent_listing_matches_one_thread():
-    # Four threads list the slices of one fresh polytope in different orders;
-    # each reads a whole slice with the degrees and tight facets recorded.
+    # Four threads list the slices of one fresh polytope in different orders,
+    # of the full cone and of each face cone; each reads a whole slice with
+    # the degrees recorded and the tight facets.
     rows = [[1, -2, 1, 0], [2, 1, -2, 0], [2, 1, 0, -2]]
 
     def read(P, degrees):
         return {
             d: [(w, P.graded_degree(w), P.tight_facets(w)) for w in P.points_of_degree(d)]
+            + [P.points_of_degree(d, face) for face in P.origin_free_faces()]
             for d in degrees
         }
 

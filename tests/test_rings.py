@@ -418,9 +418,11 @@ class TestIntegerKernel:
             for w in expected:
                 assert P.graded_degree(w) == d
                 assert P.gauge(w) == _ref_gauge(P, w)
-        # Every listed point reads the degree recorded for it, which is the
-        # facet maximum.
+        # The slices are keyed by (cone, degree), here the full cone's only,
+        # and every listed point reads the degree recorded for it, which is
+        # the facet maximum.
         slices, degree = P._slices, P._degree
+        assert set(slices) == {(P._cone(None), d) for d in degrees}
         assert sorted(degree) == sorted(w for ws in slices.values() for w in ws)
         for w, d in degree.items():
             assert P.graded_degree(w) == d == _ref_gauge(P, w) * M
@@ -883,23 +885,32 @@ class TestGaugeDenominatorByConstruction:
 
 
 def test_analyze_lists_each_slice_once_within_its_windows(monkeypatch):
-    # One polytope per run lists each slice once, and no slice past the
-    # largest face window or, for a nondegenerate fiber, the truncation;
-    # no box of lattice points is scanned.
-    slices = {}
-    points_of_degree = NewtonPolytope.points_of_degree
+    # One polytope per run tiles each cone once (the full cone and the cone
+    # over each face avoiding the origin) and lists each slice of each cone
+    # once, none past the largest face window or, for a nondegenerate fiber,
+    # the truncation; no tight set is computed and no box of lattice points
+    # is scanned.
+    slices, tilings = {}, []
+    points_of_degree, tile = NewtonPolytope.points_of_degree, NewtonPolytope._tile
 
-    def recorded(self, d):
-        points = points_of_degree(self, d)
+    def recorded(self, d, face=None):
+        points = points_of_degree(self, d, face)
         if d >= 0:
-            assert slices.setdefault((self, d), points) is points, d
+            assert slices.setdefault((self, face, d), points) is points, (face, d)
         return points
 
-    def refuse(self, bound):
-        raise AssertionError("lattice points scanned up to a gauge bound")
+    def tiled(self, faces):
+        tilings.append((self, tuple(f.id for f in faces)))
+        return tile(self, faces)
 
+    def refuse(self, *args):
+        raise AssertionError("lattice points scanned or a tight set computed")
+
+    assert not hasattr(NewtonPolytope, "_gauge_and_tight")
     monkeypatch.setattr(NewtonPolytope, "points_of_degree", recorded)
+    monkeypatch.setattr(NewtonPolytope, "_tile", tiled)
     monkeypatch.setattr(NewtonPolytope, "lattice_points_with_gauge_at_most", refuse)
+    monkeypatch.setattr(NewtonPolytope, "tight_facets", refuse)
     problems = runpy.run_path(
         str(Path(__file__).resolve().parents[1] / "bench" / "problems.py")
     )
@@ -907,6 +918,7 @@ def test_analyze_lists_each_slice_once_within_its_windows(monkeypatch):
     specs.update((p["id"], p["spec"]) for p in problems["cohomology"]())
     for name, spec in specs.items():
         slices.clear()
+        tilings.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = run_analyze(ProblemSpec.from_json(spec), with_timings=False)
@@ -915,10 +927,16 @@ def test_analyze_lists_each_slice_once_within_its_windows(monkeypatch):
         windows = [f["bound_used"] for f in body["nondegeneracy"]["faces"]]
         if body["koszul"] is not None:
             windows.append(body["koszul"]["truncation"])
-        assert len({P for P, _ in slices}) == 1, name
-        assert max(d for _, d in slices) <= max(windows), name
+        assert len({P for P, _, _ in slices}) == 1, name
+        assert max(d for _, _, d in slices) <= max(windows), name
+        assert len(tilings) == len(set(tilings)), name
+        # A full cone over one face is listed once, as that face's cone.
+        listed = {}
+        for (P, face, d), points in slices.items():
+            assert listed.setdefault((P._cone(face), d), points) is points, name
         if name == "octahedron":
-            assert {d for _, d in slices} == set(range(5))  # truncation 4
+            assert {d for _, face, d in slices if face is None} == set(range(5))
+            assert len(tilings) == len(P.origin_free_faces()) + 1
     assert {"gauss-degenerate", "octahedron"} <= set(specs)
 
 
