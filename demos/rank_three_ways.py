@@ -9,6 +9,7 @@ cokernel, checking that all three agree.
 
 from gkzrank import (
     NewtonPolytope,
+    PolyZ,
     h_top_dimension,
     validate_matrix,
     verify_kouchnirenko,
@@ -19,7 +20,10 @@ fiber = [1, 2, 3, 4]  # a concrete nondegenerate coefficient fiber
 gamma = [0, 0, 0]
 
 polytope = NewtonPolytope(matrix)
-print("Newton polytope:", polytope)
+print(
+    f"Newton polytope: n={polytope.n}, {len(polytope.facets)} facets, "
+    f"{len(polytope.vertices)} vertices, M={polytope.gauge_denominator}"
+)
 print("facets:")
 for f in polytope.facets:
     print(f"  {f.normal} . w <= {f.level}")
@@ -35,7 +39,7 @@ koszul = verify_kouchnirenko(matrix, fiber, polytope)
 print("2) Koszul top cohomology:", koszul.top_dim)
 print("   lower cohomology vanishes:", koszul.vanishing)
 print("   per-degree dims:", dict(koszul.per_degree))
-print("   predicted polynomial:", koszul.expected_polynomial)
+print("   predicted polynomial:", PolyZ(koszul.expected_polynomial.coeffs))
 
 # Route 3: analysis.  The twisted de Rham differential is reduced against
 # the monomial basis lifted from route 2, so route 2's result is passed in

@@ -10,14 +10,14 @@ All arithmetic is exact over Q.
 
 The public names below load their module on first use (PEP 562), so a
 process pays only for the stages it runs; the checks of the paper's
-intermediate claims live in ``oracles``, which ``gkz analyze`` never loads.
+intermediate claims, and the reference algebra that only they, the tests
+and the demos use, live in ``oracles``, which ``gkz analyze`` never loads.
 """
 
 import importlib
 
 _EXPORTS = {
-    "derham": """LogForm ReductionBasis connection_matrices h_top_dimension
-        reduce_to_basis twisted_differential""",
+    "derham": "ReductionBasis connection_matrices h_top_dimension twisted_differential",
     "errors": """DegenerateFiber FaceContainsOrigin GammaNotNormalized GkzError
         MismatchAtDegree NotAFacePair NotARelation NotInCone RankDeficient
         ShapeMismatch TruncationTooSmall UnknownSubcommand""",
@@ -30,14 +30,13 @@ _EXPORTS = {
     "operators": """BoxOperator EulerOperator box_operator euler_operators
         lattice_kernel render_box render_euler""",
     "oracles": """CochainComplexQ FaceComplex FreeRing GradedKoszulComplex
-        RationalFunctionQ check_face_complex_exactness check_gr_equals_koszul
+        GradedRingHandle LogForm PolyZ RationalFunctionQ RingElement
+        check_face_complex_exactness check_gr_equals_koszul
         choose_spanning_subset derham_cohomology_dims face_polynomial
         face_projection filtration_level gr_multiply
-        koszul_regular_sequence_check""",
+        koszul_regular_sequence_check reduce_to_basis""",
     "pipeline": "RankReport run_analyze run_subcommand",
-    "rings": """ConeRing FaceRing GradedRingHandle RingElement
-        log_derivative_classes poincare_series sequence_image""",
-    "series": "PolyZ",
+    "rings": "ConeRing FaceRing log_derivative_classes poincare_series sequence_image",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

@@ -22,75 +22,6 @@ from .lattice import NewtonPolytope, Vector
 from .linalg import SparseRationalMatrix, rank
 
 
-class LogForm:
-    """A differential form with logarithmic monomial coefficients.
-
-    ``terms`` maps (index set, exponent) to a rational coefficient; index
-    sets are strictly increasing tuples of 0-based coordinate indices and
-    every exponent must lie in the exponent cone.
-    """
-
-    def __init__(self, n, degree, terms=None):
-        self.n: int = n
-        self.degree: int = degree
-        self.terms: dict[tuple[tuple[int, ...], Vector], Fraction] = (
-            {} if terms is None else terms
-        )
-
-    @classmethod
-    def monomial(cls, n, indices, w, coeff=1) -> "LogForm":
-        indices = tuple(sorted(indices))
-        if len(set(indices)) != len(indices):
-            raise ValueError("repeated wedge index")
-        c = Fraction(coeff)
-        form = cls(n, len(indices))
-        if c != 0:
-            form.terms[(indices, tuple(w))] = c
-        return form
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add_term(self, indices, w, coeff):
-        key = (tuple(indices), tuple(w))
-        new = self.terms.get(key, Fraction(0)) + Fraction(coeff)
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
-
-    def __add__(self, other):
-        if self.degree != other.degree or self.n != other.n:
-            raise ValueError("form degree mismatch")
-        out = LogForm(self.n, self.degree, dict(self.terms))
-        for (I, w), c in other.terms.items():
-            out.add_term(I, w, c)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LogForm":
-        c = Fraction(c)
-        if c == 0:
-            return LogForm(self.n, self.degree)
-        return LogForm(
-            self.n, self.degree, {k: v * c for k, v in self.terms.items()}
-        )
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        bits = []
-        for (I, w), c in self.sorted_terms():
-            wedge = "^".join(f"dlog t{i+1}" for i in I) or "1"
-            bits.append(f"{c}*t^{w} {wedge}")
-        return " + ".join(bits)
-
-
 def _warn_if_not_normalized(gamma, polytope: NewtonPolytope):
     gamma = [Fraction(g) for g in gamma]
     if any(
@@ -121,10 +52,9 @@ def _partial(w, i, scale, gamma_i, fiber, columns) -> dict[Vector, int | Fractio
     return out
 
 
-def twisted_differential(
-    gamma, fiber, form: LogForm, polytope: NewtonPolytope
-) -> LogForm:
-    """Apply the conjugated exterior derivative termwise.
+def twisted_differential(gamma, fiber, form, polytope: NewtonPolytope):
+    """Apply the conjugated exterior derivative termwise to a form (an
+    ``oracles.LogForm``), giving a form of the same type.
 
     On a coefficient monomial the i-th component contributes the exponent
     coordinate plus the parameter entry, together with one shifted monomial
@@ -135,7 +65,7 @@ def twisted_differential(
     gamma = [Fraction(g) for g in gamma]
     fiber = [Fraction(c) for c in fiber]
     columns = polytope.matrix.columns
-    out = LogForm(n, form.degree + 1)
+    out = type(form)(n, form.degree + 1)
     for (I, w), c in form.terms.items():
         for i, sign, J in wedge_terms(I, n):
             for u, v in _partial(w, i, 1, gamma[i], fiber, columns).items():
@@ -278,8 +208,9 @@ class ReductionBasis:
         out = self._coordinates[w] = tuple(Fraction(y, nf[w][1]) for y in nf[w][0])
         return out
 
-    def reduce(self, form: LogForm) -> tuple[Fraction, ...]:
-        """Coordinates of an n-form against the basis, modulo exact forms."""
+    def reduce(self, form) -> tuple[Fraction, ...]:
+        """Coordinates of an n-form (an ``oracles.LogForm``) against the
+        basis, modulo exact forms."""
         full = tuple(range(self.polytope.n))
         if any(I != full for I, _ in form.terms):
             raise ValueError("reduction expects a top-degree form")
@@ -331,14 +262,6 @@ def _check_built_for(basis: ReductionBasis, gamma, fiber):
         raise ValueError("basis was built for a different parameter vector")
     if fiber is not None and tuple(map(Fraction, fiber)) != basis.fiber:
         raise ValueError("basis was built for a different fiber")
-
-
-def reduce_to_basis(
-    form: LogForm, basis: ReductionBasis, gamma=None, fiber=None
-) -> tuple[Fraction, ...]:
-    """Coordinates of a top form in the reduction basis, modulo exact forms."""
-    _check_built_for(basis, gamma, fiber)
-    return basis.reduce(form)
 
 
 def connection_matrices(gamma, fiber, basis: ReductionBasis):

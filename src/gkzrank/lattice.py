@@ -22,16 +22,16 @@ Verdoolaege 2008), so a degree slice is listed with no search.  The cone
 over each face avoiding the origin is tiled the same way from the face's
 own triangulation, and its slices are listed from its own pieces.  Each
 tiling is built once per polytope and kept, and each listed point's degree
-is recorded; the facets tight at a point are computed only on request.
-``normalize_gamma`` solves the facet inequalities for the last coordinate
-over each point of its shells.
+is recorded.  ``normalize_gamma`` solves the facet inequalities for the
+last coordinate over each point of its shells.
 
 Determinants are taken in integers by Bareiss elimination; they give the
-normalized volume, the facet normals (as signed maximal minors) and each
-incidence sign, the product of two minor signs on the first rows where the
-face basis is nonsingular.  Ranks go through ``linalg.rank``; a face's edge
-basis is the ordered greedy choice, read off the pivot columns of one
-``linalg.Echelon``.
+normalized volume, the facet normals (as signed maximal minors) and the
+integer inverse of each simplicial piece.  Ranks go through
+``linalg.rank``; a face's edge basis is the ordered greedy choice, read off
+the pivot columns of one ``linalg.Echelon``.  The facets tight at a point,
+face-cone membership, incidence signs and boundary pyramid volumes, which
+no ``analyze`` run needs, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -134,19 +134,15 @@ class Face:
     ``active`` lists the indices of all facets whose hyperplane contains the
     face.  ``contains_origin`` refers to the origin as a point of the face,
     which may happen even when the origin is not one of its vertices.
-    ``_basis`` caches the face's edge basis once it is needed.
     """
 
-    def __init__(
-        self, id, dim, vertices, active, contains_origin, on_origin_facet, _basis=None
-    ):
+    def __init__(self, id, dim, vertices, active, contains_origin, on_origin_facet):
         self.id: int = id
         self.dim: int = dim
         self.vertices: tuple[Vector, ...] = vertices
         self.active: frozenset[int] = active
         self.contains_origin: bool = contains_origin
         self.on_origin_facet: bool = on_origin_facet
-        self._basis: tuple[Vector, ...] | None = _basis
 
 
 def _affine_basis(vertices) -> tuple[Vector, ...]:
@@ -292,8 +288,8 @@ class NewtonPolytope:
 
     def cone_contains(self, w) -> bool:
         """Whether w lies in the exponent cone; the membership check that
-        ``gauge``, ``graded_degree`` and ``tight_facets`` share, so a point
-        of the wrong length is rejected here."""
+        ``gauge`` and ``graded_degree`` share, so a point of the wrong length
+        is rejected here."""
         _check_length(w, self.n)
         return all(_dot(m, w) <= 0 for _, m in self._cone_facets)
 
@@ -310,18 +306,6 @@ class NewtonPolytope:
                 raise NotInCone(f"{w} violates a zero-level facet inequality")
             d = max(0, max(k * _dot(m, w) for _, m, k in self._gauge_facets))
         return d
-
-    def tight_facets(self, w) -> frozenset[int] | None:
-        """Facets on which w, scaled to gauge one, is tight; None off the cone:
-        the positive facets attaining the scaled gauge and the zero-level
-        facets through w, computed on request and not stored."""
-        if not self.cone_contains(w):
-            return None
-        top = self.graded_degree(w)
-        return frozenset(
-            [i for i, m, k in self._gauge_facets if k * _dot(m, w) == top]
-            + [i for i, m in self._cone_facets if _dot(m, w) == 0]
-        )
 
     def points_of_degree(self, d: int, face: Face | None = None) -> tuple[Vector, ...]:
         """Sorted lattice points of graded degree d in the full cone, or in the
@@ -354,13 +338,6 @@ class NewtonPolytope:
             self.facets[i].value(w) == self.facets[i].level for i in face.active
         )
 
-    def face_cone_contains(self, w, face: Face) -> bool:
-        """Whether w lies in the cone spanned by a face avoiding the origin."""
-        if face.contains_origin:
-            raise FaceContainsOrigin(face.id)
-        tight = self.tight_facets(w)
-        return tight is not None and face.active <= tight
-
     # -- face lattice queries ----------------------------------------------
 
     def faces_of_dim(self, p: int) -> list[Face]:
@@ -380,36 +357,6 @@ class NewtonPolytope:
 
     def face_by_vertices(self, vertices) -> Face:
         return self._faces_by_vertices[tuple(sorted(vertices))]
-
-    # -- orientation -------------------------------------------------------
-
-    def _face_basis(self, face: Face) -> tuple[Vector, ...]:
-        if face._basis is None:
-            face._basis = _affine_basis(face.vertices)
-        return face._basis
-
-    def incidence_sign(self, face: Face, sub: Face) -> int:
-        """Orientation sign of a codimension-one subface inside a face.
-
-        Each face carries the reference orientation given by greedily chosen
-        edge vectors from its lexicographically smallest vertex; the sign is
-        the determinant comparing (outward direction, subface basis) with the
-        face basis.  For simplices this reproduces the parity of the omitted
-        vertex.  On the first rows where the face basis has a nonzero minor,
-        that determinant is det(frame rows) / det(basis rows); the outward
-        direction is taken between barycentres scaled by both vertex counts,
-        a positive multiple that keeps the sign.
-        """
-        fb = self._face_basis(face)
-        nf, ns = len(face.vertices), len(sub.vertices)
-        outward = tuple(
-            nf * sum(v[k] for v in sub.vertices)
-            - ns * sum(v[k] for v in face.vertices)
-            for k in range(self.n)
-        )
-        rows, det = _nonsingular_minor(fb)
-        frame = (outward,) + self._face_basis(sub)
-        return 1 if _det([[c[r] for c in frame] for r in rows]) * det > 0 else -1
 
     # -- triangulation and volume -------------------------------------------
 
@@ -477,13 +424,6 @@ class NewtonPolytope:
                 total += abs(_det([_sub(v, v0) for v in s]))
         return total
 
-    def boundary_pyramid_volumes(self) -> dict[int, int]:
-        """Normalized volume under each top-index face, coned to the origin."""
-        out = {}
-        for face in self.index_set(self.n - 1):
-            out[face.id] = sum(abs(_det(s)) for s in self.triangulate_face(face))
-        return out
-
     # -- gauge denominator ---------------------------------------------------
 
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
@@ -502,13 +442,6 @@ class NewtonPolytope:
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(self.faces_of_dim(p)) for p in range(self.n))
-
-    def __repr__(self):
-        return (
-            f"NewtonPolytope(n={self.n}, facets={len(self.facets)}, "
-            f"vertices={len(self.vertices)}, M={self.gauge_denominator}, "
-            f"nvol={self.normalized_volume})"
-        )
 
 
 def _det(rows) -> int:
@@ -636,14 +569,6 @@ class ExponentCone:
     def __init__(self, generators, inequalities):
         self.generators: tuple[Vector, ...] = generators
         self.inequalities: tuple[Vector, ...] = inequalities
-
-    def contains(self, w) -> bool:
-        _check_length(w, len(self.generators[0]))
-        return all(_dot(m, w) >= 0 for m in self.inequalities)
-
-    @property
-    def is_full_space(self) -> bool:
-        return not self.inequalities
 
 
 def exponent_cone(

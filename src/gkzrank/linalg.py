@@ -9,9 +9,9 @@ log: its rank, its pivot columns (the ordered greedy choice) and every
 solve are read off the factored rows, a solve being a back-substitution
 from a factored column, checked in integers against the matrix.  ``rank``
 eliminates along the shorter side; ``solve`` factors [m | rhs] and solves
-its last column; ``matmul`` of ``int`` factors is ``int``.
-``RationalSpan`` makes the greedy choice one vector at a time in
-``Fraction``s, as the tests' reference for ``Echelon``'s pivot columns.
+its last column.  ``RationalSpan`` makes the greedy choice one vector at a
+time in ``Fraction``s, as the tests' reference for ``Echelon``'s pivot
+columns.  Products and dense views of matrices live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -61,60 +61,8 @@ class SparseRationalMatrix:
         else:
             self.entries[(i, j)] = value
 
-    def get(self, i, j) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
-
     def nnz(self) -> int:
         return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def copy(self) -> "SparseRationalMatrix":
-        m = SparseRationalMatrix(self.rows, self.cols)
-        m.entries = dict(self.entries)
-        return m
-
-    def columns(self) -> list[dict[int, int | Fraction]]:
-        """Every column as a sparse dict row -> value, in one pass."""
-        out: list[dict[int, int | Fraction]] = [{} for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            out[j][i] = v
-        return out
-
-    def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
-        """The product in integers: each factor is scaled by the lcm of its
-        denominators, and the result is divided by both scales once.  Two
-        all-``int`` factors give ``int`` entries."""
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matmul")
-        whole = all(type(v) is int for m in (self, other) for v in m.entries.values())
-        s = lcm(*(v.denominator for v in self.entries.values()))
-        t = lcm(*(v.denominator for v in other.entries.values()))
-        by_row: dict[int, list[tuple[int, int]]] = {}
-        for (k, j), v in other.entries.items():
-            v = v.numerator * (t // v.denominator)
-            by_row.setdefault(k, []).append((j, v))
-        acc: dict[tuple[int, int], int] = {}
-        for (i, k), u in self.entries.items():
-            u = u.numerator * (s // u.denominator)
-            for j, v in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + u * v
-        out = SparseRationalMatrix(self.rows, other.cols)
-        out.entries = {
-            key: v if whole else Fraction(v, s * t) for key, v in acc.items() if v
-        }
-        return out
-
-    def to_dense(self):
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def __repr__(self):
-        return f"SparseRationalMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
 class Echelon:

@@ -41,9 +41,6 @@ class BoxOperator:
     def __init__(self, relation):
         self.relation: tuple[int, ...] = relation
 
-    def __eq__(self, other):
-        return isinstance(other, BoxOperator) and self.relation == other.relation
-
     def to_json(self):
         return {"relation": list(self.relation)}
 

@@ -5,8 +5,14 @@ with its d o d check (the reference for the lower vanishing that ``homology``
 reads off the top slices), gr of the twisted differential equal to the
 Koszul differential, vanishing lower de Rham cohomology, regular sequences
 on a free polynomial ring, the face-search graded product, and Poincare
-series in lowest terms.  The tests, the demos and ``gkz face-complex``
-load this module; ``pipeline`` never imports it.
+series in lowest terms.  The reference algebra these checks and the tests
+use lives here too, so that an ``analyze`` process never compiles it:
+polynomial and ring-element arithmetic (``PolyZ`` and ``RingElement``
+extend the coefficient holders of ``series`` and ``rings``), differential
+forms, sparse matrix products, and the facets tight at a point with the
+face-cone membership and orientation signs built on them.  The tests, the
+demos and ``gkz face-complex`` load this module; ``pipeline`` never
+imports it.
 """
 
 from __future__ import annotations
@@ -15,18 +21,112 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .derham import LogForm, _partial, _warn_if_not_normalized, twisted_differential
+from . import rings, series
+from .derham import (
+    ReductionBasis, _check_built_for, _partial, _warn_if_not_normalized,
+    twisted_differential,
+)
 from .errors import FaceContainsOrigin, NotAFacePair, NotARelation, NotInCone
 from .homology import KouchnirenkoResult, verify_kouchnirenko, wedge_terms
-from .lattice import Face, NewtonPolytope, Vector, _dot
+from .lattice import (
+    Face, NewtonPolytope, Vector, _affine_basis, _det, _dot, _nonsingular_minor,
+)
 from .linalg import SparseRationalMatrix, rank
 from .nondegeneracy import _spanning_subset
 from .operators import BoxOperator, _row_hnf
 from .rings import (
-    ConeRing, GradedRingHandle, RingElement, integral_classes,
-    log_derivative_classes, sequence_image,
+    ConeRing, integral_classes, log_derivative_classes, sequence_image,
 )
-from .series import PolyZ
+
+
+class PolyZ(series.PolyZ):
+    """``series.PolyZ`` with arithmetic, comparison and printing."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, degree: int, coeff: int = 1) -> "PolyZ":
+        return cls([0] * degree + [coeff])
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return isinstance(other, series.PolyZ) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return PolyZ([self.coeff(k) + other.coeff(k) for k in range(n)])
+
+    def __sub__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return PolyZ([self.coeff(k) - other.coeff(k) for k in range(n)])
+
+    def __neg__(self):
+        return PolyZ([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return PolyZ([c * other for c in self.coeffs])
+        if not self.coeffs or not other.coeffs:
+            return PolyZ()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return PolyZ(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        out = PolyZ([1])
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def content(self) -> int:
+        g = 0
+        for c in self.coeffs:
+            g = gcd(g, c)
+        return g
+
+    def primitive(self) -> "PolyZ":
+        g = self.content()
+        if g <= 1:
+            return self
+        return PolyZ([c // g for c in self.coeffs])
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            else:
+                t = "t" if k == 1 else f"t^{k}"
+                if c == 1:
+                    parts.append(t)
+                elif c == -1:
+                    parts.append(f"-{t}")
+                else:
+                    parts.append(f"{c}{t}")
+        out = parts[0]
+        for p in parts[1:]:
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return out
+
+    __repr__ = __str__
 
 
 def _poly_divmod_q(num: list[Fraction], den: list[Fraction]):
@@ -67,11 +167,13 @@ class RationalFunctionQ:
 
     The sign convention makes the lowest nonzero denominator coefficient
     positive, so series like 1/(1-t) print in the familiar orientation.
+    Either part may be a bare ``series.PolyZ``, such as a cone numerator.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PolyZ, den: PolyZ):
+    def __init__(self, num: series.PolyZ, den: series.PolyZ):
+        num, den = PolyZ(num.coeffs), PolyZ(den.coeffs)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
@@ -146,6 +248,52 @@ class RationalFunctionQ:
     __repr__ = __str__
 
 
+class RingElement(rings.RingElement):
+    """``rings.RingElement`` with monomials, scaling, comparison and printing."""
+
+    @classmethod
+    def monomial(cls, w, coeff=1) -> "RingElement":
+        c = Fraction(coeff)
+        return cls({tuple(w): c} if c != 0 else {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def scale(self, c) -> "RingElement":
+        c = Fraction(c)
+        if c == 0:
+            return RingElement()
+        return RingElement({w: v * c for w, v in self.terms.items()})
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def __eq__(self, other):
+        return isinstance(other, rings.RingElement) and self.terms == other.terms
+
+    def __repr__(self):
+        if self.is_zero():
+            return "0"
+        return " + ".join(f"{c}*t^{w}" for w, c in self.sorted_terms())
+
+
+class GradedRingHandle:
+    """Common interface: degree slices, monomial products, grading.
+    ``ConeRing`` has the same methods; its series is ``rings.poincare_series``."""
+
+    def monomials_of_degree(self, d: int) -> tuple[Vector, ...]:
+        raise NotImplementedError
+
+    def multiply_monomials(self, w1, w2) -> Vector | None:
+        raise NotImplementedError
+
+    def degree(self, w) -> int:
+        raise NotImplementedError
+
+    def poincare_series(self) -> RationalFunctionQ:
+        raise NotImplementedError
+
+
 class FreeRing(GradedRingHandle):
     """Polynomial ring in k variables with positive integer weights."""
 
@@ -189,6 +337,60 @@ class FreeRing(GradedRingHandle):
         return RationalFunctionQ(PolyZ([1]), den)
 
 
+def tight_facets(polytope: NewtonPolytope, w) -> frozenset[int] | None:
+    """Facets on which w, scaled to gauge one, is tight; None off the cone:
+    the positive facets attaining the scaled gauge and the zero-level
+    facets through w."""
+    if not polytope.cone_contains(w):
+        return None
+    top = polytope.graded_degree(w)
+    M = polytope.gauge_denominator
+    return frozenset(
+        i for i, f in enumerate(polytope.facets)
+        if (f.level > 0 and M // f.level * f.value(w) == top)
+        or (f.level == 0 and f.value(w) == 0)
+    )
+
+
+def face_cone_contains(polytope: NewtonPolytope, w, face: Face) -> bool:
+    """Whether w lies in the cone spanned by a face avoiding the origin."""
+    if face.contains_origin:
+        raise FaceContainsOrigin(face.id)
+    tight = tight_facets(polytope, w)
+    return tight is not None and face.active <= tight
+
+
+def incidence_sign(polytope: NewtonPolytope, face: Face, sub: Face) -> int:
+    """Orientation sign of a codimension-one subface inside a face.
+
+    Each face carries the reference orientation given by greedily chosen
+    edge vectors from its lexicographically smallest vertex; the sign is
+    the determinant comparing (outward direction, subface basis) with the
+    face basis.  For simplices this reproduces the parity of the omitted
+    vertex.  On the first rows where the face basis has a nonzero minor,
+    that determinant is det(frame rows) / det(basis rows); the outward
+    direction is taken between barycentres scaled by both vertex counts,
+    a positive multiple that keeps the sign.
+    """
+    nf, ns = len(face.vertices), len(sub.vertices)
+    outward = tuple(
+        nf * sum(v[k] for v in sub.vertices)
+        - ns * sum(v[k] for v in face.vertices)
+        for k in range(polytope.n)
+    )
+    rows, det = _nonsingular_minor(_affine_basis(face.vertices))
+    frame = (outward,) + _affine_basis(sub.vertices)
+    return 1 if _det([[c[r] for c in frame] for r in rows]) * det > 0 else -1
+
+
+def boundary_pyramid_volumes(polytope: NewtonPolytope) -> dict[int, int]:
+    """Normalized volume under each top-index face, coned to the origin."""
+    return {
+        face.id: sum(abs(_det(s)) for s in polytope.triangulate_face(face))
+        for face in polytope.index_set(polytope.n - 1)
+    }
+
+
 def gr_multiply(w1, w2, polytope: NewtonPolytope):
     """Product of two cone monomials in the associated graded ring.
 
@@ -202,8 +404,8 @@ def gr_multiply(w1, w2, polytope: NewtonPolytope):
         if not polytope.cone_contains(w):
             raise NotInCone(w)
     for face in polytope.origin_free_faces():
-        if polytope.face_cone_contains(w1, face) and polytope.face_cone_contains(
-            w2, face
+        if face_cone_contains(polytope, w1, face) and face_cone_contains(
+            polytope, w2, face
         ):
             return tuple(a + b for a, b in zip(w1, w2))
     return None
@@ -224,8 +426,49 @@ def face_projection(
         raise NotAFacePair((face.id, subface.id))
     out = RingElement()
     for w, c in x.terms.items():
-        if polytope.face_cone_contains(w, subface):
+        if face_cone_contains(polytope, w, subface):
             out.add_term(w, c)
+    return out
+
+
+def matmul(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatrix:
+    """The product in integers: each factor is scaled by the lcm of its
+    denominators, and the result is divided by both scales once.  Two
+    all-``int`` factors give ``int`` entries."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in matmul")
+    whole = all(type(v) is int for m in (a, b) for v in m.entries.values())
+    s = lcm(*(v.denominator for v in a.entries.values()))
+    t = lcm(*(v.denominator for v in b.entries.values()))
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for (k, j), v in b.entries.items():
+        v = v.numerator * (t // v.denominator)
+        by_row.setdefault(k, []).append((j, v))
+    acc: dict[tuple[int, int], int] = {}
+    for (i, k), u in a.entries.items():
+        u = u.numerator * (s // u.denominator)
+        for j, v in by_row.get(k, ()):
+            key = (i, j)
+            acc[key] = acc.get(key, 0) + u * v
+    out = SparseRationalMatrix(a.rows, b.cols)
+    out.entries = {
+        key: v if whole else Fraction(v, s * t) for key, v in acc.items() if v
+    }
+    return out
+
+
+def sparse_columns(m: SparseRationalMatrix) -> list[dict[int, int | Fraction]]:
+    """Every column as a sparse dict row -> value, in one pass."""
+    out: list[dict[int, int | Fraction]] = [{} for _ in range(m.cols)]
+    for (i, j), v in m.entries.items():
+        out[j][i] = v
+    return out
+
+
+def to_dense(m: SparseRationalMatrix) -> list[list[int | Fraction]]:
+    out = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        out[i][j] = v
     return out
 
 
@@ -257,10 +500,8 @@ class CochainComplexQ:
 
     def validate(self):
         for q in list(self.diffs):
-            if q + 1 in self.diffs:
-                prod = self.diffs[q + 1].matmul(self.diffs[q])
-                if not prod.is_zero():
-                    raise AssertionError(f"d o d != 0 at degree {q}")
+            if q + 1 in self.diffs and matmul(self.diffs[q + 1], self.diffs[q]).entries:
+                raise AssertionError(f"d o d != 0 at degree {q}")
 
     def cohomology_dims(self) -> dict[int, int]:
         ranks = {q: rank(m) for q, m in self.diffs.items()}
@@ -290,9 +531,8 @@ class FaceComplex:
             for face in self.levels[q]:
                 for sub in polytope.subfaces(face):
                     if sub.id in next_ids:
-                        self.signs[(face.id, sub.id)] = polytope.incidence_sign(
-                            face, sub
-                        )
+                        sign = incidence_sign(polytope, face, sub)
+                        self.signs[(face.id, sub.id)] = sign
 
     def weight_piece(self, w) -> CochainComplexQ:
         P = self.polytope
@@ -300,7 +540,7 @@ class FaceComplex:
         bases: dict[int, list] = {}
         for q in range(n):
             lbls = [
-                f.id for f in self.levels[q] if P.face_cone_contains(w, f)
+                f.id for f in self.levels[q] if face_cone_contains(P, w, f)
             ]
             if lbls:
                 bases[q] = lbls
@@ -430,7 +670,8 @@ class GradedKoszulComplex:
             src, dst = len(slices[d]), len(slices[d + step])
             if not src or not dst:
                 continue
-            columns = sequence_image(ring, self.sequence, step, d + step).columns()
+            image = sequence_image(ring, self.sequence, step, d + step)
+            columns = sparse_columns(image)
             for q in range(m):
                 entries = {}
                 for a, I in enumerate(wedges[q]):
@@ -446,9 +687,8 @@ class GradedKoszulComplex:
     def validate(self):
         for (q, d), mat in self.diffs.items():
             nxt = self.diffs.get((q + 1, d + self.step))
-            if nxt is not None:
-                if not nxt.matmul(mat).is_zero():
-                    raise AssertionError(f"d o d != 0 at {(q, d)}")
+            if nxt is not None and matmul(nxt, mat).entries:
+                raise AssertionError(f"d o d != 0 at {(q, d)}")
 
     def cohomology_dims(self) -> dict[int, dict]:
         """Per-degree and total cohomology dimensions.
@@ -508,6 +748,83 @@ def koszul_regular_sequence_check(
         embeds_in_quotient=embeds,
         dims=dims,
     )
+
+
+class LogForm:
+    """A differential form with logarithmic monomial coefficients.
+
+    ``terms`` maps (index set, exponent) to a rational coefficient; index
+    sets are strictly increasing tuples of 0-based coordinate indices and
+    every exponent must lie in the exponent cone.
+    """
+
+    def __init__(self, n, degree, terms=None):
+        self.n: int = n
+        self.degree: int = degree
+        self.terms: dict[tuple[tuple[int, ...], Vector], Fraction] = (
+            {} if terms is None else terms
+        )
+
+    @classmethod
+    def monomial(cls, n, indices, w, coeff=1) -> "LogForm":
+        indices = tuple(sorted(indices))
+        if len(set(indices)) != len(indices):
+            raise ValueError("repeated wedge index")
+        c = Fraction(coeff)
+        form = cls(n, len(indices))
+        if c != 0:
+            form.terms[(indices, tuple(w))] = c
+        return form
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def add_term(self, indices, w, coeff):
+        key = (tuple(indices), tuple(w))
+        new = self.terms.get(key, Fraction(0)) + Fraction(coeff)
+        if new == 0:
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = new
+
+    def __add__(self, other):
+        if self.degree != other.degree or self.n != other.n:
+            raise ValueError("form degree mismatch")
+        out = LogForm(self.n, self.degree, dict(self.terms))
+        for (I, w), c in other.terms.items():
+            out.add_term(I, w, c)
+        return out
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "LogForm":
+        c = Fraction(c)
+        if c == 0:
+            return LogForm(self.n, self.degree)
+        return LogForm(
+            self.n, self.degree, {k: v * c for k, v in self.terms.items()}
+        )
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def __repr__(self):
+        if self.is_zero():
+            return "0"
+        bits = []
+        for (I, w), c in self.sorted_terms():
+            wedge = "^".join(f"dlog t{i+1}" for i in I) or "1"
+            bits.append(f"{c}*t^{w} {wedge}")
+        return " + ".join(bits)
+
+
+def reduce_to_basis(
+    form: LogForm, basis: ReductionBasis, gamma=None, fiber=None
+) -> tuple[Fraction, ...]:
+    """Coordinates of a top form in the reduction basis, modulo exact forms."""
+    _check_built_for(basis, gamma, fiber)
+    return basis.reduce(form)
 
 
 def filtration_level(form: LogForm, polytope: NewtonPolytope):

@@ -26,18 +26,11 @@ from .series import PolyZ
 
 
 class RingElement:
-    """Finite rational combination of lattice monomials."""
+    """Finite rational combination of lattice monomials; its arithmetic and
+    comparison live in ``oracles.RingElement``."""
 
     def __init__(self, terms=None):
         self.terms: dict[Vector, int | Fraction] = {} if terms is None else terms
-
-    @classmethod
-    def monomial(cls, w, coeff=1) -> "RingElement":
-        c = Fraction(coeff)
-        return cls({tuple(w): c} if c != 0 else {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def add_term(self, w, coeff):
         w = tuple(w)
@@ -47,61 +40,8 @@ class RingElement:
         else:
             self.terms[w] = new
 
-    def scale(self, c) -> "RingElement":
-        c = Fraction(c)
-        if c == 0:
-            return RingElement()
-        return RingElement({w: v * c for w, v in self.terms.items()})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        return isinstance(other, RingElement) and self.terms == other.terms
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        bits = []
-        for w, c in self.sorted_terms():
-            bits.append(f"{c}*t^{w}")
-        return " + ".join(bits)
-
-
-class GradedRingHandle:
-    """Common interface: degree slices, monomial products, grading."""
-
-    def monomials_of_degree(self, d: int) -> tuple[Vector, ...]:
-        raise NotImplementedError
-
-    def multiply_monomials(self, w1, w2) -> Vector | None:
-        raise NotImplementedError
-
-    def degree(self, w) -> int:
-        raise NotImplementedError
-
-    def multiply_element(self, x: RingElement, y: RingElement) -> RingElement:
-        out = RingElement()
-        for w1, c1 in x.terms.items():
-            for w2, c2 in y.terms.items():
-                w = self.multiply_monomials(w1, w2)
-                if w is not None:
-                    out.add_term(w, c1 * c2)
-        return out
-
-    def is_homogeneous(self, x: RingElement, d: int | None = None):
-        degs = {self.degree(w) for w in x.terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return True if d is None else degs == {d}
-
-    def poincare_series(self) -> RationalFunctionQ:
-        raise NotImplementedError
-
-
-class ConeRing(GradedRingHandle):
+class ConeRing:
     """Graded ring on the lattice points of the exponent cone, or of the
     cone over one face avoiding the origin; a product survives exactly when
     the degrees of its factors add."""
@@ -124,13 +64,6 @@ class ConeRing(GradedRingHandle):
         degree = self.polytope.graded_degree
         w = tuple(a + b for a, b in zip(w1, w2))
         return w if degree(w1) + degree(w2) == degree(w) else None
-
-    def poincare_series(self) -> RationalFunctionQ:
-        from .oracles import RationalFunctionQ
-
-        numerator, k = cone_numerator(self.polytope, self.face)
-        den = PolyZ([1]) - PolyZ.monomial(self.gauge_denominator)
-        return RationalFunctionQ(numerator, den ** k)
 
 
 class FaceRing(ConeRing):
@@ -192,8 +125,9 @@ def integral_classes(sequence) -> tuple[list[RingElement], list[int]]:
     return scaled, scales
 
 
-def sequence_image(ring: GradedRingHandle, sequence, step: int, d: int):
-    """The matrix of (g_1..g_k): R_{d-step}^k -> R_d on one degree slice.
+def sequence_image(ring, sequence, step: int, d: int):
+    """The matrix of (g_1..g_k): R_{d-step}^k -> R_d on one degree slice of a
+    graded ring (a ``ConeRing``, or ``oracles.FreeRing``).
 
     Rows follow ``ring.monomials_of_degree(d)``; column w * k + i holds
     g_i * t^w for the w-th monomial of degree d - step, so a sequence from
@@ -225,9 +159,14 @@ def sequence_image(ring: GradedRingHandle, sequence, step: int, d: int):
     return SparseRationalMatrix(len(index), k * len(prev), entries)
 
 
-def poincare_series(ring: GradedRingHandle) -> RationalFunctionQ:
-    """Exact generating function of the degree-slice dimensions."""
-    return ring.poincare_series()
+def poincare_series(ring: ConeRing):
+    """Exact generating function of the degree-slice dimensions: the cone's
+    numerator over (1 - t^M)^k, as an ``oracles.RationalFunctionQ``."""
+    from .oracles import PolyZ, RationalFunctionQ
+
+    numerator, k = cone_numerator(ring.polytope, ring.face)
+    den = PolyZ([1]) - PolyZ.monomial(ring.gauge_denominator)
+    return RationalFunctionQ(numerator, den ** k)
 
 
 # -- Poincare series from the half-open tiling ---------------------------------

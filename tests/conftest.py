@@ -1,6 +1,24 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import gkzrank
 from gkzrank import NewtonPolytope, validate_matrix
+
+
+def pytest_configure(config):
+    # pyproject.toml puts this checkout's src/ ahead of PYTHONPATH, so a run
+    # aimed at another tree's gkzrank would silently test this checkout.
+    first = os.environ.get("PYTHONPATH", "").split(os.pathsep)[0]
+    wanted = Path(first, "gkzrank").resolve()
+    imported = Path(gkzrank.__file__).resolve().parent
+    if first and (wanted / "__init__.py").is_file() and wanted != imported:
+        raise pytest.UsageError(
+            f"PYTHONPATH starts with the gkzrank in {wanted}, but the tests "
+            f"imported the one in {imported}; to test that tree, run its own "
+            "tests from inside it"
+        )
 
 GAUSS_ROWS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 

@@ -1,21 +1,27 @@
-"""What each entry point loads: the package surface is lazy, ``gkz volume``
-and ``gkz faces`` stay clear of the cohomology stack and the claim checks,
-``gkz analyze`` loads exactly the 13 modules it runs and only
-``gkz face-complex`` loads ``gkzrank.oracles``, no ``gkz`` process loads
-``dataclasses``, ``inspect``, ``argparse``, ``gettext`` or ``locale``, and
-``pipeline`` still loads every module the benchmark's tracer wraps."""
+"""What each entry point loads and runs: the package surface is lazy,
+``gkz volume`` and ``gkz faces`` stay clear of the cohomology stack and the
+claim checks, ``gkz analyze`` loads exactly the 13 modules it runs and runs
+every function in them but an explained few, only ``gkz face-complex``
+loads ``gkzrank.oracles``, no ``gkz`` process loads ``dataclasses``,
+``inspect``, ``argparse``, ``gettext`` or ``locale``, and ``pipeline`` still
+loads every module the benchmark's tracer wraps."""
 
 import importlib
+import inspect
 import json
 import os
 import runpy
 import subprocess
 import sys
+import types
+import warnings
 from pathlib import Path
 
 import pytest
 
 import gkzrank
+from gkzrank import cli
+from test_cli import GOLDEN, GOLDEN_SPECS
 
 ROOT = Path(__file__).resolve().parents[1]
 COHOMOLOGY_STACK = {
@@ -168,3 +174,105 @@ def test_public_names_are_unchanged_and_resolve_to_their_modules():
     from gkzrank import derham
 
     assert derham is sys.modules["gkzrank.derham"]
+
+
+# Every function in the 13 ``analyze`` modules that no ``gkz analyze`` run
+# below calls, each for one of four reasons.  A process compiles every line
+# of the modules it loads, so anything else belongs in ``oracles`` or the
+# tests.  ``tracer`` names a function that bench/trace_child.py wraps or
+# calls (``RationalSpan`` whole, for its traced ``add``).
+TRACER, ERROR, OTHER, PEP562 = (
+    "tracer target", "usage/error path", "other subcommand", "PEP 562 hook"
+)
+NOT_RUN_BY_ANALYZE = {
+    "__init__.__dir__": PEP562,
+    "__init__.__getattr__": PEP562,
+    "cli._help": ERROR,
+    "cli._parse.fail": ERROR,
+    "derham.ReductionBasis.reduce": TRACER,
+    "derham.twisted_differential": TRACER,
+    "errors.MismatchAtDegree.__init__": ERROR,
+    "errors.RankDeficient.__init__": ERROR,
+    "errors.TruncationTooSmall.__init__": ERROR,
+    "homology.__getattr__": PEP562,
+    "jsonio.error_json": ERROR,
+    "jsonio.geometry_answer": OTHER,
+    "lattice.NewtonPolytope.bounding_box": TRACER,
+    "lattice.NewtonPolytope.lattice_points_with_gauge_at_most": TRACER,
+    "linalg.RationalSpan.__init__": TRACER,
+    "linalg.RationalSpan.add": TRACER,
+    "linalg.RationalSpan.contains": TRACER,
+    "linalg.RationalSpan.rank": TRACER,
+    "linalg.RationalSpan.residue": TRACER,
+    "linalg.SparseRationalMatrix.nnz": TRACER,
+    "linalg.solve": TRACER,
+    "nondegeneracy.NondegeneracyReport.offending_faces": OTHER,
+    "pipeline.run_subcommand": OTHER,
+    "rings.poincare_series": TRACER,
+}
+
+
+def _functions(code, path, out):
+    """(file, first line, name) -> dotted path of every def under ``code``;
+    class bodies extend the path, and comprehensions and lambdas are not
+    defs."""
+    for c in code.co_consts:
+        if isinstance(c, types.CodeType) and not c.co_name.startswith("<"):
+            if c.co_flags & inspect.CO_OPTIMIZED:
+                out[c.co_filename, c.co_firstlineno, c.co_name] = ".".join(
+                    path + (c.co_name,)
+                )
+            _functions(c, path + (c.co_name,), out)
+    return out
+
+
+def test_analyze_runs_every_function_it_compiles(tmp_path):
+    defs = {}
+    for name in ANALYZE_MODULES:
+        module = importlib.import_module(name)
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        code = compile(source, module.__file__, "exec")
+        _functions(code, (name.partition(".")[2] or "__init__",), defs)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            c = frame.f_code
+            called.add((c.co_filename, c.co_firstlineno, c.co_name))
+
+    # The golden specs include the degenerate Gauss fiber and
+    # diamond-pyramid-4 with gamma 1/2, run once more through the options.
+    runs = [(name, [], GOLDEN[name][0]) for name in GOLDEN_SPECS] + [
+        ("gauss", ["--fiber", "1,1,1,1"], 2),
+        ("diamond-pyramid-4", ["--gamma", "1/2,1/2,1/2"], 0),
+    ]
+    for name, options, expected_code in runs:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(GOLDEN_SPECS[name]))
+        argv = ["analyze", str(path), "--no-timings", "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sys.setprofile(profile)
+            try:
+                code = cli.main(argv + options)
+            finally:
+                sys.setprofile(None)
+        assert code == expected_code, name
+    assert set(NOT_RUN_BY_ANALYZE.values()) <= {TRACER, ERROR, OTHER, PEP562}
+    not_run = {qualname for key, qualname in defs.items() if key not in called}
+    assert not_run == set(NOT_RUN_BY_ANALYZE)
+
+
+def test_a_foreign_gkzrank_first_on_pythonpath_fails_the_session(tmp_path):
+    foreign = tmp_path / "src" / "gkzrank"
+    foreign.mkdir(parents=True)
+    (foreign / "__init__.py").write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--collect-only", "tests/test_demos.py"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(foreign.parent)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == pytest.ExitCode.USAGE_ERROR, proc.stdout + proc.stderr
+    for path in (foreign, ROOT / "src" / "gkzrank"):
+        assert str(path.resolve()) in proc.stderr

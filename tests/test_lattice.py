@@ -20,6 +20,7 @@ from gkzrank import (
 )
 from gkzrank import lattice
 from gkzrank.lattice import _kernel_normal, rational_rank
+from gkzrank.oracles import boundary_pyramid_volumes, tight_facets
 from gkzrank.rings import cone_numerator
 from test_cli import GOLDEN_SPECS
 
@@ -83,16 +84,21 @@ class TestNewtonPolytope:
                 assert rational_rank(diffs) == P.n - 1 or P.n == 1
 
 
+def _cone_contains(cone, w):
+    """Whether w satisfies every inequality m . w >= 0 of the cone."""
+    return all(sum(a * b for a, b in zip(m, w)) >= 0 for m in cone.inequalities)
+
+
 class TestExponentCone:
     def test_single_ray(self):
         cone = exponent_cone(validate_matrix([[2]]))
         assert cone.inequalities == ((1,),)
-        assert cone.contains((3,)) and not cone.contains((-1,))
+        assert _cone_contains(cone, (3,)) and not _cone_contains(cone, (-1,))
 
     def test_full_line(self):
         cone = exponent_cone(validate_matrix([[-1, 1]]))
-        assert cone.is_full_space
-        assert cone.contains((-7,))
+        assert not cone.inequalities
+        assert _cone_contains(cone, (-7,))
 
     def test_gauss_cone(self, gauss):
         matrix, P, _ = gauss
@@ -101,15 +107,15 @@ class TestExponentCone:
         inside = [(1, 0, 0), (2, 1, 2), (5, 5, 0), (0, 0, 0)]
         outside = [(1, 2, 0), (0, 1, 0), (1, 0, -1), (-1, 0, 0)]
         for w in inside:
-            assert cone.contains(w)
+            assert _cone_contains(cone, w) and P.cone_contains(w)
         for w in outside:
-            assert not cone.contains(w)
+            assert not _cone_contains(cone, w) and not P.cone_contains(w)
 
     def test_generators_inside(self, polytopes):
         for name, (matrix, P, _) in polytopes.items():
             cone = exponent_cone(matrix, P)
             for w in cone.generators:
-                assert cone.contains(w)
+                assert _cone_contains(cone, w) and P.cone_contains(w)
 
 
 class TestGauge:
@@ -135,7 +141,9 @@ class TestGauge:
     @pytest.mark.parametrize("w", [(1,), (1, 2, 3), [1], [1, 2, 3]])
     def test_wrong_length_point_is_rejected(self, w):
         P = NewtonPolytope(validate_matrix([[1] * 5, [0, 1, 2, 3, 4]]))
-        members = (P.gauge, P.graded_degree, P.tight_facets, P.cone_contains)
+        members = (
+            P.gauge, P.graded_degree, P.cone_contains, lambda w: tight_facets(P, w)
+        )
         for listed in (False, True):  # before a slice is listed and after
             if listed:
                 assert (2, 3) in P.points_of_degree(2)
@@ -150,7 +158,7 @@ class TestGauge:
         matrix = validate_matrix([[1] * 5, [0, 1, 2, 3, 4]])
         P = NewtonPolytope(matrix)
         with pytest.raises(ShapeMismatch, match="expected 2"):
-            exponent_cone(matrix, P).contains(w)
+            P.cone_contains(w)
         assert P.faces
         for face in P.faces:
             with pytest.raises(ShapeMismatch, match="expected 2"):
@@ -188,7 +196,7 @@ class TestNormalizedVolume:
 
     def test_volume_additivity(self, polytopes):
         for name, (_, P, _) in polytopes.items():
-            pyramids = P.boundary_pyramid_volumes()
+            pyramids = boundary_pyramid_volumes(P)
             assert sum(pyramids.values()) == P.normalized_volume
 
     def test_square_volume(self):
@@ -385,7 +393,7 @@ def test_concurrent_listing_matches_one_thread():
 
     def read(P, degrees):
         return {
-            d: [(w, P.graded_degree(w), P.tight_facets(w)) for w in P.points_of_degree(d)]
+            d: [(w, P.graded_degree(w), tight_facets(P, w)) for w in P.points_of_degree(d)]
             + [P.points_of_degree(d, face) for face in P.origin_free_faces()]
             for d in degrees
         }

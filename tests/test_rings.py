@@ -31,6 +31,7 @@ from gkzrank.errors import RankDeficient
 from gkzrank.homology import GradedKoszulComplex, wedge_terms
 from gkzrank.lattice import (
     NewtonPolytope,
+    _affine_basis,
     _det,
     _integer_inverse,
     _kernel_normal,
@@ -39,8 +40,14 @@ from gkzrank.lattice import (
 )
 from gkzrank.linalg import RationalSpan, SparseRationalMatrix, rank, solve
 from gkzrank.nondegeneracy import _face_quotient_dims
+from gkzrank.oracles import (
+    PolyZ,
+    face_cone_contains,
+    incidence_sign,
+    sparse_columns,
+    to_dense,
+)
 from gkzrank.rings import cone_numerator
-from gkzrank.series import PolyZ
 
 from test_cli import GOLDEN_SPECS
 
@@ -127,6 +134,17 @@ class TestFacialRing:
             FaceRing(P, origin_face)
 
 
+def _multiply_element(ring, x, y):
+    """The product of two ring elements, term by term."""
+    out = RingElement()
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            w = ring.multiply_monomials(w1, w2)
+            if w is not None:
+                out.add_term(w, c1 * c2)
+    return out
+
+
 class TestFaceProjection:
     def test_gauss_square_to_edge(self, gauss):
         _, P, _ = gauss
@@ -153,9 +171,10 @@ class TestFaceProjection:
             RingElement({(1, 0, 0): Fraction(2), (1, 1, 0): Fraction(1)}),
             RingElement({(1, 0, 1): Fraction(1), (1, 1, 0): Fraction(-3)}),
         ]
-        prod = ring.multiply_element(xs[0], xs[1])
+        prod = _multiply_element(ring, xs[0], xs[1])
         lhs = face_projection(prod, square, edge, P)
-        rhs = ring.multiply_element(
+        rhs = _multiply_element(
+            ring,
             face_projection(xs[0], square, edge, P),
             face_projection(xs[1], square, edge, P),
         )
@@ -207,7 +226,7 @@ class TestPoincareSeries:
 
     def test_free_ring(self):
         ring = FreeRing(2)
-        assert poincare_series(ring).taylor(4) == [1, 2, 3, 4, 5]
+        assert ring.poincare_series().taylor(4) == [1, 2, 3, 4, 5]
 
     def test_triangulation_independence(self, polytopes, monkeypatch):
         # Pulling from the lexicographically largest vertex instead of the
@@ -237,7 +256,8 @@ class TestPoincareSeries:
             monkeypatch.setattr(
                 fresh, "triangulate_face", lambda f, P=fresh: pull_max(P, f)
             )
-            assert cone_numerator(fresh) == expected
+            numerator, k = cone_numerator(fresh)
+            assert (numerator.coeffs, k) == (expected[0].coeffs, expected[1])
 
 
 class TestLogDerivativeClasses:
@@ -269,10 +289,10 @@ class TestLogDerivativeClasses:
         for name, (matrix, P, fiber) in polytopes.items():
             ring = ConeRing(P)
             for g in log_derivative_classes(fiber, None, P):
-                assert ring.is_homogeneous(g, P.gauge_denominator)
+                assert {ring.degree(w) for w in g.terms} <= {P.gauge_denominator}
             for face in P.origin_free_faces():
                 for g in log_derivative_classes(fiber, face, P):
-                    assert ring.is_homogeneous(g, P.gauge_denominator)
+                    assert {ring.degree(w) for w in g.terms} <= {P.gauge_denominator}
 
 
 # -- the integer kernel against Fraction references ----------------------------
@@ -437,7 +457,7 @@ class TestIntegerKernel:
             if r is not None and r * M > 2 * M:
                 continue
             for face in P.origin_free_faces():
-                assert P.face_cone_contains(w, face) == _ref_face_cone_contains(
+                assert face_cone_contains(P, w, face) == _ref_face_cone_contains(
                     P, w, face
                 )
         for face in P.origin_free_faces():
@@ -540,7 +560,8 @@ def _ref_koszul(ring, sequence, step, D):
                         prod = ring.multiply_monomials(u, w)
                         if prod is not None:
                             row = index[(J, prod)]
-                            mat.set(row, col, mat.get(row, col) + sign * coeff)
+                            old = mat.entries.get((row, col), 0)
+                            mat.set(row, col, old + sign * coeff)
             diffs[(q, d)] = mat
     return bases, diffs
 
@@ -616,7 +637,7 @@ class TestSequenceImage:
         assert ring.monomials_of_degree(2) == ((0, 2), (1, 1), (2, 0))
         assert ring.monomials_of_degree(1) == ((0, 1), (1, 0))
         assert (image.rows, image.cols) == (3, 4)
-        assert image.to_dense() == [[0, 3, 0, 0], [1, 0, 0, 3], [0, 0, 1, 0]]
+        assert to_dense(image) == [[0, 3, 0, 0], [1, 0, 0, 3], [0, 0, 1, 0]]
 
     def test_vanishing_products_are_dropped(self):
         # Two edges of the last polytope meet only on a cone facet, so some
@@ -629,7 +650,7 @@ class TestSequenceImage:
         image = sequence_image(ring, [g], M, 2 * M)
         index = {w: r for r, w in enumerate(ring.monomials_of_degree(2 * M))}
         dropped = 0
-        for column, w in zip(image.columns(), slice_):
+        for column, w in zip(sparse_columns(image), slice_):
             expected = {}
             for u, c in g.terms.items():
                 prod = ring.multiply_monomials(u, w)
@@ -740,7 +761,7 @@ def _ref_kernel_normal(points, n):
         for j, c in enumerate(d):
             m.set(i, j, c)
     for j in range(n):
-        probe = m.copy()
+        probe = SparseRationalMatrix(m.rows, m.cols, m.entries)
         probe.set(len(diffs), j, 1)
         x = solve(probe, {len(diffs): 1})
         if x is not None:
@@ -761,12 +782,12 @@ def _ref_incidence_sign(P, face, sub):
     ]
     outward = [a - b for a, b in zip(bary[1], bary[0])]
     mat = SparseRationalMatrix(P.n, p)
-    for j, b in enumerate(P._face_basis(face)):
+    for j, b in enumerate(_affine_basis(face.vertices)):
         for i, c in enumerate(b):
             mat.set(i, j, c)
     coords = [
         solve(mat, col)
-        for col in [outward] + [list(map(Fraction, b)) for b in P._face_basis(sub)]
+        for col in [outward] + [list(map(Fraction, b)) for b in _affine_basis(sub.vertices)]
     ]
     det = _fraction_det([[coords[j][i] for j in range(p)] for i in range(p)])
     return 1 if det > 0 else -1
@@ -847,7 +868,7 @@ class TestIntegerDeterminant:
         for face in P.faces:
             for sub in P.subfaces(face):
                 pairs += 1
-                assert P.incidence_sign(face, sub) == _ref_incidence_sign(P, face, sub)
+                assert incidence_sign(P, face, sub) == _ref_incidence_sign(P, face, sub)
         assert pairs or P.n == 1
 
 
@@ -907,10 +928,10 @@ def test_analyze_lists_each_slice_once_within_its_windows(monkeypatch):
         raise AssertionError("lattice points scanned or a tight set computed")
 
     assert not hasattr(NewtonPolytope, "_gauge_and_tight")
+    assert not hasattr(NewtonPolytope, "tight_facets")
     monkeypatch.setattr(NewtonPolytope, "points_of_degree", recorded)
     monkeypatch.setattr(NewtonPolytope, "_tile", tiled)
     monkeypatch.setattr(NewtonPolytope, "lattice_points_with_gauge_at_most", refuse)
-    monkeypatch.setattr(NewtonPolytope, "tight_facets", refuse)
     problems = runpy.run_path(
         str(Path(__file__).resolve().parents[1] / "bench" / "problems.py")
     )
