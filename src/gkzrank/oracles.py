@@ -40,7 +40,7 @@ from .rings import (
 
 
 class PolyZ(series.PolyZ):
-    """``series.PolyZ`` with arithmetic, comparison and printing."""
+    """``series.PolyZ`` with arithmetic and printing."""
 
     __slots__ = ()
 
@@ -50,12 +50,6 @@ class PolyZ(series.PolyZ):
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, series.PolyZ) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
@@ -344,11 +338,9 @@ def tight_facets(polytope: NewtonPolytope, w) -> frozenset[int] | None:
     if not polytope.cone_contains(w):
         return None
     top = polytope.graded_degree(w)
-    M = polytope.gauge_denominator
     return frozenset(
-        i for i, f in enumerate(polytope.facets)
-        if (f.level > 0 and M // f.level * f.value(w) == top)
-        or (f.level == 0 and f.value(w) == 0)
+        [i for i, m, k in polytope._gauge_facets if k * _dot(m, w) == top]
+        + [i for i, m in polytope._cone_facets if _dot(m, w) == 0]
     )
 
 
@@ -360,7 +352,9 @@ def face_cone_contains(polytope: NewtonPolytope, w, face: Face) -> bool:
     return tight is not None and face.active <= tight
 
 
-def incidence_sign(polytope: NewtonPolytope, face: Face, sub: Face) -> int:
+def incidence_sign(
+    polytope: NewtonPolytope, face: Face, sub: Face, bases: dict | None = None
+) -> int:
     """Orientation sign of a codimension-one subface inside a face.
 
     Each face carries the reference orientation given by greedily chosen
@@ -370,16 +364,22 @@ def incidence_sign(polytope: NewtonPolytope, face: Face, sub: Face) -> int:
     vertex.  On the first rows where the face basis has a nonzero minor,
     that determinant is det(frame rows) / det(basis rows); the outward
     direction is taken between barycentres scaled by both vertex counts,
-    a positive multiple that keeps the sign.
+    a positive multiple that keeps the sign.  ``bases``, keyed by face id,
+    keeps each face's edge vectors across calls.
     """
+    if bases is None:
+        bases = {}
+    for f in (face, sub):
+        if f.id not in bases:
+            bases[f.id] = _affine_basis(f.vertices)
     nf, ns = len(face.vertices), len(sub.vertices)
     outward = tuple(
         nf * sum(v[k] for v in sub.vertices)
         - ns * sum(v[k] for v in face.vertices)
         for k in range(polytope.n)
     )
-    rows, det = _nonsingular_minor(_affine_basis(face.vertices))
-    frame = (outward,) + _affine_basis(sub.vertices)
+    rows, det = _nonsingular_minor(bases[face.id])
+    frame = (outward,) + bases[sub.id]
     return 1 if _det([[c[r] for c in frame] for r in rows]) * det > 0 else -1
 
 
@@ -526,12 +526,13 @@ class FaceComplex:
         self.levels = {q: polytope.index_set(n - 1 - q) for q in range(n)}
         self.augmented = polytope.origin_interior
         self.signs: dict[tuple[int, int], int] = {}
+        bases: dict[int, tuple[Vector, ...]] = {}
         for q in range(n - 1):
             next_ids = {f.id for f in self.levels[q + 1]}
             for face in self.levels[q]:
                 for sub in polytope.subfaces(face):
                     if sub.id in next_ids:
-                        sign = incidence_sign(polytope, face, sub)
+                        sign = incidence_sign(polytope, face, sub, bases)
                         self.signs[(face.id, sub.id)] = sign
 
     def weight_piece(self, w) -> CochainComplexQ:

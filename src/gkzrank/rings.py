@@ -159,9 +159,13 @@ def sequence_image(ring, sequence, step: int, d: int):
     return SparseRationalMatrix(len(index), k * len(prev), entries)
 
 
-def poincare_series(ring: ConeRing):
-    """Exact generating function of the degree-slice dimensions: the cone's
-    numerator over (1 - t^M)^k, as an ``oracles.RationalFunctionQ``."""
+def poincare_series(ring):
+    """Exact generating function of the degree-slice dimensions, as an
+    ``oracles.RationalFunctionQ``: for a ``ConeRing`` the cone's numerator
+    over (1 - t^M)^k, for any other graded ring (``oracles.FreeRing``) its
+    own ``poincare_series()``."""
+    if not isinstance(ring, ConeRing):
+        return ring.poincare_series()
     from .oracles import PolyZ, RationalFunctionQ
 
     numerator, k = cone_numerator(ring.polytope, ring.face)

@@ -1,7 +1,7 @@
 """Integer-coefficient polynomials in one variable.
 
 Poincare numerators and expected top-cohomology polynomials are ``PolyZ``s,
-read by their coefficients only; the arithmetic on them and the
+values read and compared by their coefficients; the arithmetic on them and the
 lowest-terms rational functions built from them live in ``oracles``.
 """
 
@@ -26,3 +26,9 @@ class PolyZ:
 
     def coeff(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    def __eq__(self, other):
+        return isinstance(other, PolyZ) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)

@@ -177,12 +177,14 @@ def test_public_names_are_unchanged_and_resolve_to_their_modules():
 
 
 # Every function in the 13 ``analyze`` modules that no ``gkz analyze`` run
-# below calls, each for one of four reasons.  A process compiles every line
+# below calls, each for one of five reasons.  A process compiles every line
 # of the modules it loads, so anything else belongs in ``oracles`` or the
 # tests.  ``tracer`` names a function that bench/trace_child.py wraps or
-# calls (``RationalSpan`` whole, for its traced ``add``).
-TRACER, ERROR, OTHER, PEP562 = (
-    "tracer target", "usage/error path", "other subcommand", "PEP 562 hook"
+# calls (``RationalSpan`` whole, for its traced ``add``); ``value type``
+# names the equality and hash that make a returned polynomial a value.
+TRACER, ERROR, OTHER, PEP562, VALUE = (
+    "tracer target", "usage/error path", "other subcommand", "PEP 562 hook",
+    "value type",
 )
 NOT_RUN_BY_ANALYZE = {
     "__init__.__dir__": PEP562,
@@ -209,6 +211,8 @@ NOT_RUN_BY_ANALYZE = {
     "nondegeneracy.NondegeneracyReport.offending_faces": OTHER,
     "pipeline.run_subcommand": OTHER,
     "rings.poincare_series": TRACER,
+    "series.PolyZ.__eq__": VALUE,
+    "series.PolyZ.__hash__": VALUE,
 }
 
 
@@ -258,7 +262,7 @@ def test_analyze_runs_every_function_it_compiles(tmp_path):
             finally:
                 sys.setprofile(None)
         assert code == expected_code, name
-    assert set(NOT_RUN_BY_ANALYZE.values()) <= {TRACER, ERROR, OTHER, PEP562}
+    assert set(NOT_RUN_BY_ANALYZE.values()) <= {TRACER, ERROR, OTHER, PEP562, VALUE}
     not_run = {qualname for key, qualname in defs.items() if key not in called}
     assert not_run == set(NOT_RUN_BY_ANALYZE)
 
