@@ -13,16 +13,20 @@ from gkzrank import (
     connection_matrices,
     euler_operators,
     h_top_dimension,
+    is_nondegenerate,
     lattice_kernel,
     reduce_to_basis,
     render_box,
     render_euler,
     validate_matrix,
+    verify_kouchnirenko,
 )
 
-matrix = validate_matrix([[2]])
-polytope = NewtonPolytope(matrix)
-dim, basis = h_top_dimension([0], [1], polytope)
+# Each stage takes the result of the one before: certify the fiber, count
+# the Koszul top cohomology, then build the de Rham basis on it.
+polytope = NewtonPolytope(validate_matrix([[2]]))
+koszul = verify_kouchnirenko(is_nondegenerate([1], polytope))
+dim, basis = h_top_dimension([0], koszul)
 print("basis of the top cohomology:", basis.basis)
 
 for k in range(2, 6):
@@ -30,7 +34,7 @@ for k in range(2, 6):
     coords = reduce_to_basis(form, basis)
     print(f"t^{k} dlog t reduces to coordinates {coords}")
 
-mats = connection_matrices([0], [1], basis)
+mats = connection_matrices(basis)
 print("\nconnection matrix for the only column:")
 for row in mats[0]:
     print("  ", [str(c) for c in row])

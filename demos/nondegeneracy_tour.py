@@ -16,7 +16,7 @@ for face in polytope.origin_free_faces():
     print(f"  face {face.id}: dim {face.dim}, vertices {face.vertices}")
 
 # The generic-looking fiber (1,2,3,4) passes every face.
-good = is_nondegenerate(matrix, [1, 2, 3, 4], polytope)
+good = is_nondegenerate([1, 2, 3, 4], polytope)
 print("\nfiber (1,2,3,4): nondegenerate =", good.overall)
 for cert in good.certificates:
     print(
@@ -26,7 +26,7 @@ for cert in good.certificates:
 
 # The symmetric fiber (1,1,1,1) hides a critical point on the square facet
 # at t2 = t3 = -1, and the square quotient never dies.
-bad = is_nondegenerate(matrix, [1, 1, 1, 1], polytope)
+bad = is_nondegenerate([1, 1, 1, 1], polytope)
 print("\nfiber (1,1,1,1): nondegenerate =", bad.overall)
 for cert in bad.offending_faces():
     print(
@@ -38,5 +38,5 @@ for cert in bad.offending_faces():
 for j in range(4):
     fiber = [1, 1, 1, 1]
     fiber[j] = 0
-    verdict = is_nondegenerate(matrix, fiber, polytope).overall
+    verdict = is_nondegenerate(fiber, polytope).overall
     print(f"fiber with a_{j+1} = 0: nondegenerate = {verdict}")

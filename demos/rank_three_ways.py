@@ -11,6 +11,7 @@ from gkzrank import (
     NewtonPolytope,
     PolyZ,
     h_top_dimension,
+    is_nondegenerate,
     validate_matrix,
     verify_kouchnirenko,
 )
@@ -32,19 +33,21 @@ for f in polytope.facets:
 # at the origin, so its volume is 1/3 and the normalized volume is 3! / 3.
 print("\n1) normalized volume:", polytope.normalized_volume)
 
-# Route 2: algebra.  The leading log-derivative classes cut the graded
-# semigroup ring down to a finite-dimensional quotient; its dimension is
+# Route 2: algebra.  The fiber is certified face by face first; on the
+# certified report, the leading log-derivative classes cut the graded
+# semigroup ring down to a finite-dimensional quotient, whose dimension is
 # read off degree by degree.
-koszul = verify_kouchnirenko(matrix, fiber, polytope)
+report = is_nondegenerate(fiber, polytope)
+koszul = verify_kouchnirenko(report)
 print("2) Koszul top cohomology:", koszul.top_dim)
 print("   lower cohomology vanishes:", koszul.vanishing)
 print("   per-degree dims:", dict(koszul.per_degree))
 print("   predicted polynomial:", PolyZ(koszul.expected_polynomial.coeffs))
 
 # Route 3: analysis.  The twisted de Rham differential is reduced against
-# the monomial basis lifted from route 2, so route 2's result is passed in
-# rather than computed again.
-dim, basis = h_top_dimension(gamma, fiber, polytope, kouchnirenko=koszul)
+# the monomial basis lifted from route 2, so this stage takes route 2's
+# result, and with it the fiber and the polytope.
+dim, basis = h_top_dimension(gamma, koszul)
 print("3) de Rham cokernel dimension:", dim)
 print("   monomial basis:", basis.basis)
 

@@ -22,8 +22,8 @@ _EXPORTS = {
         MismatchAtDegree NotAFacePair NotARelation NotInCone RankDeficient
         ShapeMismatch TruncationTooSmall UnknownSubcommand""",
     "homology": "KouchnirenkoResult poincare_identity_check verify_kouchnirenko",
-    "lattice": """ExponentCone ExponentMatrix Face Facet NewtonPolytope
-        exponent_cone normalize_gamma validate_matrix""",
+    "lattice": """ExponentMatrix Face Facet NewtonPolytope normalize_gamma
+        validate_matrix""",
     "jsonio": "ProblemSpec",
     "linalg": "SparseRationalMatrix",
     "nondegeneracy": "FaceCertificate NondegeneracyReport is_nondegenerate",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .errors import DegenerateFiber, GkzError, UnknownSubcommand
+from .errors import DegenerateFiber, GkzError
 from .jsonio import (
     DEFAULT_WEIGHT_BOUND,
     GEOMETRY_SUBCOMMANDS,
@@ -156,9 +156,6 @@ def main(argv=None) -> int:
     except DegenerateFiber as exc:
         _emit(error_json(command, exc), out)
         return EXIT_DEGENERATE
-    except UnknownSubcommand as exc:
-        _emit(error_json("dispatch", exc), out)
-        return EXIT_INPUT_ERROR
     except GkzError as exc:
         _emit(error_json(command, exc), out)
         return EXIT_INPUT_ERROR

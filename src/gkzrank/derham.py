@@ -17,8 +17,8 @@ from math import gcd, lcm
 from operator import add
 
 from .errors import GammaNotNormalized, NotInCone
-from .homology import KouchnirenkoResult, verify_kouchnirenko, wedge_terms
-from .lattice import NewtonPolytope, Vector
+from .homology import KouchnirenkoResult, wedge_terms
+from .lattice import NewtonPolytope, Vector, _check_length
 from .linalg import SparseRationalMatrix, rank
 
 
@@ -88,14 +88,17 @@ class ReductionBasis:
     images (their terms below e) are subtracted, each image checked once,
     in integers, against its slice column.  The remainder is rewritten
     through the normal forms of its monomials, kept in ``normal_forms`` as
-    (numerators, denominator) in lowest common terms.
+    (numerators, denominator) in lowest common terms.  The fiber and the
+    polytope are the Kouchnirenko result's.
     """
 
-    def __init__(self, gamma, fiber, polytope: NewtonPolytope, kouchnirenko):
+    def __init__(self, gamma, kouchnirenko: KouchnirenkoResult):
+        polytope = kouchnirenko.ring.polytope
+        _check_length(gamma, polytope.n)
         _warn_if_not_normalized(gamma, polytope)
         self.polytope = polytope
         self.gamma = tuple(Fraction(g) for g in gamma)
-        self.fiber = tuple(Fraction(c) for c in fiber)
+        self.fiber = tuple(Fraction(c) for c in kouchnirenko.fiber)
         self.scale = lcm(*(c.denominator for c in self.gamma + self.fiber))
         s = self.scale
         self._scaled = [[int(x * s) for x in v] for v in (self.gamma, self.fiber)]
@@ -221,21 +224,16 @@ class ReductionBasis:
         return tuple(coords)
 
 
-def h_top_dimension(
-    gamma, fiber, polytope: NewtonPolytope, *,
-    kouchnirenko: KouchnirenkoResult | None = None,
-):
+def h_top_dimension(gamma, kz: KouchnirenkoResult):
     """Cokernel dimension of the truncated top differential, plus the basis.
 
     The truncation keeps coefficient degrees through the certified Koszul
     bound; the filtration argument makes the cokernel equal to the full top
     cohomology, so on a nondegenerate fiber it must come out at the
-    normalized volume.  A ``kouchnirenko`` result already computed for this
-    fiber is reused; without one the fiber is certified here and a
-    degenerate one raises.
+    normalized volume.
     """
-    kz = kouchnirenko or verify_kouchnirenko(polytope.matrix, fiber, polytope)
-    basis = ReductionBasis(gamma, fiber, polytope, kz)
+    basis = ReductionBasis(gamma, kz)
+    polytope = basis.polytope
     M = polytope.gauge_denominator
     ring = kz.ring
     top_bound = kz.truncation
@@ -256,21 +254,12 @@ def h_top_dimension(
     return dim, basis
 
 
-def _check_built_for(basis: ReductionBasis, gamma, fiber):
-    """Reject a gamma or fiber, unless None, that the basis was not built for."""
-    if gamma is not None and tuple(map(Fraction, gamma)) != basis.gamma:
-        raise ValueError("basis was built for a different parameter vector")
-    if fiber is not None and tuple(map(Fraction, fiber)) != basis.fiber:
-        raise ValueError("basis was built for a different fiber")
-
-
-def connection_matrices(gamma, fiber, basis: ReductionBasis):
+def connection_matrices(basis: ReductionBasis):
     """Gauss-Manin matrices: one per column, acting on the reduction basis.
 
     Entry (k, l) of the j-th matrix is the k-th coordinate of the reduction
     of the j-th column monomial times the l-th basis monomial.
     """
-    _check_built_for(basis, gamma, fiber)
     out = []
     for wj in basis.polytope.matrix.columns:
         cols = [basis.reduce_monomial(tuple(map(add, wj, wl))) for wl in basis.basis]

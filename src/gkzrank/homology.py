@@ -17,7 +17,7 @@ from itertools import accumulate
 from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
 from .lattice import NewtonPolytope
 from .linalg import Echelon, SparseRationalMatrix
-from .nondegeneracy import is_nondegenerate
+from .nondegeneracy import NondegeneracyReport
 from .rings import (
     ConeRing,
     cone_numerator,
@@ -75,14 +75,16 @@ class KouchnirenkoResult:
     complex (``oracles.GradedKoszulComplex``) certifies, since its outgoing
     map from degree d must stay within D, so ``vanishing`` is its answer
     with no Koszul map built.  ``per_degree`` and ``top_dim`` are those of
-    S_k, in every degree up to D."""
+    S_k, in every degree up to D.  The classes are those of ``fiber``, which
+    the result keeps for the de Rham stage."""
 
-    def __init__(self, ring: ConeRing, sequence, expected_polynomial, truncation):
+    def __init__(self, ring: ConeRing, fiber, expected_polynomial, truncation):
         self.ring: ConeRing = ring
-        self.sequence: list = sequence
+        self.fiber: tuple = tuple(fiber)
+        self.sequence: list = log_derivative_classes(fiber, None, ring.polytope)
         self.expected_polynomial: PolyZ = expected_polynomial
         self.truncation: int = truncation
-        self._scaled, self._scales = integral_classes(sequence)
+        self._scaled, self._scales = integral_classes(self.sequence)
         self._slices: dict[int, tuple] = {}
         quotients = [self._quotient_dims(d) for d in range(truncation + 1)]
         # A zero sequence has no degree: the full complex then steps by 1,
@@ -191,33 +193,26 @@ def expected_top_polynomial(polytope: NewtonPolytope) -> PolyZ:
 
 
 def verify_kouchnirenko(
-    matrix, fiber, polytope: NewtonPolytope | None = None, *,
-    require_nondegenerate: bool = True,
-    truncation_cap: int | None = None,
-):
-    """Certify vanishing of the lower Koszul cohomology and count the top.
+    report: NondegeneracyReport, *, truncation_cap: int | None = None
+) -> KouchnirenkoResult:
+    """Certify vanishing of the lower Koszul cohomology and count the top,
+    for the fiber and polytope of a nondegeneracy report.
 
     The truncation degree is the degree of the predicted top-cohomology
-    polynomial plus one grading window, which bounds the support whenever
-    the fiber is nondegenerate.  With ``require_nondegenerate`` the fiber is
-    certified first and a degenerate one raises; without it the scan runs
-    anyway and reports whatever failure signal appears.  A truncation above
-    ``truncation_cap`` raises TruncationTooSmall before any slice is built.
+    polynomial plus one grading window, which bounds the support because
+    the fiber is nondegenerate: a report that is not raises DegenerateFiber.
+    A truncation above ``truncation_cap`` raises TruncationTooSmall before
+    any slice is built.
     """
-    if polytope is None:
-        polytope = NewtonPolytope(matrix)
-    if require_nondegenerate:
-        report = is_nondegenerate(matrix, fiber, polytope)
-        if not report.overall:
-            bad = [c.face_id for c in report.offending_faces()]
-            raise DegenerateFiber(f"degenerate fiber; offending faces {bad}")
-    ring = ConeRing(polytope)
+    if not report.overall:
+        bad = [c.face_id for c in report.offending_faces()]
+        raise DegenerateFiber(f"degenerate fiber; offending faces {bad}")
+    polytope = report.polytope
     expected = expected_top_polynomial(polytope)
     truncation = expected.degree + polytope.gauge_denominator
     if truncation_cap is not None and truncation > truncation_cap:
         raise TruncationTooSmall(truncation, truncation_cap)
-    sequence = log_derivative_classes(fiber, None, polytope)
-    return KouchnirenkoResult(ring, sequence, expected, truncation)
+    return KouchnirenkoResult(ConeRing(polytope), report.fiber, expected, truncation)
 
 
 class PoincareCheck:
@@ -240,18 +235,13 @@ class PoincareCheck:
         }
 
 
-def poincare_identity_check(
-    matrix, fiber, polytope=None, *, kouchnirenko: KouchnirenkoResult | None = None
-) -> PoincareCheck:
+def poincare_identity_check(result: KouchnirenkoResult) -> PoincareCheck:
     """Check the top-cohomology series identity degree by degree.
 
     Raises MismatchAtDegree on the first disagreement between the computed
     top-cohomology dimensions and the predicted polynomial coefficients.
-    A ``kouchnirenko`` result already computed for this fiber is reused.
     """
-    if polytope is None:
-        polytope = NewtonPolytope(matrix)
-    result = kouchnirenko or verify_kouchnirenko(matrix, fiber, polytope)
+    polytope = result.ring.polytope
     poly = result.expected_polynomial
     for d in range(result.truncation + 1):
         got = result.per_degree.get(d, 0)

@@ -56,9 +56,9 @@ def _sub(u, v) -> Vector:
 
 
 def _check_length(w, n):
-    """Reject a point of the wrong length, which a dot product would truncate."""
+    """Reject a vector of the wrong length, which a dot product would truncate."""
     if len(w) != n:
-        raise ShapeMismatch(f"point {tuple(w)} has length {len(w)}, expected {n}")
+        raise ShapeMismatch(f"vector {tuple(w)} has length {len(w)}, expected {n}")
 
 
 def _primitive(v):
@@ -563,24 +563,7 @@ def _opens_below(adj_row, first, rows) -> bool:
     raise AssertionError("perturbation lies on a wall of a simplicial piece")
 
 
-class ExponentCone:
-    """The cone positively spanned by the exponent columns."""
-
-    def __init__(self, generators, inequalities):
-        self.generators: tuple[Vector, ...] = generators
-        self.inequalities: tuple[Vector, ...] = inequalities
-
-
-def exponent_cone(
-    matrix: ExponentMatrix, polytope: NewtonPolytope | None = None
-) -> ExponentCone:
-    """Facet description of the cone spanned by the columns of the matrix."""
-    if polytope is None:
-        polytope = NewtonPolytope(matrix)
-    return ExponentCone(matrix.columns, polytope.cone_inequalities())
-
-
-def normalize_gamma(gamma, cone: ExponentCone):
+def normalize_gamma(gamma, polytope: NewtonPolytope):
     """Shift gamma by an integer vector into the negated exponent cone.
 
     The returned representative satisfies m(gamma') <= 0 for every covector m
@@ -592,14 +575,15 @@ def normalize_gamma(gamma, cone: ExponentCone):
     product order on its shell.  The column sum c is interior to the cone, so t c is one
     such offset for t large enough; the search ends by its radius.
     """
+    _check_length(gamma, polytope.n)
     gamma = tuple(Fraction(g) for g in gamma)
     n = len(gamma)
-    ms = cone.inequalities
+    ms = polytope.cone_inequalities()
     if all(_dot(m, gamma) <= 0 for m in ms):
         return gamma
     center = tuple(round(g) for g in gamma)
     needs = [(m, ceil(_dot(m, gamma) - _dot(m, center))) for m in ms]
-    c = [sum(col) for col in zip(*cone.generators)]
+    c = [sum(col) for col in zip(*polytope.matrix.columns)]
     t = max([0] + [-(-need // _dot(m, c)) for m, need in needs])
     rows = [([-a for a in m[:-1]], -m[-1], -need) for m, need in needs]
     for r in range(t * max(abs(x) for x in c) + 1):

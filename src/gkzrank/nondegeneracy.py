@@ -70,9 +70,14 @@ class FaceCertificate:
 
 
 class NondegeneracyReport:
-    def __init__(self, overall, certificates):
+    """The face certificates of one fiber, with the polytope and the fiber
+    they certify, which the Koszul stage reads off the report."""
+
+    def __init__(self, overall, certificates, polytope, fiber):
         self.overall: bool = overall
         self.certificates: list[FaceCertificate] = certificates
+        self.polytope: NewtonPolytope = polytope
+        self.fiber: tuple[Fraction, ...] = fiber
 
     def offending_faces(self):
         return [c for c in self.certificates if c.verdict == "infinite"]
@@ -155,14 +160,12 @@ def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate
     )
 
 
-def is_nondegenerate(matrix, fiber, polytope: NewtonPolytope | None = None):
+def is_nondegenerate(fiber, polytope: NewtonPolytope) -> NondegeneracyReport:
     """Certify the fiber face by face; degeneracy is a result, not an error."""
-    if polytope is None:
-        polytope = NewtonPolytope(matrix)
-    fiber = [Fraction(c) for c in fiber]
+    fiber = tuple(Fraction(c) for c in fiber)
     if len(fiber) != polytope.matrix.num_columns:
         raise ValueError("fiber length does not match the column count")
     faces = polytope.origin_free_faces()
     certificates = [certify_face(fiber, face, polytope) for face in faces]
     overall = all(c.verdict == "finite" for c in certificates)
-    return NondegeneracyReport(overall, certificates)
+    return NondegeneracyReport(overall, certificates, polytope, fiber)

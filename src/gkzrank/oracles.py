@@ -23,11 +23,10 @@ from math import gcd, lcm
 
 from . import rings, series
 from .derham import (
-    ReductionBasis, _check_built_for, _partial, _warn_if_not_normalized,
-    twisted_differential,
+    ReductionBasis, _partial, _warn_if_not_normalized, twisted_differential,
 )
 from .errors import FaceContainsOrigin, NotAFacePair, NotARelation, NotInCone
-from .homology import KouchnirenkoResult, verify_kouchnirenko, wedge_terms
+from .homology import KouchnirenkoResult, wedge_terms
 from .lattice import (
     Face, NewtonPolytope, Vector, _affine_basis, _det, _dot, _nonsingular_minor,
 )
@@ -820,11 +819,8 @@ class LogForm:
         return " + ".join(bits)
 
 
-def reduce_to_basis(
-    form: LogForm, basis: ReductionBasis, gamma=None, fiber=None
-) -> tuple[Fraction, ...]:
+def reduce_to_basis(form: LogForm, basis: ReductionBasis) -> tuple[Fraction, ...]:
     """Coordinates of a top form in the reduction basis, modulo exact forms."""
-    _check_built_for(basis, gamma, fiber)
     return basis.reduce(form)
 
 
@@ -900,22 +896,18 @@ def check_gr_equals_koszul(
     return GrComparison(True, checked)
 
 
-def derham_cohomology_dims(
-    gamma, fiber, polytope: NewtonPolytope, level_cap=None, *,
-    kouchnirenko: KouchnirenkoResult | None = None,
-):
-    """Truncated dimensions of every cohomology spot of the twisted complex.
+def derham_cohomology_dims(gamma, kz: KouchnirenkoResult, level_cap=None):
+    """Truncated dimensions of every cohomology spot of the twisted complex,
+    at the fiber and polytope of a Kouchnirenko result.
 
     Opt-in diagnostic: with the leading parts certified exact away from the
     top, every spot below the top must report zero at any cap, because a
-    cocycle always bounds at its own filtration level.  A ``kouchnirenko``
-    result already computed for this fiber is reused; without one the fiber
-    is certified here and a degenerate one raises.
+    cocycle always bounds at its own filtration level.
     """
-    kz = kouchnirenko or verify_kouchnirenko(polytope.matrix, fiber, polytope)
+    polytope = kz.ring.polytope
     _warn_if_not_normalized(gamma, polytope)
     gamma = [Fraction(g) for g in gamma]
-    fiber = [Fraction(c) for c in fiber]
+    fiber = [Fraction(c) for c in kz.fiber]
     n = polytope.n
     M = polytope.gauge_denominator
     ring = kz.ring

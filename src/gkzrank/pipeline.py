@@ -22,7 +22,7 @@ from .jsonio import (
     geometry_answer,
     polytope_summary_json,
 )
-from .lattice import ExponentMatrix, exponent_cone, normalize_gamma
+from .lattice import ExponentMatrix, normalize_gamma
 from .nondegeneracy import is_nondegenerate
 from .operators import (
     euler_operators,
@@ -62,19 +62,9 @@ def _operators_json(matrix: ExponentMatrix, gamma):
     }
 
 
-def _kouchnirenko(spec: ProblemSpec, matrix, polytope, **kwargs):
-    return verify_kouchnirenko(
-        matrix,
-        spec.fiber,
-        polytope,
-        truncation_cap=spec.options.get("truncation_cap"),
-        **kwargs,
-    )
-
-
-def _derham_json(gamma_norm, fiber, polytope, kz) -> dict:
-    dim, basis = h_top_dimension(gamma_norm, fiber, polytope, kouchnirenko=kz)
-    mats = connection_matrices(gamma_norm, fiber, basis)
+def _derham_json(gamma_norm, kz) -> dict:
+    dim, basis = h_top_dimension(gamma_norm, kz)
+    mats = connection_matrices(basis)
     return {
         "dimension": dim,
         "basis": [list(w) for w in basis.basis],
@@ -87,9 +77,9 @@ def _derham_json(gamma_norm, fiber, polytope, kz) -> dict:
 def run_analyze(spec: ProblemSpec, with_timings: bool = True) -> RankReport:
     """Full pipeline: geometry, certification, cohomology, operators.
 
-    Each stage's result is passed on to the stages that need it, so the
-    fiber is certified once and each top Koszul slice factored once.  Each
-    stage's time is the lap since the previous stage ended.
+    Each stage takes the result of the stage before it, so the fiber is
+    certified once and each top Koszul slice factored once.  Each stage's
+    time is the lap since the previous stage ended.
     """
     timings: dict[str, float] = {}
     last = time.perf_counter()
@@ -104,24 +94,23 @@ def run_analyze(spec: ProblemSpec, with_timings: bool = True) -> RankReport:
     lap("validate")
     body["polytope"] = polytope_summary_json(polytope)
     lap("polytope")
-    gamma_norm = normalize_gamma(spec.gamma, exponent_cone(matrix, polytope))
+    gamma_norm = normalize_gamma(spec.gamma, polytope)
     body["gamma_normalized"] = [format_rational(g) for g in gamma_norm]
     lap("normalize_gamma")
-    report = is_nondegenerate(matrix, spec.fiber, polytope)
+    report = is_nondegenerate(spec.fiber, polytope)
     body["nondegeneracy"] = report.to_json()
     lap("nondegeneracy")
     degenerate = not report.overall
     if degenerate:
         body.update(koszul=None, poincare=None, derham=None)
     else:
-        kz = _kouchnirenko(spec, matrix, polytope, require_nondegenerate=False)
+        cap = spec.options.get("truncation_cap")
+        kz = verify_kouchnirenko(report, truncation_cap=cap)
         body["koszul"] = kz.to_json()
         lap("koszul")
-        body["poincare"] = poincare_identity_check(
-            matrix, spec.fiber, polytope, kouchnirenko=kz
-        ).to_json()
+        body["poincare"] = poincare_identity_check(kz).to_json()
         lap("poincare")
-        body["derham"] = _derham_json(gamma_norm, spec.fiber, polytope, kz)
+        body["derham"] = _derham_json(gamma_norm, kz)
         lap("derham")
         body["rank_agreement"] = (
             polytope.normalized_volume
@@ -152,24 +141,20 @@ def run_subcommand(name: str, spec: ProblemSpec) -> dict:
     if name in GEOMETRY_SUBCOMMANDS:
         return geometry_answer(name, spec)
     matrix, polytope = _validated(spec)
-    if name == "nondegenerate":
-        return is_nondegenerate(matrix, spec.fiber, polytope).to_json()
-    if name == "koszul":
-        return _kouchnirenko(spec, matrix, polytope).to_json()
-    if name == "poincare":
-        return poincare_identity_check(
-            matrix,
-            spec.fiber,
-            polytope,
-            kouchnirenko=_kouchnirenko(spec, matrix, polytope),
-        ).to_json()
     if name == "face-complex":
         from .oracles import check_face_complex_exactness
 
         bound = spec.options.get("weight_bound", DEFAULT_WEIGHT_BOUND)
         return check_face_complex_exactness(polytope, bound).to_json()
-    gamma_norm = normalize_gamma(spec.gamma, exponent_cone(matrix, polytope))
-    if name == "derham":
-        kz = _kouchnirenko(spec, matrix, polytope)
-        return _derham_json(gamma_norm, spec.fiber, polytope, kz)
-    return _operators_json(matrix, gamma_norm)  # gkz-ops
+    if name == "gkz-ops":
+        return _operators_json(matrix, normalize_gamma(spec.gamma, polytope))
+    report = is_nondegenerate(spec.fiber, polytope)
+    if name == "nondegenerate":
+        return report.to_json()
+    cap = spec.options.get("truncation_cap")
+    kz = verify_kouchnirenko(report, truncation_cap=cap)
+    if name == "koszul":
+        return kz.to_json()
+    if name == "poincare":
+        return poincare_identity_check(kz).to_json()
+    return _derham_json(normalize_gamma(spec.gamma, polytope), kz)

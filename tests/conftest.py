@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import gkzrank
-from gkzrank import NewtonPolytope, validate_matrix
+from gkzrank import ConeRing, KouchnirenkoResult, NewtonPolytope, validate_matrix
+from gkzrank.homology import expected_top_polynomial
 
 
 def pytest_configure(config):
@@ -19,6 +20,17 @@ def pytest_configure(config):
             f"imported the one in {imported}; to test that tree, run its own "
             "tests from inside it"
         )
+
+
+
+def kouchnirenko_scan(P, fiber):
+    """The Koszul scan of any fiber, degenerate or not, at the truncation
+    ``verify_kouchnirenko`` uses; that stage refuses a fiber whose report is
+    not nondegenerate, so a scan of a degenerate one is built directly."""
+    expected = expected_top_polynomial(P)
+    truncation = expected.degree + P.gauge_denominator
+    return KouchnirenkoResult(ConeRing(P), fiber, expected, truncation)
+
 
 GAUSS_ROWS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 

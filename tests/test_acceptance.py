@@ -49,11 +49,10 @@ def test_criterion_1_rank_triple_agreement():
     ok = True
     for name, rows, fiber, expected in FIXTURES:
         t0 = time.perf_counter()
-        matrix = validate_matrix(rows)
-        P = NewtonPolytope(matrix)
+        P = NewtonPolytope(validate_matrix(rows))
         vol = P.normalized_volume
-        kz = verify_kouchnirenko(matrix, fiber, P)
-        dim, _ = h_top_dimension([0] * P.n, fiber, P)
+        kz = verify_kouchnirenko(is_nondegenerate(fiber, P))
+        dim, _ = h_top_dimension([0] * P.n, kz)
         elapsed = time.perf_counter() - t0
         agree = vol == kz.top_dim == dim == expected
         ok = ok and agree and elapsed < 10.0
@@ -65,8 +64,8 @@ def test_criterion_2_kouchnirenko_vanishing():
     t0 = time.perf_counter()
     ok = True
     for name, rows, fiber, _ in FIXTURES:
-        matrix = validate_matrix(rows)
-        result = verify_kouchnirenko(matrix, fiber)
+        P = NewtonPolytope(validate_matrix(rows))
+        result = verify_kouchnirenko(is_nondegenerate(fiber, P))
         ok = ok and result.vanishing
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
@@ -78,9 +77,8 @@ def test_criterion_3_poincare_identity():
     ok = True
     details = []
     for name, rows, fiber, _ in FIXTURES:
-        matrix = validate_matrix(rows)
-        P = NewtonPolytope(matrix)
-        result = verify_kouchnirenko(matrix, fiber, P)
+        P = NewtonPolytope(validate_matrix(rows))
+        result = verify_kouchnirenko(is_nondegenerate(fiber, P))
         poly = result.expected_polynomial
         match = all(
             result.per_degree.get(d, 0) == poly.coeff(d)
@@ -113,17 +111,15 @@ def test_criterion_5_degeneracy_detection(tmp_path):
     import json
 
     gauss_rows = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
-    gauss = validate_matrix(gauss_rows)
-    P = NewtonPolytope(gauss)
-    report = is_nondegenerate(gauss, [1, 1, 1, 1], P)
+    P = NewtonPolytope(validate_matrix(gauss_rows))
+    report = is_nondegenerate([1, 1, 1, 1], P)
     square = P.index_set(2)[0]
     gauss_ok = (not report.overall) and [
         c.face_id for c in report.offending_faces()
     ] == [square.id]
 
-    interval = validate_matrix([[1, 2]])
-    P2 = NewtonPolytope(interval)
-    report2 = is_nondegenerate(interval, [1, 0], P2)
+    P2 = NewtonPolytope(validate_matrix([[1, 2]]))
+    report2 = is_nondegenerate([1, 0], P2)
     vertex = P2.face_by_vertices([(2,)])
     interval_ok = (not report2.overall) and [
         c.face_id for c in report2.offending_faces()
@@ -145,11 +141,11 @@ def test_criterion_6_connection_closed_forms():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GammaNotNormalized)
         P1 = NewtonPolytope(validate_matrix([[1]]))
-        _, basis1 = h_top_dimension([F(1, 3)], [2], P1)
-        mats1 = connection_matrices([F(1, 3)], [2], basis1)
+        _, basis1 = h_top_dimension([F(1, 3)], verify_kouchnirenko(is_nondegenerate([2], P1)))
+        mats1 = connection_matrices(basis1)
     P2 = NewtonPolytope(validate_matrix([[2]]))
-    _, basis2 = h_top_dimension([0], [1], P2)
-    mats2 = connection_matrices([0], [1], basis2)
+    _, basis2 = h_top_dimension([0], verify_kouchnirenko(is_nondegenerate([1], P2)))
+    mats2 = connection_matrices(basis2)
     ok = mats1 == [[[F(-1, 6)]]] and mats2 == [[[F(0), F(0)], [F(0), F(-1, 2)]]]
     verdict(6, "connection matrices match the closed forms", ok,
             f"B1={mats1[0]}, B2={mats2[0]}")

@@ -12,6 +12,7 @@ from gkzrank import (
     LogForm,
     NewtonPolytope,
     RankDeficient,
+    ReductionBasis,
     ShapeMismatch,
     check_gr_equals_koszul,
     connection_matrices,
@@ -34,6 +35,11 @@ F = Fraction
 
 def form(n, indices, w, coeff=1):
     return LogForm.monomial(n, indices, w, coeff)
+
+
+def _kz(fiber, P):
+    """The certified Kouchnirenko result that the de Rham stage takes."""
+    return verify_kouchnirenko(is_nondegenerate(fiber, P))
 
 
 class TestTwistedDifferential:
@@ -135,20 +141,32 @@ class TestTopDimension:
     )
     def test_fixtures(self, rows, gamma, fiber, expected):
         P = NewtonPolytope(validate_matrix(rows))
-        dim, basis = h_top_dimension(gamma, fiber, P)
+        dim, basis = h_top_dimension(gamma, _kz(fiber, P))
         assert dim == expected == P.normalized_volume
         assert basis.dimension == expected
 
     def test_degenerate_rejected(self, gauss):
-        matrix, P, _ = gauss
+        # The de Rham stage takes a Kouchnirenko result, which a degenerate
+        # fiber never gets.
+        _, P, _ = gauss
         with pytest.raises(DegenerateFiber):
-            h_top_dimension([0, 0, 0], [1, 1, 1, 1], P)
+            _kz([1, 1, 1, 1], P)
+
+    @pytest.mark.parametrize("gamma", [[0], [0, 0, 0, 0]])
+    def test_wrong_length_gamma_is_rejected(self, gauss, gamma):
+        # [0] once raised IndexError and [0, 0, 0, 0] was taken as [0, 0, 0].
+        _, P, fiber = gauss
+        kz = _kz(fiber, P)
+        with pytest.raises(ShapeMismatch, match=f"length {len(gamma)}, expected 3"):
+            h_top_dimension(gamma, kz)
+        with pytest.raises(ShapeMismatch, match=f"length {len(gamma)}, expected 3"):
+            ReductionBasis(gamma, kz)
 
 
 class TestReduceToBasis:
     def test_basis_element_cache_hit(self):
         P = NewtonPolytope(validate_matrix([[2]]))
-        _, basis = h_top_dimension([0], [1], P)
+        _, basis = h_top_dimension([0], _kz([1], P))
         for k, w in enumerate(basis.basis):
             coords = reduce_to_basis(form(1, (0,), w), basis)
             expected = tuple(
@@ -158,40 +176,34 @@ class TestReduceToBasis:
 
     def test_unit_ray_relation(self):
         P = NewtonPolytope(validate_matrix([[1]]))
-        _, basis = h_top_dimension([0], [1], P)
+        _, basis = h_top_dimension([0], _kz([1], P))
         assert reduce_to_basis(form(1, (0,), (1,)), basis) == (F(0),)
 
     def test_double_ray_relation(self):
         P = NewtonPolytope(validate_matrix([[2]]))
-        _, basis = h_top_dimension([0], [1], P)
+        _, basis = h_top_dimension([0], _kz([1], P))
         assert reduce_to_basis(form(1, (0,), (3,)), basis) == (F(0), F(-1, 2))
 
     def test_exact_form_reduces_to_zero(self, gauss):
-        matrix, P, fiber = gauss
-        _, basis = h_top_dimension([0, 0, 0], fiber, P)
+        _, P, fiber = gauss
+        _, basis = h_top_dimension([0, 0, 0], _kz(fiber, P))
         eta = form(3, (0, 1), (1, 1, 0), F(3, 2)) + form(3, (1, 2), (2, 1, 1), F(-1))
         d_eta = twisted_differential([0, 0, 0], fiber, eta, P)
         coords = reduce_to_basis(d_eta, basis)
         assert all(c == 0 for c in coords)
 
-    def test_other_gamma_or_fiber_is_rejected(self, gauss):
-        matrix, P, fiber = gauss
-        _, basis = h_top_dimension([0, 0, 0], fiber, P)
+    def test_basis_reads_its_fiber_off_the_kouchnirenko_result(self, gauss):
+        # Neither reduce_to_basis nor connection_matrices takes a gamma or a
+        # fiber that could disagree with the basis: the fiber is the one the
+        # certified classes were built from.
+        _, P, fiber = gauss
+        kz = _kz(fiber, P)
+        _, basis = h_top_dimension(["0", 0, F(0)], kz)
+        assert basis.kouchnirenko is kz and basis.polytope is P
+        assert basis.fiber == kz.fiber == tuple(map(F, fiber))
+        assert basis.gamma == (0, 0, 0)
         w = form(3, (0, 1, 2), (1, 0, 0))
-        assert reduce_to_basis(w, basis, ["0", 0, F(0)], fiber) == basis.reduce(w)
-        other = [c + 1 for c in fiber]
-        for call in (
-            lambda: reduce_to_basis(w, basis, gamma=[-1, 0, 0]),
-            lambda: connection_matrices([-1, 0, 0], fiber, basis),
-        ):
-            with pytest.raises(ValueError, match="different parameter vector"):
-                call()
-        for call in (
-            lambda: reduce_to_basis(w, basis, fiber=other),
-            lambda: connection_matrices([0, 0, 0], other, basis),
-        ):
-            with pytest.raises(ValueError, match="different fiber"):
-                call()
+        assert reduce_to_basis(w, basis) == basis.reduce(w)
 
 
 class TestConnectionMatrices:
@@ -199,25 +211,25 @@ class TestConnectionMatrices:
         P = NewtonPolytope(validate_matrix([[1]]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GammaNotNormalized)
-            _, basis = h_top_dimension([F(1, 3)], [2], P)
-            mats = connection_matrices([F(1, 3)], [2], basis)
+            _, basis = h_top_dimension([F(1, 3)], _kz([2], P))
+            mats = connection_matrices(basis)
         assert mats == [[[F(-1, 6)]]]
 
     def test_gamma_zero_unit_ray(self):
         P = NewtonPolytope(validate_matrix([[1]]))
-        _, basis = h_top_dimension([0], [1], P)
-        assert connection_matrices([0], [1], basis) == [[[F(0)]]]
+        _, basis = h_top_dimension([0], _kz([1], P))
+        assert connection_matrices(basis) == [[[F(0)]]]
 
     def test_double_ray_diagonal(self):
         P = NewtonPolytope(validate_matrix([[2]]))
-        _, basis = h_top_dimension([0], [1], P)
-        mats = connection_matrices([0], [1], basis)
+        _, basis = h_top_dimension([0], _kz([1], P))
+        mats = connection_matrices(basis)
         assert mats == [[[F(0), F(0)], [F(0), F(-1, 2)]]]
 
     def test_shapes_for_gauss(self, gauss):
-        matrix, P, fiber = gauss
-        _, basis = h_top_dimension([0, 0, 0], fiber, P)
-        mats = connection_matrices([0, 0, 0], fiber, basis)
+        _, P, fiber = gauss
+        _, basis = h_top_dimension([0, 0, 0], _kz(fiber, P))
+        mats = connection_matrices(basis)
         assert len(mats) == 4
         assert all(len(m) == 2 and len(m[0]) == 2 for m in mats)
 
@@ -238,7 +250,7 @@ class TestLowerCohomology:
     )
     def test_vanishing_below_top(self, rows, gamma, fiber):
         P = NewtonPolytope(validate_matrix(rows))
-        dims = derham_cohomology_dims(gamma, fiber, P, level_cap=2)
+        dims = derham_cohomology_dims(gamma, _kz(fiber, P), level_cap=2)
         n = P.n
         for q in range(n):
             assert dims[q] == 0
@@ -248,7 +260,7 @@ class TestLowerCohomology:
         P = NewtonPolytope(validate_matrix([[3]]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            dims = derham_cohomology_dims([F(5, 2)], [1], P, level_cap=2)
+            dims = derham_cohomology_dims([F(5, 2)], _kz([1], P), level_cap=2)
         assert [w.category for w in caught] == [GammaNotNormalized]
         assert dims == {0: 0, 1: 3}
 
@@ -324,7 +336,7 @@ def _random_draws(seed, dims):
             continue
         P = NewtonPolytope(matrix)
         fiber = [rnd.randint(1, 9) for _ in cols]
-        if P.normalized_volume <= 4 and is_nondegenerate(matrix, fiber, P).overall:
+        if P.normalized_volume <= 4 and is_nondegenerate(fiber, P).overall:
             out.append((matrix.rows, [0] * n, fiber))
     return out
 
@@ -359,7 +371,7 @@ class TestMemoizedReduction:
         P = NewtonPolytope(validate_matrix(rows))
         with warnings.catch_warnings():
             warnings.simplefilter("error", GammaNotNormalized)
-            _, basis = h_top_dimension(gamma, fiber, P)
+            _, basis = h_top_dimension(gamma, _kz(fiber, P))
         n, M = P.n, P.gauge_denominator
         top = basis.kouchnirenko.expected_polynomial.degree + M
         cone = [w for d in range(top + 1) for w in basis.ring.monomials_of_degree(d)]
@@ -382,7 +394,7 @@ class TestMemoizedReduction:
         matrix = validate_matrix(rows)
         P = NewtonPolytope(matrix)
         gamma = [0] * P.n
-        kz = verify_kouchnirenko(matrix, fiber, P)
+        kz = _kz(fiber, P)
         built, solved = [], []
         partial = derham._partial
         column_solve = linalg.Echelon.solve_column
@@ -397,9 +409,9 @@ class TestMemoizedReduction:
 
         monkeypatch.setattr(derham, "_partial", counted_partial)
         monkeypatch.setattr(linalg.Echelon, "solve_column", counted_solve)
-        _, basis = h_top_dimension(gamma, fiber, P, kouchnirenko=kz)
+        _, basis = h_top_dimension(gamma, kz)
         assert solved == []
-        connection_matrices(gamma, fiber, basis)
+        connection_matrices(basis)
         assert built and len(built) == len(set(built))
         assert len(solved) == len(set(solved)) == len(basis.normal_forms)
 
@@ -408,7 +420,7 @@ class TestMemoizedReduction:
         # is checked once against its top-slice column: one leading
         # coefficient off by one raises instead of reducing wrongly.
         P = NewtonPolytope(validate_matrix([[1] * 5, list(range(5))]))
-        _, basis = h_top_dimension([0, 0], [1, 8, 2, 9, 3], P)
+        _, basis = h_top_dimension([0, 0], _kz([1, 8, 2, 9, 3], P))
         kz = basis.kouchnirenko
         w = next(
             w for d in range(kz.truncation, -1, -1)
@@ -429,7 +441,7 @@ class TestMemoizedReduction:
         P = NewtonPolytope(validate_matrix(rows))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GammaNotNormalized)
-            _, basis = h_top_dimension(gamma, fiber, P)
+            _, basis = h_top_dimension(gamma, _kz(fiber, P))
         gamma, fiber = [F(g) for g in gamma], [F(c) for c in fiber]
         columns = P.matrix.columns
         monomials = [
@@ -449,8 +461,8 @@ class TestMemoizedReduction:
     @pytest.mark.parametrize("rows,gamma,fiber", REDUCTION_CASES)
     def test_normal_forms_in_lowest_common_terms(self, rows, gamma, fiber):
         P = NewtonPolytope(validate_matrix(rows))
-        _, basis = h_top_dimension(gamma, fiber, P)
-        connection_matrices(gamma, fiber, basis)
+        _, basis = h_top_dimension(gamma, _kz(fiber, P))
+        connection_matrices(basis)
         assert basis.normal_forms
         for w, (N, D) in basis.normal_forms.items():
             assert len(N) == basis.dimension
@@ -459,7 +471,7 @@ class TestMemoizedReduction:
 
     def test_wrong_length_monomial_is_rejected(self):
         P = NewtonPolytope(validate_matrix([[1] * 5, [0, 1, 2, 3, 4]]))
-        _, basis = h_top_dimension([0, 0], [1, 8, 2, 9, 3], P)
+        _, basis = h_top_dimension([0, 0], _kz([1, 8, 2, 9, 3], P))
         with pytest.raises(ShapeMismatch, match="expected 2"):
             basis.reduce_monomial((1,))
 
@@ -470,7 +482,7 @@ class TestMemoizedReduction:
         assert sys.getrecursionlimit() < 1500
         P = NewtonPolytope(validate_matrix([[1]]))
         gamma = F(-1, 2)
-        _, basis = h_top_dimension([gamma], [1], P)
+        _, basis = h_top_dimension([gamma], _kz([1], P))
         expected = math.prod(-(k + gamma) for k in range(1500))
         assert basis.reduce_monomial((1500,)) == (expected,)
 
@@ -479,9 +491,9 @@ class TestMemoizedReduction:
         gamma, fiber = [F(5, 2)], [1]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", GammaNotNormalized)
-            _, basis = h_top_dimension(gamma, fiber, P)
+            _, basis = h_top_dimension(gamma, _kz(fiber, P))
         assert [w.category for w in caught] == [GammaNotNormalized]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", GammaNotNormalized)
-            connection_matrices(gamma, fiber, basis)
+            connection_matrices(basis)
         assert caught == []

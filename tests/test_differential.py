@@ -17,7 +17,7 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
-from conftest import FIXTURES, GAUSS_ROWS
+from conftest import FIXTURES, GAUSS_ROWS, kouchnirenko_scan
 from test_derham import _reference_reduce
 from test_exact_core import _FractionEchelon
 from test_properties import PROPERTY_MATRICES
@@ -34,7 +34,6 @@ from gkzrank import (
     is_nondegenerate,
     run_analyze,
     validate_matrix,
-    verify_kouchnirenko,
 )
 from gkzrank.linalg import rank
 from gkzrank.nondegeneracy import _spanning_subset
@@ -146,8 +145,7 @@ def _full_complex_counts(kz):
 def test_nested_criterion_matches_the_full_koszul_complex():
     seen = []
     for rows, fiber in _differential_cases():
-        matrix = validate_matrix(rows)
-        kz = verify_kouchnirenko(matrix, fiber, require_nondegenerate=False)
+        kz = kouchnirenko_scan(NewtonPolytope(validate_matrix(rows)), fiber)
         want = _full_complex_counts(kz)
         got = (kz.vanishing, kz.per_degree, kz.top_dim)
         assert got == want, (rows, fiber)
@@ -159,12 +157,9 @@ def test_nested_criterion_matches_the_full_koszul_complex():
 def test_nested_criterion_matches_at_every_truncation(rows, fiber):
     # The criterion is checked in every degree up to D, the full complex
     # certifies its lower degrees d with d + M <= D: the two agree at any D.
-    matrix = validate_matrix(rows)
-    kz = verify_kouchnirenko(matrix, fiber, require_nondegenerate=False)
+    kz = kouchnirenko_scan(NewtonPolytope(validate_matrix(rows)), fiber)
     for truncation in range(kz.truncation + 2):
-        cut = KouchnirenkoResult(
-            kz.ring, kz.sequence, kz.expected_polynomial, truncation
-        )
+        cut = KouchnirenkoResult(kz.ring, kz.fiber, kz.expected_polynomial, truncation)
         want = _full_complex_counts(cut)
         assert (cut.vanishing, cut.per_degree, cut.top_dim) == want, truncation
 
@@ -224,7 +219,7 @@ def test_face_windows_end_at_numerator_degree_plus_m():
     for rows, fiber in _differential_cases():
         P = NewtonPolytope(validate_matrix(rows))
         fiber = [F(c) for c in fiber]
-        report = is_nondegenerate(P.matrix, fiber, P)
+        report = is_nondegenerate(fiber, P)
         for face, cert in zip(P.origin_free_faces(), report.certificates):
             verdict, failure, chosen, dims, expected = _certify_over_the_long_window(
                 fiber, face, P
@@ -251,9 +246,8 @@ def test_column_solves_and_normal_forms_match_their_references():
     # subtracting whole twisted images, one fresh system per degree.
     slices = forms = 0
     for rows, fiber in _differential_cases():
-        matrix = validate_matrix(rows)
-        P = NewtonPolytope(matrix)
-        kz = verify_kouchnirenko(matrix, fiber, P, require_nondegenerate=False)
+        P = NewtonPolytope(validate_matrix(rows))
+        kz = kouchnirenko_scan(P, fiber)
         for d in range(P.gauge_denominator, kz.truncation + 1):
             echelon = kz._top_slice(d)[2]
             m = echelon._matrix
@@ -264,12 +258,12 @@ def test_column_solves_and_normal_forms_match_their_references():
                 x = [F(X.get(j, 0), D) for j in range(m.cols)]
                 assert x == ref.solve({r: 1}), (rows, fiber, d, r)
             slices += 1
-        if not is_nondegenerate(matrix, fiber, P).overall:
+        if not is_nondegenerate(fiber, P).overall:
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, basis = h_top_dimension([0] * P.n, fiber, P, kouchnirenko=kz)
-            connection_matrices(None, None, basis)
+            _, basis = h_top_dimension([0] * P.n, kz)
+            connection_matrices(basis)
             for w in basis.normal_forms:
                 top = LogForm.monomial(P.n, range(P.n), w)
                 assert basis.reduce_monomial(w) == _reference_reduce(basis, top)

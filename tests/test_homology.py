@@ -15,6 +15,7 @@ from gkzrank import (
     SparseRationalMatrix,
     TruncationTooSmall,
     check_face_complex_exactness,
+    is_nondegenerate,
     koszul_regular_sequence_check,
     log_derivative_classes,
     poincare_identity_check,
@@ -24,6 +25,7 @@ from gkzrank import (
 from gkzrank.homology import expected_top_polynomial
 from gkzrank.linalg import rank
 from gkzrank.oracles import to_dense
+from conftest import kouchnirenko_scan
 
 
 class TestRankAndKernel:
@@ -210,34 +212,43 @@ class TestFaceComplex:
 
 class TestVerifyKouchnirenko:
     def test_double_ray(self):
-        matrix = validate_matrix([[2]])
-        result = verify_kouchnirenko(matrix, [1])
+        P = NewtonPolytope(validate_matrix([[2]]))
+        result = verify_kouchnirenko(is_nondegenerate([1], P))
         assert result.vanishing
         assert result.top_dim == 2
         assert result.equals_volume
         assert result.monomial_basis == [(0,), (1,)]
 
     def test_symmetric_interval(self):
-        matrix = validate_matrix([[-1, 1]])
-        result = verify_kouchnirenko(matrix, [1, 1])
+        P = NewtonPolytope(validate_matrix([[-1, 1]]))
+        result = verify_kouchnirenko(is_nondegenerate([1, 1], P))
         assert result.top_dim == 2
         assert result.vanishing
 
     def test_gauss(self, gauss):
-        matrix, P, fiber = gauss
-        result = verify_kouchnirenko(matrix, fiber, P)
+        _, P, fiber = gauss
+        result = verify_kouchnirenko(is_nondegenerate(fiber, P))
         assert result.vanishing and result.top_dim == 2 == P.normalized_volume
 
     def test_degenerate_raises(self, gauss):
-        matrix, P, _ = gauss
+        _, P, _ = gauss
         with pytest.raises(DegenerateFiber):
-            verify_kouchnirenko(matrix, [1, 1, 1, 1], P)
+            verify_kouchnirenko(is_nondegenerate([1, 1, 1, 1], P))
+
+    def test_degenerate_report_names_its_faces(self, gauss):
+        # The stage takes the report, so a fiber that failed certification
+        # is refused by the faces the report found, before the cap is read.
+        _, P, _ = gauss
+        report = is_nondegenerate([1, 1, 1, 1], P)
+        bad = [c.face_id for c in report.offending_faces()]
+        assert bad and not report.overall
+        with pytest.raises(DegenerateFiber) as info:
+            verify_kouchnirenko(report, truncation_cap=0)
+        assert str(info.value) == f"degenerate fiber; offending faces {bad}"
 
     def test_degenerate_scan_signals(self, gauss):
-        matrix, P, _ = gauss
-        result = verify_kouchnirenko(
-            matrix, [1, 1, 1, 1], P, require_nondegenerate=False
-        )
+        _, P, _ = gauss
+        result = kouchnirenko_scan(P, [1, 1, 1, 1])
         poly = result.expected_polynomial
         excess = any(
             result.per_degree.get(d, 0) > poly.coeff(d)
@@ -246,9 +257,9 @@ class TestVerifyKouchnirenko:
         assert (not result.vanishing) or excess
 
     def test_truncation_cap(self, gauss):
-        matrix, P, fiber = gauss
+        _, P, fiber = gauss
         with pytest.raises(TruncationTooSmall):
-            verify_kouchnirenko(matrix, fiber, P, truncation_cap=1)
+            verify_kouchnirenko(is_nondegenerate(fiber, P), truncation_cap=1)
 
 
 class TestPoincareIdentity:
@@ -261,23 +272,21 @@ class TestPoincareIdentity:
         ],
     )
     def test_one_plus_t(self, rows, fiber):
-        matrix = validate_matrix(rows)
-        check = poincare_identity_check(matrix, fiber)
+        P = NewtonPolytope(validate_matrix(rows))
+        check = poincare_identity_check(verify_kouchnirenko(is_nondegenerate(fiber, P)))
         assert check.ok
         assert list(check.polynomial.coeffs) == [1, 1]
 
     def test_polynomial_properties(self, polytopes):
         for name, (matrix, P, fiber) in polytopes.items():
-            check = poincare_identity_check(matrix, fiber, P)
+            check = poincare_identity_check(verify_kouchnirenko(is_nondegenerate(fiber, P)))
             assert check.coefficients_nonnegative
             assert check.sums_to_volume
 
     def test_mismatch_raises(self, gauss):
         # Force the comparison on a degenerate fiber by bypassing the gate.
-        matrix, P, _ = gauss
-        result = verify_kouchnirenko(
-            matrix, [1, 1, 1, 1], P, require_nondegenerate=False
-        )
+        _, P, _ = gauss
+        result = kouchnirenko_scan(P, [1, 1, 1, 1])
         poly = result.expected_polynomial
         bad = [
             d
@@ -285,8 +294,8 @@ class TestPoincareIdentity:
             if result.per_degree.get(d, 0) != poly.coeff(d)
         ]
         assert bad  # the signal poincare_identity_check would raise on
-        with pytest.raises((MismatchAtDegree, DegenerateFiber)):
-            poincare_identity_check(matrix, [1, 1, 1, 1], P)
+        with pytest.raises(MismatchAtDegree):
+            poincare_identity_check(result)
 
 
 class TestRegularSequenceCheck:

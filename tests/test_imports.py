@@ -41,15 +41,14 @@ GAUSS_SPEC = {
 # The public names: one per object, no alias functions beside the classes
 # they call.
 EXPORTS = """
-BoxOperator CochainComplexQ ConeRing DegenerateFiber EulerOperator ExponentCone
-ExponentMatrix Face FaceCertificate FaceComplex FaceContainsOrigin FaceRing Facet
+BoxOperator CochainComplexQ ConeRing DegenerateFiber EulerOperator ExponentMatrix Face FaceCertificate FaceComplex FaceContainsOrigin FaceRing Facet
 FreeRing GammaNotNormalized GkzError GradedKoszulComplex GradedRingHandle
 KouchnirenkoResult LogForm MismatchAtDegree NewtonPolytope NondegeneracyReport
 NotAFacePair NotARelation NotInCone PolyZ ProblemSpec RankDeficient RankReport
 RationalFunctionQ ReductionBasis RingElement ShapeMismatch SparseRationalMatrix
 TruncationTooSmall UnknownSubcommand box_operator check_face_complex_exactness
 check_gr_equals_koszul choose_spanning_subset connection_matrices
-derham_cohomology_dims euler_operators exponent_cone face_polynomial
+derham_cohomology_dims euler_operators face_polynomial
 face_projection filtration_level gr_multiply h_top_dimension is_nondegenerate
 koszul_regular_sequence_check lattice_kernel log_derivative_classes
 normalize_gamma poincare_identity_check poincare_series reduce_to_basis

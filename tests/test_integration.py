@@ -11,6 +11,7 @@ from gkzrank import (
     NewtonPolytope,
     ProblemSpec,
     TruncationTooSmall,
+    derham_cohomology_dims,
     h_top_dimension,
     is_nondegenerate,
     run_analyze,
@@ -19,6 +20,7 @@ from gkzrank import (
     verify_kouchnirenko,
 )
 from gkzrank.rings import integral_classes
+from conftest import GAUSS_ROWS, kouchnirenko_scan
 
 EXTRA_CASES = [
     # rows, fiber
@@ -39,35 +41,32 @@ EXTRA_CASES = [
 
 
 def test_large_gauge_denominator_polynomial():
-    matrix = validate_matrix([[2, 0], [0, 3]])
-    P = NewtonPolytope(matrix)
+    P = NewtonPolytope(validate_matrix([[2, 0], [0, 3]]))
     assert P.gauge_denominator == 6
     assert P.normalized_volume == 6
-    kz = verify_kouchnirenko(matrix, [1, 1], P)
+    kz = verify_kouchnirenko(is_nondegenerate([1, 1], P))
     assert list(kz.expected_polynomial.coeffs) == [1, 0, 1, 1, 1, 1, 0, 1]
     assert kz.top_dim == 6
 
 
 def test_octahedron_rank_eight():
     rows = [[1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]]
-    matrix = validate_matrix(rows)
-    P = NewtonPolytope(matrix)
+    P = NewtonPolytope(validate_matrix(rows))
     assert P.normalized_volume == 8
-    kz = verify_kouchnirenko(matrix, [1] * 6, P)
+    kz = verify_kouchnirenko(is_nondegenerate([1] * 6, P))
     assert kz.top_dim == 8 and kz.vanishing
     assert list(kz.expected_polynomial.coeffs) == [1, 3, 3, 1]
-    dim, _ = h_top_dimension([0, 0, 0], [1] * 6, P)
+    dim, _ = h_top_dimension([0, 0, 0], kz)
     assert dim == 8
 
 
 @pytest.mark.parametrize("rows,fiber", EXTRA_CASES)
 def test_three_routes_agree(rows, fiber):
-    matrix = validate_matrix(rows)
-    P = NewtonPolytope(matrix)
-    report = is_nondegenerate(matrix, fiber, P)
+    P = NewtonPolytope(validate_matrix(rows))
+    report = is_nondegenerate(fiber, P)
     assert report.overall, "expected these fibers to certify nondegenerate"
-    kz = verify_kouchnirenko(matrix, fiber, P)
-    dim, basis = h_top_dimension([0] * P.n, fiber, P)
+    kz = verify_kouchnirenko(report)
+    dim, basis = h_top_dimension([0] * P.n, kz)
     assert P.normalized_volume == kz.top_dim == dim
     assert len(kz.monomial_basis) == kz.top_dim
     assert basis.dimension == dim
@@ -112,6 +111,8 @@ def test_truncation_cap_stays_with_its_run(monkeypatch):
     certify = pipeline.is_nondegenerate
 
     def nested(*args):
+        # the nested run certifies through the stage itself, not this hook
+        monkeypatch.setattr(pipeline, "is_nondegenerate", certify)
         inner.append(run_subcommand("koszul", _gauss_spec()))
         return certify(*args)
 
@@ -121,9 +122,12 @@ def test_truncation_cap_stays_with_its_run(monkeypatch):
     assert [r["top_dimension"] for r in inner] == [2]
 
 
-def test_analyze_computes_each_object_once(monkeypatch):
-    # Each face is certified once, and the lower Koszul vanishing is read
-    # off the top slices: no Koszul complex is built and no map multiplied.
+@pytest.mark.parametrize("command", ["analyze", "koszul", "poincare", "derham"])
+def test_analyze_computes_each_object_once(monkeypatch, command):
+    # Each face is certified once, by analyze and by every subcommand that
+    # runs the Koszul stage, and the lower Koszul vanishing is read off the
+    # top slices: no Koszul complex is built and no map multiplied.
+    faces = len(NewtonPolytope(validate_matrix(GAUSS_ROWS)).origin_free_faces())
     calls = {"certify_face": 0, "koszul": 0, "matmul": 0}
     certify_face = nondegeneracy.certify_face
     koszul_init = homology.GradedKoszulComplex.__init__
@@ -144,22 +148,20 @@ def test_analyze_computes_each_object_once(monkeypatch):
     monkeypatch.setattr(nondegeneracy, "certify_face", counted_certify)
     monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", counted_init)
     monkeypatch.setattr(oracles, "matmul", counted_matmul)
-    body = run_analyze(_gauss_spec(), with_timings=False).to_json()
-    assert body["rank_agreement"] is True and body["koszul"]["vanishing"] is True
-    assert calls == {
-        "certify_face": len(body["nondegeneracy"]["faces"]),
-        "koszul": 0,
-        "matmul": 0,
-    }
+    if command == "analyze":
+        body = run_analyze(_gauss_spec(), with_timings=False).to_json()
+        assert body["rank_agreement"] is True and body["koszul"]["vanishing"] is True
+        assert len(body["nondegeneracy"]["faces"]) == faces
+    else:
+        run_subcommand(command, _gauss_spec())
+    assert calls == {"certify_face": faces, "koszul": 0, "matmul": 0}
 
 
 def test_derham_dims_reuse_the_kouchnirenko_result(monkeypatch, gauss):
-    from gkzrank import derham_cohomology_dims
-
-    matrix, P, fiber = gauss
+    _, P, fiber = gauss
     gamma = [0, 0, 0]
-    kz = verify_kouchnirenko(matrix, fiber, P)
-    expected = derham_cohomology_dims(gamma, fiber, P, level_cap=1)
+    kz = verify_kouchnirenko(is_nondegenerate(fiber, P))
+    expected = derham_cohomology_dims(gamma, kz, level_cap=1)
     calls = {"certify_face": 0, "koszul": 0}
     certify_face = nondegeneracy.certify_face
     koszul_init = homology.GradedKoszulComplex.__init__
@@ -174,7 +176,7 @@ def test_derham_dims_reuse_the_kouchnirenko_result(monkeypatch, gauss):
 
     monkeypatch.setattr(nondegeneracy, "certify_face", counted_certify)
     monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", counted_init)
-    dims = derham_cohomology_dims(gamma, fiber, P, level_cap=1, kouchnirenko=kz)
+    dims = derham_cohomology_dims(gamma, kz, level_cap=1)
     assert dims == expected
     assert calls == {"certify_face": 0, "koszul": 0}
 
@@ -191,8 +193,7 @@ def test_top_maps_are_ranked_off_their_slices(monkeypatch, rows, fiber):
     # Every Koszul count is read off the factored top slices: each top
     # degree from M to the truncation is imaged and factored exactly once,
     # and nothing else is ranked or factored on the way.
-    matrix = validate_matrix(rows)
-    P = NewtonPolytope(matrix)
+    P = NewtonPolytope(validate_matrix(rows))
     ranked, factored, images = [], [], []
     rank = linalg.rank
     make = homology.Echelon
@@ -214,7 +215,7 @@ def test_top_maps_are_ranked_off_their_slices(monkeypatch, rows, fiber):
         monkeypatch.setattr(module, "rank", counted_rank)
     monkeypatch.setattr(homology, "Echelon", counted_echelon)
     monkeypatch.setattr(homology, "sequence_image", counted_image)
-    kz = verify_kouchnirenko(matrix, fiber, P, require_nondegenerate=False)
+    kz = kouchnirenko_scan(P, fiber)
     monkeypatch.undo()
     M = P.gauge_denominator
     assert set(Counter(images).values()) == {1} and set(kz._slices) == set(images)
@@ -232,8 +233,7 @@ def test_top_maps_are_ranked_off_their_slices(monkeypatch, rows, fiber):
 def test_koszul_maps_and_slices_hold_integers(monkeypatch):
     # The gauss-rational fiber gives classes with denominators; the
     # matrices built from them hold ints all the same.
-    matrix = validate_matrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
-    P = NewtonPolytope(matrix)
+    P = NewtonPolytope(validate_matrix([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
     fiber = [F(1, 2), 2, F(-3, 4), F(5, 3)]
     matrices = []
 
@@ -249,7 +249,7 @@ def test_koszul_maps_and_slices_hold_integers(monkeypatch):
     for module in (homology, nondegeneracy):
         monkeypatch.setattr(module, "sequence_image", recorded_image)
         monkeypatch.setattr(module, "Echelon", recorded_echelon)
-    kz = verify_kouchnirenko(matrix, fiber, P)
+    kz = verify_kouchnirenko(is_nondegenerate(fiber, P))
     assert any(c.denominator > 1 for g in kz.sequence for c in g.terms.values())
     assert len(matrices) > 2 * len(kz._slices)
     assert all(type(v) is int for m in matrices for v in m.entries.values())
@@ -259,8 +259,7 @@ def test_koszul_maps_and_slices_hold_integers(monkeypatch):
 def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
     from gkzrank import connection_matrices
 
-    matrix = validate_matrix(rows)
-    P = NewtonPolytope(matrix)
+    P = NewtonPolytope(validate_matrix(rows))
     gamma = [0] * P.n
     factored, degrees, solved = [], [], []
     make = homology.Echelon
@@ -282,10 +281,10 @@ def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
     monkeypatch.setattr(homology, "Echelon", counted_echelon)
     monkeypatch.setattr(derham.ReductionBasis, "_step", counted_step)
     monkeypatch.setattr(linalg.Echelon, "solve_column", counted_solve)
-    kz = verify_kouchnirenko(matrix, fiber, P)
+    kz = verify_kouchnirenko(is_nondegenerate(fiber, P))
     basis_degrees = set(kz._slices)
-    _, basis = h_top_dimension(gamma, fiber, P, kouchnirenko=kz)
-    connection_matrices(gamma, fiber, basis)
+    _, basis = h_top_dimension(gamma, kz)
+    connection_matrices(basis)
     slices = {d: data[2] for d, data in kz._slices.items()}
     # The basis and the reduction share one factorization per degree.
     assert [id(e) for e in factored] == [id(e) for e in slices.values()]
@@ -299,9 +298,8 @@ def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
 def test_solve_top_rewrites_each_monomial(rows, fiber):
     # D * t^w is the sum of the unit terms and of the sequence products
     # that solve_top reports, and only basis monomials appear as units.
-    matrix = validate_matrix(rows)
-    P = NewtonPolytope(matrix)
-    kz = verify_kouchnirenko(matrix, fiber, P)
+    P = NewtonPolytope(validate_matrix(rows))
+    kz = verify_kouchnirenko(is_nondegenerate(fiber, P))
     ring, basis = kz.ring, set(kz.monomial_basis)
     for d in range(kz.truncation + 1):
         assert kz.top_basis(d) == [w for w in kz.monomial_basis if P.graded_degree(w) == d]
@@ -318,10 +316,10 @@ def test_solve_top_rewrites_each_monomial(rows, fiber):
 
 
 def test_cohomology_ranks_each_map_once(monkeypatch, gauss):
-    from gkzrank import derham_cohomology_dims, log_derivative_classes
+    from gkzrank import log_derivative_classes
 
-    matrix, P, fiber = gauss
-    kz = verify_kouchnirenko(matrix, fiber, P)
+    _, P, fiber = gauss
+    kz = verify_kouchnirenko(is_nondegenerate(fiber, P))
     seq = log_derivative_classes(fiber, None, P)
     cx = GradedKoszulComplex(kz.ring, seq, kz.truncation)
     ranked = []
@@ -340,6 +338,6 @@ def test_cohomology_ranks_each_map_once(monkeypatch, gauss):
     # derham.rank is counted too, so a second ranking route would show.
     monkeypatch.setattr(oracles, "rank", counted_rank)
     monkeypatch.setattr(derham, "rank", counted_rank)
-    dims = derham_cohomology_dims([0] * P.n, fiber, P, level_cap=1, kouchnirenko=kz)
+    dims = derham_cohomology_dims([0] * P.n, kz, level_cap=1)
     assert len(ranked) == P.n
     assert all(dims[q] == 0 for q in range(P.n))

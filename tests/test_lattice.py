@@ -14,7 +14,6 @@ from gkzrank import (
     NotInCone,
     RankDeficient,
     ShapeMismatch,
-    exponent_cone,
     normalize_gamma,
     validate_matrix,
 )
@@ -84,38 +83,36 @@ class TestNewtonPolytope:
                 assert rational_rank(diffs) == P.n - 1 or P.n == 1
 
 
-def _cone_contains(cone, w):
-    """Whether w satisfies every inequality m . w >= 0 of the cone."""
-    return all(sum(a * b for a, b in zip(m, w)) >= 0 for m in cone.inequalities)
+def _cone_contains(P, w):
+    """Whether w satisfies every inequality m . w >= 0 of the exponent cone."""
+    return all(sum(a * b for a, b in zip(m, w)) >= 0 for m in P.cone_inequalities())
 
 
 class TestExponentCone:
     def test_single_ray(self):
-        cone = exponent_cone(validate_matrix([[2]]))
-        assert cone.inequalities == ((1,),)
-        assert _cone_contains(cone, (3,)) and not _cone_contains(cone, (-1,))
+        P = NewtonPolytope(validate_matrix([[2]]))
+        assert P.cone_inequalities() == ((1,),)
+        assert _cone_contains(P, (3,)) and not _cone_contains(P, (-1,))
 
     def test_full_line(self):
-        cone = exponent_cone(validate_matrix([[-1, 1]]))
-        assert not cone.inequalities
-        assert _cone_contains(cone, (-7,))
+        P = NewtonPolytope(validate_matrix([[-1, 1]]))
+        assert not P.cone_inequalities()
+        assert _cone_contains(P, (-7,))
 
     def test_gauss_cone(self, gauss):
-        matrix, P, _ = gauss
-        cone = exponent_cone(matrix, P)
+        _, P, _ = gauss
         # 0 <= w2 <= w1 and 0 <= w3 <= w1
         inside = [(1, 0, 0), (2, 1, 2), (5, 5, 0), (0, 0, 0)]
         outside = [(1, 2, 0), (0, 1, 0), (1, 0, -1), (-1, 0, 0)]
         for w in inside:
-            assert _cone_contains(cone, w) and P.cone_contains(w)
+            assert _cone_contains(P, w) and P.cone_contains(w)
         for w in outside:
-            assert not _cone_contains(cone, w) and not P.cone_contains(w)
+            assert not _cone_contains(P, w) and not P.cone_contains(w)
 
     def test_generators_inside(self, polytopes):
         for name, (matrix, P, _) in polytopes.items():
-            cone = exponent_cone(matrix, P)
-            for w in cone.generators:
-                assert _cone_contains(cone, w) and P.cone_contains(w)
+            for w in matrix.columns:
+                assert _cone_contains(P, w) and P.cone_contains(w)
 
 
 class TestGauge:
@@ -261,34 +258,40 @@ class TestFaceLattice:
 
 class TestNormalizeGamma:
     def test_zero_unchanged(self, gauss):
-        matrix, P, _ = gauss
-        cone = exponent_cone(matrix, P)
-        assert normalize_gamma([0, 0, 0], cone) == (0, 0, 0)
+        _, P, _ = gauss
+        assert normalize_gamma([0, 0, 0], P) == (0, 0, 0)
 
     def test_integer_shift(self):
-        cone = exponent_cone(validate_matrix([[3]]))
-        assert normalize_gamma([3], cone) == (0,)
+        P = NewtonPolytope(validate_matrix([[3]]))
+        assert normalize_gamma([3], P) == (0,)
 
     def test_full_line_untouched(self):
-        cone = exponent_cone(validate_matrix([[-1, 1]]))
-        assert normalize_gamma([Fraction(5, 2)], cone) == (Fraction(5, 2),)
+        P = NewtonPolytope(validate_matrix([[-1, 1]]))
+        assert normalize_gamma([Fraction(5, 2)], P) == (Fraction(5, 2),)
+
+    @pytest.mark.parametrize("gamma", [[Fraction(5, 2)], [0, 0, 0, 0], [1, 2, 3, 4]])
+    def test_wrong_length_gamma_is_rejected(self, gauss, gamma):
+        # A short gamma once came back as None and a long one as a tuple of
+        # its own length: the dot products truncated it.
+        _, P, _ = gauss
+        with pytest.raises(ShapeMismatch, match="length 1, expected 3|length 4"):
+            normalize_gamma(gamma, P)
 
     def test_output_contract(self, polytopes):
         for name, (matrix, P, _) in polytopes.items():
-            cone = exponent_cone(matrix, P)
             gamma = [Fraction(5, 3)] * P.n
-            out = normalize_gamma(gamma, cone)
+            out = normalize_gamma(gamma, P)
             for g, o in zip(gamma, out):
                 assert (g - o).denominator == 1
-            for m in cone.inequalities:
+            for m in P.cone_inequalities():
                 assert sum(a * b for a, b in zip(m, out)) <= 0
 
     def test_roadmap_cone_is_searched_in_integers(self):
         # Shifting (1/2, 1/2, 1/2) into this cone needs offset radius 31;
         # the old cube search took about 10 s here.
-        cone = exponent_cone(validate_matrix([[30] * 4, [1, -1, 0, 0], [0, 0, 1, -1]]))
+        P = NewtonPolytope(validate_matrix([[30] * 4, [1, -1, 0, 0], [0, 0, 1, -1]]))
         start = time.perf_counter()
-        out = normalize_gamma([Fraction(1, 2)] * 3, cone)
+        out = normalize_gamma([Fraction(1, 2)] * 3, P)
         assert out == (Fraction(-61, 2), Fraction(1, 2), Fraction(1, 2))
         assert time.perf_counter() - start < 5.0
 
@@ -314,12 +317,12 @@ def _ref_points_in_box(P, bound):
     ]
 
 
-def _ref_cube_search(gamma, cone):
+def _ref_cube_search(gamma, P):
     """The first feasible shift from round(gamma) on cubes of growing radius."""
     gamma = tuple(Fraction(g) for g in gamma)
 
     def inside(v):
-        return all(sum(a * b for a, b in zip(m, v)) <= 0 for m in cone.inequalities)
+        return all(sum(a * b for a, b in zip(m, v)) <= 0 for m in P.cone_inequalities())
 
     if inside(gamma):
         return gamma
@@ -486,17 +489,17 @@ class TestEnumerationsMatchReferences:
         rnd = random.Random(13)
         inside = 0
         for matrix in _random_matrices(14, 60, (1, 2, 3)):
-            cone = exponent_cone(matrix)
+            P = NewtonPolytope(matrix)
             for _ in range(6):
                 gamma = [Fraction(rnd.randint(-12, 12), rnd.randint(1, 4))
                          for _ in range(matrix.n)]
-                expected = _ref_cube_search(gamma, cone)
+                expected = _ref_cube_search(gamma, P)
                 inside += expected == tuple(gamma)
-                assert normalize_gamma(gamma, cone) == expected, (matrix.rows, gamma)
+                assert normalize_gamma(gamma, P) == expected, (matrix.rows, gamma)
             # A point of the negated cone is returned as it is.
             weights = [Fraction(rnd.randint(0, 3), rnd.randint(1, 3))
-                       for _ in cone.generators]
-            gamma = [-sum(a * c[i] for a, c in zip(weights, cone.generators))
+                       for _ in matrix.columns]
+            gamma = [-sum(a * c[i] for a, c in zip(weights, matrix.columns))
                      for i in range(matrix.n)]
-            assert normalize_gamma(gamma, cone) == tuple(gamma)
+            assert normalize_gamma(gamma, P) == tuple(gamma)
         assert inside

@@ -13,7 +13,6 @@ from gkzrank import (
     face_polynomial,
     is_nondegenerate,
     validate_matrix,
-    verify_kouchnirenko,
 )
 from gkzrank.linalg import rank
 from gkzrank.nondegeneracy import _face_quotient_dims, _spanning_subset, certify_face
@@ -24,6 +23,7 @@ from gkzrank.rings import (
     log_derivative_classes,
     sequence_image,
 )
+from conftest import kouchnirenko_scan
 from test_cli import GOLDEN_SPECS
 
 GAUSS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
@@ -95,28 +95,28 @@ class TestChooseSpanningSubset:
 
 class TestIsNondegenerate:
     def test_interval_examples(self):
-        matrix = validate_matrix([[1, 2]])
-        assert is_nondegenerate(matrix, [0, 1]).overall
-        assert is_nondegenerate(matrix, [1, 1]).overall
-        assert not is_nondegenerate(matrix, [1, 0]).overall
+        P = NewtonPolytope(validate_matrix([[1, 2]]))
+        assert is_nondegenerate([0, 1], P).overall
+        assert is_nondegenerate([1, 1], P).overall
+        assert not is_nondegenerate([1, 0], P).overall
 
     def test_gauss_unit_fiber_degenerate(self, gauss):
-        matrix, P, _ = gauss
-        report = is_nondegenerate(matrix, [1, 1, 1, 1], P)
+        _, P, _ = gauss
+        report = is_nondegenerate([1, 1, 1, 1], P)
         assert not report.overall
         offenders = report.offending_faces()
         square = P.index_set(2)[0]
         assert [c.face_id for c in offenders] == [square.id]
 
     def test_gauss_generic_fiber(self, gauss):
-        matrix, P, fiber = gauss
-        report = is_nondegenerate(matrix, fiber, P)
+        _, P, fiber = gauss
+        report = is_nondegenerate(fiber, P)
         assert report.overall
         assert all(c.verdict == "finite" for c in report.certificates)
 
     def test_scanned_faces_are_origin_free(self, polytopes):
-        for name, (matrix, P, fiber) in polytopes.items():
-            report = is_nondegenerate(matrix, fiber, P)
+        for name, (_, P, fiber) in polytopes.items():
+            report = is_nondegenerate(fiber, P)
             scanned = {c.face_id for c in report.certificates}
             expected = {f.id for f in P.origin_free_faces()}
             assert scanned == expected
@@ -124,26 +124,24 @@ class TestIsNondegenerate:
     def test_vanishing_vertex_coefficient_degenerate(self, gauss):
         # Killing the coefficient on any nonzero vertex kills that vertex's
         # face polynomial outright.
-        matrix, P, _ = gauss
+        _, P, _ = gauss
         for j in range(4):
             fiber = [1, 1, 1, 1]
             fiber[j] = 0
-            assert not is_nondegenerate(matrix, fiber, P).overall
+            assert not is_nondegenerate(fiber, P).overall
 
     def test_scaling_invariance_spot(self, polytopes):
-        for name, (matrix, P, fiber) in polytopes.items():
-            base = is_nondegenerate(matrix, fiber, P).overall
+        for name, (_, P, fiber) in polytopes.items():
+            base = is_nondegenerate(fiber, P).overall
             scaled = is_nondegenerate(
-                matrix, [Fraction(-7, 3) * Fraction(c) for c in fiber], P
+                [Fraction(-7, 3) * Fraction(c) for c in fiber], P
             ).overall
             assert base == scaled
 
     def test_consistency_with_koszul(self, gauss):
         # A degenerate verdict must show up as a failed scan signal.
-        matrix, P, _ = gauss
-        result = verify_kouchnirenko(
-            matrix, [1, 1, 1, 1], P, require_nondegenerate=False
-        )
+        _, P, _ = gauss
+        result = kouchnirenko_scan(P, [1, 1, 1, 1])
         poly = result.expected_polynomial
         mismatch = any(
             result.per_degree.get(d, 0) != poly.coeff(d)
@@ -152,8 +150,8 @@ class TestIsNondegenerate:
         assert mismatch or not result.vanishing
 
     def test_report_serialization(self, gauss):
-        matrix, P, _ = gauss
-        data = is_nondegenerate(matrix, [1, 1, 1, 1], P).to_json()
+        _, P, _ = gauss
+        data = is_nondegenerate([1, 1, 1, 1], P).to_json()
         assert data["overall"] is False
         bad = [f for f in data["faces"] if f["verdict"] == "infinite"]
         assert bad and bad[0]["quotient_dims"] != bad[0]["expected_dims"]
@@ -161,8 +159,8 @@ class TestIsNondegenerate:
 
 class TestCertificateShape:
     def test_finite_certificates_match_polynomial(self, gauss):
-        matrix, P, fiber = gauss
-        report = is_nondegenerate(matrix, fiber, P)
+        _, P, fiber = gauss
+        report = is_nondegenerate(fiber, P)
         for cert in report.certificates:
             assert cert.verdict == "finite"
             assert cert.quotient_dims == cert.expected_dims

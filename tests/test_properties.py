@@ -37,6 +37,7 @@ from gkzrank import (
     reduce_to_basis,
     twisted_differential,
     validate_matrix,
+    verify_kouchnirenko,
 )
 
 F = Fraction
@@ -301,7 +302,7 @@ def suite_reduction_laws():
     for name in ("double", "interval", "symmetric", "gauss"):
         matrix, P, fiber = get_polytope(name)
         gamma = [0] * P.n
-        _, basis = h_top_dimension(gamma, fiber, P)
+        _, basis = h_top_dimension(gamma, verify_kouchnirenko(is_nondegenerate(fiber, P)))
         bases[name] = (matrix, P, fiber, gamma, basis)
     names = list(bases)
     count = 0
@@ -411,13 +412,13 @@ def suite_verdict_invariance():
         n = len(rows)
         U = _random_unimodular(rnd, n, ops=2 if n >= 3 else 3)
         transformed = _apply_left(U, rows)
-        matrix = validate_matrix(transformed)
-        verdict = is_nondegenerate(matrix, fiber).overall
+        P = NewtonPolytope(validate_matrix(transformed))
+        verdict = is_nondegenerate(fiber, P).overall
         assert verdict == expected, (name, U, fiber)
         # scaling invariance on the same instance
         c = F(rnd.choice([-3, -2, -1, 2, 3, 5]), rnd.choice([1, 2, 7]))
         scaled = [c * F(x) for x in fiber]
-        assert is_nondegenerate(matrix, scaled).overall == expected
+        assert is_nondegenerate(scaled, P).overall == expected
         count += 1
     return count
 

@@ -25,7 +25,6 @@ from gkzrank import (
     run_subcommand,
     sequence_image,
     validate_matrix,
-    verify_kouchnirenko,
 )
 from gkzrank.errors import RankDeficient
 from gkzrank.homology import GradedKoszulComplex, wedge_terms
@@ -49,6 +48,7 @@ from gkzrank.oracles import (
 )
 from gkzrank.rings import cone_numerator
 
+from conftest import kouchnirenko_scan
 from test_cli import GOLDEN_SPECS
 
 
@@ -712,7 +712,7 @@ class TestSequenceImage:
     def test_kouchnirenko_basis_matches_greedy_loop(self, index):
         P = KERNEL_POLYTOPES[index]
         fiber = _seeded_fiber(P, index)
-        result = verify_kouchnirenko(P.matrix, fiber, P, require_nondegenerate=False)
+        result = kouchnirenko_scan(P, fiber)
         sequence = log_derivative_classes(fiber, None, P)
         assert result.monomial_basis == _ref_greedy_basis(
             ConeRing(P), sequence, P.gauge_denominator, result.expected_polynomial.degree
