@@ -28,7 +28,8 @@ from .derham import (
 from .errors import FaceContainsOrigin, NotAFacePair, NotARelation, NotInCone
 from .homology import KouchnirenkoResult, wedge_terms
 from .lattice import (
-    Face, NewtonPolytope, Vector, _affine_basis, _det, _dot, _nonsingular_minor,
+    Face, NewtonPolytope, Vector, _affine_basis, _check_length, _det, _dot,
+    _nonsingular_minor,
 )
 from .linalg import SparseRationalMatrix, rank
 from .nondegeneracy import _spanning_subset
@@ -905,6 +906,7 @@ def derham_cohomology_dims(gamma, kz: KouchnirenkoResult, level_cap=None):
     cocycle always bounds at its own filtration level.
     """
     polytope = kz.ring.polytope
+    _check_length(gamma, polytope.n)
     _warn_if_not_normalized(gamma, polytope)
     gamma = [Fraction(g) for g in gamma]
     fiber = [Fraction(c) for c in kz.fiber]

@@ -22,7 +22,6 @@ def pytest_configure(config):
         )
 
 
-
 def kouchnirenko_scan(P, fiber):
     """The Koszul scan of any fiber, degenerate or not, at the truncation
     ``verify_kouchnirenko`` uses; that stage refuses a fiber whose report is

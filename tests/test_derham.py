@@ -154,13 +154,16 @@ class TestTopDimension:
 
     @pytest.mark.parametrize("gamma", [[0], [0, 0, 0, 0]])
     def test_wrong_length_gamma_is_rejected(self, gauss, gamma):
-        # [0] once raised IndexError and [0, 0, 0, 0] was taken as [0, 0, 0].
+        # A short gamma would be indexed past its end, a long one truncated.
         _, P, fiber = gauss
         kz = _kz(fiber, P)
-        with pytest.raises(ShapeMismatch, match=f"length {len(gamma)}, expected 3"):
-            h_top_dimension(gamma, kz)
-        with pytest.raises(ShapeMismatch, match=f"length {len(gamma)}, expected 3"):
-            ReductionBasis(gamma, kz)
+        for call in (
+            lambda: h_top_dimension(gamma, kz),
+            lambda: ReductionBasis(gamma, kz),
+            lambda: derham_cohomology_dims(gamma, kz, level_cap=1),
+        ):
+            with pytest.raises(ShapeMismatch, match=f"length {len(gamma)}, expected 3"):
+                call()
 
 
 class TestReduceToBasis:
