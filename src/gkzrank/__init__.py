@@ -36,7 +36,7 @@ _EXPORTS = {
         face_projection filtration_level gr_multiply
         koszul_regular_sequence_check reduce_to_basis""",
     "pipeline": "RankReport run_analyze run_subcommand",
-    "rings": "ConeRing FaceRing log_derivative_classes poincare_series sequence_image",
+    "rings": "ConeRing log_derivative_classes poincare_series sequence_image",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

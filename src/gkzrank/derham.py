@@ -60,6 +60,8 @@ def twisted_differential(gamma, fiber, form, polytope: NewtonPolytope):
     coordinate plus the parameter entry, together with one shifted monomial
     per matrix column weighted by the fiber.
     """
+    _check_length(gamma, polytope.n)
+    _check_length(fiber, polytope.matrix.num_columns)
     _warn_if_not_normalized(gamma, polytope)
     n = polytope.n
     gamma = [Fraction(g) for g in gamma]

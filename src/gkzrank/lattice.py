@@ -4,9 +4,12 @@ Given an integer matrix of full row rank, this module computes the convex
 hull of the origin together with the column vectors (facets, vertices and
 the whole face lattice), the cone positively spanned by the columns, the
 piecewise-linear gauge that measures how deep a lattice vector sits inside
-scaled copies of the hull, and the normalized volume.  All computations are
-brute-force over candidate point subsets, which is exact and entirely
-adequate at the intended scale (a handful of dimensions and columns).
+scaled copies of the hull, and the normalized volume.  The facets are found
+by brute force over candidate point subsets, which is exact and entirely
+adequate at the intended scale (a handful of dimensions and columns).  Every
+face is the intersection of the facets containing it (Ziegler 1995, 2.1-2.2),
+so the faces are folded in one facet at a time, as the sets of points they
+hold; the vertices are the faces on one point.
 
 The gauge is evaluated in integers.  Its denominator M is the lcm of the
 positive facet levels, read off the facets with no search: M times the
@@ -176,10 +179,8 @@ class NewtonPolytope:
         points = sorted(set(matrix.columns) | {origin})
         self.points = points
         self.facets = self._find_facets(points)
-        self.vertices = self._find_vertices(points)
         self.origin_interior = all(f.level > 0 for f in self.facets)
-        self.faces = self._build_faces()
-        self._faces_by_vertices = {f.vertices: f for f in self.faces}
+        self.vertices, self.faces = self._build_faces(points)
         levels = [f.level for f in self.facets if f.level > 0]
         if not levels:
             raise AssertionError("hull has no positive-level facet")
@@ -238,30 +239,20 @@ class NewtonPolytope:
                 raise AssertionError("origin violates a facet inequality")
         return facets
 
-    def _find_vertices(self, points) -> tuple[Vector, ...]:
-        verts = []
-        for p in points:
-            active = [f.normal for f in self.facets if f.value(p) == f.level]
-            if active and rational_rank(active) == self.n:
-                verts.append(p)
-        return tuple(sorted(verts))
-
-    def _build_faces(self) -> tuple[Face, ...]:
-        vertexsets: set[frozenset[Vector]] = set()
+    def _build_faces(self, points) -> tuple[tuple[Vector, ...], tuple[Face, ...]]:
+        """The vertices and the faces.  The faces' point sets are the nonempty
+        proper intersections of the facets' point sets, folded in one facet
+        at a time; the vertices are the faces on one point."""
+        whole = frozenset(points)
+        sets = {whole}
         for f in self.facets:
-            vs = frozenset(v for v in self.vertices if f.value(v) == f.level)
-            vertexsets.add(vs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in itertools.combinations(list(vertexsets), 2):
-                c = a & b
-                if c and c not in vertexsets:
-                    vertexsets.add(c)
-                    changed = True
+            on_f = frozenset(p for p in points if f.value(p) == f.level)
+            sets |= {s & on_f for s in sets}
+        sets -= {whole, frozenset()}
+        vertices = frozenset(p for s in sets if len(s) == 1 for p in s)
         faces = []
-        for vs in vertexsets:
-            verts = tuple(sorted(vs))
+        for s in sets:
+            verts = tuple(sorted(s & vertices))
             dim = len(_affine_basis(verts)) if len(verts) > 1 else 0
             active = frozenset(
                 i
@@ -276,7 +267,7 @@ class NewtonPolytope:
         faces.sort(key=lambda f: (f.dim, f.vertices))
         for i, f in enumerate(faces):
             f.id = i
-        return tuple(faces)
+        return tuple(sorted(vertices)), tuple(faces)
 
     # -- cone membership and gauge ----------------------------------------
 
@@ -355,9 +346,6 @@ class NewtonPolytope:
         dim, verts = face.dim - 1, set(face.vertices)
         return [g for g in self.faces if g.dim == dim and set(g.vertices) < verts]
 
-    def face_by_vertices(self, vertices) -> Face:
-        return self._faces_by_vertices[tuple(sorted(vertices))]
-
     # -- triangulation and volume -------------------------------------------
 
     def triangulate_face(self, face: Face) -> list[tuple[Vector, ...]]:
@@ -413,16 +401,12 @@ class NewtonPolytope:
 
     def _compute_normalized_volume(self) -> int:
         v0 = self.vertices[0]
-        total = 0
-        for facet in self.facets:
-            if facet.value(v0) == facet.level:
-                continue
-            face = self.face_by_vertices(
-                [v for v in self.vertices if facet.value(v) == facet.level]
-            )
-            for s in self.triangulate_face(face):
-                total += abs(_det([_sub(v, v0) for v in s]))
-        return total
+        return sum(
+            abs(_det([_sub(v, v0) for v in s]))
+            for face in self.faces_of_dim(self.n - 1)
+            if v0 not in face.vertices
+            for s in self.triangulate_face(face)
+        )
 
     # -- gauge denominator ---------------------------------------------------
 

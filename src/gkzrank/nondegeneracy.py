@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import Face, NewtonPolytope, _sub
+from .lattice import Face, NewtonPolytope, _check_length, _sub
 from .linalg import Echelon, SparseRationalMatrix, rank
 from .rings import (
-    FaceRing,
+    ConeRing,
     cone_numerator,
     integral_classes,
     log_derivative_classes,
@@ -106,7 +106,7 @@ def _window(numerator, M: int) -> int:
     return numerator.degree + M
 
 
-def _face_quotient_dims(ring: FaceRing, gs, bound: int):
+def _face_quotient_dims(ring: ConeRing, gs, bound: int):
     """Dimensions of the facial ring modulo the chosen classes, by degree;
     a degree the shift lemma proves zero is not ranked."""
     M = ring.gauge_denominator
@@ -126,26 +126,16 @@ def _face_quotient_dims(ring: FaceRing, gs, bound: int):
 def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate:
     """Decide finiteness of the quotient attached to one origin-free face."""
     M = polytope.gauge_denominator
-    ring = FaceRing(polytope, face)
+    ring = ConeRing(polytope, face)
     expected_poly, k = cone_numerator(polytope, face)
     assert k == face.dim + 1, "face pieces must have dim + 1 generators"
     bound = _window(expected_poly, M)
     expected = tuple(expected_poly.coeff(d) for d in range(bound + 1))
     # In integers once; the pivots and quotient dimensions do not change.
     gs, _ = integral_classes(log_derivative_classes(fiber, face, polytope))
-    chosen = _spanning_subset(gs, face)
-    if chosen is None:
-        return FaceCertificate(
-            face_id=face.id,
-            face_vertices=face.vertices,
-            spanning_indices=(),
-            quotient_dims=(),
-            expected_dims=expected,
-            verdict="infinite",
-            bound_used=bound,
-            failure_degree=None,
-        )
-    dims = _face_quotient_dims(ring, [gs[i - 1] for i in chosen], bound)
+    # Without a spanning subset nothing is ranked and the face is degenerate.
+    chosen = _spanning_subset(gs, face) or ()
+    dims = chosen and _face_quotient_dims(ring, [gs[i - 1] for i in chosen], bound)
     mismatches = (d for d, (got, want) in enumerate(zip(dims, expected)) if got != want)
     failure = next(mismatches, None)
     return FaceCertificate(
@@ -154,7 +144,7 @@ def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate
         spanning_indices=chosen,
         quotient_dims=dims,
         expected_dims=expected,
-        verdict="finite" if failure is None else "infinite",
+        verdict="finite" if chosen and failure is None else "infinite",
         bound_used=bound,
         failure_degree=failure,
     )
@@ -162,9 +152,8 @@ def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate
 
 def is_nondegenerate(fiber, polytope: NewtonPolytope) -> NondegeneracyReport:
     """Certify the fiber face by face; degeneracy is a result, not an error."""
+    _check_length(fiber, polytope.matrix.num_columns)
     fiber = tuple(Fraction(c) for c in fiber)
-    if len(fiber) != polytope.matrix.num_columns:
-        raise ValueError("fiber length does not match the column count")
     faces = polytope.origin_free_faces()
     certificates = [certify_face(fiber, face, polytope) for face in faces]
     overall = all(c.verdict == "finite" for c in certificates)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import NotARelation
 from .jsonio import format_rational
-from .lattice import ExponentMatrix
+from .lattice import ExponentMatrix, _check_length
 
 _SUBSCRIPTS = str.maketrans("0123456789-", "₀₁₂₃₄₅₆₇₈₉₋")
 
@@ -121,9 +121,8 @@ def lattice_kernel(matrix: ExponentMatrix) -> list[BoxOperator]:
 
 def euler_operators(matrix: ExponentMatrix, gamma) -> list[EulerOperator]:
     """One operator per matrix row, carrying the matching parameter entry."""
+    _check_length(gamma, matrix.n)
     gamma = [Fraction(g) for g in gamma]
-    if len(gamma) != matrix.n:
-        raise ValueError("parameter length does not match the row count")
     return [
         EulerOperator(tuple(row), gamma[i]) for i, row in enumerate(matrix.rows)
     ]

@@ -1,14 +1,14 @@
 """Graded semigroup rings attached to the Newton polytope.
 
 ``ConeRing(polytope)`` is the ring on the lattice points of the exponent
-cone, ``ConeRing(polytope, face)`` the ring on the cone over one face
-avoiding the origin; ``FaceRing`` only checks that the face avoids it.  Both
-are graded by the scaled gauge and list their slices from the cone's
-half-open simplicial tiling.  A product t^u t^w survives exactly when
-deg(u + w) = deg u + deg w.  The gauge is the largest positive facet
-functional, so this is the equality case of its subadditivity, some facet
-tight at both factors, and the full ring is the associated graded ring.  On
-a face cone such a facet is tight on the whole face: no product vanishes.
+cone, ``ConeRing(polytope, face)`` the ring on the cone over one face, which
+must avoid the origin.  Both are graded by the scaled gauge and list their
+slices from the cone's half-open simplicial tiling.  A product t^u t^w
+survives exactly when deg(u + w) = deg u + deg w.  The gauge is the largest
+positive facet functional, so this is the equality case of its
+subadditivity, some facet tight at both factors, and the full ring is the
+associated graded ring.  On a face cone such a facet is tight on the whole
+face: no product vanishes.
 
 Poincare series are read off the same tiling: its parallelepiped points
 counted by degree are the numerator over (1 - t^M)^k.
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import FaceContainsOrigin
-from .lattice import Face, NewtonPolytope, Vector
+from .lattice import Face, NewtonPolytope, Vector, _check_length
 from .linalg import SparseRationalMatrix
 from .series import PolyZ
 
@@ -43,10 +43,12 @@ class RingElement:
 
 class ConeRing:
     """Graded ring on the lattice points of the exponent cone, or of the
-    cone over one face avoiding the origin; a product survives exactly when
-    the degrees of its factors add."""
+    cone over one face, which must avoid the origin; a product survives
+    exactly when the degrees of its factors add."""
 
     def __init__(self, polytope: NewtonPolytope, face: Face | None = None):
+        if face is not None and face.contains_origin:
+            raise FaceContainsOrigin(face.id)
         self.polytope = polytope
         self.face = face
 
@@ -66,15 +68,6 @@ class ConeRing:
         return w if degree(w1) + degree(w2) == degree(w) else None
 
 
-class FaceRing(ConeRing):
-    """The ring on the cone over one face, which must avoid the origin."""
-
-    def __init__(self, polytope: NewtonPolytope, face: Face):
-        if face.contains_origin:
-            raise FaceContainsOrigin(face.id)
-        super().__init__(polytope, face)
-
-
 # -- spec-level operations ----------------------------------------------------
 
 
@@ -89,9 +82,8 @@ def log_derivative_classes(
     gauge denominator.
     """
     A = polytope.matrix
+    _check_length(fiber, A.num_columns)
     fiber = [Fraction(c) for c in fiber]
-    if len(fiber) != A.num_columns:
-        raise ValueError("fiber length does not match the column count")
     if face is not None and face.contains_origin:
         raise FaceContainsOrigin(face.id)
     selected = []

@@ -31,6 +31,12 @@ def kouchnirenko_scan(P, fiber):
     return KouchnirenkoResult(ConeRing(P), fiber, expected, truncation)
 
 
+def face_with_vertices(P, vertices):
+    """The face of P whose vertex set is ``vertices``, in any order."""
+    wanted = tuple(sorted(vertices))
+    return next(f for f in P.faces if f.vertices == wanted)
+
+
 GAUSS_ROWS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 
 # The acceptance fixtures: matrix rows and a nondegenerate fiber for each.

@@ -9,6 +9,7 @@ import warnings
 from fractions import Fraction
 
 import test_properties as props
+from conftest import face_with_vertices
 
 from gkzrank import (
     GammaNotNormalized,
@@ -120,7 +121,7 @@ def test_criterion_5_degeneracy_detection(tmp_path):
 
     P2 = NewtonPolytope(validate_matrix([[1, 2]]))
     report2 = is_nondegenerate([1, 0], P2)
-    vertex = P2.face_by_vertices([(2,)])
+    vertex = face_with_vertices(P2, [(2,)])
     interval_ok = (not report2.overall) and [
         c.face_id for c in report2.offending_faces()
     ] == [vertex.id]

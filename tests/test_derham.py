@@ -78,6 +78,21 @@ class TestTwistedDifferential:
                 twisted_differential([F(5, 2)], [1], form(1, (), (0,)), P)
             assert [w.category for w in caught] == [GammaNotNormalized]
 
+    @pytest.mark.parametrize(
+        "gamma,fiber,length,expected",
+        [([0], [1, 2, 3, 4], 1, 3), ([0, 0, 0], [1, 2], 2, 4)],
+    )
+    def test_wrong_length_gamma_or_fiber_is_rejected(
+        self, gauss, gamma, fiber, length, expected
+    ):
+        # A short gamma would be indexed past its end, a short fiber
+        # silently truncated against the columns.
+        _, P, _ = gauss
+        omega = form(3, (), (1, 0, 0))
+        message = f"length {length}, expected {expected}"
+        with pytest.raises(ShapeMismatch, match=message):
+            twisted_differential(gamma, fiber, omega, P)
+
 
 class TestFiltrationLevel:
     def test_constant(self):

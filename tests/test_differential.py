@@ -39,7 +39,7 @@ from gkzrank.linalg import rank
 from gkzrank.nondegeneracy import _spanning_subset
 from gkzrank.oracles import face_cone_contains
 from gkzrank.rings import (
-    FaceRing,
+    ConeRing,
     cone_numerator,
     integral_classes,
     log_derivative_classes,
@@ -201,7 +201,7 @@ def _certify_over_the_long_window(fiber, face, P):
     chosen = _spanning_subset(gs, face)
     if chosen is None:
         return "infinite", None, (), (), expected
-    ring, gs = FaceRing(P, face), [gs[i - 1] for i in chosen]
+    ring, gs = ConeRing(P, face), [gs[i - 1] for i in chosen]
     dims = []
     for d in range(bound + 1):
         image = sequence_image(ring, gs, M, d)

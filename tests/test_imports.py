@@ -41,7 +41,7 @@ GAUSS_SPEC = {
 # The public names: one per object, no alias functions beside the classes
 # they call.
 EXPORTS = """
-BoxOperator CochainComplexQ ConeRing DegenerateFiber EulerOperator ExponentMatrix Face FaceCertificate FaceComplex FaceContainsOrigin FaceRing Facet
+BoxOperator CochainComplexQ ConeRing DegenerateFiber EulerOperator ExponentMatrix Face FaceCertificate FaceComplex FaceContainsOrigin Facet
 FreeRing GammaNotNormalized GkzError GradedKoszulComplex GradedRingHandle
 KouchnirenkoResult LogForm MismatchAtDegree NewtonPolytope NondegeneracyReport
 NotAFacePair NotARelation NotInCone PolyZ ProblemSpec RankDeficient RankReport

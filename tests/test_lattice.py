@@ -426,6 +426,125 @@ def test_concurrent_listing_matches_one_thread():
     assert results == [expected] * 4
 
 
+def _ref_face_lattice(P):
+    """The vertices by the rank test (a point on facets whose normals span),
+    the faces by the pairwise closure of the facets' vertex sets, each as
+    (id, dim, vertices, active, contains_origin, on_origin_facet), and the
+    f-vector and the normalized volume read off them."""
+    def on(f, p):
+        return f.value(p) == f.level
+
+    vertices = tuple(sorted(
+        p for p in P.points
+        if rational_rank([f.normal for f in P.facets if on(f, p)] or [[0] * P.n])
+        == P.n
+    ))
+    sets = {frozenset(v for v in vertices if on(f, v)) for f in P.facets}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(sets), 2):
+            if a & b and a & b not in sets:
+                sets.add(a & b)
+                changed = True
+    faces = []
+    for vs in sets:
+        verts = tuple(sorted(vs))
+        dim = rational_rank([lattice._sub(v, verts[0]) for v in verts])
+        active = frozenset(
+            i for i, f in enumerate(P.facets) if all(on(f, v) for v in verts)
+        )
+        levels = [P.facets[i].level for i in active]
+        faces.append((dim, verts, active, not any(levels), 0 in levels))
+    faces = [(i,) + f for i, f in enumerate(sorted(faces, key=lambda f: f[:2]))]
+    f_vector = tuple(sum(f[1] == p for f in faces) for p in range(P.n))
+
+    def simplices(face):
+        # The pulling triangulation from the smallest vertex.
+        _, dim, verts = face[:3]
+        if len(verts) == dim + 1:
+            return [verts]
+        return [
+            (verts[0],) + s
+            for g in faces
+            if g[1] == dim - 1 and set(g[2]) < set(verts) and verts[0] not in g[2]
+            for s in simplices(g)
+        ]
+
+    v0 = vertices[0]
+    volume = sum(
+        abs(lattice._det([lattice._sub(v, v0) for v in s]))
+        for face in faces
+        if face[1] == P.n - 1 and v0 not in face[2]
+        for s in simplices(face)
+    )
+    return vertices, faces, f_vector, volume
+
+
+def _face_lattice_draws(seed, count):
+    """Random matrices of dimension 1 to 4 with even base columns, midpoints
+    of pairs of them (and of one and the origin), so that columns fall inside
+    edges and facets, and repeated and zero columns."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = 1 + len(out) % 4
+        base = [
+            [2 * rnd.randint(-2, 2) for _ in range(n)]
+            for _ in range(rnd.randint(n, n + 2))
+        ]
+        cols = base + [[0] * n] * (rnd.random() < 0.3)
+        for _ in range(rnd.randint(1, 3)):
+            a, b = rnd.choice(base), rnd.choice(base + [[0] * n])
+            cols.append([(x + y) // 2 for x, y in zip(a, b)])
+        if rnd.random() < 0.5:
+            cols.append(rnd.choice(cols))
+        try:
+            out.append(validate_matrix([list(r) for r in zip(*cols)]))
+        except RankDeficient:
+            pass
+    return out
+
+
+def test_face_lattice_matches_the_pairwise_closure(polytopes):
+    matrices = [matrix for matrix, _, _ in polytopes.values()]
+    matrices += [
+        validate_matrix(GOLDEN_SPECS[name]["matrix"]) for name in sorted(GOLDEN_SPECS)
+    ]
+    matrices += _face_lattice_draws(16, 120)
+    seen = set()
+    for matrix in matrices:
+        P = NewtonPolytope(matrix)
+        vertices, faces, f_vector, volume = _ref_face_lattice(P)
+        assert P.vertices == vertices, matrix.rows
+        assert [
+            (f.id, f.dim, f.vertices, f.active, f.contains_origin, f.on_origin_facet)
+            for f in P.faces
+        ] == faces, matrix.rows
+        assert P.f_vector() == f_vector, matrix.rows
+        assert P.normalized_volume == volume, matrix.rows
+        # What the draws cover: the smallest face holding each point that is
+        # not a vertex, where the origin sits, and repeated and zero columns.
+        for p in set(P.points) - set(vertices):
+            dim = min(
+                (f[1] for f in faces
+                 if all(P.facets[i].value(p) == P.facets[i].level for i in f[3])),
+                default=P.n,
+            )
+            seen.add(("inside", dim, P.n))
+        origin = (0,) * P.n
+        seen.add("origin vertex" if origin in vertices else
+                 "origin interior" if P.origin_interior else "origin boundary")
+        columns = matrix.columns
+        seen.add(("repeated", len(set(columns)) < len(columns)))
+        seen.add(("zero", origin in columns))
+    assert {("inside", 1, n) for n in (2, 3, 4)} <= seen  # edges
+    assert {("inside", n - 1, n) for n in (3, 4)} <= seen  # facets
+    assert {("inside", n, n) for n in (1, 2, 3, 4)} <= seen  # the interior
+    assert {"origin vertex", "origin interior", "origin boundary"} <= seen
+    assert {("repeated", True), ("zero", True)} <= seen
+
+
 class TestEnumerationsMatchReferences:
     BOUNDS = (0, Fraction(1, 3), 1, Fraction(5, 2), 3)
 

@@ -9,7 +9,9 @@ from gkzrank import (
     FaceContainsOrigin,
     NewtonPolytope,
     RingElement,
+    ShapeMismatch,
     choose_spanning_subset,
+    euler_operators,
     face_polynomial,
     is_nondegenerate,
     validate_matrix,
@@ -17,13 +19,13 @@ from gkzrank import (
 from gkzrank.linalg import rank
 from gkzrank.nondegeneracy import _face_quotient_dims, _spanning_subset, certify_face
 from gkzrank.rings import (
-    FaceRing,
+    ConeRing,
     cone_numerator,
     integral_classes,
     log_derivative_classes,
     sequence_image,
 )
-from conftest import kouchnirenko_scan
+from conftest import face_with_vertices, kouchnirenko_scan
 from test_cli import GOLDEN_SPECS
 
 GAUSS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
@@ -32,7 +34,7 @@ GAUSS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 class TestFacePolynomial:
     def test_single_monomial(self):
         P = NewtonPolytope(validate_matrix([[1, 2]]))
-        face = P.face_by_vertices([(2,)])
+        face = face_with_vertices(P, [(2,)])
         assert face_polynomial([5, 7], face, P) == RingElement(
             {(2,): Fraction(7)}
         )
@@ -52,12 +54,12 @@ class TestFacePolynomial:
 
     def test_zero_coefficient(self):
         P = NewtonPolytope(validate_matrix([[1, 2]]))
-        face = P.face_by_vertices([(2,)])
+        face = face_with_vertices(P, [(2,)])
         assert face_polynomial([1, 0], face, P).is_zero()
 
     def test_duplicate_columns_sum(self):
         P = NewtonPolytope(validate_matrix([[2, 2]]))
-        face = P.face_by_vertices([(2,)])
+        face = face_with_vertices(P, [(2,)])
         assert face_polynomial([1, -1], face, P).is_zero()
         assert face_polynomial([1, 2], face, P) == RingElement(
             {(2,): Fraction(3)}
@@ -65,7 +67,7 @@ class TestFacePolynomial:
 
     def test_origin_face_rejected(self):
         P = NewtonPolytope(validate_matrix([[1, 2]]))
-        origin_face = P.face_by_vertices([(0,)])
+        origin_face = face_with_vertices(P, [(0,)])
         with pytest.raises(FaceContainsOrigin):
             face_polynomial([1, 1], origin_face, P)
 
@@ -73,7 +75,7 @@ class TestFacePolynomial:
 class TestChooseSpanningSubset:
     def test_rank_one(self):
         P = NewtonPolytope(validate_matrix([[2]]))
-        face = P.face_by_vertices([(2,)])
+        face = face_with_vertices(P, [(2,)])
         assert choose_spanning_subset([1], face, P) == (1,)
 
     def test_gauss_square_full_rank(self, gauss):
@@ -83,17 +85,29 @@ class TestChooseSpanningSubset:
 
     def test_deficient(self):
         P = NewtonPolytope(validate_matrix([[1, 2]]))
-        face = P.face_by_vertices([(2,)])
+        face = face_with_vertices(P, [(2,)])
         assert choose_spanning_subset([1, 0], face, P) is None
 
     def test_edge_rank_two(self, gauss):
         _, P, _ = gauss
-        edge = P.face_by_vertices([(1, 0, 0), (1, 1, 0)])
+        edge = face_with_vertices(P, [(1, 0, 0), (1, 1, 0)])
         chosen = choose_spanning_subset([1, 2, 3, 4], edge, P)
         assert chosen is not None and len(chosen) == 2
 
 
 class TestIsNondegenerate:
+    def test_wrong_length_fiber_or_gamma_is_rejected(self, gauss):
+        # The stages and the operators share one length check with gamma.
+        matrix, P, _ = gauss
+        for call, length, expected in (
+            (lambda: is_nondegenerate([1, 2, 3], P), 3, 4),
+            (lambda: log_derivative_classes([1, 2, 3], None, P), 3, 4),
+            (lambda: euler_operators(matrix, [0, 0]), 2, 3),
+        ):
+            message = f"length {length}, expected {expected}"
+            with pytest.raises(ShapeMismatch, match=message):
+                call()
+
     def test_interval_examples(self):
         P = NewtonPolytope(validate_matrix([[1, 2]]))
         assert is_nondegenerate([0, 1], P).overall
@@ -190,7 +204,7 @@ def _certified_faces(rows, fiber):
         gs, _ = integral_classes(log_derivative_classes(fiber, face, P))
         chosen = _spanning_subset(gs, face)
         if chosen is not None:
-            yield face, FaceRing(P, face), [gs[i - 1] for i in chosen], (
+            yield face, ConeRing(P, face), [gs[i - 1] for i in chosen], (
                 numerator.degree + k * M
             )
 

@@ -12,7 +12,6 @@ import pytest
 from gkzrank import (
     ConeRing,
     FaceContainsOrigin,
-    FaceRing,
     FreeRing,
     NotAFacePair,
     ProblemSpec,
@@ -48,7 +47,7 @@ from gkzrank.oracles import (
 )
 from gkzrank.rings import cone_numerator
 
-from conftest import kouchnirenko_scan
+from conftest import face_with_vertices, kouchnirenko_scan
 from test_cli import GOLDEN_SPECS
 
 
@@ -103,8 +102,8 @@ class TestFacialRing:
         # The cone over the vertex {2} is the whole halfline, so every
         # degree has exactly one monomial.
         P = NewtonPolytope(validate_matrix([[1, 2]]))
-        face = P.face_by_vertices([(2,)])
-        ring = FaceRing(P, face)
+        face = face_with_vertices(P, [(2,)])
+        ring = ConeRing(P, face)
         assert [list(ring.monomials_of_degree(d)) for d in range(4)] == [
             [(0,)],
             [(1,)],
@@ -115,23 +114,24 @@ class TestFacialRing:
     def test_gauss_square_is_full_cone(self, gauss):
         _, P, _ = gauss
         square = P.index_set(2)[0]
-        ring = FaceRing(P, square)
+        ring = ConeRing(P, square)
         full = ConeRing(P)
         for d in range(4):
             assert ring.monomials_of_degree(d) == full.monomials_of_degree(d)
 
     def test_gauss_vertex_ray(self, gauss):
         _, P, _ = gauss
-        vertex = P.face_by_vertices([(1, 0, 0)])
-        ring = FaceRing(P, vertex)
+        vertex = face_with_vertices(P, [(1, 0, 0)])
+        ring = ConeRing(P, vertex)
         for d in range(4):
             assert list(ring.monomials_of_degree(d)) == [(d, 0, 0)]
 
     def test_origin_face_rejected(self):
         P = NewtonPolytope(validate_matrix([[1, 2]]))
-        origin_face = P.face_by_vertices([(0,)])
-        with pytest.raises(FaceContainsOrigin):
-            FaceRing(P, origin_face)
+        origin_face = face_with_vertices(P, [(0,)])
+        # Construction alone raises, before any slice is listed.
+        with pytest.raises(FaceContainsOrigin, match=f"^{origin_face.id}$"):
+            ConeRing(P, origin_face)
 
 
 def _multiply_element(ring, x, y):
@@ -149,7 +149,7 @@ class TestFaceProjection:
     def test_gauss_square_to_edge(self, gauss):
         _, P, _ = gauss
         square = P.index_set(2)[0]
-        edge = P.face_by_vertices([(1, 0, 0), (1, 1, 0)])
+        edge = face_with_vertices(P, [(1, 0, 0), (1, 1, 0)])
         kept = face_projection(RingElement.monomial((2, 1, 0)), square, edge, P)
         killed = face_projection(RingElement.monomial((1, 0, 1)), square, edge, P)
         assert kept == RingElement.monomial((2, 1, 0))
@@ -158,15 +158,15 @@ class TestFaceProjection:
     def test_not_a_face_pair(self, gauss):
         _, P, _ = gauss
         square = P.index_set(2)[0]
-        vertex = P.face_by_vertices([(1, 0, 0)])
+        vertex = face_with_vertices(P, [(1, 0, 0)])
         with pytest.raises(NotAFacePair):
             face_projection(RingElement.monomial((1, 0, 0)), square, vertex, P)
 
     def test_multiplicative(self, gauss):
         _, P, _ = gauss
         square = P.index_set(2)[0]
-        ring = FaceRing(P, square)
-        edge = P.face_by_vertices([(1, 0, 0), (1, 1, 0)])
+        ring = ConeRing(P, square)
+        edge = face_with_vertices(P, [(1, 0, 0), (1, 1, 0)])
         xs = [
             RingElement({(1, 0, 0): Fraction(2), (1, 1, 0): Fraction(1)}),
             RingElement({(1, 0, 1): Fraction(1), (1, 1, 0): Fraction(-3)}),
@@ -209,7 +209,7 @@ class TestPoincareSeries:
         for name, (_, P, _) in polytopes.items():
             assert poincare_series(ConeRing(P)).pole_order_at_one() == P.n
             for face in P.origin_free_faces():
-                ring = FaceRing(P, face)
+                ring = ConeRing(P, face)
                 assert (
                     poincare_series(ring).pole_order_at_one() == face.dim + 1
                 )
@@ -217,7 +217,7 @@ class TestPoincareSeries:
     def test_facial_series_match_enumeration(self, polytopes):
         for name, (_, P, _) in polytopes.items():
             for face in P.origin_free_faces():
-                ring = FaceRing(P, face)
+                ring = ConeRing(P, face)
                 bound = 3 * P.gauge_denominator
                 tay = poincare_series(ring).taylor(bound)
                 assert tay == [
@@ -469,7 +469,7 @@ class TestIntegerKernel:
                     P, w, face
                 )
         for face in P.origin_free_faces():
-            ring = FaceRing(P, face)
+            ring = ConeRing(P, face)
             for d in range(2 * M + 1):
                 assert ring.monomials_of_degree(d) == tuple(
                     w for w in ConeRing(P).monomials_of_degree(d)
@@ -627,7 +627,7 @@ def _koszul_cases(index):
     fiber = _seeded_fiber(P, index)
     yield ConeRing(P), log_derivative_classes(fiber, None, P)
     for face in P.origin_free_faces():
-        yield FaceRing(P, face), log_derivative_classes(fiber, face, P)
+        yield ConeRing(P, face), log_derivative_classes(fiber, face, P)
     free = FreeRing(P.n)
     rnd = random.Random(index)
     yield free, [
@@ -723,7 +723,7 @@ class TestSequenceImage:
         P = KERNEL_POLYTOPES[index]
         fiber = _seeded_fiber(P, index)
         for face in P.origin_free_faces():
-            ring = FaceRing(P, face)
+            ring = ConeRing(P, face)
             gs = log_derivative_classes(fiber, face, P)
             for chosen in (gs, gs[:1], gs[1:]):
                 bound = 3 * P.gauge_denominator
