@@ -6,10 +6,13 @@ the whole face lattice), the cone positively spanned by the columns, the
 piecewise-linear gauge that measures how deep a lattice vector sits inside
 scaled copies of the hull, and the normalized volume.  The facets are found
 by brute force over candidate point subsets, which is exact and entirely
-adequate at the intended scale (a handful of dimensions and columns).  Every
-face is the intersection of the facets containing it (Ziegler 1995, 2.1-2.2),
-so the faces are folded in one facet at a time, as the sets of points they
-hold; the vertices are the faces on one point.
+adequate at the intended scale (a handful of dimensions and columns); each
+facet keeps the hull points on its hyperplane.  Every face is the
+intersection of the facets containing it (Ziegler 1995, 2.1-2.2), so the
+faces are folded in one facet at a time, as the sets of points they hold,
+and each face keeps its set: the vertices are the faces on one point, a
+face's facets are those whose sets contain its set, and it holds the origin
+when its set does.  No face is tested by a dot product.
 
 The gauge is evaluated in integers.  Its denominator M is the lcm of the
 positive facet levels, read off the facets with no search: M times the
@@ -89,9 +92,6 @@ class ExponentMatrix:
     def columns(self) -> tuple[Vector, ...]:
         return tuple(zip(*self.rows))
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
-
 
 def rational_rank(rows) -> int:
     """Rank over Q of a list of integer rows."""
@@ -121,27 +121,30 @@ def validate_matrix(rows) -> ExponentMatrix:
 
 
 class Facet:
-    """A facet inequality normal . w <= level with primitive integer normal."""
+    """A facet inequality normal . w <= level with primitive integer normal;
+    ``points`` are the hull points (columns and origin) on its hyperplane."""
 
-    def __init__(self, normal, level):
+    def __init__(self, normal, level, points):
         self.normal: Vector = normal
         self.level: int = level
-
-    def value(self, w) -> Fraction | int:
-        return _dot(self.normal, w)
+        self.points: frozenset[Vector] = points
 
 
 class Face:
-    """A proper face of the hull, recorded by its vertex set.
+    """A proper face of the hull, recorded by the hull points it holds.
 
-    ``active`` lists the indices of all facets whose hyperplane contains the
-    face.  ``contains_origin`` refers to the origin as a point of the face,
-    which may happen even when the origin is not one of its vertices.
+    ``points`` is that set, ``vertices`` its vertices, sorted.  ``active``
+    lists the indices of the facets whose points contain the face's, and
+    ``contains_origin`` whether the origin is one of its points, which may
+    happen even when the origin is not one of its vertices.
     """
 
-    def __init__(self, id, dim, vertices, active, contains_origin, on_origin_facet):
+    def __init__(
+        self, id, dim, points, vertices, active, contains_origin, on_origin_facet
+    ):
         self.id: int = id
         self.dim: int = dim
+        self.points: frozenset[Vector] = points
         self.vertices: tuple[Vector, ...] = vertices
         self.active: frozenset[int] = active
         self.contains_origin: bool = contains_origin
@@ -232,7 +235,7 @@ class NewtonPolytope:
                 key = (normal, -level)
             else:
                 continue
-            found.setdefault(key, Facet(key[0], key[1]))
+            found.setdefault(key, Facet(*key, frozenset(points[k] for k in on)))
         facets = tuple(sorted(found.values(), key=lambda f: (f.level, f.normal)))
         for f in facets:
             if f.level < 0:
@@ -243,27 +246,19 @@ class NewtonPolytope:
         """The vertices and the faces.  The faces' point sets are the nonempty
         proper intersections of the facets' point sets, folded in one facet
         at a time; the vertices are the faces on one point."""
-        whole = frozenset(points)
+        whole, origin = frozenset(points), (0,) * self.n
         sets = {whole}
         for f in self.facets:
-            on_f = frozenset(p for p in points if f.value(p) == f.level)
-            sets |= {s & on_f for s in sets}
+            sets |= {s & f.points for s in sets}
         sets -= {whole, frozenset()}
         vertices = frozenset(p for s in sets if len(s) == 1 for p in s)
         faces = []
         for s in sets:
             verts = tuple(sorted(s & vertices))
             dim = len(_affine_basis(verts)) if len(verts) > 1 else 0
-            active = frozenset(
-                i
-                for i, f in enumerate(self.facets)
-                if all(f.value(v) == f.level for v in verts)
-            )
-            contains_origin = all(self.facets[i].level == 0 for i in active)
+            active = frozenset(i for i, f in enumerate(self.facets) if s <= f.points)
             on_origin_facet = any(self.facets[i].level == 0 for i in active)
-            faces.append(
-                Face(0, dim, verts, active, contains_origin, on_origin_facet)
-            )
+            faces.append(Face(0, dim, s, verts, active, origin in s, on_origin_facet))
         faces.sort(key=lambda f: (f.dim, f.vertices))
         for i, f in enumerate(faces):
             f.id = i
@@ -322,13 +317,6 @@ class NewtonPolytope:
             self._slices[cone, d] = points
         return points
 
-    def point_on_face(self, w, face: Face) -> bool:
-        """Whether w (a point of the hull) lies on the given face."""
-        _check_length(w, self.n)
-        return all(
-            self.facets[i].value(w) == self.facets[i].level for i in face.active
-        )
-
     # -- face lattice queries ----------------------------------------------
 
     def faces_of_dim(self, p: int) -> list[Face]:
@@ -343,8 +331,8 @@ class NewtonPolytope:
 
     def subfaces(self, face: Face) -> list[Face]:
         """Codimension-one faces of the given face."""
-        dim, verts = face.dim - 1, set(face.vertices)
-        return [g for g in self.faces if g.dim == dim and set(g.vertices) < verts]
+        dim = face.dim - 1
+        return [g for g in self.faces if g.dim == dim and g.points < face.points]
 
     # -- triangulation and volume -------------------------------------------
 

@@ -45,9 +45,19 @@ class BoxOperator:
         return {"relation": list(self.relation)}
 
 
+def _integer_vector(relation) -> tuple[int, ...]:
+    """The entries as a tuple; an entry that is not an ``int`` (a bool is
+    not one) raises, as ``int`` would truncate it."""
+    relation = tuple(relation)
+    for c in relation:
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise NotARelation(f"non-integer entry {c!r}")
+    return relation
+
+
 def box_operator(matrix: ExponentMatrix, relation) -> BoxOperator:
     """Validate a vector as a nonzero integer relation among the columns."""
-    relation = tuple(int(c) for c in relation)
+    relation = _integer_vector(relation)
     if len(relation) != matrix.num_columns:
         raise NotARelation("length does not match the column count")
     if not any(relation):

@@ -33,7 +33,7 @@ from .lattice import (
 )
 from .linalg import SparseRationalMatrix, rank
 from .nondegeneracy import _spanning_subset
-from .operators import BoxOperator, _row_hnf
+from .operators import BoxOperator, _integer_vector, _row_hnf
 from .rings import (
     ConeRing, integral_classes, log_derivative_classes, sequence_image,
 )
@@ -948,12 +948,11 @@ def face_polynomial(fiber, face: Face, polytope: NewtonPolytope) -> RingElement:
     """Restriction of the fiber polynomial to the columns on the face."""
     if face.contains_origin:
         raise FaceContainsOrigin(face.id)
-    A = polytope.matrix
-    fiber = [Fraction(c) for c in fiber]
+    _check_length(fiber, polytope.matrix.num_columns)
     out = RingElement()
-    for j, w in enumerate(A.columns):
-        if polytope.point_on_face(w, face):
-            out.add_term(w, fiber[j])
+    for w, c in zip(polytope.matrix.columns, fiber):
+        if w in face.points:
+            out.add_term(w, c)
     return out
 
 
@@ -970,7 +969,7 @@ def choose_spanning_subset(fiber, face: Face, polytope: NewtonPolytope):
 
 def in_kernel_lattice(basis: list[BoxOperator], relation) -> bool:
     """Whether the relation is an integer combination of the basis."""
-    v = [int(c) for c in relation]
+    v = list(_integer_vector(relation))
     if basis and len(v) != len(basis[0].relation):
         raise NotARelation("length does not match the column count")
     # The Hermite form spans the same lattice with strictly increasing

@@ -76,9 +76,9 @@ def log_derivative_classes(
 ) -> list[RingElement]:
     """Leading classes of the logarithmic derivatives of the fiber polynomial.
 
-    For a face, sums run over the columns lying on it; for the full ring they
-    run over the columns of gauge one, i.e. those on the boundary faces that
-    avoid the origin.  Each output is homogeneous of degree equal to the
+    For a face, sums run over the columns in its point set; for the full ring
+    they run over the columns of gauge one, i.e. those on the boundary faces
+    that avoid the origin.  Each output is homogeneous of degree equal to the
     gauge denominator.
     """
     A = polytope.matrix
@@ -86,20 +86,16 @@ def log_derivative_classes(
     fiber = [Fraction(c) for c in fiber]
     if face is not None and face.contains_origin:
         raise FaceContainsOrigin(face.id)
-    selected = []
-    for j, w in enumerate(A.columns):
-        if face is None:
-            if polytope.cone_contains(w) and polytope.gauge(w) == 1:
-                selected.append(j)
-        else:
-            if polytope.point_on_face(w, face):
-                selected.append(j)
+    selected = [
+        (w, c)
+        for w, c in zip(A.columns, fiber)
+        if (polytope.gauge(w) == 1 if face is None else w in face.points)
+    ]
     out = []
     for i in range(A.n):
         g = RingElement()
-        for j in selected:
-            w = A.column(j)
-            g.add_term(w, fiber[j] * w[i])
+        for w, c in selected:
+            g.add_term(w, c * w[i])
         out.append(g)
     return out
 
@@ -127,7 +123,9 @@ def sequence_image(ring, sequence, step: int, d: int):
     product that vanishes in the ring is dropped; one that leaves the slice
     means the sequence is not homogeneous of degree ``step`` and raises.
     Each product t^u * t^w is formed once, for all classes with u in their
-    support.
+    support.  The layout stays interleaved: grouped class by class, it
+    reorders the columns of ``nondegeneracy``'s face-quotient ranks, which
+    made that stage three times slower on the homogenized 4-D cross-polytope.
     """
     index = {w: r for r, w in enumerate(ring.monomials_of_degree(d))}
     prev = ring.monomials_of_degree(d - step)

@@ -24,6 +24,11 @@ from gkzrank.rings import cone_numerator
 from test_cli import GOLDEN_SPECS
 
 
+def _value(f, w):
+    """The facet functional normal . w, by a local dot product."""
+    return sum(a * b for a, b in zip(f.normal, w))
+
+
 class TestValidateMatrix:
     def test_identity_case(self):
         m = validate_matrix([[1]])
@@ -75,9 +80,9 @@ class TestNewtonPolytope:
             origin = (0,) * P.n
             for point in matrix.columns + (origin,):
                 for f in P.facets:
-                    assert f.value(point) <= f.level
+                    assert _value(f, point) <= f.level
             for f in P.facets:
-                on = [v for v in P.vertices if f.value(v) == f.level]
+                on = [v for v in P.vertices if _value(f, v) == f.level]
                 assert len(on) >= P.n
                 diffs = [tuple(a - b for a, b in zip(v, on[0])) for v in on[1:]]
                 assert rational_rank(diffs) == P.n - 1 or P.n == 1
@@ -156,10 +161,6 @@ class TestGauge:
         P = NewtonPolytope(matrix)
         with pytest.raises(ShapeMismatch, match="expected 2"):
             P.cone_contains(w)
-        assert P.faces
-        for face in P.faces:
-            with pytest.raises(ShapeMismatch, match="expected 2"):
-                P.point_on_face(w, face)
 
 
 class TestGaugeDenominator:
@@ -429,10 +430,11 @@ def test_concurrent_listing_matches_one_thread():
 def _ref_face_lattice(P):
     """The vertices by the rank test (a point on facets whose normals span),
     the faces by the pairwise closure of the facets' vertex sets, each as
-    (id, dim, vertices, active, contains_origin, on_origin_facet), and the
-    f-vector and the normalized volume read off them."""
+    (id, dim, vertices, active, contains_origin, on_origin_facet, points),
+    the facets' point sets, and the f-vector and the normalized volume read
+    off them.  A point set is the points on every facet in question."""
     def on(f, p):
-        return f.value(p) == f.level
+        return _value(f, p) == f.level
 
     vertices = tuple(sorted(
         p for p in P.points
@@ -454,9 +456,13 @@ def _ref_face_lattice(P):
         active = frozenset(
             i for i, f in enumerate(P.facets) if all(on(f, v) for v in verts)
         )
+        points = frozenset(
+            p for p in P.points if all(on(P.facets[i], p) for i in active)
+        )
         levels = [P.facets[i].level for i in active]
-        faces.append((dim, verts, active, not any(levels), 0 in levels))
+        faces.append((dim, verts, active, not any(levels), 0 in levels, points))
     faces = [(i,) + f for i, f in enumerate(sorted(faces, key=lambda f: f[:2]))]
+    facet_points = [frozenset(p for p in P.points if on(f, p)) for f in P.facets]
     f_vector = tuple(sum(f[1] == p for f in faces) for p in range(P.n))
 
     def simplices(face):
@@ -478,7 +484,7 @@ def _ref_face_lattice(P):
         if face[1] == P.n - 1 and v0 not in face[2]
         for s in simplices(face)
     )
-    return vertices, faces, f_vector, volume
+    return vertices, faces, facet_points, f_vector, volume
 
 
 def _face_lattice_draws(seed, count):
@@ -515,24 +521,24 @@ def test_face_lattice_matches_the_pairwise_closure(polytopes):
     seen = set()
     for matrix in matrices:
         P = NewtonPolytope(matrix)
-        vertices, faces, f_vector, volume = _ref_face_lattice(P)
+        vertices, faces, facet_points, f_vector, volume = _ref_face_lattice(P)
+        origin = (0,) * P.n
         assert P.vertices == vertices, matrix.rows
+        assert [f.points for f in P.facets] == facet_points, matrix.rows
         assert [
-            (f.id, f.dim, f.vertices, f.active, f.contains_origin, f.on_origin_facet)
+            (f.id, f.dim, f.vertices, f.active, f.contains_origin,
+             f.on_origin_facet, f.points)
             for f in P.faces
         ] == faces, matrix.rows
+        for f in P.faces:
+            assert f.contains_origin == (origin in f.points), matrix.rows
         assert P.f_vector() == f_vector, matrix.rows
         assert P.normalized_volume == volume, matrix.rows
         # What the draws cover: the smallest face holding each point that is
         # not a vertex, where the origin sits, and repeated and zero columns.
         for p in set(P.points) - set(vertices):
-            dim = min(
-                (f[1] for f in faces
-                 if all(P.facets[i].value(p) == P.facets[i].level for i in f[3])),
-                default=P.n,
-            )
+            dim = min((f[1] for f in faces if p in f[-1]), default=P.n)
             seen.add(("inside", dim, P.n))
-        origin = (0,) * P.n
         seen.add("origin vertex" if origin in vertices else
                  "origin interior" if P.origin_interior else "origin boundary")
         columns = matrix.columns
@@ -582,7 +588,7 @@ class TestEnumerationsMatchReferences:
                 _ref_all_subsets_facets(P)
             ), rows
             shared = max(
-                len({p for p in P.points if f.value(p) == f.level}) for f in P.facets
+                len({p for p in P.points if _value(f, p) == f.level}) for f in P.facets
             )
             skipped += shared > P.n
         assert skipped > len(matrices) // 2

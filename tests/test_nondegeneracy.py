@@ -102,6 +102,7 @@ class TestIsNondegenerate:
         for call, length, expected in (
             (lambda: is_nondegenerate([1, 2, 3], P), 3, 4),
             (lambda: log_derivative_classes([1, 2, 3], None, P), 3, 4),
+            (lambda: face_polynomial([1, 2, 3], P.index_set(2)[0], P), 3, 4),
             (lambda: euler_operators(matrix, [0, 0]), 2, 3),
         ):
             message = f"length {length}, expected {expected}"

@@ -220,6 +220,17 @@ class TestBoxOperator:
         with pytest.raises(NotARelation):
             box_operator(matrix, (1, 0, 0, 0))
 
+    def test_non_integer_entry_rejected(self, gauss):
+        # int() truncates each of these to 1, the relation (1, -1, -1, 1).
+        matrix, _, _ = gauss
+        basis = lattice_kernel(matrix)
+        for entry in (Fraction(3, 2), 1.9, True, "1"):
+            relation = [entry, -1, -1, 1]
+            with pytest.raises(NotARelation, match="non-integer entry"):
+                box_operator(matrix, relation)
+            with pytest.raises(NotARelation, match="non-integer entry"):
+                in_kernel_lattice(basis, relation)
+
     def test_degree_balance(self, gauss):
         # A relation maps any monomial to the same matrix degree from both
         # sides of the box operator.

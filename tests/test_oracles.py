@@ -34,7 +34,9 @@ def lattice_count_in_dilate(P, k):
         box.append(range(k * min(lo, 0), k * max(hi, 0) + 1))
     count = 0
     for w in itertools.product(*box):
-        if all(f.value(w) <= k * f.level for f in P.facets):
+        if all(
+            sum(a * b for a, b in zip(f.normal, w)) <= k * f.level for f in P.facets
+        ):
             count += 1
     return count
 

@@ -49,6 +49,7 @@ from gkzrank.rings import cone_numerator
 
 from conftest import face_with_vertices, kouchnirenko_scan
 from test_cli import GOLDEN_SPECS
+from test_lattice import _face_lattice_draws
 
 
 class TestGradedPiece:
@@ -302,6 +303,50 @@ class TestLogDerivativeClasses:
                 for g in log_derivative_classes(fiber, face, P):
                     assert {ring.degree(w) for w in g.terms} <= {P.gauge_denominator}
 
+    def test_columns_match_the_dot_product_selection(self, polytopes):
+        # The reference picks the columns of gauge one for the full ring and
+        # the columns on every active facet for a face, by dot products; a
+        # positive fiber keeps repeated columns from cancelling.
+        matrices = [matrix for matrix, _, _ in polytopes.values()]
+        matrices += [
+            validate_matrix(GOLDEN_SPECS[name]["matrix"]) for name in sorted(GOLDEN_SPECS)
+        ]
+        matrices += _face_lattice_draws(16, 120)
+        off_vertex = 0
+        for matrix in matrices:
+            P = NewtonPolytope(matrix)
+            rnd = random.Random(len(P.faces))
+            fiber = [rnd.randint(1, 9) for _ in matrix.columns]
+
+            def expected(chosen):
+                weights = {}
+                for j in chosen:
+                    w = matrix.columns[j]
+                    weights[w] = weights.get(w, 0) + fiber[j]
+                return [
+                    {w: Fraction(c * w[i]) for w, c in weights.items() if w[i]}
+                    for i in range(P.n)
+                ]
+
+            gs = log_derivative_classes(fiber, None, P)
+            assert [g.terms for g in gs] == expected(
+                j for j, w in enumerate(matrix.columns) if _ref_gauge(P, w) == 1
+            ), matrix.rows
+            for face in P.origin_free_faces():
+                chosen = [
+                    j for j, w in enumerate(matrix.columns)
+                    if all(
+                        sum(a * b for a, b in zip(P.facets[i].normal, w))
+                        == P.facets[i].level
+                        for i in face.active
+                    )
+                ]
+                gs = log_derivative_classes(fiber, face, P)
+                assert [g.terms for g in gs] == expected(chosen), matrix.rows
+                off_vertex += any(
+                    matrix.columns[j] not in face.vertices for j in chosen
+                )
+        assert off_vertex
 
 # -- the integer kernel against Fraction references ----------------------------
 
