@@ -17,10 +17,8 @@ from .jsonio import (
     DEFAULT_WEIGHT_BOUND,
     GEOMETRY_SUBCOMMANDS,
     ProblemSpec,
-    check_options,
     error_json,
     geometry_answer,
-    parse_rational,
 )
 
 EXIT_OK = 0
@@ -107,26 +105,30 @@ def _parse(argv: list) -> dict:
 
 
 def _load_spec(args: dict) -> ProblemSpec:
+    """The problem file with the overrides written over its fields, checked
+    once by ``ProblemSpec.from_json``."""
     with open(args["spec"], "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    spec = ProblemSpec.from_json(data)
-    if "fiber" in args:
-        spec.fiber = [parse_rational(tok) for tok in args["fiber"].split(",")]
-    if "gamma" in args:
-        spec.gamma = [parse_rational(tok) for tok in args["gamma"].split(",")]
-    if "weight_bound" in args:
-        spec.options["weight_bound"] = args["weight_bound"]
-        check_options(spec.options)
-    return spec
+    if isinstance(data, dict):
+        data.update((k, args[k].split(",")) for k in ("fiber", "gamma") if k in args)
+        if "weight_bound" in args and isinstance(data.setdefault("options", {}), dict):
+            data["options"]["weight_bound"] = args["weight_bound"]
+    return ProblemSpec.from_json(data)
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
+def _emit(payload: dict, out_path: str | None, code: int) -> int:
+    """Write the report to ``out_path``, or to stdout, and return ``code``;
+    a path that cannot be written turns it into an output error on stdout."""
     text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _emit(error_json("output", exc), None, EXIT_INPUT_ERROR)
+    return code
 
 
 def main(argv=None) -> int:
@@ -135,30 +137,24 @@ def main(argv=None) -> int:
     try:
         spec = _load_spec(args)
     except (OSError, json.JSONDecodeError, ValueError, GkzError) as exc:
-        _emit(error_json("input", exc), out)
-        return EXIT_INPUT_ERROR
+        return _emit(error_json("input", exc), out, EXIT_INPUT_ERROR)
     try:
         if command in GEOMETRY_SUBCOMMANDS:
-            _emit(geometry_answer(command, spec), out)
-            return EXIT_OK
+            return _emit(geometry_answer(command, spec), out, EXIT_OK)
         # the cohomology stack loads only for the subcommands that run it
         from .pipeline import run_analyze, run_subcommand
 
         if command == "analyze":
             report = run_analyze(spec, with_timings=not args.get("no_timings"))
-            _emit(report.to_json(), out)
-            return EXIT_DEGENERATE if report.degenerate else EXIT_OK
+            code = EXIT_DEGENERATE if report.degenerate else EXIT_OK
+            return _emit(report.to_json(), out, code)
         result = run_subcommand(command, spec)
-        _emit(result, out)
-        if command == "nondegenerate" and not result.get("overall", True):
-            return EXIT_DEGENERATE
-        return EXIT_OK
+        degenerate = command == "nondegenerate" and not result.get("overall", True)
+        return _emit(result, out, EXIT_DEGENERATE if degenerate else EXIT_OK)
     except DegenerateFiber as exc:
-        _emit(error_json(command, exc), out)
-        return EXIT_DEGENERATE
+        return _emit(error_json(command, exc), out, EXIT_DEGENERATE)
     except GkzError as exc:
-        _emit(error_json(command, exc), out)
-        return EXIT_INPUT_ERROR
+        return _emit(error_json(command, exc), out, EXIT_INPUT_ERROR)
 
 
 if __name__ == "__main__":

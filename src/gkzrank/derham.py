@@ -23,11 +23,8 @@ from .linalg import SparseRationalMatrix, rank
 
 
 def _warn_if_not_normalized(gamma, polytope: NewtonPolytope):
-    gamma = [Fraction(g) for g in gamma]
-    if any(
-        sum(a * b for a, b in zip(m, gamma)) > 0
-        for m in polytope.cone_inequalities()
-    ):
+    """Warn unless gamma is normalized: -gamma lies in the exponent cone."""
+    if not polytope.cone_contains([-Fraction(g) for g in gamma]):
         warnings.warn(
             "parameter vector is not normalized into the negated cone; "
             "rank guarantees are void",

@@ -6,7 +6,9 @@ graded and its differential raises the grading by the gauge denominator M.
 ``KouchnirenkoResult`` builds none of its maps: the nested quotients
 R/(g_1..g_j), counted by degree from the pivots of the top slices that the
 monomial basis and the de Rham solves factor anyway, decide the lower
-vanishing (see its docstring).  The full complex, with its d o d check, is
+vanishing (see its docstring).  The predicted top polynomial is the full
+cone's numerator and the truncation is the faces' window rule, read as a
+face certificate reads them.  The full complex, with its d o d check, is
 the reference ``oracles.GradedKoszulComplex``.
 """
 
@@ -15,17 +17,16 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
-from .lattice import NewtonPolytope
 from .linalg import Echelon, SparseRationalMatrix
-from .nondegeneracy import NondegeneracyReport
+from .nondegeneracy import NondegeneracyReport, _window
 from .rings import (
     ConeRing,
+    PolyZ,
     cone_numerator,
     integral_classes,
     log_derivative_classes,
     sequence_image,
 )
-from .series import PolyZ
 
 
 def wedge_terms(I: tuple[int, ...], n: int):
@@ -185,22 +186,16 @@ class KouchnirenkoResult:
         }
 
 
-def expected_top_polynomial(polytope: NewtonPolytope) -> PolyZ:
-    """The series of the full ring times (1 - t^M)^n: the cone's numerator."""
-    numerator, k = cone_numerator(polytope)
-    assert k == polytope.n, "full-cone pieces must have n generators"
-    return numerator
-
-
 def verify_kouchnirenko(
     report: NondegeneracyReport, *, truncation_cap: int | None = None
 ) -> KouchnirenkoResult:
     """Certify vanishing of the lower Koszul cohomology and count the top,
     for the fiber and polytope of a nondegeneracy report.
 
-    The truncation degree is the degree of the predicted top-cohomology
-    polynomial plus one grading window, which bounds the support because
-    the fiber is nondegenerate: a report that is not raises DegenerateFiber.
+    The predicted top-cohomology polynomial is the full cone's numerator.
+    The truncation degree is ``nondegeneracy._window``, its degree plus M,
+    which bounds the support because the fiber is nondegenerate: a report
+    that is not raises DegenerateFiber.
     A truncation above ``truncation_cap`` raises TruncationTooSmall before
     any slice is built.
     """
@@ -208,8 +203,9 @@ def verify_kouchnirenko(
         bad = [c.face_id for c in report.offending_faces()]
         raise DegenerateFiber(f"degenerate fiber; offending faces {bad}")
     polytope = report.polytope
-    expected = expected_top_polynomial(polytope)
-    truncation = expected.degree + polytope.gauge_denominator
+    expected, k = cone_numerator(polytope)
+    assert k == polytope.n, "full-cone pieces must have n generators"
+    truncation = _window(expected, polytope.gauge_denominator)
     if truncation_cap is not None and truncation > truncation_cap:
         raise TruncationTooSmall(truncation, truncation_cap)
     return KouchnirenkoResult(ConeRing(polytope), report.fiber, expected, truncation)

@@ -18,7 +18,9 @@ GEOMETRY_SUBCOMMANDS = ("volume", "faces")
 
 
 def parse_rational(text) -> Fraction:
-    if type(text) is int or isinstance(text, str):  # never a bool
+    # Never a bool, and no exponent: Fraction("1e1000000000") writes out
+    # every digit of its numerator.
+    if type(text) is int or (isinstance(text, str) and not {"e", "E"} & set(text)):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):

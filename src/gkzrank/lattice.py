@@ -34,10 +34,11 @@ last coordinate over each point of its shells.
 Determinants are taken in integers by Bareiss elimination; they give the
 normalized volume, the facet normals (as signed maximal minors) and the
 integer inverse of each simplicial piece.  Ranks go through
-``linalg.rank``; a face's edge basis is the ordered greedy choice, read off
-the pivot columns of one ``linalg.Echelon``.  The facets tight at a point,
-face-cone membership, incidence signs and boundary pyramid volumes, which
-no ``analyze`` run needs, live in ``oracles``.
+``rational_rank``, the one rank of integer vectors: it checks the matrix's
+row rank and gives each face its dimension, the rank of its edges from one
+vertex.  The facets tight at a point, face-cone membership, face edge bases,
+incidence signs and boundary pyramid volumes, which no ``analyze`` run
+needs, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from math import ceil, floor, gcd, lcm
 from operator import mul
 
 from .errors import FaceContainsOrigin, NotInCone, RankDeficient, ShapeMismatch
-from .linalg import Echelon, SparseRationalMatrix, rank
+from .linalg import SparseRationalMatrix, rank
 
 Vector = tuple[int, ...]
 
@@ -151,14 +152,6 @@ class Face:
         self.on_origin_facet: bool = on_origin_facet
 
 
-def _affine_basis(vertices) -> tuple[Vector, ...]:
-    """The edges from the first vertex that the ordered greedy choice keeps."""
-    edges = [_sub(v, vertices[0]) for v in vertices[1:]]
-    entries = {(i, k): c for k, d in enumerate(edges) for i, c in enumerate(d)}
-    m = SparseRationalMatrix(len(vertices[0]), len(edges), entries)
-    return tuple(edges[j] for _, j, _ in Echelon(m).pivots)
-
-
 def _kernel_normal(points, n):
     """Primitive normal of the hyperplane through n points, or None.
 
@@ -245,7 +238,8 @@ class NewtonPolytope:
     def _build_faces(self, points) -> tuple[tuple[Vector, ...], tuple[Face, ...]]:
         """The vertices and the faces.  The faces' point sets are the nonempty
         proper intersections of the facets' point sets, folded in one facet
-        at a time; the vertices are the faces on one point."""
+        at a time; the vertices are the faces on one point, and a face's
+        dimension is the rank of its edges from its first vertex."""
         whole, origin = frozenset(points), (0,) * self.n
         sets = {whole}
         for f in self.facets:
@@ -255,7 +249,7 @@ class NewtonPolytope:
         faces = []
         for s in sets:
             verts = tuple(sorted(s & vertices))
-            dim = len(_affine_basis(verts)) if len(verts) > 1 else 0
+            dim = rational_rank([_sub(v, verts[0]) for v in verts[1:]])
             active = frozenset(i for i, f in enumerate(self.facets) if s <= f.points)
             on_origin_facet = any(self.facets[i].level == 0 for i in active)
             faces.append(Face(0, dim, s, verts, active, origin in s, on_origin_facet))
@@ -549,10 +543,10 @@ def normalize_gamma(gamma, polytope: NewtonPolytope):
     """
     _check_length(gamma, polytope.n)
     gamma = tuple(Fraction(g) for g in gamma)
+    if polytope.cone_contains([-g for g in gamma]):
+        return gamma
     n = len(gamma)
     ms = polytope.cone_inequalities()
-    if all(_dot(m, gamma) <= 0 for m in ms):
-        return gamma
     center = tuple(round(g) for g in gamma)
     needs = [(m, ceil(_dot(m, gamma) - _dot(m, center))) for m in ms]
     c = [sum(col) for col in zip(*polytope.matrix.columns)]

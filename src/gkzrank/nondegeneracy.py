@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import Face, NewtonPolytope, _check_length, _sub
-from .linalg import Echelon, SparseRationalMatrix, rank
+from .linalg import Echelon, rank
 from .rings import (
     ConeRing,
     cone_numerator,
@@ -89,20 +89,20 @@ class NondegeneracyReport:
         }
 
 
-def _spanning_subset(gs, face: Face):
-    """The first face.dim + 1 pivot columns of the classes, or None."""
-    exps = sorted({w for g in gs for w in g.terms})
-    index = {w: r for r, w in enumerate(exps)}
-    entries = {(index[w], i): c for i, g in enumerate(gs) for w, c in g.terms.items()}
-    pivots = Echelon(SparseRationalMatrix(len(exps), len(gs), entries)).pivots
-    if len(pivots) <= face.dim:
+def _spanning_subset(ring: ConeRing, gs):
+    """The first face.dim + 1 pivot columns of the classes on the face's
+    degree-M slice (each class times t^0), 1-based, or None."""
+    M, dim = ring.gauge_denominator, ring.face.dim
+    pivots = Echelon(sequence_image(ring, gs, M, M)).pivots
+    if len(pivots) <= dim:
         return None
-    return tuple(j + 1 for _, j, _ in pivots[: face.dim + 1])
+    return tuple(j + 1 for _, j, _ in pivots[: dim + 1])
 
 
 def _window(numerator, M: int) -> int:
-    """The last degree a face certificate reads: the numerator's degree
-    plus M, by the shift lemma."""
+    """The last degree a face certificate reads, the numerator's degree
+    plus M by the shift lemma; the Koszul stage's truncation, on the full
+    cone's numerator."""
     return numerator.degree + M
 
 
@@ -134,7 +134,7 @@ def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate
     # In integers once; the pivots and quotient dimensions do not change.
     gs, _ = integral_classes(log_derivative_classes(fiber, face, polytope))
     # Without a spanning subset nothing is ranked and the face is degenerate.
-    chosen = _spanning_subset(gs, face) or ()
+    chosen = _spanning_subset(ring, gs) or ()
     dims = chosen and _face_quotient_dims(ring, [gs[i - 1] for i in chosen], bound)
     mismatches = (d for d, (got, want) in enumerate(zip(dims, expected)) if got != want)
     failure = next(mismatches, None)

@@ -8,9 +8,9 @@ on a free polynomial ring, the face-search graded product, and Poincare
 series in lowest terms.  The reference algebra these checks and the tests
 use lives here too, so that an ``analyze`` process never compiles it:
 polynomial and ring-element arithmetic (``PolyZ`` and ``RingElement``
-extend the coefficient holders of ``series`` and ``rings``), differential
-forms, sparse matrix products, and the facets tight at a point with the
-face-cone membership and orientation signs built on them.  The tests, the
+extend the coefficient holders of ``rings``), differential forms, sparse
+matrix products, and the facets tight at a point with the face-cone
+membership, face edge bases and orientation signs built on them.  The tests, the
 demos and ``gkz face-complex`` load this module; ``pipeline`` never
 imports it.
 """
@@ -21,17 +21,17 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import rings, series
+from . import rings
 from .derham import (
     ReductionBasis, _partial, _warn_if_not_normalized, twisted_differential,
 )
 from .errors import FaceContainsOrigin, NotAFacePair, NotARelation, NotInCone
 from .homology import KouchnirenkoResult, wedge_terms
 from .lattice import (
-    Face, NewtonPolytope, Vector, _affine_basis, _check_length, _det, _dot,
-    _nonsingular_minor,
+    Face, NewtonPolytope, Vector, _check_length, _det, _dot, _nonsingular_minor,
+    _sub,
 )
-from .linalg import SparseRationalMatrix, rank
+from .linalg import Echelon, SparseRationalMatrix, rank
 from .nondegeneracy import _spanning_subset
 from .operators import BoxOperator, _integer_vector, _row_hnf
 from .rings import (
@@ -39,8 +39,8 @@ from .rings import (
 )
 
 
-class PolyZ(series.PolyZ):
-    """``series.PolyZ`` with arithmetic and printing."""
+class PolyZ(rings.PolyZ):
+    """``rings.PolyZ`` with arithmetic and printing."""
 
     __slots__ = ()
 
@@ -161,12 +161,12 @@ class RationalFunctionQ:
 
     The sign convention makes the lowest nonzero denominator coefficient
     positive, so series like 1/(1-t) print in the familiar orientation.
-    Either part may be a bare ``series.PolyZ``, such as a cone numerator.
+    Either part may be a bare ``rings.PolyZ``, such as a cone numerator.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: series.PolyZ, den: series.PolyZ):
+    def __init__(self, num: rings.PolyZ, den: rings.PolyZ):
         num, den = PolyZ(num.coeffs), PolyZ(den.coeffs)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
@@ -350,6 +350,14 @@ def face_cone_contains(polytope: NewtonPolytope, w, face: Face) -> bool:
         raise FaceContainsOrigin(face.id)
     tight = tight_facets(polytope, w)
     return tight is not None and face.active <= tight
+
+
+def _affine_basis(vertices) -> tuple[Vector, ...]:
+    """The edges from the first vertex that the ordered greedy choice keeps."""
+    edges = [_sub(v, vertices[0]) for v in vertices[1:]]
+    entries = {(i, k): c for k, d in enumerate(edges) for i, c in enumerate(d)}
+    m = SparseRationalMatrix(len(vertices[0]), len(edges), entries)
+    return tuple(edges[j] for _, j, _ in Echelon(m).pivots)
 
 
 def incidence_sign(
@@ -964,7 +972,7 @@ def choose_spanning_subset(fiber, face: Face, polytope: NewtonPolytope):
     degenerate, reported as None.
     """
     gs, _ = integral_classes(log_derivative_classes(fiber, face, polytope))
-    return _spanning_subset(gs, face)
+    return _spanning_subset(ConeRing(polytope, face), gs)
 
 
 def in_kernel_lattice(basis: list[BoxOperator], relation) -> bool:

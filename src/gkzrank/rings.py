@@ -11,7 +11,8 @@ associated graded ring.  On a face cone such a facet is tight on the whole
 face: no product vanishes.
 
 Poincare series are read off the same tiling: its parallelepiped points
-counted by degree are the numerator over (1 - t^M)^k.
+counted by degree are the numerator, a ``PolyZ``, over (1 - t^M)^k; their
+arithmetic and the lowest-terms series live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from math import lcm
 from .errors import FaceContainsOrigin
 from .lattice import Face, NewtonPolytope, Vector, _check_length
 from .linalg import SparseRationalMatrix
-from .series import PolyZ
 
 
 class RingElement:
@@ -156,14 +156,40 @@ def poincare_series(ring):
     own ``poincare_series()``."""
     if not isinstance(ring, ConeRing):
         return ring.poincare_series()
-    from .oracles import PolyZ, RationalFunctionQ
+    from . import oracles
 
     numerator, k = cone_numerator(ring.polytope, ring.face)
-    den = PolyZ([1]) - PolyZ.monomial(ring.gauge_denominator)
-    return RationalFunctionQ(numerator, den ** k)
+    den = oracles.PolyZ([1]) - oracles.PolyZ.monomial(ring.gauge_denominator)
+    return oracles.RationalFunctionQ(numerator, den ** k)
 
 
 # -- Poincare series from the half-open tiling ---------------------------------
+
+
+class PolyZ:
+    """Univariate polynomial with integer coefficients, dense ascending."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [int(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the zero polynomial reported as -1."""
+        return len(self.coeffs) - 1
+
+    def coeff(self, k: int) -> int:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    def __eq__(self, other):
+        return isinstance(other, PolyZ) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
 
 def cone_numerator(polytope: NewtonPolytope, face: Face | None = None):

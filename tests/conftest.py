@@ -5,7 +5,7 @@ import pytest
 
 import gkzrank
 from gkzrank import ConeRing, KouchnirenkoResult, NewtonPolytope, validate_matrix
-from gkzrank.homology import expected_top_polynomial
+from gkzrank.rings import cone_numerator
 
 
 def pytest_configure(config):
@@ -26,7 +26,7 @@ def kouchnirenko_scan(P, fiber):
     """The Koszul scan of any fiber, degenerate or not, at the truncation
     ``verify_kouchnirenko`` uses; that stage refuses a fiber whose report is
     not nondegenerate, so a scan of a degenerate one is built directly."""
-    expected = expected_top_polynomial(P)
+    expected = cone_numerator(P)[0]
     truncation = expected.degree + P.gauge_denominator
     return KouchnirenkoResult(ConeRing(P), fiber, expected, truncation)
 

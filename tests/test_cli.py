@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gkzrank import ProblemSpec, UnknownSubcommand, run_analyze, run_subcommand
-from gkzrank.cli import main
+from gkzrank.cli import _load_spec, main
 
 GAUSS_SPEC = {
     "matrix": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
@@ -281,7 +281,8 @@ def test_malformed_spec_is_an_input_error(name, tmp_path):
 
 # JSON booleans are not numbers, and a zero denominator or a word is no
 # rational, in the problem file and in the --fiber / --gamma overrides alike;
-# every one reports the same message.
+# every one reports the same message.  Exponent notation is refused as well,
+# at once: Fraction would write out every digit of 10^999999999.
 BAD_RATIONALS = {
     "bool-fiber": ({"matrix": [[1, 2]], "fiber": [True, 2]}, "analyze"),
     "bool-gamma": ({"matrix": [[1, 2]], "gamma": [False]}, "analyze"),
@@ -291,6 +292,8 @@ BAD_RATIONALS = {
     "zero-denominator-gamma-flag": ({"matrix": [[1, 2]]}, "analyze --gamma 1/0"),
     "word-fiber": ({"matrix": [[1, 2]], "fiber": ["x", "2"]}, "analyze"),
     "word-gamma-flag": ({"matrix": [[1, 2]]}, "analyze --gamma x"),
+    "exponent-fiber": ({"matrix": [[1, 2]], "fiber": ["1e400", "2"]}, "analyze"),
+    "exponent-gamma-flag": ({"matrix": [[1, 2]]}, "analyze --gamma 1e999999999"),
 }
 
 
@@ -303,6 +306,18 @@ def test_bad_rational_is_an_input_error(name, tmp_path):
     err = json.loads(proc.stdout)["error"]
     assert err["stage"] == "input"
     assert err["message"].startswith("cannot parse rational from ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["volume", "analyze"])
+def test_unwritable_out_path_is_an_output_error(command, tmp_path):
+    path = write_spec(tmp_path, GAUSS_SPEC)
+    out = str(tmp_path / "missing-dir" / "x.json")
+    proc = _run_cli(command, path, "--out", out)
+    assert proc.returncode == 1
+    err = json.loads(proc.stdout)["error"]
+    assert (err["stage"], err["type"]) == ("output", "FileNotFoundError")
+    assert out in err["message"]
     assert "Traceback" not in proc.stderr
 
 
@@ -340,6 +355,19 @@ class TestCliOutput:
         assert main(["face-complex", path, "--weight-bound", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["weight_bound"] == 3
+
+    def test_overrides_replace_malformed_file_fields(self, tmp_path, capsys):
+        # An override is written over the file's field before it is checked.
+        path = write_spec(tmp_path, {**GAUSS_SPEC, "fiber": "12", "gamma": 5})
+        argv = ["nondegenerate", path, "--fiber", "1,2,3,4", "--gamma", "0,0,0"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] is True
+
+    def test_weight_bound_flag_keeps_the_file_options(self, tmp_path):
+        options = {"truncation_cap": 5, "weight_bound": 1}
+        path = write_spec(tmp_path, {"matrix": [[1, 2]], "options": options})
+        spec = _load_spec({"spec": path, "weight_bound": 3})
+        assert spec.options == {"truncation_cap": 5, "weight_bound": 3}
 
     def test_negative_weight_bound_flag_exit_one(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"matrix": [[1, 2]]})

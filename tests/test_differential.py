@@ -198,10 +198,11 @@ def _certify_over_the_long_window(fiber, face, P):
     bound = numerator.degree + k * M
     expected = tuple(numerator.coeff(d) for d in range(bound + 1))
     gs, _ = integral_classes(log_derivative_classes(fiber, face, P))
-    chosen = _spanning_subset(gs, face)
+    ring = ConeRing(P, face)
+    chosen = _spanning_subset(ring, gs)
     if chosen is None:
         return "infinite", None, (), (), expected
-    ring, gs = ConeRing(P, face), [gs[i - 1] for i in chosen]
+    gs = [gs[i - 1] for i in chosen]
     dims = []
     for d in range(bound + 1):
         image = sequence_image(ring, gs, M, d)

@@ -22,9 +22,9 @@ from gkzrank import (
     validate_matrix,
     verify_kouchnirenko,
 )
-from gkzrank.homology import expected_top_polynomial
 from gkzrank.linalg import rank
 from gkzrank.oracles import to_dense
+from gkzrank.rings import cone_numerator
 from conftest import kouchnirenko_scan
 
 
@@ -98,7 +98,7 @@ class TestKoszulComplex:
             seq = log_derivative_classes(fiber, None, P)
             n = P.n
             M = P.gauge_denominator
-            D = expected_top_polynomial(P).degree + M
+            D = cone_numerator(P)[0].degree + M
             cx = GradedKoszulComplex(ring, seq, D)
             dims = cx.cohomology_dims()
             for d in range(D + 1):

@@ -1,6 +1,6 @@
 """What each entry point loads and runs: the package surface is lazy,
 ``gkz volume`` and ``gkz faces`` stay clear of the cohomology stack and the
-claim checks, ``gkz analyze`` loads exactly the 13 modules it runs and runs
+claim checks, ``gkz analyze`` loads exactly the 12 modules it runs and runs
 every function in them but an explained few, only ``gkz face-complex``
 loads ``gkzrank.oracles``, no ``gkz`` process loads ``dataclasses``,
 ``inspect``, ``argparse``, ``gettext`` or ``locale``, and ``pipeline`` still
@@ -26,7 +26,7 @@ from test_cli import GOLDEN, GOLDEN_SPECS
 ROOT = Path(__file__).resolve().parents[1]
 COHOMOLOGY_STACK = {
     f"gkzrank.{m}"
-    for m in ("derham", "homology", "nondegeneracy", "operators", "rings", "series")
+    for m in ("derham", "homology", "nondegeneracy", "operators", "rings")
 }
 # The checks of the paper's claims; the tracer wraps nothing in it, so it is
 # kept apart from the stack that test_pipeline_loads_every_traced_module reads.
@@ -158,7 +158,7 @@ def test_pipeline_loads_every_traced_module():
     path = ROOT / "bench" / "trace_child.py"
     targets = runpy.run_path(str(path), run_name="trace_child")["TARGETS"]
     wanted = {modname for _, modname, _, _ in targets}
-    assert wanted >= COHOMOLOGY_STACK - {"gkzrank.series"}
+    assert wanted >= COHOMOLOGY_STACK
     assert wanted <= _loaded_after("import gkzrank\nfrom gkzrank import pipeline")
 
 
@@ -175,7 +175,7 @@ def test_public_names_are_unchanged_and_resolve_to_their_modules():
     assert derham is sys.modules["gkzrank.derham"]
 
 
-# Every function in the 13 ``analyze`` modules that no ``gkz analyze`` run
+# Every function in the 12 ``analyze`` modules that no ``gkz analyze`` run
 # below calls, each for one of five reasons.  A process compiles every line
 # of the modules it loads, so anything else belongs in ``oracles`` or the
 # tests.  ``tracer`` names a function that bench/trace_child.py wraps or
@@ -210,8 +210,8 @@ NOT_RUN_BY_ANALYZE = {
     "nondegeneracy.NondegeneracyReport.offending_faces": OTHER,
     "pipeline.run_subcommand": OTHER,
     "rings.poincare_series": TRACER,
-    "series.PolyZ.__eq__": VALUE,
-    "series.PolyZ.__hash__": VALUE,
+    "rings.PolyZ.__eq__": VALUE,
+    "rings.PolyZ.__hash__": VALUE,
 }
 
 

@@ -155,13 +155,6 @@ class TestGauge:
                 # A list of the right length reads as its tuple.
                 assert member([2, 3]) == member((2, 3))
 
-    @pytest.mark.parametrize("w", [(1,), (1, 2, 3)])
-    def test_wrong_length_point_is_rejected_by_cone_and_face(self, w):
-        matrix = validate_matrix([[1] * 5, [0, 1, 2, 3, 4]])
-        P = NewtonPolytope(matrix)
-        with pytest.raises(ShapeMismatch, match="expected 2"):
-            P.cone_contains(w)
-
 
 class TestGaugeDenominator:
     @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from gkzrank import (
     is_nondegenerate,
     validate_matrix,
 )
-from gkzrank.linalg import rank
+from gkzrank.linalg import Echelon, SparseRationalMatrix, rank
 from gkzrank.nondegeneracy import _face_quotient_dims, _spanning_subset, certify_face
 from gkzrank.rings import (
     ConeRing,
@@ -25,7 +25,7 @@ from gkzrank.rings import (
     log_derivative_classes,
     sequence_image,
 )
-from conftest import face_with_vertices, kouchnirenko_scan
+from conftest import FIXTURES, face_with_vertices, kouchnirenko_scan
 from test_cli import GOLDEN_SPECS
 
 GAUSS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
@@ -203,11 +203,10 @@ def _certified_faces(rows, fiber):
     for face in P.origin_free_faces():
         numerator, k = cone_numerator(P, face)
         gs, _ = integral_classes(log_derivative_classes(fiber, face, P))
-        chosen = _spanning_subset(gs, face)
+        ring = ConeRing(P, face)
+        chosen = _spanning_subset(ring, gs)
         if chosen is not None:
-            yield face, ConeRing(P, face), [gs[i - 1] for i in chosen], (
-                numerator.degree + k * M
-            )
+            yield face, ring, [gs[i - 1] for i in chosen], numerator.degree + k * M
 
 
 def _shift_lemma_specs():
@@ -219,6 +218,39 @@ def _shift_lemma_specs():
         drawn, _ = problems["sweep"](seed)
         specs.update((f"sweep-{seed}-{p['id']}", p["spec"]) for p in drawn)
     return specs
+
+
+def _ref_spanning_subset(gs, face):
+    """The first face.dim + 1 pivot columns of the exponent x class matrix,
+    the classes' own support as rows, or None."""
+    exps = sorted({w for g in gs for w in g.terms})
+    index = {w: r for r, w in enumerate(exps)}
+    entries = {(index[w], i): c for i, g in enumerate(gs) for w, c in g.terms.items()}
+    pivots = Echelon(SparseRationalMatrix(len(exps), len(gs), entries)).pivots
+    if len(pivots) <= face.dim:
+        return None
+    return tuple(j + 1 for _, j, _ in pivots[: face.dim + 1])
+
+
+def test_spanning_subset_matches_the_exponent_by_class_pivots():
+    # The degree-M slice holds every exponent of the classes, with more rows
+    # that are zero in every class; pivot columns do not depend on the rows.
+    # A zero coefficient on a vertex leaves that vertex no class: None.
+    specs = {name: {"matrix": m, "fiber": f} for name, (m, f) in FIXTURES.items()}
+    specs.update(_shift_lemma_specs())
+    for j in range(4):
+        fiber = [int(i != j) for i in range(4)]
+        specs[f"gauss-zero-{j}"] = {"matrix": GAUSS, "fiber": fiber}
+    seen = {"chosen": 0, "none": 0}
+    for name, spec in specs.items():
+        P = NewtonPolytope(validate_matrix(spec["matrix"]))
+        fiber = [Fraction(c) for c in spec["fiber"]]
+        for face in P.origin_free_faces():
+            gs, _ = integral_classes(log_derivative_classes(fiber, face, P))
+            chosen = _spanning_subset(ConeRing(P, face), gs)
+            assert chosen == _ref_spanning_subset(gs, face), (name, face.id)
+            seen["none" if chosen is None else "chosen"] += 1
+    assert seen["chosen"] > 500 and seen["none"] >= 4, seen
 
 
 class TestShiftLemma:
@@ -248,10 +280,11 @@ class TestShiftLemma:
         cert = certify_face([Fraction(c) for c in spec["fiber"]], facet, P)
         # The window ends at the numerator's degree 2 plus M = 1: degrees 4
         # and 5, which the shift lemma proved zero unranked when the window
-        # ran to 2 + k * M, are no longer read at all.
+        # ran to 2 + k * M, are no longer read at all.  The spanning subset's
+        # degree-M image comes first.
         assert (cert.verdict, cert.bound_used) == ("finite", 3)
         assert cert.quotient_dims == (1, 7, 1, 0)
-        assert ranked == [0, 1, 2, 3]
+        assert ranked == [1, 0, 1, 2, 3]
 
     def test_degenerate_tail_is_ranked(self, monkeypatch):
         # Gauss with the product fiber (1, a, b, ab): the facet quotient never
@@ -268,4 +301,5 @@ class TestShiftLemma:
         cert = certify_face([1, 2, 3, 6], facet, P)
         assert (cert.verdict, cert.failure_degree) == ("infinite", 2)
         assert cert.quotient_dims == (1, 1, 1)
-        assert ranked == list(range(cert.bound_used + 1)) == [0, 1, 2]
+        # After the spanning subset's degree-M image, every degree is ranked.
+        assert ranked == [1] + list(range(cert.bound_used + 1)) == [1, 0, 1, 2]

@@ -29,7 +29,6 @@ from gkzrank.errors import RankDeficient
 from gkzrank.homology import GradedKoszulComplex, wedge_terms
 from gkzrank.lattice import (
     NewtonPolytope,
-    _affine_basis,
     _det,
     _integer_inverse,
     _kernel_normal,
@@ -40,6 +39,7 @@ from gkzrank.linalg import RationalSpan, SparseRationalMatrix, rank, solve
 from gkzrank.nondegeneracy import _face_quotient_dims
 from gkzrank.oracles import (
     PolyZ,
+    _affine_basis,
     face_cone_contains,
     incidence_sign,
     sparse_columns,
