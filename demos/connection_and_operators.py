@@ -15,7 +15,6 @@ from gkzrank import (
     h_top_dimension,
     is_nondegenerate,
     lattice_kernel,
-    reduce_to_basis,
     render_box,
     render_euler,
     validate_matrix,
@@ -31,7 +30,7 @@ print("basis of the top cohomology:", basis.basis)
 
 for k in range(2, 6):
     form = LogForm.monomial(1, (0,), (k,))
-    coords = reduce_to_basis(form, basis)
+    coords = basis.reduce(form)
     print(f"t^{k} dlog t reduces to coordinates {coords}")
 
 mats = connection_matrices(basis)

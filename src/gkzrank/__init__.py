@@ -30,11 +30,10 @@ _EXPORTS = {
     "operators": """BoxOperator EulerOperator box_operator euler_operators
         lattice_kernel render_box render_euler""",
     "oracles": """CochainComplexQ FaceComplex FreeRing GradedKoszulComplex
-        GradedRingHandle LogForm PolyZ RationalFunctionQ RingElement
-        check_face_complex_exactness check_gr_equals_koszul
-        choose_spanning_subset derham_cohomology_dims face_polynomial
-        face_projection filtration_level gr_multiply
-        koszul_regular_sequence_check reduce_to_basis""",
+        LogForm PolyZ RationalFunctionQ RingElement check_face_complex_exactness
+        check_gr_equals_koszul choose_spanning_subset derham_cohomology_dims
+        face_polynomial face_projection filtration_level gr_multiply
+        koszul_regular_sequence_check""",
     "pipeline": "RankReport run_analyze run_subcommand",
     "rings": "ConeRing log_derivative_classes poincare_series sequence_image",
 }

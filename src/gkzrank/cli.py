@@ -136,7 +136,8 @@ def main(argv=None) -> int:
     command, out = args["command"], args.get("out")
     try:
         spec = _load_spec(args)
-    except (OSError, json.JSONDecodeError, ValueError, GkzError) as exc:
+    # a malformed file is a ValueError, one nested too deep a RecursionError
+    except (OSError, ValueError, RecursionError, GkzError) as exc:
         return _emit(error_json("input", exc), out, EXIT_INPUT_ERROR)
     try:
         if command in GEOMETRY_SUBCOMMANDS:

@@ -18,7 +18,7 @@ from operator import add
 
 from .errors import GammaNotNormalized, NotInCone
 from .homology import KouchnirenkoResult, wedge_terms
-from .lattice import NewtonPolytope, Vector, _check_length
+from .lattice import NewtonPolytope, Vector, _rationals
 from .linalg import SparseRationalMatrix, rank
 
 
@@ -57,12 +57,10 @@ def twisted_differential(gamma, fiber, form, polytope: NewtonPolytope):
     coordinate plus the parameter entry, together with one shifted monomial
     per matrix column weighted by the fiber.
     """
-    _check_length(gamma, polytope.n)
-    _check_length(fiber, polytope.matrix.num_columns)
-    _warn_if_not_normalized(gamma, polytope)
     n = polytope.n
-    gamma = [Fraction(g) for g in gamma]
-    fiber = [Fraction(c) for c in fiber]
+    gamma = _rationals(gamma, n)
+    fiber = _rationals(fiber, polytope.matrix.num_columns)
+    _warn_if_not_normalized(gamma, polytope)
     columns = polytope.matrix.columns
     out = type(form)(n, form.degree + 1)
     for (I, w), c in form.terms.items():
@@ -93,10 +91,9 @@ class ReductionBasis:
 
     def __init__(self, gamma, kouchnirenko: KouchnirenkoResult):
         polytope = kouchnirenko.ring.polytope
-        _check_length(gamma, polytope.n)
-        _warn_if_not_normalized(gamma, polytope)
+        self.gamma = _rationals(gamma, polytope.n)
+        _warn_if_not_normalized(self.gamma, polytope)
         self.polytope = polytope
-        self.gamma = tuple(Fraction(g) for g in gamma)
         self.fiber = tuple(Fraction(c) for c in kouchnirenko.fiber)
         self.scale = lcm(*(c.denominator for c in self.gamma + self.fiber))
         s = self.scale

@@ -14,13 +14,10 @@ class ShapeMismatch(GkzError):
 class RankDeficient(GkzError):
     """The exponent matrix does not have full row rank over the rationals."""
 
-    def __init__(self, actual_rank, expected_rank=None):
+    def __init__(self, actual_rank, expected_rank):
         self.actual_rank = actual_rank
         self.expected_rank = expected_rank
-        msg = f"matrix rank is {actual_rank}"
-        if expected_rank is not None:
-            msg += f", expected {expected_rank}"
-        super().__init__(msg)
+        super().__init__(f"matrix rank is {actual_rank}, expected {expected_rank}")
 
 
 class NotInCone(GkzError):

@@ -8,6 +8,7 @@ the cohomology stack.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ShapeMismatch
@@ -17,10 +18,15 @@ DEFAULT_WEIGHT_BOUND = 6
 GEOMETRY_SUBCOMMANDS = ("volume", "faces")
 
 
+# What Fraction reads on every supported Python, less exponents (it writes
+# out every digit of "1e1000000000"): a sign, then digits with an optional
+# /digits, or a decimal, with optional whitespace around.
+RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)\s*")
+
+
 def parse_rational(text) -> Fraction:
-    # Never a bool, and no exponent: Fraction("1e1000000000") writes out
-    # every digit of its numerator.
-    if type(text) is int or (isinstance(text, str) and not {"e", "E"} & set(text)):
+    """An ``int`` that is not a ``bool``, or a string in ``RATIONAL``."""
+    if type(text) is int or isinstance(text, str) and RATIONAL.fullmatch(text):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -78,11 +84,11 @@ def polytope_summary_json(polytope) -> dict:
 class ProblemSpec:
     """Validated problem input: matrix, parameter vector, fiber, options."""
 
-    def __init__(self, matrix_rows, gamma, fiber, options=None):
+    def __init__(self, matrix_rows, gamma, fiber, options):
         self.matrix_rows: list[list[int]] = matrix_rows
         self.gamma: list[Fraction] = gamma
         self.fiber: list[Fraction] = fiber
-        self.options: dict = {} if options is None else options
+        self.options: dict = options
 
     @classmethod
     def from_json(cls, data: dict) -> "ProblemSpec":
@@ -96,9 +102,16 @@ class ProblemSpec:
         gamma = data.get("gamma", ["0"] * n)
         fiber = data.get("fiber", ["1"] * width)
         options = data.get("options", {})
-        for key, value in (("gamma", gamma), ("fiber", fiber)):
+        for key, value, size, what in (
+            ("gamma", gamma, n, "rows"), ("fiber", fiber, width, "columns")
+        ):
             if not isinstance(value, list):
                 raise ShapeMismatch(f"'{key}' must be a list: {value!r}")
+            # a matrix with no first row to measure is validate_matrix's to report
+            if width and len(value) != size:
+                raise ShapeMismatch(
+                    f"{key} has length {len(value)}, matrix has {size} {what}"
+                )
         if not isinstance(options, dict):
             raise ShapeMismatch(f"'options' must be an object: {options!r}")
         check_options(options)
@@ -120,15 +133,6 @@ class ProblemSpec:
 
 def _validated(spec: ProblemSpec) -> tuple[ExponentMatrix, NewtonPolytope]:
     matrix = validate_matrix(spec.matrix_rows)
-    if len(spec.gamma) != matrix.n:
-        raise ShapeMismatch(
-            f"gamma has length {len(spec.gamma)}, matrix has {matrix.n} rows"
-        )
-    if len(spec.fiber) != matrix.num_columns:
-        raise ShapeMismatch(
-            f"fiber has length {len(spec.fiber)}, matrix has "
-            f"{matrix.num_columns} columns"
-        )
     return matrix, NewtonPolytope(matrix)
 
 

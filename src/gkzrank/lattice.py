@@ -68,6 +68,12 @@ def _check_length(w, n):
         raise ShapeMismatch(f"vector {tuple(w)} has length {len(w)}, expected {n}")
 
 
+def _rationals(values, n) -> tuple[Fraction, ...]:
+    """A rational vector of length ``n``, such as gamma or a fiber."""
+    _check_length(values, n)
+    return tuple(Fraction(v) for v in values)
+
+
 def _primitive(v):
     g = gcd(*v)
     if g == 0:
@@ -541,8 +547,7 @@ def normalize_gamma(gamma, polytope: NewtonPolytope):
     product order on its shell.  The column sum c is interior to the cone, so t c is one
     such offset for t large enough; the search ends by its radius.
     """
-    _check_length(gamma, polytope.n)
-    gamma = tuple(Fraction(g) for g in gamma)
+    gamma = _rationals(gamma, polytope.n)
     if polytope.cone_contains([-g for g in gamma]):
         return gamma
     n = len(gamma)
@@ -555,8 +560,6 @@ def normalize_gamma(gamma, polytope: NewtonPolytope):
     for r in range(t * max(abs(x) for x in c) + 1):
         for p in itertools.product(range(-r, r + 1), repeat=n - 1):
             xs = _last_interval(rows, p, -r, r)
-            if max(map(abs, p), default=0) < r:
-                xs = [x for x in (-r, r) if x in xs]
             if xs:
                 k = tuple(a + o for a, o in zip(center, p + (xs[0],)))
                 return tuple(g - a for g, a in zip(gamma, k))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import Face, NewtonPolytope, _check_length, _sub
+from .lattice import Face, NewtonPolytope, _rationals, _sub
 from .linalg import Echelon, rank
 from .rings import (
     ConeRing,
@@ -152,8 +152,7 @@ def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate
 
 def is_nondegenerate(fiber, polytope: NewtonPolytope) -> NondegeneracyReport:
     """Certify the fiber face by face; degeneracy is a result, not an error."""
-    _check_length(fiber, polytope.matrix.num_columns)
-    fiber = tuple(Fraction(c) for c in fiber)
+    fiber = _rationals(fiber, polytope.matrix.num_columns)
     faces = polytope.origin_free_faces()
     certificates = [certify_face(fiber, face, polytope) for face in faces]
     overall = all(c.verdict == "finite" for c in certificates)

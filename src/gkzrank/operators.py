@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import NotARelation
 from .jsonio import format_rational
-from .lattice import ExponentMatrix, _check_length
+from .lattice import ExponentMatrix, _rationals
 
 _SUBSCRIPTS = str.maketrans("0123456789-", "₀₁₂₃₄₅₆₇₈₉₋")
 
@@ -131,8 +131,7 @@ def lattice_kernel(matrix: ExponentMatrix) -> list[BoxOperator]:
 
 def euler_operators(matrix: ExponentMatrix, gamma) -> list[EulerOperator]:
     """One operator per matrix row, carrying the matching parameter entry."""
-    _check_length(gamma, matrix.n)
-    gamma = [Fraction(g) for g in gamma]
+    gamma = _rationals(gamma, matrix.n)
     return [
         EulerOperator(tuple(row), gamma[i]) for i, row in enumerate(matrix.rows)
     ]

@@ -22,14 +22,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import rings
-from .derham import (
-    ReductionBasis, _partial, _warn_if_not_normalized, twisted_differential,
-)
+from .derham import _partial, _warn_if_not_normalized, twisted_differential
 from .errors import FaceContainsOrigin, NotAFacePair, NotARelation, NotInCone
 from .homology import KouchnirenkoResult, wedge_terms
 from .lattice import (
     Face, NewtonPolytope, Vector, _check_length, _det, _dot, _nonsingular_minor,
-    _sub,
+    _rationals, _sub,
 )
 from .linalg import Echelon, SparseRationalMatrix, rank
 from .nondegeneracy import _spanning_subset
@@ -271,24 +269,7 @@ class RingElement(rings.RingElement):
         return " + ".join(f"{c}*t^{w}" for w, c in self.sorted_terms())
 
 
-class GradedRingHandle:
-    """Common interface: degree slices, monomial products, grading.
-    ``ConeRing`` has the same methods; its series is ``rings.poincare_series``."""
-
-    def monomials_of_degree(self, d: int) -> tuple[Vector, ...]:
-        raise NotImplementedError
-
-    def multiply_monomials(self, w1, w2) -> Vector | None:
-        raise NotImplementedError
-
-    def degree(self, w) -> int:
-        raise NotImplementedError
-
-    def poincare_series(self) -> RationalFunctionQ:
-        raise NotImplementedError
-
-
-class FreeRing(GradedRingHandle):
+class FreeRing:
     """Polynomial ring in k variables with positive integer weights."""
 
     def __init__(self, k: int, weights=None):
@@ -732,7 +713,7 @@ class RegularSequenceCheck:
 
 
 def koszul_regular_sequence_check(
-    ring: GradedRingHandle, sequence, regular_length: int, truncation: int
+    ring: FreeRing | ConeRing, sequence, regular_length: int, truncation: int
 ) -> RegularSequenceCheck:
     """Vanishing below the regular length, and the top bound, on a toy module.
 
@@ -828,11 +809,6 @@ class LogForm:
         return " + ".join(bits)
 
 
-def reduce_to_basis(form: LogForm, basis: ReductionBasis) -> tuple[Fraction, ...]:
-    """Coordinates of a top form in the reduction basis, modulo exact forms."""
-    return basis.reduce(form)
-
-
 def filtration_level(form: LogForm, polytope: NewtonPolytope):
     """Least filtration spot containing the form; None for the zero form."""
     if form.is_zero():
@@ -914,9 +890,8 @@ def derham_cohomology_dims(gamma, kz: KouchnirenkoResult, level_cap=None):
     cocycle always bounds at its own filtration level.
     """
     polytope = kz.ring.polytope
-    _check_length(gamma, polytope.n)
+    gamma = _rationals(gamma, polytope.n)
     _warn_if_not_normalized(gamma, polytope)
-    gamma = [Fraction(g) for g in gamma]
     fiber = [Fraction(c) for c in kz.fiber]
     n = polytope.n
     M = polytope.gauge_denominator

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import FaceContainsOrigin
-from .lattice import Face, NewtonPolytope, Vector, _check_length
+from .lattice import Face, NewtonPolytope, Vector, _rationals
 from .linalg import SparseRationalMatrix
 
 
@@ -82,8 +82,7 @@ def log_derivative_classes(
     gauge denominator.
     """
     A = polytope.matrix
-    _check_length(fiber, A.num_columns)
-    fiber = [Fraction(c) for c in fiber]
+    fiber = _rationals(fiber, A.num_columns)
     if face is not None and face.contains_origin:
         raise FaceContainsOrigin(face.id)
     selected = [

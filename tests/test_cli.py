@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -282,7 +283,9 @@ def test_malformed_spec_is_an_input_error(name, tmp_path):
 # JSON booleans are not numbers, and a zero denominator or a word is no
 # rational, in the problem file and in the --fiber / --gamma overrides alike;
 # every one reports the same message.  Exponent notation is refused as well,
-# at once: Fraction would write out every digit of 10^999999999.
+# at once: Fraction would write out every digit of 10^999999999.  Digit
+# separators and a spaced slash, which only newer Pythons' Fraction reads,
+# are refused on every Python.
 BAD_RATIONALS = {
     "bool-fiber": ({"matrix": [[1, 2]], "fiber": [True, 2]}, "analyze"),
     "bool-gamma": ({"matrix": [[1, 2]], "gamma": [False]}, "analyze"),
@@ -294,18 +297,63 @@ BAD_RATIONALS = {
     "word-gamma-flag": ({"matrix": [[1, 2]]}, "analyze --gamma x"),
     "exponent-fiber": ({"matrix": [[1, 2]], "fiber": ["1e400", "2"]}, "analyze"),
     "exponent-gamma-flag": ({"matrix": [[1, 2]]}, "analyze --gamma 1e999999999"),
+    "separator-fiber": ({"matrix": [[1, 2]], "fiber": ["1_0", "2"]}, "analyze"),
+    "spaced-slash-fiber-flag": ({"matrix": [[1, 2]]}, 'volume --fiber "1 /2,2"'),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_RATIONALS))
 def test_bad_rational_is_an_input_error(name, tmp_path):
     data, command = BAD_RATIONALS[name]
-    subcommand, *flags = command.split()
+    subcommand, *flags = shlex.split(command)
     proc = _run_cli(subcommand, write_spec(tmp_path, data), *flags)
     assert proc.returncode == 1
     err = json.loads(proc.stdout)["error"]
     assert err["stage"] == "input"
     assert err["message"].startswith("cannot parse rational from ")
+    assert "Traceback" not in proc.stderr
+
+
+# A gamma or fiber of the wrong length, from the file or from a flag, is a
+# fault of the input, found when the file is read.
+WRONG_LENGTHS = {
+    "file-gamma": (
+        {"matrix": [[2]], "gamma": ["0", "0"]}, "analyze",
+        "gamma has length 2, matrix has 1 rows",
+    ),
+    "file-fiber": (
+        dict(GAUSS_SPEC, fiber=["1", "2", "3"]), "analyze",
+        "fiber has length 3, matrix has 4 columns",
+    ),
+    "gamma-flag": (
+        {"matrix": [[2]]}, "analyze --gamma 1,2",
+        "gamma has length 2, matrix has 1 rows",
+    ),
+    "fiber-flag": (
+        {"matrix": [[1, 2]]}, "volume --fiber 1",
+        "fiber has length 1, matrix has 2 columns",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_LENGTHS))
+def test_wrong_length_is_an_input_error(name, tmp_path):
+    data, command, message = WRONG_LENGTHS[name]
+    subcommand, *flags = command.split()
+    proc = _run_cli(subcommand, write_spec(tmp_path, data), *flags)
+    assert proc.returncode == 1
+    err = json.loads(proc.stdout)["error"]
+    assert err == {"stage": "input", "type": "ShapeMismatch", "message": message}
+    assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_file_is_an_input_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = _run_cli("volume", str(path))
+    assert proc.returncode == 1
+    err = json.loads(proc.stdout)["error"]
+    assert (err["stage"], err["type"]) == ("input", "RecursionError")
     assert "Traceback" not in proc.stderr
 
 
@@ -516,6 +564,26 @@ def test_golden_report_bytes(name, tmp_path, capsys):
         code = main(["analyze", path, "--no-timings"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[name]
+
+
+# One grammar on every supported Python: a sign, digits with an optional
+# /digits, or a decimal, with whitespace around; Unicode digits read as
+# Fraction reads them.
+@pytest.mark.parametrize(
+    "text,ok",
+    [(x, True) for x in (" 1/2 ", "+3", "-3/4", "1.", ".5", "2.25", "١٢", 7)]
+    + [(x, False) for x in (True, "1e3", "1_0", "1 /2", "1/0", "0x10", "½")],
+)
+def test_parse_rational_reads_one_grammar(text, ok):
+    from fractions import Fraction
+
+    from gkzrank.jsonio import parse_rational
+
+    if ok:
+        assert parse_rational(text) == Fraction(text)
+    else:
+        with pytest.raises(ValueError, match="^cannot parse rational from "):
+            parse_rational(text)
 
 
 def test_format_rational_prints_ints_and_fractions_as_they_are():

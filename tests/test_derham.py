@@ -23,7 +23,6 @@ from gkzrank import (
     is_nondegenerate,
     linalg,
     log_derivative_classes,
-    reduce_to_basis,
     twisted_differential,
     validate_matrix,
     verify_kouchnirenko,
@@ -186,7 +185,7 @@ class TestReduceToBasis:
         P = NewtonPolytope(validate_matrix([[2]]))
         _, basis = h_top_dimension([0], _kz([1], P))
         for k, w in enumerate(basis.basis):
-            coords = reduce_to_basis(form(1, (0,), w), basis)
+            coords = basis.reduce(form(1, (0,), w))
             expected = tuple(
                 F(1) if i == k else F(0) for i in range(basis.dimension)
             )
@@ -195,23 +194,23 @@ class TestReduceToBasis:
     def test_unit_ray_relation(self):
         P = NewtonPolytope(validate_matrix([[1]]))
         _, basis = h_top_dimension([0], _kz([1], P))
-        assert reduce_to_basis(form(1, (0,), (1,)), basis) == (F(0),)
+        assert basis.reduce(form(1, (0,), (1,))) == (F(0),)
 
     def test_double_ray_relation(self):
         P = NewtonPolytope(validate_matrix([[2]]))
         _, basis = h_top_dimension([0], _kz([1], P))
-        assert reduce_to_basis(form(1, (0,), (3,)), basis) == (F(0), F(-1, 2))
+        assert basis.reduce(form(1, (0,), (3,))) == (F(0), F(-1, 2))
 
     def test_exact_form_reduces_to_zero(self, gauss):
         _, P, fiber = gauss
         _, basis = h_top_dimension([0, 0, 0], _kz(fiber, P))
         eta = form(3, (0, 1), (1, 1, 0), F(3, 2)) + form(3, (1, 2), (2, 1, 1), F(-1))
         d_eta = twisted_differential([0, 0, 0], fiber, eta, P)
-        coords = reduce_to_basis(d_eta, basis)
+        coords = basis.reduce(d_eta)
         assert all(c == 0 for c in coords)
 
     def test_basis_reads_its_fiber_off_the_kouchnirenko_result(self, gauss):
-        # Neither reduce_to_basis nor connection_matrices takes a gamma or a
+        # Neither basis.reduce nor connection_matrices takes a gamma or a
         # fiber that could disagree with the basis: the fiber is the one the
         # certified classes were built from.
         _, P, fiber = gauss
@@ -220,8 +219,6 @@ class TestReduceToBasis:
         assert basis.kouchnirenko is kz and basis.polytope is P
         assert basis.fiber == kz.fiber == tuple(map(F, fiber))
         assert basis.gamma == (0, 0, 0)
-        w = form(3, (0, 1, 2), (1, 0, 0))
-        assert reduce_to_basis(w, basis) == basis.reduce(w)
 
 
 class TestConnectionMatrices:

@@ -42,7 +42,7 @@ GAUSS_SPEC = {
 # they call.
 EXPORTS = """
 BoxOperator CochainComplexQ ConeRing DegenerateFiber EulerOperator ExponentMatrix Face FaceCertificate FaceComplex FaceContainsOrigin Facet
-FreeRing GammaNotNormalized GkzError GradedKoszulComplex GradedRingHandle
+FreeRing GammaNotNormalized GkzError GradedKoszulComplex
 KouchnirenkoResult LogForm MismatchAtDegree NewtonPolytope NondegeneracyReport
 NotAFacePair NotARelation NotInCone PolyZ ProblemSpec RankDeficient RankReport
 RationalFunctionQ ReductionBasis RingElement ShapeMismatch SparseRationalMatrix
@@ -51,7 +51,7 @@ check_gr_equals_koszul choose_spanning_subset connection_matrices
 derham_cohomology_dims euler_operators face_polynomial
 face_projection filtration_level gr_multiply h_top_dimension is_nondegenerate
 koszul_regular_sequence_check lattice_kernel log_derivative_classes
-normalize_gamma poincare_identity_check poincare_series reduce_to_basis
+normalize_gamma poincare_identity_check poincare_series
 render_box render_euler run_analyze run_subcommand sequence_image
 twisted_differential validate_matrix verify_kouchnirenko
 """.split()
