@@ -33,9 +33,9 @@ _EXPORTS = {
         LogForm PolyZ RationalFunctionQ RingElement check_face_complex_exactness
         check_gr_equals_koszul choose_spanning_subset derham_cohomology_dims
         face_polynomial face_projection filtration_level gr_multiply
-        koszul_regular_sequence_check""",
+        koszul_regular_sequence_check log_derivative_classes""",
     "pipeline": "RankReport run_analyze run_subcommand",
-    "rings": "ConeRing log_derivative_classes poincare_series sequence_image",
+    "rings": "ConeRing poincare_series sequence_image",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

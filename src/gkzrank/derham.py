@@ -19,7 +19,7 @@ from operator import add
 from .errors import GammaNotNormalized, NotInCone
 from .homology import KouchnirenkoResult, wedge_terms
 from .lattice import NewtonPolytope, Vector, _rationals
-from .linalg import SparseRationalMatrix, rank
+from .linalg import SparseRationalMatrix, clear_denominators, rank
 
 
 def _warn_if_not_normalized(gamma, polytope: NewtonPolytope):
@@ -75,18 +75,19 @@ class ReductionBasis:
 
     The basis monomials come from the greedy Koszul quotient, and the twisted
     image d(t^w dlog_{[n] minus i}) of each pair (i, w) is built once,
-    times ``scale`` (the lcm of the denominators of gamma and the fiber) so
-    that it is integral; that keeps its span and support.  Each monomial of
-    degree e is solved once, in integers, against the Kouchnirenko result's
-    factored top slice of degree e, whose image columns are the leading
-    parts of the images (as ``check_gr_equals_koszul`` certifies), each
-    scaled to integers, which ``solve_top`` undoes, and whose unit pivots
-    are the basis.  Degree e then cancels, so only the tails of the chosen
-    images (their terms below e) are subtracted, each image checked once,
-    in integers, against its slice column.  The remainder is rewritten
-    through the normal forms of its monomials, kept in ``normal_forms`` as
-    (numerators, denominator) in lowest common terms.  The fiber and the
-    polytope are the Kouchnirenko result's.
+    times ``scale`` (gamma and the fiber cleared together by
+    ``linalg.clear_denominators``) so that it is integral; that keeps its
+    span and support.  Each monomial of degree e is solved once, in
+    integers, against the Kouchnirenko result's factored top slice of
+    degree e, whose image columns are the leading parts of the images (as
+    ``check_gr_equals_koszul`` certifies) times the classes' one scale,
+    which ``solve_top`` undoes, and whose unit pivots are the basis.
+    Degree e then cancels, so only the tails of the chosen images (their
+    terms below e) are subtracted, each image checked once, in integers,
+    against its slice column.  The remainder is rewritten through the
+    normal forms of its monomials, kept in ``normal_forms`` as (numerators,
+    denominator) in lowest common terms.  The fiber and the polytope are
+    the Kouchnirenko result's.
     """
 
     def __init__(self, gamma, kouchnirenko: KouchnirenkoResult):
@@ -94,10 +95,9 @@ class ReductionBasis:
         self.gamma = _rationals(gamma, polytope.n)
         _warn_if_not_normalized(self.gamma, polytope)
         self.polytope = polytope
-        self.fiber = tuple(Fraction(c) for c in kouchnirenko.fiber)
-        self.scale = lcm(*(c.denominator for c in self.gamma + self.fiber))
-        s = self.scale
-        self._scaled = [[int(x * s) for x in v] for v in (self.gamma, self.fiber)]
+        self.fiber = kouchnirenko.fiber
+        scaled, self.scale = clear_denominators(self.gamma + self.fiber)
+        self._scaled = scaled[: polytope.n], scaled[polytope.n :]
         self._columns = polytope.matrix.columns
         self.ring = kouchnirenko.ring
         self.kouchnirenko = kouchnirenko
@@ -131,18 +131,18 @@ class ReductionBasis:
     def _tail(self, i: int, v: Vector) -> list[tuple[Vector, int]]:
         """The terms of image(i, v) below degree deg v + M times the wedge
         sign, built once, after checking that the other terms are sign_i *
-        scale / c_i times the slice column c_i * g_i * t^v."""
+        scale / s times the slice column s * g_i * t^v."""
         tail = self._tails.get((i, v))
         if tail is None:
             P, sign = self.polytope, self._signs[i]
             e = P.graded_degree(v) + P.gauge_denominator
-            c_i, column = self.kouchnirenko.top_column(i, v)
+            s, column = self.kouchnirenko.scale, self.kouchnirenko.top_column(i, v)
             lead, tail = {}, []
             for u, c in self.image(i, v).items():
                 if P.graded_degree(u) < e:
                     tail.append((u, sign * c))
                 else:
-                    lead[u] = sign * c_i * c
+                    lead[u] = sign * s * c
             if lead != {u: self.scale * c for u, c in column.items()}:
                 raise AssertionError("image leading part is not its slice column")
             self._tails[(i, v)] = tail

@@ -19,14 +19,7 @@ from itertools import accumulate
 from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
 from .linalg import Echelon, SparseRationalMatrix
 from .nondegeneracy import NondegeneracyReport, _window
-from .rings import (
-    ConeRing,
-    PolyZ,
-    cone_numerator,
-    integral_classes,
-    log_derivative_classes,
-    sequence_image,
-)
+from .rings import ConeRing, PolyZ, cone_numerator, leading_classes, sequence_image
 
 
 def wedge_terms(I: tuple[int, ...], n: int):
@@ -52,13 +45,15 @@ def __getattr__(name):
 
 class KouchnirenkoResult:
     """Koszul counts of one fiber's leading classes, read off the factored
-    top slices behind its monomial basis and its solves, all built in
-    integers from ``integral_classes``.
+    top slices behind its monomial basis and its solves.
 
     Let R be the cone ring, g_1..g_k the classes (homogeneous of degree M)
     and S_j = R/(g_1..g_j), so S_0 = R and S_k is the top cohomology.  The
+    classes are kept once, as ``leading_classes`` builds them: ``classes``
+    holds the integer maps s * g_i and ``scale`` the one s.  Scaling the
+    image columns by s > 0 changes no support, pivot or normal form.  The
     top slice of degree d is [sequence image | identity] with the image
-    columns class by class: column i * |R_{d-M}| + a holds c_i * g_i * t^v
+    columns class by class: column i * |R_{d-M}| + a holds s * g_i * t^v
     for v the a-th monomial of degree d - M.  ``Echelon`` takes columns in
     order, so dim S_j(d) is |R_d| minus the pivots in the first j blocks.
 
@@ -77,20 +72,20 @@ class KouchnirenkoResult:
     map from degree d must stay within D, so ``vanishing`` is its answer
     with no Koszul map built.  ``per_degree`` and ``top_dim`` are those of
     S_k, in every degree up to D.  The classes are those of ``fiber``, which
-    the result keeps for the de Rham stage."""
+    the result keeps for the de Rham stage: ``int``s or ``Fraction``s, as a
+    nondegeneracy report holds them."""
 
     def __init__(self, ring: ConeRing, fiber, expected_polynomial, truncation):
         self.ring: ConeRing = ring
         self.fiber: tuple = tuple(fiber)
-        self.sequence: list = log_derivative_classes(fiber, None, ring.polytope)
+        self.classes, self.scale = leading_classes(ring, self.fiber)
         self.expected_polynomial: PolyZ = expected_polynomial
         self.truncation: int = truncation
-        self._scaled, self._scales = integral_classes(self.sequence)
         self._slices: dict[int, tuple] = {}
         quotients = [self._quotient_dims(d) for d in range(truncation + 1)]
         # A zero sequence has no degree: the full complex then steps by 1,
         # not M, and so does the criterion.
-        step = ring.gauge_denominator if any(g.terms for g in self._scaled) else 1
+        step = ring.gauge_denominator if any(self.classes) else 1
         self.vanishing: bool = all(
             S[j] == S[j - 1] - (quotients[d - step][j - 1] if d >= step else 0)
             for d, S in enumerate(quotients) for j in range(1, len(S))
@@ -106,7 +101,7 @@ class KouchnirenkoResult:
 
     def _quotient_dims(self, d: int) -> list[int]:
         """dim S_j(d) for j = 0..k; below degree M no class reaches d."""
-        k, size = len(self._scaled), len(self.ring.monomials_of_degree(d))
+        k, size = len(self.classes), len(self.ring.monomials_of_degree(d))
         blocks = [0] * (k + 1)
         if d >= self.ring.gauge_denominator:
             _, positions, echelon = self._top_slice(d)
@@ -118,14 +113,14 @@ class KouchnirenkoResult:
     def _top_slice(self, d: int) -> tuple:
         """Row index, the positions of the monomials of degree d - M and the
         factored integer matrix [sequence image | identity] of top degree d,
-        built once.  Image column i * len(prev) + a holds c_i * g_i * t^v
+        built once.  Image column i * len(prev) + a holds s * g_i * t^v
         for v the a-th monomial of degree d - M (``sequence_image``'s
         columns, regrouped class by class); unit column k * len(prev) + r
         stands for the r-th monomial of degree d."""
         if d not in self._slices:
             ring, M = self.ring, self.ring.gauge_denominator
-            prev, k = ring.monomials_of_degree(d - M), len(self._scaled)
-            image = sequence_image(ring, self._scaled, M, d)
+            prev, k = ring.monomials_of_degree(d - M), len(self.classes)
+            image = sequence_image(ring, self.classes, M, d)
             # sequence_image's column a * k + i goes to i * len(prev) + a.
             entries = {
                 (r, c % k * len(prev) + c // k): v
@@ -143,36 +138,36 @@ class KouchnirenkoResult:
         that complete the span of the sequence image, the unit pivots."""
         _, positions, echelon = self._top_slice(d)
         mono = self.ring.monomials_of_degree(d)
-        width = len(self.sequence) * len(positions)
+        width = len(self.classes) * len(positions)
         return [mono[j - width] for _, j, _ in echelon.pivots if j >= width]
 
     def solve_top(self, w) -> tuple[dict, list, int]:
         """t^w against its degree's top slice, in integers: (units, images,
         D) with D * t^w = sum of x * t^u over units and of x * g_i * t^v
-        over the (i, v, x) in images, for the unscaled g_i: x is c_i times
-        the slice's coefficient of c_i * g_i.  The right-hand side is t^w's
-        unit column, factored with the slice."""
+        over the (i, v, x) in images, for the unscaled g_i: x is s times
+        the slice's coefficient of s * g_i * t^v.  The right-hand side is
+        t^w's unit column, factored with the slice."""
         d = self.ring.degree(w)
         index, positions, echelon = self._top_slice(d)
         P = len(positions)
-        width = len(self.sequence) * P
+        width = len(self.classes) * P
         x, D = echelon.solve_column(width + index[w])
         mono = self.ring.monomials_of_degree(d)
         prev = self.ring.monomials_of_degree(d - self.ring.gauge_denominator)
         units = {mono[c - width]: xc for c, xc in x.items() if c >= width}
         images = [
-            (c // P, prev[c % P], xc * self._scales[c // P])
+            (c // P, prev[c % P], xc * self.scale)
             for c, xc in x.items() if c < width
         ]
         return units, images, D
 
-    def top_column(self, i: int, v) -> tuple[int, dict]:
-        """c_i and the top slice's column c_i * g_i * t^v, monomial -> int."""
+    def top_column(self, i: int, v) -> dict:
+        """The top slice's column s * g_i * t^v, monomial -> int."""
         d = self.ring.degree(v) + self.ring.gauge_denominator
         _, positions, echelon = self._top_slice(d)
         mono = self.ring.monomials_of_degree(d)
         column = echelon.column(i * len(positions) + positions[v])
-        return self._scales[i], {mono[r]: c for r, c in column}
+        return {mono[r]: c for r, c in column}
 
     def to_json(self):
         return {

@@ -74,13 +74,6 @@ def _rationals(values, n) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-def _primitive(v):
-    g = gcd(*v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return tuple(c // g for c in v)
-
-
 class ExponentMatrix:
     """An n x N integer matrix of full row rank; columns are exponent vectors."""
 
@@ -168,7 +161,8 @@ def _kernel_normal(points, n):
     minors = [
         (-1) ** j * _det([d[:j] + d[j + 1:] for d in diffs]) for j in range(n)
     ]
-    return _primitive(minors) if any(minors) else None
+    g = gcd(*minors)
+    return tuple(c // g for c in minors) if g else None
 
 
 class NewtonPolytope:

@@ -1,17 +1,20 @@
 """Exact sparse linear algebra over the rationals.
 
 Entries are ``int`` or ``fractions.Fraction`` and answers are exact; no
-floating point is used anywhere.  ``Echelon`` is the one elimination: it
-clears rows to integers unless all entries are ``int`` (as in every matrix
-the library builds), factors the matrix fraction-free, taking the columns
-in index order and pivoting each on its sparsest live row, and keeps no
-log: its rank, its pivot columns (the ordered greedy choice) and every
-solve are read off the factored rows, a solve being a back-substitution
-from a factored column, checked in integers against the matrix.  ``rank``
-eliminates along the shorter side; ``solve`` factors [m | rhs] and solves
-its last column.  ``RationalSpan`` makes the greedy choice one vector at a
-time in ``Fraction``s, as the tests' reference for ``Echelon``'s pivot
-columns.  Products and dense views of matrices live in ``oracles``.
+floating point is used anywhere.  ``clear_denominators`` is the one rule
+that brings rationals to integers, times the lcm of their denominators;
+the leading classes, the de Rham scale and ``Echelon``'s rows all use it.
+``Echelon`` is the one elimination: it clears rows to integers unless all
+entries are ``int`` (as in every matrix the library builds), factors the
+matrix fraction-free, taking the columns in index order and pivoting each
+on its sparsest live row, and keeps no log: its rank, its pivot columns
+(the ordered greedy choice) and every solve are read off the factored
+rows, a solve being a back-substitution from a factored column, checked
+in integers against the matrix.  ``rank`` eliminates along the shorter
+side; ``solve`` factors [m | rhs] and solves its last column.
+``RationalSpan`` makes the greedy choice one vector at a time in
+``Fraction``s, as the tests' reference for ``Echelon``'s pivot columns.
+Products and dense views of matrices live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,14 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """The ``int`` or ``Fraction`` values times s, the lcm of their
+    denominators, as ints, and s (1 for no values)."""
+    values = list(values)
+    s = lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 class SparseRationalMatrix:
@@ -82,19 +93,20 @@ class Echelon:
     """
 
     def __init__(self, m: SparseRationalMatrix):
-        self._matrix = m
         rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
         # holders[j]: the live rows with an entry in column j.
         holders: list[set[int]] = [set() for _ in range(m.cols)]
         for (i, j), v in m.entries.items():
             rows[i][j] = v
             holders[j].add(i)
-        self._scales = [1] * m.rows
         if any(type(v) is not int for v in m.entries.values()):
-            self._scales = [lcm(*(v.denominator for v in r.values())) for r in rows]
-            for r, s in zip(rows, self._scales):
-                for j, v in r.items():
-                    r[j] = v.numerator * (s // v.denominator)
+            for i, r in enumerate(rows):
+                rows[i] = dict(zip(r, clear_denominators(r.values())[0]))
+            m = SparseRationalMatrix(m.rows, m.cols, {
+                (i, j): v for i, r in enumerate(rows) for j, v in r.items()
+            })
+        # The integer matrix that is factored, for the solves' checks.
+        self._matrix = m
         self._columns: list[list[tuple[int, int]]] | None = None
         self._back: list[tuple[int, int, list, dict[int, int]]] | None = None
         self.pivots: list[tuple[int, int, dict[int, int]]] = []
@@ -148,7 +160,7 @@ class Echelon:
         if self._columns is None:
             self._columns = cols = [[] for _ in range(self._matrix.cols)]
             for (i, k), v in self._matrix.entries.items():
-                cols[k].append((i, v.numerator * (self._scales[i] // v.denominator)))
+                cols[k].append((i, v))
         return self._columns[j]
 
     def solve_column(self, c: int) -> tuple[dict[int, int], int]:

@@ -24,13 +24,7 @@ from fractions import Fraction
 
 from .lattice import Face, NewtonPolytope, _rationals, _sub
 from .linalg import Echelon, rank
-from .rings import (
-    ConeRing,
-    cone_numerator,
-    integral_classes,
-    log_derivative_classes,
-    sequence_image,
-)
+from .rings import ConeRing, cone_numerator, leading_classes, sequence_image
 
 
 class FaceCertificate:
@@ -124,15 +118,16 @@ def _face_quotient_dims(ring: ConeRing, gs, bound: int):
 
 
 def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate:
-    """Decide finiteness of the quotient attached to one origin-free face."""
+    """Decide finiteness of the quotient attached to one origin-free face,
+    for a fiber of ``int``s or ``Fraction``s."""
     M = polytope.gauge_denominator
     ring = ConeRing(polytope, face)
     expected_poly, k = cone_numerator(polytope, face)
     assert k == face.dim + 1, "face pieces must have dim + 1 generators"
     bound = _window(expected_poly, M)
     expected = tuple(expected_poly.coeff(d) for d in range(bound + 1))
-    # In integers once; the pivots and quotient dimensions do not change.
-    gs, _ = integral_classes(log_derivative_classes(fiber, face, polytope))
+    # In integers; the scale changes no pivot and no quotient dimension.
+    gs, _ = leading_classes(ring, fiber)
     # Without a spanning subset nothing is ranked and the face is degenerate.
     chosen = _spanning_subset(ring, gs) or ()
     dims = chosen and _face_quotient_dims(ring, [gs[i - 1] for i in chosen], bound)

@@ -7,19 +7,19 @@ Koszul differential, vanishing lower de Rham cohomology, regular sequences
 on a free polynomial ring, the face-search graded product, and Poincare
 series in lowest terms.  The reference algebra these checks and the tests
 use lives here too, so that an ``analyze`` process never compiles it:
-polynomial and ring-element arithmetic (``PolyZ`` and ``RingElement``
-extend the coefficient holders of ``rings``), differential forms, sparse
-matrix products, and the facets tight at a point with the face-cone
-membership, face edge bases and orientation signs built on them.  The tests, the
-demos and ``gkz face-complex`` load this module; ``pipeline`` never
-imports it.
+polynomial arithmetic (``PolyZ`` extends the coefficient holder of
+``rings``), ring elements and the ``Fraction`` leading classes read off
+``rings.leading_classes``, differential forms, sparse matrix products, and
+the facets tight at a point with the face-cone membership, face edge bases
+and orientation signs built on them.  The tests, the demos and
+``gkz face-complex`` load this module; ``pipeline`` never imports it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import rings
 from .derham import _partial, _warn_if_not_normalized, twisted_differential
@@ -29,12 +29,10 @@ from .lattice import (
     Face, NewtonPolytope, Vector, _check_length, _det, _dot, _nonsingular_minor,
     _rationals, _sub,
 )
-from .linalg import Echelon, SparseRationalMatrix, rank
+from .linalg import Echelon, SparseRationalMatrix, clear_denominators, rank
 from .nondegeneracy import _spanning_subset
 from .operators import BoxOperator, _integer_vector, _row_hnf
-from .rings import (
-    ConeRing, integral_classes, log_derivative_classes, sequence_image,
-)
+from .rings import ConeRing, leading_classes, sequence_image
 
 
 class PolyZ(rings.PolyZ):
@@ -149,9 +147,7 @@ def _poly_gcd_z(a: PolyZ, b: PolyZ) -> PolyZ:
         fa, fb = fb, r
     if not fa:
         return PolyZ()
-    denom_lcm = lcm(*(c.denominator for c in fa))
-    ints = [int(c * denom_lcm) for c in fa]
-    return PolyZ(ints).primitive()
+    return PolyZ(clear_denominators(fa)[0]).primitive()
 
 
 class RationalFunctionQ:
@@ -240,8 +236,20 @@ class RationalFunctionQ:
     __repr__ = __str__
 
 
-class RingElement(rings.RingElement):
-    """``rings.RingElement`` with monomials, scaling, comparison and printing."""
+class RingElement:
+    """Finite rational combination of lattice monomials, as its map
+    ``terms`` from monomials to nonzero coefficients."""
+
+    def __init__(self, terms=None):
+        self.terms: dict[Vector, int | Fraction] = {} if terms is None else terms
+
+    def add_term(self, w, coeff):
+        w = tuple(w)
+        new = self.terms.get(w, Fraction(0)) + Fraction(coeff)
+        if new == 0:
+            self.terms.pop(w, None)
+        else:
+            self.terms[w] = new
 
     @classmethod
     def monomial(cls, w, coeff=1) -> "RingElement":
@@ -261,12 +269,31 @@ class RingElement(rings.RingElement):
         return sorted(self.terms.items())
 
     def __eq__(self, other):
-        return isinstance(other, rings.RingElement) and self.terms == other.terms
+        return isinstance(other, RingElement) and self.terms == other.terms
 
     def __repr__(self):
         if self.is_zero():
             return "0"
         return " + ".join(f"{c}*t^{w}" for w, c in self.sorted_terms())
+
+
+def log_derivative_classes(
+    fiber, face: Face | None, polytope: NewtonPolytope
+) -> list[RingElement]:
+    """Leading classes of the logarithmic derivatives of the fiber polynomial,
+    in ``Fraction``s: the integer classes of ``rings.leading_classes`` over
+    their scale.
+
+    For a face, sums run over the columns in its point set; for the full ring
+    they run over the columns of gauge one, i.e. those on the boundary faces
+    that avoid the origin.  Each output is homogeneous of degree equal to the
+    gauge denominator.
+    """
+    fiber = _rationals(fiber, polytope.matrix.num_columns)
+    classes, scale = leading_classes(ConeRing(polytope, face), fiber)
+    return [
+        RingElement({w: Fraction(c, scale) for w, c in g.items()}) for g in classes
+    ]
 
 
 class FreeRing:
@@ -427,15 +454,13 @@ def matmul(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMa
     if a.cols != b.rows:
         raise ValueError("shape mismatch in matmul")
     whole = all(type(v) is int for m in (a, b) for v in m.entries.values())
-    s = lcm(*(v.denominator for v in a.entries.values()))
-    t = lcm(*(v.denominator for v in b.entries.values()))
+    a_values, s = clear_denominators(a.entries.values())
+    b_values, t = clear_denominators(b.entries.values())
     by_row: dict[int, list[tuple[int, int]]] = {}
-    for (k, j), v in b.entries.items():
-        v = v.numerator * (t // v.denominator)
+    for (k, j), v in zip(b.entries, b_values):
         by_row.setdefault(k, []).append((j, v))
     acc: dict[tuple[int, int], int] = {}
-    for (i, k), u in a.entries.items():
-        u = u.numerator * (s // u.denominator)
+    for (i, k), u in zip(a.entries, a_values):
         for j, v in by_row.get(k, ()):
             key = (i, j)
             acc[key] = acc.get(key, 0) + u * v
@@ -653,6 +678,7 @@ class GradedKoszulComplex:
                 if labels:
                     self.bases[(q, d)] = labels
         position = {J: k for level in wedges for k, J in enumerate(level)}
+        terms = [g.terms for g in self.sequence]
         # The sequence image on each slice, placed once per wedge set: the
         # column of (I, w) gets, for each i not in I, the signed column
         # g_i * t^w in the rows of J = I + {i}.
@@ -660,7 +686,7 @@ class GradedKoszulComplex:
             src, dst = len(slices[d]), len(slices[d + step])
             if not src or not dst:
                 continue
-            image = sequence_image(ring, self.sequence, step, d + step)
+            image = sequence_image(ring, terms, step, d + step)
             columns = sparse_columns(image)
             for q in range(m):
                 entries = {}
@@ -729,7 +755,7 @@ def koszul_regular_sequence_check(
     if d <= cx.m:
         # per_degree holds the certified degrees with nonzero H^d only.
         for e, h in dims[d]["per_degree"].items():
-            image = sequence_image(ring, cx.sequence[:d], cx.step, e)
+            image = sequence_image(ring, [g.terms for g in cx.sequence[:d]], cx.step, e)
             if h > image.rows - rank(image):
                 embeds = False
     return RegularSequenceCheck(
@@ -946,8 +972,9 @@ def choose_spanning_subset(fiber, face: Face, polytope: NewtonPolytope):
     the whole set has smaller rank the face is deficient and the fiber is
     degenerate, reported as None.
     """
-    gs, _ = integral_classes(log_derivative_classes(fiber, face, polytope))
-    return _spanning_subset(ConeRing(polytope, face), gs)
+    fiber = _rationals(fiber, polytope.matrix.num_columns)
+    ring = ConeRing(polytope, face)
+    return _spanning_subset(ring, leading_classes(ring, fiber)[0])
 
 
 def in_kernel_lattice(basis: list[BoxOperator], relation) -> bool:

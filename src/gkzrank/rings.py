@@ -10,6 +10,9 @@ subadditivity, some facet tight at both factors, and the full ring is the
 associated graded ring.  On a face cone such a facet is tight on the whole
 face: no product vanishes.
 
+``leading_classes`` builds the leading log-derivative classes of a fiber on
+one ring, once, in integers over one scale.
+
 Poincare series are read off the same tiling: its parallelepiped points
 counted by degree are the numerator, a ``PolyZ``, over (1 - t^M)^k; their
 arithmetic and the lowest-terms series live in ``oracles``.
@@ -18,27 +21,10 @@ arithmetic and the lowest-terms series live in ``oracles``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import FaceContainsOrigin
-from .lattice import Face, NewtonPolytope, Vector, _rationals
-from .linalg import SparseRationalMatrix
-
-
-class RingElement:
-    """Finite rational combination of lattice monomials; its arithmetic and
-    comparison live in ``oracles.RingElement``."""
-
-    def __init__(self, terms=None):
-        self.terms: dict[Vector, int | Fraction] = {} if terms is None else terms
-
-    def add_term(self, w, coeff):
-        w = tuple(w)
-        new = self.terms.get(w, Fraction(0)) + Fraction(coeff)
-        if new == 0:
-            self.terms.pop(w, None)
-        else:
-            self.terms[w] = new
+from .lattice import Face, NewtonPolytope, Vector
+from .linalg import SparseRationalMatrix, clear_denominators
 
 
 class ConeRing:
@@ -71,56 +57,44 @@ class ConeRing:
 # -- spec-level operations ----------------------------------------------------
 
 
-def log_derivative_classes(
-    fiber, face: Face | None, polytope: NewtonPolytope
-) -> list[RingElement]:
-    """Leading classes of the logarithmic derivatives of the fiber polynomial.
+def leading_classes(ring: ConeRing, fiber) -> tuple[list[dict[Vector, int]], int]:
+    """The leading classes g_1..g_n of the logarithmic derivatives
+    x_i df/dx_i of the fiber polynomial f in the ring, as integer
+    coefficient maps s * g_i, and their one scale s.
 
-    For a face, sums run over the columns in its point set; for the full ring
-    they run over the columns of gauge one, i.e. those on the boundary faces
-    that avoid the origin.  Each output is homogeneous of degree equal to the
-    gauge denominator.
+    On a face ring the sums run over the columns in the face's point set; on
+    the full ring over the columns of gauge one, i.e. those on the boundary
+    faces that avoid the origin.  s is the lcm of those columns' fiber
+    denominators, and the fiber holds ``int``s or ``Fraction``s, as a
+    nondegeneracy report does.  Repeated columns add up; a coefficient that
+    cancels is not stored.  Each class is homogeneous of degree M.
     """
-    A = polytope.matrix
-    fiber = _rationals(fiber, A.num_columns)
-    if face is not None and face.contains_origin:
-        raise FaceContainsOrigin(face.id)
+    polytope, face = ring.polytope, ring.face
     selected = [
         (w, c)
-        for w, c in zip(A.columns, fiber)
+        for w, c in zip(polytope.matrix.columns, fiber)
         if (polytope.gauge(w) == 1 if face is None else w in face.points)
     ]
-    out = []
-    for i in range(A.n):
-        g = RingElement()
-        for w, c in selected:
-            g.add_term(w, c * w[i])
-        out.append(g)
-    return out
-
-
-def integral_classes(sequence) -> tuple[list[RingElement], list[int]]:
-    """(c_1 g_1, .., c_k g_k) in ``int`` coefficients, c_i the lcm of the
-    coefficient denominators of g_i, and the scales c_i.  Scaling a class
-    scales one column of each matrix built from the sequence, so ranks,
-    pivot columns and Koszul cohomology stay those of (g_1..g_k)."""
-    scales = [lcm(*(c.denominator for c in g.terms.values())) for g in sequence]
-    scaled = [
-        RingElement({w: c.numerator * (s // c.denominator) for w, c in g.terms.items()})
-        for g, s in zip(sequence, scales)
-    ]
-    return scaled, scales
+    coeffs, scale = clear_denominators(c for _, c in selected)
+    classes = []
+    for i in range(polytope.n):
+        g: dict[Vector, int] = {}
+        for (w, _), c in zip(selected, coeffs):
+            g[w] = g.get(w, 0) + c * w[i]
+        classes.append({w: c for w, c in g.items() if c})
+    return classes, scale
 
 
 def sequence_image(ring, sequence, step: int, d: int):
     """The matrix of (g_1..g_k): R_{d-step}^k -> R_d on one degree slice of a
-    graded ring (a ``ConeRing``, or ``oracles.FreeRing``).
+    graded ring (a ``ConeRing``, or ``oracles.FreeRing``), each g_i a
+    coefficient map monomial -> value (``leading_classes`` gives them in
+    integers, a ``RingElement`` holds one as its ``terms``).
 
     Rows follow ``ring.monomials_of_degree(d)``; column w * k + i holds
-    g_i * t^w for the w-th monomial of degree d - step, so a sequence from
-    ``integral_classes`` gives the columns c_i * g_i * t^w in integers.  A
-    product that vanishes in the ring is dropped; one that leaves the slice
-    means the sequence is not homogeneous of degree ``step`` and raises.
+    g_i * t^w for the w-th monomial of degree d - step.  A product that
+    vanishes in the ring is dropped; one that leaves the slice means the
+    sequence is not homogeneous of degree ``step`` and raises.
     Each product t^u * t^w is formed once, for all classes with u in their
     support.  The layout stays interleaved: grouped class by class, it
     reorders the columns of ``nondegeneracy``'s face-quotient ranks, which
@@ -129,7 +103,7 @@ def sequence_image(ring, sequence, step: int, d: int):
     index = {w: r for r, w in enumerate(ring.monomials_of_degree(d))}
     prev = ring.monomials_of_degree(d - step)
     # row_of[u]: the row of t^u * t^w for the current w, None if it vanishes.
-    row_of = dict.fromkeys(u for g in sequence for u in g.terms)
+    row_of = dict.fromkeys(u for g in sequence for u in g)
     k = len(sequence)
     entries: dict[tuple[int, int], int | Fraction] = {}
     for a, w in enumerate(prev):
@@ -140,7 +114,7 @@ def sequence_image(ring, sequence, step: int, d: int):
                 raise AssertionError("product left its degree slice")
             row_of[u] = r
         for i, g in enumerate(sequence):
-            for u, c in g.terms.items():
+            for u, c in g.items():
                 r = row_of[u]
                 if r is not None:
                     key = (r, a * k + i)

@@ -29,6 +29,7 @@ from gkzrank import (
     NewtonPolytope,
     ProblemSpec,
     RankDeficient,
+    RingElement,
     connection_matrices,
     h_top_dimension,
     is_nondegenerate,
@@ -38,13 +39,7 @@ from gkzrank import (
 from gkzrank.linalg import rank
 from gkzrank.nondegeneracy import _spanning_subset
 from gkzrank.oracles import face_cone_contains
-from gkzrank.rings import (
-    ConeRing,
-    cone_numerator,
-    integral_classes,
-    log_derivative_classes,
-    sequence_image,
-)
+from gkzrank.rings import ConeRing, cone_numerator, leading_classes, sequence_image
 
 # Cost caps on a draw's normalized volume, by dimension, which keep the
 # whole sweep near a second.
@@ -135,7 +130,7 @@ def _differential_cases():
 
 def _full_complex_counts(kz):
     """(vanishing, per_degree, top_dim) of the full graded Koszul complex."""
-    seq, _ = integral_classes(kz.sequence)
+    seq = [RingElement(g) for g in kz.classes]
     cx = GradedKoszulComplex(kz.ring, seq, kz.truncation)
     dims = cx.cohomology_dims()
     lower = all(dims[q]["total"] == 0 for q in range(cx.m))
@@ -197,8 +192,8 @@ def _certify_over_the_long_window(fiber, face, P):
     M = P.gauge_denominator
     bound = numerator.degree + k * M
     expected = tuple(numerator.coeff(d) for d in range(bound + 1))
-    gs, _ = integral_classes(log_derivative_classes(fiber, face, P))
     ring = ConeRing(P, face)
+    gs, _ = leading_classes(ring, fiber)
     chosen = _spanning_subset(ring, gs)
     if chosen is None:
         return "infinite", None, (), (), expected

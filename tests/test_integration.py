@@ -1,11 +1,16 @@
 """Cross-route agreement on matrices beyond the named fixtures."""
 
+import json
+import sys
+import threading
+import warnings
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from gkzrank import derham, homology, linalg, nondegeneracy, oracles, pipeline
+from gkzrank import derham, homology, lattice, linalg, nondegeneracy, operators
+from gkzrank import oracles, pipeline, rings
 from gkzrank import (
     GradedKoszulComplex,
     NewtonPolytope,
@@ -19,8 +24,8 @@ from gkzrank import (
     validate_matrix,
     verify_kouchnirenko,
 )
-from gkzrank.rings import integral_classes
-from conftest import GAUSS_ROWS, kouchnirenko_scan
+from conftest import kouchnirenko_scan
+from test_cli import GOLDEN_SPECS
 
 EXTRA_CASES = [
     # rows, fiber
@@ -122,39 +127,91 @@ def test_truncation_cap_stays_with_its_run(monkeypatch):
     assert [r["top_dimension"] for r in inner] == [2]
 
 
+# The lattice._rationals calls of each command: gamma by normalize_gamma,
+# the fiber once by is_nondegenerate, gamma again by the de Rham basis and
+# by the Euler operators; none per face.
+RATIONALS = {"analyze": 4, "koszul": 1, "poincare": 1, "derham": 3}
+
+
 @pytest.mark.parametrize("command", ["analyze", "koszul", "poincare", "derham"])
 def test_analyze_computes_each_object_once(monkeypatch, command):
     # Each face is certified once, by analyze and by every subcommand that
     # runs the Koszul stage, and the lower Koszul vanishing is read off the
-    # top slices: no Koszul complex is built and no map multiplied.
-    faces = len(NewtonPolytope(validate_matrix(GAUSS_ROWS)).origin_free_faces())
-    calls = {"certify_face": 0, "koszul": 0, "matmul": 0}
-    certify_face = nondegeneracy.certify_face
-    koszul_init = homology.GradedKoszulComplex.__init__
-    matmul = oracles.matmul
+    # top slices: no Koszul complex is built and no map multiplied.  The
+    # leading classes are built once per ring, each face's and the full
+    # cone's, off the fiber the nondegeneracy report converted once, so the
+    # conversions do not grow with the 9 faces of Gauss or the 26 of the
+    # octahedron.
+    calls = dict.fromkeys(
+        ("certify_face", "koszul", "matmul", "classes", "rationals"), 0
+    )
 
-    def counted_certify(*args):
-        calls["certify_face"] += 1
-        return certify_face(*args)
+    def counted(key, function):
+        def wrapper(*args):
+            calls[key] += 1
+            return function(*args)
 
-    def counted_init(self, *args):
-        calls["koszul"] += 1
-        koszul_init(self, *args)
+        return wrapper
 
-    def counted_matmul(a, b):
-        calls["matmul"] += 1
-        return matmul(a, b)
+    certify_face = counted("certify_face", nondegeneracy.certify_face)
+    koszul_init = counted("koszul", homology.GradedKoszulComplex.__init__)
+    monkeypatch.setattr(nondegeneracy, "certify_face", certify_face)
+    monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", koszul_init)
+    monkeypatch.setattr(oracles, "matmul", counted("matmul", oracles.matmul))
+    # Each module that bound the function by name counts its calls.
+    for key, home, attr in (
+        ("classes", rings, "leading_classes"), ("rationals", lattice, "_rationals")
+    ):
+        function = getattr(home, attr)
+        for module in (rings, lattice, nondegeneracy, homology, derham, operators,
+                       oracles):
+            if getattr(module, attr, None) is function:
+                monkeypatch.setattr(module, attr, counted(key, function))
+    for name, faces in (("gauss", 9), ("octahedron", 26)):
+        spec = ProblemSpec.from_json(GOLDEN_SPECS[name])
+        calls.update(dict.fromkeys(calls, 0))
+        if command == "analyze":
+            body = run_analyze(spec, with_timings=False).to_json()
+            assert body["rank_agreement"] is True
+            assert body["koszul"]["vanishing"] is True
+            assert len(body["nondegeneracy"]["faces"]) == faces
+        else:
+            run_subcommand(command, spec)
+        assert calls == {
+            "certify_face": faces, "koszul": 0, "matmul": 0,
+            "classes": faces + 1, "rationals": RATIONALS[command],
+        }, name
 
-    monkeypatch.setattr(nondegeneracy, "certify_face", counted_certify)
-    monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", counted_init)
-    monkeypatch.setattr(oracles, "matmul", counted_matmul)
-    if command == "analyze":
-        body = run_analyze(_gauss_spec(), with_timings=False).to_json()
-        assert body["rank_agreement"] is True and body["koszul"]["vanishing"] is True
-        assert len(body["nondegeneracy"]["faces"]) == faces
-    else:
-        run_subcommand(command, _gauss_spec())
-    assert calls == {"certify_face": faces, "koszul": 0, "matmul": 0}
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_repeated_and_concurrent_runs_report_the_same(name):
+    # Twice in one process, then from four threads at once with the switch
+    # interval cut to a microsecond: every run gives the first run's report.
+    spec = ProblemSpec.from_json(GOLDEN_SPECS[name])
+
+    def report():
+        return json.dumps(run_analyze(spec, with_timings=False).to_json())
+
+    results = [None] * 4
+
+    def work(i):
+        results[i] = report()
+
+    interval = sys.getswitchinterval()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        first = report()
+        assert report() == first
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+    assert results == [first] * 4
 
 
 def test_derham_dims_reuse_the_kouchnirenko_result(monkeypatch, gauss):
@@ -223,7 +280,7 @@ def test_top_maps_are_ranked_off_their_slices(monkeypatch, rows, fiber):
     assert [id(e) for e in factored] == [id(s[2]) for s in kz._slices.values()]
     assert ranked == []
     # The counts read off the slices are those of the full complex.
-    seq, _ = integral_classes(kz.sequence)
+    seq = [oracles.RingElement(g) for g in kz.classes]
     cx = GradedKoszulComplex(kz.ring, seq, kz.truncation)
     full = cx.cohomology_dims()
     assert kz.vanishing is all(full[q]["total"] == 0 for q in range(cx.m))
@@ -250,7 +307,7 @@ def test_koszul_maps_and_slices_hold_integers(monkeypatch):
         monkeypatch.setattr(module, "sequence_image", recorded_image)
         monkeypatch.setattr(module, "Echelon", recorded_echelon)
     kz = verify_kouchnirenko(is_nondegenerate(fiber, P))
-    assert any(c.denominator > 1 for g in kz.sequence for c in g.terms.values())
+    assert kz.scale > 1
     assert len(matrices) > 2 * len(kz._slices)
     assert all(type(v) is int for m in matrices for v in m.entries.values())
 
@@ -308,10 +365,10 @@ def test_solve_top_rewrites_each_monomial(rows, fiber):
             assert D > 0 and set(units) <= basis
             total = dict(units)
             for i, v, x in images:
-                for u, c in kz.sequence[i].terms.items():
+                for u, c in kz.classes[i].items():
                     prod = ring.multiply_monomials(u, v)
                     if prod is not None:
-                        total[prod] = total.get(prod, 0) + x * c
+                        total[prod] = total.get(prod, 0) + F(x * c, kz.scale)
             assert {u: c for u, c in total.items() if c} == {w: D}
 
 

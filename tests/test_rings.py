@@ -45,7 +45,7 @@ from gkzrank.oracles import (
     sparse_columns,
     to_dense,
 )
-from gkzrank.rings import cone_numerator
+from gkzrank.rings import cone_numerator, leading_classes
 
 from conftest import face_with_vertices, kouchnirenko_scan
 from test_cli import GOLDEN_SPECS
@@ -347,6 +347,64 @@ class TestLogDerivativeClasses:
                     matrix.columns[j] not in face.vertices for j in chosen
                 )
         assert off_vertex
+
+
+def _term_by_term_classes(fiber, P, face):
+    """The leading classes accumulated one column at a time in
+    ``Fraction``s, a coefficient that cancels dropped: the reference for
+    ``leading_classes``."""
+    classes = []
+    for i in range(P.n):
+        g = {}
+        for w, c in zip(P.matrix.columns, fiber):
+            if (_ref_gauge(P, w) == 1 if face is None else w in face.points):
+                new = g.get(w, Fraction(0)) + Fraction(c) * w[i]
+                if new:
+                    g[w] = new
+                else:
+                    g.pop(w, None)
+        classes.append(g)
+    return classes
+
+
+def _class_cases():
+    """(name, rows, fiber): the golden specs, the seeded sweep draws with
+    their degenerate ones, a repeated column off the gauge-one set, a
+    repeated column whose terms cancel, and a fiber denominator 10^9 + 7."""
+    for name, spec in sorted(GOLDEN_SPECS.items()):
+        yield name, spec["matrix"], spec["fiber"]
+    problems = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "bench" / "problems.py")
+    )
+    for seed in range(1, 6):
+        for p in problems["sweep"](seed)[0]:
+            yield f"sweep-{seed}-{p['id']}", p["spec"]["matrix"], p["spec"]["fiber"]
+    yield "inner-repeat", [[1, 1, 2]], [1, -1, 1]
+    yield "cancelling-repeat", [[2, 2, 1]], [1, -1, 1]
+    p = 10**9 + 7
+    yield "large-denominator", GOLDEN_SPECS["gauss"]["matrix"], [
+        f"1/{p}", "2", f"-3/{p}", f"5/{3 * p}"
+    ]
+
+
+def test_integer_classes_over_their_scale_are_the_fraction_classes():
+    # Every ring of every case: the full cone and each origin-free face.
+    seen = {"rings": 0, "empty": 0, "scaled": 0}
+    for name, rows, fiber in _class_cases():
+        P = NewtonPolytope(validate_matrix(rows))
+        fiber = [Fraction(c) for c in fiber]
+        for face in [None, *P.origin_free_faces()]:
+            classes, scale = leading_classes(ConeRing(P, face), fiber)
+            assert type(scale) is int and scale > 0, (name, face)
+            assert all(type(c) is int and c for g in classes for c in g.values())
+            assert [
+                {w: Fraction(c, scale) for w, c in g.items()} for g in classes
+            ] == _term_by_term_classes(fiber, P, face), (name, face)
+            seen["rings"] += 1
+            seen["empty"] += not any(classes)
+            seen["scaled"] += scale == 3 * 10**9 + 21
+    assert seen["rings"] > 1000 and seen["empty"] and seen["scaled"], seen
+
 
 # -- the integer kernel against Fraction references ----------------------------
 
@@ -651,7 +709,7 @@ def _ref_face_quotient_dims(ring, gs, bound):
         row = 0
         for prev in ring.monomials_of_degree(d - M):
             for g in gs:
-                for u, c in g.terms.items():
+                for u, c in g.items():
                     i = index[ring.multiply_monomials(u, prev)]
                     entries[(row, i)] = entries.get((row, i), 0) + c
                 row += 1
@@ -686,7 +744,7 @@ class TestSequenceImage:
         # Rows follow the slice; column w * k + i holds g_i * t^w.
         ring = FreeRing(2)
         x, y = ring.variable(0), ring.variable(1)
-        image = sequence_image(ring, [x, y.scale(3)], 1, 2)
+        image = sequence_image(ring, [x.terms, y.scale(3).terms], 1, 2)
         assert ring.monomials_of_degree(2) == ((0, 2), (1, 1), (2, 0))
         assert ring.monomials_of_degree(1) == ((0, 1), (1, 0))
         assert (image.rows, image.cols) == (3, 4)
@@ -699,13 +757,13 @@ class TestSequenceImage:
         ring = ConeRing(P)
         M = P.gauge_denominator
         slice_ = ring.monomials_of_degree(M)
-        g = RingElement({u: Fraction(k + 1) for k, u in enumerate(slice_)})
+        g = {u: k + 1 for k, u in enumerate(slice_)}
         image = sequence_image(ring, [g], M, 2 * M)
         index = {w: r for r, w in enumerate(ring.monomials_of_degree(2 * M))}
         dropped = 0
         for column, w in zip(sparse_columns(image), slice_):
             expected = {}
-            for u, c in g.terms.items():
+            for u, c in g.items():
                 prod = ring.multiply_monomials(u, w)
                 if prod is None:
                     dropped += 1
@@ -719,9 +777,9 @@ class TestSequenceImage:
         P = KERNEL_POLYTOPES[-1]
         ring = ConeRing(P)
         M = P.gauge_denominator
-        gs = log_derivative_classes(_seeded_fiber(P, 0), None, P)
-        support = {u for g in gs for u in g.terms}
-        assert len(gs) > 1 and sum(len(g.terms) for g in gs) > len(support)
+        gs, _ = leading_classes(ring, _seeded_fiber(P, 0))
+        support = {u for g in gs for u in g}
+        assert len(gs) > 1 and sum(len(g) for g in gs) > len(support)
         calls = []
         multiply = ConeRing.multiply_monomials
 
@@ -738,7 +796,7 @@ class TestSequenceImage:
     def test_product_leaving_the_slice_raises(self):
         ring = FreeRing(2)
         with pytest.raises(AssertionError):
-            sequence_image(ring, [ring.variable(0)], 2, 3)
+            sequence_image(ring, [ring.variable(0).terms], 2, 3)
 
     @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
     def test_koszul_maps_match_per_label_builder(self, index):
@@ -769,7 +827,7 @@ class TestSequenceImage:
         fiber = _seeded_fiber(P, index)
         for face in P.origin_free_faces():
             ring = ConeRing(P, face)
-            gs = log_derivative_classes(fiber, face, P)
+            gs, _ = leading_classes(ring, fiber)
             for chosen in (gs, gs[:1], gs[1:]):
                 bound = 3 * P.gauge_denominator
                 assert _face_quotient_dims(ring, chosen, bound) == (
