@@ -4,12 +4,14 @@
 subcommands run only the prefix they need, and ``volume`` and ``faces``
 do not import it.  Exit codes: 0 on success, 2 when the fiber is
 degenerate (the report is still emitted), 1 on usage and input errors.
-Reports are deterministic; timings can be suppressed for stable bytes.
+Reports are deterministic and streamed as they are encoded, never held
+whole; timings can be suppressed for stable bytes.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from .errors import DegenerateFiber, GkzError
@@ -116,18 +118,27 @@ def _load_spec(args: dict) -> ProblemSpec:
     return ProblemSpec.from_json(data)
 
 
+def _dump(payload: dict, fh) -> None:
+    json.dump(payload, fh, indent=2, ensure_ascii=False)
+    print(file=fh, flush=True)
+
+
 def _emit(payload: dict, out_path: str | None, code: int) -> int:
-    """Write the report to ``out_path``, or to stdout, and return ``code``;
-    a path that cannot be written turns it into an output error on stdout."""
-    text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    if not out_path:
-        sys.stdout.write(text)
-        return code
+    """Stream the report to ``out_path``, or stdout, and return ``code``; a
+    failed write is an output error, on stdout for a path, else on stderr."""
     try:
+        if not out_path:
+            _dump(payload, sys.stdout)
+            return code
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _dump(payload, fh)
     except OSError as exc:
-        return _emit(error_json("output", exc), None, EXIT_INPUT_ERROR)
+        if out_path:
+            return _emit(error_json("output", exc), None, EXIT_INPUT_ERROR)
+        sys.stderr.write(f"gkz: error: output: {exc}\n")
+        # Python flushes stdout again at exit: send what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
     return code
 
 

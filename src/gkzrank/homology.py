@@ -18,7 +18,6 @@ from itertools import accumulate
 
 from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
 from .linalg import Echelon, SparseRationalMatrix
-from .nondegeneracy import NondegeneracyReport, _window
 from .rings import ConeRing, PolyZ, cone_numerator, leading_classes, sequence_image
 
 
@@ -41,6 +40,13 @@ def __getattr__(name):
 
 
 # -- the Kouchnirenko-style verification ----------------------------------------
+
+
+def _window(numerator, M: int) -> int:
+    """The last degree a face certificate reads, the numerator's degree
+    plus M by the shift lemma (see ``nondegeneracy``); the Koszul stage's
+    truncation, on the full cone's numerator."""
+    return numerator.degree + M
 
 
 class KouchnirenkoResult:
@@ -73,7 +79,8 @@ class KouchnirenkoResult:
     with no Koszul map built.  ``per_degree`` and ``top_dim`` are those of
     S_k, in every degree up to D.  The classes are those of ``fiber``, which
     the result keeps for the de Rham stage: ``int``s or ``Fraction``s, as a
-    nondegeneracy report holds them."""
+    nondegeneracy report holds them.  ``is_nondegenerate`` builds the result
+    to certify a polytope's one origin-free facet, whose cone is the full cone."""
 
     def __init__(self, ring: ConeRing, fiber, expected_polynomial, truncation):
         self.ring: ConeRing = ring
@@ -181,18 +188,17 @@ class KouchnirenkoResult:
         }
 
 
-def verify_kouchnirenko(
-    report: NondegeneracyReport, *, truncation_cap: int | None = None
-) -> KouchnirenkoResult:
+def verify_kouchnirenko(report, *, truncation_cap=None) -> KouchnirenkoResult:
     """Certify vanishing of the lower Koszul cohomology and count the top,
-    for the fiber and polytope of a nondegeneracy report.
+    for the fiber and polytope of a ``nondegeneracy.NondegeneracyReport``.
 
     The predicted top-cohomology polynomial is the full cone's numerator.
-    The truncation degree is ``nondegeneracy._window``, its degree plus M,
-    which bounds the support because the fiber is nondegenerate: a report
-    that is not raises DegenerateFiber.
-    A truncation above ``truncation_cap`` raises TruncationTooSmall before
-    any slice is built.
+    The truncation degree is ``_window``, its degree plus M, which bounds
+    the support because the fiber is nondegenerate: a report that is not
+    raises DegenerateFiber.  A truncation above the int ``truncation_cap``
+    raises TruncationTooSmall.  A report with one origin-free facet carries
+    the result that certified it, whose slices that certificate factored, and
+    gets it back; for any other the slices are factored here, past the cap.
     """
     if not report.overall:
         bad = [c.face_id for c in report.offending_faces()]
@@ -203,7 +209,9 @@ def verify_kouchnirenko(
     truncation = _window(expected, polytope.gauge_denominator)
     if truncation_cap is not None and truncation > truncation_cap:
         raise TruncationTooSmall(truncation, truncation_cap)
-    return KouchnirenkoResult(ConeRing(polytope), report.fiber, expected, truncation)
+    return report.kouchnirenko or KouchnirenkoResult(
+        ConeRing(polytope), report.fiber, expected, truncation
+    )
 
 
 class PoincareCheck:

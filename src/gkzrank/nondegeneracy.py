@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .homology import KouchnirenkoResult, _window
 from .lattice import Face, NewtonPolytope, _rationals, _sub
 from .linalg import Echelon, rank
 from .rings import ConeRing, cone_numerator, leading_classes, sequence_image
@@ -64,14 +65,16 @@ class FaceCertificate:
 
 
 class NondegeneracyReport:
-    """The face certificates of one fiber, with the polytope and the fiber
-    they certify, which the Koszul stage reads off the report."""
+    """The face certificates of one fiber, with the polytope, the fiber and
+    the Koszul counts that certified the one origin-free facet (or None),
+    which the Koszul stage reads off the report."""
 
-    def __init__(self, overall, certificates, polytope, fiber):
+    def __init__(self, overall, certificates, polytope, fiber, kouchnirenko):
         self.overall: bool = overall
         self.certificates: list[FaceCertificate] = certificates
         self.polytope: NewtonPolytope = polytope
         self.fiber: tuple[Fraction, ...] = fiber
+        self.kouchnirenko: KouchnirenkoResult | None = kouchnirenko
 
     def offending_faces(self):
         return [c for c in self.certificates if c.verdict == "infinite"]
@@ -93,13 +96,6 @@ def _spanning_subset(ring: ConeRing, gs):
     return tuple(j + 1 for _, j, _ in pivots[: dim + 1])
 
 
-def _window(numerator, M: int) -> int:
-    """The last degree a face certificate reads, the numerator's degree
-    plus M by the shift lemma; the Koszul stage's truncation, on the full
-    cone's numerator."""
-    return numerator.degree + M
-
-
 def _face_quotient_dims(ring: ConeRing, gs, bound: int):
     """Dimensions of the facial ring modulo the chosen classes, by degree;
     a degree the shift lemma proves zero is not ranked."""
@@ -117,20 +113,29 @@ def _face_quotient_dims(ring: ConeRing, gs, bound: int):
     return tuple(dims)
 
 
-def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate:
+def certify_face(
+    fiber, face: Face, polytope: NewtonPolytope, top=None
+) -> FaceCertificate:
     """Decide finiteness of the quotient attached to one origin-free face,
-    for a fiber of ``int``s or ``Fraction``s."""
+    for a fiber of ``int``s or ``Fraction``s; ``top``, the full cone's
+    ``KouchnirenkoResult``, certifies the facet when it is the only one."""
     M = polytope.gauge_denominator
     ring = ConeRing(polytope, face)
     expected_poly, k = cone_numerator(polytope, face)
     assert k == face.dim + 1, "face pieces must have dim + 1 generators"
     bound = _window(expected_poly, M)
     expected = tuple(expected_poly.coeff(d) for d in range(bound + 1))
-    # In integers; the scale changes no pivot and no quotient dimension.
-    gs, _ = leading_classes(ring, fiber)
-    # Without a spanning subset nothing is ranked and the face is degenerate.
-    chosen = _spanning_subset(ring, gs) or ()
-    dims = chosen and _face_quotient_dims(ring, [gs[i - 1] for i in chosen], bound)
+    if top is None or k < polytope.n:
+        # In integers; the scale changes no pivot and no quotient dimension.
+        gs, _ = leading_classes(ring, fiber)
+        # Without a spanning subset nothing is ranked and the face is degenerate.
+        chosen = _spanning_subset(ring, gs) or ()
+        dims = chosen and _face_quotient_dims(ring, [gs[i - 1] for i in chosen], bound)
+    else:
+        # All k classes span in degree M, or no subset does; S_k is the quotient.
+        spans = len(ring.monomials_of_degree(M)) - top.per_degree.get(M, 0) == k
+        chosen = tuple(range(1, k + 1)) if spans else ()
+        dims = chosen and tuple(top.per_degree.get(d, 0) for d in range(bound + 1))
     mismatches = (d for d, (got, want) in enumerate(zip(dims, expected)) if got != want)
     failure = next(mismatches, None)
     return FaceCertificate(
@@ -149,6 +154,12 @@ def is_nondegenerate(fiber, polytope: NewtonPolytope) -> NondegeneracyReport:
     """Certify the fiber face by face; degeneracy is a result, not an error."""
     fiber = _rationals(fiber, polytope.matrix.num_columns)
     faces = polytope.origin_free_faces()
-    certificates = [certify_face(fiber, face, polytope) for face in faces]
+    # One origin-free facet: its cone is the full cone, whose counts certify it.
+    top = None
+    if len(polytope.index_set(polytope.n - 1)) == 1:
+        expected, _ = cone_numerator(polytope)
+        truncation = _window(expected, polytope.gauge_denominator)
+        top = KouchnirenkoResult(ConeRing(polytope), fiber, expected, truncation)
+    certificates = [certify_face(fiber, face, polytope, top) for face in faces]
     overall = all(c.verdict == "finite" for c in certificates)
-    return NondegeneracyReport(overall, certificates, polytope, fiber)
+    return NondegeneracyReport(overall, certificates, polytope, fiber, top)

@@ -4,13 +4,14 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
 from gkzrank import ProblemSpec, UnknownSubcommand, run_analyze, run_subcommand
-from gkzrank.cli import _load_spec, main
+from gkzrank.cli import _emit, _load_spec, main
 
 GAUSS_SPEC = {
     "matrix": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
@@ -257,7 +258,7 @@ MALFORMED_SPECS = {
 }
 
 
-def _run_cli(*args):
+def _run_cli(*args, stdout=subprocess.PIPE):
     # A real process, so an uncaught exception would show on stderr.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -266,7 +267,7 @@ def _run_cli(*args):
     )
     return subprocess.run(
         [sys.executable, "-m", "gkzrank.cli", *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
 
 
@@ -367,6 +368,35 @@ def test_unwritable_out_path_is_an_output_error(command, tmp_path):
     assert (err["stage"], err["type"]) == ("output", "FileNotFoundError")
     assert out in err["message"]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("name", ["gauss", "octahedron"])
+def test_failed_write_to_stdout_is_an_output_error(name, tmp_path):
+    # Gauss's report (under 8 KB) fails at the final flush, the octahedron's
+    # (25 KB) partway through the streamed dump.
+    path = write_spec(tmp_path, GOLDEN_SPECS[name])
+    with open("/dev/full", "w") as full:
+        proc = _run_cli("analyze", path, "--no-timings", stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr == "gkz: error: output: [Errno 28] No space left on device\n"
+
+
+def test_emit_streams_the_report(tmp_path):
+    # The report is written as it is encoded, never held whole; held as one
+    # string and a copy with its newline, it peaked at 5 times its length.
+    spec = ProblemSpec.from_json(GOLDEN_SPECS["normal-curve-16"])
+    payload = run_analyze(spec, with_timings=False).to_json()
+    size = len(json.dumps(payload, indent=2, ensure_ascii=False).encode())
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        assert _emit(payload, str(out), 0) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == size + 1
+    assert peak < size / 4, (peak, size)
 
 
 class TestCliOutput:
@@ -559,11 +589,14 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_report_bytes(name, tmp_path, capsys):
     path = write_spec(tmp_path, GOLDEN_SPECS[name])
+    out = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code = main(["analyze", path, "--no-timings"])
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert (code, digest) == GOLDEN[name]
+        assert main(["analyze", path, "--no-timings", "--out", str(out)]) == code
+    stdout = capsys.readouterr().out.encode()
+    assert (code, hashlib.sha256(stdout).hexdigest()) == GOLDEN[name]
+    assert out.read_bytes() == stdout
 
 
 # One grammar on every supported Python: a sign, digits with an optional

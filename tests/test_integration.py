@@ -141,10 +141,14 @@ def test_analyze_computes_each_object_once(monkeypatch, command):
     # leading classes are built once per ring, each face's and the full
     # cone's, off the fiber the nondegeneracy report converted once, so the
     # conversions do not grow with the 9 faces of Gauss or the 26 of the
-    # octahedron.
+    # octahedron.  Gauss is homogenized: its one origin-free facet spans
+    # the full cone, whose Koszul counts certify it, so its classes are the
+    # full cone's and each degree of the full cone's sequence image is
+    # built once.
     calls = dict.fromkeys(
         ("certify_face", "koszul", "matmul", "classes", "rationals"), 0
     )
+    full_cone_images = Counter()
 
     def counted(key, function):
         def wrapper(*args):
@@ -153,23 +157,34 @@ def test_analyze_computes_each_object_once(monkeypatch, command):
 
         return wrapper
 
+    sequence_image = rings.sequence_image
+
+    def image(ring, sequence, step, d):
+        facets = ring.polytope.index_set(ring.polytope.n - 1)
+        if ring.face is None or [ring.face] == facets:
+            full_cone_images[d] += 1
+        return sequence_image(ring, sequence, step, d)
+
     certify_face = counted("certify_face", nondegeneracy.certify_face)
     koszul_init = counted("koszul", homology.GradedKoszulComplex.__init__)
     monkeypatch.setattr(nondegeneracy, "certify_face", certify_face)
     monkeypatch.setattr(homology.GradedKoszulComplex, "__init__", koszul_init)
     monkeypatch.setattr(oracles, "matmul", counted("matmul", oracles.matmul))
     # Each module that bound the function by name counts its calls.
-    for key, home, attr in (
-        ("classes", rings, "leading_classes"), ("rationals", lattice, "_rationals")
+    for home, attr, function in (
+        (rings, "leading_classes", counted("classes", rings.leading_classes)),
+        (lattice, "_rationals", counted("rationals", lattice._rationals)),
+        (rings, "sequence_image", image),
     ):
-        function = getattr(home, attr)
+        original = getattr(home, attr)
         for module in (rings, lattice, nondegeneracy, homology, derham, operators,
                        oracles):
-            if getattr(module, attr, None) is function:
-                monkeypatch.setattr(module, attr, counted(key, function))
-    for name, faces in (("gauss", 9), ("octahedron", 26)):
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, function)
+    for name, faces, classes in (("gauss", 9, 9), ("octahedron", 26, 27)):
         spec = ProblemSpec.from_json(GOLDEN_SPECS[name])
         calls.update(dict.fromkeys(calls, 0))
+        full_cone_images.clear()
         if command == "analyze":
             body = run_analyze(spec, with_timings=False).to_json()
             assert body["rank_agreement"] is True
@@ -179,8 +194,9 @@ def test_analyze_computes_each_object_once(monkeypatch, command):
             run_subcommand(command, spec)
         assert calls == {
             "certify_face": faces, "koszul": 0, "matmul": 0,
-            "classes": faces + 1, "rationals": RATIONALS[command],
+            "classes": classes, "rationals": RATIONALS[command],
         }, name
+        assert full_cone_images and set(full_cone_images.values()) == {1}, name
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))

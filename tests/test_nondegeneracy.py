@@ -16,6 +16,7 @@ from gkzrank import (
     is_nondegenerate,
     log_derivative_classes,
     validate_matrix,
+    verify_kouchnirenko,
 )
 from gkzrank.linalg import Echelon, SparseRationalMatrix, rank
 from gkzrank.nondegeneracy import _face_quotient_dims, _spanning_subset, certify_face
@@ -247,6 +248,41 @@ def test_spanning_subset_matches_the_exponent_by_class_pivots():
             assert chosen == _ref_spanning_subset(gs, face), (name, face.id)
             seen["none" if chosen is None else "chosen"] += 1
     assert seen["chosen"] > 500 and seen["none"] >= 4, seen
+
+
+def test_one_facet_certificate_from_the_koszul_counts_is_the_ranked_one():
+    # With one origin-free facet, is_nondegenerate certifies it from the full
+    # cone's Koszul counts; certify_face without them ranks the facet's
+    # quotient itself, the reference.  Nondegenerate and degenerate fibers,
+    # and Gauss with fiber (1, 0, 0, 0), whose facet has no spanning subset.
+    # The Koszul stage takes the counts the report carries.
+    problems = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "bench" / "problems.py")
+    )
+    specs = dict(GOLDEN_SPECS)
+    for seed in range(1, 6):
+        drawn, _ = problems["sweep"](seed)
+        specs.update((f"sweep-{seed}-{p['id']}", p["spec"]) for p in drawn)
+    specs["gauss-no-span"] = {"matrix": GAUSS, "fiber": [1, 0, 0, 0]}
+    seen = {"finite": 0, "infinite": 0, "no-span": 0, "multi-facet": 0}
+    for name, spec in specs.items():
+        P = NewtonPolytope(validate_matrix(spec["matrix"]))
+        report = is_nondegenerate([Fraction(c) for c in spec["fiber"]], P)
+        facets = P.index_set(P.n - 1)
+        if len(facets) > 1:
+            assert report.kouchnirenko is None, name
+            seen["multi-facet"] += 1
+            continue
+        (facet,) = facets
+        (got,) = [c for c in report.certificates if c.face_id == facet.id]
+        want = certify_face(report.fiber, facet, P)
+        assert got.to_json() == want.to_json(), name
+        assert report.kouchnirenko.truncation == want.bound_used, name
+        if report.overall:
+            assert verify_kouchnirenko(report) is report.kouchnirenko, name
+        seen["no-span" if not got.spanning_indices else got.verdict] += 1
+    assert seen["finite"] >= 100 and seen["infinite"] >= 30, seen
+    assert seen["no-span"] == 1 and seen["multi-facet"] >= 40, seen
 
 
 class TestShiftLemma:
