@@ -196,9 +196,9 @@ def verify_kouchnirenko(report, *, truncation_cap=None) -> KouchnirenkoResult:
     The truncation degree is ``_window``, its degree plus M, which bounds
     the support because the fiber is nondegenerate: a report that is not
     raises DegenerateFiber.  A truncation above the int ``truncation_cap``
-    raises TruncationTooSmall.  A report with one origin-free facet carries
-    the result that certified it, whose slices that certificate factored, and
-    gets it back; for any other the slices are factored here, past the cap.
+    raises TruncationTooSmall; only then are the slices factored, unless the
+    report has one origin-free facet, whose certificate factored them: such
+    a report carries that result, which is returned.
     """
     if not report.overall:
         bad = [c.face_id for c in report.offending_faces()]
