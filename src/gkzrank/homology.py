@@ -6,14 +6,15 @@ graded and its differential raises the grading by the gauge denominator M.
 ``KouchnirenkoResult`` builds none of its maps: the nested quotients
 R/(g_1..g_j), counted by degree from the pivots of the top slices that the
 monomial basis and the de Rham solves factor anyway, decide the lower
-vanishing (see its docstring).  The predicted top polynomial is the full
-cone's numerator and the truncation is the faces' window rule, read as a
-face certificate reads them.  The full complex, with its d o d check, is
-the reference ``oracles.GradedKoszulComplex``.
+vanishing (see its docstring).  The predicted top polynomial is the
+cone's numerator and the truncation is ``_window``, on the full cone here
+and on each origin-free face's cone for its certificate.  The full complex,
+with its d o d check, is the reference ``oracles.GradedKoszulComplex``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 
 from .errors import DegenerateFiber, MismatchAtDegree, TruncationTooSmall
@@ -79,8 +80,9 @@ class KouchnirenkoResult:
     with no Koszul map built.  ``per_degree`` and ``top_dim`` are those of
     S_k, in every degree up to D.  The classes are those of ``fiber``, which
     the result keeps for the de Rham stage: ``int``s or ``Fraction``s, as a
-    nondegeneracy report holds them.  ``is_nondegenerate`` builds the result
-    to certify a polytope's one origin-free facet, whose cone is the full cone."""
+    nondegeneracy report holds them.  The ring may be one origin-free
+    face's, truncated at its window: ``certify_face`` reads the face's
+    certificate off that result, which never lists its monomial basis."""
 
     def __init__(self, ring: ConeRing, fiber, expected_polynomial, truncation):
         self.ring: ConeRing = ring
@@ -102,9 +104,12 @@ class KouchnirenkoResult:
         }
         self.top_dim: int = sum(self.per_degree.values())
         self.equals_volume: bool = self.top_dim == ring.polytope.normalized_volume
-        self.monomial_basis: list = [
-            w for d in range(expected_polynomial.degree + 1) for w in self.top_basis(d)
-        ]
+
+    @cached_property
+    def monomial_basis(self) -> list:
+        """The unit pivots through the numerator's degree, on first read."""
+        top = self.expected_polynomial.degree
+        return [w for d in range(top + 1) for w in self.top_basis(d)]
 
     def _quotient_dims(self, d: int) -> list[int]:
         """dim S_j(d) for j = 0..k; below degree M no class reaches d."""
@@ -121,22 +126,17 @@ class KouchnirenkoResult:
         """Row index, the positions of the monomials of degree d - M and the
         factored integer matrix [sequence image | identity] of top degree d,
         built once.  Image column i * len(prev) + a holds s * g_i * t^v
-        for v the a-th monomial of degree d - M (``sequence_image``'s
-        columns, regrouped class by class); unit column k * len(prev) + r
-        stands for the r-th monomial of degree d."""
+        for v the a-th monomial of degree d - M, as ``sequence_image`` lays
+        it out; unit column k * len(prev) + r stands for the r-th monomial
+        of degree d."""
         if d not in self._slices:
             ring, M = self.ring, self.ring.gauge_denominator
-            prev, k = ring.monomials_of_degree(d - M), len(self.classes)
             image = sequence_image(ring, self.classes, M, d)
-            # sequence_image's column a * k + i goes to i * len(prev) + a.
-            entries = {
-                (r, c % k * len(prev) + c // k): v
-                for (r, c), v in image.entries.items()
-            }
+            entries = image.entries
             entries.update(((r, image.cols + r), 1) for r in range(image.rows))
             mat = SparseRationalMatrix(image.rows, image.cols + image.rows, entries)
             index = {w: r for r, w in enumerate(ring.monomials_of_degree(d))}
-            positions = {v: a for a, v in enumerate(prev)}
+            positions = {v: a for a, v in enumerate(ring.monomials_of_degree(d - M))}
             self._slices[d] = (index, positions, Echelon(mat))
         return self._slices[d]
 

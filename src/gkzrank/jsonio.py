@@ -8,30 +8,13 @@ the cohomology stack.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import ShapeMismatch
-from .lattice import ExponentMatrix, NewtonPolytope, validate_matrix
+from .lattice import ExponentMatrix, NewtonPolytope, parse_rational, validate_matrix
 
 DEFAULT_WEIGHT_BOUND = 6
 GEOMETRY_SUBCOMMANDS = ("volume", "faces")
-
-
-# What Fraction reads on every supported Python, less exponents (it writes
-# out every digit of "1e1000000000"): a sign, then digits with an optional
-# /digits, or a decimal, with optional whitespace around.
-RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)\s*")
-
-
-def parse_rational(text) -> Fraction:
-    """An ``int`` that is not a ``bool``, or a string in ``RATIONAL``."""
-    if type(text) is int or isinstance(text, str) and RATIONAL.fullmatch(text):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"cannot parse rational from {text!r}")
 
 
 def format_rational(value) -> str:

@@ -44,6 +44,7 @@ needs, live in ``oracles``.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from operator import mul
@@ -68,10 +69,29 @@ def _check_length(w, n):
         raise ShapeMismatch(f"vector {tuple(w)} has length {len(w)}, expected {n}")
 
 
+# What Fraction reads on every supported Python, less exponents (it writes
+# out every digit of "1e1000000000"): a sign, then digits with an optional
+# /digits, or a decimal, with optional whitespace around.
+RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)\s*")
+
+
+def parse_rational(text) -> Fraction:
+    """An ``int`` that is not a ``bool``, or a string in ``RATIONAL``."""
+    if type(text) is int or isinstance(text, str) and RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"cannot parse rational from {text!r}")
+
+
 def _rationals(values, n) -> tuple[Fraction, ...]:
-    """A rational vector of length ``n``, such as gamma or a fiber."""
+    """A rational vector of length ``n``, such as gamma or a fiber; a string
+    is read by ``RATIONAL``."""
     _check_length(values, n)
-    return tuple(Fraction(v) for v in values)
+    return tuple(
+        parse_rational(v) if isinstance(v, str) else Fraction(v) for v in values
+    )
 
 
 class ExponentMatrix:

@@ -30,7 +30,7 @@ from .lattice import (
     _rationals, _sub,
 )
 from .linalg import Echelon, SparseRationalMatrix, clear_denominators, rank
-from .nondegeneracy import _spanning_subset
+from .nondegeneracy import certify_face
 from .operators import BoxOperator, _integer_vector, _row_hnf
 from .rings import ConeRing, leading_classes, sequence_image
 
@@ -694,7 +694,7 @@ class GradedKoszulComplex:
                     for i, sign, J in wedge_terms(I, m):
                         top = position[J] * dst
                         for k in range(src):
-                            for r, c in columns[k * m + i].items():
+                            for r, c in columns[i * src + k].items():
                                 entries[(top + r, a * src + k)] = sign * c
                 self.diffs[(q, d)] = SparseRationalMatrix(
                     len(wedges[q + 1]) * dst, len(wedges[q]) * src, entries
@@ -973,8 +973,7 @@ def choose_spanning_subset(fiber, face: Face, polytope: NewtonPolytope):
     degenerate, reported as None.
     """
     fiber = _rationals(fiber, polytope.matrix.num_columns)
-    ring = ConeRing(polytope, face)
-    return _spanning_subset(ring, leading_classes(ring, fiber)[0])
+    return certify_face(fiber, face, polytope).spanning_indices or None
 
 
 def in_kernel_lattice(basis: list[BoxOperator], relation) -> bool:

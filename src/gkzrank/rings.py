@@ -91,20 +91,18 @@ def sequence_image(ring, sequence, step: int, d: int):
     coefficient map monomial -> value (``leading_classes`` gives them in
     integers, a ``RingElement`` holds one as its ``terms``).
 
-    Rows follow ``ring.monomials_of_degree(d)``; column w * k + i holds
-    g_i * t^w for the w-th monomial of degree d - step.  A product that
-    vanishes in the ring is dropped; one that leaves the slice means the
-    sequence is not homogeneous of degree ``step`` and raises.
-    Each product t^u * t^w is formed once, for all classes with u in their
-    support.  The layout stays interleaved: grouped class by class, it
-    reorders the columns of ``nondegeneracy``'s face-quotient ranks, which
-    made that stage three times slower on the homogenized 4-D cross-polytope.
+    Rows follow ``ring.monomials_of_degree(d)``; the columns are grouped
+    class by class, column i * |R_{d-step}| + a holding g_i * t^w for w the
+    a-th monomial of degree d - step.  A product that vanishes in the ring
+    is dropped; one that leaves the slice means the sequence is not
+    homogeneous of degree ``step`` and raises.  Each product t^u * t^w is
+    formed once, for all classes with u in their support.
     """
     index = {w: r for r, w in enumerate(ring.monomials_of_degree(d))}
     prev = ring.monomials_of_degree(d - step)
     # row_of[u]: the row of t^u * t^w for the current w, None if it vanishes.
     row_of = dict.fromkeys(u for g in sequence for u in g)
-    k = len(sequence)
+    size = len(prev)
     entries: dict[tuple[int, int], int | Fraction] = {}
     for a, w in enumerate(prev):
         for u in row_of:
@@ -117,9 +115,9 @@ def sequence_image(ring, sequence, step: int, d: int):
             for u, c in g.items():
                 r = row_of[u]
                 if r is not None:
-                    key = (r, a * k + i)
+                    key = (r, i * size + a)
                     entries[key] = entries.get(key, 0) + c
-    return SparseRationalMatrix(len(index), k * len(prev), entries)
+    return SparseRationalMatrix(len(index), len(sequence) * size, entries)
 
 
 def poincare_series(ring):

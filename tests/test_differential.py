@@ -20,6 +20,7 @@ import pytest
 from conftest import FIXTURES, GAUSS_ROWS, kouchnirenko_scan
 from test_derham import _reference_reduce
 from test_exact_core import _FractionEchelon
+from test_nondegeneracy import _ref_spanning_subset
 from test_properties import PROPERTY_MATRICES
 
 from gkzrank import (
@@ -37,7 +38,6 @@ from gkzrank import (
     validate_matrix,
 )
 from gkzrank.linalg import rank
-from gkzrank.nondegeneracy import _spanning_subset
 from gkzrank.oracles import face_cone_contains
 from gkzrank.rings import ConeRing, cone_numerator, leading_classes, sequence_image
 
@@ -194,7 +194,7 @@ def _certify_over_the_long_window(fiber, face, P):
     expected = tuple(numerator.coeff(d) for d in range(bound + 1))
     ring = ConeRing(P, face)
     gs, _ = leading_classes(ring, fiber)
-    chosen = _spanning_subset(ring, gs)
+    chosen = _ref_spanning_subset(gs, face)
     if chosen is None:
         return "infinite", None, (), (), expected
     gs = [gs[i - 1] for i in chosen]

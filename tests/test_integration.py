@@ -284,7 +284,7 @@ def test_top_maps_are_ranked_off_their_slices(monkeypatch, rows, fiber):
         factored.append(make(m))
         return factored[-1]
 
-    for module in (linalg, nondegeneracy, derham, oracles):
+    for module in (linalg, derham, oracles):
         monkeypatch.setattr(module, "rank", counted_rank)
     monkeypatch.setattr(homology, "Echelon", counted_echelon)
     monkeypatch.setattr(homology, "sequence_image", counted_image)
@@ -319,9 +319,8 @@ def test_koszul_maps_and_slices_hold_integers(monkeypatch):
         return make(m)
 
     image, make = homology.sequence_image, homology.Echelon
-    for module in (homology, nondegeneracy):
-        monkeypatch.setattr(module, "sequence_image", recorded_image)
-        monkeypatch.setattr(module, "Echelon", recorded_echelon)
+    monkeypatch.setattr(homology, "sequence_image", recorded_image)
+    monkeypatch.setattr(homology, "Echelon", recorded_echelon)
     kz = verify_kouchnirenko(is_nondegenerate(fiber, P))
     assert kz.scale > 1
     assert len(matrices) > 2 * len(kz._slices)
@@ -334,14 +333,20 @@ def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
 
     P = NewtonPolytope(validate_matrix(rows))
     gamma = [0] * P.n
-    factored, degrees, solved = [], [], []
-    make = homology.Echelon
+    imaged, factored, degrees, solved = [], [], [], []
+    image, make = homology.sequence_image, homology.Echelon
     step = derham.ReductionBasis._step
     column_solve = linalg.Echelon.solve_column
 
+    # Each face's counts factor their own slices; each factorization is
+    # recorded with the ring whose image it factors.
+    def recorded_image(ring, *args):
+        imaged.append(ring)
+        return image(ring, *args)
+
     def counted_echelon(m):
-        factored.append(make(m))
-        return factored[-1]
+        factored.append((imaged[-1], make(m)))
+        return factored[-1][1]
 
     def counted_step(self, w):
         degrees.append(P.graded_degree(w))
@@ -351,6 +356,7 @@ def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
         solved.append((degrees[-1], self))
         return column_solve(self, c)
 
+    monkeypatch.setattr(homology, "sequence_image", recorded_image)
     monkeypatch.setattr(homology, "Echelon", counted_echelon)
     monkeypatch.setattr(derham.ReductionBasis, "_step", counted_step)
     monkeypatch.setattr(linalg.Echelon, "solve_column", counted_solve)
@@ -359,8 +365,10 @@ def test_reduction_factors_each_degree_once(monkeypatch, rows, fiber):
     _, basis = h_top_dimension(gamma, kz)
     connection_matrices(basis)
     slices = {d: data[2] for d, data in kz._slices.items()}
-    # The basis and the reduction share one factorization per degree.
-    assert [id(e) for e in factored] == [id(e) for e in slices.values()]
+    # The basis and the reduction share one factorization per degree of the
+    # full cone's counts.
+    full = [e for ring, e in factored if ring is kz.ring]
+    assert [id(e) for e in full] == [id(e) for e in slices.values()]
     assert basis_degrees & {d for d, _ in solved}
     # Every reduction step solves once, against its own degree's slice.
     assert len(solved) == len(degrees) > len(set(degrees))

@@ -1,13 +1,12 @@
-import runpy
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import gkzrank.nondegeneracy as nondegeneracy
+import gkzrank.homology as homology
 from gkzrank import (
     FaceContainsOrigin,
     NewtonPolytope,
+    ReductionBasis,
     RingElement,
     ShapeMismatch,
     choose_spanning_subset,
@@ -15,14 +14,18 @@ from gkzrank import (
     face_polynomial,
     is_nondegenerate,
     log_derivative_classes,
+    normalize_gamma,
     validate_matrix,
     verify_kouchnirenko,
 )
 from gkzrank.linalg import Echelon, SparseRationalMatrix, rank
-from gkzrank.nondegeneracy import _face_quotient_dims, _spanning_subset, certify_face
-from gkzrank.rings import ConeRing, cone_numerator, leading_classes, sequence_image
+from gkzrank.nondegeneracy import certify_face
+from gkzrank.rings import ConeRing, leading_classes, sequence_image
 from conftest import FIXTURES, face_with_vertices, kouchnirenko_scan
 from test_cli import GOLDEN_SPECS
+from test_rings import (
+    KERNEL_POLYTOPES, _class_cases, _ref_face_quotient_dims, _seeded_fiber,
+)
 
 GAUSS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 
@@ -105,6 +108,22 @@ class TestIsNondegenerate:
             with pytest.raises(ShapeMismatch, match=message):
                 call()
 
+    def test_exponent_strings_are_refused(self, gauss):
+        # A string gamma or fiber entry is read by the problem files' one
+        # grammar, which has no exponents: Fraction would write out every
+        # digit of "1e99999999" before any stage could start.
+        matrix, P, fiber = gauss
+        kz = verify_kouchnirenko(is_nondegenerate(fiber, P))
+        for call in (
+            lambda: is_nondegenerate(["1e5", "2", "3", "4"], P),
+            lambda: normalize_gamma(["1e5", "0", "0"], P),
+            lambda: ReductionBasis(["0", "1e5", "0"], kz),
+            lambda: euler_operators(matrix, ["0", "0", "1e5"]),
+        ):
+            with pytest.raises(ValueError, match="^cannot parse rational from '1e5'"):
+                call()
+        assert is_nondegenerate(["1/2", " 2", "3.5", "-4"], P).overall
+
     def test_interval_examples(self):
         P = NewtonPolytope(validate_matrix([[1, 2]]))
         assert is_nondegenerate([0, 1], P).overall
@@ -178,7 +197,7 @@ class TestCertificateShape:
             assert cert.bound_used == len(cert.quotient_dims) - 1
 
 
-# -- the shift lemma ----------------------------------------------------------
+# -- the shift lemma ---------------------------------------------------------
 
 
 def _rank_every_degree(ring, gs, bound):
@@ -189,31 +208,6 @@ def _rank_every_degree(ring, gs, bound):
         image = sequence_image(ring, gs, M, d)
         dims.append(image.rows - rank(image))
     return tuple(dims)
-
-
-def _certified_faces(rows, fiber):
-    """(face, ring, chosen classes, window) for every face that certify_face
-    ranks, as it builds them."""
-    P = NewtonPolytope(validate_matrix(rows))
-    M = P.gauge_denominator
-    for face in P.origin_free_faces():
-        numerator, k = cone_numerator(P, face)
-        ring = ConeRing(P, face)
-        gs, _ = leading_classes(ring, fiber)
-        chosen = _spanning_subset(ring, gs)
-        if chosen is not None:
-            yield face, ring, [gs[i - 1] for i in chosen], numerator.degree + k * M
-
-
-def _shift_lemma_specs():
-    problems = runpy.run_path(
-        str(Path(__file__).resolve().parents[1] / "bench" / "problems.py")
-    )
-    specs = dict(GOLDEN_SPECS)
-    for seed in (1, 2, 3):
-        drawn, _ = problems["sweep"](seed)
-        specs.update((f"sweep-{seed}-{p['id']}", p["spec"]) for p in drawn)
-    return specs
 
 
 def _ref_spanning_subset(gs, face):
@@ -232,106 +226,130 @@ def test_spanning_subset_matches_the_exponent_by_class_pivots():
     # The degree-M slice holds every exponent of the classes, with more rows
     # that are zero in every class; pivot columns do not depend on the rows.
     # A zero coefficient on a vertex leaves that vertex no class: None.
-    specs = {name: {"matrix": m, "fiber": f} for name, (m, f) in FIXTURES.items()}
-    specs.update(_shift_lemma_specs())
+    cases = [(name, m, f) for name, (m, f) in FIXTURES.items()] + list(_class_cases())
     for j in range(4):
-        fiber = [int(i != j) for i in range(4)]
-        specs[f"gauss-zero-{j}"] = {"matrix": GAUSS, "fiber": fiber}
+        cases.append((f"gauss-zero-{j}", GAUSS, [int(i != j) for i in range(4)]))
+    polytopes = [(name, NewtonPolytope(validate_matrix(m)), f) for name, m, f in cases]
+    for i, P in enumerate(KERNEL_POLYTOPES):
+        polytopes.append((f"kernel-{i}", P, _seeded_fiber(P, i)))
     seen = {"chosen": 0, "none": 0}
-    for name, spec in specs.items():
-        P = NewtonPolytope(validate_matrix(spec["matrix"]))
-        fiber = [Fraction(c) for c in spec["fiber"]]
+    for name, P, fiber in polytopes:
+        fiber = [Fraction(c) for c in fiber]
         for face in P.origin_free_faces():
-            ring = ConeRing(P, face)
-            gs, _ = leading_classes(ring, fiber)
-            chosen = _spanning_subset(ring, gs)
+            chosen = certify_face(fiber, face, P).spanning_indices or None
+            gs, _ = leading_classes(ConeRing(P, face), fiber)
             assert chosen == _ref_spanning_subset(gs, face), (name, face.id)
             seen["none" if chosen is None else "chosen"] += 1
-    assert seen["chosen"] > 500 and seen["none"] >= 4, seen
+    assert seen["chosen"] > 1000 and seen["none"] >= 4, seen
 
 
 def test_one_facet_certificate_from_the_koszul_counts_is_the_ranked_one():
-    # With one origin-free facet, is_nondegenerate certifies it from the full
-    # cone's Koszul counts; certify_face without them ranks the facet's
-    # quotient itself, the reference.  Nondegenerate and degenerate fibers,
-    # and Gauss with fiber (1, 0, 0, 0), whose facet has no spanning subset.
-    # The Koszul stage takes the counts the report carries.
-    problems = runpy.run_path(
-        str(Path(__file__).resolve().parents[1] / "bench" / "problems.py")
-    )
-    specs = dict(GOLDEN_SPECS)
-    for seed in range(1, 6):
-        drawn, _ = problems["sweep"](seed)
-        specs.update((f"sweep-{seed}-{p['id']}", p["spec"]) for p in drawn)
-    specs["gauss-no-span"] = {"matrix": GAUSS, "fiber": [1, 0, 0, 0]}
+    # With one origin-free facet, the facet's cone is the full cone: its
+    # certificate's counts are the full cone's Koszul counts, which the
+    # report carries to the Koszul stage.  The certificate matches the
+    # ranked references; nondegenerate and degenerate fibers, and two facets
+    # with no spanning subset: Gauss with fiber (1, 0, 0, 0) and the vertex
+    # whose repeated column cancels.
+    cases = list(_class_cases()) + [("gauss-no-span", GAUSS, [1, 0, 0, 0])]
     seen = {"finite": 0, "infinite": 0, "no-span": 0, "multi-facet": 0}
-    for name, spec in specs.items():
-        P = NewtonPolytope(validate_matrix(spec["matrix"]))
-        report = is_nondegenerate([Fraction(c) for c in spec["fiber"]], P)
+    for name, rows, fiber in cases:
+        P = NewtonPolytope(validate_matrix(rows))
+        report = is_nondegenerate([Fraction(c) for c in fiber], P)
         facets = P.index_set(P.n - 1)
         if len(facets) > 1:
             assert report.kouchnirenko is None, name
+            assert all(c.kouchnirenko is None for c in report.certificates), name
             seen["multi-facet"] += 1
             continue
         (facet,) = facets
         (got,) = [c for c in report.certificates if c.face_id == facet.id]
-        want = certify_face(report.fiber, facet, P)
-        assert got.to_json() == want.to_json(), name
-        assert report.kouchnirenko.truncation == want.bound_used, name
+        assert [c for c in report.certificates if c.kouchnirenko] == [got], name
+        kz = report.kouchnirenko
+        assert got.kouchnirenko is kz and kz.truncation == got.bound_used, name
+        ring = ConeRing(P, facet)
+        gs, _ = leading_classes(ring, report.fiber)
+        chosen = _ref_spanning_subset(gs, facet)
+        assert got.spanning_indices == (chosen or ()), name
+        if chosen:
+            want = _ref_face_quotient_dims(ring, gs, got.bound_used)
+            assert got.quotient_dims == want, name
+        # The facet ring's counts are those of the full cone's ring.
+        full = kouchnirenko_scan(P, report.fiber)
+        assert (kz.classes, kz.scale, kz.expected_polynomial, kz.truncation) == (
+            full.classes, full.scale, full.expected_polynomial, full.truncation
+        ), name
+        assert (kz.vanishing, kz.per_degree, kz.monomial_basis) == (
+            full.vanishing, full.per_degree, full.monomial_basis
+        ), name
         if report.overall:
-            assert verify_kouchnirenko(report) is report.kouchnirenko, name
+            assert verify_kouchnirenko(report) is kz, name
         seen["no-span" if not got.spanning_indices else got.verdict] += 1
     assert seen["finite"] >= 100 and seen["infinite"] >= 30, seen
-    assert seen["no-span"] == 1 and seen["multi-facet"] >= 40, seen
+    assert seen["no-span"] == 2 and seen["multi-facet"] >= 40, seen
+
+
+def _factored_degrees(monkeypatch):
+    """The degrees each top slice is imaged at and the factorizations, as
+    they are made."""
+    images, factored = [], []
+
+    def recorded(ring, gs, M, d):
+        images.append(d)
+        return sequence_image(ring, gs, M, d)
+
+    def counted(m):
+        factored.append(m)
+        return Echelon(m)
+
+    monkeypatch.setattr(homology, "sequence_image", recorded)
+    monkeypatch.setattr(homology, "Echelon", counted)
+    return images, factored
 
 
 class TestShiftLemma:
     def test_matches_ranking_every_degree(self):
-        # Nondegenerate and degenerate faces alike: a degree recorded as 0
-        # without ranking must be 0 when ranked.
+        # Nondegenerate and degenerate faces alike: the counts read off the
+        # factored slices are the quotient by the spanning subset, ranked in
+        # every degree of the window.
         seen = {"vanishing": 0, "surviving": 0}
-        for name, spec in _shift_lemma_specs().items():
-            fiber = [Fraction(c) for c in spec["fiber"]]
-            for face, ring, gs, bound in _certified_faces(spec["matrix"], fiber):
-                want = _rank_every_degree(ring, gs, bound)
-                assert _face_quotient_dims(ring, gs, bound) == want, (name, face.id)
+        for name, rows, fiber in _class_cases():
+            P = NewtonPolytope(validate_matrix(rows))
+            fiber = [Fraction(c) for c in fiber]
+            for face in P.origin_free_faces():
+                cert = certify_face(fiber, face, P)
+                if not cert.spanning_indices:
+                    continue
+                ring = ConeRing(P, face)
+                gs, _ = leading_classes(ring, fiber)
+                chosen = [gs[i - 1] for i in cert.spanning_indices]
+                want = _rank_every_degree(ring, chosen, cert.bound_used)
+                assert cert.quotient_dims == want, (name, face.id)
                 seen["surviving" if want[-1] else "vanishing"] += 1
         assert seen["vanishing"] > 100 and seen["surviving"] > 5, seen
 
     def test_top_degrees_of_simplex_points_facet_are_not_ranked(self, monkeypatch):
         spec = GOLDEN_SPECS["simplex-points-3"]
-        ranked = []
-
-        def recorded(ring, gs, M, d):
-            ranked.append(d)
-            return sequence_image(ring, gs, M, d)
-
-        monkeypatch.setattr(nondegeneracy, "sequence_image", recorded)
+        images, factored = _factored_degrees(monkeypatch)
         P = NewtonPolytope(validate_matrix(spec["matrix"]))
         (facet,) = [f for f in P.origin_free_faces() if f.dim == P.n - 1]
         cert = certify_face([Fraction(c) for c in spec["fiber"]], facet, P)
         # The window ends at the numerator's degree 2 plus M = 1: degrees 4
         # and 5, which the shift lemma proved zero unranked when the window
-        # ran to 2 + k * M, are no longer read at all.  The spanning subset's
-        # degree-M image comes first.
+        # ran to 2 + k * M, are not read at all.  Each degree from M to the
+        # window is imaged and factored once; degree M's slice also gives the
+        # spanning subset.
         assert (cert.verdict, cert.bound_used) == ("finite", 3)
         assert cert.quotient_dims == (1, 7, 1, 0)
-        assert ranked == [1, 0, 1, 2, 3]
+        assert images == [1, 2, 3] and len(factored) == 3
 
     def test_degenerate_tail_is_ranked(self, monkeypatch):
         # Gauss with the product fiber (1, a, b, ab): the facet quotient never
-        # vanishes, so no degree of its window is decided by a shift.
-        ranked = []
-
-        def recorded(ring, gs, M, d):
-            ranked.append(d)
-            return sequence_image(ring, gs, M, d)
-
-        monkeypatch.setattr(nondegeneracy, "sequence_image", recorded)
+        # vanishes, and every degree from M to the window is factored once.
+        images, factored = _factored_degrees(monkeypatch)
         P = NewtonPolytope(validate_matrix(GAUSS))
         (facet,) = [f for f in P.origin_free_faces() if f.dim == P.n - 1]
         cert = certify_face([1, 2, 3, 6], facet, P)
         assert (cert.verdict, cert.failure_degree) == ("infinite", 2)
         assert cert.quotient_dims == (1, 1, 1)
-        # After the spanning subset's degree-M image, every degree is ranked.
-        assert ranked == [1] + list(range(cert.bound_used + 1)) == [1, 0, 1, 2]
+        assert images == list(range(1, cert.bound_used + 1)) == [1, 2]
+        assert len(factored) == 2

@@ -36,7 +36,7 @@ from gkzrank.lattice import (
     _parallelepiped_points,
 )
 from gkzrank.linalg import RationalSpan, SparseRationalMatrix, rank, solve
-from gkzrank.nondegeneracy import _face_quotient_dims
+from gkzrank.nondegeneracy import certify_face
 from gkzrank.oracles import (
     PolyZ,
     _affine_basis,
@@ -741,14 +741,15 @@ def _koszul_cases(index):
 
 class TestSequenceImage:
     def test_layout(self):
-        # Rows follow the slice; column w * k + i holds g_i * t^w.
+        # Rows follow the slice; the columns go class by class, column
+        # i * |R_1| + a holding g_i * t^w for w the a-th monomial of degree 1.
         ring = FreeRing(2)
         x, y = ring.variable(0), ring.variable(1)
         image = sequence_image(ring, [x.terms, y.scale(3).terms], 1, 2)
         assert ring.monomials_of_degree(2) == ((0, 2), (1, 1), (2, 0))
         assert ring.monomials_of_degree(1) == ((0, 1), (1, 0))
         assert (image.rows, image.cols) == (3, 4)
-        assert to_dense(image) == [[0, 3, 0, 0], [1, 0, 0, 3], [0, 0, 1, 0]]
+        assert to_dense(image) == [[0, 0, 3, 0], [1, 0, 0, 3], [0, 1, 0, 0]]
 
     def test_vanishing_products_are_dropped(self):
         # Two edges of the last polytope meet only on a cone facet, so some
@@ -824,15 +825,37 @@ class TestSequenceImage:
     @pytest.mark.parametrize("index", range(len(KERNEL_POLYTOPES)))
     def test_face_quotient_dims_match_row_loop(self, index):
         P = KERNEL_POLYTOPES[index]
-        fiber = _seeded_fiber(P, index)
-        for face in P.origin_free_faces():
-            ring = ConeRing(P, face)
-            gs, _ = leading_classes(ring, fiber)
-            for chosen in (gs, gs[:1], gs[1:]):
-                bound = 3 * P.gauge_denominator
-                assert _face_quotient_dims(ring, chosen, bound) == (
-                    _ref_face_quotient_dims(ring, chosen, bound)
-                )
+        _check_face_quotient_dims(P, _seeded_fiber(P, index))
+
+    def test_face_quotient_dims_match_row_loop_on_the_workloads(self):
+        # The golden specs and the sweep draws of seeds 1-5, degenerate
+        # ones included.
+        seen = {"chosen": 0, "none": 0}
+        for _, rows, fiber in _class_cases():
+            P = NewtonPolytope(validate_matrix(rows))
+            for chosen in _check_face_quotient_dims(P, [Fraction(c) for c in fiber]):
+                seen["chosen" if chosen else "none"] += 1
+        assert seen["chosen"] > 1000 and seen["none"] >= 1, seen
+
+
+def _check_face_quotient_dims(P, fiber):
+    """Check each origin-free face's certificate against the row loop, by all
+    the classes and by its spanning subset (none: no dims), over its window,
+    and return the spanning subsets, one per face."""
+    spans = []
+    for face in P.origin_free_faces():
+        cert = certify_face(fiber, face, P)
+        ring = ConeRing(P, face)
+        gs, _ = leading_classes(ring, fiber)
+        chosen = [gs[i - 1] for i in cert.spanning_indices]
+        if chosen:
+            want = _ref_face_quotient_dims(ring, gs, cert.bound_used)
+            assert cert.quotient_dims == want, face.id
+            assert _ref_face_quotient_dims(ring, chosen, cert.bound_used) == want
+        else:
+            assert cert.quotient_dims == (), face.id
+        spans.append(cert.spanning_indices)
+    return spans
 
 
 # -- integer determinants against the Fraction routines they replaced ----------
