@@ -77,12 +77,13 @@ class KouchnirenkoResult:
     criterion back.  Those are exactly the q < k degrees that the full
     complex (``oracles.GradedKoszulComplex``) certifies, since its outgoing
     map from degree d must stay within D, so ``vanishing`` is its answer
-    with no Koszul map built.  ``per_degree`` and ``top_dim`` are those of
-    S_k, in every degree up to D.  The classes are those of ``fiber``, which
-    the result keeps for the de Rham stage: ``int``s or ``Fraction``s, as a
+    with no Koszul map built.  ``quotients[d]`` lists dim S_j(d) for
+    j = 0..k, and ``per_degree`` and ``top_dim`` are those of S_k, in every
+    degree d up to D.  The classes are those of ``fiber``, which the result
+    keeps for the de Rham stage: ``int``s or ``Fraction``s, as a
     nondegeneracy report holds them.  The ring may be one origin-free
-    face's, truncated at its window: ``certify_face`` reads the face's
-    certificate off that result, which never lists its monomial basis."""
+    face's, truncated at its window: ``FaceCertificate`` is read off that
+    result, which never lists its monomial basis."""
 
     def __init__(self, ring: ConeRing, fiber, expected_polynomial, truncation):
         self.ring: ConeRing = ring
@@ -92,6 +93,7 @@ class KouchnirenkoResult:
         self.truncation: int = truncation
         self._slices: dict[int, tuple] = {}
         quotients = [self._quotient_dims(d) for d in range(truncation + 1)]
+        self.quotients: list[list[int]] = quotients
         # A zero sequence has no degree: the full complex then steps by 1,
         # not M, and so does the criterion.
         step = ring.gauge_denominator if any(self.classes) else 1

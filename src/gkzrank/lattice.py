@@ -76,8 +76,10 @@ RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)\s*")
 
 
 def parse_rational(text) -> Fraction:
-    """An ``int`` that is not a ``bool``, or a string in ``RATIONAL``."""
-    if type(text) is int or isinstance(text, str) and RATIONAL.fullmatch(text):
+    """An ``int`` that is not a ``bool``, a ``Fraction``, or a string in
+    ``RATIONAL``; a float, a ``Decimal`` or anything else is refused."""
+    exact = type(text) in (int, Fraction)
+    if exact or isinstance(text, str) and RATIONAL.fullmatch(text):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -86,12 +88,10 @@ def parse_rational(text) -> Fraction:
 
 
 def _rationals(values, n) -> tuple[Fraction, ...]:
-    """A rational vector of length ``n``, such as gamma or a fiber; a string
-    is read by ``RATIONAL``."""
+    """A rational vector of length ``n``, such as gamma or a fiber, each entry
+    read by ``parse_rational``."""
     _check_length(values, n)
-    return tuple(
-        parse_rational(v) if isinstance(v, str) else Fraction(v) for v in values
-    )
+    return tuple(map(parse_rational, values))
 
 
 class ExponentMatrix:
@@ -153,22 +153,24 @@ class Facet:
 class Face:
     """A proper face of the hull, recorded by the hull points it holds.
 
-    ``points`` is that set, ``vertices`` its vertices, sorted.  ``active``
-    lists the indices of the facets whose points contain the face's, and
-    ``contains_origin`` whether the origin is one of its points, which may
-    happen even when the origin is not one of its vertices.
+    ``points`` is that set and ``vertices`` the hull vertices among them,
+    sorted; ``dim`` is the rank of its edges from its first vertex.
+    ``active`` lists the indices of the facets whose points contain the
+    face's, and ``contains_origin`` whether the origin is one of its points,
+    which may happen even when the origin is not one of its vertices.
     """
 
-    def __init__(
-        self, id, dim, points, vertices, active, contains_origin, on_origin_facet
-    ):
-        self.id: int = id
-        self.dim: int = dim
+    def __init__(self, points, vertices, facets):
+        self.id: int = 0  # its place among the polytope's sorted faces
         self.points: frozenset[Vector] = points
-        self.vertices: tuple[Vector, ...] = vertices
-        self.active: frozenset[int] = active
-        self.contains_origin: bool = contains_origin
-        self.on_origin_facet: bool = on_origin_facet
+        self.vertices: tuple[Vector, ...] = tuple(sorted(points & vertices))
+        v0 = self.vertices[0]
+        self.dim: int = rational_rank([_sub(v, v0) for v in self.vertices[1:]])
+        self.active: frozenset[int] = frozenset(
+            i for i, f in enumerate(facets) if points <= f.points
+        )
+        self.contains_origin: bool = (0,) * len(v0) in points
+        self.on_origin_facet: bool = any(facets[i].level == 0 for i in self.active)
 
 
 def _kernel_normal(points, n):
@@ -258,22 +260,17 @@ class NewtonPolytope:
     def _build_faces(self, points) -> tuple[tuple[Vector, ...], tuple[Face, ...]]:
         """The vertices and the faces.  The faces' point sets are the nonempty
         proper intersections of the facets' point sets, folded in one facet
-        at a time; the vertices are the faces on one point, and a face's
-        dimension is the rank of its edges from its first vertex."""
-        whole, origin = frozenset(points), (0,) * self.n
+        at a time; the vertices are the faces on one point."""
+        whole = frozenset(points)
         sets = {whole}
         for f in self.facets:
             sets |= {s & f.points for s in sets}
         sets -= {whole, frozenset()}
         vertices = frozenset(p for s in sets if len(s) == 1 for p in s)
-        faces = []
-        for s in sets:
-            verts = tuple(sorted(s & vertices))
-            dim = rational_rank([_sub(v, verts[0]) for v in verts[1:]])
-            active = frozenset(i for i, f in enumerate(self.facets) if s <= f.points)
-            on_origin_facet = any(self.facets[i].level == 0 for i in active)
-            faces.append(Face(0, dim, s, verts, active, origin in s, on_origin_facet))
-        faces.sort(key=lambda f: (f.dim, f.vertices))
+        faces = sorted(
+            (Face(s, vertices, self.facets) for s in sets),
+            key=lambda f: (f.dim, f.vertices),
+        )
         for i, f in enumerate(faces):
             f.id = i
         return tuple(sorted(vertices)), tuple(faces)

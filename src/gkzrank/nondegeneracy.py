@@ -31,30 +31,32 @@ from .rings import ConeRing, cone_numerator
 
 
 class FaceCertificate:
-    """Finiteness certificate for one face quotient; ``kouchnirenko`` holds
-    the counts it was read off when the face's cone is the full cone."""
+    """Finiteness certificate for one face quotient, read off the face's
+    Koszul counts; ``kouchnirenko`` holds them when ``carry`` says the
+    face's cone is the full cone."""
 
-    def __init__(
-        self,
-        face_id,
-        face_vertices,
-        spanning_indices,
-        quotient_dims,
-        expected_dims,
-        verdict,
-        bound_used,
-        failure_degree=None,
-        kouchnirenko=None,
-    ):
-        self.face_id: int = face_id
-        self.face_vertices: tuple = face_vertices
-        self.spanning_indices: tuple[int, ...] = spanning_indices
-        self.quotient_dims: tuple[int, ...] = quotient_dims
-        self.expected_dims: tuple[int, ...] = expected_dims
-        self.verdict: str = verdict  # "finite" | "infinite"
-        self.bound_used: int = bound_used
-        self.failure_degree: int | None = failure_degree
-        self.kouchnirenko: KouchnirenkoResult | None = kouchnirenko
+    def __init__(self, face: Face, counts: KouchnirenkoResult, carry: bool):
+        self.face_id: int = face.id
+        self.face_vertices: tuple = face.vertices
+        # R_0 is the one monomial 1, so class j is one column of the degree-M
+        # slice, a new form there exactly when S_j(M) < S_{j-1}(M).  The
+        # classes span at most dim + 1 forms: that many are a spanning subset,
+        # whose quotient is S_n; fewer, and no subset spans.
+        S = counts.quotients[counts.ring.gauge_denominator]
+        chosen = tuple(j for j in range(1, len(S)) if S[j] < S[j - 1])
+        if len(chosen) <= face.dim:
+            chosen = ()
+        dims = chosen and tuple(T[-1] for T in counts.quotients)
+        poly, bound = counts.expected_polynomial, counts.truncation
+        expected = tuple(poly.coeff(d) for d in range(bound + 1))
+        failure = next((d for d, q in enumerate(dims) if q != expected[d]), None)
+        self.spanning_indices: tuple[int, ...] = chosen
+        self.quotient_dims: tuple[int, ...] = dims
+        self.expected_dims: tuple[int, ...] = expected
+        self.verdict: str = "finite" if chosen and failure is None else "infinite"
+        self.bound_used: int = bound
+        self.failure_degree: int | None = failure
+        self.kouchnirenko: KouchnirenkoResult | None = counts if carry else None
 
     def to_json(self):
         return {
@@ -71,15 +73,17 @@ class FaceCertificate:
 
 class NondegeneracyReport:
     """The face certificates of one fiber, with the polytope, the fiber and
-    the Koszul counts of the one face whose cone is the full cone (or None),
-    which the Koszul stage reads off the report."""
+    the Koszul counts that a certificate carries (or None), which the Koszul
+    stage reads off the report."""
 
-    def __init__(self, overall, certificates, polytope, fiber, kouchnirenko):
-        self.overall: bool = overall
+    def __init__(self, certificates, polytope, fiber):
+        self.overall: bool = all(c.verdict == "finite" for c in certificates)
         self.certificates: list[FaceCertificate] = certificates
         self.polytope: NewtonPolytope = polytope
         self.fiber: tuple[Fraction, ...] = fiber
-        self.kouchnirenko: KouchnirenkoResult | None = kouchnirenko
+        self.kouchnirenko: KouchnirenkoResult | None = next(
+            (c.kouchnirenko for c in certificates if c.kouchnirenko), None
+        )
 
     def offending_faces(self):
         return [c for c in self.certificates if c.verdict == "infinite"]
@@ -95,33 +99,11 @@ def certify_face(fiber, face: Face, polytope: NewtonPolytope) -> FaceCertificate
     """Decide finiteness of the quotient attached to one origin-free face,
     for a fiber of ``int``s or ``Fraction``s, from the Koszul counts of its
     classes on the face's own ring, truncated at the face's window."""
-    M, n = polytope.gauge_denominator, polytope.n
-    expected_poly, k = cone_numerator(polytope, face)
+    expected, k = cone_numerator(polytope, face)
     assert k == face.dim + 1, "face pieces must have dim + 1 generators"
-    bound = _window(expected_poly, M)
-    expected = tuple(expected_poly.coeff(d) for d in range(bound + 1))
-    counts = KouchnirenkoResult(ConeRing(polytope, face), fiber, expected_poly, bound)
-    # In degree M image column i is class i + 1 times t^0.  The classes span
-    # at most k forms there, so k image pivots are a spanning subset, whose
-    # quotient is S_n; fewer, and no subset spans.
-    pivots = counts._top_slice(M)[2].pivots
-    chosen = tuple(j + 1 for _, j, _ in pivots if j < n)
-    if len(chosen) < k:
-        chosen = ()
-    dims = chosen and tuple(counts.per_degree.get(d, 0) for d in range(bound + 1))
-    mismatches = (d for d, (got, want) in enumerate(zip(dims, expected)) if got != want)
-    failure = next(mismatches, None)
-    return FaceCertificate(
-        face_id=face.id,
-        face_vertices=face.vertices,
-        spanning_indices=chosen,
-        quotient_dims=dims,
-        expected_dims=expected,
-        verdict="finite" if chosen and failure is None else "infinite",
-        bound_used=bound,
-        failure_degree=failure,
-        kouchnirenko=counts if k == n and polytope.index_set(n - 1) == [face] else None,
-    )
+    window = _window(expected, polytope.gauge_denominator)
+    counts = KouchnirenkoResult(ConeRing(polytope, face), fiber, expected, window)
+    return FaceCertificate(face, counts, polytope.index_set(polytope.n - 1) == [face])
 
 
 def is_nondegenerate(fiber, polytope: NewtonPolytope) -> NondegeneracyReport:
@@ -129,6 +111,4 @@ def is_nondegenerate(fiber, polytope: NewtonPolytope) -> NondegeneracyReport:
     fiber = _rationals(fiber, polytope.matrix.num_columns)
     faces = polytope.origin_free_faces()
     certificates = [certify_face(fiber, face, polytope) for face in faces]
-    overall = all(c.verdict == "finite" for c in certificates)
-    full = next((c.kouchnirenko for c in certificates if c.kouchnirenko), None)
-    return NondegeneracyReport(overall, certificates, polytope, fiber, full)
+    return NondegeneracyReport(certificates, polytope, fiber)

@@ -382,6 +382,20 @@ def test_failed_write_to_stdout_is_an_output_error(name, tmp_path):
     assert proc.stderr == "gkz: error: output: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.parametrize("name,truncation", [("gauss", 2), ("octahedron", 4)])
+def test_binding_truncation_cap_is_an_analyze_error(name, truncation, tmp_path):
+    # Gauss has one origin-free facet, whose certificate has factored the
+    # full cone's slices before the cap is read; the octahedron has 8, and
+    # the cap refuses before any slice of the full cone is built.
+    spec = dict(GOLDEN_SPECS[name], options={"truncation_cap": 0})
+    proc = _run_cli("analyze", write_spec(tmp_path, spec), "--no-timings")
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {"error": {
+        "stage": "analyze", "type": "TruncationTooSmall",
+        "message": f"truncation degree {truncation} exceeds cap 0",
+    }}
+
+
 def test_emit_streams_the_report(tmp_path):
     # The report is written as it is encoded, never held whole; held as one
     # string and a copy with its newline, it peaked at 5 times its length.

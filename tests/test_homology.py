@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import gkzrank.homology as homology
 from gkzrank import (
     CochainComplexQ,
     ConeRing,
@@ -24,8 +25,11 @@ from gkzrank import (
 )
 from gkzrank.linalg import rank
 from gkzrank.oracles import to_dense
-from gkzrank.rings import cone_numerator
+from gkzrank.rings import cone_numerator, sequence_image
 from conftest import kouchnirenko_scan
+from test_cli import GOLDEN_SPECS
+
+GAUSS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 
 
 class TestRankAndKernel:
@@ -210,6 +214,18 @@ class TestFaceComplex:
             check_face_complex_exactness(P, -1)
 
 
+def _record_slices(monkeypatch):
+    """The (ring's face, degree) of each top slice, as it is imaged."""
+    built = []
+
+    def recorded(ring, gs, M, d):
+        built.append((ring.face, d))
+        return sequence_image(ring, gs, M, d)
+
+    monkeypatch.setattr(homology, "sequence_image", recorded)
+    return built
+
+
 class TestVerifyKouchnirenko:
     def test_double_ray(self):
         P = NewtonPolytope(validate_matrix([[2]]))
@@ -255,6 +271,38 @@ class TestVerifyKouchnirenko:
         _, P, fiber = gauss
         with pytest.raises(TruncationTooSmall):
             verify_kouchnirenko(is_nondegenerate(fiber, P), truncation_cap=1)
+
+    def test_truncation_cap_refuses_before_the_full_cone_is_factored(
+        self, monkeypatch
+    ):
+        # The octahedron has 8 origin-free facets, so its report carries no
+        # counts: the cap refuses before any slice of the full cone is built.
+        spec = GOLDEN_SPECS["octahedron"]
+        P = NewtonPolytope(validate_matrix(spec["matrix"]))
+        report = is_nondegenerate(spec["fiber"], P)
+        assert report.overall and report.kouchnirenko is None
+        built = _record_slices(monkeypatch)
+        with pytest.raises(TruncationTooSmall):
+            verify_kouchnirenko(report, truncation_cap=0)
+        assert built == []
+        verify_kouchnirenko(report)
+        assert built and {face for face, _ in built} == {None}
+
+    def test_truncation_cap_on_one_facet_comes_after_its_counts(self, monkeypatch):
+        # With one origin-free facet, the facet's cone is the full cone and
+        # is_nondegenerate has already factored its counts, each degree from
+        # M to the truncation once; the cap refuses with no slice of its own.
+        built = _record_slices(monkeypatch)
+        P = NewtonPolytope(validate_matrix(GAUSS))
+        (facet,) = P.index_set(P.n - 1)
+        report = is_nondegenerate([1, 2, 3, 4], P)
+        kz = report.kouchnirenko
+        assert kz.ring.face is facet and kz.truncation == 2
+        assert [d for face, d in built if face is facet] == [1, 2]
+        built.clear()
+        with pytest.raises(TruncationTooSmall):
+            verify_kouchnirenko(report, truncation_cap=0)
+        assert built == []
 
 
 class TestPoincareIdentity:

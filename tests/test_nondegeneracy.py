@@ -1,10 +1,16 @@
+import ast
+import re
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 import gkzrank.homology as homology
 from gkzrank import (
     FaceContainsOrigin,
+    LogForm,
     NewtonPolytope,
     ReductionBasis,
     RingElement,
@@ -15,6 +21,7 @@ from gkzrank import (
     is_nondegenerate,
     log_derivative_classes,
     normalize_gamma,
+    twisted_differential,
     validate_matrix,
     verify_kouchnirenko,
 )
@@ -109,20 +116,31 @@ class TestIsNondegenerate:
                 call()
 
     def test_exponent_strings_are_refused(self, gauss):
-        # A string gamma or fiber entry is read by the problem files' one
-        # grammar, which has no exponents: Fraction would write out every
-        # digit of "1e99999999" before any stage could start.
+        # A gamma or fiber entry is read by the problem files' one rule: an
+        # int that is not a bool, a Fraction, or a string of the one grammar,
+        # which has no exponents.  Fraction would write out every digit of
+        # "1e99999999" or of Decimal("1e1000000") before any stage could
+        # start, and reads 0.1 as 3602879701896397/36028797018963968 and
+        # True as 1; each is refused at once at every stage entry point.
         matrix, P, fiber = gauss
         kz = verify_kouchnirenko(is_nondegenerate(fiber, P))
-        for call in (
-            lambda: is_nondegenerate(["1e5", "2", "3", "4"], P),
-            lambda: normalize_gamma(["1e5", "0", "0"], P),
-            lambda: ReductionBasis(["0", "1e5", "0"], kz),
-            lambda: euler_operators(matrix, ["0", "0", "1e5"]),
-        ):
-            with pytest.raises(ValueError, match="^cannot parse rational from '1e5'"):
-                call()
+        for entry in ("1e5", 0.1, True, Decimal("1e1000000")):
+            for call in (
+                lambda: is_nondegenerate([entry, "2", "3", "4"], P),
+                lambda: normalize_gamma([entry, "0", "0"], P),
+                lambda: ReductionBasis(["0", entry, "0"], kz),
+                lambda: euler_operators(matrix, ["0", "0", entry]),
+                lambda: twisted_differential(
+                    [0, 0, 0], [1, entry, 3, 4], LogForm(3, 0), P
+                ),
+            ):
+                start = perf_counter()
+                message = f"^cannot parse rational from {re.escape(repr(entry))}$"
+                with pytest.raises(ValueError, match=message):
+                    call()
+                assert perf_counter() - start < 1, entry
         assert is_nondegenerate(["1/2", " 2", "3.5", "-4"], P).overall
+        assert is_nondegenerate([Fraction(1, 2), 2, Fraction(7, 2), -4], P).overall
 
     def test_interval_examples(self):
         P = NewtonPolytope(validate_matrix([[1, 2]]))
@@ -353,3 +371,18 @@ class TestShiftLemma:
         assert cert.quotient_dims == (1, 1, 1)
         assert images == list(range(1, cert.bound_used + 1)) == [1, 2]
         assert len(factored) == 2
+
+
+def test_nondegeneracy_reads_no_private_attribute_of_another_object():
+    # A certificate is read off the public counts of a KouchnirenkoResult,
+    # never off its factored slices or their column layout.
+    import gkzrank.nondegeneracy as nondegeneracy
+
+    tree = ast.parse(Path(nondegeneracy.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert private == []
