@@ -10,6 +10,7 @@ whole; timings can be suppressed for stable bytes.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -128,6 +129,8 @@ def _emit(payload: dict, out_path: str | None, code: int) -> int:
     failed write is an output error, on stdout for a path, else on stderr."""
     try:
         if not out_path:
+            if sys.stdout is None:  # fd 1 was closed when Python started
+                raise OSError(errno.EBADF, "stdout is closed")
             _dump(payload, sys.stdout)
             return code
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -136,8 +139,9 @@ def _emit(payload: dict, out_path: str | None, code: int) -> int:
         if out_path:
             return _emit(error_json("output", exc), None, EXIT_INPUT_ERROR)
         sys.stderr.write(f"gkz: error: output: {exc}\n")
-        # Python flushes stdout again at exit: send what is left to devnull.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout is flushed again at exit: send what is left to devnull.
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT_ERROR
     return code
 
@@ -170,4 +174,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Nothing of gkz needs finalization: once the output is flushed, end the
+    # process without the interpreter's teardown.
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)

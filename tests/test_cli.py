@@ -258,16 +258,19 @@ MALFORMED_SPECS = {
 }
 
 
-def _run_cli(*args, stdout=subprocess.PIPE):
-    # A real process, so an uncaught exception would show on stderr.
+def _run_cli(*args, **options):
+    # A real process, so an uncaught exception would show on stderr, with
+    # stdout buffered as it is by default when it is a pipe or a file.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE,
+               "text": True, "timeout": 120, **options}
     return subprocess.run(
-        [sys.executable, "-m", "gkzrank.cli", *args],
-        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        [sys.executable, "-m", "gkzrank.cli", *args], env=env, **options
     )
 
 
@@ -380,6 +383,41 @@ def test_failed_write_to_stdout_is_an_output_error(name, tmp_path):
         proc = _run_cli("analyze", path, "--no-timings", stdout=full)
     assert proc.returncode == 1
     assert proc.stderr == "gkz: error: output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
+@pytest.mark.parametrize("command", ["volume", "analyze"])
+def test_closed_stdout_is_an_output_error(command, tmp_path):
+    # Started with fd 1 closed, Python sets sys.stdout to None: the report
+    # has nowhere to go, which is reported as a full stdout is.
+    path = write_spec(tmp_path, GAUSS_SPEC)
+    proc = _run_cli(command, path, stdout=None, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr == "gkz: error: output: [Errno 9] stdout is closed\n"
+
+
+@pytest.mark.parametrize("name,flags,code", [
+    # 302 KB, more than a pipe buffer holds, so the child writes while the
+    # parent reads
+    ("normal-curve-16", (), 0),
+    ("gauss", ("--fiber", "1,1,1,1"), 2),
+    ("gauss", ("--gamma", "1,2"), 1),
+])
+def test_piped_report_is_whole_at_exit(name, flags, code, tmp_path, capsys):
+    # The process ends without the interpreter's teardown, so every byte must
+    # be out before it does: through a pipe and through --out, the bytes and
+    # the exit code are the in-process ones, and stderr stays empty.
+    args = ["analyze", write_spec(tmp_path, GOLDEN_SPECS[name]), "--no-timings", *flags]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(args) == code
+    expected = capsys.readouterr().out.encode()
+    piped = _run_cli(*args, text=False)
+    assert (piped.returncode, piped.stderr, piped.stdout) == (code, b"", expected)
+    out = tmp_path / "report.json"
+    written = _run_cli(*args, "--out", str(out), text=False)
+    assert (written.returncode, written.stderr, written.stdout) == (code, b"", b"")
+    assert out.read_bytes() == expected
 
 
 @pytest.mark.parametrize("name,truncation", [("gauss", 2), ("octahedron", 4)])
