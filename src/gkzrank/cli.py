@@ -68,16 +68,17 @@ def _help(command) -> str:
 def _parse(argv: list) -> dict:
     """``command``, ``spec`` and the options given (``--no-timings`` as
     ``no_timings``) in the words after ``gkz``.  ``-h`` or ``--help`` anywhere
-    prints help and exits 0; a usage error exits 1, as 2 means degenerate."""
+    prints help and exits 0, or 1 when stdout cannot take it; a usage error
+    exits 1, as 2 means degenerate."""
     command = argv[0] if argv and argv[0] in COMMANDS else None
 
     def fail(why):
-        sys.stderr.write(USAGE.format(command or "COMMAND") + f"gkz: error: {why}\n")
+        if sys.stderr is not None:  # None: fd 2 was closed at start
+            sys.stderr.write(USAGE.format(command or "COMMAND") + f"gkz: error: {why}\n")
         raise SystemExit(EXIT_INPUT_ERROR)
 
     if "-h" in argv or "--help" in argv:
-        sys.stdout.write(_help(command))
-        raise SystemExit(EXIT_OK)
+        raise SystemExit(_emit(_help(command), None, EXIT_OK))
     if command is None:
         fail(f"unknown command {argv[0]!r}" if argv else "no command given")
     flags = ("--out", "--fiber", "--gamma") + COMMANDS[command][1]
@@ -119,14 +120,20 @@ def _load_spec(args: dict) -> ProblemSpec:
     return ProblemSpec.from_json(data)
 
 
-def _dump(payload: dict, fh) -> None:
-    json.dump(payload, fh, indent=2, ensure_ascii=False)
-    print(file=fh, flush=True)
+def _dump(payload: dict | str, fh) -> None:
+    """Stream a report as JSON, or help as its text, and flush."""
+    if isinstance(payload, str):
+        fh.write(payload)
+    else:
+        json.dump(payload, fh, indent=2, ensure_ascii=False)
+        fh.write("\n")
+    fh.flush()
 
 
-def _emit(payload: dict, out_path: str | None, code: int) -> int:
-    """Stream the report to ``out_path``, or stdout, and return ``code``; a
-    failed write is an output error, on stdout for a path, else on stderr."""
+def _emit(payload: dict | str, out_path: str | None, code: int) -> int:
+    """Stream the report to ``out_path``, or stdout (help too), and return
+    ``code``; a failed write is an output error, on stdout for a path, else
+    one line on stderr when stderr is open."""
     try:
         if not out_path:
             if sys.stdout is None:  # fd 1 was closed when Python started
@@ -138,7 +145,8 @@ def _emit(payload: dict, out_path: str | None, code: int) -> int:
     except OSError as exc:
         if out_path:
             return _emit(error_json("output", exc), None, EXIT_INPUT_ERROR)
-        sys.stderr.write(f"gkz: error: output: {exc}\n")
+        if sys.stderr is not None:
+            sys.stderr.write(f"gkz: error: output: {exc}\n")
         # stdout is flushed again at exit: send what is left to devnull.
         if sys.stdout is not None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

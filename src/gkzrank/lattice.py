@@ -19,26 +19,28 @@ positive facet levels, read off the facets with no search: M times the
 gauge is the largest of the dot products with the positive facet normals,
 each scaled by M over its level.  Cone lattice points are listed from a
 half-open simplicial tiling: the faces are triangulated, and each piece is
-inverted once in integers and opened lexicographically, away from
-z(eps) = g_1 + eps g_2 + ... on the first piece, so the pieces tile the
-cone without overlap.  Each cone point is then exactly one
-p + n_1 g_1 + ... + n_k g_k with p in one piece's half-open parallelepiped,
-of degree deg p + M (n_1 + ... + n_k) (Stanley 1980; Koeppe and
-Verdoolaege 2008), so a degree slice is listed with no search.  The cone
-over each face avoiding the origin is tiled the same way from the face's
-own triangulation, and its slices are listed from its own pieces.  Each
-tiling is built once per polytope and kept, and each listed point's degree
-is recorded.  ``normalize_gamma`` solves the facet inequalities for the
-last coordinate over each point of its shells.
+opened lexicographically, away from z(eps) = g_1 + eps g_2 + ... on the
+first piece, so the pieces tile the cone without overlap.  Each cone point
+is then exactly one p + n_1 g_1 + ... + n_k g_k with p in one piece's
+half-open parallelepiped, of degree deg p + M (n_1 + ... + n_k) (Stanley
+1980; Koeppe and Verdoolaege 2008), so a degree slice is listed with no
+search.  The cone over each face avoiding the origin is tiled the same way
+from the face's own triangulation, and its slices are listed from its own
+pieces.  Each tiling is built once per polytope and kept, and each listed
+point's degree is recorded.  ``normalize_gamma`` solves the facet
+inequalities for the last coordinate over each point of its shells.
 
-Determinants are taken in integers by Bareiss elimination; they give the
-normalized volume, the facet normals (as signed maximal minors) and the
-integer inverse of each simplicial piece.  Ranks go through
-``rational_rank``, the one rank of integer vectors: it checks the matrix's
-row rank and gives each face its dimension, the rank of its edges from one
-vertex.  The facets tight at a point, face-cone membership, face edge bases,
-incidence signs and boundary pyramid volumes, which no ``analyze`` run
-needs, live in ``oracles``.
+One fraction-free Gauss-Jordan elimination, ``_gauss_jordan``, gives the
+determinants of the normalized volume, each facet normal (the kernel of the
+difference rows, read off their one free column) and each piece's inverse:
+[G | I], eliminated on the generators G, gives D > 0 and integer rows X and
+Z such that X w is D times the cone coordinates of w, and w lies in the
+span exactly when Z w = 0.  Ranks go through ``rational_rank``, the one
+rank of integer vectors: it checks the matrix's row rank and gives each
+face its dimension, the rank of its edges from one vertex.  The facets
+tight at a point, face-cone membership, face edge bases, incidence signs
+and boundary pyramid volumes, which no ``analyze`` run needs, live in
+``oracles``.
 """
 
 from __future__ import annotations
@@ -176,15 +178,18 @@ class Face:
 def _kernel_normal(points, n):
     """Primitive normal of the hyperplane through n points, or None.
 
-    The normal is the vector of signed maximal minors of the n - 1
-    difference rows; it vanishes exactly when the points are dependent.
+    The n - 1 difference rows, eliminated, leave one free column exactly
+    when the points are independent; the kernel holds d there and minus the
+    row's entry at each pivot column.
     """
-    diffs = [_sub(p, points[0]) for p in points[1:]]
-    minors = [
-        (-1) ** j * _det([d[:j] + d[j + 1:] for d in diffs]) for j in range(n)
-    ]
-    g = gcd(*minors)
-    return tuple(c // g for c in minors) if g else None
+    rows, pivots, d, _ = _gauss_jordan([_sub(p, points[0]) for p in points[1:]], n)
+    if len(pivots) < n - 1:
+        return None
+    (free,) = set(range(n)).difference(pivots)
+    row_at = dict(zip(pivots, rows))
+    normal = [-row_at[c][free] if c in row_at else d for c in range(n)]
+    g = gcd(*normal)
+    return tuple(c // g for c in normal)
 
 
 class NewtonPolytope:
@@ -392,8 +397,7 @@ class NewtonPolytope:
         for gens in cones:
             assert len(gens) == len(first), "simplicial pieces of different sizes"
             inverse = _integer_inverse(gens)
-            rows, _, adj = inverse
-            half_open = [_opens_below(a, first, rows) for a in adj]
+            half_open = [_opens_below(x, first) for x in inverse[1]]
             points = _parallelepiped_points(gens, inverse, half_open)
             pieces.append((gens, [(self.graded_degree(p), p) for p in points]))
         return pieces
@@ -427,29 +431,43 @@ class NewtonPolytope:
         return tuple(len(self.faces_of_dim(p)) for p in range(self.n))
 
 
-def _det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+def _gauss_jordan(rows, width):
+    """Fraction-free Gauss-Jordan elimination of integer rows, with row
+    swaps, pivoting on their first ``width`` columns (Bareiss 1968; Nakos,
+    Turner and Williams 1997).
 
-    After step k each remaining entry is a (k+1) x (k+1) minor, so the
-    division by the previous pivot is exact and every entry stays an integer.
+    Returns the rows, their pivot columns, d and the sign of the swaps.
+    Pivot row i holds d at ``pivots[i]`` and 0 at the other pivot columns,
+    where d is the determinant of the pivot minor with its rows in the order
+    the swaps brought them up (1 with no pivot); the rows past the pivots are
+    0 on the first ``width`` columns.  Each step scales every other row by
+    the new pivot and divides by the previous one, a division that is exact
+    because every entry is a minor of the input.
     """
     a = [list(row) for row in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+    pivots, sign, d = [], 1, 1
+    for c in range(width):
+        k = len(pivots)
+        r = next((r for r in range(k, len(a)) if a[r][c]), None)
+        if r is None:
+            continue
+        if r != k:
+            a[k], a[r] = a[r], a[k]
             sign = -sign
-        pk = a[k]
-        for r in a[k + 1:]:
-            r[k + 1:] = [
-                (r[j] * pk[k] - r[k] * pk[j]) // prev for j in range(k + 1, n)
-            ]
-        prev = pk[k]
-    return sign * prev
+        p = a[k]
+        a = [
+            row if i == k else [(p[c] * x - row[c] * y) // d for x, y in zip(row, p)]
+            for i, row in enumerate(a)
+        ]
+        d = p[c]
+        pivots.append(c)
+    return a, pivots, d, sign
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix: the swap sign times d."""
+    _, pivots, d, sign = _gauss_jordan(rows, len(rows))
+    return sign * d if len(pivots) == len(rows) else 0
 
 
 def _last_interval(rows, prefix, lo, hi) -> range:
@@ -466,37 +484,23 @@ def _last_interval(rows, prefix, lo, hi) -> range:
     return range(lo, hi + 1)
 
 
-def _nonsingular_minor(columns) -> tuple[tuple[int, ...], int]:
-    """The first rows (in lexicographic order) on which k independent
-    columns have a nonzero k x k minor, with that minor."""
-    k = len(columns)
-    for rows in itertools.combinations(range(len(columns[0])), k):
-        det = _det([[c[r] for c in columns] for r in rows])
-        if det:
-            return rows, det
-    raise AssertionError("columns are linearly dependent")
-
-
 def _integer_inverse(gens):
-    """Rows, determinant and adjugate of one nonsingular k x k minor.
+    """(D, X, Z) for k independent generators of length n: D > 0, X . w is
+    D times the cone coordinates of w in their span, and w lies in the span
+    exactly when Z . w = 0.
 
-    For a point w in the span of the k generators, the adjugate applied to
-    w restricted to those rows gives det times its cone coordinates; the
-    determinant is made positive.
+    The rows [G | I_n], G with the generators as columns, are eliminated on
+    their first k columns.  The eliminated rows are [E G | E] for an
+    invertible E, and E G is d I_k over zero rows: the pivot rows of E give
+    X (up to the sign of d) and the rest give Z.
     """
-    rows, det = _nonsingular_minor(gens)
-    minor = [[g[r] for g in gens] for r in rows]
-    sign, k = (1 if det > 0 else -1), len(gens)
-    adj = [
-        [
-            sign * (-1) ** (i + j) * _det(
-                [row[:j] + row[j + 1:] for r, row in enumerate(minor) if r != i]
-            )
-            for i in range(k)
-        ]
-        for j in range(k)
-    ]
-    return rows, sign * det, adj
+    k, n = len(gens), len(gens[0])
+    identity = [[int(r == s) for s in range(n)] for r in range(n)]
+    a, pivots, d, _ = _gauss_jordan([[*g, *e] for g, e in zip(zip(*gens), identity)], k)
+    assert len(pivots) == k, "columns are linearly dependent"
+    sign = 1 if d > 0 else -1
+    adj = [[sign * c for c in row[k:]] for row in a[:k]]
+    return sign * d, adj, [row[k:] for row in a[k:]]
 
 
 def _parallelepiped_points(gens, inverse, half_open):
@@ -506,41 +510,29 @@ def _parallelepiped_points(gens, inverse, half_open):
     the coordinate of generator j runs over (0, 1]; otherwise over [0, 1).
     Every point of the bounding box is tested in integers.
     """
-    n = len(gens[0])
-    lo = [0] * n
-    hi = [0] * n
-    for g in gens:
-        for k, c in enumerate(g):
-            if c < 0:
-                lo[k] += c
-            else:
-                hi[k] += c
-    rows, det, adj = inverse
-    others = [r for r in range(n) if r not in rows]
+    box = [
+        range(sum(min(c, 0) for c in cs), sum(max(c, 0) for c in cs) + 1)
+        for cs in zip(*gens)
+    ]
+    det, adj, off_span = inverse
     out = []
-    for w in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        ws = [w[r] for r in rows]
-        x = [_dot(a, ws) for a in adj]
-        if not all(
-            0 < c <= det if h else 0 <= c < det for c, h in zip(x, half_open)
-        ):
+    for w in itertools.product(*box):
+        if any(_dot(z, w) for z in off_span):
             continue
-        # Off the chosen rows the point must lie in the span too.
-        if all(
-            sum(g[r] * c for g, c in zip(gens, x)) == det * w[r] for r in others
-        ):
+        x = [_dot(a, w) for a in adj]
+        if all(0 < c <= det if h else 0 <= c < det for c, h in zip(x, half_open)):
             out.append(w)
     return out
 
 
-def _opens_below(adj_row, first, rows) -> bool:
+def _opens_below(adj_row, first) -> bool:
     """Whether one cone coordinate of z(eps) is negative as eps -> 0+.
 
-    The coordinate is det^-1 times the sum of eps^(i-1) adj_row . g_i over
+    The coordinate is D^-1 times the sum of eps^(i-1) adj_row . g_i over
     the first piece's generators g_i; its first nonzero term decides.
     """
     for g in first:
-        c = _dot(adj_row, [g[r] for r in rows])
+        c = _dot(adj_row, g)
         if c:
             return c < 0
     raise AssertionError("perturbation lies on a wall of a simplicial piece")

@@ -26,7 +26,7 @@ from .derham import _partial, _warn_if_not_normalized, twisted_differential
 from .errors import FaceContainsOrigin, NotAFacePair, NotARelation, NotInCone
 from .homology import KouchnirenkoResult, wedge_terms
 from .lattice import (
-    Face, NewtonPolytope, Vector, _check_length, _det, _dot, _nonsingular_minor,
+    Face, NewtonPolytope, Vector, _check_length, _det, _dot, _integer_inverse,
     _rationals, _sub,
 )
 from .linalg import Echelon, SparseRationalMatrix, clear_denominators, rank
@@ -265,16 +265,8 @@ class RingElement:
             return RingElement()
         return RingElement({w: v * c for w, v in self.terms.items()})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def __eq__(self, other):
         return isinstance(other, RingElement) and self.terms == other.terms
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"{c}*t^{w}" for w, c in self.sorted_terms())
 
 
 def log_derivative_classes(
@@ -377,11 +369,11 @@ def incidence_sign(
     edge vectors from its lexicographically smallest vertex; the sign is
     the determinant comparing (outward direction, subface basis) with the
     face basis.  For simplices this reproduces the parity of the omitted
-    vertex.  On the first rows where the face basis has a nonzero minor,
-    that determinant is det(frame rows) / det(basis rows); the outward
-    direction is taken between barycentres scaled by both vertex counts,
-    a positive multiple that keeps the sign.  ``bases``, keyed by face id,
-    keeps each face's edge vectors across calls.
+    vertex.  With (D, X, Z) the face basis's ``_integer_inverse``, X maps the
+    frame to D > 0 times its coordinates in that basis, so the sign is that
+    of det(X . frame); the outward direction is taken between barycentres
+    scaled by both vertex counts, a positive multiple that keeps the sign.
+    ``bases``, keyed by face id, keeps each face's edge vectors across calls.
     """
     if bases is None:
         bases = {}
@@ -394,9 +386,9 @@ def incidence_sign(
         - ns * sum(v[k] for v in face.vertices)
         for k in range(polytope.n)
     )
-    rows, det = _nonsingular_minor(bases[face.id])
+    _, adj, _ = _integer_inverse(bases[face.id])
     frame = (outward,) + bases[sub.id]
-    return 1 if _det([[c[r] for c in frame] for r in rows]) * det > 0 else -1
+    return 1 if _det([[_dot(x, c) for c in frame] for x in adj]) > 0 else -1
 
 
 def boundary_pyramid_volumes(polytope: NewtonPolytope) -> dict[int, int]:
@@ -821,18 +813,6 @@ class LogForm:
         return LogForm(
             self.n, self.degree, {k: v * c for k, v in self.terms.items()}
         )
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        bits = []
-        for (I, w), c in self.sorted_terms():
-            wedge = "^".join(f"dlog t{i+1}" for i in I) or "1"
-            bits.append(f"{c}*t^{w} {wedge}")
-        return " + ".join(bits)
 
 
 def filtration_level(form: LogForm, polytope: NewtonPolytope):

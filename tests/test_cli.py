@@ -396,6 +396,49 @@ def test_closed_stdout_is_an_output_error(command, tmp_path):
     assert proc.stderr == "gkz: error: output: [Errno 9] stdout is closed\n"
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_help_to_a_closed_or_full_stdout_is_an_output_error(argv):
+    # Help goes out as a report does: a closed or full stdout is the same
+    # one-line error, exit 1, not a traceback.
+    proc = _run_cli(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (
+        1, "gkz: error: output: [Errno 9] stdout is closed\n"
+    )
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = _run_cli(*argv, stdout=full)
+        assert (proc.returncode, proc.stderr) == (
+            1, "gkz: error: output: [Errno 28] No space left on device\n"
+        )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["analyze", "SPEC", "--no-timings"], ["--help"],
+                                  ["frobnicate"]])
+def test_closed_stderr_keeps_exit_one(argv, tmp_path):
+    # gkz ... > /dev/full 2>&-: the output error (or the usage error) has
+    # nowhere to go, and the exit code still says so.
+    argv = [write_spec(tmp_path, GAUSS_SPEC) if w == "SPEC" else w for w in argv]
+    with open("/dev/full", "w") as full:
+        proc = _run_cli(*argv, stdout=full, stderr=None,
+                        preexec_fn=lambda: os.close(2))
+    assert proc.returncode == 1
+
+
+def test_closed_stderr_writes_nothing(monkeypatch):
+    # With fds 1 and 2 closed at start, sys.stdout and sys.stderr are None:
+    # the output error and the usage error are skipped, not an
+    # AttributeError on the None stream.
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert _emit({"rank": 1}, None, 0) == 1
+    for argv in (["--help"], ["frobnicate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+
+
 @pytest.mark.parametrize("name,flags,code", [
     # 302 KB, more than a pipe buffer holds, so the child writes while the
     # parent reads

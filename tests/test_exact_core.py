@@ -52,6 +52,13 @@ class TestRationalFunctionQ:
         b = RationalFunctionQ(PolyZ([2]), PolyZ([2, -2]))
         assert a == b
 
+    def test_negative_lowest_denominator_coefficient_flips_both_signs(self):
+        # 1/(t - 1) is stored as -1/(1 - t), through PolyZ.__neg__.
+        a = RationalFunctionQ(PolyZ([1]), PolyZ([-1, 1]))
+        b = RationalFunctionQ(PolyZ([-1]), PolyZ([1, -1]))
+        assert (a.num, a.den) == (b.num, b.den) == (PolyZ([-1]), PolyZ([1, -1]))
+        assert a == b and hash(a) == hash(b)
+
 
 class TestSparseMatrix:
     def test_set_get_and_zero_drop(self):

@@ -30,10 +30,12 @@ from gkzrank.homology import GradedKoszulComplex, wedge_terms
 from gkzrank.lattice import (
     NewtonPolytope,
     _det,
+    _gauss_jordan,
     _integer_inverse,
     _kernel_normal,
     _opens_below,
     _parallelepiped_points,
+    rational_rank,
 )
 from gkzrank.linalg import RationalSpan, SparseRationalMatrix, rank, solve
 from gkzrank.nondegeneracy import certify_face
@@ -626,7 +628,7 @@ class TestIntegerKernel:
     def test_perturbation_on_a_wall_raises(self):
         # A zero adjugate row would put z(eps) on a wall for every eps.
         with pytest.raises(AssertionError):
-            _opens_below([0, 0], [(1, 0), (0, 1)], (0, 1))
+            _opens_below([0, 0], [(1, 0), (0, 1)])
 
     def test_analyze_runs_no_polynomial_gcd(self, monkeypatch):
         # The numerators are read from the decomposition, so reducing a
@@ -949,6 +951,106 @@ def _seeded_matrices():
                 a[1][0] = 0
         out.append(a)
     return out
+
+
+def _rectangular_matrices():
+    """(rows, width) pairs: 1 to 6 rows pivoted on 1 to 6 columns with up to
+    3 more columns carried along, some rank deficient (a row combined from
+    two others, or a zero column among the first ``width``), some with a
+    zero leading entry so elimination must swap rows."""
+    rnd = random.Random(12)
+    out = [([[0, 0, 1], [0, 0, 2]], 2), ([[0, 3], [0, 0], [2, 1]], 2)]
+    for _ in range(150):
+        m, width, extra = rnd.randint(1, 6), rnd.randint(1, 6), rnd.randint(0, 3)
+        bound = rnd.choice((2, 100, 10**6))
+        a = [[rnd.randint(-bound, bound) for _ in range(width + extra)]
+             for _ in range(m)]
+        kind = rnd.random()
+        if m > 2 and kind < 0.3:
+            a[0] = [2 * y - z for y, z in zip(a[1], a[-1])]
+            rnd.shuffle(a)
+        elif kind < 0.5:
+            c = rnd.randrange(width)
+            for row in a:
+                row[c] = 0
+        elif m > 1 and kind < 0.7:
+            a[0][0] = 0
+        out.append((a, width))
+    return out
+
+
+def _ref_pivot_order(rows, width):
+    """The input row at each place after the elimination, and the pivot
+    columns, from Fraction elimination with the same swaps: the pivot of a
+    column is the first row at or past the pivots found that is nonzero
+    there (the fraction-free rows past the pivots are these rows times the
+    last pivot minor, so they are zero in the same places)."""
+    a = [[Fraction(c) for c in row] for row in rows]
+    order, pivots = list(range(len(rows))), []
+    for c in range(width):
+        k = len(pivots)
+        r = next((r for r in range(k, len(a)) if a[r][c]), None)
+        if r is None:
+            continue
+        a[k], a[r] = a[r], a[k]
+        order[k], order[r] = order[r], order[k]
+        for row in a[k + 1:]:
+            f = row[c] / a[k][c]
+            row[:] = [x - f * y for x, y in zip(row, a[k])]
+        pivots.append(c)
+    return order, pivots
+
+
+def _parity(order):
+    """The sign of a permutation: -1 to the number of its inversions."""
+    pairs = itertools.combinations(order, 2)
+    return (-1) ** sum(i > j for i, j in pairs)
+
+
+class TestGaussJordan:
+    def test_pivot_rows_hold_the_pivot_minor(self):
+        cases = [(a, len(a)) for a in _seeded_matrices()] + _rectangular_matrices()
+        kinds = {"deficient": 0, "odd swaps": 0, "carried": 0}
+        for a, width in cases:
+            copy = [row[:] for row in a]
+            rows, pivots, d, sign = _gauss_jordan(a, width)
+            assert a == copy  # the input is left as it was
+            order, want = _ref_pivot_order(a, width)
+            assert pivots == want
+            assert len(rows) == len(a)
+            assert all(type(x) is int for row in rows for x in row)
+            for i, c in enumerate(pivots):
+                assert [rows[i][j] for j in pivots] == [d * (j == c) for j in pivots]
+            for row in rows[len(pivots):]:
+                assert not any(row[:width])
+            minor = [[a[r][c] for c in pivots] for r in order[:len(pivots)]]
+            assert d == _fraction_det(minor)
+            assert sign == _parity(order)
+            kinds["deficient"] += len(pivots) < min(len(a), width)
+            kinds["odd swaps"] += sign < 0 and d not in (0, 1, -1)
+            kinds["carried"] += bool(a) and len(a[0]) > width
+        assert _gauss_jordan([], 0) == ([], [], 1, 1)
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_integer_inverse_reads_coordinates_and_span(self):
+        # X maps each generator to D times its unit vector, and Z vanishes
+        # exactly on the generators' span.
+        def dot(u, v):
+            return sum(x * y for x, y in zip(u, v))
+
+        seen = set()
+        for P in KERNEL_POLYTOPES:
+            for face in P.origin_free_faces():
+                for gens in P.triangulate_face(face):
+                    D, X, Z = _integer_inverse(gens)
+                    assert D > 0 and len(X) == len(gens) == P.n - len(Z)
+                    for j, g in enumerate(gens):
+                        unit = [D * (i == j) for i in range(len(X))]
+                        assert [dot(x, g) for x in X] == unit
+                        assert not any(dot(z, g) for z in Z)
+                    assert not Z or rational_rank(Z) == len(Z)
+                    seen.add(bool(Z))
+        assert seen == {True, False}  # face cones with k < n, and full ones
 
 
 class TestIntegerDeterminant:
